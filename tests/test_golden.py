@@ -1,0 +1,101 @@
+"""Golden corpus: the ``--json --certificates`` report of every input in
+``golden/corpus.jsonl`` must come out byte for byte as recorded.
+
+Each line of the corpus holds one input, its exit code and its report,
+as compact JSON.  To record the corpus again from the current code::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import itertools
+import json
+from pathlib import Path
+
+from s4embed.cli import main
+
+CORPUS = Path(__file__).parent / "golden" / "corpus.jsonl"
+
+NAMED_PRETZELS = [
+    (2, -2, 3, -3), (4, -4, 2, -2), (1, -4, -4, -4), (4, -4, 4, -4),
+    (3, -2, 2, -2), (1, -2, 2, -2), (1, -2, -2, -2), (5, -4, 3, 2),
+    (1, 2, 2, 2), (2, -2, 2, -2), (2, -2, 4, -4), (5, 2, 2, 2),
+    (4, -4, 6, -6), (3, -5, -8), (5, -7, -18),
+]
+
+LENS_SUMS = [
+    "lens(3,1)", "lens(5,2)", "lens(3,1)+lens(3,2)", "lens(2,1)+lens(2,1)",
+    "lens(5,1)+lens(5,1)", "lens(5,2)+lens(5,2)", "lens(7,2)+lens(7,5)",
+    "lens(7,4)+lens(7,5)", "lens(8,3)+lens(8,5)", "lens(8,3)+lens(8,3)",
+    "lens(4,1)+lens(4,3)", "lens(9,2)+lens(9,7)", "lens(9,2)+lens(9,2)",
+    "lens(25,7)+lens(25,18)", "lens(3,1)+lens(3,1)+lens(3,2)+lens(3,2)",
+    "lens(3,1)+lens(5,2)+lens(3,2)+lens(5,3)",
+]
+
+SEIFERT = [
+    # orientable base, e = 0
+    "seifert(S2; 0; (3,1),(3,-1),(5,2),(5,-2))",
+    "seifert(S2; 0; (2,1),(6,-1),(6,-1),(6,-1))",
+    "seifert(S2; 0; (4,1),(4,-1),(6,1),(6,-1))",
+    "seifert(S2; 1; (3,1),(3,1),(3,1))",
+    "seifert(S2; 0; (3,1),(3,-1),(2,1),(2,-1))",
+    "seifert(O(1); 0; (3,1),(3,-1))",
+    # orientable base, e != 0
+    "seifert(S2; 0; (4,1),(4,1),(12,-7))",
+    "seifert(S2; 1; (4,1),(4,1),(12,5))",
+    "seifert(S2; 0; (2,1),(3,1),(5,1))",
+    "seifert(S2; -1; (2,1),(3,1),(5,1))",
+    "seifert(S2; 0; (3,1),(3,1),(3,-1))",
+    "seifert(O(1); 1; (2,1),(3,1),(5,1))",
+    # non-orientable base
+    "seifert(N(1); 0; (3,1),(2,1))",
+    "seifert(N(1); 0; (3,1),(3,-1))",
+    "seifert(N(2); 0; (3,1),(3,-2))",
+    "seifert(N(1); 0; (4,1),(4,1))",
+    "seifert(N(1); 0; (4,1),(6,1))",
+    "seifert(N(1); 1; )",
+    "seifert(N(1); 0; (5,2),(5,-3))",
+    # base S^2 with at most two fibres: lens spaces, S^3 or S^1 x S^2
+    "seifert(S2; 0; )",
+    "seifert(S2; 1; )",
+    "seifert(S2; 2; )",
+    "seifert(S2; 0; (3,1))",
+    "seifert(S2; 0; (5,2))",
+    "seifert(S2; 0; (9,2))",
+    "seifert(S2; -1; (2,-1),(3,-1))",
+    "seifert(S2; 0; (4,1),(4,-1))",
+    "seifert(S2; 0; (5,1),(5,-1))",
+    "seifert(S2; 1; (3,1),(3,1))",
+    "seifert(S2; 0; (2,1),(2,1))",
+]
+
+
+def corpus_inputs() -> list[str]:
+    values = [a for a in range(-4, 5) if a]
+    pretzels = list(itertools.combinations_with_replacement(values, 3)) + NAMED_PRETZELS
+    return [f"pretzel({','.join(map(str, s))})" for s in pretzels] + LENS_SUMS + SEIFERT
+
+
+def record(expr: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([expr, "--json", "--certificates"])
+    entry = {"expr": expr, "exit": code, "report": json.loads(out.getvalue())}
+    return json.dumps(entry, separators=(",", ":"))
+
+
+def test_golden_corpus_reproduced():
+    lines = CORPUS.read_text().splitlines()
+    assert len(lines) >= 150
+    changed = [
+        json.loads(line)["expr"]
+        for line in lines
+        if record(json.loads(line)["expr"]) != line
+    ]
+    assert changed == []
+
+
+if __name__ == "__main__":
+    CORPUS.parent.mkdir(exist_ok=True)
+    CORPUS.write_text("".join(record(expr) + "\n" for expr in corpus_inputs()))
