@@ -5,13 +5,7 @@ fibred 3-manifold, or the double branched cover of a 3/4-strand pretzel
 link embeds smoothly in S^4, reporting certificates for every verdict.
 """
 
-from .classify import (
-    Verdict,
-    decide_lens_sum,
-    decide_pretzel,
-    decide_seifert,
-    full_report,
-)
+from .classify import catalog_matches, full_report
 from .lattice import LatticeSubset, enumerate_subsets, verify_factorization
 from .manifolds import (
     LensSum,
@@ -30,7 +24,7 @@ from .obstructions import (
     semidefinite_obstruction,
 )
 from .plumbing import PlumbingTree, definiteness, plumbing_tree
-from .spin import furuta_check, mu_bar, spin_profile, wu_sets
+from .spin import mu_bar, spin_profile, wu_sets
 
 __all__ = [
     "LatticeSubset",
@@ -38,11 +32,8 @@ __all__ = [
     "PlumbingTree",
     "PretzelCover",
     "SeifertManifold",
-    "Verdict",
+    "catalog_matches",
     "char_vector_criterion",
-    "decide_lens_sum",
-    "decide_pretzel",
-    "decide_seifert",
     "definiteness",
     "double_subset_obstruction",
     "enumerate_subsets",
@@ -50,7 +41,6 @@ __all__ = [
     "eval_continued_fraction",
     "first_homology",
     "full_report",
-    "furuta_check",
     "mu_bar",
     "neg_continued_fraction",
     "nonorientable_obstruction",

@@ -1,30 +1,57 @@
-"""Decision procedures and the obstruction orchestrator.
+"""One decision engine: per-class check tables and one merge rule.
 
-Lens-space sums are decided completely: a sum embeds iff every p_i is
-odd and the summands match up into mirror pairs.  Seifert manifolds over
-a non-orientable base must carry weak complementary pairs (plus a rigid
-clause for even multiplicities), and over an orientable base with e = 0
-complementary pairs; with every a_i odd the latter is also sufficient.
-Pretzel covers are classified: up to mirror, the embeddable ones are
-Y(a,-a,a), Y(a,-a,a,-a), Y(a,-a,b,-b) with a or b odd, and
-Y(a+-1,-a,a,-a); the family Y(2l-1,-2l-1,-2l^2) stays UNKNOWN, and
-everything else is refuted by an explicitly completed obstruction.
+``full_report`` builds a ``ManifoldContext`` once per call.  It holds the
+Seifert view of the input, e, (b_1, torsion) and the pretzel strands,
+each computed once, when first asked for, and it builds the plumbing
+form of either orientation for the check that reads it.  The context
+sorts the manifold into one class, and the class's table of named checks
+runs in order, every check on the same context:
+
+* lens sums: torsion_square, lens_mirror_pairing, double_subset,
+  double_subset_mirror.  A sum embeds iff every p_i is odd and the
+  summands match up into mirror pairs.
+* base S^2 with at most two fibres, given as a Seifert space or as a
+  pretzel cover with at most two strands |a_i| >= 2: torsion_square,
+  lens_space.  These are lens spaces.  S^3 and S^1 x S^2 (H_1 trivial or
+  Z) embed; any other lens space is refuted, and the verdict cites
+  theorem:lens_mirror_pairing.
+* non-orientable base: torsion_square, weak_complementary_pairs,
+  even_fibre_clause, nonorientable_double_subset and its mirror.
+* orientable base, e = 0: torsion_square, complementary_pairs,
+  semidefinite_subset and its mirror, then spin_count_parity and
+  mubar_vanishing when the space is a pretzel cover.  With every a_i odd,
+  complementary pairs also suffice.
+* orientable base, e != 0: torsion_square, double_subset on the definite
+  side, spin_count_parity, mubar_vanishing.
+* pretzel covers with at least three strands |a_i| >= 2: torsion_square,
+  spin_count_parity, mubar_vanishing, then the form checks of the e = 0
+  or e != 0 class.  Up to mirror, the embeddable covers are Y(a,-a,a),
+  Y(a,-a,a,-a), Y(a,-a,b,-b) with a or b odd, and Y(a+-1,-a,a,-a); the
+  family Y(2l-1,-2l-1,-2l^2) stays UNKNOWN, and every other cover is
+  refuted by a completed check.
+
+Merge rule: a completed refutation gives OBSTRUCTED, citing the first
+check that fired (or the class's theorem).  Failing that, a catalog hit
+gives EMBEDS, membership of the open pretzel family gives UNKNOWN with
+that reason, and anything else is UNKNOWN.  A catalog hit together with
+a refutation is an internal error, reported as status CONFLICT and never
+silently resolved.
 
 The catalog lists known embeddable families with their constructions
 (twist-spun mirror sums, doubly slice pretzel moves, a handle-calculus
-example); a catalog hit plus a completed obstruction is an internal
-error and is never silently resolved.
+example).
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable
+from functools import cached_property
+from typing import Callable
 
-from .intlinalg import cokernel, determinant
+from .intlinalg import FiniteAbelianGroup
 from .manifolds import (
     LensSum,
     Manifold,
@@ -38,7 +65,6 @@ from .manifolds import (
     pretzel_strand_forms,
     pretzel_to_seifert,
     seifert_pretzel_strands,
-    spin_structure_count,
 )
 from .obstructions import (
     ObstructionResult,
@@ -46,17 +72,10 @@ from .obstructions import (
     nonorientable_obstruction,
     semidefinite_obstruction,
 )
-from .plumbing import plumbing_tree, seifert_leg_forest
+from .plumbing import plumbing_tree
 from .spin import mubar_vanishing_threshold, pretzel_link_components, spin_profile
 
 DEFAULT_BUDGET = 10**7
-
-
-@dataclass
-class Verdict:
-    status: str  # 'EMBEDS' | 'OBSTRUCTED' | 'UNKNOWN'
-    reason: str
-    certificates: list = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +219,238 @@ def pretzel_unknown_family(m: PretzelCover) -> int | None:
     return None
 
 
-def _theorem4_scope(m: PretzelCover) -> bool:
-    big = sum(1 for a in m.strands if abs(a) >= 2)
-    return big >= 3 and len(m.strands) - big <= 1
+# ---------------------------------------------------------------------------
+# per-call context
+
+
+@dataclass
+class ManifoldContext:
+    """What the checks of one ``full_report`` call read.  Each cached
+    item is computed once, when first asked for, and lives only as long
+    as the call."""
+
+    manifold: Manifold
+
+    @cached_property
+    def seifert(self) -> SeifertManifold | None:
+        """The manifold as a Seifert space; None for a lens sum."""
+        m = self.manifold
+        if isinstance(m, PretzelCover):
+            return pretzel_to_seifert(m)
+        return m if isinstance(m, SeifertManifold) else None
+
+    @cached_property
+    def euler(self) -> Fraction | None:
+        return None if self.seifert is None else euler_invariant(self.seifert)
+
+    @cached_property
+    def homology(self) -> tuple[int, FiniteAbelianGroup]:
+        """(b_1, torsion of H_1)."""
+        return first_homology(self.seifert or self.manifold)
+
+    @cached_property
+    def cover(self) -> PretzelCover | None:
+        """The manifold as a pretzel cover, when it is one."""
+        m = self.manifold
+        if isinstance(m, SeifertManifold):
+            strands = seifert_pretzel_strands(m)
+            return None if strands is None else PretzelCover(strands)
+        return m if isinstance(m, PretzelCover) else None
+
+    def form(self, orientation: str) -> list[list[int]]:
+        """Intersection form of the standard plumbing of one orientation;
+        no two checks of a table read the same side, so it is not kept."""
+        return plumbing_tree(self.seifert or self.manifold, orientation).incidence_matrix()
+
+    @cached_property
+    def table(self) -> CheckTable:
+        """The check table of the manifold's class."""
+        m, s = self.manifold, self.seifert
+        if isinstance(m, LensSum):
+            return LENS_SUM
+        if s is None:
+            raise TypeError(f"cannot classify {m!r}")
+        if s.base_orientable and s.genus == 0 and len(s.invariants) <= 2:
+            return LENS_SPACE
+        if not s.base_orientable:
+            return NONORIENTABLE
+        if isinstance(m, PretzelCover):
+            return PRETZEL_E0 if self.euler == 0 else PRETZEL
+        return ORIENTABLE_E0 if self.euler == 0 else ORIENTABLE
+
+
+# ---------------------------------------------------------------------------
+# checks: each reads the context and returns its named result, or None
+# where it does not apply (the spin checks need a pretzel presentation).
+# Layer functions are looked up by module-global name at call time.
+
+
+def _is_square(n: int) -> bool:
+    return math.isqrt(n) ** 2 == n
+
+
+def _judged(name: str, ok: bool, passed: str, failed: str, certificates=()) -> ObstructionResult:
+    return ObstructionResult(
+        name, "pass" if ok else "obstructed", list(certificates), passed if ok else failed
+    )
+
+
+def _named(result: ObstructionResult, name: str) -> ObstructionResult:
+    result.name = name
+    return result
+
+
+def _torsion_square(ctx: ManifoldContext, budget: int) -> ObstructionResult:
+    """Embedded manifolds have torsion H_1 of square order (the torsion
+    splits as G + G across the two sides)."""
+    order = ctx.homology[1].order
+    return _judged(
+        "torsion_square",
+        _is_square(order),
+        f"|torsion H_1| = {order} = {math.isqrt(order)}^2",
+        f"|torsion H_1| = {order} is not a perfect square",
+    )
+
+
+def _lens_mirror_pairing(ctx: ManifoldContext, budget: int) -> ObstructionResult:
+    odd = all(p % 2 for p, _ in ctx.manifold.summands)
+    return _judged(
+        "lens_mirror_pairing",
+        odd and lens_mirror_matched(ctx.manifold),
+        "summands pair into mirrors",
+        "no mirror matching of the summands" if odd else "some p_i is even",
+    )
+
+
+def _lens_space(ctx: ManifoldContext, budget: int) -> ObstructionResult | None:
+    """At most two fibres over S^2 give a lens space, or S^3 or S^1 x S^2
+    when the torsion is trivial; only those two embed.  A nontrivial
+    lens space of non-square order is already refuted by torsion_square."""
+    order = ctx.homology[1].order
+    if order == 1 or not _is_square(order):
+        return None
+    return ObstructionResult(
+        "lens_mirror_pairing", "obstructed", notes="a single nontrivial lens space never embeds"
+    )
+
+
+def _double_subset(ctx: ManifoldContext, budget: int) -> ObstructionResult:
+    # on the orientation whose plumbing is negative definite: e > 0, or any lens sum
+    side = "-" if ctx.euler is not None and ctx.euler < 0 else "+"
+    return double_subset_obstruction(ctx.form(side), budget)
+
+
+def _double_subset_mirror(ctx: ManifoldContext, budget: int) -> ObstructionResult:
+    return _named(double_subset_obstruction(ctx.form("-"), budget), "double_subset_mirror")
+
+
+def _complementary_pairs(ctx: ManifoldContext, budget: int) -> ObstructionResult:
+    return _judged(
+        "complementary_pairs",
+        complementary_matched(ctx.seifert.invariants),
+        "invariants pair into complements",
+        "invariants do not pair into complements",
+    )
+
+
+def _semidefinite_subset(ctx: ManifoldContext, budget: int) -> ObstructionResult:
+    return semidefinite_obstruction(ctx.form("+"), budget)
+
+
+def _semidefinite_subset_mirror(ctx: ManifoldContext, budget: int) -> ObstructionResult:
+    return _named(semidefinite_obstruction(ctx.form("-"), budget), "semidefinite_subset_mirror")
+
+
+def _weak_complementary_pairs(ctx: ManifoldContext, budget: int) -> ObstructionResult:
+    return _judged(
+        "weak_complementary_pairs",
+        weak_complementary_matched(ctx.seifert.invariants),
+        "invariants pair into weak complements",
+        "invariants do not pair into weak complements",
+    )
+
+
+def _even_fibre_clause(ctx: ManifoldContext, budget: int) -> ObstructionResult:
+    return _judged(
+        "even_fibre_clause",
+        even_fibre_clause(ctx.seifert.invariants),
+        "",
+        "two even-a fibres violate the +-b, +-b^-1 clause",
+    )
+
+
+def _nonorientable_double_subset(ctx: ManifoldContext, budget: int) -> ObstructionResult:
+    return nonorientable_obstruction(ctx.form("+"), budget)
+
+
+def _nonorientable_double_subset_mirror(ctx: ManifoldContext, budget: int) -> ObstructionResult:
+    return _named(
+        nonorientable_obstruction(ctx.form("-"), budget), "nonorientable_double_subset_mirror"
+    )
+
+
+def _spin_count_parity(ctx: ManifoldContext, budget: int) -> ObstructionResult | None:
+    """b_1 is even iff the branch link has an odd component count."""
+    if ctx.cover is None:
+        return None
+    k = pretzel_link_components(ctx.cover.strands)
+    b1 = ctx.homology[0]
+    return _judged(
+        "spin_count_parity",
+        (b1 % 2 == 0) == (k % 2 == 1),
+        f"k = {k}, b_1 = {b1}",
+        f"k = {k} components force b_1 parity {1 - b1 % 2}, found b_1 = {b1}",
+    )
+
+
+def _mubar_vanishing(ctx: ManifoldContext, budget: int) -> ObstructionResult | None:
+    """At least 2^((k+1)/2)-1 (k odd) or 3*2^((k-2)/2)-1 (k even)
+    vanishing mu-bar invariants are required."""
+    if ctx.cover is None:
+        return None
+    profile = spin_profile(ctx.cover)
+    k = profile.link_components
+    threshold = mubar_vanishing_threshold(k)
+    return _judged(
+        "mubar_vanishing",
+        profile.vanishing >= threshold,
+        f"{profile.vanishing} of {profile.spin_count} mu-bar values vanish",
+        f"only {profile.vanishing} vanishing mu-bar values, need {threshold}",
+        [{"mu_values": list(profile.mu_values), "k": k, "threshold": threshold}],
+    )
+
+
+# ---------------------------------------------------------------------------
+# check tables, one per class (pretzel covers split by e)
+
+Check = Callable[[ManifoldContext, int], "ObstructionResult | None"]
+
+
+@dataclass(frozen=True)
+class CheckTable:
+    """The ordered checks of one manifold class.  A refutation cites the
+    first check that fired, or ``theorem`` for a class decided by one."""
+
+    checks: tuple[Check, ...]
+    theorem: str | None = None
+
+
+_SPIN = (_spin_count_parity, _mubar_vanishing)
+_E0_FORMS = (_complementary_pairs, _semidefinite_subset, _semidefinite_subset_mirror)
+
+LENS_SUM = CheckTable((_torsion_square, _lens_mirror_pairing, _double_subset, _double_subset_mirror))
+LENS_SPACE = CheckTable((_torsion_square, _lens_space), theorem="lens_mirror_pairing")
+NONORIENTABLE = CheckTable((
+    _torsion_square,
+    _weak_complementary_pairs,
+    _even_fibre_clause,
+    _nonorientable_double_subset,
+    _nonorientable_double_subset_mirror,
+))
+ORIENTABLE_E0 = CheckTable((_torsion_square, *_E0_FORMS, *_SPIN))
+ORIENTABLE = CheckTable((_torsion_square, _double_subset, *_SPIN))
+PRETZEL_E0 = CheckTable((_torsion_square, *_SPIN, *_E0_FORMS))
+PRETZEL = CheckTable((_torsion_square, *_SPIN, _double_subset))
 
 
 # ---------------------------------------------------------------------------
@@ -213,70 +461,46 @@ def _theorem4_scope(m: PretzelCover) -> bool:
 class CatalogEntry:
     name: str
     construction: str
-    matches: Callable[[Manifold], bool]
+    matches: Callable[[ManifoldContext], bool]
 
 
-def _is_trivial_embeddable(m: Manifold) -> bool:
-    # S^3 (empty sum) and S^1 x S^2 sit inside S^4 classically
-    if isinstance(m, LensSum):
-        return not m.summands
-    if isinstance(m, PretzelCover):
-        m = pretzel_to_seifert(m)
-    if isinstance(m, SeifertManifold):
-        return (
-            m.base_orientable
-            and m.genus == 0
-            and not m.invariants
-            and m.r == 0
-        )
-    return False
+def _is_trivial_embeddable(ctx: ManifoldContext) -> bool:
+    # S^3 (the empty sum) and S^1 x S^2 (the lens-space class with trivial
+    # torsion) sit inside S^4 classically
+    if isinstance(ctx.manifold, LensSum):
+        return not ctx.manifold.summands
+    return ctx.table is LENS_SPACE and ctx.homology[1].order == 1
 
 
-def _matches_lens_mirror(m: Manifold) -> bool:
+def _matches_lens_mirror(ctx: ManifoldContext) -> bool:
+    m = ctx.manifold
     if not isinstance(m, LensSum):
         return False
     return bool(m.summands) and all(p % 2 for p, _ in m.summands) and lens_mirror_matched(m)
 
 
-def _pretzel_view(m: Manifold) -> PretzelCover | None:
-    if isinstance(m, PretzelCover):
-        return m
-    if isinstance(m, SeifertManifold):
-        strands = seifert_pretzel_strands(m)
-        if strands is not None:
-            return PretzelCover(strands)
-    return None
+def _matches_doubly_slice_pretzel(ctx: ManifoldContext) -> bool:
+    return ctx.cover is not None and pretzel_embeddable_family(ctx.cover) is not None
 
 
-def _matches_doubly_slice_pretzel(m: Manifold) -> bool:
-    cover = _pretzel_view(m)
-    return cover is not None and pretzel_embeddable_family(cover) is not None
-
-
-def _matches_odd_complementary_e0(m: Manifold) -> bool:
-    if isinstance(m, PretzelCover):
-        m = pretzel_to_seifert(m)
-    if not isinstance(m, SeifertManifold) or not m.base_orientable:
+def _matches_odd_complementary_e0(ctx: ManifoldContext) -> bool:
+    s = ctx.seifert
+    if s is None or not s.base_orientable:
         return False
     return (
-        euler_invariant(m) == 0
-        and bool(m.invariants)
-        and all(a % 2 for a, _ in m.invariants)
-        and complementary_matched(m.invariants)
+        ctx.euler == 0
+        and bool(s.invariants)
+        and all(a % 2 for a, _ in s.invariants)
+        and complementary_matched(s.invariants)
     )
 
 
 _KIRBY_EXAMPLE = SeifertManifold(True, 0, 0, [(4, 1), (4, 1), (12, -7)])
+_KIRBY_FORMS = (normalize_seifert(_KIRBY_EXAMPLE), normalize_seifert(_KIRBY_EXAMPLE.mirror()))
 
 
-def _matches_kirby_example(m: Manifold) -> bool:
-    if not isinstance(m, SeifertManifold):
-        return False
-    norm = normalize_seifert(m)
-    return norm in (
-        normalize_seifert(_KIRBY_EXAMPLE),
-        normalize_seifert(_KIRBY_EXAMPLE.mirror()),
-    )
+def _matches_kirby_example(ctx: ManifoldContext) -> bool:
+    return ctx.seifert is not None and normalize_seifert(ctx.seifert) in _KIRBY_FORMS
 
 
 CATALOG: tuple[CatalogEntry, ...] = (
@@ -310,311 +534,9 @@ CATALOG: tuple[CatalogEntry, ...] = (
 )
 
 
-def catalog_matches(m: Manifold) -> list[CatalogEntry]:
-    return [entry for entry in CATALOG if entry.matches(m)]
-
-
-# ---------------------------------------------------------------------------
-# obstruction batteries
-
-
-def torsion_square_obstruction(m: Manifold) -> ObstructionResult:
-    """Embedded manifolds have torsion H_1 of square order (the torsion
-    splits as G + G across the two sides)."""
-    _, torsion = first_homology(m)
-    order = torsion.order
-    root = math.isqrt(order)
-    if root * root == order:
-        return ObstructionResult(
-            "torsion_square", "pass", notes=f"|torsion H_1| = {order} = {root}^2"
-        )
-    return ObstructionResult(
-        "torsion_square",
-        "obstructed",
-        notes=f"|torsion H_1| = {order} is not a perfect square",
-    )
-
-
-def spin_count_parity_obstruction(m: PretzelCover) -> ObstructionResult:
-    """b_1 is even iff the branch link has an odd component count."""
-    k = pretzel_link_components(m.strands)
-    b1, _ = first_homology(m)
-    ok = (b1 % 2 == 0) == (k % 2 == 1)
-    if ok:
-        return ObstructionResult(
-            "spin_count_parity", "pass", notes=f"k = {k}, b_1 = {b1}"
-        )
-    return ObstructionResult(
-        "spin_count_parity",
-        "obstructed",
-        notes=f"k = {k} components force b_1 parity {1 - b1 % 2}, found b_1 = {b1}",
-    )
-
-
-def mubar_count_obstruction(m: PretzelCover) -> ObstructionResult:
-    """At least 2^((k+1)/2)-1 (k odd) or 3*2^((k-2)/2)-1 (k even)
-    vanishing mu-bar invariants are required."""
-    profile = spin_profile(m)
-    k = profile.link_components
-    threshold = mubar_vanishing_threshold(k)
-    cert = {
-        "mu_values": list(profile.mu_values),
-        "k": k,
-        "threshold": threshold,
-    }
-    if profile.vanishing >= threshold:
-        return ObstructionResult(
-            "mubar_vanishing",
-            "pass",
-            [cert],
-            f"{profile.vanishing} of {profile.spin_count} mu-bar values vanish",
-        )
-    return ObstructionResult(
-        "mubar_vanishing",
-        "obstructed",
-        [cert],
-        f"only {profile.vanishing} vanishing mu-bar values, need {threshold}",
-    )
-
-
-def _named(result: ObstructionResult, name: str) -> ObstructionResult:
-    result.name = name
-    return result
-
-
-def lens_obstruction_battery(m: LensSum, budget: int) -> list[ObstructionResult]:
-    results = [torsion_square_obstruction(m)]
-    if all(p % 2 for p, _ in m.summands) and lens_mirror_matched(m):
-        results.append(
-            ObstructionResult(
-                "lens_mirror_pairing", "pass", notes="summands pair into mirrors"
-            )
-        )
-    else:
-        bad = (
-            "some p_i is even"
-            if not all(p % 2 for p, _ in m.summands)
-            else "no mirror matching of the summands"
-        )
-        results.append(ObstructionResult("lens_mirror_pairing", "obstructed", notes=bad))
-    Q = plumbing_tree(m).incidence_matrix()
-    results.append(double_subset_obstruction(Q, budget))
-    Qm = plumbing_tree(m, "-").incidence_matrix()
-    results.append(
-        _named(double_subset_obstruction(Qm, budget), "double_subset_mirror")
-    )
-    return results
-
-
-def seifert_obstruction_battery(m: SeifertManifold, budget: int) -> list[ObstructionResult]:
-    results = [torsion_square_obstruction(m)]
-    e = euler_invariant(m)
-    if not m.base_orientable:
-        if weak_complementary_matched(m.invariants):
-            results.append(
-                ObstructionResult(
-                    "weak_complementary_pairs", "pass",
-                    notes="invariants pair into weak complements",
-                )
-            )
-        else:
-            results.append(
-                ObstructionResult(
-                    "weak_complementary_pairs", "obstructed",
-                    notes="invariants do not pair into weak complements",
-                )
-            )
-        if even_fibre_clause(m.invariants):
-            results.append(
-                ObstructionResult("even_fibre_clause", "pass")
-            )
-        else:
-            results.append(
-                ObstructionResult(
-                    "even_fibre_clause", "obstructed",
-                    notes="two even-a fibres violate the +-b, +-b^-1 clause",
-                )
-            )
-        Q = seifert_leg_forest(m).incidence_matrix()
-        results.append(nonorientable_obstruction(Q, budget))
-        Qm = seifert_leg_forest(m.mirror()).incidence_matrix()
-        results.append(
-            _named(
-                nonorientable_obstruction(Qm, budget),
-                "nonorientable_double_subset_mirror",
-            )
-        )
-        return results
-
-    if e == 0:
-        if complementary_matched(m.invariants):
-            results.append(
-                ObstructionResult(
-                    "complementary_pairs", "pass",
-                    notes="invariants pair into complements",
-                )
-            )
-        else:
-            results.append(
-                ObstructionResult(
-                    "complementary_pairs", "obstructed",
-                    notes="invariants do not pair into complements",
-                )
-            )
-        Q = plumbing_tree(m).incidence_matrix()
-        results.append(semidefinite_obstruction(Q, budget))
-        Qm = plumbing_tree(m, "-").incidence_matrix()
-        results.append(
-            _named(semidefinite_obstruction(Qm, budget), "semidefinite_subset_mirror")
-        )
-    else:
-        side = "+" if e > 0 else "-"
-        Q = plumbing_tree(m, side).incidence_matrix()
-        results.append(double_subset_obstruction(Q, budget))
-
-    strands = seifert_pretzel_strands(m)
-    if strands is not None:
-        cover = PretzelCover(strands)
-        results.append(spin_count_parity_obstruction(cover))
-        results.append(mubar_count_obstruction(cover))
-    return results
-
-
-def pretzel_obstruction_battery(m: PretzelCover, budget: int) -> list[ObstructionResult]:
-    results = [torsion_square_obstruction(m)]
-    results.append(spin_count_parity_obstruction(m))
-    results.append(mubar_count_obstruction(m))
-    seif = pretzel_to_seifert(m)
-    e = euler_invariant(seif)
-    if e == 0:
-        if complementary_matched(seif.invariants):
-            results.append(
-                ObstructionResult(
-                    "complementary_pairs", "pass",
-                    notes="invariants pair into complements",
-                )
-            )
-        else:
-            results.append(
-                ObstructionResult(
-                    "complementary_pairs", "obstructed",
-                    notes="invariants do not pair into complements",
-                )
-            )
-        Q = plumbing_tree(seif).incidence_matrix()
-        results.append(semidefinite_obstruction(Q, budget))
-        Qm = plumbing_tree(seif, "-").incidence_matrix()
-        results.append(
-            _named(semidefinite_obstruction(Qm, budget), "semidefinite_subset_mirror")
-        )
-    else:
-        side = "+" if e > 0 else "-"
-        Q = plumbing_tree(seif, side).incidence_matrix()
-        results.append(double_subset_obstruction(Q, budget))
-    return results
-
-
-# ---------------------------------------------------------------------------
-# deciders
-
-
-def decide_lens_sum(m: LensSum) -> Verdict:
-    """A sum embeds iff every p_i is odd and the summands mirror-match."""
-    if not m.summands:
-        return Verdict("EMBEDS", "catalog:trivial")
-    if not all(p % 2 for p, _ in m.summands):
-        return Verdict("OBSTRUCTED", "theorem:lens_mirror_pairing",
-                       ["some p_i is even"])
-    if lens_mirror_matched(m):
-        return Verdict("EMBEDS", "theorem:lens_mirror_pairing")
-    return Verdict("OBSTRUCTED", "theorem:lens_mirror_pairing",
-                   ["no mirror matching of the summands"])
-
-
-def _first_obstructed(results) -> ObstructionResult | None:
-    return next((r for r in results if r.obstructed), None)
-
-
-def decide_seifert(m: SeifertManifold, budget: int = DEFAULT_BUDGET) -> Verdict:
-    e = euler_invariant(m)
-    if not m.base_orientable:
-        if not weak_complementary_matched(m.invariants):
-            return Verdict("OBSTRUCTED", "theorem:weak_complementary_pairs")
-        if not even_fibre_clause(m.invariants):
-            return Verdict("OBSTRUCTED", "theorem:even_fibre_clause")
-        for orient, name in (("+", "nonorientable_double_subset"),
-                             ("-", "nonorientable_double_subset_mirror")):
-            source = m if orient == "+" else m.mirror()
-            res = nonorientable_obstruction(
-                seifert_leg_forest(source).incidence_matrix(), budget
-            )
-            if res.obstructed:
-                return Verdict("OBSTRUCTED", f"obstruction:{name}", [res])
-        return Verdict("UNKNOWN", "obstructions pass; no catalog entry")
-
-    hits = catalog_matches(m)
-    if e == 0:
-        if not complementary_matched(m.invariants):
-            return Verdict("OBSTRUCTED", "theorem:complementary_pairs")
-        if hits:
-            return Verdict("EMBEDS", f"catalog:{hits[0].name}")
-        for orient, name in (("+", "semidefinite_subset"),
-                             ("-", "semidefinite_subset_mirror")):
-            source = m if orient == "+" else m.mirror()
-            res = semidefinite_obstruction(
-                plumbing_tree(source).incidence_matrix(), budget
-            )
-            if res.obstructed:
-                return Verdict("OBSTRUCTED", f"obstruction:{name}", [res])
-        return Verdict("UNKNOWN", "obstructions pass; no catalog entry")
-
-    if hits:
-        return Verdict("EMBEDS", f"catalog:{hits[0].name}")
-    battery = seifert_obstruction_battery(m, budget)
-    hit = _first_obstructed(battery)
-    if hit:
-        return Verdict("OBSTRUCTED", f"obstruction:{hit.name}", [hit])
-    return Verdict("UNKNOWN", "obstructions pass; no catalog entry")
-
-
-def decide_pretzel(m: PretzelCover, budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Classification of covers with at least three honest strands;
-    covers reducing to lens spaces go through the lens decision."""
-    if not _theorem4_scope(m):
-        return _decide_small_pretzel(m)
-    family = pretzel_embeddable_family(m)
-    if family is not None:
-        name, params = family
-        return Verdict("EMBEDS", f"catalog:doubly_slice_pretzel:{name}", [params])
-    l = pretzel_unknown_family(m)
-    if l is not None:
-        return Verdict(
-            "UNKNOWN",
-            "open_family:pretzel(2l-1,-2l-1,-2l^2)",
-            [{"l": l}],
-        )
-    battery = pretzel_obstruction_battery(m, budget)
-    hit = _first_obstructed(battery)
-    if hit:
-        return Verdict("OBSTRUCTED", f"obstruction:{hit.name}", [hit])
-    return Verdict("UNKNOWN", "no obstruction fired; outside known families")
-
-
-def _decide_small_pretzel(m: PretzelCover) -> Verdict:
-    """Covers with at most two honest strands are lens spaces (possibly
-    S^3 or S^1 x S^2); a nontrivial single lens space never embeds."""
-    seif = pretzel_to_seifert(m)
-    e = euler_invariant(seif)
-    b1, torsion = first_homology(seif)
-    if b1 == 0 and torsion.order == 1:
-        return Verdict("EMBEDS", "catalog:trivial", ["S^3"])
-    if b1 == 1 and torsion.order == 1:
-        return Verdict("EMBEDS", "catalog:trivial", ["S^1 x S^2"])
-    return Verdict(
-        "OBSTRUCTED",
-        "theorem:lens_mirror_pairing",
-        [f"lens space of order {torsion.order}"],
-    )
+def catalog_matches(m: Manifold | ManifoldContext) -> list[CatalogEntry]:
+    ctx = m if isinstance(m, ManifoldContext) else ManifoldContext(m)
+    return [entry for entry in CATALOG if entry.matches(ctx)]
 
 
 # ---------------------------------------------------------------------------
@@ -635,18 +557,15 @@ class ObstructionReport:
         return next((r for r in self.results if r.name == name), None)
 
 
-def _report_invariants(m: Manifold) -> dict:
-    b1, torsion = first_homology(m)
-    inv = {
+def _report_invariants(ctx: ManifoldContext) -> dict:
+    b1, torsion = ctx.homology
+    even = sum(1 for d in torsion.factors if d % 2 == 0)
+    return {
         "b1": b1,
         "torsion_factors": list(torsion.factors),
-        "euler": None,
-        "spin_count": spin_structure_count(m),
+        "euler": None if ctx.euler is None else str(ctx.euler),
+        "spin_count": 2 ** (b1 + even),  # |H^1(Y; Z/2)|
     }
-    if isinstance(m, (SeifertManifold, PretzelCover)):
-        seif = m if isinstance(m, SeifertManifold) else pretzel_to_seifert(m)
-        inv["euler"] = str(euler_invariant(seif))
-    return inv
 
 
 def full_report(
@@ -654,66 +573,31 @@ def full_report(
     budget: int = DEFAULT_BUDGET,
     only: list[str] | None = None,
 ) -> ObstructionReport:
-    """Run every applicable obstruction and merge with the catalog.
-
-    Any completed obstruction refutes; a catalog hit with no refutation
-    embeds; both at once is an internal error, flagged and surfaced as
-    status CONFLICT.  ``only`` filters obstructions by name.
-    """
-    if isinstance(m, PretzelCover) and not _theorem4_scope(m):
-        seif = pretzel_to_seifert(m)
-        results = [torsion_square_obstruction(m)]
-        verdict = _decide_small_pretzel(m)
-        status, reason = verdict.status, verdict.reason
-        if status == "OBSTRUCTED" and not results[0].obstructed:
-            results.append(
-                ObstructionResult(
-                    "lens_mirror_pairing", "obstructed",
-                    notes="a single nontrivial lens space never embeds",
-                )
-            )
-        return ObstructionReport(
-            m, m.describe(), _report_invariants(m), results, status, reason
-        )
-
-    if isinstance(m, LensSum):
-        results = lens_obstruction_battery(m, budget)
-    elif isinstance(m, SeifertManifold):
-        results = seifert_obstruction_battery(m, budget)
-    elif isinstance(m, PretzelCover):
-        results = pretzel_obstruction_battery(m, budget)
-    else:
-        raise TypeError(f"cannot classify {m!r}")
-
+    """Run the check table of the manifold's class and merge the results
+    with the catalog by the rule in the module docstring.  ``only`` keeps
+    the results with those names."""
+    ctx = ManifoldContext(m)
+    results = [r for check in ctx.table.checks if (r := check(ctx, budget)) is not None]
     if only is not None:
         results = [r for r in results if r.name in only]
 
-    hits = catalog_matches(m)
-    unknown_l = (
-        pretzel_unknown_family(m) if isinstance(m, PretzelCover) else None
-    )
+    hits = catalog_matches(ctx)
     obstructed = [r for r in results if r.obstructed]
-
-    conflict = bool(hits) and bool(obstructed)
-    if conflict:
+    if hits and obstructed:
         status, reason = "CONFLICT", (
             f"catalog:{hits[0].name} contradicts obstruction:{obstructed[0].name}"
         )
     elif obstructed:
-        status, reason = "OBSTRUCTED", f"obstruction:{obstructed[0].name}"
+        theorem = ctx.table.theorem
+        status = "OBSTRUCTED"
+        reason = f"theorem:{theorem}" if theorem else f"obstruction:{obstructed[0].name}"
     elif hits:
         status, reason = "EMBEDS", f"catalog:{hits[0].name}"
-    elif unknown_l is not None:
+    elif ctx.cover is not None and pretzel_unknown_family(ctx.cover) is not None:
         status, reason = "UNKNOWN", "open_family:pretzel(2l-1,-2l-1,-2l^2)"
     else:
         status, reason = "UNKNOWN", "no obstruction fired; no catalog entry"
 
     return ObstructionReport(
-        m,
-        m.describe(),
-        _report_invariants(m),
-        results,
-        status,
-        reason,
-        conflict,
+        m, m.describe(), _report_invariants(ctx), results, status, reason, status == "CONFLICT"
     )

@@ -198,10 +198,19 @@ def report_to_json(report: ObstructionReport, with_certificates: bool) -> dict:
 
 
 EXIT_CODES = {"EMBEDS": 0, "OBSTRUCTED": 1, "UNKNOWN": 2, "CONFLICT": 70}
+USAGE_ERROR = 64
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 64; argparse's own 2 would read as UNKNOWN."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="s4embed",
         description="Decide, with certificates, whether a lens-space sum, "
         "Seifert manifold or pretzel-link double branched cover embeds "
@@ -226,20 +235,17 @@ def main(argv: list[str] | None = None) -> int:
         help="run only the named obstruction (repeatable)",
     )
     parser.add_argument("--quiet", action="store_true", help="suppress text output")
-    parser.add_argument(
-        "--seed", type=int, default=None, help="accepted for compatibility; unused"
-    )
     args = parser.parse_args(argv)
 
     text = args.manifold or args.expr
     if not text:
         print("error: no manifold given", file=sys.stderr)
-        return 64
+        return USAGE_ERROR
     try:
         manifold = parse_manifold(text)
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 64
+        return USAGE_ERROR
 
     report = full_report(manifold, budget=args.budget, only=args.obstruction)
 

@@ -41,14 +41,6 @@ def mat_mul(A, B) -> list[list[int]]:
     return out
 
 
-def mat_vec(A, v) -> list[int]:
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
-
-
-def transpose(A) -> list[list[int]]:
-    return [list(col) for col in zip(*A)] if A else []
-
-
 def mat_eq(A, B) -> bool:
     return len(A) == len(B) and all(list(r) == list(s) for r, s in zip(A, B))
 

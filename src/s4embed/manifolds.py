@@ -276,10 +276,6 @@ def seifert_pretzel_strands(m: SeifertManifold) -> tuple[int, ...] | None:
     return forms[-1] if forms else None
 
 
-def pretzel_euler(m: PretzelCover) -> Fraction:
-    return euler_invariant(pretzel_to_seifert(m))
-
-
 # ---------------------------------------------------------------------------
 # first homology
 

@@ -14,11 +14,9 @@ cross-check on the component count computed from strand parities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .intlinalg import mod2_solution_set, signature
 from .manifolds import (
-    Manifold,
     PretzelCover,
     SeifertManifold,
     euler_invariant,
@@ -139,24 +137,6 @@ def spin_profile(m: PretzelCover | SeifertManifold) -> SpinProfile:
             f"spin count {profile.spin_count} disagrees with 2^(k-1) for k={k}"
         )
     return profile
-
-
-def furuta_check(case: str, b2: int, sigma_terms, **flags) -> bool:
-    """Inequality from the 10/8 theorem for the three boundary cases.
-
-    rational_ball:  X = D^4, or 4 b2 >= 5|sigma| + 8;
-    S1_homology:    b2 = 1,  or 4 b2 >= 5|sigma| + 12;
-    S2_homology:    4 b2 >= 5|sigma(X) + sigma(V)| + 4.
-    """
-    terms = list(sigma_terms) if not isinstance(sigma_terms, int) else [sigma_terms]
-    total = sum(terms)
-    if case == "rational_ball":
-        return bool(flags.get("x_is_d4")) or 4 * b2 >= 5 * abs(total) + 8
-    if case == "S1_homology":
-        return b2 == 1 or 4 * b2 >= 5 * abs(total) + 12
-    if case == "S2_homology":
-        return 4 * b2 >= 5 * abs(total) + 4
-    raise ValueError(f"unknown case {case!r}")
 
 
 MU_BAR_THRESHOLD = {1: 1, 2: 2, 3: 3, 4: 5}

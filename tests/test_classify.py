@@ -1,11 +1,6 @@
-import pytest
-
 from s4embed.classify import (
     catalog_matches,
     complementary_matched,
-    decide_lens_sum,
-    decide_pretzel,
-    decide_seifert,
     even_fibre_clause,
     full_report,
     lens_mirror_matched,
@@ -16,21 +11,23 @@ from s4embed.classify import (
 from s4embed.manifolds import LensSum, PretzelCover, SeifertManifold
 
 
+def status(m) -> str:
+    return full_report(m).status
+
+
 def test_decide_lens_sum_examples():
-    assert decide_lens_sum(LensSum([(3, 1), (3, 2)])).status == "EMBEDS"
-    assert decide_lens_sum(LensSum([(2, 1), (2, 1)])).status == "OBSTRUCTED"
-    assert decide_lens_sum(LensSum([(5, 1), (5, 1)])).status == "OBSTRUCTED"
-    assert decide_lens_sum(LensSum([])).status == "EMBEDS"
+    assert status(LensSum([(3, 1), (3, 2)])) == "EMBEDS"
+    assert status(LensSum([(2, 1), (2, 1)])) == "OBSTRUCTED"
+    assert status(LensSum([(5, 1), (5, 1)])) == "OBSTRUCTED"
+    assert status(LensSum([])) == "EMBEDS"
     # amphichiral summand: q^2 = -1 mod p needs even multiplicity
-    assert decide_lens_sum(LensSum([(5, 2), (5, 2)])).status == "EMBEDS"
-    assert decide_lens_sum(LensSum([(5, 2)])).status == "OBSTRUCTED"
+    assert status(LensSum([(5, 2), (5, 2)])) == "EMBEDS"
+    assert status(LensSum([(5, 2)])) == "OBSTRUCTED"
 
 
 def test_lens_pairing_invariances():
     # q and q^-1 present the same lens space
-    assert decide_lens_sum(LensSum([(7, 2), (7, 5)])).status == decide_lens_sum(
-        LensSum([(7, 4), (7, 5)])
-    ).status
+    assert status(LensSum([(7, 2), (7, 5)])) == status(LensSum([(7, 4), (7, 5)]))
     assert lens_mirror_matched(LensSum([(7, 2), (7, 5)]))
     assert lens_mirror_matched(LensSum([(7, 4), (7, 5)]))
 
@@ -47,31 +44,41 @@ def test_pairing_helpers():
 
 def test_decide_seifert_examples():
     y = SeifertManifold(True, 0, 0, [(5, 1), (5, -1)])
-    assert decide_seifert(y).status == "EMBEDS"
+    assert status(y) == "EMBEDS"
 
     y2 = SeifertManifold(False, 1, 0, [(3, 1), (2, 1)])
-    assert decide_seifert(y2).status == "OBSTRUCTED"
+    assert status(y2) == "OBSTRUCTED"
 
     y3 = SeifertManifold(True, 0, 0, [(4, 1), (4, 1), (12, -7)])
-    v3 = decide_seifert(y3)
+    v3 = full_report(y3)
     assert v3.status == "EMBEDS"
     assert "surgery_example" in v3.reason
 
     # non-orientable base with weak complementary pair passes the search
     y4 = SeifertManifold(False, 1, 0, [(3, 1), (3, -1)])
-    assert decide_seifert(y4).status in ("UNKNOWN", "EMBEDS")
+    assert status(y4) in ("UNKNOWN", "EMBEDS")
 
 
 def test_decide_seifert_e0_without_odd_clause():
-    # complementary pairs but an even a: not catalogued, needs the search
+    # (4,1),(4,-1) with e = 0 has H_1 = Z: it is S^1 x S^2
     y = SeifertManifold(True, 0, 0, [(4, 1), (4, -1)])
-    v = decide_seifert(y)
-    assert v.status in ("UNKNOWN", "OBSTRUCTED")
+    assert status(y) == "EMBEDS"
 
-    # non-complementary e = 0 fails the theorem outright
+    # non-complementary e = 0 is refuted; torsion_square fires first
     y2 = SeifertManifold(True, 0, 0, [(2, 1), (6, -1), (6, -1), (6, -1)])
-    assert decide_seifert(y2).status == "OBSTRUCTED"
-    assert decide_seifert(y2).reason == "theorem:complementary_pairs"
+    r2 = full_report(y2)
+    assert r2.status == "OBSTRUCTED"
+    assert r2.reason == "obstruction:torsion_square"
+    assert r2.result("complementary_pairs").obstructed
+
+
+def test_small_seifert_follows_lens_rule():
+    # at most two fibres over S^2: S^3 and S^1 x S^2 embed, lens spaces do not
+    assert status(SeifertManifold(True, 0, 0, [(3, 1)])) == "EMBEDS"  # S^3
+    assert status(SeifertManifold(True, 0, -1, [(2, -1), (3, -1)])) == "EMBEDS"  # S^3
+    r = full_report(SeifertManifold(True, 0, 0, [(2, 1), (2, 1)]))  # L(4, q)
+    assert (r.status, r.reason) == ("OBSTRUCTED", "theorem:lens_mirror_pairing")
+    assert r.result("lens_mirror_pairing").obstructed
 
 
 def test_pretzel_families():
@@ -94,25 +101,27 @@ def test_pretzel_unknown_family():
 
 
 def test_decide_pretzel_examples():
-    assert decide_pretzel(PretzelCover([3, -3, 3])).status == "EMBEDS"
-    assert decide_pretzel(PretzelCover([3, -5, -8])).status == "UNKNOWN"
-    v = decide_pretzel(PretzelCover([1, -4, -4, -4]))
+    assert status(PretzelCover([3, -3, 3])) == "EMBEDS"
+    assert status(PretzelCover([3, -5, -8])) == "UNKNOWN"
+    v = full_report(PretzelCover([1, -4, -4, -4]))
     assert v.status == "OBSTRUCTED"
     assert v.reason == "obstruction:double_subset"
 
 
 def test_decide_pretzel_small_routes_to_lens():
     # P(a,b,+-1) covers are lens spaces
-    assert decide_pretzel(PretzelCover([2, 3, 1])).status == "OBSTRUCTED"
-    assert decide_pretzel(PretzelCover([1, -3, -2])).status == "EMBEDS"  # S^3
-    assert decide_pretzel(PretzelCover([2, -2, 1])).status == "EMBEDS"  # S^1xS^2
+    assert status(PretzelCover([2, 3, 1])) == "OBSTRUCTED"
+    assert status(PretzelCover([1, -3, -2])) == "EMBEDS"  # S^3
+    # det |pq + qr + rp| = |-4 - 2 + 2| = 4: the lens space L(4, q)
+    assert status(PretzelCover([2, -2, 1])) == "OBSTRUCTED"
+    assert status(PretzelCover([-2, -2, 1])) == "EMBEDS"  # det 0: S^1xS^2
 
 
 def test_decide_pretzel_mirror_invariance():
     for strands in [(3, -3, 3), (4, -4, 2, -2), (5, 2, 2, 2), (3, -5, -8)]:
-        a = decide_pretzel(PretzelCover(strands))
-        b = decide_pretzel(PretzelCover([-x for x in strands]))
-        assert a.status == b.status
+        a = status(PretzelCover(strands))
+        b = status(PretzelCover([-x for x in strands]))
+        assert a == b
 
 
 def test_full_report_examples():

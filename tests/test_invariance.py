@@ -1,0 +1,79 @@
+"""The verdict depends on the 3-manifold, not on how it is written down."""
+
+import math
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from s4embed.classify import full_report
+from s4embed.manifolds import (
+    LensSum,
+    PretzelCover,
+    SeifertManifold,
+    pretzel_strand_forms,
+    pretzel_to_seifert,
+)
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+strand = st.integers(-5, 5).filter(bool)
+fibre = st.tuples(st.integers(2, 5), st.integers(-4, 4)).filter(lambda f: math.gcd(*f) == 1)
+summand = st.tuples(st.integers(2, 7), st.integers(1, 6)).filter(
+    lambda s: s[1] < s[0] and math.gcd(*s) == 1
+)
+
+
+def statuses(forms) -> dict[str, str]:
+    return {m.describe(): full_report(m).status for m in forms}
+
+
+def shifted(fibres, r, shifts):
+    """The same Seifert data with fibre i rewritten as (a, b + k_i a)."""
+    return [(a, b + k * a) for (a, b), k in zip(fibres, shifts)], r + sum(shifts)
+
+
+@SETTINGS
+@example(strands=[-3, -2, 1])  # S^3, once UNKNOWN in its Seifert form
+@given(strands=st.lists(strand, min_size=3, max_size=4))
+def test_pretzel_seifert_mirror_and_rolfsen_forms_agree(strands):
+    cover = PretzelCover(strands)
+    seif = pretzel_to_seifert(cover)
+    reordered = [PretzelCover(strands[::-1]), PretzelCover(strands[1:] + strands[:1])]
+    forms = [cover, *reordered, seif, cover.mirror(), seif.mirror()]
+    for source in (seif, seif.mirror()):
+        forms += [PretzelCover(s) for s in pretzel_strand_forms(source)]
+    found = statuses(forms)
+    assert len(set(found.values())) == 1, found
+
+
+@SETTINGS
+@given(
+    orientable=st.booleans(),
+    r=st.integers(-2, 2),
+    fibres=st.lists(fibre, max_size=3),
+    data=st.data(),
+)
+def test_seifert_fibre_order_shifts_and_mirror_agree(orientable, r, fibres, data):
+    genus = 0 if orientable else 1
+    order = data.draw(st.permutations(fibres))
+    shifts = data.draw(st.lists(st.integers(-1, 1), min_size=len(fibres), max_size=len(fibres)))
+    m = SeifertManifold(orientable, genus, r, fibres)
+    invariants, framing = shifted(order, r, shifts)
+    rewritten = SeifertManifold(orientable, genus, framing, invariants)
+    found = statuses([m, rewritten, m.mirror()])
+    assert len(set(found.values())) == 1, found
+
+
+@SETTINGS
+@given(summands=st.lists(summand, min_size=1, max_size=3), data=st.data())
+def test_lens_sum_order_presentation_and_mirror_agree(summands, data):
+    order = data.draw(st.permutations(summands))
+    ks = data.draw(st.lists(st.integers(-2, 2), min_size=len(order), max_size=len(order)))
+    inverted = data.draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
+    # L(p, q) = L(p, q + kp) = L(p, q^-1)
+    rewritten = [
+        (p, (pow(q, -1, p) if inv else q) + k * p) for (p, q), k, inv in zip(order, ks, inverted)
+    ]
+    m = LensSum(summands)
+    found = statuses([m, LensSum(rewritten), m.mirror()])
+    assert len(set(found.values())) == 1, found

@@ -1,7 +1,5 @@
 import math
 
-import pytest
-
 from s4embed.manifolds import (
     LensSum,
     PretzelCover,
@@ -11,7 +9,6 @@ from s4embed.manifolds import (
 )
 from s4embed.plumbing import PlumbingTree, lens_chains, plumbing_tree
 from s4embed.spin import (
-    furuta_check,
     mu_bar,
     mubar_vanishing_threshold,
     pretzel_link_components,
@@ -120,17 +117,6 @@ def test_mu_bar_negates_with_orientation():
         mv = sorted(mu_bar(t, w) for w in wu_sets(t))
         mvm = sorted(-mu_bar(tm, w) for w in wu_sets(tm))
         assert mv == mvm
-
-
-def test_furuta_check_cases():
-    assert not furuta_check("rational_ball", 10, -8)
-    assert furuta_check("rational_ball", 2, 0)
-    assert furuta_check("rational_ball", 0, -8, x_is_d4=True)
-    assert furuta_check("S1_homology", 1, -100)
-    assert not furuta_check("S1_homology", 4, -4)
-    assert furuta_check("S2_homology", 3, [0, 0])
-    with pytest.raises(ValueError):
-        furuta_check("other", 1, 0)
 
 
 def test_thresholds():
