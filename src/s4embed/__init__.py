@@ -5,7 +5,7 @@ fibred 3-manifold, or the double branched cover of a 3/4-strand pretzel
 link embeds smoothly in S^4, reporting certificates for every verdict.
 """
 
-from .classify import catalog_matches, full_report
+from .classify import full_report
 from .lattice import LatticeSubset, enumerate_subsets, verify_factorization
 from .manifolds import (
     LensSum,
@@ -32,7 +32,6 @@ __all__ = [
     "PlumbingTree",
     "PretzelCover",
     "SeifertManifold",
-    "catalog_matches",
     "char_vector_criterion",
     "definiteness",
     "double_subset_obstruction",
