@@ -10,8 +10,13 @@ Grammar::
     pretzel  := pretzel(a,b,c[,d])
 
 Exit codes: 0 embeds, 1 obstructed, 2 unknown, 64 parse/usage error,
-70 internal conflict (a catalog hit contradicting a completed
-obstruction; this should never happen and is surfaced loudly).
+70 internal error.  Code 70 means either a conflict (status CONFLICT: a
+catalog hit contradicting a completed obstruction) or an exception
+raised while building the report (status ERROR, printed as one line:
+the JSON object {"input", "status", "reason"} with ``--json``, else
+``error: <reason>`` on stderr, the reason reading
+``internal:<Type>: <message>``).  Neither should ever happen, and both
+are surfaced loudly.
 """
 
 from __future__ import annotations
@@ -197,8 +202,9 @@ def report_to_json(report: ObstructionReport, with_certificates: bool) -> dict:
     }
 
 
-EXIT_CODES = {"EMBEDS": 0, "OBSTRUCTED": 1, "UNKNOWN": 2, "CONFLICT": 70}
 USAGE_ERROR = 64
+INTERNAL_ERROR = 70
+EXIT_CODES = {"EMBEDS": 0, "OBSTRUCTED": 1, "UNKNOWN": 2, "CONFLICT": INTERNAL_ERROR}
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -247,7 +253,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
-    report = full_report(manifold, budget=args.budget, only=args.obstruction)
+    try:
+        report = full_report(manifold, budget=args.budget, only=args.obstruction)
+    except Exception as exc:  # a fault in the program, reported as one line
+        message = " ".join(str(exc).split())
+        reason = f"internal:{type(exc).__name__}: {message}"
+        if args.json:
+            error = {"input": manifold.describe(), "status": "ERROR", "reason": reason}
+            print(json.dumps(error))
+        else:
+            print(f"error: {reason}", file=sys.stderr)
+        return INTERNAL_ERROR
 
     if args.json:
         payload = report_to_json(report, args.certificates)
@@ -269,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
                 for cert in r.certificates:
                     print(f"        {cert}")
         print(f"status:     {report.status}  ({report.reason})")
-    return EXIT_CODES.get(report.status, 70)
+    return EXIT_CODES.get(report.status, INTERNAL_ERROR)
 
 
 if __name__ == "__main__":

@@ -6,6 +6,13 @@ subgroup arithmetic.  Everything runs on Python's arbitrary-precision
 integers; determinants of plumbing matrices outgrow machine words as
 soon as legs get long, and none of these questions tolerate rounding.
 
+Signatures come from one sparse symmetric elimination over the graph of
+the form's off-diagonal entries.  It strips a leaf (a vertex of degree
+<= 1) whenever one exists and otherwise pivots on a vertex of minimum
+degree.  A plumbing form is a forest, so that is Neumann's leaf stripping
+(Trans. AMS 268, 1981) and runs in linear time.  Every step is a
+congruence, so the counts are exact for any symmetric matrix.
+
 Matrices are plain lists of row lists.  All functions are pure, so
 concurrent use is safe.
 """
@@ -257,51 +264,85 @@ def lattice_index(basis) -> int:
 def signature_triple(M) -> tuple[int, int, int]:
     """(negative, zero, positive) eigenvalue counts of a symmetric matrix.
 
-    Symmetric elimination over the rationals with diagonal pivots and,
-    when every active diagonal vanishes, hyperbolic 2x2 blocks (each of
-    which contributes one eigenvalue of either sign).
+    One sparse symmetric elimination over the graph of the nonzero
+    off-diagonal entries.  The pivot is a vertex of degree <= 1 whenever
+    one exists, else a vertex of minimum degree:
+
+    - a pivot with nonzero diagonal d counts the sign of d and subtracts
+      A[r][v] A[v][s] / d from the rest; for a leaf this only changes
+      its neighbour's diagonal, by -a^2/d;
+    - a pivot with zero diagonal and a neighbour u is eliminated with u
+      as the 2x2 block [[0, b], [b, e]], whose determinant -b^2 < 0
+      gives one eigenvalue of each sign; when the pivot is a leaf the
+      block's Schur complement is zero, so nothing fills in;
+    - an isolated pivot with zero diagonal is a zero eigenvalue.
+
+    On a forest every step strips a leaf, so the work is linear in the
+    number of vertices: this is the leaf stripping of Neumann's plumbing
+    calculus (W. Neumann, *A calculus for plumbing applied to the
+    topology of complex surface singularities and degenerating complex
+    curves*, Trans. AMS 268, 1981).  Each step, leaf or not, is a
+    congruence by an invertible block pivot, so by Sylvester's law of
+    inertia the counts are exact for every symmetric matrix; other graphs
+    only cost fill-in.  Arithmetic is over exact rationals.
     """
     n = len(M)
-    A = [[Fraction(x) for x in row] for row in M]
-    active = list(range(n))
+    # diagonals are Fractions, so every division below is exact; edges
+    # stay plain integers until fill-in or a division reaches them
+    diag = {i: Fraction(M[i][i]) for i in range(n)}
+    adj = {i: {j: x for j, x in enumerate(M[i]) if x and j != i} for i in range(n)}
+    leaves = [i for i in range(n) if len(adj[i]) <= 1]
     neg = zero = pos = 0
-    while active:
-        piv = next((i for i in active if A[i][i] != 0), None)
-        if piv is not None:
-            a = A[piv][piv]
-            if a > 0:
+
+    def detach(v) -> dict:
+        del diag[v]
+        row = adj.pop(v)
+        for r in row:
+            del adj[r][v]
+        return row
+
+    def subtract(r, s, amount):
+        if r == s:
+            diag[r] -= amount
+        elif amount:
+            value = adj[r].get(s, 0) - amount
+            if value:
+                adj[r][s] = value
+            else:
+                del adj[r][s]
+
+    while diag:
+        while leaves and (leaves[-1] not in diag or len(adj[leaves[-1]]) > 1):
+            leaves.pop()
+        v = leaves.pop() if leaves else min(diag, key=lambda i: len(adj[i]))
+        d = diag[v]
+        row = detach(v)
+        if d:
+            if d > 0:
                 pos += 1
             else:
                 neg += 1
-            active.remove(piv)
-            for r in active:
-                c = A[r][piv] / a
-                if c:
-                    for s in active:
-                        A[r][s] -= c * A[piv][s]
+            for r, a in row.items():
+                for s, b in row.items():
+                    subtract(r, s, a * b / d)
+            touched = row
+        elif row:
+            pos += 1
+            neg += 1
+            u, b = row.popitem()
+            b, e = Fraction(b), diag[u]
+            urow = detach(u)
+            touched = row.keys() | urow.keys()
+            if row:  # else v was a leaf and the block changes nothing else
+                for r in touched:
+                    rv, ru = row.get(r, 0), urow.get(r, 0)
+                    for s in touched:
+                        sv, su = row.get(s, 0), urow.get(s, 0)
+                        subtract(r, s, (rv * su + ru * sv) / b - e * rv * sv / (b * b))
+        else:
+            zero += 1
             continue
-        pair = None
-        for i in active:
-            for j in active:
-                if j > i and A[i][j] != 0:
-                    pair = (i, j)
-                    break
-            if pair:
-                break
-        if pair is None:
-            zero += len(active)
-            break
-        i, j = pair
-        pos += 1
-        neg += 1
-        b = A[i][j]
-        active.remove(i)
-        active.remove(j)
-        for r in active:
-            ci, cj = A[r][i], A[r][j]
-            if ci or cj:
-                for s in active:
-                    A[r][s] -= (ci * A[j][s] + cj * A[i][s]) / b
+        leaves.extend(r for r in touched if len(adj[r]) <= 1)
     return neg, zero, pos
 
 

@@ -13,6 +13,7 @@ forest of the legs alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import intlinalg
 from .manifolds import (
@@ -53,6 +54,11 @@ class PlumbingTree:
     @property
     def size(self) -> int:
         return len(self.weights)
+
+    @cached_property
+    def signature(self) -> int:
+        """Signature of the plumbed 4-manifold, computed once per tree."""
+        return intlinalg.signature(self.incidence_matrix())
 
 
 def _chain_edges(start: int, length: int) -> list[tuple[int, int]]:

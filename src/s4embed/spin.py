@@ -4,7 +4,9 @@ invariant, and the 10/8-type counting obstruction.
 Spin structures on the boundary of a plumbing correspond to Wu sets:
 0/1 vertex vectors w with Q w = diag(Q) mod 2.  For such a set,
 mu_bar = sigma(X) - w.w, with w.w the square of the integral lift under
-the intersection form.  Both ingredients are computed exactly.
+the intersection form.  Both ingredients are computed exactly, and
+sigma(X) only once per plumbing (``PlumbingTree.signature``), however
+many Wu sets read it.
 
 For a pretzel-link double branched cover the number of spin structures
 is 2^(k-1), k the number of link components; the count doubles as a
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intlinalg import mod2_solution_set, signature
+from .intlinalg import mod2_solution_set
 from .manifolds import (
     PretzelCover,
     SeifertManifold,
@@ -38,13 +40,16 @@ def wu_sets(tree: PlumbingTree) -> list[tuple[int, ...]]:
 
 
 def mu_bar(tree: PlumbingTree, w) -> int:
-    """sigma(X) - w.w for a Wu set w on the plumbing X."""
-    Q = tree.incidence_matrix()
-    n = len(Q)
-    if len(w) != n or any(x not in (0, 1) for x in w):
+    """sigma(X) - w.w for a Wu set w on the plumbing X.
+
+    sigma(X) is the tree's cached signature, so the 2^(k-1) Wu sets of
+    one plumbing share a single signature computation.
+    """
+    if len(w) != tree.size or any(x not in (0, 1) for x in w):
         raise ValueError("Wu set must be a 0/1 vertex vector")
-    ww = sum(w[i] * Q[i][j] * w[j] for i in range(n) for j in range(n))
-    return signature(Q) - ww
+    ww = sum(c for c, x in zip(tree.weights, w) if x)
+    ww += 2 * sum(w[i] * w[j] for i, j in tree.edges)
+    return tree.signature - ww
 
 
 def pretzel_link_components(strands) -> int:

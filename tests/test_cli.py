@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -5,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from s4embed.cli import main
+from s4embed import cli
+from s4embed.cli import main, parse_manifold
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -40,12 +42,58 @@ def test_help_exits_zero(capsys):
     assert "--seed" not in capsys.readouterr().out
 
 
-def test_usage_error_exit_code_of_the_process():
-    done = subprocess.run(
-        [sys.executable, "-m", "s4embed.cli", "lens(3,1)+lens(3,2)", "--bogus"],
+def run_process(*argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "s4embed.cli", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
+
+
+def test_usage_error_exit_code_of_the_process():
+    done = run_process("lens(3,1)+lens(3,2)", "--bogus")
     assert done.returncode == 64
     assert "unrecognized arguments: --bogus" in done.stderr
+
+
+def fail_with(exc):
+    def full_report(*args, **kwargs):
+        raise exc
+
+    return full_report
+
+
+def test_internal_error_is_one_structured_line(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "full_report", fail_with(ZeroDivisionError("no\nway")))
+    reason = "internal:ZeroDivisionError: no way"
+
+    assert main(["pretzel(3,-5,-8)", "--json"]) == 70
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert json.loads(out) == {
+        "input": parse_manifold("pretzel(3,-5,-8)").describe(),
+        "status": "ERROR",
+        "reason": reason,
+    }
+
+    assert main(["pretzel(3,-5,-8)"]) == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {reason}\n"
+
+
+def test_interrupt_is_not_swallowed(monkeypatch):
+    monkeypatch.setattr(cli, "full_report", fail_with(KeyboardInterrupt()))
+    with pytest.raises(KeyboardInterrupt):
+        main(["pretzel(3,-5,-8)", "--quiet"])
+
+
+def test_internal_error_of_the_process_has_no_traceback():
+    # the recursive lattice search exceeds the recursion limit on a
+    # 30-vertex chain; once the search is iterative this sum embeds (exit 0)
+    done = run_process("lens(31,1)+lens(31,30)")
+    assert done.returncode == 70
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: internal:RecursionError: ")
+    assert done.stderr.count("\n") == 1

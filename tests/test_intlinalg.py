@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -23,6 +24,8 @@ from s4embed.intlinalg import (
     subgroup_from_generators,
     subgroup_sum,
 )
+from s4embed.manifolds import SeifertManifold, euler_invariant
+from s4embed.plumbing import plumbing_tree
 
 
 def chain_matrix(weights):
@@ -217,19 +220,128 @@ def test_signature_and_definiteness():
     assert signature_triple([[0, 1], [1, 0]]) == (1, 0, 1)
 
 
+def dense_signature_triple(M) -> tuple[int, int, int]:
+    """Reference signature: dense symmetric elimination over the rationals
+    in index order, with diagonal pivots and, when every active diagonal
+    vanishes, hyperbolic 2x2 blocks (one eigenvalue of either sign)."""
+    n = len(M)
+    A = [[Fraction(x) for x in row] for row in M]
+    active = list(range(n))
+    neg = zero = pos = 0
+    while active:
+        piv = next((i for i in active if A[i][i] != 0), None)
+        if piv is not None:
+            a = A[piv][piv]
+            if a > 0:
+                pos += 1
+            else:
+                neg += 1
+            active.remove(piv)
+            for r in active:
+                c = A[r][piv] / a
+                if c:
+                    for s in active:
+                        A[r][s] -= c * A[piv][s]
+            continue
+        pair = next(((i, j) for i in active for j in active if j > i and A[i][j]), None)
+        if pair is None:
+            zero += len(active)
+            break
+        i, j = pair
+        pos += 1
+        neg += 1
+        b = A[i][j]
+        active.remove(i)
+        active.remove(j)
+        for r in active:
+            ci, cj = A[r][i], A[r][j]
+            if ci or cj:
+                for s in active:
+                    A[r][s] -= (ci * A[j][s] + cj * A[i][s]) / b
+    return neg, zero, pos
+
+
+def random_forest(rng, n):
+    """Weighted forest form on n vertices; about one leaf in three has
+    weight 0, which forces the hyperbolic step."""
+    Q = [[0] * n for _ in range(n)]
+    for i in range(1, n):
+        if rng.random() < 0.9:
+            j = rng.randrange(i)
+            Q[i][j] = Q[j][i] = rng.choice([1, 1, 1, -1, 2])
+    for i in range(n):
+        leaf = sum(1 for x in Q[i] if x) <= 1
+        zero = rng.random() < (0.35 if leaf else 0.1)
+        Q[i][i] = 0 if zero else rng.choice([-5, -3, -2, -2, -2, -1, 1, 2])
+    return Q
+
+
 def test_signature_matches_eigen_count_small_random():
     rng = random.Random(13)
-    for _ in range(30):
-        n = rng.randint(1, 4)
+    for _ in range(300):
+        n = rng.randint(1, 6)
         M = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                M[i][j] = M[j][i] = rng.randint(-4, 4)
+                M[i][j] = M[j][i] = rng.choice([0, 0, rng.randint(-4, 4)])
         neg, zero, pos = signature_triple(M)
-        assert neg + zero + pos == n
+        assert (neg, zero, pos) == dense_signature_triple(M)
         # rank from SNF agrees
         diag = check_snf(M)
         assert sum(1 for d in diag if d) == neg + pos
+    for _ in range(100):
+        M = random_forest(rng, rng.randint(1, 40))
+        assert signature_triple(M) == dense_signature_triple(M)
+
+
+def test_signature_of_semidefinite_forms():
+    """-A^T A is negative semidefinite of corank n - rank(A)."""
+    rng = random.Random(17)
+    for _ in range(100):
+        n, k = rng.randint(1, 6), rng.randint(0, 5)
+        A = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+        M = [[-sum(row[i] * row[j] for row in A) for j in range(n)] for i in range(n)]
+        rank = sum(1 for d in check_snf(A) if d) if k else 0
+        assert signature_triple(M) == dense_signature_triple(M) == (rank, n - rank, 0)
+
+
+def random_unimodular(rng, n):
+    P = identity_matrix(n)
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            c = rng.choice([-2, -1, 1, 2])
+            P[i] = [a + c * b for a, b in zip(P[i], P[j])]
+        if rng.random() < 0.2:
+            P[i] = [-a for a in P[i]]
+    return P
+
+
+def test_signature_by_sylvester_law():
+    """P^T D P has the inertia of D for unimodular P."""
+    rng = random.Random(19)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        D = [rng.choice([-3, -1, 0, 0, 1, 2]) for _ in range(n)]
+        P = random_unimodular(rng, n)
+        assert abs(determinant(P)) == 1
+        PT = [list(col) for col in zip(*P)]
+        diagonal = [[d if i == j else 0 for j, d in enumerate(D)] for i in range(n)]
+        M = mat_mul(mat_mul(PT, diagonal), P)
+        expected = (sum(d < 0 for d in D), D.count(0), sum(d > 0 for d in D))
+        assert signature_triple(M) == expected
+
+
+def test_signature_of_large_plumbings():
+    assert signature_triple(chain_matrix([-2] * 300)) == (300, 0, 0)
+    assert definiteness(chain_matrix([-2] * 300)) == ("negative_definite", 0)
+    # e = 0; the normalised fibres give legs of 150, 150, 1 and 1 vertices
+    star = SeifertManifold(True, 0, 0, [(151, 1), (151, 1), (151, -1), (151, -1)])
+    assert euler_invariant(star) == 0
+    Q = plumbing_tree(star).incidence_matrix()
+    assert len(Q) > 300
+    assert definiteness(Q) == ("negative_semidefinite", 1)
+    assert signature_triple(Q) == (len(Q) - 1, 1, 0)
 
 
 def test_hermite_basis_canonical():
