@@ -23,7 +23,7 @@ from .obstructions import (
     nonorientable_obstruction,
     semidefinite_obstruction,
 )
-from .plumbing import PlumbingTree, definiteness, plumbing_tree
+from .plumbing import PlumbingTree, plumbing_tree
 from .spin import mu_bar, spin_profile, wu_sets
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "PretzelCover",
     "SeifertManifold",
     "char_vector_criterion",
-    "definiteness",
     "double_subset_obstruction",
     "enumerate_subsets",
     "euler_invariant",

@@ -2,10 +2,12 @@
 
 ``full_report`` builds a ``ManifoldContext`` once per call.  It holds the
 Seifert view of the input, e, (b_1, torsion) and the pretzel strands,
-each computed once, when first asked for, and it builds the plumbing
-form of either orientation for the check that reads it.  The context
-sorts the manifold into one class, and the class's table of named checks
-runs in order, every check on the same context:
+each computed once, when first asked for.  It also owns the report's
+plumbings: one tree per orientation, built when a check first reads that
+side and shared by every later check, so the definite-side tree serves
+both the form checks and mu-bar.  The definite side is '-' iff e < 0,
+else '+'.  The context sorts the manifold into one class, and the class's
+table of named checks runs in order, every check on the same context:
 
 * lens sums: torsion_square, lens_mirror_pairing, double_subset,
   double_subset_mirror.  A sum embeds iff every p_i is odd and the
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable
@@ -72,7 +74,7 @@ from .obstructions import (
     nonorientable_obstruction,
     semidefinite_obstruction,
 )
-from .plumbing import plumbing_tree
+from .plumbing import PlumbingTree, plumbing_tree
 from .spin import mubar_vanishing_threshold, pretzel_link_components, spin_profile
 
 DEFAULT_BUDGET = 10**7
@@ -94,17 +96,29 @@ def _matchable(items, partner) -> bool:
     return True
 
 
-def lens_mirror_matched(m: LensSum) -> bool:
-    """Does the summand multiset split into mirror pairs L(p,q), L(p,p-q)?
-    Self-mirror classes (q^2 = -1 mod p) need even multiplicity."""
-    classes = [lens_class(p, q) for p, q in m.summands]
+def _mirror_matched(pairs) -> bool:
+    """Do the lens classes L(p,q) of the (p, q) pairs split into mirror
+    pairs L(p,q), L(p,p-q)?  Self-mirror classes (q^2 = -1 mod p) need
+    even multiplicity."""
 
     def partner(cls):
         p, _, reps = cls
-        q = next(iter(reps))
-        return lens_mirror_class(p, q)
+        return lens_mirror_class(p, next(iter(reps)))
 
-    return _matchable(classes, partner)
+    return _matchable([lens_class(p, q) for p, q in pairs], partner)
+
+
+def lens_mirror_matched(m: LensSum) -> bool:
+    """Does the summand multiset split into mirror pairs?"""
+    return _mirror_matched(m.summands)
+
+
+def _lens_sum_fault(m: LensSum) -> str | None:
+    """Why the sum breaks the lens-sum rule (every p_i odd, summands in
+    mirror pairs), or None when it keeps it."""
+    if not all(p % 2 for p, _ in m.summands):
+        return "some p_i is even"
+    return None if lens_mirror_matched(m) else "no mirror matching of the summands"
 
 
 def _residue_pairs(invariants):
@@ -124,14 +138,7 @@ def complementary_matched(invariants) -> bool:
 def weak_complementary_matched(invariants) -> bool:
     """Matching of (a, b) with (a, -b) or (a, -b^-1); equivalently the
     fibre lens classes pair into mirrors."""
-    classes = [lens_class(a, b % a) for a, b in invariants]
-
-    def partner(cls):
-        p, _, reps = cls
-        q = next(iter(reps))
-        return lens_mirror_class(p, q)
-
-    return _matchable(classes, partner)
+    return _mirror_matched(_residue_pairs(invariants))
 
 
 def even_fibre_clause(invariants) -> bool:
@@ -230,6 +237,7 @@ class ManifoldContext:
     as the call."""
 
     manifold: Manifold
+    _trees: dict[str, PlumbingTree] = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def seifert(self) -> SeifertManifold | None:
@@ -257,10 +265,18 @@ class ManifoldContext:
             return None if strands is None else PretzelCover(strands)
         return m if isinstance(m, PretzelCover) else None
 
-    def form(self, orientation: str) -> list[list[int]]:
-        """Intersection form of the standard plumbing of one orientation;
-        no two checks of a table read the same side, so it is not kept."""
-        return plumbing_tree(self.seifert or self.manifold, orientation).incidence_matrix()
+    def tree(self, side: str) -> PlumbingTree:
+        """The standard plumbing of one orientation ('+' or '-'), built on
+        first use and kept for the rest of the call."""
+        if side not in self._trees:
+            self._trees[side] = plumbing_tree(self.seifert or self.manifold, side)
+        return self._trees[side]
+
+    @cached_property
+    def definite_side(self) -> str:
+        """The orientation whose plumbing is negative (semi)definite: '-'
+        iff e < 0, else '+' (so '+' for any lens sum)."""
+        return "-" if self.euler is not None and self.euler < 0 else "+"
 
     @cached_property
     def table(self) -> CheckTable:
@@ -313,13 +329,8 @@ def _torsion_square(ctx: ManifoldContext, budget: int) -> ObstructionResult:
 
 
 def _lens_mirror_pairing(ctx: ManifoldContext, budget: int) -> ObstructionResult:
-    odd = all(p % 2 for p, _ in ctx.manifold.summands)
-    return _judged(
-        "lens_mirror_pairing",
-        odd and lens_mirror_matched(ctx.manifold),
-        "summands pair into mirrors",
-        "no mirror matching of the summands" if odd else "some p_i is even",
-    )
+    fault = _lens_sum_fault(ctx.manifold)
+    return _judged("lens_mirror_pairing", fault is None, "summands pair into mirrors", fault)
 
 
 def _lens_space(ctx: ManifoldContext, budget: int) -> ObstructionResult | None:
@@ -334,14 +345,16 @@ def _lens_space(ctx: ManifoldContext, budget: int) -> ObstructionResult | None:
     )
 
 
+def _form(ctx: ManifoldContext, side: str) -> list[list[int]]:
+    return ctx.tree(side).incidence_matrix()
+
+
 def _double_subset(ctx: ManifoldContext, budget: int) -> ObstructionResult:
-    # on the orientation whose plumbing is negative definite: e > 0, or any lens sum
-    side = "-" if ctx.euler is not None and ctx.euler < 0 else "+"
-    return double_subset_obstruction(ctx.form(side), budget)
+    return double_subset_obstruction(_form(ctx, ctx.definite_side), budget)
 
 
 def _double_subset_mirror(ctx: ManifoldContext, budget: int) -> ObstructionResult:
-    return _named(double_subset_obstruction(ctx.form("-"), budget), "double_subset_mirror")
+    return _named(double_subset_obstruction(_form(ctx, "-"), budget), "double_subset_mirror")
 
 
 def _complementary_pairs(ctx: ManifoldContext, budget: int) -> ObstructionResult:
@@ -354,11 +367,11 @@ def _complementary_pairs(ctx: ManifoldContext, budget: int) -> ObstructionResult
 
 
 def _semidefinite_subset(ctx: ManifoldContext, budget: int) -> ObstructionResult:
-    return semidefinite_obstruction(ctx.form("+"), budget)
+    return semidefinite_obstruction(_form(ctx, "+"), budget)
 
 
 def _semidefinite_subset_mirror(ctx: ManifoldContext, budget: int) -> ObstructionResult:
-    return _named(semidefinite_obstruction(ctx.form("-"), budget), "semidefinite_subset_mirror")
+    return _named(semidefinite_obstruction(_form(ctx, "-"), budget), "semidefinite_subset_mirror")
 
 
 def _weak_complementary_pairs(ctx: ManifoldContext, budget: int) -> ObstructionResult:
@@ -380,12 +393,12 @@ def _even_fibre_clause(ctx: ManifoldContext, budget: int) -> ObstructionResult:
 
 
 def _nonorientable_double_subset(ctx: ManifoldContext, budget: int) -> ObstructionResult:
-    return nonorientable_obstruction(ctx.form("+"), budget)
+    return nonorientable_obstruction(_form(ctx, "+"), budget)
 
 
 def _nonorientable_double_subset_mirror(ctx: ManifoldContext, budget: int) -> ObstructionResult:
     return _named(
-        nonorientable_obstruction(ctx.form("-"), budget), "nonorientable_double_subset_mirror"
+        nonorientable_obstruction(_form(ctx, "-"), budget), "nonorientable_double_subset_mirror"
     )
 
 
@@ -408,8 +421,8 @@ def _mubar_vanishing(ctx: ManifoldContext, budget: int) -> ObstructionResult | N
     vanishing mu-bar invariants are required."""
     if ctx.cover is None:
         return None
-    profile = spin_profile(ctx.cover)
-    k = profile.link_components
+    k = pretzel_link_components(ctx.cover.strands)
+    profile = spin_profile(ctx.tree(ctx.definite_side), ctx.definite_side, k)
     threshold = mubar_vanishing_threshold(k)
     return _judged(
         "mubar_vanishing",
@@ -474,9 +487,7 @@ def _is_trivial_embeddable(ctx: ManifoldContext) -> bool:
 
 def _matches_lens_mirror(ctx: ManifoldContext) -> bool:
     m = ctx.manifold
-    if not isinstance(m, LensSum):
-        return False
-    return bool(m.summands) and all(p % 2 for p, _ in m.summands) and lens_mirror_matched(m)
+    return isinstance(m, LensSum) and bool(m.summands) and _lens_sum_fault(m) is None
 
 
 def _matches_doubly_slice_pretzel(ctx: ManifoldContext) -> bool:

@@ -447,7 +447,6 @@ class FiniteAbelianGroup:
     free_rank: int = 0
     ambient_dim: int = 0
     _torsion_rows: tuple[tuple[int, ...], ...] = field(default=(), repr=False)
-    _free_rows: tuple[tuple[int, ...], ...] = field(default=(), repr=False)
 
     @classmethod
     def from_factors(cls, factors) -> "FiniteAbelianGroup":
@@ -476,28 +475,8 @@ class FiniteAbelianGroup:
             for row, d in zip(self._torsion_rows, self.factors)
         )
 
-    def free_image(self, vec) -> tuple[int, ...]:
-        return tuple(sum(r * x for r, x in zip(row, vec)) for row in self._free_rows)
-
     def reduce(self, coords) -> tuple[int, ...]:
         return tuple(c % d for c, d in zip(coords, self.factors))
-
-    def elements(self):
-        """Iterate all torsion elements (finite groups only)."""
-        if not self.is_finite:
-            raise ValueError("infinite group")
-        coords = [0] * len(self.factors)
-        while True:
-            yield tuple(coords)
-            for i in range(len(coords) - 1, -1, -1):
-                coords[i] += 1
-                if coords[i] < self.factors[i]:
-                    break
-                coords[i] = 0
-            else:
-                return
-            if all(c == 0 for c in coords):
-                return
 
 
 def cokernel(M) -> FiniteAbelianGroup:
@@ -510,13 +489,11 @@ def cokernel(M) -> FiniteAbelianGroup:
     U, D, _ = smith_normal_form(M)
     diag = [D[i][i] for i in range(n)]
     torsion = [(d, i) for i, d in enumerate(diag) if d >= 2]
-    free = [i for i, d in enumerate(diag) if d == 0]
     return FiniteAbelianGroup(
         factors=tuple(d for d, _ in torsion),
-        free_rank=len(free),
+        free_rank=diag.count(0),
         ambient_dim=n,
         _torsion_rows=tuple(tuple(U[i]) for _, i in torsion),
-        _free_rows=tuple(tuple(U[i]) for i in free),
     )
 
 

@@ -33,10 +33,6 @@ class BudgetExhausted(Exception):
     pass
 
 
-class _LimitReached(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class LatticeSubset:
     """Rows are the subset vectors; mode records square vs rectangular."""
@@ -58,7 +54,7 @@ class LatticeSubset:
 
 @dataclass(frozen=True)
 class SubsetSearchResult:
-    status: str  # 'complete' | 'exhausted' | 'limit_reached'
+    status: str  # 'complete' | 'exhausted'
     subsets: tuple[LatticeSubset, ...]
 
     @property
@@ -116,7 +112,6 @@ def _row_order(G) -> list[int]:
 def enumerate_subsets(
     Q,
     mode: str = "square",
-    limit: int | None = None,
     budget: int | None = None,
 ) -> SubsetSearchResult:
     """All A with A A^t = -Q, up to signed column permutation.
@@ -125,8 +120,7 @@ def enumerate_subsets(
     mode 'rectangular' wants corank-one negative semi-definite Q and
     returns n x (n-1) matrices.  ``budget`` bounds the number of search
     nodes; exhausting it yields status 'exhausted' with whatever was
-    found so far.  ``limit`` stops early after that many subsets
-    (status 'limit_reached' unless the search had already finished).
+    found so far.
     """
     n = len(Q)
     for i in range(n):
@@ -168,8 +162,6 @@ def enumerate_subsets(
             for pos, vec in enumerate(placed):
                 rows_in_input_order[order[pos]] = vec
             found.add(canonicalize_rows(rows_in_input_order))
-            if limit is not None and len(found) >= limit:
-                raise _LimitReached
             return
         i = order[depth]
         norm = gram[i][i]
@@ -225,8 +217,6 @@ def enumerate_subsets(
         extend(0)
     except BudgetExhausted:
         status = "exhausted"
-    except _LimitReached:
-        status = "limit_reached"
 
     subsets = tuple(
         LatticeSubset(rows, mode) for rows in sorted(found)

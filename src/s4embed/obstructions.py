@@ -30,7 +30,7 @@ from .intlinalg import (
     doubled_factors,
     subgroup_from_generators,
 )
-from .lattice import LatticeSubset, SubsetSearchResult, enumerate_subsets
+from .lattice import LatticeSubset, enumerate_subsets
 
 
 @dataclass
@@ -46,10 +46,6 @@ class ObstructionResult:
     @property
     def obstructed(self) -> bool:
         return self.verdict == "obstructed"
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
 
     def to_json(self, with_certificates=False) -> dict[str, Any]:
         out: dict[str, Any] = {"name": self.name, "verdict": self.verdict}
@@ -108,10 +104,6 @@ def char_vector_criterion(A: LatticeSubset, Q) -> bool:
     return len(reachable) == H.order and all(H.contains(r) for r in reachable)
 
 
-def _enumerate(Q, mode, budget) -> SubsetSearchResult:
-    return enumerate_subsets(Q, mode=mode, budget=budget)
-
-
 def double_subset_obstruction(Q, budget: int | None = None) -> ObstructionResult:
     """Search for two factorisations splitting coker Q as H + H.
 
@@ -132,7 +124,7 @@ def double_subset_obstruction(Q, budget: int | None = None) -> ObstructionResult
             notes=f"|coker Q| = {abs(det)} is not a perfect square, "
             "so no factorisation exists",
         )
-    res = _enumerate(Q, "square", budget)
+    res = enumerate_subsets(Q, "square", budget)
     if not res.complete and not res.subsets:
         return ObstructionResult(name, "inconclusive", notes="budget exhausted")
 
@@ -192,7 +184,7 @@ def semidefinite_obstruction(Q, budget: int | None = None) -> ObstructionResult:
     kind, corank = definiteness(Q)
     if kind != "negative_semidefinite" or corank != 1:
         raise ValueError("semidefinite obstruction needs corank-one Q")
-    res = _enumerate(Q, "rectangular", budget)
+    res = enumerate_subsets(Q, "rectangular", budget)
     if res.subsets:
         return ObstructionResult(name, "pass", [res.subsets[0]])
     if res.complete:
@@ -218,7 +210,7 @@ def nonorientable_obstruction(Q, budget: int | None = None) -> ObstructionResult
             "obstructed",
             notes=f"|coker Q| = {abs(det)} is not a perfect square",
         )
-    res = _enumerate(Q, "square", budget)
+    res = enumerate_subsets(Q, "square", budget)
     if not res.complete and not res.subsets:
         return ObstructionResult(name, "inconclusive", notes="budget exhausted")
     G = cokernel([list(r) for r in Q])

@@ -30,17 +30,11 @@ from .manifolds import (
 
 @dataclass(frozen=True)
 class PlumbingTree:
-    """Weighted forest with at most simple edges.
-
-    ``central`` marks the star hub when one exists;
-    ``nonorientable_base`` records that the tree is the leg forest of a
-    non-orientable-base Seifert manifold.
-    """
+    """Weighted forest with at most simple edges; a star has its hub at
+    vertex 0."""
 
     weights: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
-    central: int | None = None
-    nonorientable_base: bool = False
 
     def incidence_matrix(self) -> list[list[int]]:
         n = len(self.weights)
@@ -97,7 +91,7 @@ def seifert_star(m: SeifertManifold) -> PlumbingTree:
         weights.extend(-c for c in seq)
         edges.append((0, start))
         edges.extend(_chain_edges(start, len(seq)))
-    return PlumbingTree(tuple(weights), tuple(edges), central=0)
+    return PlumbingTree(tuple(weights), tuple(edges))
 
 
 def seifert_leg_forest(m: SeifertManifold) -> PlumbingTree:
@@ -111,7 +105,7 @@ def seifert_leg_forest(m: SeifertManifold) -> PlumbingTree:
         start = len(weights)
         weights.extend(-c for c in seq)
         edges.extend(_chain_edges(start, len(seq)))
-    return PlumbingTree(tuple(weights), tuple(edges), nonorientable_base=True)
+    return PlumbingTree(tuple(weights), tuple(edges))
 
 
 def plumbing_tree(m: Manifold, orientation: str = "+") -> PlumbingTree:
@@ -134,9 +128,3 @@ def plumbing_tree(m: Manifold, orientation: str = "+") -> PlumbingTree:
             raise ValueError("orientation yields e < 0 with orientable base")
         return seifert_star(m)
     return seifert_leg_forest(m)
-
-
-def definiteness(tree: PlumbingTree):
-    """('negative_definite', 0) | ('negative_semidefinite', corank) |
-    ('indefinite', 0), decided exactly."""
-    return intlinalg.definiteness(tree.incidence_matrix())

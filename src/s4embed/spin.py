@@ -11,6 +11,11 @@ many Wu sets read it.
 For a pretzel-link double branched cover the number of spin structures
 is 2^(k-1), k the number of link components; the count doubles as a
 cross-check on the component count computed from strand parities.
+
+This module builds no plumbing: the caller chooses the orientation whose
+plumbing is negative (semi)definite and passes that tree in, so the
+classifier's per-report context serves the form checks and the mu-bar
+check from one tree per side.
 """
 
 from __future__ import annotations
@@ -18,13 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .intlinalg import mod2_solution_set
-from .manifolds import (
-    PretzelCover,
-    SeifertManifold,
-    euler_invariant,
-    pretzel_to_seifert,
-)
-from .plumbing import PlumbingTree, plumbing_tree
+from .plumbing import PlumbingTree
 
 
 def wu_sets(tree: PlumbingTree) -> list[tuple[int, ...]]:
@@ -103,45 +102,34 @@ def pretzel_link_components(strands) -> int:
 
 @dataclass(frozen=True)
 class SpinProfile:
-    """Wu sets and mu-bar values on the definite-side plumbing."""
+    """The mu-bar values over the Wu sets of the definite-side plumbing,
+    one per spin structure."""
 
-    tree: PlumbingTree
-    wu: tuple[tuple[int, ...], ...]
     mu_values: tuple[int, ...]  # sorted multiset
-    spin_count: int
-    link_components: int | None = None
+
+    @property
+    def spin_count(self) -> int:
+        return len(self.mu_values)
 
     @property
     def vanishing(self) -> int:
         return sum(1 for v in self.mu_values if v == 0)
 
 
-def spin_profile(m: PretzelCover | SeifertManifold) -> SpinProfile:
-    """Wu sets and mu-bar values of the manifold.
+def spin_profile(tree: PlumbingTree, side: str, k: int) -> SpinProfile:
+    """mu-bar values of a pretzel cover with k link components.
 
-    Computed on the standard plumbing of whichever orientation is
-    negative (semi)definite; reversing orientation negates mu-bar and
-    fixes the vanishing count.  Pretzel covers also carry the link
-    component count k, checked against spin count = 2^(k-1).
+    ``tree`` is the standard plumbing of orientation ``side`` ('+' or
+    '-'), the one the caller found negative (semi)definite.  The values
+    are reported for the '+' orientation: reversing orientation negates
+    mu-bar and fixes the vanishing count.  The Wu-set count must be the
+    spin count 2^(k-1).
     """
-    k = None
-    if isinstance(m, PretzelCover):
-        k = pretzel_link_components(m.strands)
-        seif = pretzel_to_seifert(m)
-    else:
-        seif = m
-    if not seif.base_orientable:
-        raise ValueError("mu-bar via Wu sets needs an orientable base plumbing")
-    flip = euler_invariant(seif) < 0
-    tree = plumbing_tree(seif, "-" if flip else "+")
-    wu = tuple(wu_sets(tree))
-    values = sorted(mu_bar(tree, w) * (-1 if flip else 1) for w in wu)
-    profile = SpinProfile(tree, wu, tuple(values), len(wu), k)
-    if k is not None and profile.spin_count != 2 ** (k - 1):
-        raise ArithmeticError(
-            f"spin count {profile.spin_count} disagrees with 2^(k-1) for k={k}"
-        )
-    return profile
+    sign = -1 if side == "-" else 1
+    wu = wu_sets(tree)
+    if len(wu) != 2 ** (k - 1):
+        raise ArithmeticError(f"spin count {len(wu)} disagrees with 2^(k-1) for k={k}")
+    return SpinProfile(tuple(sorted(sign * mu_bar(tree, w) for w in wu)))
 
 
 MU_BAR_THRESHOLD = {1: 1, 2: 2, 3: 3, 4: 5}

@@ -1,3 +1,6 @@
+import pytest
+
+from s4embed import plumbing
 from s4embed.classify import (
     catalog_matches,
     complementary_matched,
@@ -9,6 +12,7 @@ from s4embed.classify import (
     weak_complementary_matched,
 )
 from s4embed.manifolds import LensSum, PretzelCover, SeifertManifold
+from s4embed.plumbing import seifert_star
 
 
 def status(m) -> str:
@@ -163,3 +167,26 @@ def test_catalog_consistency():
     assert not catalog_matches(PretzelCover([3, -5, -8]))
     y = SeifertManifold(True, 0, 1, [(4, 1), (4, 1), (12, 5)])  # rewritten form
     assert any(e.name == "surgery_example_4_4_12" for e in catalog_matches(y))
+
+
+@pytest.mark.parametrize(
+    "manifold, builds",
+    [
+        (PretzelCover([3, 5, 7]), 1),
+        (PretzelCover([-3, -5, -7]), 1),
+        (SeifertManifold(True, 0, 0, [(3, 1), (5, 1), (7, 1)]), 1),
+        # e = 0: the '+' side serves mu-bar and semidefinite_subset, the
+        # '-' side semidefinite_subset_mirror
+        (PretzelCover([2, -2, 2, -2]), 2),
+    ],
+)
+def test_report_builds_each_side_once(monkeypatch, manifold, builds):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return seifert_star(m)
+
+    monkeypatch.setattr(plumbing, "seifert_star", counted)
+    full_report(manifold)
+    assert len(calls) == builds

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from s4embed.intlinalg import determinant
+from s4embed.intlinalg import definiteness, determinant
 from s4embed.manifolds import (
     LensSum,
     PretzelCover,
@@ -18,7 +18,7 @@ from s4embed.manifolds import (
     seifert_pretzel_strands,
     spin_structure_count,
 )
-from s4embed.plumbing import definiteness, lens_chains, plumbing_tree, seifert_star
+from s4embed.plumbing import lens_chains, plumbing_tree, seifert_star
 
 
 def test_neg_continued_fraction_values():
@@ -94,7 +94,7 @@ def test_lens_chains_weights():
     tree = lens_chains(LensSum([(3, 1), (3, 2)]))
     assert tree.weights == (-3, -2, -2)
     assert tree.edges == ((1, 2),)
-    assert definiteness(tree) == ("negative_definite", 0)
+    assert definiteness(tree.incidence_matrix()) == ("negative_definite", 0)
 
 
 def test_seifert_star_shape():
@@ -103,8 +103,9 @@ def test_seifert_star_shape():
     # centre -2 with legs (-2,-2), (-2,-2), (-3)
     assert tree.weights[0] == -2
     assert sorted(tree.weights) == [-3, -2, -2, -2, -2, -2]
-    assert tree.central == 0
-    assert definiteness(tree) == ("negative_definite", 0)
+    # the hub, vertex 0, meets all three legs
+    assert sum(1 for edge in tree.edges if 0 in edge) == 3
+    assert definiteness(tree.incidence_matrix()) == ("negative_definite", 0)
     # determinant carries |H_1(Y(3,-3,3))| = 3^2
     assert abs(determinant(tree.incidence_matrix())) == 9
 
@@ -114,8 +115,9 @@ def test_plumbing_nonorientable_drops_centre():
     forest = plumbing_tree(y)
     star_like = seifert_star(SeifertManifold(True, 0, 0, [(3, 1), (3, -1)]))
     assert sorted(forest.weights) == sorted(star_like.weights[1:])
-    assert forest.central is None
-    assert definiteness(forest) == ("negative_definite", 0)
+    # no hub: the two legs are separate chains
+    assert len(forest.edges) == forest.size - 2
+    assert definiteness(forest.incidence_matrix()) == ("negative_definite", 0)
     assert sorted(forest.weights) == [-3, -2, -2]
 
 
@@ -124,13 +126,13 @@ def test_plumbing_rejects_negative_euler_side():
     with pytest.raises(ValueError):
         plumbing_tree(y, "+")
     tree = plumbing_tree(y, "-")
-    assert definiteness(tree) == ("negative_definite", 0)
+    assert definiteness(tree.incidence_matrix()) == ("negative_definite", 0)
 
 
 def test_semidefinite_star():
     y = pretzel_to_seifert(PretzelCover([2, -2, 2, -2]))
     tree = plumbing_tree(y)
-    kind, corank = definiteness(tree)
+    kind, corank = definiteness(tree.incidence_matrix())
     assert kind == "negative_semidefinite" and corank == 1
 
 

@@ -1,5 +1,8 @@
 import math
 
+import pytest
+
+from s4embed.classify import full_report
 from s4embed.manifolds import (
     LensSum,
     PretzelCover,
@@ -63,36 +66,50 @@ def test_component_count_matches_spin_count():
             assert spin_structure_count(cover) == 2 ** (k - 1)
 
 
+def mubar_certificate(cover: PretzelCover) -> dict:
+    """mu_values, k and threshold of the report's mubar_vanishing check."""
+    return full_report(cover).result("mubar_vanishing").certificates[0]
+
+
 def test_spin_profile_even_pairs():
     """Y(a,-a,b,-b) with a,b even: eight spin structures, four vanishing
     mu-bar, the others +-(a+b) and +-(a-b)."""
     for a, b in [(2, 4), (2, 6), (4, 6)]:
-        profile = spin_profile(PretzelCover([a, -a, b, -b]))
-        assert profile.spin_count == 8
-        expected = sorted([0, 0, 0, 0, a + b, -(a + b), a - b, -(a - b)])
-        assert list(profile.mu_values) == expected
+        mu_values = mubar_certificate(PretzelCover([a, -a, b, -b]))["mu_values"]
+        assert len(mu_values) == 8
+        assert mu_values == sorted([0, 0, 0, 0, a + b, -(a + b), a - b, -(a - b)])
 
 
 def test_spin_profile_a222():
     """Y(a,2,2,2) with a odd: three mu-bar values equal sign(a) - a."""
     for a in (3, 5, -3):
-        profile = spin_profile(PretzelCover([a, 2, 2, 2]))
-        assert profile.spin_count == 4
+        mu_values = mubar_certificate(PretzelCover([a, 2, 2, 2]))["mu_values"]
+        assert len(mu_values) == 4
         target = (1 if a > 0 else -1) - a
-        assert sum(1 for v in profile.mu_values if v == target) >= 3
+        assert mu_values.count(target) >= 3
 
 
 def test_spin_profile_y_aaa_same():
-    profile = spin_profile(PretzelCover([3, -3, 3]))
-    assert profile.spin_count == 1
-    assert profile.mu_values == (0,)
-    assert profile.link_components == 1
+    cert = mubar_certificate(PretzelCover([3, -3, 3]))
+    assert cert["mu_values"] == [0]
+    assert cert["k"] == 1
 
 
 def test_spin_profile_y2222():
-    profile = spin_profile(PretzelCover([2, -2, 2, -2]))
-    assert profile.spin_count == 8
-    assert profile.vanishing == 6  # 0,0,0,0 and +-(a-b)=0,0 with a=b=2
+    mu_values = mubar_certificate(PretzelCover([2, -2, 2, -2]))["mu_values"]
+    assert len(mu_values) == 8
+    assert mu_values.count(0) == 6  # 0,0,0,0 and +-(a-b)=0,0 with a=b=2
+
+
+def test_spin_profile_rejects_wrong_component_count():
+    """Two Wu sets on a (-2) vertex mean k = 2; any other k is an error."""
+    assert spin_profile(single_vertex(-2), "+", 2).mu_values == (-1, 1)
+    assert spin_profile(single_vertex(-2), "-", 2).mu_values == (-1, 1)
+    assert spin_profile(single_vertex(-3), "-", 1).mu_values == (-2,)
+    with pytest.raises(ArithmeticError):
+        spin_profile(single_vertex(-2), "+", 1)
+    with pytest.raises(ArithmeticError):
+        spin_profile(single_vertex(-3), "+", 3)
 
 
 def test_mu_bar_stable_across_lens_presentations():
