@@ -31,6 +31,9 @@ LENS_SUMS = [
     "lens(4,1)+lens(4,3)", "lens(9,2)+lens(9,7)", "lens(9,2)+lens(9,2)",
     "lens(25,7)+lens(25,18)", "lens(3,1)+lens(3,1)+lens(3,2)+lens(3,2)",
     "lens(3,1)+lens(5,2)+lens(3,2)+lens(5,3)",
+    # many usable column subgroups, so many pairs are tested
+    "lens(8,3)+lens(8,3)+lens(8,5)+lens(8,5)",
+    "lens(9,2)+lens(9,2)+lens(9,7)+lens(9,7)",
 ]
 
 SEIFERT = [
