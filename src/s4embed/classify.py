@@ -1,13 +1,14 @@
 """One decision engine: per-class check tables and one merge rule.
 
 ``full_report`` builds a ``ManifoldContext`` once per call.  It holds the
-Seifert view of the input, e, (b_1, torsion) and the pretzel strands,
-each computed once, when first asked for.  It also owns the report's
-plumbings: one tree per orientation, built when a check first reads that
-side and shared by every later check, so the definite-side tree serves
-both the form checks and mu-bar.  The definite side is '-' iff e < 0,
-else '+'.  The context sorts the manifold into one class, and the class's
-table of named checks runs in order, every check on the same context:
+Seifert view of the input, e, (b_1, torsion), the pretzel strands and
+their Rolfsen-equivalent forms, each computed once, when first asked
+for.  It also owns the report's plumbings: one tree per orientation,
+built when a check first reads that side and shared by every later
+check, so the definite-side tree serves both the form checks and mu-bar.
+The definite side is '-' iff e < 0, else '+'.  The context sorts the
+manifold into one class, and the class's table of named checks runs in
+order, every check on the same context:
 
 * lens sums: torsion_square, lens_mirror_pairing, double_subset,
   double_subset_mirror.  A sum embeds iff every p_i is odd and the
@@ -188,28 +189,20 @@ def _family_match(strands) -> tuple[str, dict] | None:
     return None
 
 
-def _all_strand_forms(m: PretzelCover) -> tuple[tuple[int, ...], ...]:
-    """Every pretzel presentation of the cover and of its mirror;
-    family membership is a diffeomorphism statement, so matching any
-    Rolfsen-equivalent form counts."""
-    forms = {m.strands, m.mirror().strands}
-    for source in (pretzel_to_seifert(m), pretzel_to_seifert(m).mirror()):
-        forms.update(pretzel_strand_forms(source))
-    return tuple(sorted(forms))
-
-
-def pretzel_embeddable_family(m: PretzelCover) -> tuple[str, dict] | None:
-    """Family membership up to permutation, mirror, and Rolfsen twists."""
-    for strands in _all_strand_forms(m):
+def pretzel_embeddable_family(forms) -> tuple[str, dict] | None:
+    """Family membership up to permutation, mirror, and Rolfsen twists,
+    given ``ManifoldContext.strand_forms``."""
+    for strands in forms:
         hit = _family_match(strands)
         if hit is not None:
             return hit
     return None
 
 
-def pretzel_unknown_family(m: PretzelCover) -> int | None:
-    """Membership in Y(2l-1, -2l-1, -2l^2) up to mirror; returns l."""
-    for strands in _all_strand_forms(m):
+def pretzel_unknown_family(forms) -> int | None:
+    """Membership in Y(2l-1, -2l-1, -2l^2) up to mirror, given
+    ``ManifoldContext.strand_forms``; returns l."""
+    for strands in forms:
         evens = [x for x in strands if x % 2 == 0]
         odds = sorted(x for x in strands if x % 2)
         if len(strands) != 3 or len(evens) != 1 or len(odds) != 2:
@@ -264,6 +257,19 @@ class ManifoldContext:
             strands = seifert_pretzel_strands(m)
             return None if strands is None else PretzelCover(strands)
         return m if isinstance(m, PretzelCover) else None
+
+    @cached_property
+    def strand_forms(self) -> tuple[tuple[int, ...], ...]:
+        """Every pretzel presentation of the cover and of its mirror, none
+        when the manifold is not a pretzel cover; family membership is a
+        diffeomorphism statement, so matching any Rolfsen-equivalent form
+        counts."""
+        c, s = self.cover, self.seifert
+        if c is None:
+            return ()
+        forms = {c.strands, c.mirror().strands}
+        forms.update(pretzel_strand_forms(s), pretzel_strand_forms(s.mirror()))
+        return tuple(sorted(forms))
 
     def tree(self, side: str) -> PlumbingTree:
         """The standard plumbing of one orientation ('+' or '-'), built on
@@ -491,7 +497,7 @@ def _matches_lens_mirror(ctx: ManifoldContext) -> bool:
 
 
 def _matches_doubly_slice_pretzel(ctx: ManifoldContext) -> bool:
-    return ctx.cover is not None and pretzel_embeddable_family(ctx.cover) is not None
+    return pretzel_embeddable_family(ctx.strand_forms) is not None
 
 
 def _matches_odd_complementary_e0(ctx: ManifoldContext) -> bool:
@@ -604,7 +610,7 @@ def full_report(
         reason = f"theorem:{theorem}" if theorem else f"obstruction:{obstructed[0].name}"
     elif hits:
         status, reason = "EMBEDS", f"catalog:{hits[0].name}"
-    elif ctx.cover is not None and pretzel_unknown_family(ctx.cover) is not None:
+    elif pretzel_unknown_family(ctx.strand_forms) is not None:
         status, reason = "UNKNOWN", "open_family:pretzel(2l-1,-2l-1,-2l^2)"
     else:
         status, reason = "UNKNOWN", "no obstruction fired; no catalog entry"

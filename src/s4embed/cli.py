@@ -215,33 +215,34 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
+# built once per process; each parse_args call starts a fresh namespace
+_ARGS = _ArgumentParser(
+    prog="s4embed",
+    description="Decide, with certificates, whether a lens-space sum, "
+    "Seifert manifold or pretzel-link double branched cover embeds "
+    "smoothly in the 4-sphere.",
+)
+_ARGS.add_argument("expr", nargs="?", help="manifold expression")
+_ARGS.add_argument("--manifold", dest="manifold", help="manifold expression")
+_ARGS.add_argument("--json", action="store_true", help="emit a JSON report")
+_ARGS.add_argument("--certificates", action="store_true", help="include certificates in output")
+_ARGS.add_argument(
+    "--budget",
+    type=int,
+    default=DEFAULT_BUDGET,
+    help="search-node budget per obstruction (default 10^7)",
+)
+_ARGS.add_argument(
+    "--obstruction",
+    action="append",
+    default=None,
+    help="run only the named obstruction (repeatable)",
+)
+_ARGS.add_argument("--quiet", action="store_true", help="suppress text output")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _ArgumentParser(
-        prog="s4embed",
-        description="Decide, with certificates, whether a lens-space sum, "
-        "Seifert manifold or pretzel-link double branched cover embeds "
-        "smoothly in the 4-sphere.",
-    )
-    parser.add_argument("expr", nargs="?", help="manifold expression")
-    parser.add_argument("--manifold", dest="manifold", help="manifold expression")
-    parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    parser.add_argument(
-        "--certificates", action="store_true", help="include certificates in output"
-    )
-    parser.add_argument(
-        "--budget",
-        type=int,
-        default=DEFAULT_BUDGET,
-        help="search-node budget per obstruction (default 10^7)",
-    )
-    parser.add_argument(
-        "--obstruction",
-        action="append",
-        default=None,
-        help="run only the named obstruction (repeatable)",
-    )
-    parser.add_argument("--quiet", action="store_true", help="suppress text output")
-    args = parser.parse_args(argv)
+    args = _ARGS.parse_args(argv)
 
     text = args.manifold or args.expr
     if not text:

@@ -6,6 +6,11 @@ subgroup arithmetic.  Everything runs on Python's arbitrary-precision
 integers; determinants of plumbing matrices outgrow machine words as
 soon as legs get long, and none of these questions tolerate rounding.
 
+Subgroup questions are answered, in integers only, from the Hermite
+basis of the lift lattice (generators plus relations) in Z^m: the order
+of a subgroup, or of a join of two, is |G| over that lattice's index
+(Cohen, GTM 138, section 2.4).
+
 Signatures come from one sparse symmetric elimination over the graph of
 the form's off-diagonal entries.  It strips a leaf (a vertex of degree
 <= 1) whenever one exists and otherwise pivots on a vertex of minimum
@@ -503,7 +508,7 @@ class Subgroup:
 
     ``basis`` is the Hermite basis of the lift lattice (generators plus
     relation lattice) inside Z^m, so two subgroups are equal iff their
-    bases coincide.
+    bases coincide; order, membership and joins are read from it too.
     """
 
     parent: FiniteAbelianGroup
@@ -534,7 +539,8 @@ def subgroup_from_generators(G: FiniteAbelianGroup, gens) -> Subgroup:
 
     The order is |G| divided by the lift lattice's index, and the
     structure comes from the Smith form of the relation lattice written
-    in a basis of the lift lattice.
+    in a basis of the lift lattice, found by exact integer division
+    pivot by pivot.
     """
     if not G.is_finite:
         raise ValueError("subgroup arithmetic needs a finite parent")
@@ -546,31 +552,23 @@ def subgroup_from_generators(G: FiniteAbelianGroup, gens) -> Subgroup:
         tuple(G.factors[i] if j == i else 0 for j in range(m)) for i in range(m)
     ]
     basis = hermite_row_basis(list(gens) + relations, m)
-    index = lattice_index(basis)
-    order = G.order // index
+    order = G.order // lattice_index(basis)
 
-    # relation rows in coordinates of the lift lattice basis
-    B = [[Fraction(x) for x in row] for row in basis]
+    # relation rows in coordinates of the lift lattice basis, which has
+    # full rank, so row i has its pivot in column i
     X = []
     for rel in relations:
-        v = [Fraction(x) for x in rel]
-        coeffs = [Fraction(0)] * m
-        for i, row in enumerate(B):
-            lead = next(j for j, x in enumerate(row) if x)
-            c = v[lead] / row[lead]
-            coeffs[i] = c
+        v = list(rel)
+        coeffs = []
+        for i, row in enumerate(basis):
+            c, rest = divmod(v[i], row[i])
+            assert rest == 0, "relation lattice not inside lift lattice"
+            coeffs.append(c)
             v = [a - c * b for a, b in zip(v, row)]
-        assert not any(v), "relation lattice not inside lift lattice"
-        X.append([int(c) for c in coeffs])
+        X.append(coeffs)
     factors = tuple(d for d in invariant_factors(X) if d != 0)
     assert math.prod(factors) == order
     return Subgroup(G, gens, order, factors, basis)
-
-
-def subgroup_sum(H1: Subgroup, H2: Subgroup) -> Subgroup:
-    if H1.parent is not H2.parent and H1.parent.factors != H2.parent.factors:
-        raise ValueError("subgroups of different groups")
-    return subgroup_from_generators(H1.parent, H1.generators + H2.generators)
 
 
 def direct_sum_test(
@@ -579,14 +577,14 @@ def direct_sum_test(
     """(is_direct_sum, isomorphic, |H1 meet H2|) inside G.
 
     The sum is direct and fills G iff |H1||H2| = |G| and |H1 + H2| = |G|;
-    the intersection order is |H1||H2| / |H1 + H2|.
+    the intersection order is |H1||H2| / |H1 + H2|.  |H1 + H2| is |G|
+    over the index of the lattice the two lift bases span.
     """
     total = H1.order * H2.order
-    joined = subgroup_sum(H1, H2)
-    assert total % joined.order == 0
-    intersection = total // joined.order
-    is_direct = total == G.order and joined.order == G.order
-    return is_direct, H1.factors == H2.factors, intersection
+    joined = G.order // lattice_index(hermite_row_basis(H1.basis + H2.basis, len(G.factors)))
+    assert total % joined == 0
+    is_direct = total == G.order and joined == G.order
+    return is_direct, H1.factors == H2.factors, total // joined
 
 
 def doubled_factors(factors) -> tuple[int, ...]:

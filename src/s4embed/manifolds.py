@@ -348,10 +348,3 @@ def first_homology(m: Manifold) -> tuple[int, FiniteAbelianGroup]:
         _torsion_rows=G._torsion_rows,
     )
     return b1, torsion
-
-
-def spin_structure_count(m: Manifold) -> int:
-    """|H^1(Y; Z/2)| = 2^(b_1 + number of even torsion invariants)."""
-    b1, torsion = first_homology(m)
-    even = sum(1 for d in torsion.factors if d % 2 == 0)
-    return 2 ** (b1 + even)

@@ -77,24 +77,22 @@ def subset_column_subgroup(G: FiniteAbelianGroup, subset: LatticeSubset) -> Subg
     return subgroup_from_generators(G, gens)
 
 
-def char_vector_criterion(A: LatticeSubset, Q) -> bool:
+def char_vector_criterion(H: Subgroup) -> bool:
     """Correction-term filter for Z/2-homology spheres.
 
-    True iff every coset of im Q inside im A is A x for some x with all
-    coordinates +-1.  Since such x are exactly the characteristic vectors
-    of the ambient diagonal lattice, the reachable cosets are the
-    signed sums of the column classes of A, computed by dynamic
-    programming over columns.
+    H is the column subgroup im A / im Q of a factorisation A, built by
+    ``subset_column_subgroup``: its parent is coker Q and its generators
+    are the column classes of A.  True iff every coset of im Q inside
+    im A is A x for some x with all coordinates +-1.  Since such x are
+    exactly the characteristic vectors of the ambient diagonal lattice,
+    the reachable cosets are the signed sums of the column classes,
+    computed by dynamic programming over columns.
     """
-    G = cokernel([list(r) for r in Q])
-    if not G.is_finite or G.order % 2 == 0:
+    G = H.parent
+    if G.order % 2 == 0:
         raise ValueError("criterion needs an odd-order cokernel")
-    H = subset_column_subgroup(G, A)
-    cols = [
-        G.project([row[c] for row in A.rows]) for c in range(A.num_columns)
-    ]
     reachable = {G.reduce([0] * len(G.factors))}
-    for g in cols:
+    for g in H.generators:
         neg = tuple((-x) % d for x, d in zip(g, G.factors))
         reachable = {
             tuple((a + b) % d for a, b, d in zip(r, s, G.factors))
@@ -128,23 +126,22 @@ def double_subset_obstruction(Q, budget: int | None = None) -> ObstructionResult
     if not res.complete and not res.subsets:
         return ObstructionResult(name, "inconclusive", notes="budget exhausted")
 
-    G = cokernel([list(r) for r in Q])
-    subsets = list(res.subsets)
+    G = cokernel(Q)
+    columns = [(subset_column_subgroup(G, s), s) for s in res.subsets]
     filtered_note = ""
     if G.order % 2 == 1:
-        kept = [s for s in subsets if char_vector_criterion(s, Q)]
-        if len(kept) != len(subsets):
+        kept = [(H, s) for H, s in columns if char_vector_criterion(H)]
+        if len(kept) != len(columns):
             filtered_note = (
-                f"{len(subsets) - len(kept)} factorisation(s) removed by the "
+                f"{len(columns) - len(kept)} factorisation(s) removed by the "
                 "correction-term filter; "
             )
-        subsets = kept
+        columns = kept
 
     if G.order == 1:
-        if subsets:
-            return ObstructionResult(
-                name, "pass", [(subsets[0], subsets[0])], filtered_note + "trivial cokernel"
-            )
+        if columns:
+            A = columns[0][1]
+            return ObstructionResult(name, "pass", [(A, A)], filtered_note + "trivial cokernel")
         if res.complete:
             return ObstructionResult(
                 name, "obstructed", notes=filtered_note + "no factorisation exists"
@@ -152,8 +149,7 @@ def double_subset_obstruction(Q, budget: int | None = None) -> ObstructionResult
         return ObstructionResult(name, "inconclusive", notes="budget exhausted")
 
     by_subgroup: dict = {}
-    for s in subsets:
-        H = subset_column_subgroup(G, s)
+    for H, s in columns:
         by_subgroup.setdefault(H.basis, (H, s))
     reps = list(by_subgroup.values())
     for i in range(len(reps)):
@@ -213,7 +209,7 @@ def nonorientable_obstruction(Q, budget: int | None = None) -> ObstructionResult
     res = enumerate_subsets(Q, "square", budget)
     if not res.complete and not res.subsets:
         return ObstructionResult(name, "inconclusive", notes="budget exhausted")
-    G = cokernel([list(r) for r in Q])
+    G = cokernel(Q)
     qualifying = []
     for s in res.subsets:
         H = subset_column_subgroup(G, s)

@@ -2,6 +2,7 @@ import pytest
 
 from s4embed import plumbing
 from s4embed.classify import (
+    ManifoldContext,
     catalog_matches,
     complementary_matched,
     even_fibre_clause,
@@ -85,23 +86,28 @@ def test_small_seifert_follows_lens_rule():
     assert r.result("lens_mirror_pairing").obstructed
 
 
+def strand_forms(strands):
+    """Every strand form of the cover and of its mirror, as a report reads them."""
+    return ManifoldContext(PretzelCover(strands)).strand_forms
+
+
 def test_pretzel_families():
-    assert pretzel_embeddable_family(PretzelCover([3, -3, 3])) is not None
-    assert pretzel_embeddable_family(PretzelCover([4, -4, 4, -4])) is not None
-    assert pretzel_embeddable_family(PretzelCover([2, -2, 3, -3])) is not None
-    assert pretzel_embeddable_family(PretzelCover([2, -2, 4, -4])) is None  # both even
-    assert pretzel_embeddable_family(PretzelCover([3, -2, 2, -2])) is not None
-    assert pretzel_embeddable_family(PretzelCover([1, -2, 2, -2])) is not None
+    assert pretzel_embeddable_family(strand_forms([3, -3, 3])) is not None
+    assert pretzel_embeddable_family(strand_forms([4, -4, 4, -4])) is not None
+    assert pretzel_embeddable_family(strand_forms([2, -2, 3, -3])) is not None
+    assert pretzel_embeddable_family(strand_forms([2, -2, 4, -4])) is None  # both even
+    assert pretzel_embeddable_family(strand_forms([3, -2, 2, -2])) is not None
+    assert pretzel_embeddable_family(strand_forms([1, -2, 2, -2])) is not None
     # Rolfsen-equivalent presentation of Y(2,-2,2)
-    assert pretzel_embeddable_family(PretzelCover([1, -2, -2, -2])) is not None
-    assert pretzel_embeddable_family(PretzelCover([5, -4, 3, 2])) is None
+    assert pretzel_embeddable_family(strand_forms([1, -2, -2, -2])) is not None
+    assert pretzel_embeddable_family(strand_forms([5, -4, 3, 2])) is None
 
 
 def test_pretzel_unknown_family():
-    assert pretzel_unknown_family(PretzelCover([3, -5, -8])) == 2
-    assert pretzel_unknown_family(PretzelCover([-3, 5, 8])) == 2
-    assert pretzel_unknown_family(PretzelCover([5, -7, -18])) == 3
-    assert pretzel_unknown_family(PretzelCover([3, -3, 3])) is None
+    assert pretzel_unknown_family(strand_forms([3, -5, -8])) == 2
+    assert pretzel_unknown_family(strand_forms([-3, 5, 8])) == 2
+    assert pretzel_unknown_family(strand_forms([5, -7, -18])) == 3
+    assert pretzel_unknown_family(strand_forms([3, -3, 3])) is None
 
 
 def test_decide_pretzel_examples():

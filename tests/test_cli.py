@@ -42,6 +42,22 @@ def test_help_exits_zero(capsys):
     assert "--seed" not in capsys.readouterr().out
 
 
+def test_options_do_not_leak_between_calls(capsys):
+    """The parser is built once per process; a second call starts from
+    the defaults again."""
+    expr = "lens(3,1)+lens(3,2)"
+    assert main([expr, "--obstruction", "torsion_square", "--json"]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert [r["name"] for r in first["obstructions"]] == ["torsion_square"]
+
+    assert main([expr]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"input:      {expr}\n")
+    checks = ["torsion_square", "lens_mirror_pairing", "double_subset", "double_subset_mirror"]
+    names = [line.split("] ")[1].split()[0] for line in out.splitlines() if line.startswith("  [")]
+    assert names == checks
+
+
 def run_process(*argv: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "s4embed.cli", *argv],

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,7 +24,6 @@ from s4embed.intlinalg import (
     smith_normal_form,
     solve_mod2,
     subgroup_from_generators,
-    subgroup_sum,
 )
 from s4embed.manifolds import SeifertManifold, euler_invariant
 from s4embed.plumbing import plumbing_tree
@@ -172,9 +173,79 @@ def test_subgroup_sum_and_equality():
     G = FiniteAbelianGroup.from_factors((4, 8))
     H1 = subgroup_from_generators(G, [(2, 0)])
     H2 = subgroup_from_generators(G, [(0, 4)])
-    S = subgroup_sum(H1, H2)
+    S = subgroup_from_generators(G, [(2, 0), (0, 4)])
     assert S.order == 4
-    assert subgroup_from_generators(G, [(2, 0), (0, 4)]) == S
+    assert direct_sum_test(G, H1, H2)[2] == H1.order * H2.order // S.order == 1
+    assert subgroup_from_generators(G, [(2, 4), (0, 4)]) == S
+
+
+def random_group(rng) -> FiniteAbelianGroup:
+    """Z/d1 + ... + Z/dk with d1 | d2 | ... and order at most 200."""
+    factors = [rng.randint(2, 12)]
+    while rng.random() < 0.6:
+        d = factors[-1] * rng.randint(1, 4)
+        if math.prod(factors) * d > 200:
+            break
+        factors.append(d)
+    return FiniteAbelianGroup.from_factors(factors)
+
+
+def random_generators(rng, G) -> list[tuple[int, ...]]:
+    """Zero to three elements, some scaled down to small orders."""
+    return [
+        tuple(rng.choice([1, 1, 2, 3]) * rng.randrange(d) % d for d in G.factors)
+        for _ in range(rng.randint(0, 3))
+    ]
+
+
+def span(G, gens) -> set[tuple[int, ...]]:
+    """The subgroup generated by gens, closed up element by element."""
+    zero = (0,) * len(G.factors)
+    seen, frontier = {zero}, [zero]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = tuple((a + b) % d for a, b, d in zip(x, g, G.factors))
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
+def order_histogram(elements, factors) -> Counter:
+    """How many elements have each order; this fixes a finite abelian
+    group up to isomorphism."""
+    return Counter(
+        math.lcm(*(d // math.gcd(x, d) for x, d in zip(g, factors))) for g in elements
+    )
+
+
+def test_subgroup_arithmetic_against_brute_force():
+    """Order, membership, structure and the direct-sum test agree with
+    enumerating every element of small groups."""
+    rng = random.Random(29)
+    direct = 0
+    for _ in range(150):
+        G = random_group(rng)
+        elements = list(itertools.product(*(range(d) for d in G.factors)))
+        subgroups = []
+        for _ in range(3):
+            gens = random_generators(rng, G)
+            H = subgroup_from_generators(G, gens)
+            S = span(G, gens)
+            assert H.order == len(S)
+            assert all(H.contains(x) == (x in S) for x in elements)
+            abstract = itertools.product(*(range(d) for d in H.factors))
+            assert order_histogram(S, G.factors) == order_histogram(abstract, H.factors)
+            subgroups.append((H, S))
+        for (H1, S1), (H2, S2) in itertools.combinations(subgroups, 2):
+            is_direct, isomorphic, meet = direct_sum_test(G, H1, H2)
+            assert meet == len(S1 & S2)
+            assert is_direct == (meet == 1 and len(S1) * len(S2) == G.order)
+            same_orders = order_histogram(S1, G.factors) == order_histogram(S2, G.factors)
+            assert isomorphic == same_orders
+            direct += is_direct
+    assert direct >= 50
 
 
 def test_doubled_factors():

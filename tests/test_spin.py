@@ -8,7 +8,6 @@ from s4embed.manifolds import (
     PretzelCover,
     SeifertManifold,
     neg_continued_fraction,
-    spin_structure_count,
 )
 from s4embed.plumbing import PlumbingTree, lens_chains, plumbing_tree
 from s4embed.spin import (
@@ -63,7 +62,7 @@ def test_component_count_matches_spin_count():
         for strands in itertools.combinations_with_replacement(values, n):
             cover = PretzelCover(strands)
             k = pretzel_link_components(cover.strands)
-            assert spin_structure_count(cover) == 2 ** (k - 1)
+            assert full_report(cover).invariants["spin_count"] == 2 ** (k - 1)
 
 
 def mubar_certificate(cover: PretzelCover) -> dict:
