@@ -191,7 +191,8 @@ def random_group(rng) -> FiniteAbelianGroup:
 
 
 def random_generators(rng, G) -> list[tuple[int, ...]]:
-    """Zero to three elements, some scaled down to small orders."""
+    """Zero to three elements; coordinates scaled by 2 or 3 now and then,
+    so that small subgroups turn up."""
     return [
         tuple(rng.choice([1, 1, 2, 3]) * rng.randrange(d) % d for d in G.factors)
         for _ in range(rng.randint(0, 3))
