@@ -37,26 +37,6 @@ def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(A, B) -> list[list[int]]:
-    n, k = len(A), len(B)
-    m = len(B[0]) if k else 0
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        row = out[i]
-        for t in range(k):
-            a = Ai[t]
-            if a:
-                Bt = B[t]
-                for j in range(m):
-                    row[j] += a * Bt[j]
-    return out
-
-
-def mat_eq(A, B) -> bool:
-    return len(A) == len(B) and all(list(r) == list(s) for r, s in zip(A, B))
-
-
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (x, y, g) with x*a + y*b == g == gcd(a, b), g >= 0."""
     x, nx = 1, 0

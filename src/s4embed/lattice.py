@@ -11,14 +11,19 @@ column permutations of A.
 
 The search places rows one at a time, most-constrained vertex first,
 enumerating candidate vectors coordinate by coordinate under exact
-norm/inner-product bounds.  Two symmetry cuts keep the tree small while
-preserving at least one representative per orbit: every prefix must have
-its columns weakly increasing in lexicographic order, and the topmost
-nonzero entry of every column must be negative.  Survivors are reduced
-to a canonical form and de-duplicated, so the output is the complete,
-deterministic list of orbit representatives -- or an explicit
-"budget exhausted" signal, which callers must never conflate with
-"none exist".
+norm/inner-product bounds.  It runs on an explicit stack, one frame per
+placed row, so a plumbing of any size searches without Python recursion.
+The frames share state that is pushed and popped with the rows: for
+each column the placed rows nonzero there, so an entry updates only the
+inner products it changes; each row's suffix sums of squares, for the
+Cauchy-Schwarz cut; and two flags per column for the symmetry cuts.
+Those cuts keep the tree small while preserving at least one
+representative per orbit: every prefix must have its columns weakly
+increasing in lexicographic order, and the topmost nonzero entry of
+every column must be negative.  Survivors are reduced to a canonical
+form and de-duplicated, so the output is the complete, deterministic
+list of orbit representatives -- or an explicit "budget exhausted"
+signal, which callers must never conflate with "none exist".
 """
 
 from __future__ import annotations
@@ -41,21 +46,15 @@ class LatticeSubset:
     mode: str
 
     @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    @property
     def num_columns(self) -> int:
         return len(self.rows[0]) if self.rows else 0
-
-    def gram(self) -> list[list[int]]:
-        return [[sum(a * b for a, b in zip(r, s)) for s in self.rows] for r in self.rows]
 
 
 @dataclass(frozen=True)
 class SubsetSearchResult:
     status: str  # 'complete' | 'exhausted'
     subsets: tuple[LatticeSubset, ...]
+    nodes: int  # search nodes visited, at most the budget
 
     @property
     def complete(self) -> bool:
@@ -118,9 +117,17 @@ def enumerate_subsets(
 
     mode 'square' wants Q negative definite and returns n x n matrices;
     mode 'rectangular' wants corank-one negative semi-definite Q and
-    returns n x (n-1) matrices.  ``budget`` bounds the number of search
-    nodes; exhausting it yields status 'exhausted' with whatever was
-    found so far.
+    returns n x (n-1) matrices.
+
+    The search keeps an explicit stack with one frame per placed row.  A
+    frame is a generator of candidate rows: it walks the coordinates in a
+    loop, one search node per prefix of the row, and undoes its updates
+    as it backtracks, so the depth of the search costs no Python
+    recursion.  For each column the placed rows that are nonzero there
+    are listed, and placing an entry updates the inner-product deficits
+    of those rows only.  ``budget`` bounds the number of search nodes;
+    exhausting it yields status 'exhausted' with whatever was found so
+    far.  ``nodes`` of the result counts the nodes visited.
     """
     n = len(Q)
     for i in range(n):
@@ -140,125 +147,145 @@ def enumerate_subsets(
         raise ValueError(f"unknown mode {mode!r}")
 
     if n == 0:
-        return SubsetSearchResult("complete", (LatticeSubset((), mode),))
+        return SubsetSearchResult("complete", (LatticeSubset((), mode),), 0)
 
     order = _row_order(Q)
     gram = [[-Q[i][j] for j in range(n)] for i in range(n)]
-
-    found: set[tuple[tuple[int, ...], ...]] = set()
+    # nodes never equals -1, so no budget means no limit
+    limit = -1 if budget is None else max(budget, 0)
     nodes = 0
-    status = "complete"
 
+    # State of the placed rows, pushed and popped with them.
     placed: list[tuple[int, ...]] = []  # row vectors in search order
+    suffix_sq: list[list[int]] = []  # per row: sums of squares of row[c:]
+    support: list[list[tuple[int, int]]] = [[] for _ in range(width)]
+    # per prefix depth: column c equals column c-1 / column c is all zero
+    same_as_prev = [[False] + [True] * (width - 1)]
+    all_zero = [[True] * width]
 
-    def column_keys():
-        """Columns of the placed prefix, as tuples, for tie grouping."""
-        return [tuple(r[c] for r in placed) for c in range(width)]
+    def candidates(depth: int):
+        """Rows that fit the placed prefix at ``depth``, in search order.
 
-    def extend(depth: int):
-        nonlocal nodes, status
-        if depth == n:
-            rows_in_input_order = [None] * n
-            for pos, vec in enumerate(placed):
-                rows_in_input_order[order[pos]] = vec
-            found.add(canonicalize_rows(rows_in_input_order))
-            return
+        The node with prefix entries[:c] checks that no placed row's
+        remaining inner product exceeds what Cauchy-Schwarz allows in
+        the remaining columns, then tries the values of entry c that the
+        symmetry cuts admit: the columns of the prefix stay weakly
+        increasing in lexicographic order, and the topmost nonzero entry
+        of a column is negative.
+        """
+        nonlocal nodes
         i = order[depth]
-        norm = gram[i][i]
-        targets = [(pos, gram[i][order[pos]]) for pos in range(depth)]
-        prefix_cols = column_keys()
-        # suffix sums of squares of each placed row, for Cauchy-Schwarz cuts
-        suffix_sq = []
-        for pos in range(depth):
-            row = placed[pos]
-            acc = [0] * (width + 1)
-            for c in range(width - 1, -1, -1):
-                acc[c] = acc[c + 1] + row[c] * row[c]
-            suffix_sq.append(acc)
-
+        # deficit[pos]: inner product still owed to placed row pos; only
+        # the rows in ``live`` owe a nonzero amount
+        deficit = [gram[i][order[pos]] for pos in range(depth)]
+        live = {pos for pos in range(depth) if deficit[pos]}
+        same, zero = same_as_prev[depth], all_zero[depth]
         entries = [0] * width
-
-        def place(c: int, rem_norm: int, inners: list[int]):
-            nonlocal nodes
-            if budget is not None and nodes >= budget:
+        tops = [0] * width  # the last value to try in each column
+        rems = [0] * width  # the remaining norm before each column
+        rem = gram[i][i]
+        c = 0
+        while True:
+            if nodes == limit:
                 raise BudgetExhausted
             nodes += 1
             if c == width:
-                if rem_norm == 0 and all(
-                    inners[t] == g for t, (_, g) in enumerate(targets)
-                ):
-                    placed.append(tuple(entries))
-                    extend(depth + 1)
-                    placed.pop()
-                return
-            # remaining-product feasibility for every placed row
-            for t, (pos, g) in enumerate(targets):
-                deficit = g - inners[t]
-                if deficit * deficit > rem_norm * suffix_sq[pos][c]:
+                if not rem and not live:
+                    yield tuple(entries)
+            else:
+                for pos in live:
+                    d = deficit[pos]
+                    if d * d > rem * suffix_sq[pos][c]:
+                        break
+                else:
+                    cap = isqrt(rem)
+                    lo = -cap
+                    if same[c] and entries[c - 1] > lo:
+                        lo = entries[c - 1]
+                    hi = 0 if zero[c] else cap
+                    if lo <= hi:
+                        entries[c] = lo
+                        tops[c] = hi
+                        rems[c] = rem
+                        if lo:
+                            for pos, a in support[c]:
+                                d = deficit[pos] - lo * a
+                                deficit[pos] = d
+                                if d:
+                                    live.add(pos)
+                                else:
+                                    live.discard(pos)
+                        rem -= lo * lo
+                        c += 1
+                        continue
+            # backtrack to the last column with a value left to try,
+            # setting the columns passed on the way back to zero
+            while True:
+                c -= 1
+                if c < 0:
                     return
-            cap = isqrt(rem_norm)
-            lo, hi = -cap, cap
-            # symmetry cuts relative to the previous column
-            if c > 0 and prefix_cols[c] == prefix_cols[c - 1]:
-                lo = max(lo, entries[c - 1])
-            if all(x == 0 for x in prefix_cols[c]):
-                hi = min(hi, 0)
-            for v in range(lo, hi + 1):
-                entries[c] = v
-                new_inners = [
-                    inners[t] + v * placed[pos][c] for t, (pos, _) in enumerate(targets)
-                ]
-                place(c + 1, rem_norm - v * v, new_inners)
-            entries[c] = 0
+                v = entries[c]
+                w = v + 1 if v < tops[c] else 0
+                step = w - v
+                if step:
+                    entries[c] = w
+                    for pos, a in support[c]:
+                        d = deficit[pos] - step * a
+                        deficit[pos] = d
+                        if d:
+                            live.add(pos)
+                        else:
+                            live.discard(pos)
+                if v < tops[c]:
+                    rem = rems[c] - w * w
+                    c += 1
+                    break
 
-        place(0, norm, [0] * len(targets))
+    def push(row: tuple[int, ...]) -> None:
+        pos = len(placed)
+        placed.append(row)
+        acc = [0] * (width + 1)
+        for c in range(width - 1, -1, -1):
+            acc[c] = acc[c + 1] + row[c] * row[c]
+            if row[c]:
+                support[c].append((pos, row[c]))
+        suffix_sq.append(acc)
+        same, zero = same_as_prev[-1], all_zero[-1]
+        same_as_prev.append(
+            [False] + [same[c] and row[c] == row[c - 1] for c in range(1, width)]
+        )
+        all_zero.append([zero[c] and not row[c] for c in range(width)])
 
+    def pop() -> None:
+        row = placed.pop()
+        for c in range(width):
+            if row[c]:
+                support[c].pop()
+        suffix_sq.pop()
+        same_as_prev.pop()
+        all_zero.pop()
+
+    found: set[tuple[tuple[int, ...], ...]] = set()
+    status = "complete"
+    frames = [candidates(0)]
     try:
-        extend(0)
+        while frames:
+            row = next(frames[-1], None)
+            if row is None:
+                frames.pop()
+                if placed:
+                    pop()
+            elif len(placed) == n - 1:
+                rows_in_input_order = [None] * n
+                for pos, vec in enumerate(placed):
+                    rows_in_input_order[order[pos]] = vec
+                rows_in_input_order[order[-1]] = row
+                found.add(canonicalize_rows(rows_in_input_order))
+            else:
+                push(row)
+                frames.append(candidates(len(placed)))
     except BudgetExhausted:
         status = "exhausted"
 
-    subsets = tuple(
-        LatticeSubset(rows, mode) for rows in sorted(found)
-    )
-    return SubsetSearchResult(status, subsets)
-
-
-def naive_enumerate_subsets(Q, mode: str = "square") -> tuple[LatticeSubset, ...]:
-    """Brute-force oracle: product over rows of all norm shells, filtered.
-
-    Only usable for tiny Q; exists to certify the pruned search.
-    """
-    n = len(Q)
-    width = n if mode == "square" else n - 1
-    shells = []
-    for i in range(n):
-        norm = -Q[i][i]
-        shell = []
-
-        def gen(c, rem, acc):
-            if c == width:
-                if rem == 0:
-                    shell.append(tuple(acc))
-                return
-            cap = isqrt(rem)
-            for v in range(-cap, cap + 1):
-                gen(c + 1, rem - v * v, acc + [v])
-
-        gen(0, norm, [])
-        shells.append(shell)
-
-    out = set()
-
-    def build(i, rows):
-        if i == n:
-            out.add(canonicalize_rows(rows))
-            return
-        for v in shells[i]:
-            if all(
-                sum(a * b for a, b in zip(v, rows[j])) == -Q[i][j] for j in range(i)
-            ):
-                build(i + 1, rows + [v])
-
-    build(0, [])
-    return tuple(LatticeSubset(rows, mode) for rows in sorted(out))
+    subsets = tuple(LatticeSubset(rows, mode) for rows in sorted(found))
+    return SubsetSearchResult(status, subsets, nodes)

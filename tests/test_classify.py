@@ -30,6 +30,15 @@ def test_decide_lens_sum_examples():
     assert status(LensSum([(5, 2)])) == "OBSTRUCTED"
 
 
+@pytest.mark.parametrize("p", [31, 45, 61])
+def test_long_chain_lens_sums_embed(p):
+    # the form on either side has a (p-1)-vertex chain
+    r = full_report(LensSum([(p, 1), (p, p - 1)]))
+    assert r.status == "EMBEDS"
+    verdicts = {res.name: res.verdict for res in r.results}
+    assert verdicts["double_subset"] == verdicts["double_subset_mirror"] == "pass"
+
+
 def test_lens_pairing_invariances():
     # q and q^-1 present the same lens space
     assert status(LensSum([(7, 2), (7, 5)])) == status(LensSum([(7, 4), (7, 5)]))

@@ -58,9 +58,9 @@ def test_options_do_not_leak_between_calls(capsys):
     assert names == checks
 
 
-def run_process(*argv: str) -> subprocess.CompletedProcess:
+def run_python(*argv: str) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, "-m", "s4embed.cli", *argv],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(SRC)},
@@ -68,7 +68,7 @@ def run_process(*argv: str) -> subprocess.CompletedProcess:
 
 
 def test_usage_error_exit_code_of_the_process():
-    done = run_process("lens(3,1)+lens(3,2)", "--bogus")
+    done = run_python("-m", "s4embed.cli", "lens(3,1)+lens(3,2)", "--bogus")
     assert done.returncode == 64
     assert "unrecognized arguments: --bogus" in done.stderr
 
@@ -105,10 +105,22 @@ def test_interrupt_is_not_swallowed(monkeypatch):
         main(["pretzel(3,-5,-8)", "--quiet"])
 
 
+# The CLI with the lattice search of the classifier made to fail the way
+# a too-deep recursion would.
+CLI_WITH_FAILING_SEARCH = """
+import sys
+from s4embed import classify, cli
+
+def double_subset_obstruction(*args, **kwargs):
+    raise RecursionError("maximum recursion depth exceeded")
+
+classify.double_subset_obstruction = double_subset_obstruction
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
 def test_internal_error_of_the_process_has_no_traceback():
-    # the recursive lattice search exceeds the recursion limit on a
-    # 30-vertex chain; once the search is iterative this sum embeds (exit 0)
-    done = run_process("lens(31,1)+lens(31,30)")
+    done = run_python("-c", CLI_WITH_FAILING_SEARCH, "lens(3,1)+lens(3,2)")
     assert done.returncode == 70
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("error: internal:RecursionError: ")

@@ -16,8 +16,6 @@ from s4embed.intlinalg import (
     hermite_row_basis,
     identity_matrix,
     lattice_index,
-    mat_eq,
-    mat_mul,
     mod2_solution_set,
     signature,
     signature_triple,
@@ -37,6 +35,26 @@ def chain_matrix(weights):
     for i in range(n - 1):
         Q[i][i + 1] = Q[i + 1][i] = 1
     return Q
+
+
+def mat_mul(A, B) -> list[list[int]]:
+    n, k = len(A), len(B)
+    m = len(B[0]) if k else 0
+    out = [[0] * m for _ in range(n)]
+    for i in range(n):
+        Ai = A[i]
+        row = out[i]
+        for t in range(k):
+            a = Ai[t]
+            if a:
+                Bt = B[t]
+                for j in range(m):
+                    row[j] += a * Bt[j]
+    return out
+
+
+def mat_eq(A, B) -> bool:
+    return len(A) == len(B) and all(list(r) == list(s) for r, s in zip(A, B))
 
 
 E8_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)]

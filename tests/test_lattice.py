@@ -1,4 +1,6 @@
 import random
+import sys
+from math import isqrt
 
 import pytest
 
@@ -6,10 +8,9 @@ from s4embed.lattice import (
     LatticeSubset,
     canonicalize_rows,
     enumerate_subsets,
-    naive_enumerate_subsets,
     verify_factorization,
 )
-from s4embed.manifolds import LensSum, PretzelCover, pretzel_to_seifert
+from s4embed.manifolds import LensSum, PretzelCover, SeifertManifold
 from s4embed.plumbing import lens_chains, plumbing_tree
 
 
@@ -23,6 +24,51 @@ def chain_matrix(weights, extra_edges=()):
     for i, j in extra_edges:
         Q[i][j] = Q[j][i] = 1
     return Q
+
+
+def naive_enumerate_subsets(Q, mode: str = "square") -> tuple[LatticeSubset, ...]:
+    """Brute-force oracle: product over rows of all norm shells, filtered.
+
+    Only usable for tiny Q; exists to certify the pruned search.
+    """
+    n = len(Q)
+    width = n if mode == "square" else n - 1
+    shells = []
+    for i in range(n):
+        norm = -Q[i][i]
+        shell = []
+
+        def gen(c, rem, acc):
+            if c == width:
+                if rem == 0:
+                    shell.append(tuple(acc))
+                return
+            cap = isqrt(rem)
+            for v in range(-cap, cap + 1):
+                gen(c + 1, rem - v * v, acc + [v])
+
+        gen(0, norm, [])
+        shells.append(shell)
+
+    out = set()
+
+    def build(i, rows):
+        if i == n:
+            out.add(canonicalize_rows(rows))
+            return
+        for v in shells[i]:
+            if all(
+                sum(a * b for a, b in zip(v, rows[j])) == -Q[i][j] for j in range(i)
+            ):
+                build(i + 1, rows + [v])
+
+    build(0, [])
+    return tuple(LatticeSubset(rows, mode) for rows in sorted(out))
+
+
+def p_chain(p):
+    """The form of lens(p,1) + lens(p,p-1): one vertex and a (p-1)-chain."""
+    return lens_chains(LensSum([(p, 1), (p, p - 1)])).incidence_matrix()
 
 
 def test_verify_factorization_cases():
@@ -138,3 +184,54 @@ def test_lens_chain_subsets_verify():
         assert res.complete
         for s in res.subsets:
             assert verify_factorization(s, Q)
+
+
+# Node counts of the search, pinned so that a change to how the search
+# runs cannot silently change the tree it visits (and so what a budget
+# means).  The smallest budget at which the search completes is its node
+# count.
+PINNED_NODES = [
+    (chain_matrix([-2] * 8), "square", 230, 0),
+    ([[-3, 0, 0], [0, -2, 1], [0, 1, -2]], "square", 40, 2),
+    (p_chain(12), "square", 640, 2),
+    (lens_chains(LensSum([(21, 8), (21, 13)])).incidence_matrix(), "square", 1092, 4),
+    (
+        plumbing_tree(SeifertManifold(True, 0, 0, [(5, 2), (5, 3), (3, 1)])).incidence_matrix(),
+        "square",
+        353,
+        1,
+    ),
+    (plumbing_tree(PretzelCover([2, -2, 2, -2])).incidence_matrix(), "rectangular", 138, 3),
+]
+
+
+@pytest.mark.parametrize("Q, mode, nodes, count", PINNED_NODES)
+def test_search_tree_is_pinned(Q, mode, nodes, count):
+    res = enumerate_subsets(Q, mode)
+    assert res.complete
+    assert (res.nodes, len(res.subsets)) == (nodes, count)
+    assert enumerate_subsets(Q, mode, budget=nodes) == res
+    short = enumerate_subsets(Q, mode, budget=nodes - 1)
+    assert short.status == "exhausted"
+    assert short.nodes == nodes - 1
+
+
+def frame_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_search_depth_costs_no_recursion():
+    Q = p_chain(61)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frame_depth() + 50)
+    try:
+        res = enumerate_subsets(Q)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res.complete
+    assert len(res.subsets) == 2
+    for s in res.subsets:
+        assert verify_factorization(s, Q)
