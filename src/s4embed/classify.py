@@ -67,7 +67,6 @@ from .manifolds import (
     normalize_seifert,
     pretzel_strand_forms,
     pretzel_to_seifert,
-    seifert_pretzel_strands,
 )
 from .obstructions import (
     ObstructionResult,
@@ -250,12 +249,18 @@ class ManifoldContext:
         return first_homology(self.seifert or self.manifold)
 
     @cached_property
+    def _seifert_strand_forms(self) -> tuple[tuple[int, ...], ...]:
+        """The pretzel presentations of the Seifert view, none for a lens sum."""
+        return () if self.seifert is None else pretzel_strand_forms(self.seifert)
+
+    @cached_property
     def cover(self) -> PretzelCover | None:
-        """The manifold as a pretzel cover, when it is one."""
+        """The manifold as a pretzel cover, when it is one; a Seifert
+        input is presented by the last of its strand forms."""
         m = self.manifold
         if isinstance(m, SeifertManifold):
-            strands = seifert_pretzel_strands(m)
-            return None if strands is None else PretzelCover(strands)
+            forms = self._seifert_strand_forms
+            return PretzelCover(forms[-1]) if forms else None
         return m if isinstance(m, PretzelCover) else None
 
     @cached_property
@@ -268,7 +273,7 @@ class ManifoldContext:
         if c is None:
             return ()
         forms = {c.strands, c.mirror().strands}
-        forms.update(pretzel_strand_forms(s), pretzel_strand_forms(s.mirror()))
+        forms.update(self._seifert_strand_forms, pretzel_strand_forms(s.mirror()))
         return tuple(sorted(forms))
 
     def tree(self, side: str) -> PlumbingTree:

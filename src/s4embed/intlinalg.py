@@ -8,8 +8,11 @@ soon as legs get long, and none of these questions tolerate rounding.
 
 Subgroup questions are answered, in integers only, from the Hermite
 basis of the lift lattice (generators plus relations) in Z^m: the order
-of a subgroup, or of a join of two, is |G| over that lattice's index
-(Cohen, GTM 138, section 2.4).
+of a subgroup is |G| over that lattice's index (Cohen, GTM 138, section
+2.4).  A join H1 + H2 is measured through H1's quotient map: the Smith
+form of H1's lift basis gives G/H1 as a sum of cyclic groups Z/e_i, and
+|H1 + H2| is |H1| times the order of H2's image there, which one echelon
+basis of width at most m gives.
 
 Signatures come from one sparse symmetric elimination over the graph of
 the form's off-diagonal entries.  It strips a leaf (a vertex of degree
@@ -27,6 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +429,9 @@ class FiniteAbelianGroup:
     """Z^n / im(M) in invariant-factor coordinates.
 
     ``factors`` is the chain d1 | d2 | ... with every di >= 2; the group
-    is the direct sum of Z/di plus ``free_rank`` copies of Z.  ``project``
-    carries ambient integer vectors onto the torsion coordinates.
+    is the direct sum of Z/di plus ``free_rank`` copies of Z.
+    ``project_columns`` carries ambient integer vectors, the columns of a
+    matrix, onto the torsion coordinates.
     """
 
     factors: tuple[int, ...]
@@ -453,12 +459,21 @@ class FiniteAbelianGroup:
     def is_finite(self) -> bool:
         return self.free_rank == 0
 
-    def project(self, vec) -> tuple[int, ...]:
-        """Torsion coordinates of an ambient integer vector."""
-        return tuple(
-            sum(r * x for r, x in zip(row, vec)) % d
-            for row, d in zip(self._torsion_rows, self.factors)
-        )
+    def project_columns(self, rows) -> list[tuple[int, ...]]:
+        """Torsion coordinates of each column of the matrix with these
+        rows (ambient integer vectors as columns), in one pass over the
+        rows."""
+        width = len(rows[0]) if rows else 0
+        coords = []
+        for trow, d in zip(self._torsion_rows, self.factors):
+            acc = [0] * width
+            for t, row in zip(trow, rows):
+                if t:
+                    for c, a in enumerate(row):
+                        if a:
+                            acc[c] += t * a
+            coords.append([x % d for x in acc])
+        return list(zip(*coords)) if coords else [()] * width
 
     def reduce(self, coords) -> tuple[int, ...]:
         return tuple(c % d for c, d in zip(coords, self.factors))
@@ -478,7 +493,7 @@ def cokernel(M) -> FiniteAbelianGroup:
         factors=tuple(d for d, _ in torsion),
         free_rank=diag.count(0),
         ambient_dim=n,
-        _torsion_rows=tuple(tuple(U[i]) for _, i in torsion),
+        _torsion_rows=tuple(tuple(x % d for x in U[i]) for d, i in torsion),
     )
 
 
@@ -503,15 +518,22 @@ class Subgroup:
     def __hash__(self):
         return hash(self.basis)
 
-    def contains(self, coords) -> bool:
-        v = list(self.parent.reduce(coords))
-        for row in self.basis:
-            lead = next(j for j, x in enumerate(row) if x)
-            if v[lead] % row[lead]:
-                return False
-            q = v[lead] // row[lead]
-            v = [a - q * b for a, b in zip(v, row)]
-        return not any(v)
+    @cached_property
+    def quotient_map(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """G/H as pairs (column, e) with e >= 2: x in Z^m maps to the
+        element of the sum of the Z/e with coordinates (x . column) mod e.
+
+        With U B V = D the Smith form of the lift basis B, x lies in the
+        lift lattice iff every (xV)_i is a multiple of D_ii, so the
+        columns of V carry Z^m onto G/H.  Built on first use; it lives
+        as long as the subgroup.
+        """
+        _, D, V = smith_normal_form(self.basis)
+        return tuple(
+            (tuple(row[i] % D[i][i] for row in V), D[i][i])
+            for i in range(len(D))
+            if D[i][i] >= 2
+        )
 
 
 def subgroup_from_generators(G: FiniteAbelianGroup, gens) -> Subgroup:
@@ -551,17 +573,56 @@ def subgroup_from_generators(G: FiniteAbelianGroup, gens) -> Subgroup:
     return Subgroup(G, gens, order, factors, basis)
 
 
+def generated_order(gens, moduli) -> int:
+    """Order of the subgroup of Z/e_1 + ... + Z/e_r spanned by gens.
+
+    The lifts of gens and the relations e_i u_i span a lattice of full
+    rank in Z^r whose index is prod(e_i) over the subgroup's order.  Its
+    echelon basis starts as the relations, so column i always has a
+    pivot row; each generator is reduced into the pivot rows column by
+    column, a pivot absorbing the generator's entry by one extended gcd
+    when it does not divide it.  Every step is unimodular, so the span,
+    and hence the product of the pivots, stays right.
+    """
+    r = len(moduli)
+    basis = [[e if j == i else 0 for j in range(r)] for i, e in enumerate(moduli)]
+    for v in gens:
+        for i in range(r):
+            a = v[i]
+            if not a:
+                continue
+            b = basis[i]
+            q, rest = divmod(a, b[i])
+            if rest:
+                x, y, g = xgcd(b[i], a)
+                cb, cv = b[i] // g, a // g
+                basis[i] = [x * s + y * t for s, t in zip(b, v)]
+                v = [cb * t - cv * s for s, t in zip(b, v)]
+            else:
+                v = [t - q * s for s, t in zip(b, v)]
+    return math.prod(moduli) // math.prod(row[i] for i, row in enumerate(basis))
+
+
 def direct_sum_test(
     G: FiniteAbelianGroup, H1: Subgroup, H2: Subgroup
 ) -> tuple[bool, bool, int]:
     """(is_direct_sum, isomorphic, |H1 meet H2|) inside G.
 
     The sum is direct and fills G iff |H1||H2| = |G| and |H1 + H2| = |G|;
-    the intersection order is |H1||H2| / |H1 + H2|.  |H1 + H2| is |G|
-    over the index of the lattice the two lift bases span.
+    the intersection order is |H1||H2| / |H1 + H2|.  H2's lift rows are
+    carried into G/H1 = Z/e_1 + ... + Z/e_r by H1's quotient map, and
+    |H1 + H2| is |H1| times the order of their image, read off one
+    echelon basis of width r <= m by ``generated_order``.  Only H1's
+    quotient map is built (once per subgroup), so the work is not
+    symmetric in H1 and H2, though the answer is.
     """
+    quotient = H1.quotient_map
+    images = [
+        [sum(map(mul, row, col)) % e for col, e in quotient]
+        for row in H2.basis
+    ]
+    joined = H1.order * generated_order(images, [e for _, e in quotient])
     total = H1.order * H2.order
-    joined = G.order // lattice_index(hermite_row_basis(H1.basis + H2.basis, len(G.factors)))
     assert total % joined == 0
     is_direct = total == G.order and joined == G.order
     return is_direct, H1.factors == H2.factors, total // joined

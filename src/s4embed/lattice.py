@@ -45,10 +45,6 @@ class LatticeSubset:
     rows: tuple[tuple[int, ...], ...]
     mode: str
 
-    @property
-    def num_columns(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
 
 @dataclass(frozen=True)
 class SubsetSearchResult:
@@ -90,21 +86,21 @@ def _row_order(G) -> list[int]:
 
     Start from the largest norm; afterwards always prefer vertices with
     the most already-placed neighbours, breaking ties by norm then index.
+    Each vertex keeps its count of placed neighbours, raised as its
+    neighbours are placed, so the order takes O(n^2).
     """
     n = len(G)
     placed: list[int] = []
+    neighbours_placed = [0] * n
     remaining = set(range(n))
     while remaining:
-        best = max(
-            remaining,
-            key=lambda i: (
-                sum(1 for j in placed if G[i][j] != 0),
-                G[i][i],
-                -i,
-            ),
-        )
+        best = max(remaining, key=lambda i: (neighbours_placed[i], G[i][i], -i))
         placed.append(best)
         remaining.remove(best)
+        row = G[best]
+        for i in remaining:
+            if row[i]:
+                neighbours_placed[i] += 1
     return placed
 
 

@@ -222,8 +222,10 @@ def pretzel_strand_forms(m: SeifertManifold) -> tuple[tuple[int, ...], ...]:
     central framing may be absorbed by +-1 strands as long as the total
     strand count lands in {3, 4}.  Distinct forms are related by Rolfsen
     twists, so they present diffeomorphic covers of different links.
+    Every fibre becomes a strand, so a space with more than 4 fibres has
+    no form; it is refused before the 2^n choices are walked.
     """
-    if not m.base_orientable or m.genus != 0:
+    if not m.base_orientable or m.genus != 0 or len(m.invariants) > 4:
         return ()
     norm = normalize_seifert(m)
     # normalised fibre (a, b): b = -1 came from strand -a (no framing
@@ -268,12 +270,6 @@ def pretzel_strand_forms(m: SeifertManifold) -> tuple[tuple[int, ...], ...]:
             if 3 <= len(total) <= 4:
                 forms.add(tuple(sorted(total, reverse=True)))
     return tuple(sorted(forms))
-
-
-def seifert_pretzel_strands(m: SeifertManifold) -> tuple[int, ...] | None:
-    """One pretzel strand multiset realising the manifold, or None."""
-    forms = pretzel_strand_forms(m)
-    return forms[-1] if forms else None
 
 
 # ---------------------------------------------------------------------------

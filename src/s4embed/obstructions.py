@@ -70,11 +70,7 @@ def _certificate_json(cert):
 
 def subset_column_subgroup(G: FiniteAbelianGroup, subset: LatticeSubset) -> Subgroup:
     """H = im A / im Q inside coker Q, generated by the columns of A."""
-    gens = [
-        G.project([row[c] for row in subset.rows])
-        for c in range(subset.num_columns)
-    ]
-    return subgroup_from_generators(G, gens)
+    return subgroup_from_generators(G, G.project_columns(subset.rows))
 
 
 def char_vector_criterion(H: Subgroup) -> bool:
@@ -82,24 +78,34 @@ def char_vector_criterion(H: Subgroup) -> bool:
 
     H is the column subgroup im A / im Q of a factorisation A, built by
     ``subset_column_subgroup``: its parent is coker Q and its generators
-    are the column classes of A.  True iff every coset of im Q inside
-    im A is A x for some x with all coordinates +-1.  Since such x are
-    exactly the characteristic vectors of the ambient diagonal lattice,
-    the reachable cosets are the signed sums of the column classes,
-    computed by dynamic programming over columns.
+    g_1, ..., g_n are the column classes of A.  True iff every coset of
+    im Q inside im A is A x for some x with all coordinates +-1.  Such x
+    are exactly the characteristic vectors of the ambient diagonal
+    lattice, so the reachable cosets are the signed sums of the g_i,
+    which all lie in H; the test is whether there are |H| of them.  A
+    signed sum is s_0 - 2 s with s_0 the sum of all g_i and s a subset
+    sum, and 2 is invertible in a group of odd order, so there are as
+    many signed sums as subset sums.  The subset sums R are collected
+    column by column, each g adding R + g to R, until R is all of H.
     """
     G = H.parent
     if G.order % 2 == 0:
         raise ValueError("criterion needs an odd-order cokernel")
-    reachable = {G.reduce([0] * len(G.factors))}
+    factors = G.factors
+    reachable = {(0,) * len(factors)}
     for g in H.generators:
-        neg = tuple((-x) % d for x, d in zip(g, G.factors))
-        reachable = {
-            tuple((a + b) % d for a, b, d in zip(r, s, G.factors))
-            for r in reachable
-            for s in (g, neg)
-        }
-    return len(reachable) == H.order and all(H.contains(r) for r in reachable)
+        if len(reachable) == H.order:
+            break
+        reachable |= {tuple((a + b) % d for a, b, d in zip(r, g, factors)) for r in reachable}
+    return len(reachable) == H.order
+
+
+def _require_negative_definite(Q, check: str) -> None:
+    """Raise ValueError unless Q is negative definite.  Only a check that
+    stops before its search calls this: ``enumerate_subsets`` makes the
+    same test, so a form that is searched has its signature taken once."""
+    if Q and definiteness(Q)[0] != "negative_definite":
+        raise ValueError(f"{check} needs negative definite Q")
 
 
 def double_subset_obstruction(Q, budget: int | None = None) -> ObstructionResult:
@@ -112,17 +118,16 @@ def double_subset_obstruction(Q, budget: int | None = None) -> ObstructionResult
     """
     name = "double_subset"
     n = len(Q)
-    if n and definiteness(Q)[0] != "negative_definite":
-        raise ValueError("double-subset obstruction needs negative definite Q")
     det = determinant(Q) * (-1) ** n  # det(-Q) > 0 for negative definite
     if det < 0 or math.isqrt(det) ** 2 != det:
+        _require_negative_definite(Q, "double-subset obstruction")
         return ObstructionResult(
             name,
             "obstructed",
             notes=f"|coker Q| = {abs(det)} is not a perfect square, "
             "so no factorisation exists",
         )
-    res = enumerate_subsets(Q, "square", budget)
+    res = enumerate_subsets(Q, "square", budget)  # checks Q itself
     if not res.complete and not res.subsets:
         return ObstructionResult(name, "inconclusive", notes="budget exhausted")
 
@@ -152,12 +157,16 @@ def double_subset_obstruction(Q, budget: int | None = None) -> ObstructionResult
     for H, s in columns:
         by_subgroup.setdefault(H.basis, (H, s))
     reps = list(by_subgroup.values())
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            H1, A1 = reps[i]
-            H2, A2 = reps[j]
-            is_direct, iso, inter = direct_sum_test(G, H1, H2)
-            if is_direct and iso and inter == 1:
+    # a splitting pair has |H1||H2| = |G| and H1 isomorphic to H2, so
+    # only same-type pairs of order sqrt|G| are joined; they keep their
+    # (i, j) order, so the first split found is the same
+    halves = [(H, s) for H, s in reps if H.order * H.order == G.order]
+    for i, (H1, A1) in enumerate(halves):
+        for H2, A2 in halves[i + 1:]:
+            if H1.factors != H2.factors:
+                continue
+            is_direct, _, _ = direct_sum_test(G, H1, H2)
+            if is_direct:
                 return ObstructionResult(
                     name,
                     "pass",
@@ -177,10 +186,7 @@ def double_subset_obstruction(Q, budget: int | None = None) -> ObstructionResult
 def semidefinite_obstruction(Q, budget: int | None = None) -> ObstructionResult:
     """Rectangular factorisation A A^t = -Q through one fewer column."""
     name = "semidefinite_subset"
-    kind, corank = definiteness(Q)
-    if kind != "negative_semidefinite" or corank != 1:
-        raise ValueError("semidefinite obstruction needs corank-one Q")
-    res = enumerate_subsets(Q, "rectangular", budget)
+    res = enumerate_subsets(Q, "rectangular", budget)  # checks Q is corank one
     if res.subsets:
         return ObstructionResult(name, "pass", [res.subsets[0]])
     if res.complete:
@@ -197,16 +203,15 @@ def nonorientable_obstruction(Q, budget: int | None = None) -> ObstructionResult
     n = len(Q)
     if n == 0:
         return ObstructionResult(name, "pass", notes="empty form, vacuous")
-    if definiteness(Q)[0] != "negative_definite":
-        raise ValueError("non-orientable obstruction needs negative definite Q")
     det = determinant(Q) * (-1) ** n
     if det < 0 or math.isqrt(det) ** 2 != det:
+        _require_negative_definite(Q, "non-orientable obstruction")
         return ObstructionResult(
             name,
             "obstructed",
             notes=f"|coker Q| = {abs(det)} is not a perfect square",
         )
-    res = enumerate_subsets(Q, "square", budget)
+    res = enumerate_subsets(Q, "square", budget)  # checks Q itself
     if not res.complete and not res.subsets:
         return ObstructionResult(name, "inconclusive", notes="budget exhausted")
     G = cokernel(Q)

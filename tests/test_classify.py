@@ -205,3 +205,40 @@ def test_report_builds_each_side_once(monkeypatch, manifold, builds):
     monkeypatch.setattr(plumbing, "seifert_star", counted)
     full_report(manifold)
     assert len(calls) == builds
+
+
+def test_report_takes_each_strand_form_list_once(monkeypatch):
+    """A Seifert input with a pretzel presentation lists the forms of
+    itself and of its mirror once each: the cover and the family checks
+    share the first list."""
+    from s4embed import classify, manifolds
+
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return forms(m)
+
+    forms = manifolds.pretzel_strand_forms
+    monkeypatch.setattr(manifolds, "pretzel_strand_forms", counted)
+    monkeypatch.setattr(classify, "pretzel_strand_forms", counted)
+    seifert = manifolds.pretzel_to_seifert(PretzelCover([3, -5, -8]))
+    ctx = ManifoldContext(seifert)
+    assert ctx.cover is not None and ctx.strand_forms
+    assert calls == [seifert, seifert.mirror()]
+    calls.clear()
+    full_report(seifert)
+    assert len(calls) == 2
+
+
+def test_many_fibres_have_no_strand_forms():
+    """A pretzel cover has at most 4 fibres, so a 30-fibre space is
+    refused without walking 2^30 strand choices."""
+    from time import process_time
+
+    m = SeifertManifold(True, 0, 1, [(2, 1)] * 15 + [(3, -1)] * 15)
+    start = process_time()
+    ctx = ManifoldContext(m)
+    assert ctx.strand_forms == ()
+    assert ctx.cover is None
+    assert process_time() - start < 0.1

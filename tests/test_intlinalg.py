@@ -137,8 +137,7 @@ def test_cokernel_projection_kills_image():
         if determinant(M) == 0:
             continue
         G = cokernel(M)
-        for col in zip(*M):
-            assert all(c == 0 for c in G.project(col))
+        assert all(c == 0 for col in G.project_columns(M) for c in col)
 
 
 def test_subgroup_orders():
@@ -157,6 +156,18 @@ def test_subgroup_orders():
     assert H3.factors == (3,)
 
 
+def contains(H, coords) -> bool:
+    """Membership in H, by reducing the element along H's lift basis."""
+    v = list(H.parent.reduce(coords))
+    for row in H.basis:
+        lead = next(j for j, x in enumerate(row) if x)
+        if v[lead] % row[lead]:
+            return False
+        q = v[lead] // row[lead]
+        v = [a - q * b for a, b in zip(v, row)]
+    return not any(v)
+
+
 def test_subgroup_order_divides_group_order():
     rng = random.Random(11)
     for _ in range(40):
@@ -169,7 +180,7 @@ def test_subgroup_order_divides_group_order():
         H = subgroup_from_generators(G, gens)
         assert G.order % H.order == 0
         for g in gens:
-            assert H.contains(g)
+            assert contains(H, g)
 
 
 def test_direct_sum_test_cases():
@@ -239,32 +250,54 @@ def order_histogram(elements, factors) -> Counter:
     )
 
 
+def coordinate_halves(rng, G) -> list[list[tuple[int, ...]]]:
+    """Generators of two subgroups whose orders multiply to |G|: the sum
+    of a random set of the cyclic factors and the sum of the others, the
+    second sheared by elements of the first of no larger order, so the
+    two still meet in 0 and their orders still multiply to |G|."""
+    k = len(G.factors)
+    unit = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    first = [i for i in range(k) if rng.random() < 0.5]
+    rest = [i for i in range(k) if i not in first]
+    shear = []
+    for i in rest:
+        g = list(unit[i])
+        for j in first:
+            if rng.random() < 0.5 and G.factors[j] <= G.factors[i]:
+                g[j] = rng.randrange(G.factors[j])
+        shear.append(tuple(g))
+    return [[unit[i] for i in first], shear]
+
+
 def test_subgroup_arithmetic_against_brute_force():
     """Order, membership, structure and the direct-sum test agree with
-    enumerating every element of small groups."""
+    enumerating every element of small groups.  The join works through
+    the first subgroup's quotient map, so every ordered pair is tested,
+    self-pairs included, and pairs with |H1||H2| = |G| are built on
+    purpose."""
     rng = random.Random(29)
-    direct = 0
+    direct = full = 0
     for _ in range(150):
         G = random_group(rng)
         elements = list(itertools.product(*(range(d) for d in G.factors)))
         subgroups = []
-        for _ in range(3):
-            gens = random_generators(rng, G)
+        for gens in [random_generators(rng, G) for _ in range(3)] + coordinate_halves(rng, G):
             H = subgroup_from_generators(G, gens)
             S = span(G, gens)
             assert H.order == len(S)
-            assert all(H.contains(x) == (x in S) for x in elements)
+            assert all(contains(H, x) == (x in S) for x in elements)
             abstract = itertools.product(*(range(d) for d in H.factors))
             assert order_histogram(S, G.factors) == order_histogram(abstract, H.factors)
             subgroups.append((H, S))
-        for (H1, S1), (H2, S2) in itertools.combinations(subgroups, 2):
+        for (H1, S1), (H2, S2) in itertools.product(subgroups, repeat=2):
             is_direct, isomorphic, meet = direct_sum_test(G, H1, H2)
             assert meet == len(S1 & S2)
             assert is_direct == (meet == 1 and len(S1) * len(S2) == G.order)
             same_orders = order_histogram(S1, G.factors) == order_histogram(S2, G.factors)
             assert isomorphic == same_orders
             direct += is_direct
-    assert direct >= 50
+            full += len(S1) * len(S2) == G.order
+    assert direct >= 500 and full - direct >= 50
 
 
 def test_doubled_factors():

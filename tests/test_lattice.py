@@ -6,6 +6,7 @@ import pytest
 
 from s4embed.lattice import (
     LatticeSubset,
+    _row_order,
     canonicalize_rows,
     enumerate_subsets,
     verify_factorization,
@@ -171,7 +172,7 @@ def test_rectangular_columns_span_full_rank():
     assert res.complete
     assert res.subsets, "the e=0 pretzel cover plumbing factors"
     for s in res.subsets:
-        width = s.num_columns
+        width = len(s.rows[0])
         _, D, _ = smith_normal_form([list(r) for r in s.rows])
         rank = sum(1 for i in range(min(len(D), width)) if D[i][i] != 0)
         assert rank == width
@@ -214,6 +215,40 @@ def test_search_tree_is_pinned(Q, mode, nodes, count):
     short = enumerate_subsets(Q, mode, budget=nodes - 1)
     assert short.status == "exhausted"
     assert short.nodes == nodes - 1
+
+
+def rescan_row_order(G) -> list[int]:
+    """The placement order found by rescanning every remaining vertex
+    against every placed one at each step, in O(n^3)."""
+    placed: list[int] = []
+    remaining = set(range(len(G)))
+    while remaining:
+        best = max(
+            remaining,
+            key=lambda i: (sum(1 for j in placed if G[i][j] != 0), G[i][i], -i),
+        )
+        placed.append(best)
+        remaining.remove(best)
+    return placed
+
+
+def test_row_order_matches_rescan():
+    """The incremental neighbour counts give the rescan's order, ties and
+    all, on sparse and dense random forms and on plumbings."""
+    rng = random.Random(17)
+    forms = [p_chain(31), PINNED_NODES[4][0], PINNED_NODES[5][0]]
+    for _ in range(200):
+        n = rng.randint(1, 14)
+        density = rng.choice([0.1, 0.3, 0.7])
+        Q = [[0] * n for _ in range(n)]
+        for i in range(n):
+            Q[i][i] = -rng.randint(1, 4)  # few norms, so ties are common
+            for j in range(i):
+                if rng.random() < density:
+                    Q[i][j] = Q[j][i] = rng.choice([-2, -1, 1, 2])
+        forms.append(Q)
+    for Q in forms:
+        assert _row_order(Q) == rescan_row_order(Q)
 
 
 def frame_depth() -> int:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from s4embed.classify import full_report
+from s4embed.classify import ManifoldContext, full_report
 from s4embed.intlinalg import definiteness, determinant
 from s4embed.manifolds import (
     LensSum,
@@ -16,7 +16,6 @@ from s4embed.manifolds import (
     neg_continued_fraction,
     normalize_seifert,
     pretzel_to_seifert,
-    seifert_pretzel_strands,
 )
 from s4embed.plumbing import lens_chains, plumbing_tree, seifert_star
 
@@ -171,11 +170,10 @@ def test_pretzel_seifert_round_trip():
     assert seif.r == -1
     assert seif.invariants == ((4, -1), (4, -1), (4, -1))
     assert euler_invariant(seif) == Fraction(1) - Fraction(3, 4)
-    strands = seifert_pretzel_strands(seif)
-    assert strands == (1, -4, -4, -4)
+    assert ManifoldContext(seif).cover.strands == (1, -4, -4, -4)
 
     cover2 = PretzelCover([3, -3, 3])
-    assert seifert_pretzel_strands(pretzel_to_seifert(cover2)) == (3, 3, -3)
+    assert ManifoldContext(pretzel_to_seifert(cover2)).cover.strands == (3, 3, -3)
 
 
 def test_pretzel_conversion_preserves_invariants():

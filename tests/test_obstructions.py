@@ -1,6 +1,11 @@
+import itertools
+import random
+
 import pytest
 
-from s4embed.intlinalg import cokernel
+from s4embed import obstructions
+from s4embed.classify import full_report
+from s4embed.intlinalg import cokernel, determinant
 from s4embed.lattice import LatticeSubset, enumerate_subsets
 from s4embed.manifolds import LensSum, PretzelCover, SeifertManifold, pretzel_to_seifert
 from s4embed.obstructions import (
@@ -132,3 +137,55 @@ def test_obstructed_monotone_under_budget():
     big = double_subset_obstruction(Q, budget=10**7)
     assert big.verdict == "obstructed"
     assert small.verdict in ("inconclusive", "obstructed")
+
+
+def test_char_vector_criterion_against_brute_force():
+    """On random factorisations of forms of odd order > 1, the criterion
+    holds iff the classes A x, x in {-1, +1}^n, fill the column subgroup
+    (spanned here by closing the column classes under addition)."""
+    rng = random.Random(5)
+    outcomes = []
+    while len(outcomes) < 150:
+        n = rng.randint(1, 4)
+        A = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        det = determinant(A)
+        if det % 2 == 0 or abs(det) == 1:
+            continue
+        Q = [[-sum(a * b for a, b in zip(r, s)) for s in A] for r in A]
+        G = cokernel(Q)
+        H = column_subgroup(LatticeSubset(tuple(map(tuple, A)), "square"), Q)
+        columns = G.project_columns(A)
+        span, frontier = set(), [G.reduce([0] * len(G.factors))]
+        while frontier:
+            x = frontier.pop()
+            if x not in span:
+                span.add(x)
+                frontier += [G.reduce([a + b for a, b in zip(x, g)]) for g in columns]
+        signs = list(itertools.product((-1, 1), repeat=n))
+        # the columns of A X, where the columns of X are every sign vector
+        reachable = set(
+            G.project_columns([[sum(a * e for a, e in zip(row, x)) for x in signs] for row in A])
+        )
+        assert reachable <= span and len(span) == H.order
+        outcomes.append(char_vector_criterion(H))
+        assert outcomes[-1] == (reachable == span)
+    assert 40 <= sum(outcomes) <= 110
+
+
+def test_six_summand_sum_joins_same_type_pairs_only(monkeypatch):
+    """Each double-subset check of this sum keeps 204 subgroups of order
+    1344 = sqrt|G|, so 2 * C(204, 2) = 41,412 pairs; only the 20,420 of
+    equal invariant factors can split G and reach the join."""
+    joins = []
+
+    def counted(G, H1, H2):
+        joins.append(H1.factors == H2.factors and H1.order * H2.order == G.order)
+        return direct_sum_test(G, H1, H2)
+
+    direct_sum_test = obstructions.direct_sum_test
+    monkeypatch.setattr(obstructions, "direct_sum_test", counted)
+    m = LensSum([(8, 3), (8, 3), (8, 5), (8, 5), (21, 8), (21, 13)])
+    notes = {r.name: (r.verdict, r.notes) for r in full_report(m).results}
+    expected = ("obstructed", "complete search: 204 usable subgroup(s), no splitting pair")
+    assert notes["double_subset"] == notes["double_subset_mirror"] == expected
+    assert len(joins) == 20420 and all(joins)
