@@ -1,8 +1,10 @@
-"""Golden corpus: the ``--json --certificates`` report of every input in
-``golden/corpus.jsonl`` must come out byte for byte as recorded.
+"""Golden corpora: the ``--json --certificates`` report of every input in
+``golden/corpus.jsonl``, and the default ``--json`` report of every lens
+sum in ``golden/lens_default.jsonl``, must come out byte for byte as
+recorded.
 
-Each line of the corpus holds one input, its exit code and its report,
-as compact JSON.  To record the corpus again from the current code::
+Each line of a corpus holds one input, its exit code and its report,
+as compact JSON.  To record both corpora again from the current code::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -16,6 +18,7 @@ from pathlib import Path
 from s4embed.cli import main
 
 CORPUS = Path(__file__).parent / "golden" / "corpus.jsonl"
+DEFAULT_CORPUS = Path(__file__).parent / "golden" / "lens_default.jsonl"
 
 NAMED_PRETZELS = [
     (2, -2, 3, -3), (4, -4, 2, -2), (1, -4, -4, -4), (4, -4, 4, -4),
@@ -80,25 +83,32 @@ def corpus_inputs() -> list[str]:
     return [f"pretzel({','.join(map(str, s))})" for s in pretzels] + LENS_SUMS + SEIFERT
 
 
-def record(expr: str) -> str:
+def record(expr: str, *flags: str) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main([expr, "--json", "--certificates"])
+        code = main([expr, "--json", *flags])
     entry = {"expr": expr, "exit": code, "report": json.loads(out.getvalue())}
     return json.dumps(entry, separators=(",", ":"))
 
 
+def changed_lines(corpus: Path, *flags: str) -> list[str]:
+    """The inputs of ``corpus`` whose report no longer comes out as recorded."""
+    lines = corpus.read_text().splitlines()
+    exprs = [json.loads(line)["expr"] for line in lines]
+    return [expr for expr, line in zip(exprs, lines) if record(expr, *flags) != line]
+
+
 def test_golden_corpus_reproduced():
-    lines = CORPUS.read_text().splitlines()
-    assert len(lines) >= 150
-    changed = [
-        json.loads(line)["expr"]
-        for line in lines
-        if record(json.loads(line)["expr"]) != line
-    ]
-    assert changed == []
+    assert len(CORPUS.read_text().splitlines()) >= 150
+    assert changed_lines(CORPUS, "--certificates") == []
+
+
+def test_default_lens_reports_reproduced():
+    assert len(DEFAULT_CORPUS.read_text().splitlines()) == len(LENS_SUMS)
+    assert changed_lines(DEFAULT_CORPUS) == []
 
 
 if __name__ == "__main__":
     CORPUS.parent.mkdir(exist_ok=True)
-    CORPUS.write_text("".join(record(expr) + "\n" for expr in corpus_inputs()))
+    CORPUS.write_text("".join(record(e, "--certificates") + "\n" for e in corpus_inputs()))
+    DEFAULT_CORPUS.write_text("".join(record(e) + "\n" for e in LENS_SUMS))
