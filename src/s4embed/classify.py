@@ -10,9 +10,12 @@ The definite side is '-' iff e < 0, else '+'.  The context sorts the
 manifold into one class, and the class's table of named checks runs in
 order, every check on the same context:
 
-* lens sums: torsion_square, lens_mirror_pairing, double_subset,
-  double_subset_mirror.  A sum embeds iff every p_i is odd and the
-  summands match up into mirror pairs.
+* lens sums: torsion_square, lens_mirror_pairing.  A sum embeds iff
+  every p_i is odd and the summands match up into mirror pairs, so these
+  two checks decide it by the theorem.  The double_subset and
+  double_subset_mirror searches are certificates: they run only when the
+  caller asks for certificates or names one of them, and they cannot
+  change the verdict or the reason.
 * base S^2 with at most two fibres, given as a Seifert space or as a
   pretzel cover with at most two strands |a_i| >= 2: torsion_square,
   lens_space.  These are lens spaces.  S^3 and S^1 x S^2 (H_1 trivial or
@@ -453,16 +456,22 @@ Check = Callable[[ManifoldContext, int], "ObstructionResult | None"]
 @dataclass(frozen=True)
 class CheckTable:
     """The ordered checks of one manifold class.  A refutation cites the
-    first check that fired, or ``theorem`` for a class decided by one."""
+    first check that fired, or ``theorem`` for a class decided by one.
+    ``certificates`` is an optional tail of named checks that cannot
+    change what the checks before them decide; they run only on request."""
 
     checks: tuple[Check, ...]
     theorem: str | None = None
+    certificates: tuple[tuple[str, Check], ...] = ()
 
 
 _SPIN = (_spin_count_parity, _mubar_vanishing)
 _E0_FORMS = (_complementary_pairs, _semidefinite_subset, _semidefinite_subset_mirror)
 
-LENS_SUM = CheckTable((_torsion_square, _lens_mirror_pairing, _double_subset, _double_subset_mirror))
+LENS_SUM = CheckTable(
+    (_torsion_square, _lens_mirror_pairing),
+    certificates=(("double_subset", _double_subset), ("double_subset_mirror", _double_subset_mirror)),
+)
 LENS_SPACE = CheckTable((_torsion_square, _lens_space), theorem="lens_mirror_pairing")
 NONORIENTABLE = CheckTable((
     _torsion_square,
@@ -594,12 +603,19 @@ def full_report(
     m: Manifold,
     budget: int = DEFAULT_BUDGET,
     only: list[str] | None = None,
+    certificates: bool = False,
 ) -> ObstructionReport:
     """Run the check table of the manifold's class and merge the results
     with the catalog by the rule in the module docstring.  ``only`` keeps
-    the results with those names."""
+    the results with those names.  The table's certificate checks run
+    when ``certificates`` is set or ``only`` names them."""
     ctx = ManifoldContext(m)
-    results = [r for check in ctx.table.checks if (r := check(ctx, budget)) is not None]
+    table = ctx.table
+    checks = [
+        *table.checks,
+        *(c for name, c in table.certificates if certificates or (only and name in only)),
+    ]
+    results = [r for check in checks if (r := check(ctx, budget)) is not None]
     if only is not None:
         results = [r for r in results if r.name in only]
 
@@ -610,7 +626,7 @@ def full_report(
             f"catalog:{hits[0].name} contradicts obstruction:{obstructed[0].name}"
         )
     elif obstructed:
-        theorem = ctx.table.theorem
+        theorem = table.theorem
         status = "OBSTRUCTED"
         reason = f"theorem:{theorem}" if theorem else f"obstruction:{obstructed[0].name}"
     elif hits:

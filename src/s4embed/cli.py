@@ -9,6 +9,12 @@ Grammar::
     BASE     := S2 | O(g) | N(k)
     pretzel  := pretzel(a,b,c[,d])
 
+``--certificates`` prints each check's certificates.  It also runs the
+checks that only certify: a lens sum is decided by torsion_square and
+lens_mirror_pairing, and its double_subset and double_subset_mirror
+searches run only with ``--certificates`` or when ``--obstruction`` names
+one of them.  Status, reason and exit code are the same either way.
+
 Exit codes: 0 embeds, 1 obstructed, 2 unknown, 64 parse/usage error,
 70 internal error.  Code 70 means either a conflict (status CONFLICT: a
 catalog hit contradicting a completed obstruction) or an exception
@@ -225,7 +231,12 @@ _ARGS = _ArgumentParser(
 _ARGS.add_argument("expr", nargs="?", help="manifold expression")
 _ARGS.add_argument("--manifold", dest="manifold", help="manifold expression")
 _ARGS.add_argument("--json", action="store_true", help="emit a JSON report")
-_ARGS.add_argument("--certificates", action="store_true", help="include certificates in output")
+_ARGS.add_argument(
+    "--certificates",
+    action="store_true",
+    help="include certificates in output, running the searches that only "
+    "certify (the double-subset checks of a lens sum)",
+)
 _ARGS.add_argument(
     "--budget",
     type=int,
@@ -255,7 +266,9 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
 
     try:
-        report = full_report(manifold, budget=args.budget, only=args.obstruction)
+        report = full_report(
+            manifold, budget=args.budget, only=args.obstruction, certificates=args.certificates
+        )
     except Exception as exc:  # a fault in the program, reported as one line
         message = " ".join(str(exc).split())
         reason = f"internal:{type(exc).__name__}: {message}"

@@ -86,46 +86,54 @@ def determinant(M) -> int:
 # Smith normal form
 
 
-def smith_normal_form(M) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+def smith_normal_form(
+    M, left: bool = True, right: bool = True
+) -> tuple[list[list[int]] | None, list[list[int]], list[list[int]] | None]:
     """Diagonalise M over the integers.
 
     Returns (U, D, V) with U*M*V == D, U and V unimodular, and D diagonal
     with d1 | d2 | ... | dk and every di >= 0.  Pivots are chosen with
     minimal absolute value, which keeps coefficient growth tame at the
-    matrix sizes plumbing graphs produce.
+    matrix sizes plumbing graphs produce.  ``left=False`` (``right=False``)
+    skips the updates of U (V) and returns None in its place; D is the
+    same either way.
     """
     rows = len(M)
     cols = len(M[0]) if rows else 0
     D = [list(r) for r in M]
-    U = identity_matrix(rows)
-    V = identity_matrix(cols)
+    U = identity_matrix(rows) if left else None
+    V = identity_matrix(cols) if right else None
 
     def swap_rows(i, j):
         if i != j:
             D[i], D[j] = D[j], D[i]
-            U[i], U[j] = U[j], U[i]
+            if U is not None:
+                U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         if i != j:
             for r in D:
                 r[i], r[j] = r[j], r[i]
-            for r in V:
-                r[i], r[j] = r[j], r[i]
+            if V is not None:
+                for r in V:
+                    r[i], r[j] = r[j], r[i]
 
     def add_row(dst, src, c):
         # row[dst] += c * row[src]
         Dd, Ds = D[dst], D[src]
         for j in range(cols):
             Dd[j] += c * Ds[j]
-        Ud, Us = U[dst], U[src]
-        for j in range(rows):
-            Ud[j] += c * Us[j]
+        if U is not None:
+            Ud, Us = U[dst], U[src]
+            for j in range(rows):
+                Ud[j] += c * Us[j]
 
     def add_col(dst, src, c):
         for r in D:
             r[dst] += c * r[src]
-        for r in V:
-            r[dst] += c * r[src]
+        if V is not None:
+            for r in V:
+                r[dst] += c * r[src]
 
     t = 0
     limit = min(rows, cols)
@@ -182,14 +190,15 @@ def smith_normal_form(M) -> tuple[list[list[int]], list[list[int]], list[list[in
         if D[i][i] < 0:
             for j in range(cols):
                 D[i][j] = -D[i][j]
-            for j in range(rows):
-                U[i][j] = -U[i][j]
+            if U is not None:
+                for j in range(rows):
+                    U[i][j] = -U[i][j]
     return U, D, V
 
 
 def invariant_factors(M) -> tuple[int, ...]:
     """Diagonal of the Smith form, zeros included, ones stripped."""
-    _, D, _ = smith_normal_form(M)
+    _, D, _ = smith_normal_form(M, left=False, right=False)
     diag = [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
     return tuple(d for d in diag if d != 1)
 
@@ -439,16 +448,6 @@ class FiniteAbelianGroup:
     ambient_dim: int = 0
     _torsion_rows: tuple[tuple[int, ...], ...] = field(default=(), repr=False)
 
-    @classmethod
-    def from_factors(cls, factors) -> "FiniteAbelianGroup":
-        factors = tuple(int(d) for d in factors)
-        for a, b in zip(factors, factors[1:]):
-            if b % a:
-                raise ValueError("invariant factors must form a divisibility chain")
-        m = len(factors)
-        rows = tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))
-        return cls(factors=factors, free_rank=0, ambient_dim=m, _torsion_rows=rows)
-
     @property
     def order(self) -> int:
         if self.free_rank:
@@ -486,7 +485,7 @@ def cokernel(M) -> FiniteAbelianGroup:
         return FiniteAbelianGroup(factors=(), free_rank=0, ambient_dim=0)
     if any(len(row) != n for row in M):
         raise ValueError("cokernel expects a square matrix")
-    U, D, _ = smith_normal_form(M)
+    U, D, _ = smith_normal_form(M, right=False)
     diag = [D[i][i] for i in range(n)]
     torsion = [(d, i) for i, d in enumerate(diag) if d >= 2]
     return FiniteAbelianGroup(
@@ -528,7 +527,7 @@ class Subgroup:
         columns of V carry Z^m onto G/H.  Built on first use; it lives
         as long as the subgroup.
         """
-        _, D, V = smith_normal_form(self.basis)
+        _, D, V = smith_normal_form(self.basis, left=False)
         return tuple(
             (tuple(row[i] % D[i][i] for row in V), D[i][i])
             for i in range(len(D))

@@ -40,10 +40,9 @@ class BudgetExhausted(Exception):
 
 @dataclass(frozen=True)
 class LatticeSubset:
-    """Rows are the subset vectors; mode records square vs rectangular."""
+    """Rows are the subset vectors."""
 
     rows: tuple[tuple[int, ...], ...]
-    mode: str
 
 
 @dataclass(frozen=True)
@@ -143,7 +142,7 @@ def enumerate_subsets(
         raise ValueError(f"unknown mode {mode!r}")
 
     if n == 0:
-        return SubsetSearchResult("complete", (LatticeSubset((), mode),), 0)
+        return SubsetSearchResult("complete", (LatticeSubset(()),), 0)
 
     order = _row_order(Q)
     gram = [[-Q[i][j] for j in range(n)] for i in range(n)]
@@ -283,5 +282,5 @@ def enumerate_subsets(
     except BudgetExhausted:
         status = "exhausted"
 
-    subsets = tuple(LatticeSubset(rows, mode) for rows in sorted(found))
+    subsets = tuple(LatticeSubset(rows) for rows in sorted(found))
     return SubsetSearchResult(status, subsets, nodes)

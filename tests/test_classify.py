@@ -1,6 +1,9 @@
+import math
+from itertools import combinations_with_replacement
+
 import pytest
 
-from s4embed import plumbing
+from s4embed import classify, plumbing
 from s4embed.classify import (
     ManifoldContext,
     catalog_matches,
@@ -33,7 +36,7 @@ def test_decide_lens_sum_examples():
 @pytest.mark.parametrize("p", [31, 45, 61])
 def test_long_chain_lens_sums_embed(p):
     # the form on either side has a (p-1)-vertex chain
-    r = full_report(LensSum([(p, 1), (p, p - 1)]))
+    r = full_report(LensSum([(p, 1), (p, p - 1)]), certificates=True)
     assert r.status == "EMBEDS"
     verdicts = {res.name: res.verdict for res in r.results}
     assert verdicts["double_subset"] == verdicts["double_subset_mirror"] == "pass"
@@ -148,7 +151,7 @@ def test_full_report_examples():
     assert r.status == "EMBEDS" and not r.conflict
     assert all(not res.obstructed for res in r.results)
 
-    r2 = full_report(LensSum([(5, 1), (5, 1)]))
+    r2 = full_report(LensSum([(5, 1), (5, 1)]), certificates=True)
     assert r2.status == "OBSTRUCTED"
     names = {res.name: res for res in r2.results}
     assert names["double_subset"].obstructed or names["double_subset_mirror"].obstructed
@@ -173,6 +176,73 @@ def test_full_report_obstruction_filter():
     r = full_report(LensSum([(2, 1), (2, 1)]), only=["torsion_square"])
     assert [res.name for res in r.results] == ["torsion_square"]
     assert r.status == "UNKNOWN"  # 4 is a square; the pairing check was filtered out
+
+
+LENS_SUMMANDS = [(p, q) for p in range(2, 16) for q in range(1, p) if math.gcd(p, q) == 1]
+# the four-summand sums of the golden corpus
+FOUR_SUMMAND_SUMS = [
+    [(3, 1), (3, 1), (3, 2), (3, 2)],
+    [(3, 1), (5, 2), (3, 2), (5, 3)],
+    [(8, 3), (8, 3), (8, 5), (8, 5)],
+    [(9, 2), (9, 2), (9, 7), (9, 7)],
+]
+
+
+def certificates_disagree(summands) -> str | None:
+    """What the certificate run of a lens sum finds wrong with the
+    default run, or None."""
+    m = LensSum(summands)
+    decided = full_report(m)
+    certified = full_report(m, certificates=True)
+    if (decided.status, decided.reason) != (certified.status, certified.reason):
+        return f"{certified.status} {certified.reason}"
+    if certified.status == "CONFLICT":
+        return certified.reason
+    if certified.results[: len(decided.results)] != decided.results:
+        return "deciding checks differ"
+    if certified.status == "EMBEDS":
+        failed = [r.name for r in certified.results[len(decided.results) :] if r.verdict != "pass"]
+        if len(certified.results) != 4 or failed:
+            return f"certificate checks not passed: {failed}"
+    return None
+
+
+def test_certificate_searches_agree_with_the_theorem():
+    """A lens sum is decided by torsion_square and lens_mirror_pairing;
+    the double-subset searches run only for certificates.  With them
+    run, a catalog hit plus a refutation would read CONFLICT, so this
+    keeps that cross-check over every two-summand sum with p <= 15 and
+    the corpus's four-summand sums."""
+    sums = [list(pair) for pair in combinations_with_replacement(LENS_SUMMANDS, 2)]
+    assert len(sums) == 2556
+    found = {str(s): why for s in sums + FOUR_SUMMAND_SUMS if (why := certificates_disagree(s))}
+    assert found == {}
+
+
+def test_lens_sums_search_only_for_certificates(monkeypatch):
+    """The default report of a lens sum runs no double-subset search;
+    certificates, or naming one of the searches, runs it."""
+    searched = []
+
+    def counted(Q, budget=None):
+        searched.append(len(Q))
+        return search(Q, budget)
+
+    search = classify.double_subset_obstruction
+    monkeypatch.setattr(classify, "double_subset_obstruction", counted)
+    m = LensSum([(8, 3), (8, 3), (8, 5), (8, 5), (21, 8), (21, 13)])
+    r = full_report(m)
+    assert [res.name for res in r.results] == ["torsion_square", "lens_mirror_pairing"]
+    assert (r.status, r.reason) == ("OBSTRUCTED", "obstruction:lens_mirror_pairing")
+    assert searched == []
+
+    r = full_report(LensSum([(3, 1), (3, 2)]), only=["double_subset_mirror"])
+    assert [res.name for res in r.results] == ["double_subset_mirror"]
+    assert r.status == "EMBEDS" and len(searched) == 1
+
+    r = full_report(LensSum([(3, 1), (3, 2)]), certificates=True)
+    assert [res.name for res in r.results][2:] == ["double_subset", "double_subset_mirror"]
+    assert len(searched) == 3
 
 
 def test_catalog_consistency():

@@ -67,11 +67,29 @@ def e8_matrix():
     return Q
 
 
+def group_from_factors(factors) -> FiniteAbelianGroup:
+    """Z/d1 + ... + Z/dk, given the divisibility chain d1 | d2 | ..."""
+    factors = tuple(int(d) for d in factors)
+    for a, b in zip(factors, factors[1:]):
+        if b % a:
+            raise ValueError("invariant factors must form a divisibility chain")
+    m = len(factors)
+    rows = tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))
+    return FiniteAbelianGroup(factors=factors, free_rank=0, ambient_dim=m, _torsion_rows=rows)
+
+
 def check_snf(M):
     U, D, V = smith_normal_form(M)
     assert mat_eq(mat_mul(mat_mul(U, M), V), D)
     assert abs(determinant(U)) == 1
     assert abs(determinant(V)) == 1
+    # skipping U or V leaves D and the other matrix as they were, so
+    # U M V = D holds for whatever is returned
+    for left, right in [(True, False), (False, True), (False, False)]:
+        U2, D2, V2 = smith_normal_form(M, left=left, right=right)
+        assert D2 == D
+        assert U2 == (U if left else None)
+        assert V2 == (V if right else None)
     diag = [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
     assert all(d >= 0 for d in diag)
     for a, b in zip(diag, diag[1:]):
@@ -141,7 +159,7 @@ def test_cokernel_projection_kills_image():
 
 
 def test_subgroup_orders():
-    G = FiniteAbelianGroup.from_factors((3, 3))
+    G = group_from_factors((3, 3))
     H = subgroup_from_generators(G, [(1, 1)])
     assert H.order == 3
     assert H.factors == (3,)
@@ -150,7 +168,7 @@ def test_subgroup_orders():
     assert trivial.order == 1
     assert trivial.factors == ()
 
-    G9 = FiniteAbelianGroup.from_factors((9,))
+    G9 = group_from_factors((9,))
     H3 = subgroup_from_generators(G9, [(3,)])
     assert H3.order == 3
     assert H3.factors == (3,)
@@ -175,7 +193,7 @@ def test_subgroup_order_divides_group_order():
         chain = []
         for d in factors:
             chain.append(d if not chain else d * chain[-1] // math.gcd(d, chain[-1]))
-        G = FiniteAbelianGroup.from_factors(chain)
+        G = group_from_factors(chain)
         gens = [tuple(rng.randrange(d) for d in chain) for _ in range(rng.randint(0, 3))]
         H = subgroup_from_generators(G, gens)
         assert G.order % H.order == 0
@@ -184,7 +202,7 @@ def test_subgroup_order_divides_group_order():
 
 
 def test_direct_sum_test_cases():
-    G = FiniteAbelianGroup.from_factors((3, 3))
+    G = group_from_factors((3, 3))
     H1 = subgroup_from_generators(G, [(1, 0)])
     H2 = subgroup_from_generators(G, [(0, 1)])
     assert direct_sum_test(G, H1, H2) == (True, True, 1)
@@ -192,14 +210,14 @@ def test_direct_sum_test_cases():
     Hd = subgroup_from_generators(G, [(1, 1)])
     assert direct_sum_test(G, Hd, Hd) == (False, True, 3)
 
-    G9 = FiniteAbelianGroup.from_factors((9,))
+    G9 = group_from_factors((9,))
     A = subgroup_from_generators(G9, [(3,)])
     B = subgroup_from_generators(G9, [(1,)])
     assert direct_sum_test(G9, A, B) == (False, False, 3)
 
 
 def test_subgroup_sum_and_equality():
-    G = FiniteAbelianGroup.from_factors((4, 8))
+    G = group_from_factors((4, 8))
     H1 = subgroup_from_generators(G, [(2, 0)])
     H2 = subgroup_from_generators(G, [(0, 4)])
     S = subgroup_from_generators(G, [(2, 0), (0, 4)])
@@ -216,7 +234,7 @@ def random_group(rng) -> FiniteAbelianGroup:
         if math.prod(factors) * d > 200:
             break
         factors.append(d)
-    return FiniteAbelianGroup.from_factors(factors)
+    return group_from_factors(factors)
 
 
 def random_generators(rng, G) -> list[tuple[int, ...]]:

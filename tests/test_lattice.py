@@ -64,7 +64,7 @@ def naive_enumerate_subsets(Q, mode: str = "square") -> tuple[LatticeSubset, ...
                 build(i + 1, rows + [v])
 
     build(0, [])
-    return tuple(LatticeSubset(rows, mode) for rows in sorted(out))
+    return tuple(LatticeSubset(rows) for rows in sorted(out))
 
 
 def p_chain(p):

@@ -91,17 +91,17 @@ def column_subgroup(A: LatticeSubset, Q):
 
 
 def test_char_vector_criterion_identity():
-    A = LatticeSubset(((1, 0), (0, 1)), "square")
+    A = LatticeSubset(((1, 0), (0, 1)))
     assert char_vector_criterion(column_subgroup(A, [[-1, 0], [0, -1]]))
 
 
 def test_char_vector_criterion_3_on_minus9():
-    A = LatticeSubset(((3,),), "square")
+    A = LatticeSubset(((3,),))
     assert not char_vector_criterion(column_subgroup(A, [[-9]]))
 
 
 def test_char_vector_criterion_rejects_even_order():
-    A = LatticeSubset(((2,),), "square")
+    A = LatticeSubset(((2,),))
     with pytest.raises(ValueError):
         char_vector_criterion(column_subgroup(A, [[-4]]))
 
@@ -153,7 +153,7 @@ def test_char_vector_criterion_against_brute_force():
             continue
         Q = [[-sum(a * b for a, b in zip(r, s)) for s in A] for r in A]
         G = cokernel(Q)
-        H = column_subgroup(LatticeSubset(tuple(map(tuple, A)), "square"), Q)
+        H = column_subgroup(LatticeSubset(tuple(map(tuple, A))), Q)
         columns = G.project_columns(A)
         span, frontier = set(), [G.reduce([0] * len(G.factors))]
         while frontier:
@@ -185,7 +185,7 @@ def test_six_summand_sum_joins_same_type_pairs_only(monkeypatch):
     direct_sum_test = obstructions.direct_sum_test
     monkeypatch.setattr(obstructions, "direct_sum_test", counted)
     m = LensSum([(8, 3), (8, 3), (8, 5), (8, 5), (21, 8), (21, 13)])
-    notes = {r.name: (r.verdict, r.notes) for r in full_report(m).results}
+    notes = {r.name: (r.verdict, r.notes) for r in full_report(m, certificates=True).results}
     expected = ("obstructed", "complete search: 204 usable subgroup(s), no splitting pair")
     assert notes["double_subset"] == notes["double_subset_mirror"] == expected
     assert len(joins) == 20420 and all(joins)
