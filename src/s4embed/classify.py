@@ -281,9 +281,12 @@ class ManifoldContext:
 
     def tree(self, side: str) -> PlumbingTree:
         """The standard plumbing of one orientation ('+' or '-'), built on
-        first use and kept for the rest of the call."""
+        first use and kept for the rest of the call.  When both sides
+        give the same tree, the first one built serves both, so its
+        dense form and signature are taken once."""
         if side not in self._trees:
-            self._trees[side] = plumbing_tree(self.seifert or self.manifold, side)
+            tree = plumbing_tree(self.seifert or self.manifold, side)
+            self._trees[side] = next((t for t in self._trees.values() if t == tree), tree)
         return self._trees[side]
 
     @cached_property
@@ -484,6 +487,24 @@ ORIENTABLE_E0 = CheckTable((_torsion_square, *_E0_FORMS, *_SPIN))
 ORIENTABLE = CheckTable((_torsion_square, _double_subset, *_SPIN))
 PRETZEL_E0 = CheckTable((_torsion_square, *_SPIN, *_E0_FORMS))
 PRETZEL = CheckTable((_torsion_square, *_SPIN, _double_subset))
+
+# every name a check of the tables above can report; ``--obstruction``
+# accepts exactly these
+CHECK_NAMES = (
+    "torsion_square",
+    "lens_mirror_pairing",
+    "double_subset",
+    "double_subset_mirror",
+    "complementary_pairs",
+    "semidefinite_subset",
+    "semidefinite_subset_mirror",
+    "weak_complementary_pairs",
+    "even_fibre_clause",
+    "nonorientable_double_subset",
+    "nonorientable_double_subset_mirror",
+    "spin_count_parity",
+    "mubar_vanishing",
+)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ Grammar::
 checks that only certify: a lens sum is decided by torsion_square and
 lens_mirror_pairing, and its double_subset and double_subset_mirror
 searches run only with ``--certificates`` or when ``--obstruction`` names
-one of them.  Status, reason and exit code are the same either way.
+one of them.  Status, reason and exit code are the same either way.  A
+passing search stops at, and cites, the first witness it meets.
 
 Exit codes: 0 embeds, 1 obstructed, 2 unknown, 64 parse/usage error,
 70 internal error.  Code 70 means either a conflict (status CONFLICT: a
@@ -31,7 +32,7 @@ import argparse
 import json
 import sys
 
-from .classify import DEFAULT_BUDGET, ObstructionReport, full_report
+from .classify import CHECK_NAMES, DEFAULT_BUDGET, ObstructionReport, full_report
 from .manifolds import LensSum, Manifold, PretzelCover, SeifertManifold
 
 
@@ -235,7 +236,8 @@ _ARGS.add_argument(
     "--certificates",
     action="store_true",
     help="include certificates in output, running the searches that only "
-    "certify (the double-subset checks of a lens sum)",
+    "certify (the double-subset checks of a lens sum); a passing search "
+    "cites the first witness it meets",
 )
 _ARGS.add_argument(
     "--budget",
@@ -247,7 +249,10 @@ _ARGS.add_argument(
     "--obstruction",
     action="append",
     default=None,
-    help="run only the named obstruction (repeatable)",
+    choices=CHECK_NAMES,
+    metavar="NAME",
+    help="run only the named obstruction (repeatable); an unknown name is a "
+    f"usage error.  Names: {', '.join(CHECK_NAMES)}",
 )
 _ARGS.add_argument("--quiet", action="store_true", help="suppress text output")
 

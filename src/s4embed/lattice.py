@@ -24,12 +24,19 @@ every column must be negative.  Survivors are reduced to a canonical
 form and de-duplicated, so the output is the complete, deterministic
 list of orbit representatives -- or an explicit "budget exhausted"
 signal, which callers must never conflate with "none exist".
+
+A caller that needs only one witness passes ``until``: the search hands
+it each new representative as it is found, in search order, and stops
+with status 'stopped' as soon as it returns true.  A stopped search has
+not seen the whole tree, so like an exhausted one it proves nothing
+about the subsets it did not reach.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from typing import Callable
 
 from .intlinalg import definiteness
 
@@ -47,7 +54,7 @@ class LatticeSubset:
 
 @dataclass(frozen=True)
 class SubsetSearchResult:
-    status: str  # 'complete' | 'exhausted'
+    status: str  # 'complete' | 'exhausted' | 'stopped'
     subsets: tuple[LatticeSubset, ...]
     nodes: int  # search nodes visited, at most the budget
 
@@ -107,6 +114,7 @@ def enumerate_subsets(
     Q,
     mode: str = "square",
     budget: int | None = None,
+    until: Callable[[LatticeSubset], bool] | None = None,
 ) -> SubsetSearchResult:
     """All A with A A^t = -Q, up to signed column permutation.
 
@@ -123,6 +131,13 @@ def enumerate_subsets(
     of those rows only.  ``budget`` bounds the number of search nodes;
     exhausting it yields status 'exhausted' with whatever was found so
     far.  ``nodes`` of the result counts the nodes visited.
+
+    ``until``, when given, is called once with each new canonical subset,
+    in search order, as soon as the search finds it.  If it returns true
+    the search stops there with status 'stopped': ``subsets`` holds what
+    was found so far, the accepted subset among them, and ``complete``
+    is false.  The callback does not change the tree, so a search whose
+    callback never accepts visits the same nodes as one without it.
     """
     n = len(Q)
     for i in range(n):
@@ -142,7 +157,9 @@ def enumerate_subsets(
         raise ValueError(f"unknown mode {mode!r}")
 
     if n == 0:
-        return SubsetSearchResult("complete", (LatticeSubset(()),), 0)
+        empty = LatticeSubset(())
+        stopped = until is not None and until(empty)
+        return SubsetSearchResult("stopped" if stopped else "complete", (empty,), 0)
 
     order = _row_order(Q)
     gram = [[-Q[i][j] for j in range(n)] for i in range(n)]
@@ -275,7 +292,12 @@ def enumerate_subsets(
                 for pos, vec in enumerate(placed):
                     rows_in_input_order[order[pos]] = vec
                 rows_in_input_order[order[-1]] = row
-                found.add(canonicalize_rows(rows_in_input_order))
+                rows = canonicalize_rows(rows_in_input_order)
+                if rows not in found:
+                    found.add(rows)
+                    if until is not None and until(LatticeSubset(rows)):
+                        status = "stopped"
+                        break
             else:
                 push(row)
                 frames.append(candidates(len(placed)))

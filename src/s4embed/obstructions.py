@@ -10,8 +10,12 @@ must factor through one fewer column.  For Z/2-homology spheres, a
 correction-term argument filters the usable factorisations: every class
 of im A / im Q must be hit by A x with x in {-1, +1}^n.
 
-Every verdict of "obstructed" is backed by a provably completed search;
-budget exhaustion downgrades to "inconclusive" instead.
+Each check filters and pairs the factorisations inside the search, as
+the search finds them (``enumerate_subsets(..., until=...)``), and stops
+at its first witness.  A pass therefore cites the first witness the
+search meets, in search order.  Every verdict of "obstructed" is backed
+by a provably completed search; budget exhaustion downgrades to
+"inconclusive" instead.
 """
 
 from __future__ import annotations
@@ -114,7 +118,13 @@ def double_subset_obstruction(Q, budget: int | None = None) -> ObstructionResult
     The pair must have distinct column subgroups unless the cokernel is
     trivial, in which case a single factorisation suffices.  For odd
     cokernel order, factorisations failing the correction-term filter
-    cannot arise from a rational-ball side and are discarded first.
+    cannot arise from a rational-ball side and are discarded.
+
+    The pairing runs inside the search: each new subset's column
+    subgroup is filtered, and a new subgroup of order sqrt|G| is joined
+    against the kept ones of the same invariant factors, so the search
+    stops at the first splitting pair.  On a pass the filter's "removed"
+    count therefore covers only the subsets met before that pair.
     """
     name = "double_subset"
     n = len(Q)
@@ -127,66 +137,64 @@ def double_subset_obstruction(Q, budget: int | None = None) -> ObstructionResult
             notes=f"|coker Q| = {abs(det)} is not a perfect square, "
             "so no factorisation exists",
         )
-    res = enumerate_subsets(Q, "square", budget)  # checks Q itself
-    if not res.complete and not res.subsets:
-        return ObstructionResult(name, "inconclusive", notes="budget exhausted")
-
     G = cokernel(Q)
-    columns = [(subset_column_subgroup(G, s), s) for s in res.subsets]
-    filtered_note = ""
-    if G.order % 2 == 1:
-        kept = [(H, s) for H, s in columns if char_vector_criterion(H)]
-        if len(kept) != len(columns):
-            filtered_note = (
-                f"{len(columns) - len(kept)} factorisation(s) removed by the "
-                "correction-term filter; "
-            )
-        columns = kept
-
-    if G.order == 1:
-        if columns:
-            A = columns[0][1]
-            return ObstructionResult(name, "pass", [(A, A)], filtered_note + "trivial cokernel")
-        if res.complete:
-            return ObstructionResult(
-                name, "obstructed", notes=filtered_note + "no factorisation exists"
-            )
-        return ObstructionResult(name, "inconclusive", notes="budget exhausted")
-
-    by_subgroup: dict = {}
-    for H, s in columns:
-        by_subgroup.setdefault(H.basis, (H, s))
-    reps = list(by_subgroup.values())
+    filtered = G.order % 2 == 1
+    removed = 0
+    usable: set = set()  # the lift bases of the kept column subgroups
     # a splitting pair has |H1||H2| = |G| and H1 isomorphic to H2, so
-    # only same-type pairs of order sqrt|G| are joined; they keep their
-    # (i, j) order, so the first split found is the same
-    halves = [(H, s) for H, s in reps if H.order * H.order == G.order]
-    for i, (H1, A1) in enumerate(halves):
-        for H2, A2 in halves[i + 1:]:
-            if H1.factors != H2.factors:
-                continue
-            is_direct, _, _ = direct_sum_test(G, H1, H2)
-            if is_direct:
-                return ObstructionResult(
-                    name,
-                    "pass",
-                    [(A1, A2), (H1, H2)],
-                    filtered_note + "cokernel splits as H + H",
-                )
-    if res.complete:
+    # only same-type subgroups of order sqrt|G| are joined
+    halves: dict[tuple[int, ...], list] = {}
+    witness: list = []
+
+    def split_found(s: LatticeSubset) -> bool:
+        nonlocal removed
+        H = subset_column_subgroup(G, s)
+        if filtered and not char_vector_criterion(H):
+            removed += 1
+            return False
+        if G.order == 1:
+            witness.append((s, s))
+            return True
+        if H.basis in usable:
+            return False
+        usable.add(H.basis)
+        if H.order * H.order != G.order:
+            return False
+        kept = halves.setdefault(H.factors, [])
+        for H1, A1 in kept:  # the earlier one is H1: one quotient map each
+            if direct_sum_test(G, H1, H)[0]:
+                witness.extend([(A1, s), (H1, H)])
+                return True
+        kept.append((H, s))
+        return False
+
+    res = enumerate_subsets(Q, "square", budget, until=split_found)  # checks Q itself
+    filtered_note = (
+        f"{removed} factorisation(s) removed by the correction-term filter; " if removed else ""
+    )
+    if witness:
+        note = "trivial cokernel" if G.order == 1 else "cokernel splits as H + H"
+        return ObstructionResult(name, "pass", witness, filtered_note + note)
+    if not res.complete:
+        return ObstructionResult(name, "inconclusive", notes="budget exhausted")
+    if G.order == 1:
         return ObstructionResult(
-            name,
-            "obstructed",
-            notes=filtered_note
-            + f"complete search: {len(reps)} usable subgroup(s), no splitting pair",
+            name, "obstructed", notes=filtered_note + "no factorisation exists"
         )
-    return ObstructionResult(name, "inconclusive", notes="budget exhausted")
+    return ObstructionResult(
+        name,
+        "obstructed",
+        notes=filtered_note
+        + f"complete search: {len(usable)} usable subgroup(s), no splitting pair",
+    )
 
 
 def semidefinite_obstruction(Q, budget: int | None = None) -> ObstructionResult:
-    """Rectangular factorisation A A^t = -Q through one fewer column."""
+    """Rectangular factorisation A A^t = -Q through one fewer column; the
+    search stops at the first one."""
     name = "semidefinite_subset"
-    res = enumerate_subsets(Q, "rectangular", budget)  # checks Q is corank one
+    # checks Q is corank one
+    res = enumerate_subsets(Q, "rectangular", budget, until=lambda s: True)
     if res.subsets:
         return ObstructionResult(name, "pass", [res.subsets[0]])
     if res.complete:
@@ -198,7 +206,9 @@ def semidefinite_obstruction(Q, budget: int | None = None) -> ObstructionResult:
 
 def nonorientable_obstruction(Q, budget: int | None = None) -> ObstructionResult:
     """Pair of factorisations with coker Q isomorphic to H_i + H_i and
-    |H_1 meet H_2| <= 2 (non-orientable base form)."""
+    |H_1 meet H_2| <= 2 (non-orientable base form).  Each new qualifying
+    subset is tested against the earlier ones and itself as the search
+    finds it, and the search stops at the first good pair."""
     name = "nonorientable_double_subset"
     n = len(Q)
     if n == 0:
@@ -211,25 +221,27 @@ def nonorientable_obstruction(Q, budget: int | None = None) -> ObstructionResult
             "obstructed",
             notes=f"|coker Q| = {abs(det)} is not a perfect square",
         )
-    res = enumerate_subsets(Q, "square", budget)  # checks Q itself
-    if not res.complete and not res.subsets:
-        return ObstructionResult(name, "inconclusive", notes="budget exhausted")
     G = cokernel(Q)
-    qualifying = []
-    for s in res.subsets:
+    doubled = tuple(sorted(G.factors))
+    qualifying: list = []
+    witness: list = []
+
+    def pair_found(s: LatticeSubset) -> bool:
         H = subset_column_subgroup(G, s)
-        if tuple(sorted(G.factors)) == doubled_factors(H.factors):
-            qualifying.append((H, s))
-    for i in range(len(qualifying)):
-        for j in range(i, len(qualifying)):
-            H1, A1 = qualifying[i]
-            H2, A2 = qualifying[j]
-            _, _, inter = direct_sum_test(G, H1, H2)
-            if inter <= 2:
-                return ObstructionResult(
-                    name, "pass", [(A1, A2), (H1, H2)],
-                    "cokernel is H + H twice over with small intersection",
-                )
+        if doubled_factors(H.factors) != doubled:
+            return False
+        qualifying.append((H, s))
+        for H1, A1 in qualifying:
+            if direct_sum_test(G, H1, H)[2] <= 2:
+                witness.extend([(A1, s), (H1, H)])
+                return True
+        return False
+
+    res = enumerate_subsets(Q, "square", budget, until=pair_found)  # checks Q itself
+    if witness:
+        return ObstructionResult(
+            name, "pass", witness, "cokernel is H + H twice over with small intersection"
+        )
     if res.complete:
         return ObstructionResult(
             name,

@@ -37,13 +37,14 @@ class PlumbingTree:
     edges: tuple[tuple[int, int], ...]
 
     def incidence_matrix(self) -> list[list[int]]:
-        n = len(self.weights)
-        Q = [[0] * n for _ in range(n)]
-        for i, w in enumerate(self.weights):
-            Q[i][i] = w
-        for i, j in self.edges:
-            Q[i][j] = Q[j][i] = 1
-        return Q
+        """The dense n x n form, built on the first call and shared by
+        every later one: the form checks, the signature and the Wu sets
+        of a tree read one matrix, which none of them mutates."""
+        return self._dense
+
+    @cached_property
+    def _dense(self) -> list[list[int]]:
+        return _densify(self.weights, self.edges)
 
     @property
     def size(self) -> int:
@@ -53,6 +54,16 @@ class PlumbingTree:
     def signature(self) -> int:
         """Signature of the plumbed 4-manifold, computed once per tree."""
         return intlinalg.signature(self.incidence_matrix())
+
+
+def _densify(weights, edges) -> list[list[int]]:
+    n = len(weights)
+    Q = [[0] * n for _ in range(n)]
+    for i, w in enumerate(weights):
+        Q[i][i] = w
+    for i, j in edges:
+        Q[i][j] = Q[j][i] = 1
+    return Q
 
 
 def _chain_edges(start: int, length: int) -> list[tuple[int, int]]:

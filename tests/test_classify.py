@@ -277,6 +277,30 @@ def test_report_builds_each_side_once(monkeypatch, manifold, builds):
     assert len(calls) == builds
 
 
+@pytest.mark.parametrize(
+    "manifold, forms",
+    [
+        # the definite side serves the form check, the signature and the Wu sets
+        (PretzelCover([3, 5, 7]), 1),
+        # e = 0 with both sides the same tree: one dense form
+        (PretzelCover([2, -2, 3, -3]), 1),
+        (SeifertManifold(False, 1, 0, [(3, 1), (3, -1)]), 1),
+        (SeifertManifold(False, 1, 0, [(3, 1), (3, -2)]), 2),
+    ],
+)
+def test_report_densifies_each_form_once(monkeypatch, manifold, forms):
+    built = []
+
+    def counted(weights, edges):
+        built.append((weights, edges))
+        return densify(weights, edges)
+
+    densify = plumbing._densify
+    monkeypatch.setattr(plumbing, "_densify", counted)
+    full_report(manifold)
+    assert len(built) == len(set(built)) == forms
+
+
 def test_report_takes_each_strand_form_list_once(monkeypatch):
     """A Seifert input with a pretzel presentation lists the forms of
     itself and of its mirror once each: the cover and the family checks

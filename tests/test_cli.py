@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from s4embed import cli
+from s4embed.classify import CHECK_NAMES
 from s4embed.cli import main, parse_manifold
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -31,10 +32,51 @@ def exit_code(*argv: str) -> int:
         (["lens(3,1)+lens(3,2)", "--budget", "many"], 64),
         (["lens(4,2)"], 64),
         ([], 64),
+        # a misspelt check name is a usage error, not a report with no checks
+        (["lens(5,1)+lens(5,1)", "--obstruction", "double_subst"], 64),
+        (["lens(3,1)+lens(3,2)", "--obstruction", "double_subst"], 64),
+        (["lens(3,1)+lens(3,2)", "--obstruction", "torsion_square", "--obstruction", "x"], 64),
     ],
 )
 def test_exit_codes(argv, code, capsys):
     assert exit_code(*argv) == code
+
+
+# an input whose check table reports each check name
+CHECK_EXAMPLES = {
+    "torsion_square": "lens(3,1)+lens(3,2)",
+    "lens_mirror_pairing": "lens(3,1)+lens(3,2)",
+    "double_subset": "lens(3,1)+lens(3,2)",
+    "double_subset_mirror": "lens(3,1)+lens(3,2)",
+    "complementary_pairs": "seifert(S2; 0; (3,1),(3,-1),(5,2),(5,-2))",
+    "semidefinite_subset": "seifert(S2; 0; (3,1),(3,-1),(5,2),(5,-2))",
+    "semidefinite_subset_mirror": "seifert(S2; 0; (3,1),(3,-1),(5,2),(5,-2))",
+    "weak_complementary_pairs": "seifert(N(1); 0; (3,1),(3,-1))",
+    "even_fibre_clause": "seifert(N(1); 0; (3,1),(3,-1))",
+    "nonorientable_double_subset": "seifert(N(1); 0; (3,1),(3,-1))",
+    "nonorientable_double_subset_mirror": "seifert(N(1); 0; (3,1),(3,-1))",
+    "spin_count_parity": "pretzel(3,-5,-8)",
+    "mubar_vanishing": "pretzel(3,-5,-8)",
+}
+
+
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_every_check_name_is_accepted(name, capsys):
+    expr = CHECK_EXAMPLES[name]
+    assert main([expr, "--obstruction", name, "--json"]) in (0, 1, 2)
+    report = json.loads(capsys.readouterr().out)
+    assert [r["name"] for r in report["obstructions"]] == [name]
+
+
+def test_check_names_cover_every_reported_check():
+    assert set(CHECK_EXAMPLES) == set(CHECK_NAMES)
+    corpus = Path(__file__).parent / "golden" / "corpus.jsonl"
+    reported = {
+        r["name"]
+        for line in corpus.read_text().splitlines()
+        for r in json.loads(line)["report"]["obstructions"]
+    }
+    assert reported == set(CHECK_NAMES)
 
 
 def test_help_exits_zero(capsys):

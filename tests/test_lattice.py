@@ -4,6 +4,7 @@ from math import isqrt
 
 import pytest
 
+from s4embed import obstructions
 from s4embed.lattice import (
     LatticeSubset,
     _row_order,
@@ -215,6 +216,74 @@ def test_search_tree_is_pinned(Q, mode, nodes, count):
     short = enumerate_subsets(Q, mode, budget=nodes - 1)
     assert short.status == "exhausted"
     assert short.nodes == nodes - 1
+
+
+@pytest.mark.parametrize("Q, mode, nodes, count", PINNED_NODES)
+def test_until_sees_each_subset_once(Q, mode, nodes, count):
+    """A callback that never accepts is handed every canonical subset
+    once, in search order, and leaves the pinned tree as it is."""
+    seen = []
+    res = enumerate_subsets(Q, mode, until=lambda s: seen.append(s) or False)
+    assert res == enumerate_subsets(Q, mode)
+    assert (res.status, res.nodes) == ("complete", nodes)
+    assert len(seen) == len(set(seen)) == count
+    assert sorted(s.rows for s in seen) == [s.rows for s in res.subsets]
+
+
+def test_until_stops_at_the_first_accepted_subset():
+    Q = PINNED_NODES[3][0]
+    seen = []
+    res = enumerate_subsets(Q, until=lambda s: seen.append(s) or len(seen) == 2)
+    assert res.status == "stopped" and not res.complete
+    assert res.nodes < 1092
+    assert set(res.subsets) == set(seen) and len(seen) == 2
+    # the first subset the search meets ends a search that accepts any
+    first = enumerate_subsets(Q, until=lambda s: True)
+    assert first.subsets == (seen[0],) and first.nodes < res.nodes
+
+
+def searched_status(monkeypatch):
+    """Record the status of every search the obstruction checks run."""
+    statuses = []
+
+    def recorded(*args, **kwargs):
+        res = search(*args, **kwargs)
+        statuses.append(res.status)
+        return res
+
+    search = obstructions.enumerate_subsets
+    monkeypatch.setattr(obstructions, "enumerate_subsets", recorded)
+    return statuses
+
+
+# lens(21,8) + lens(21,13): the double-subset check meets its first
+# splitting pair at node 495 of the 1092 of the complete search
+FIRST_SPLIT, ALL_NODES = 495, 1092
+
+
+@pytest.mark.parametrize("budget", [FIRST_SPLIT, FIRST_SPLIT + 1, ALL_NODES - 1, None])
+def test_double_subset_passes_once_its_witness_is_reached(monkeypatch, budget):
+    statuses = searched_status(monkeypatch)
+    res = obstructions.double_subset_obstruction(PINNED_NODES[3][0], budget)
+    assert res.verdict == "pass"
+    assert statuses == ["stopped"]
+
+
+@pytest.mark.parametrize("budget", [0, 1, FIRST_SPLIT - 1])
+def test_double_subset_is_inconclusive_before_its_witness(monkeypatch, budget):
+    statuses = searched_status(monkeypatch)
+    res = obstructions.double_subset_obstruction(PINNED_NODES[3][0], budget)
+    assert res.verdict == "inconclusive"
+    assert statuses == ["exhausted"]
+
+
+def test_obstructed_needs_the_complete_search(monkeypatch):
+    statuses = searched_status(monkeypatch)
+    Q = lens_chains(LensSum([(5, 1), (5, 1)])).incidence_matrix()
+    assert obstructions.double_subset_obstruction(Q).verdict == "obstructed"
+    nodes = enumerate_subsets(Q).nodes
+    assert obstructions.double_subset_obstruction(Q, nodes - 1).verdict == "inconclusive"
+    assert statuses == ["complete", "exhausted"]
 
 
 def rescan_row_order(G) -> list[int]:

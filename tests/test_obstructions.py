@@ -1,12 +1,14 @@
 import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
 
 from s4embed import obstructions
-from s4embed.classify import full_report
-from s4embed.intlinalg import cokernel, determinant
-from s4embed.lattice import LatticeSubset, enumerate_subsets
+from s4embed.classify import ManifoldContext, full_report
+from s4embed.intlinalg import cokernel, determinant, direct_sum_test, doubled_factors
+from s4embed.lattice import LatticeSubset, enumerate_subsets, verify_factorization
 from s4embed.manifolds import LensSum, PretzelCover, SeifertManifold, pretzel_to_seifert
 from s4embed.obstructions import (
     char_vector_criterion,
@@ -189,3 +191,171 @@ def test_six_summand_sum_joins_same_type_pairs_only(monkeypatch):
     expected = ("obstructed", "complete search: 204 usable subgroup(s), no splitting pair")
     assert notes["double_subset"] == notes["double_subset_mirror"] == expected
     assert len(joins) == 20420 and all(joins)
+
+
+# ---------------------------------------------------------------------------
+# The checks as they ran before the pairing moved into the search: the
+# whole tree is enumerated, every subset sorted, and only then filtered
+# and paired.  Each returns (verdict, notes); the streamed checks must
+# reach the same verdict, and the same notes wherever they do not pass.
+
+
+def full_double_subset(Q):
+    det = determinant(Q) * (-1) ** len(Q)
+    if det < 0 or math.isqrt(det) ** 2 != det:
+        return "obstructed", double_subset_obstruction(Q).notes  # no search either way
+    res = enumerate_subsets(Q)
+    if not res.complete:
+        return "inconclusive", "budget exhausted"
+    G = cokernel(Q)
+    columns = [(subset_column_subgroup(G, s), s) for s in res.subsets]
+    note = ""
+    if G.order % 2 == 1:
+        kept = [(H, s) for H, s in columns if char_vector_criterion(H)]
+        if len(kept) != len(columns):
+            removed = len(columns) - len(kept)
+            note = f"{removed} factorisation(s) removed by the correction-term filter; "
+        columns = kept
+    if G.order == 1:
+        return ("pass", "") if columns else ("obstructed", note + "no factorisation exists")
+    reps = {}
+    for H, _ in columns:
+        reps.setdefault(H.basis, H)
+    halves = [H for H in reps.values() if H.order * H.order == G.order]
+    for i, H1 in enumerate(halves):
+        for H2 in halves[i + 1 :]:
+            if H1.factors == H2.factors and direct_sum_test(G, H1, H2)[0]:
+                return "pass", ""
+    usable = f"complete search: {len(reps)} usable subgroup(s), no splitting pair"
+    return "obstructed", note + usable
+
+
+def full_semidefinite(Q):
+    if enumerate_subsets(Q, "rectangular").subsets:
+        return "pass", ""
+    return "obstructed", "complete search: no rectangular factorisation"
+
+
+def full_nonorientable(Q):
+    det = determinant(Q) * (-1) ** len(Q)
+    if not Q or det < 0 or math.isqrt(det) ** 2 != det:
+        res = nonorientable_obstruction(Q)  # no search either way
+        return res.verdict, res.notes
+    G = cokernel(Q)
+    columns = [subset_column_subgroup(G, s) for s in enumerate_subsets(Q).subsets]
+    qualifying = [H for H in columns if doubled_factors(H.factors) == tuple(sorted(G.factors))]
+    for i, H1 in enumerate(qualifying):
+        for H2 in qualifying[i:]:
+            if direct_sum_test(G, H1, H2)[2] <= 2:
+                return "pass", ""
+    return "obstructed", (
+        f"complete search: {len(qualifying)} qualifying subset(s), no pair with intersection <= 2"
+    )
+
+
+def certificate_fault(check: str, result, Q) -> str | None:
+    """Why a streamed pass does not certify itself, or None."""
+    if check == "semidefinite_subset":
+        (A,) = result.certificates
+        return None if verify_factorization(A, Q) else "rows do not factor Q"
+    G = cokernel(Q)
+    if result.notes.endswith("trivial cokernel"):
+        ((A1, A2),) = result.certificates
+        if G.order == 1 and A1 is A2 and verify_factorization(A1, Q):
+            return None
+        return "not one factorisation of a unimodular Q"
+    (A1, A2), (H1, H2) = result.certificates
+    if not (verify_factorization(A1, Q) and verify_factorization(A2, Q)):
+        return "rows do not factor Q"
+    if (subset_column_subgroup(G, A1), subset_column_subgroup(G, A2)) != (H1, H2):
+        return "subgroups are not the column subgroups of the rows"
+    is_direct, _, meet = direct_sum_test(G, H1, H2)
+    if check == "double_subset":
+        if G.order % 2 and not (char_vector_criterion(H1) and char_vector_criterion(H2)):
+            return "a subset fails the correction-term filter"
+        return None if is_direct and H1.factors == H2.factors else "pair does not split G"
+    doubled = tuple(sorted(G.factors))
+    if doubled_factors(H1.factors) != doubled or doubled_factors(H2.factors) != doubled:
+        return "a subgroup does not double to G"
+    return None if meet <= 2 else "pair meets in more than 2"
+
+
+FULL_CHECKS = {
+    "double_subset": full_double_subset,
+    "semidefinite_subset": full_semidefinite,
+    "nonorientable_double_subset": full_nonorientable,
+}
+
+
+def streaming_faults(m, tally: Counter) -> list[str]:
+    """Compare every search check of one report with its full-enumeration
+    form; the report runs with certificates, so a lens sum's searches run.
+    ``tally`` counts the (check, verdict) pairs of the forms searched."""
+    ctx = ManifoldContext(m)
+    report = full_report(m, certificates=True)
+    faults = []
+    for r in report.results:
+        check = r.name.removesuffix("_mirror")
+        if check not in FULL_CHECKS:
+            continue
+        if r.name.endswith("_mirror"):
+            side = "-"
+        else:
+            side = ctx.definite_side if check == "double_subset" else "+"
+        Q = ctx.tree(side).incidence_matrix()
+        verdict, notes = FULL_CHECKS[check](Q)
+        if "perfect square" not in notes:
+            tally[check, verdict] += 1
+        if r.verdict != verdict or (verdict != "pass" and r.notes != notes):
+            streamed = f"{r.verdict} ({r.notes})"
+            faults.append(f"{m.describe()} {r.name}: {streamed} vs {verdict} ({notes})")
+        elif verdict == "pass" and (why := certificate_fault(check, r, Q)):
+            faults.append(f"{m.describe()} {r.name}: {why}")
+    return faults
+
+
+LENS_SUMMANDS = [(p, q) for p in range(2, 16) for q in range(1, p) if math.gcd(p, q) == 1]
+PRETZEL_VALUES = [a for a in range(-5, 6) if a]
+SMALL_FIBRES = [(a, b) for a in range(2, 6) for b in range(1, a) if math.gcd(a, b) == 1]
+
+
+def test_streamed_checks_match_full_enumeration_on_lens_sums():
+    tally = Counter()
+    pairs = itertools.combinations_with_replacement(LENS_SUMMANDS, 2)
+    assert [f for pair in pairs for f in streaming_faults(LensSum(list(pair)), tally)] == []
+    assert tally == {("double_subset", "pass"): 84, ("double_subset", "obstructed"): 528}
+
+
+def test_streamed_checks_match_full_enumeration_on_pretzels():
+    tally = Counter()
+    covers = itertools.combinations_with_replacement(PRETZEL_VALUES, 3)
+    assert [f for s in covers for f in streaming_faults(PretzelCover(list(s)), tally)] == []
+    assert tally == {
+        ("double_subset", "pass"): 8,
+        ("double_subset", "obstructed"): 30,
+        ("semidefinite_subset", "obstructed"): 4,
+    }
+
+
+def test_streamed_checks_match_full_enumeration_on_complementary_pairs():
+    """Two complementary fibre pairs over S^2 give e = 0, so the
+    semidefinite checks run, and pass, on both sides."""
+    tally = Counter()
+    for pairs in itertools.combinations_with_replacement(SMALL_FIBRES, 2):
+        y = SeifertManifold(True, 0, 0, [*pairs, *((a, -b) for a, b in pairs)])
+        assert streaming_faults(y, tally) == []
+    assert tally == {("semidefinite_subset", "pass"): 90}
+
+
+def test_streamed_checks_match_full_enumeration_on_nonorientable_bases():
+    tally = Counter()
+    spaces = [
+        SeifertManifold(False, 1, 0, list(fibres))
+        for k in (2, 3, 4)
+        for fibres in itertools.combinations_with_replacement(SMALL_FIBRES, k)
+    ]
+    assert [f for y in spaces for f in streaming_faults(y, tally)] == []
+    assert tally == {
+        ("nonorientable_double_subset", "pass"): 86,
+        ("nonorientable_double_subset", "obstructed"): 274,
+    }
