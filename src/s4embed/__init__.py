@@ -6,13 +6,12 @@ link embeds smoothly in S^4, reporting certificates for every verdict.
 """
 
 from .classify import full_report
-from .lattice import LatticeSubset, enumerate_subsets, verify_factorization
+from .lattice import LatticeSubset, enumerate_subsets
 from .manifolds import (
     LensSum,
     PretzelCover,
     SeifertManifold,
     euler_invariant,
-    eval_continued_fraction,
     first_homology,
     neg_continued_fraction,
     normalize_seifert,
@@ -36,7 +35,6 @@ __all__ = [
     "double_subset_obstruction",
     "enumerate_subsets",
     "euler_invariant",
-    "eval_continued_fraction",
     "first_homology",
     "full_report",
     "mu_bar",
@@ -46,7 +44,6 @@ __all__ = [
     "plumbing_tree",
     "semidefinite_obstruction",
     "spin_profile",
-    "verify_factorization",
     "wu_sets",
 ]
 

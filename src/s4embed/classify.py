@@ -7,8 +7,13 @@ for.  It also owns the report's plumbings: one tree per orientation,
 built when a check first reads that side and shared by every later
 check, so the definite-side tree serves both the form checks and mu-bar.
 The definite side is '-' iff e < 0, else '+'.  The context sorts the
-manifold into one class, and the class's table of named checks runs in
-order, every check on the same context:
+manifold into one class, and the rows of the class's table run in order,
+every check on the same context.  A row is a (name, check) pair, and the
+check's result is reported under the row's name; ``full_report(only=...)``
+picks rows by name, so only the named checks run.  A search is run once
+per (obstruction, tree) in a report: a mirror row whose plumbing equals
+its twin's (e = 0 complementary pairs, many non-orientable spaces, sums
+K # -K) reports the twin's search under its own name.  The tables:
 
 * lens sums: torsion_square, lens_mirror_pairing.  A sum embeds iff
   every p_i is odd and the summands match up into mirror pairs, so these
@@ -18,9 +23,9 @@ order, every check on the same context:
   change the verdict or the reason.
 * base S^2 with at most two fibres, given as a Seifert space or as a
   pretzel cover with at most two strands |a_i| >= 2: torsion_square,
-  lens_space.  These are lens spaces.  S^3 and S^1 x S^2 (H_1 trivial or
-  Z) embed; any other lens space is refuted, and the verdict cites
-  theorem:lens_mirror_pairing.
+  lens_mirror_pairing (the lens-space rule).  These are lens spaces.
+  S^3 and S^1 x S^2 (H_1 trivial or Z) embed; any other lens space is
+  refuted, and the verdict cites theorem:lens_mirror_pairing.
 * non-orientable base: torsion_square, weak_complementary_pairs,
   even_fibre_clause, nonorientable_double_subset and its mirror.
 * orientable base, e = 0: torsion_square, complementary_pairs,
@@ -52,7 +57,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable
@@ -233,6 +238,7 @@ class ManifoldContext:
 
     manifold: Manifold
     _trees: dict[str, PlumbingTree] = field(default_factory=dict, init=False, repr=False)
+    _searches: dict[tuple, ObstructionResult] = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def seifert(self) -> SeifertManifold | None:
@@ -265,6 +271,11 @@ class ManifoldContext:
             forms = self._seifert_strand_forms
             return PretzelCover(forms[-1]) if forms else None
         return m if isinstance(m, PretzelCover) else None
+
+    @cached_property
+    def link_components(self) -> int | None:
+        """Components of the branch link of the cover; None without one."""
+        return None if self.cover is None else pretzel_link_components(self.cover.strands)
 
     @cached_property
     def strand_forms(self) -> tuple[tuple[int, ...], ...]:
@@ -313,24 +324,20 @@ class ManifoldContext:
 
 
 # ---------------------------------------------------------------------------
-# checks: each reads the context and returns its named result, or None
-# where it does not apply (the spin checks need a pretzel presentation).
-# Layer functions are looked up by module-global name at call time.
+# checks: each reads the context and returns its result, which the engine
+# names after the check's table row, or None where it does not apply (the
+# spin checks need a pretzel presentation).  Layer functions are looked up
+# by module-global name at call time.
 
 
 def _is_square(n: int) -> bool:
     return math.isqrt(n) ** 2 == n
 
 
-def _judged(name: str, ok: bool, passed: str, failed: str, certificates=()) -> ObstructionResult:
+def _judged(ok: bool, passed: str, failed: str, certificates=()) -> ObstructionResult:
     return ObstructionResult(
-        name, "pass" if ok else "obstructed", list(certificates), passed if ok else failed
+        "", "pass" if ok else "obstructed", list(certificates), passed if ok else failed
     )
-
-
-def _named(result: ObstructionResult, name: str) -> ObstructionResult:
-    result.name = name
-    return result
 
 
 def _torsion_square(ctx: ManifoldContext, budget: int) -> ObstructionResult:
@@ -338,7 +345,6 @@ def _torsion_square(ctx: ManifoldContext, budget: int) -> ObstructionResult:
     splits as G + G across the two sides)."""
     order = ctx.homology[1].order
     return _judged(
-        "torsion_square",
         _is_square(order),
         f"|torsion H_1| = {order} = {math.isqrt(order)}^2",
         f"|torsion H_1| = {order} is not a perfect square",
@@ -347,7 +353,7 @@ def _torsion_square(ctx: ManifoldContext, budget: int) -> ObstructionResult:
 
 def _lens_mirror_pairing(ctx: ManifoldContext, budget: int) -> ObstructionResult:
     fault = _lens_sum_fault(ctx.manifold)
-    return _judged("lens_mirror_pairing", fault is None, "summands pair into mirrors", fault)
+    return _judged(fault is None, "summands pair into mirrors", fault)
 
 
 def _lens_space(ctx: ManifoldContext, budget: int) -> ObstructionResult | None:
@@ -357,43 +363,19 @@ def _lens_space(ctx: ManifoldContext, budget: int) -> ObstructionResult | None:
     order = ctx.homology[1].order
     if order == 1 or not _is_square(order):
         return None
-    return ObstructionResult(
-        "lens_mirror_pairing", "obstructed", notes="a single nontrivial lens space never embeds"
-    )
-
-
-def _form(ctx: ManifoldContext, side: str) -> list[list[int]]:
-    return ctx.tree(side).incidence_matrix()
-
-
-def _double_subset(ctx: ManifoldContext, budget: int) -> ObstructionResult:
-    return double_subset_obstruction(_form(ctx, ctx.definite_side), budget)
-
-
-def _double_subset_mirror(ctx: ManifoldContext, budget: int) -> ObstructionResult:
-    return _named(double_subset_obstruction(_form(ctx, "-"), budget), "double_subset_mirror")
+    return ObstructionResult("", "obstructed", notes="a single nontrivial lens space never embeds")
 
 
 def _complementary_pairs(ctx: ManifoldContext, budget: int) -> ObstructionResult:
     return _judged(
-        "complementary_pairs",
         complementary_matched(ctx.seifert.invariants),
         "invariants pair into complements",
         "invariants do not pair into complements",
     )
 
 
-def _semidefinite_subset(ctx: ManifoldContext, budget: int) -> ObstructionResult:
-    return semidefinite_obstruction(_form(ctx, "+"), budget)
-
-
-def _semidefinite_subset_mirror(ctx: ManifoldContext, budget: int) -> ObstructionResult:
-    return _named(semidefinite_obstruction(_form(ctx, "-"), budget), "semidefinite_subset_mirror")
-
-
 def _weak_complementary_pairs(ctx: ManifoldContext, budget: int) -> ObstructionResult:
     return _judged(
-        "weak_complementary_pairs",
         weak_complementary_matched(ctx.seifert.invariants),
         "invariants pair into weak complements",
         "invariants do not pair into weak complements",
@@ -402,31 +384,19 @@ def _weak_complementary_pairs(ctx: ManifoldContext, budget: int) -> ObstructionR
 
 def _even_fibre_clause(ctx: ManifoldContext, budget: int) -> ObstructionResult:
     return _judged(
-        "even_fibre_clause",
         even_fibre_clause(ctx.seifert.invariants),
         "",
         "two even-a fibres violate the +-b, +-b^-1 clause",
     )
 
 
-def _nonorientable_double_subset(ctx: ManifoldContext, budget: int) -> ObstructionResult:
-    return nonorientable_obstruction(_form(ctx, "+"), budget)
-
-
-def _nonorientable_double_subset_mirror(ctx: ManifoldContext, budget: int) -> ObstructionResult:
-    return _named(
-        nonorientable_obstruction(_form(ctx, "-"), budget), "nonorientable_double_subset_mirror"
-    )
-
-
 def _spin_count_parity(ctx: ManifoldContext, budget: int) -> ObstructionResult | None:
     """b_1 is even iff the branch link has an odd component count."""
-    if ctx.cover is None:
+    k = ctx.link_components
+    if k is None:
         return None
-    k = pretzel_link_components(ctx.cover.strands)
     b1 = ctx.homology[0]
     return _judged(
-        "spin_count_parity",
         (b1 % 2 == 0) == (k % 2 == 1),
         f"k = {k}, b_1 = {b1}",
         f"k = {k} components force b_1 parity {1 - b1 % 2}, found b_1 = {b1}",
@@ -436,13 +406,12 @@ def _spin_count_parity(ctx: ManifoldContext, budget: int) -> ObstructionResult |
 def _mubar_vanishing(ctx: ManifoldContext, budget: int) -> ObstructionResult | None:
     """At least 2^((k+1)/2)-1 (k odd) or 3*2^((k-2)/2)-1 (k even)
     vanishing mu-bar invariants are required."""
-    if ctx.cover is None:
+    k = ctx.link_components
+    if k is None:
         return None
-    k = pretzel_link_components(ctx.cover.strands)
     profile = spin_profile(ctx.tree(ctx.definite_side), ctx.definite_side, k)
     threshold = mubar_vanishing_threshold(k)
     return _judged(
-        "mubar_vanishing",
         profile.vanishing >= threshold,
         f"{profile.vanishing} of {profile.spin_count} mu-bar values vanish",
         f"only {profile.vanishing} vanishing mu-bar values, need {threshold}",
@@ -450,61 +419,85 @@ def _mubar_vanishing(ctx: ManifoldContext, budget: int) -> ObstructionResult | N
     )
 
 
+def _search(ctx: ManifoldContext, obstruction, side: str, budget: int) -> ObstructionResult:
+    """``obstruction`` run on the plumbing form of ``side``, once per
+    (obstruction, tree) in a report: a mirror row whose tree is its
+    twin's takes the twin's result.  The rows below call this through a
+    lambda, so the obstruction is looked up by module-global name when
+    the row runs."""
+    tree = ctx.tree(side)
+    key = (obstruction, tree)
+    if key not in ctx._searches:
+        ctx._searches[key] = obstruction(tree.incidence_matrix(), budget)
+    return ctx._searches[key]
+
+
 # ---------------------------------------------------------------------------
 # check tables, one per class (pretzel covers split by e)
 
 Check = Callable[[ManifoldContext, int], "ObstructionResult | None"]
+Row = tuple[str, Check]
 
 
 @dataclass(frozen=True)
 class CheckTable:
-    """The ordered checks of one manifold class.  A refutation cites the
-    first check that fired, or ``theorem`` for a class decided by one.
-    ``certificates`` is an optional tail of named checks that cannot
-    change what the checks before them decide; they run only on request."""
+    """The ordered (name, check) rows of one manifold class; a check's
+    result is reported under its row's name.  A refutation cites the
+    first row that fired, or ``theorem`` for a class decided by one.
+    ``certificates`` is an optional tail of rows that cannot change what
+    the rows before them decide; they run only on request.  A mirror
+    search whose plumbing equals its twin's shares the twin's search.
+    ``full_report(only=...)`` picks rows by name before any runs."""
 
-    checks: tuple[Check, ...]
+    checks: tuple[Row, ...]
     theorem: str | None = None
-    certificates: tuple[tuple[str, Check], ...] = ()
+    certificates: tuple[Row, ...] = ()
 
 
-_SPIN = (_spin_count_parity, _mubar_vanishing)
-_E0_FORMS = (_complementary_pairs, _semidefinite_subset, _semidefinite_subset_mirror)
+_TORSION: Row = ("torsion_square", _torsion_square)
+_DOUBLE: Row = (
+    "double_subset",
+    lambda ctx, b: _search(ctx, double_subset_obstruction, ctx.definite_side, b),
+)
+_SPIN = (("spin_count_parity", _spin_count_parity), ("mubar_vanishing", _mubar_vanishing))
+_E0_FORMS = (
+    ("complementary_pairs", _complementary_pairs),
+    ("semidefinite_subset", lambda ctx, b: _search(ctx, semidefinite_obstruction, "+", b)),
+    ("semidefinite_subset_mirror", lambda ctx, b: _search(ctx, semidefinite_obstruction, "-", b)),
+)
 
 LENS_SUM = CheckTable(
-    (_torsion_square, _lens_mirror_pairing),
-    certificates=(("double_subset", _double_subset), ("double_subset_mirror", _double_subset_mirror)),
+    (_TORSION, ("lens_mirror_pairing", _lens_mirror_pairing)),
+    certificates=(
+        _DOUBLE,
+        ("double_subset_mirror", lambda ctx, b: _search(ctx, double_subset_obstruction, "-", b)),
+    ),
 )
-LENS_SPACE = CheckTable((_torsion_square, _lens_space), theorem="lens_mirror_pairing")
+LENS_SPACE = CheckTable(
+    (_TORSION, ("lens_mirror_pairing", _lens_space)), theorem="lens_mirror_pairing"
+)
 NONORIENTABLE = CheckTable((
-    _torsion_square,
-    _weak_complementary_pairs,
-    _even_fibre_clause,
-    _nonorientable_double_subset,
-    _nonorientable_double_subset_mirror,
+    _TORSION,
+    ("weak_complementary_pairs", _weak_complementary_pairs),
+    ("even_fibre_clause", _even_fibre_clause),
+    (
+        "nonorientable_double_subset",
+        lambda ctx, b: _search(ctx, nonorientable_obstruction, "+", b),
+    ),
+    (
+        "nonorientable_double_subset_mirror",
+        lambda ctx, b: _search(ctx, nonorientable_obstruction, "-", b),
+    ),
 ))
-ORIENTABLE_E0 = CheckTable((_torsion_square, *_E0_FORMS, *_SPIN))
-ORIENTABLE = CheckTable((_torsion_square, _double_subset, *_SPIN))
-PRETZEL_E0 = CheckTable((_torsion_square, *_SPIN, *_E0_FORMS))
-PRETZEL = CheckTable((_torsion_square, *_SPIN, _double_subset))
+ORIENTABLE_E0 = CheckTable((_TORSION, *_E0_FORMS, *_SPIN))
+ORIENTABLE = CheckTable((_TORSION, _DOUBLE, *_SPIN))
+PRETZEL_E0 = CheckTable((_TORSION, *_SPIN, *_E0_FORMS))
+PRETZEL = CheckTable((_TORSION, *_SPIN, _DOUBLE))
 
-# every name a check of the tables above can report; ``--obstruction``
-# accepts exactly these
-CHECK_NAMES = (
-    "torsion_square",
-    "lens_mirror_pairing",
-    "double_subset",
-    "double_subset_mirror",
-    "complementary_pairs",
-    "semidefinite_subset",
-    "semidefinite_subset_mirror",
-    "weak_complementary_pairs",
-    "even_fibre_clause",
-    "nonorientable_double_subset",
-    "nonorientable_double_subset_mirror",
-    "spin_count_parity",
-    "mubar_vanishing",
-)
+# every name a row of the tables above carries; ``--obstruction`` accepts
+# exactly these
+_TABLES = (LENS_SUM, LENS_SPACE, NONORIENTABLE, ORIENTABLE_E0, ORIENTABLE, PRETZEL_E0, PRETZEL)
+CHECK_NAMES = tuple(dict.fromkeys(name for t in _TABLES for name, _ in t.checks + t.certificates))
 
 
 # ---------------------------------------------------------------------------
@@ -627,18 +620,18 @@ def full_report(
     certificates: bool = False,
 ) -> ObstructionReport:
     """Run the check table of the manifold's class and merge the results
-    with the catalog by the rule in the module docstring.  ``only`` keeps
-    the results with those names.  The table's certificate checks run
-    when ``certificates`` is set or ``only`` names them."""
+    with the catalog by the rule in the module docstring.  Each result
+    carries its row's name.  The table's certificate rows join when
+    ``certificates`` or ``only`` is set, and ``only`` then keeps the rows
+    with those names, so only the named checks run."""
     ctx = ManifoldContext(m)
     table = ctx.table
-    checks = [
-        *table.checks,
-        *(c for name, c in table.certificates if certificates or (only and name in only)),
-    ]
-    results = [r for check in checks if (r := check(ctx, budget)) is not None]
+    rows = table.checks + (table.certificates if certificates or only else ())
     if only is not None:
-        results = [r for r in results if r.name in only]
+        rows = tuple(row for row in rows if row[0] in only)
+    results = [
+        replace(r, name=name) for name, check in rows if (r := check(ctx, budget)) is not None
+    ]
 
     hits = catalog_matches(ctx)
     obstructed = [r for r in results if r.obstructed]

@@ -16,6 +16,9 @@ searches run only with ``--certificates`` or when ``--obstruction`` names
 one of them.  Status, reason and exit code are the same either way.  A
 passing search stops at, and cites, the first witness it meets.
 
+``--obstruction NAME`` (repeatable) runs only the named checks; the
+status is merged from their results alone.
+
 Exit codes: 0 embeds, 1 obstructed, 2 unknown, 64 parse/usage error,
 70 internal error.  Code 70 means either a conflict (status CONFLICT: a
 catalog hit contradicting a completed obstruction) or an exception
@@ -251,8 +254,9 @@ _ARGS.add_argument(
     default=None,
     choices=CHECK_NAMES,
     metavar="NAME",
-    help="run only the named obstruction (repeatable); an unknown name is a "
-    f"usage error.  Names: {', '.join(CHECK_NAMES)}",
+    help="run only the named checks (repeatable): the others do not run, "
+    "and a certificate search runs when named.  An unknown name is a usage "
+    f"error.  Names: {', '.join(CHECK_NAMES)}",
 )
 _ARGS.add_argument("--quiet", action="store_true", help="suppress text output")
 

@@ -445,7 +445,6 @@ class FiniteAbelianGroup:
 
     factors: tuple[int, ...]
     free_rank: int = 0
-    ambient_dim: int = 0
     _torsion_rows: tuple[tuple[int, ...], ...] = field(default=(), repr=False)
 
     @property
@@ -482,7 +481,7 @@ def cokernel(M) -> FiniteAbelianGroup:
     """Z^n / im(M) for square integer M, with free rank when singular."""
     n = len(M)
     if n == 0:
-        return FiniteAbelianGroup(factors=(), free_rank=0, ambient_dim=0)
+        return FiniteAbelianGroup(factors=())
     if any(len(row) != n for row in M):
         raise ValueError("cokernel expects a square matrix")
     U, D, _ = smith_normal_form(M, right=False)
@@ -491,7 +490,6 @@ def cokernel(M) -> FiniteAbelianGroup:
     return FiniteAbelianGroup(
         factors=tuple(d for d, _ in torsion),
         free_rank=diag.count(0),
-        ambient_dim=n,
         _torsion_rows=tuple(tuple(x % d for x in U[i]) for d, i in torsion),
     )
 

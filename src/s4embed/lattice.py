@@ -75,18 +75,6 @@ def canonicalize_rows(rows) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(col[i] for col in cols) for i in range(len(rows)))
 
 
-def verify_factorization(A, Q) -> bool:
-    """True iff A A^t = -Q entrywise."""
-    rows = A.rows if isinstance(A, LatticeSubset) else tuple(tuple(r) for r in A)
-    if len(rows) != len(Q):
-        return False
-    for i, r in enumerate(rows):
-        for j, s in enumerate(rows):
-            if sum(a * b for a, b in zip(r, s)) != -Q[i][j]:
-                return False
-    return True
-
-
 def _row_order(G) -> list[int]:
     """Deterministic placement order: heaviest constraints first.
 

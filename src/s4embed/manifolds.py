@@ -14,7 +14,7 @@ the central framing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .intlinalg import FiniteAbelianGroup, cokernel
@@ -41,21 +41,6 @@ def neg_continued_fraction(p: int, q: int) -> tuple[int, ...]:
         seq.append(a)
         p, q = q, a * q - p
     return tuple(seq)
-
-
-def eval_continued_fraction(seq) -> Fraction:
-    """Value of [a1, ..., an]^- = a1 - 1/(a2 - 1/(...)), exactly."""
-    value: Fraction | None = None
-    for a in reversed(list(seq)):
-        if value is None:
-            value = Fraction(a)
-        else:
-            if value == 0:
-                raise ZeroDivisionError("division by zero in tail")
-            value = a - 1 / value
-    if value is None:
-        raise ValueError("empty continued fraction")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +322,4 @@ def first_homology(m: Manifold) -> tuple[int, FiniteAbelianGroup]:
     rows = _seifert_presentation(m)
     G = cokernel(_square_presentation(rows))
     b1 = G.free_rank + (2 * m.genus if m.base_orientable else 0)
-    torsion = FiniteAbelianGroup(
-        factors=G.factors,
-        free_rank=0,
-        ambient_dim=G.ambient_dim,
-        _torsion_rows=G._torsion_rows,
-    )
-    return b1, torsion
+    return b1, replace(G, free_rank=0)

@@ -15,6 +15,7 @@ from s4embed.classify import (
     pretzel_unknown_family,
     weak_complementary_matched,
 )
+from s4embed.cli import parse_manifold
 from s4embed.manifolds import LensSum, PretzelCover, SeifertManifold
 from s4embed.plumbing import seifert_star
 
@@ -219,17 +220,28 @@ def test_certificate_searches_agree_with_the_theorem():
     assert found == {}
 
 
+def count_searches(monkeypatch) -> list:
+    """Wrap the three searches the check tables run; each call appends
+    the form it searched."""
+    searched = []
+
+    def counting(search):
+        def counted(Q, budget=None):
+            searched.append(Q)
+            return search(Q, budget)
+
+        return counted
+
+    for search in ("double_subset", "semidefinite", "nonorientable"):
+        name = f"{search}_obstruction"
+        monkeypatch.setattr(classify, name, counting(getattr(classify, name)))
+    return searched
+
+
 def test_lens_sums_search_only_for_certificates(monkeypatch):
     """The default report of a lens sum runs no double-subset search;
     certificates, or naming one of the searches, runs it."""
-    searched = []
-
-    def counted(Q, budget=None):
-        searched.append(len(Q))
-        return search(Q, budget)
-
-    search = classify.double_subset_obstruction
-    monkeypatch.setattr(classify, "double_subset_obstruction", counted)
+    searched = count_searches(monkeypatch)
     m = LensSum([(8, 3), (8, 3), (8, 5), (8, 5), (21, 8), (21, 13)])
     r = full_report(m)
     assert [res.name for res in r.results] == ["torsion_square", "lens_mirror_pairing"]
@@ -240,9 +252,47 @@ def test_lens_sums_search_only_for_certificates(monkeypatch):
     assert [res.name for res in r.results] == ["double_subset_mirror"]
     assert r.status == "EMBEDS" and len(searched) == 1
 
+    # lens(3,1)+lens(3,2) is its own mirror: both rows share one search
     r = full_report(LensSum([(3, 1), (3, 2)]), certificates=True)
     assert [res.name for res in r.results][2:] == ["double_subset", "double_subset_mirror"]
-    assert len(searched) == 3
+    assert len(searched) == 2
+
+
+@pytest.mark.parametrize(
+    "text, twins",
+    [
+        ("seifert(N(1); 0; (3,1),(3,-1))", "nonorientable_double_subset"),
+        ("pretzel(2,-2,3,-3)", "semidefinite_subset"),
+        ("pretzel(2,-2,2,-2)", "semidefinite_subset"),
+        ("seifert(S2; 0; (3,1),(3,-1),(5,2),(5,-2))", "semidefinite_subset"),
+    ],
+)
+def test_mirror_row_on_the_same_tree_shares_its_twins_search(monkeypatch, text, twins):
+    searched = count_searches(monkeypatch)
+    r = full_report(parse_manifold(text), certificates=True)
+    assert len(searched) == 1
+    twin, mirror = r.result(twins), r.result(twins + "_mirror")
+    assert mirror is not twin
+    assert (mirror.verdict, mirror.notes, mirror.certificates) == (
+        twin.verdict,
+        twin.notes,
+        twin.certificates,
+    )
+
+
+def test_sides_with_different_trees_run_two_searches(monkeypatch):
+    """lens(5,2) has chain [3,2] and its mirror lens(5,3) chain [2,3]."""
+    searched = count_searches(monkeypatch)
+    full_report(LensSum([(5, 2), (5, 2)]), certificates=True)
+    assert len(searched) == 2 and searched[0] != searched[1]
+
+
+def test_only_runs_just_the_named_rows(monkeypatch):
+    searched = count_searches(monkeypatch)
+    m = LensSum([(8, 3), (8, 3), (8, 5), (8, 5), (21, 8), (21, 13)])
+    r = full_report(m, only=["torsion_square"], certificates=True)
+    assert [res.name for res in r.results] == ["torsion_square"]
+    assert searched == []
 
 
 def test_catalog_consistency():

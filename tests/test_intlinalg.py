@@ -75,7 +75,7 @@ def group_from_factors(factors) -> FiniteAbelianGroup:
             raise ValueError("invariant factors must form a divisibility chain")
     m = len(factors)
     rows = tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))
-    return FiniteAbelianGroup(factors=factors, free_rank=0, ambient_dim=m, _torsion_rows=rows)
+    return FiniteAbelianGroup(factors=factors, _torsion_rows=rows)
 
 
 def check_snf(M):

@@ -10,7 +10,6 @@ from s4embed.lattice import (
     _row_order,
     canonicalize_rows,
     enumerate_subsets,
-    verify_factorization,
 )
 from s4embed.manifolds import LensSum, PretzelCover, SeifertManifold
 from s4embed.plumbing import lens_chains, plumbing_tree
@@ -66,6 +65,19 @@ def naive_enumerate_subsets(Q, mode: str = "square") -> tuple[LatticeSubset, ...
 
     build(0, [])
     return tuple(LatticeSubset(rows) for rows in sorted(out))
+
+
+def verify_factorization(A, Q) -> bool:
+    """True iff A A^t = -Q entrywise: the oracle every certificate test
+    checks a factorisation with."""
+    rows = A.rows if isinstance(A, LatticeSubset) else tuple(tuple(r) for r in A)
+    if len(rows) != len(Q):
+        return False
+    for i, r in enumerate(rows):
+        for j, s in enumerate(rows):
+            if sum(a * b for a, b in zip(r, s)) != -Q[i][j]:
+                return False
+    return True
 
 
 def p_chain(p):

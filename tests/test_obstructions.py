@@ -8,7 +8,7 @@ import pytest
 from s4embed import obstructions
 from s4embed.classify import ManifoldContext, full_report
 from s4embed.intlinalg import cokernel, determinant, direct_sum_test, doubled_factors
-from s4embed.lattice import LatticeSubset, enumerate_subsets, verify_factorization
+from s4embed.lattice import LatticeSubset, enumerate_subsets
 from s4embed.manifolds import LensSum, PretzelCover, SeifertManifold, pretzel_to_seifert
 from s4embed.obstructions import (
     char_vector_criterion,
@@ -18,6 +18,7 @@ from s4embed.obstructions import (
     subset_column_subgroup,
 )
 from s4embed.plumbing import lens_chains, plumbing_tree, seifert_leg_forest
+from test_lattice import verify_factorization
 
 
 def lens_Q(*summands):
@@ -124,8 +125,6 @@ def test_char_vector_criterion_filters_lambda():
 
 
 def test_pass_certificates_verify():
-    from s4embed.lattice import verify_factorization
-
     Q = lens_Q((3, 1), (3, 2))
     res = double_subset_obstruction(Q)
     (A1, A2), (H1, H2) = res.certificates
@@ -175,9 +174,10 @@ def test_char_vector_criterion_against_brute_force():
 
 
 def test_six_summand_sum_joins_same_type_pairs_only(monkeypatch):
-    """Each double-subset check of this sum keeps 204 subgroups of order
-    1344 = sqrt|G|, so 2 * C(204, 2) = 41,412 pairs; only the 20,420 of
-    equal invariant factors can split G and reach the join."""
+    """The double-subset search of this sum keeps 204 subgroups of order
+    1344 = sqrt|G|, so C(204, 2) = 20,706 pairs; only the 10,210 of
+    equal invariant factors can split G and reach the join.  The sum is
+    its own mirror, so its two double-subset rows share one search."""
     joins = []
 
     def counted(G, H1, H2):
@@ -190,7 +190,7 @@ def test_six_summand_sum_joins_same_type_pairs_only(monkeypatch):
     notes = {r.name: (r.verdict, r.notes) for r in full_report(m, certificates=True).results}
     expected = ("obstructed", "complete search: 204 usable subgroup(s), no splitting pair")
     assert notes["double_subset"] == notes["double_subset_mirror"] == expected
-    assert len(joins) == 20420 and all(joins)
+    assert len(joins) == 10210 and all(joins)
 
 
 # ---------------------------------------------------------------------------
