@@ -294,7 +294,8 @@ class ManifoldContext:
         """The standard plumbing of one orientation ('+' or '-'), built on
         first use and kept for the rest of the call.  When both sides
         give the same tree, the first one built serves both, so its
-        dense form and signature are taken once."""
+        elimination, and its dense form if a check searches it, are taken
+        once."""
         if side not in self._trees:
             tree = plumbing_tree(self.seifert or self.manifold, side)
             self._trees[side] = next((t for t in self._trees.values() if t == tree), tree)
@@ -428,7 +429,7 @@ def _search(ctx: ManifoldContext, obstruction, side: str, budget: int) -> Obstru
     tree = ctx.tree(side)
     key = (obstruction, tree)
     if key not in ctx._searches:
-        ctx._searches[key] = obstruction(tree.incidence_matrix(), budget)
+        ctx._searches[key] = obstruction(tree, budget)
     return ctx._searches[key]
 
 

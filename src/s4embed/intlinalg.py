@@ -1,7 +1,7 @@
 """Exact integer linear algebra shared by every obstruction.
 
-Smith and Hermite normal forms, exact signatures of symmetric forms,
-GF(2) affine solving, and presentation-based finite abelian group and
+Smith and Hermite normal forms, the exact inertia and determinant of
+symmetric forms, and presentation-based finite abelian group and
 subgroup arithmetic.  Everything runs on Python's arbitrary-precision
 integers; determinants of plumbing matrices outgrow machine words as
 soon as legs get long, and none of these questions tolerate rounding.
@@ -14,12 +14,15 @@ form of H1's lift basis gives G/H1 as a sum of cyclic groups Z/e_i, and
 |H1 + H2| is |H1| times the order of H2's image there, which one echelon
 basis of width at most m gives.
 
-Signatures come from one sparse symmetric elimination over the graph of
-the form's off-diagonal entries.  It strips a leaf (a vertex of degree
-<= 1) whenever one exists and otherwise pivots on a vertex of minimum
-degree.  A plumbing form is a forest, so that is Neumann's leaf stripping
-(Trans. AMS 268, 1981) and runs in linear time.  Every step is a
-congruence, so the counts are exact for any symmetric matrix.
+Inertia and determinant come from one sparse symmetric elimination,
+``signature_triple``, which takes the form as a diagonal and weighted
+edges.  It strips a leaf (a vertex of degree <= 1) whenever one exists
+and otherwise pivots on a vertex of minimum degree.  A plumbing form is
+a forest, so that is Neumann's leaf stripping (Trans. AMS 268, 1981):
+it runs in linear time on integer subtree determinants, and builds no
+dense matrix and no fraction.  Every step is a congruence, so the
+counts are exact for any symmetric matrix; only a non-leaf pivot, which
+no forest reaches, brings in exact rationals.
 
 Matrices are plain lists of row lists.  All functions are pure, so
 concurrent use is safe.
@@ -55,31 +58,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if g < 0:
         x, y, g = -x, -y, -g
     return x, y, g
-
-
-def determinant(M) -> int:
-    """Exact determinant by fraction-free Bareiss elimination."""
-    n = len(M)
-    if n == 0:
-        return 1
-    A = [list(r) for r in M]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for i in range(k + 1, n):
-                if A[i][k]:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -257,52 +235,73 @@ def lattice_index(basis) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exact signature of a symmetric integer form
+# exact inertia and determinant of a symmetric integer form
 
 
-def signature_triple(M) -> tuple[int, int, int]:
-    """(negative, zero, positive) eigenvalue counts of a symmetric matrix.
+def signature_triple(diag, edges) -> tuple[int, int, int, int]:
+    """(negative, zero, positive, determinant) of a symmetric integer form.
 
-    One sparse symmetric elimination over the graph of the nonzero
-    off-diagonal entries.  The pivot is a vertex of degree <= 1 whenever
-    one exists, else a vertex of minimum degree:
+    The form is given sparse: ``diag`` is its diagonal, and ``edges``
+    holds its nonzero off-diagonal entries as triples (i, j, a), one per
+    unordered pair, for Q[i][j] = Q[j][i] = a.  This is the one
+    elimination of a plumbing: its inertia gives the signature and the
+    definiteness, and its determinant |coker Q|.
 
-    - a pivot with nonzero diagonal d counts the sign of d and subtracts
-      A[r][v] A[v][s] / d from the rest; for a leaf this only changes
-      its neighbour's diagonal, by -a^2/d;
+    One sparse symmetric elimination over the graph of the edges.  The
+    pivot is a vertex of degree <= 1 whenever one exists, else a vertex
+    of minimum degree.  A vertex v carries its current diagonal as the
+    quotient num[v] / den[v] with den[v] != 0:
+
+    - a leaf v with nonzero diagonal counts its sign and is stripped into
+      its neighbour u along the edge a.  Its numerator and denominator
+      are the determinants of the subtree stripped into v, with and
+      without v, so u's become num[u] num[v] - a^2 den[u] den[v] and
+      den[u] num[v], the integer recurrence for the determinant of a
+      tree across one edge;
     - a pivot with zero diagonal and a neighbour u is eliminated with u
       as the 2x2 block [[0, b], [b, e]], whose determinant -b^2 < 0
       gives one eigenvalue of each sign; when the pivot is a leaf the
       block's Schur complement is zero, so nothing fills in;
-    - an isolated pivot with zero diagonal is a zero eigenvalue.
+    - an isolated pivot counts its sign, or a zero eigenvalue;
+    - a non-leaf pivot with nonzero diagonal subtracts
+      Q[r][v] Q[v][s] / e from the rest, e its diagonal.
 
     On a forest every step strips a leaf, so the work is linear in the
-    number of vertices: this is the leaf stripping of Neumann's plumbing
-    calculus (W. Neumann, *A calculus for plumbing applied to the
-    topology of complex surface singularities and degenerating complex
-    curves*, Trans. AMS 268, 1981).  Each step, leaf or not, is a
-    congruence by an invertible block pivot, so by Sylvester's law of
-    inertia the counts are exact for every symmetric matrix; other graphs
-    only cost fill-in.  Arithmetic is over exact rationals.
+    number of vertices and every number is an integer: this is the leaf
+    stripping of Neumann's plumbing calculus (W. Neumann, *A calculus
+    for plumbing applied to the topology of complex surface
+    singularities and degenerating complex curves*, Trans. AMS 268,
+    1981).  det Q is the product of num[v] over the pivots that end a
+    component or fill in, times -b^2 den[v] den[u] for each zero-pivot
+    block.  On a forest that is one subtree determinant per component
+    and per block, so no running product of pivots grows.  Each step,
+    leaf or not, is a congruence by an invertible block pivot, so by
+    Sylvester's law of inertia the counts are exact for every symmetric
+    matrix; other graphs only cost fill-in, where exact rationals enter.
     """
-    n = len(M)
-    # diagonals are Fractions, so every division below is exact; edges
-    # stay plain integers until fill-in or a division reaches them
-    diag = {i: Fraction(M[i][i]) for i in range(n)}
-    adj = {i: {j: x for j, x in enumerate(M[i]) if x and j != i} for i in range(n)}
+    n = len(diag)
+    num = list(diag)
+    den = [1] * n
+    adj: list = [{} for _ in range(n)]  # None once a vertex is eliminated
+    for i, j, a in edges:
+        adj[i][j] = adj[j][i] = a
     leaves = [i for i in range(n) if len(adj[i]) <= 1]
     neg = zero = pos = 0
+    det = 1
+    left = n
 
     def detach(v) -> dict:
-        del diag[v]
-        row = adj.pop(v)
+        nonlocal left
+        left -= 1
+        row = adj[v]
+        adj[v] = None
         for r in row:
             del adj[r][v]
         return row
 
     def subtract(r, s, amount):
         if r == s:
-            diag[r] -= amount
+            num[r] -= den[r] * amount
         elif amount:
             value = adj[r].get(s, 0) - amount
             if value:
@@ -310,123 +309,71 @@ def signature_triple(M) -> tuple[int, int, int]:
             else:
                 del adj[r][s]
 
-    while diag:
-        while leaves and (leaves[-1] not in diag or len(adj[leaves[-1]]) > 1):
-            leaves.pop()
-        v = leaves.pop() if leaves else min(diag, key=lambda i: len(adj[i]))
-        d = diag[v]
+    while left:
+        if leaves:
+            v = leaves.pop()
+            if adj[v] is None or len(adj[v]) > 1:
+                continue
+        else:
+            v = min((i for i in range(n) if adj[i] is not None), key=lambda i: len(adj[i]))
         row = detach(v)
-        if d:
-            if d > 0:
+        N, D = num[v], den[v]
+        if N:
+            if (N > 0) == (D > 0):
                 pos += 1
             else:
                 neg += 1
+            if len(row) == 1:  # a leaf: only its neighbour's diagonal changes
+                ((u, a),) = row.items()
+                num[u] = num[u] * N - a * a * den[u] * D
+                den[u] *= N
+                if len(adj[u]) <= 1:
+                    leaves.append(u)
+                continue
+            det *= N
+            if not row:
+                continue
+            inverse = Fraction(D, N)
             for r, a in row.items():
                 for s, b in row.items():
-                    subtract(r, s, a * b / d)
+                    subtract(r, s, a * b * inverse)
             touched = row
         elif row:
             pos += 1
             neg += 1
             u, b = row.popitem()
-            b, e = Fraction(b), diag[u]
+            det *= -b * b * D * den[u]
             urow = detach(u)
             touched = row.keys() | urow.keys()
             if row:  # else v was a leaf and the block changes nothing else
+                inverse = Fraction(1, b)
+                e = Fraction(num[u], den[u])
                 for r in touched:
                     rv, ru = row.get(r, 0), urow.get(r, 0)
                     for s in touched:
                         sv, su = row.get(s, 0), urow.get(s, 0)
-                        subtract(r, s, (rv * su + ru * sv) / b - e * rv * sv / (b * b))
+                        subtract(r, s, ((rv * su + ru * sv) - e * rv * sv * inverse) * inverse)
         else:
             zero += 1
+            det = 0
             continue
         leaves.extend(r for r in touched if len(adj[r]) <= 1)
-    return neg, zero, pos
+    return neg, zero, pos, int(det)
 
 
-def signature(M) -> int:
-    neg, _, pos = signature_triple(M)
-    return pos - neg
-
-
-def definiteness(M) -> tuple[str, int]:
-    """Classify a symmetric integer form.
+def definiteness(inertia) -> tuple[str, int]:
+    """Classify a symmetric integer form by its ``signature_triple``.
 
     Returns ('negative_definite', 0), ('negative_semidefinite', corank)
     or ('indefinite', 0); positive-definite forms land in 'indefinite'
     since no construction here ever wants them.
     """
-    neg, zero, pos = signature_triple(M)
+    neg, zero, pos, _ = inertia
     if pos == 0 and zero == 0:
         return "negative_definite", 0
     if pos == 0:
         return "negative_semidefinite", zero
     return "indefinite", 0
-
-
-# ---------------------------------------------------------------------------
-# GF(2) affine systems
-
-
-def solve_mod2(M, b) -> tuple[tuple[int, ...], list[tuple[int, ...]]] | None:
-    """All solutions of M x = b over GF(2).
-
-    Returns (particular solution, kernel basis), or None when the system
-    is inconsistent.  The full solution set is the particular solution
-    plus every GF(2)-combination of the kernel vectors.
-    """
-    m = len(M)
-    n = len(M[0]) if m else 0
-    A = [[x & 1 for x in row] for row in M]
-    y = [x & 1 for x in b]
-    piv_row_of_col: dict[int, int] = {}
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if A[i][c]), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        y[r], y[piv] = y[piv], y[r]
-        for i in range(m):
-            if i != r and A[i][c]:
-                A[i] = [p ^ q for p, q in zip(A[i], A[r])]
-                y[i] ^= y[r]
-        piv_row_of_col[c] = r
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if y[i] and not any(A[i]):
-            return None
-    x = [0] * n
-    for c, i in piv_row_of_col.items():
-        x[c] = y[i]
-    free = [c for c in range(n) if c not in piv_row_of_col]
-    kernel = []
-    for f in free:
-        v = [0] * n
-        v[f] = 1
-        for c, i in piv_row_of_col.items():
-            v[c] = A[i][f]
-        kernel.append(tuple(v))
-    return tuple(x), kernel
-
-
-def mod2_solution_set(M, b) -> list[tuple[int, ...]]:
-    """Materialised solution set of M x = b over GF(2), sorted."""
-    sol = solve_mod2(M, b)
-    if sol is None:
-        return []
-    x0, kernel = sol
-    out = set()
-    for mask in range(1 << len(kernel)):
-        v = list(x0)
-        for t, k in enumerate(kernel):
-            if mask >> t & 1:
-                v = [p ^ q for p, q in zip(v, k)]
-        out.add(tuple(v))
-    return sorted(out)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Callable
 
-from .intlinalg import definiteness
+from .intlinalg import definiteness, signature_triple
 
 
 class BudgetExhausted(Exception):
@@ -128,11 +128,14 @@ def enumerate_subsets(
     callback never accepts visits the same nodes as one without it.
     """
     n = len(Q)
+    edges = []
     for i in range(n):
-        for j in range(n):
+        for j in range(i + 1, n):
             if Q[i][j] != Q[j][i]:
                 raise ValueError("Q must be symmetric")
-    kind, corank = definiteness(Q)
+            if Q[i][j]:
+                edges.append((i, j, Q[i][j]))
+    kind, corank = definiteness(signature_triple([Q[i][i] for i in range(n)], edges))
     if mode == "square":
         if n and kind != "negative_definite":
             raise ValueError("square mode needs negative definite Q")

@@ -10,12 +10,17 @@ must factor through one fewer column.  For Z/2-homology spheres, a
 correction-term argument filters the usable factorisations: every class
 of im A / im Q must be hit by A x with x in {-1, +1}^n.
 
-Each check filters and pairs the factorisations inside the search, as
-the search finds them (``enumerate_subsets(..., until=...)``), and stops
-at its first witness.  A pass therefore cites the first witness the
-search meets, in search order.  Every verdict of "obstructed" is backed
-by a provably completed search; budget exhaustion downgrades to
-"inconclusive" instead.
+Each check takes the ``PlumbingTree`` of the form.  The double-subset
+checks first read |coker Q| = |det Q| from the tree's sparse
+elimination, and a non-square order refutes them with no dense matrix
+built; only a check that searches densifies Q, for the cokernel and the
+lattice search.  Each check filters and pairs the factorisations inside
+the search, as the search finds them (``enumerate_subsets(...,
+until=...)``), and stops at its first witness.  A pass therefore cites
+the first witness the search meets, in search order.  Every verdict of
+"obstructed" is backed by a provably completed search; budget
+exhaustion downgrades to "inconclusive" instead, whose note gives the
+nodes the search used and the subsets it found.
 """
 
 from __future__ import annotations
@@ -28,13 +33,12 @@ from .intlinalg import (
     FiniteAbelianGroup,
     Subgroup,
     cokernel,
-    definiteness,
-    determinant,
     direct_sum_test,
     doubled_factors,
     subgroup_from_generators,
 )
-from .lattice import LatticeSubset, enumerate_subsets
+from .lattice import LatticeSubset, SubsetSearchResult, enumerate_subsets
+from .plumbing import PlumbingTree
 
 
 @dataclass
@@ -104,16 +108,28 @@ def char_vector_criterion(H: Subgroup) -> bool:
     return len(reachable) == H.order
 
 
-def _require_negative_definite(Q, check: str) -> None:
-    """Raise ValueError unless Q is negative definite.  Only a check that
-    stops before its search calls this: ``enumerate_subsets`` makes the
-    same test, so a form that is searched has its signature taken once."""
-    if Q and definiteness(Q)[0] != "negative_definite":
+def _require_negative_definite(tree: PlumbingTree, check: str) -> None:
+    """Raise ValueError unless the tree's form is negative definite.  Only
+    a check that stops before its search calls this: ``enumerate_subsets``
+    makes the same test on the dense form it searches."""
+    if tree.size and tree.definiteness[0] != "negative_definite":
         raise ValueError(f"{check} needs negative definite Q")
 
 
-def double_subset_obstruction(Q, budget: int | None = None) -> ObstructionResult:
-    """Search for two factorisations splitting coker Q as H + H.
+def _square_order(tree: PlumbingTree) -> bool:
+    """Is det(-Q), which is |coker Q| for negative definite Q, a perfect
+    square?  Read from the tree's elimination, so no dense form is built."""
+    det = tree.determinant * (-1) ** tree.size
+    return det >= 0 and math.isqrt(det) ** 2 == det
+
+
+def _exhausted(res: SubsetSearchResult) -> str:
+    return f"budget exhausted after {res.nodes} nodes; {len(res.subsets)} subset(s) found"
+
+
+def double_subset_obstruction(tree: PlumbingTree, budget: int | None = None) -> ObstructionResult:
+    """Search for two factorisations splitting coker Q as H + H, Q the
+    form of ``tree``.
 
     The pair must have distinct column subgroups unless the cokernel is
     trivial, in which case a single factorisation suffices.  For odd
@@ -127,16 +143,15 @@ def double_subset_obstruction(Q, budget: int | None = None) -> ObstructionResult
     count therefore covers only the subsets met before that pair.
     """
     name = "double_subset"
-    n = len(Q)
-    det = determinant(Q) * (-1) ** n  # det(-Q) > 0 for negative definite
-    if det < 0 or math.isqrt(det) ** 2 != det:
-        _require_negative_definite(Q, "double-subset obstruction")
+    if not _square_order(tree):
+        _require_negative_definite(tree, "double-subset obstruction")
         return ObstructionResult(
             name,
             "obstructed",
-            notes=f"|coker Q| = {abs(det)} is not a perfect square, "
+            notes=f"|coker Q| = {abs(tree.determinant)} is not a perfect square, "
             "so no factorisation exists",
         )
+    Q = tree.incidence_matrix()
     G = cokernel(Q)
     filtered = G.order % 2 == 1
     removed = 0
@@ -176,7 +191,7 @@ def double_subset_obstruction(Q, budget: int | None = None) -> ObstructionResult
         note = "trivial cokernel" if G.order == 1 else "cokernel splits as H + H"
         return ObstructionResult(name, "pass", witness, filtered_note + note)
     if not res.complete:
-        return ObstructionResult(name, "inconclusive", notes="budget exhausted")
+        return ObstructionResult(name, "inconclusive", notes=_exhausted(res))
     if G.order == 1:
         return ObstructionResult(
             name, "obstructed", notes=filtered_note + "no factorisation exists"
@@ -189,38 +204,38 @@ def double_subset_obstruction(Q, budget: int | None = None) -> ObstructionResult
     )
 
 
-def semidefinite_obstruction(Q, budget: int | None = None) -> ObstructionResult:
-    """Rectangular factorisation A A^t = -Q through one fewer column; the
-    search stops at the first one."""
+def semidefinite_obstruction(tree: PlumbingTree, budget: int | None = None) -> ObstructionResult:
+    """Rectangular factorisation A A^t = -Q through one fewer column, Q
+    the form of ``tree``; the search stops at the first one."""
     name = "semidefinite_subset"
     # checks Q is corank one
-    res = enumerate_subsets(Q, "rectangular", budget, until=lambda s: True)
+    res = enumerate_subsets(tree.incidence_matrix(), "rectangular", budget, until=lambda s: True)
     if res.subsets:
         return ObstructionResult(name, "pass", [res.subsets[0]])
     if res.complete:
         return ObstructionResult(
             name, "obstructed", notes="complete search: no rectangular factorisation"
         )
-    return ObstructionResult(name, "inconclusive", notes="budget exhausted")
+    return ObstructionResult(name, "inconclusive", notes=_exhausted(res))
 
 
-def nonorientable_obstruction(Q, budget: int | None = None) -> ObstructionResult:
+def nonorientable_obstruction(tree: PlumbingTree, budget: int | None = None) -> ObstructionResult:
     """Pair of factorisations with coker Q isomorphic to H_i + H_i and
-    |H_1 meet H_2| <= 2 (non-orientable base form).  Each new qualifying
+    |H_1 meet H_2| <= 2, Q the form of ``tree`` (the non-orientable base
+    form).  Each new qualifying
     subset is tested against the earlier ones and itself as the search
     finds it, and the search stops at the first good pair."""
     name = "nonorientable_double_subset"
-    n = len(Q)
-    if n == 0:
+    if tree.size == 0:
         return ObstructionResult(name, "pass", notes="empty form, vacuous")
-    det = determinant(Q) * (-1) ** n
-    if det < 0 or math.isqrt(det) ** 2 != det:
-        _require_negative_definite(Q, "non-orientable obstruction")
+    if not _square_order(tree):
+        _require_negative_definite(tree, "non-orientable obstruction")
         return ObstructionResult(
             name,
             "obstructed",
-            notes=f"|coker Q| = {abs(det)} is not a perfect square",
+            notes=f"|coker Q| = {abs(tree.determinant)} is not a perfect square",
         )
+    Q = tree.incidence_matrix()
     G = cokernel(Q)
     doubled = tuple(sorted(G.factors))
     qualifying: list = []
@@ -249,4 +264,4 @@ def nonorientable_obstruction(Q, budget: int | None = None) -> ObstructionResult
             notes=f"complete search: {len(qualifying)} qualifying subset(s), "
             "no pair with intersection <= 2",
         )
-    return ObstructionResult(name, "inconclusive", notes="budget exhausted")
+    return ObstructionResult(name, "inconclusive", notes=_exhausted(res))

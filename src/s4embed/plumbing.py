@@ -8,6 +8,12 @@ and one leg per singular fibre (definite when e > 0, semi-definite of
 corank one when e = 0).  Over a non-orientable base the central curve
 drops out of second homology and the intersection form is the chain
 forest of the legs alone.
+
+Every plumbing here is a forest, and it is kept sparse: its signature,
+definiteness and determinant come from one integer leaf-stripping pass
+over its edges (``PlumbingTree.inertia``), taken once per tree, and the
+Wu sets from a GF(2) pass over the same edges (``spin.wu_sets``).  The
+dense matrix is built only for a check that searches.
 """
 
 from __future__ import annotations
@@ -38,8 +44,9 @@ class PlumbingTree:
 
     def incidence_matrix(self) -> list[list[int]]:
         """The dense n x n form, built on the first call and shared by
-        every later one: the form checks, the signature and the Wu sets
-        of a tree read one matrix, which none of them mutates."""
+        every later one.  Only the checks that search read it: the
+        lattice search and the cokernel it pairs in; every invariant
+        below is read from the edges."""
         return self._dense
 
     @cached_property
@@ -51,9 +58,26 @@ class PlumbingTree:
         return len(self.weights)
 
     @cached_property
+    def inertia(self) -> tuple[int, int, int, int]:
+        """(negative, zero, positive, determinant) of the form, from one
+        integer leaf-stripping pass over the edges, taken once per tree;
+        the signature, the definiteness and the determinant read it."""
+        return intlinalg.signature_triple(self.weights, [(i, j, 1) for i, j in self.edges])
+
+    @property
     def signature(self) -> int:
-        """Signature of the plumbed 4-manifold, computed once per tree."""
-        return intlinalg.signature(self.incidence_matrix())
+        """Signature of the plumbed 4-manifold."""
+        neg, _, pos, _ = self.inertia
+        return pos - neg
+
+    @property
+    def definiteness(self) -> tuple[str, int]:
+        return intlinalg.definiteness(self.inertia)
+
+    @property
+    def determinant(self) -> int:
+        """det Q, so |det Q| = |coker Q| when it is nonzero."""
+        return self.inertia[3]
 
 
 def _densify(weights, edges) -> list[list[int]]:

@@ -4,9 +4,11 @@ invariant, and the 10/8-type counting obstruction.
 Spin structures on the boundary of a plumbing correspond to Wu sets:
 0/1 vertex vectors w with Q w = diag(Q) mod 2.  For such a set,
 mu_bar = sigma(X) - w.w, with w.w the square of the integral lift under
-the intersection form.  Both ingredients are computed exactly, and
-sigma(X) only once per plumbing (``PlumbingTree.signature``), however
-many Wu sets read it.
+the intersection form.  Both ingredients are computed exactly from the
+tree's edges, with no dense matrix: the Wu sets by GF(2) leaf stripping
+(``wu_sets``), and sigma(X) by the tree's one integer elimination
+(``PlumbingTree.signature``), once per plumbing however many Wu sets
+read it.
 
 For a pretzel-link double branched cover the number of spin structures
 is 2^(k-1), k the number of link components; the count doubles as a
@@ -22,20 +24,81 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intlinalg import mod2_solution_set
 from .plumbing import PlumbingTree
 
 
 def wu_sets(tree: PlumbingTree) -> list[tuple[int, ...]]:
-    """All 0/1 vertex vectors characteristic for the incidence matrix."""
-    Q = tree.incidence_matrix()
-    diag = [Q[i][i] for i in range(len(Q))]
-    sols = mod2_solution_set(Q, diag)
-    if not sols:
-        # cannot happen for a symmetric form with its own diagonal on the
-        # right-hand side; report loudly if it ever does
-        raise ArithmeticError("no Wu set: characteristic system inconsistent")
-    return sols
+    """All 0/1 vertex vectors w with Q w = diag(Q) mod 2, sorted.
+
+    GF(2) leaf stripping on the tree's edges, with d the current
+    diagonal mod 2.  The right-hand side starts equal to d, and every
+    step below changes both alike, so it stays equal to d and is not
+    kept; for the same reason the system is always consistent.
+
+    - A leaf v with neighbour u and d_v = 1 gives w_v = 1 + w_u, and
+      moving its row into u's flips d_u.
+    - A leaf with d_v = 0 fixes its neighbour, w_u = 0, and u's row then
+      gives w_v = d_u + the sum of w over u's other neighbours; v and u
+      leave together.
+    - An isolated vertex gives w_v = 1 when d_v = 1, and is a free
+      variable when d_v = 0, so the free variables come from the zero
+      pivots.
+
+    Each w_v is a bit mask over a constant bit and the free variables,
+    read off in reverse order of elimination, and every assignment of
+    the free variables is one Wu set.  The work is linear in the number
+    of vertices per Wu set.
+    """
+    n = tree.size
+    d = [w & 1 for w in tree.weights]
+    adj: list = [set() for _ in range(n)]  # None once a vertex is solved
+    for i, j in tree.edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    # (v, mask, vertices): w_v is mask plus the w of those vertices, each
+    # eliminated after v; bit 0 of a mask is the constant 1, bit t >= 1
+    # the t-th free variable
+    steps: list[tuple[int, int, tuple[int, ...]]] = []
+    free = 0
+
+    def detach(v) -> set:
+        row = adj[v]
+        adj[v] = None
+        for r in row:
+            adj[r].discard(v)
+        return row
+
+    leaves = [v for v in range(n) if len(adj[v]) <= 1]
+    while leaves:
+        v = leaves.pop()
+        if adj[v] is None or len(adj[v]) > 1:
+            continue
+        row = detach(v)
+        if not row:
+            if not d[v]:
+                free += 1
+            steps.append((v, 1 if d[v] else 1 << free, ()))
+            continue
+        (u,) = row
+        if d[v]:
+            steps.append((v, 1, (u,)))
+            d[u] ^= 1
+            touched = row
+        else:
+            touched = detach(u)
+            steps.append((u, 0, ()))
+            steps.append((v, d[u], tuple(touched)))
+        leaves.extend(r for r in touched if len(adj[r]) <= 1)
+    if len(steps) != n:
+        raise ValueError("Wu sets by leaf stripping need a forest")
+    masks = [0] * n
+    for v, mask, later in reversed(steps):
+        for r in later:
+            mask ^= masks[r]
+        masks[v] = mask
+    return sorted(
+        tuple((m & x).bit_count() & 1 for m in masks) for x in range(1, 2 << free, 2)
+    )
 
 
 def mu_bar(tree: PlumbingTree, w) -> int:

@@ -330,8 +330,9 @@ def test_report_builds_each_side_once(monkeypatch, manifold, builds):
 @pytest.mark.parametrize(
     "manifold, forms",
     [
-        # the definite side serves the form check, the signature and the Wu sets
-        (PretzelCover([3, 5, 7]), 1),
+        # |coker Q| = 71 is read from the sparse elimination and is not a
+        # square, so double_subset refutes without a dense form
+        (PretzelCover([3, 5, 7]), 0),
         # e = 0 with both sides the same tree: one dense form
         (PretzelCover([2, -2, 3, -3]), 1),
         (SeifertManifold(False, 1, 0, [(3, 1), (3, -1)]), 1),

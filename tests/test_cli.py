@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -101,13 +102,34 @@ def test_options_do_not_leak_between_calls(capsys):
     assert names == checks
 
 
-def run_python(*argv: str) -> subprocess.CompletedProcess:
+def run_python(*argv: str, **kwargs) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(SRC)},
+        **kwargs,
     )
+
+
+def within_limits():
+    """Child-process limits: 1 GiB of address space, 10 s of CPU."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    resource.setrlimit(resource.RLIMIT_CPU, (10, 10))
+
+
+@pytest.mark.parametrize("expr", ["lens(301,300)", "lens(2001,2000)", "lens(100001,100000)"])
+def test_long_chains_are_refuted_within_limits(expr):
+    """lens(p,p-1) plumbs a chain of p - 1 vertices.  Its determinant p is
+    read from the sparse elimination, so the certificate checks refute it
+    with no dense form, well inside the limits."""
+    done = run_python(
+        "-m", "s4embed.cli", expr, "--json", "--certificates", preexec_fn=within_limits
+    )
+    assert done.returncode == 1, done.stderr
+    out = json.loads(done.stdout)
+    assert out["status"] == "OBSTRUCTED"
+    assert [r["verdict"] for r in out["obstructions"]] == ["obstructed"] * 4
 
 
 def test_usage_error_exit_code_of_the_process():

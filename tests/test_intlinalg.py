@@ -5,26 +5,26 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from s4embed import intlinalg
 from s4embed.intlinalg import (
     FiniteAbelianGroup,
     cokernel,
     definiteness,
-    determinant,
     direct_sum_test,
     doubled_factors,
     hermite_row_basis,
     identity_matrix,
     lattice_index,
-    mod2_solution_set,
-    signature,
     signature_triple,
     smith_normal_form,
-    solve_mod2,
     subgroup_from_generators,
 )
 from s4embed.manifolds import SeifertManifold, euler_invariant
-from s4embed.plumbing import plumbing_tree
+from s4embed.plumbing import PlumbingTree, plumbing_tree
+from s4embed.spin import wu_sets
 
 
 def chain_matrix(weights):
@@ -55,6 +55,108 @@ def mat_mul(A, B) -> list[list[int]]:
 
 def mat_eq(A, B) -> bool:
     return len(A) == len(B) and all(list(r) == list(s) for r, s in zip(A, B))
+
+
+# dense oracles for the sparse elimination and the Wu-set pass
+
+
+def determinant(M) -> int:
+    """Exact determinant by fraction-free Bareiss elimination; the oracle
+    for the determinant of ``signature_triple``."""
+    n = len(M)
+    if n == 0:
+        return 1
+    A = [list(r) for r in M]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            for i in range(k + 1, n):
+                if A[i][k]:
+                    A[k], A[i] = A[i], A[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+            A[i][k] = 0
+        prev = A[k][k]
+    return sign * A[n - 1][n - 1]
+
+
+def solve_mod2(M, b) -> tuple[tuple[int, ...], list[tuple[int, ...]]] | None:
+    """All solutions of M x = b over GF(2).
+
+    Returns (particular solution, kernel basis), or None when the system
+    is inconsistent.  The full solution set is the particular solution
+    plus every GF(2)-combination of the kernel vectors.
+    """
+    m = len(M)
+    n = len(M[0]) if m else 0
+    A = [[x & 1 for x in row] for row in M]
+    y = [x & 1 for x in b]
+    piv_row_of_col: dict[int, int] = {}
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if A[i][c]), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        y[r], y[piv] = y[piv], y[r]
+        for i in range(m):
+            if i != r and A[i][c]:
+                A[i] = [p ^ q for p, q in zip(A[i], A[r])]
+                y[i] ^= y[r]
+        piv_row_of_col[c] = r
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if y[i] and not any(A[i]):
+            return None
+    x = [0] * n
+    for c, i in piv_row_of_col.items():
+        x[c] = y[i]
+    free = [c for c in range(n) if c not in piv_row_of_col]
+    kernel = []
+    for f in free:
+        v = [0] * n
+        v[f] = 1
+        for c, i in piv_row_of_col.items():
+            v[c] = A[i][f]
+        kernel.append(tuple(v))
+    return tuple(x), kernel
+
+
+def mod2_solution_set(M, b) -> list[tuple[int, ...]]:
+    """Materialised solution set of M x = b over GF(2), sorted."""
+    sol = solve_mod2(M, b)
+    if sol is None:
+        return []
+    x0, kernel = sol
+    out = set()
+    for mask in range(1 << len(kernel)):
+        v = list(x0)
+        for t, k in enumerate(kernel):
+            if mask >> t & 1:
+                v = [p ^ q for p, q in zip(v, k)]
+        out.add(tuple(v))
+    return sorted(out)
+
+
+def sparse(M):
+    """(diagonal, edges) of a dense symmetric matrix, the input of
+    ``signature_triple``."""
+    n = len(M)
+    return [M[i][i] for i in range(n)], [
+        (i, j, M[i][j]) for i in range(n) for j in range(i + 1, n) if M[i][j]
+    ]
+
+
+def inertia(M) -> tuple[int, int, int]:
+    return signature_triple(*sparse(M))[:3]
 
 
 E8_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)]
@@ -354,11 +456,15 @@ def test_solve_mod2_random_consistency():
 
 
 def test_signature_and_definiteness():
-    assert signature(e8_matrix()) == -8
-    assert definiteness(chain_matrix([-2, -2])) == ("negative_definite", 0)
-    assert definiteness([[-1, 1], [1, -1]]) == ("negative_semidefinite", 1)
-    assert definiteness([[1]]) == ("indefinite", 0)
-    assert signature_triple([[0, 1], [1, 0]]) == (1, 0, 1)
+    assert signature_triple(*sparse(e8_matrix())) == (8, 0, 0, 1)
+    assert definiteness(signature_triple(*sparse(chain_matrix([-2, -2])))) == (
+        "negative_definite",
+        0,
+    )
+    assert definiteness(signature_triple([-1, -1], [(0, 1, 1)])) == ("negative_semidefinite", 1)
+    assert definiteness(signature_triple([1], [])) == ("indefinite", 0)
+    assert signature_triple([0, 0], [(0, 1, 1)]) == (1, 0, 1, -1)
+    assert signature_triple([], []) == (0, 0, 0, 1)
 
 
 def dense_signature_triple(M) -> tuple[int, int, int]:
@@ -425,14 +531,15 @@ def test_signature_matches_eigen_count_small_random():
         for i in range(n):
             for j in range(i, n):
                 M[i][j] = M[j][i] = rng.choice([0, 0, rng.randint(-4, 4)])
-        neg, zero, pos = signature_triple(M)
+        neg, zero, pos, det = signature_triple(*sparse(M))
         assert (neg, zero, pos) == dense_signature_triple(M)
+        assert det == determinant(M)
         # rank from SNF agrees
         diag = check_snf(M)
         assert sum(1 for d in diag if d) == neg + pos
     for _ in range(100):
         M = random_forest(rng, rng.randint(1, 40))
-        assert signature_triple(M) == dense_signature_triple(M)
+        assert inertia(M) == dense_signature_triple(M)
 
 
 def test_signature_of_semidefinite_forms():
@@ -443,7 +550,7 @@ def test_signature_of_semidefinite_forms():
         A = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
         M = [[-sum(row[i] * row[j] for row in A) for j in range(n)] for i in range(n)]
         rank = sum(1 for d in check_snf(A) if d) if k else 0
-        assert signature_triple(M) == dense_signature_triple(M) == (rank, n - rank, 0)
+        assert inertia(M) == dense_signature_triple(M) == (rank, n - rank, 0)
 
 
 def random_unimodular(rng, n):
@@ -470,19 +577,92 @@ def test_signature_by_sylvester_law():
         diagonal = [[d if i == j else 0 for j, d in enumerate(D)] for i in range(n)]
         M = mat_mul(mat_mul(PT, diagonal), P)
         expected = (sum(d < 0 for d in D), D.count(0), sum(d > 0 for d in D))
-        assert signature_triple(M) == expected
+        assert signature_triple(*sparse(M)) == (*expected, math.prod(D))
 
 
 def test_signature_of_large_plumbings():
-    assert signature_triple(chain_matrix([-2] * 300)) == (300, 0, 0)
-    assert definiteness(chain_matrix([-2] * 300)) == ("negative_definite", 0)
+    assert signature_triple(*sparse(chain_matrix([-2] * 300))) == (300, 0, 0, 301)
     # e = 0; the normalised fibres give legs of 150, 150, 1 and 1 vertices
     star = SeifertManifold(True, 0, 0, [(151, 1), (151, 1), (151, -1), (151, -1)])
     assert euler_invariant(star) == 0
-    Q = plumbing_tree(star).incidence_matrix()
-    assert len(Q) > 300
-    assert definiteness(Q) == ("negative_semidefinite", 1)
-    assert signature_triple(Q) == (len(Q) - 1, 1, 0)
+    tree = plumbing_tree(star)
+    assert tree.size > 300
+    assert tree.definiteness == ("negative_semidefinite", 1)
+    assert tree.inertia == (tree.size - 1, 1, 0, 0)
+
+
+def dense(diag, edges):
+    """The dense symmetric matrix of a sparse form."""
+    Q = [[0] * len(diag) for _ in diag]
+    for i, d in enumerate(diag):
+        Q[i][i] = d
+    for i, j, a in edges:
+        Q[i][j] = Q[j][i] = a
+    return Q
+
+
+fibre = st.tuples(st.integers(2, 7), st.integers(1, 6)).filter(
+    lambda f: f[1] < f[0] and math.gcd(*f) == 1
+)
+
+
+@st.composite
+def weighted_forests(draw):
+    """(diag, edges) of a weighted forest.  Either a random one, with zero
+    weights, isolated vertices and several components, or the plumbing of
+    an e = 0 star (complementary fibre pairs over S^2), whose form is
+    semi-definite of corank one."""
+    if draw(st.booleans()):
+        fibres = draw(st.lists(fibre, min_size=1, max_size=3))
+        tree = plumbing_tree(SeifertManifold(True, 0, 0, [*fibres, *((a, -b) for a, b in fibres)]))
+        return list(tree.weights), [(i, j, 1) for i, j in tree.edges]
+    n = draw(st.integers(0, 24))
+    diag = draw(st.lists(st.sampled_from([-5, -3, -2, -2, -1, 0, 0, 1, 2]), min_size=n, max_size=n))
+    edges = []
+    for i in range(1, n):
+        parent = draw(st.one_of(st.none(), st.integers(0, i - 1)))  # None starts a component
+        if parent is not None:
+            edges.append((parent, i, draw(st.sampled_from([1, 1, -1, 2, 3]))))
+    return diag, edges
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(form=weighted_forests())
+def test_forest_elimination_matches_dense_oracles(form):
+    """Inertia and determinant against dense elimination and Bareiss, and
+    the Wu sets of the same forest with unit edges against dense GF(2)
+    solving."""
+    diag, edges = form
+    Q = dense(diag, edges)
+    assert signature_triple(diag, edges) == (*dense_signature_triple(Q), determinant(Q))
+    tree = PlumbingTree(tuple(diag), tuple((i, j) for i, j, _ in edges))
+    unit = dense(diag, [(i, j, 1) for i, j, _ in edges])
+    assert tree.inertia == (*dense_signature_triple(unit), determinant(unit))
+    assert wu_sets(tree) == mod2_solution_set(unit, diag)
+
+
+def test_forest_elimination_builds_no_fraction(monkeypatch):
+    """Leaf stripping stays in the integers: with ``Fraction`` made to
+    raise, forests (with zero pivots, so hyperbolic blocks too) still
+    eliminate, while a cycle, which needs a non-leaf pivot, does not."""
+
+    def no_fraction(*args):
+        raise AssertionError("Fraction built")
+
+    rng = random.Random(29)
+    forests = [sparse(random_forest(rng, rng.randint(1, 40))) for _ in range(50)]
+    expected = [signature_triple(*form) for form in forests]
+    monkeypatch.setattr(intlinalg, "Fraction", no_fraction)
+    assert [signature_triple(*form) for form in forests] == expected
+    assert any(zero for _, zero, _, _ in expected)
+    assert signature_triple([-2] * 100000, [(i, i + 1, 1) for i in range(99999)]) == (
+        100000,
+        0,
+        0,
+        100001,
+    )
+    with pytest.raises(AssertionError, match="Fraction built"):
+        signature_triple([-2, -2, -2], [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
 
 
 def test_hermite_basis_canonical():

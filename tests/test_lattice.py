@@ -151,7 +151,8 @@ def test_no_pair_related_by_signed_permutation():
 
 def random_negative_definite(rng, n, max_diag):
     """Random symmetric negative definite Q with |diagonal| <= max_diag."""
-    from s4embed.intlinalg import definiteness
+    from s4embed.intlinalg import definiteness, signature_triple
+    from test_intlinalg import sparse
 
     while True:
         Q = [[0] * n for _ in range(n)]
@@ -161,7 +162,7 @@ def random_negative_definite(rng, n, max_diag):
             for j in range(i + 1, n):
                 v = rng.choice([0, 0, 0, 1, 1, -1, 2, -2])
                 Q[i][j] = Q[j][i] = v
-        if definiteness(Q)[0] == "negative_definite":
+        if definiteness(signature_triple(*sparse(Q)))[0] == "negative_definite":
             return Q
 
 
@@ -200,6 +201,8 @@ def test_lens_chain_subsets_verify():
             assert verify_factorization(s, Q)
 
 
+LENS_21 = lens_chains(LensSum([(21, 8), (21, 13)]))
+
 # Node counts of the search, pinned so that a change to how the search
 # runs cannot silently change the tree it visits (and so what a budget
 # means).  The smallest budget at which the search completes is its node
@@ -208,7 +211,7 @@ PINNED_NODES = [
     (chain_matrix([-2] * 8), "square", 230, 0),
     ([[-3, 0, 0], [0, -2, 1], [0, 1, -2]], "square", 40, 2),
     (p_chain(12), "square", 640, 2),
-    (lens_chains(LensSum([(21, 8), (21, 13)])).incidence_matrix(), "square", 1092, 4),
+    (LENS_21.incidence_matrix(), "square", 1092, 4),
     (
         plumbing_tree(SeifertManifold(True, 0, 0, [(5, 2), (5, 3), (3, 1)])).incidence_matrix(),
         "square",
@@ -276,7 +279,7 @@ FIRST_SPLIT, ALL_NODES = 495, 1092
 @pytest.mark.parametrize("budget", [FIRST_SPLIT, FIRST_SPLIT + 1, ALL_NODES - 1, None])
 def test_double_subset_passes_once_its_witness_is_reached(monkeypatch, budget):
     statuses = searched_status(monkeypatch)
-    res = obstructions.double_subset_obstruction(PINNED_NODES[3][0], budget)
+    res = obstructions.double_subset_obstruction(LENS_21, budget)
     assert res.verdict == "pass"
     assert statuses == ["stopped"]
 
@@ -284,17 +287,39 @@ def test_double_subset_passes_once_its_witness_is_reached(monkeypatch, budget):
 @pytest.mark.parametrize("budget", [0, 1, FIRST_SPLIT - 1])
 def test_double_subset_is_inconclusive_before_its_witness(monkeypatch, budget):
     statuses = searched_status(monkeypatch)
-    res = obstructions.double_subset_obstruction(PINNED_NODES[3][0], budget)
+    res = obstructions.double_subset_obstruction(LENS_21, budget)
     assert res.verdict == "inconclusive"
     assert statuses == ["exhausted"]
 
 
+def test_inconclusive_notes_say_how_far_the_search_got():
+    """An exhausted search reports the nodes it used and the subsets it
+    found, in each of the three checks."""
+    res = obstructions.double_subset_obstruction(LENS_21, FIRST_SPLIT - 1)
+    assert (res.verdict, res.notes) == (
+        "inconclusive",
+        "budget exhausted after 494 nodes; 2 subset(s) found",
+    )
+    e0 = plumbing_tree(PretzelCover([2, -2, 2, -2]))
+    res = obstructions.semidefinite_obstruction(e0, 10)
+    assert (res.verdict, res.notes) == (
+        "inconclusive",
+        "budget exhausted after 10 nodes; 0 subset(s) found",
+    )
+    legs = plumbing_tree(SeifertManifold(False, 1, 0, [(3, 1), (3, -1)]))
+    res = obstructions.nonorientable_obstruction(legs, 20)
+    assert (res.verdict, res.notes) == (
+        "inconclusive",
+        "budget exhausted after 20 nodes; 1 subset(s) found",
+    )
+
+
 def test_obstructed_needs_the_complete_search(monkeypatch):
     statuses = searched_status(monkeypatch)
-    Q = lens_chains(LensSum([(5, 1), (5, 1)])).incidence_matrix()
-    assert obstructions.double_subset_obstruction(Q).verdict == "obstructed"
-    nodes = enumerate_subsets(Q).nodes
-    assert obstructions.double_subset_obstruction(Q, nodes - 1).verdict == "inconclusive"
+    tree = lens_chains(LensSum([(5, 1), (5, 1)]))
+    assert obstructions.double_subset_obstruction(tree).verdict == "obstructed"
+    nodes = enumerate_subsets(tree.incidence_matrix()).nodes
+    assert obstructions.double_subset_obstruction(tree, nodes - 1).verdict == "inconclusive"
     assert statuses == ["complete", "exhausted"]
 
 

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from s4embed.classify import ManifoldContext, full_report
-from s4embed.intlinalg import definiteness, determinant
 from s4embed.manifolds import (
     LensSum,
     PretzelCover,
@@ -107,7 +106,7 @@ def test_lens_chains_weights():
     tree = lens_chains(LensSum([(3, 1), (3, 2)]))
     assert tree.weights == (-3, -2, -2)
     assert tree.edges == ((1, 2),)
-    assert definiteness(tree.incidence_matrix()) == ("negative_definite", 0)
+    assert tree.definiteness == ("negative_definite", 0)
 
 
 def test_seifert_star_shape():
@@ -118,9 +117,9 @@ def test_seifert_star_shape():
     assert sorted(tree.weights) == [-3, -2, -2, -2, -2, -2]
     # the hub, vertex 0, meets all three legs
     assert sum(1 for edge in tree.edges if 0 in edge) == 3
-    assert definiteness(tree.incidence_matrix()) == ("negative_definite", 0)
+    assert tree.definiteness == ("negative_definite", 0)
     # determinant carries |H_1(Y(3,-3,3))| = 3^2
-    assert abs(determinant(tree.incidence_matrix())) == 9
+    assert abs(tree.determinant) == 9
 
 
 def test_plumbing_nonorientable_drops_centre():
@@ -130,7 +129,7 @@ def test_plumbing_nonorientable_drops_centre():
     assert sorted(forest.weights) == sorted(star_like.weights[1:])
     # no hub: the two legs are separate chains
     assert len(forest.edges) == forest.size - 2
-    assert definiteness(forest.incidence_matrix()) == ("negative_definite", 0)
+    assert forest.definiteness == ("negative_definite", 0)
     assert sorted(forest.weights) == [-3, -2, -2]
 
 
@@ -139,13 +138,13 @@ def test_plumbing_rejects_negative_euler_side():
     with pytest.raises(ValueError):
         plumbing_tree(y, "+")
     tree = plumbing_tree(y, "-")
-    assert definiteness(tree.incidence_matrix()) == ("negative_definite", 0)
+    assert tree.definiteness == ("negative_definite", 0)
 
 
 def test_semidefinite_star():
     y = pretzel_to_seifert(PretzelCover([2, -2, 2, -2]))
     tree = plumbing_tree(y)
-    kind, corank = definiteness(tree.incidence_matrix())
+    kind, corank = tree.definiteness
     assert kind == "negative_semidefinite" and corank == 1
 
 
@@ -163,7 +162,7 @@ def test_first_homology_pretzels():
     assert b1 == 0
     assert torsion.order == 9
     star = plumbing_tree(PretzelCover([3, -3, 3]))
-    assert abs(determinant(star.incidence_matrix())) == 9
+    assert abs(star.determinant) == 9
 
 
 def test_first_homology_agrees_with_star_determinant():
@@ -174,7 +173,7 @@ def test_first_homology_agrees_with_star_determinant():
         if euler_invariant(seif) != 0:
             side = "+" if euler_invariant(seif) > 0 else "-"
             tree = plumbing_tree(cover, side)
-            assert torsion.order == abs(determinant(tree.incidence_matrix()))
+            assert torsion.order == abs(tree.determinant)
             assert b1 == 0
 
 

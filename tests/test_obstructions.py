@@ -7,7 +7,7 @@ import pytest
 
 from s4embed import obstructions
 from s4embed.classify import ManifoldContext, full_report
-from s4embed.intlinalg import cokernel, determinant, direct_sum_test, doubled_factors
+from s4embed.intlinalg import cokernel, direct_sum_test, doubled_factors
 from s4embed.lattice import LatticeSubset, enumerate_subsets
 from s4embed.manifolds import LensSum, PretzelCover, SeifertManifold, pretzel_to_seifert
 from s4embed.obstructions import (
@@ -17,16 +17,17 @@ from s4embed.obstructions import (
     semidefinite_obstruction,
     subset_column_subgroup,
 )
-from s4embed.plumbing import lens_chains, plumbing_tree, seifert_leg_forest
+from s4embed.plumbing import PlumbingTree, lens_chains, plumbing_tree, seifert_leg_forest
+from test_intlinalg import determinant
 from test_lattice import verify_factorization
 
 
-def lens_Q(*summands):
-    return lens_chains(LensSum(list(summands))).incidence_matrix()
+def lens_tree(*summands):
+    return lens_chains(LensSum(list(summands)))
 
 
 def test_double_subset_l31_l32_passes():
-    res = double_subset_obstruction(lens_Q((3, 1), (3, 2)))
+    res = double_subset_obstruction(lens_tree((3, 1), (3, 2)))
     assert res.verdict == "pass"
     (A1, A2), (H1, H2) = res.certificates
     assert H1.order == H2.order == 3
@@ -34,57 +35,55 @@ def test_double_subset_l31_l32_passes():
 
 
 def test_double_subset_l21_l21_obstructed():
-    res = double_subset_obstruction(lens_Q((2, 1), (2, 1)))
+    res = double_subset_obstruction(lens_tree((2, 1), (2, 1)))
     assert res.verdict == "obstructed"
 
 
 def test_double_subset_identity_passes():
-    Q = [[-1, 0], [0, -1]]
-    res = double_subset_obstruction(Q)
+    res = double_subset_obstruction(PlumbingTree((-1, -1), ()))
     assert res.verdict == "pass"
     A1, A2 = res.certificates[0]
     assert A1 is A2  # trivial cokernel permits a repeated factorisation
 
 
 def test_double_subset_nonsquare_order_shortcut():
-    res = double_subset_obstruction(lens_Q((3, 1)))
+    res = double_subset_obstruction(lens_tree((3, 1)))
     assert res.verdict == "obstructed"
     assert "perfect square" in res.notes
 
 
 def test_double_subset_budget_inconclusive():
-    res = double_subset_obstruction(lens_Q((9, 2), (9, 7)), budget=3)
+    res = double_subset_obstruction(lens_tree((9, 2), (9, 7)), budget=3)
     assert res.verdict == "inconclusive"
+    assert res.notes == "budget exhausted after 3 nodes; 0 subset(s) found"
 
 
 def test_semidefinite_examples():
-    res = semidefinite_obstruction([[-1, 1], [1, -1]])
+    res = semidefinite_obstruction(PlumbingTree((-1, -1), ((0, 1),)))
     assert res.verdict == "pass"
 
     tree = plumbing_tree(PretzelCover([2, -2, 2, -2]))
-    res2 = semidefinite_obstruction(tree.incidence_matrix())
+    res2 = semidefinite_obstruction(tree)
     assert res2.verdict == "pass"
 
     tree3 = plumbing_tree(PretzelCover([4, -4, 2, -2]))
-    res3 = semidefinite_obstruction(tree3.incidence_matrix())
+    res3 = semidefinite_obstruction(tree3)
     assert res3.verdict in ("pass", "obstructed")  # recorded; mu-bar decides
 
     with pytest.raises(ValueError):
-        semidefinite_obstruction([[-2]])
+        semidefinite_obstruction(PlumbingTree((-2,), ()))
 
 
 def test_nonorientable_examples():
     y = SeifertManifold(False, 1, 0, [(3, 1), (3, -1)])
-    Q = seifert_leg_forest(y).incidence_matrix()
-    res = nonorientable_obstruction(Q)
+    res = nonorientable_obstruction(seifert_leg_forest(y))
     assert res.verdict == "pass"
 
     y2 = SeifertManifold(False, 1, 0, [(3, 1), (2, 1)])
-    Q2 = seifert_leg_forest(y2).incidence_matrix()
-    res2 = nonorientable_obstruction(Q2)
+    res2 = nonorientable_obstruction(seifert_leg_forest(y2))
     assert res2.verdict == "obstructed"  # |coker| = 6 is not a square
 
-    res3 = nonorientable_obstruction([])
+    res3 = nonorientable_obstruction(PlumbingTree((), ()))
     assert res3.verdict == "pass"
 
 
@@ -125,17 +124,18 @@ def test_char_vector_criterion_filters_lambda():
 
 
 def test_pass_certificates_verify():
-    Q = lens_Q((3, 1), (3, 2))
-    res = double_subset_obstruction(Q)
+    tree = lens_tree((3, 1), (3, 2))
+    Q = tree.incidence_matrix()
+    res = double_subset_obstruction(tree)
     (A1, A2), (H1, H2) = res.certificates
     assert verify_factorization(A1, Q) and verify_factorization(A2, Q)
     assert H1.order * H2.order == 9
 
 
 def test_obstructed_monotone_under_budget():
-    Q = lens_Q((5, 1), (5, 1))
-    small = double_subset_obstruction(Q, budget=10)
-    big = double_subset_obstruction(Q, budget=10**7)
+    tree = lens_tree((5, 1), (5, 1))
+    small = double_subset_obstruction(tree, budget=10)
+    big = double_subset_obstruction(tree, budget=10**7)
     assert big.verdict == "obstructed"
     assert small.verdict in ("inconclusive", "obstructed")
 
@@ -196,14 +196,17 @@ def test_six_summand_sum_joins_same_type_pairs_only(monkeypatch):
 # ---------------------------------------------------------------------------
 # The checks as they ran before the pairing moved into the search: the
 # whole tree is enumerated, every subset sorted, and only then filtered
-# and paired.  Each returns (verdict, notes); the streamed checks must
-# reach the same verdict, and the same notes wherever they do not pass.
+# and paired, and |coker Q| is the dense Bareiss determinant.  Each takes
+# the plumbing tree and returns (verdict, notes); the streamed checks
+# must reach the same verdict, and the same notes wherever they do not
+# pass.
 
 
-def full_double_subset(Q):
+def full_double_subset(tree):
+    Q = tree.incidence_matrix()
     det = determinant(Q) * (-1) ** len(Q)
     if det < 0 or math.isqrt(det) ** 2 != det:
-        return "obstructed", double_subset_obstruction(Q).notes  # no search either way
+        return "obstructed", double_subset_obstruction(tree).notes  # no search either way
     res = enumerate_subsets(Q)
     if not res.complete:
         return "inconclusive", "budget exhausted"
@@ -230,16 +233,17 @@ def full_double_subset(Q):
     return "obstructed", note + usable
 
 
-def full_semidefinite(Q):
-    if enumerate_subsets(Q, "rectangular").subsets:
+def full_semidefinite(tree):
+    if enumerate_subsets(tree.incidence_matrix(), "rectangular").subsets:
         return "pass", ""
     return "obstructed", "complete search: no rectangular factorisation"
 
 
-def full_nonorientable(Q):
+def full_nonorientable(tree):
+    Q = tree.incidence_matrix()
     det = determinant(Q) * (-1) ** len(Q)
     if not Q or det < 0 or math.isqrt(det) ** 2 != det:
-        res = nonorientable_obstruction(Q)  # no search either way
+        res = nonorientable_obstruction(tree)  # no search either way
         return res.verdict, res.notes
     G = cokernel(Q)
     columns = [subset_column_subgroup(G, s) for s in enumerate_subsets(Q).subsets]
@@ -302,8 +306,9 @@ def streaming_faults(m, tally: Counter) -> list[str]:
             side = "-"
         else:
             side = ctx.definite_side if check == "double_subset" else "+"
-        Q = ctx.tree(side).incidence_matrix()
-        verdict, notes = FULL_CHECKS[check](Q)
+        tree = ctx.tree(side)
+        Q = tree.incidence_matrix()
+        verdict, notes = FULL_CHECKS[check](tree)
         if "perfect square" not in notes:
             tally[check, verdict] += 1
         if r.verdict != verdict or (verdict != "pass" and r.notes != notes):

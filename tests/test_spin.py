@@ -2,11 +2,13 @@ import math
 
 import pytest
 
+from s4embed import plumbing
 from s4embed.classify import full_report
 from s4embed.manifolds import (
     LensSum,
     PretzelCover,
     SeifertManifold,
+    first_homology,
     neg_continued_fraction,
 )
 from s4embed.plumbing import PlumbingTree, lens_chains, plumbing_tree
@@ -34,6 +36,26 @@ def test_wu_sets_examples():
     assert wu_sets(single_vertex(-2)) == [(0,), (1,)]
     assert wu_sets(single_vertex(-3)) == [(1,)]
     assert wu_sets(e8_tree()) == [(0,) * 8]
+
+
+def test_wu_sets_of_a_long_star_build_no_dense_form(monkeypatch):
+    """The e = 0 star of seifert(S2; 0; (3,1),(3,-1),(401,400),(401,-400))
+    has 405 vertices.  Its Wu sets come from the edges alone, one per
+    element of H^1(Y; Z/2), in linear time."""
+    from time import process_time
+
+    def densify(*args):
+        raise AssertionError("dense form built")
+
+    monkeypatch.setattr(plumbing, "_densify", densify)
+    y = SeifertManifold(True, 0, 0, [(3, 1), (3, -1), (401, 400), (401, -400)])
+    tree = plumbing_tree(y)
+    assert tree.size == 405
+    start = process_time()
+    wu = wu_sets(tree)
+    assert process_time() - start < 0.5
+    b1, torsion = first_homology(y)
+    assert len(wu) == 2 ** (b1 + sum(1 for d in torsion.factors if d % 2 == 0)) == 2
 
 
 def test_mu_bar_examples():
