@@ -222,9 +222,9 @@ def semidefinite_obstruction(tree: PlumbingTree, budget: int | None = None) -> O
 def nonorientable_obstruction(tree: PlumbingTree, budget: int | None = None) -> ObstructionResult:
     """Pair of factorisations with coker Q isomorphic to H_i + H_i and
     |H_1 meet H_2| <= 2, Q the form of ``tree`` (the non-orientable base
-    form).  Each new qualifying
-    subset is tested against the earlier ones and itself as the search
-    finds it, and the search stops at the first good pair."""
+    form).  Each new qualifying subset is tested against the earlier ones
+    and itself as the search finds it, and the search stops at the first
+    good pair."""
     name = "nonorientable_double_subset"
     if tree.size == 0:
         return ObstructionResult(name, "pass", notes="empty form, vacuous")

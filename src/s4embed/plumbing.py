@@ -44,9 +44,9 @@ class PlumbingTree:
 
     def incidence_matrix(self) -> list[list[int]]:
         """The dense n x n form, built on the first call and shared by
-        every later one.  Only the checks that search read it: the
-        lattice search and the cokernel it pairs in; every invariant
-        below is read from the edges."""
+        every later one.  Only the checks that search read it, for the
+        lattice search and the cokernel it pairs in; the signature,
+        definiteness, determinant and Wu sets are read from the edges."""
         return self._dense
 
     @cached_property
