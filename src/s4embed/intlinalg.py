@@ -330,7 +330,7 @@ def signature_triple(diag, edges) -> tuple[int, int, int, int]:
                 if len(adj[u]) <= 1:
                     leaves.append(u)
                 continue
-            det *= N
+            det *= N  # v ends its component, or fills in
             if not row:
                 continue
             inverse = Fraction(D, N)
