@@ -2,8 +2,8 @@
 
 ``full_report`` builds a ``ManifoldContext`` once per call.  It holds the
 Seifert view of the input, e, (b_1, torsion), the pretzel strands and
-their Rolfsen-equivalent forms, each computed once, when first asked
-for.  It also owns the report's plumbings: one tree per orientation,
+the normalised Seifert keys of Y and -Y, each computed once, when first
+asked for.  It also owns the report's plumbings: one tree per orientation,
 built when a check first reads that side and shared by every later
 check, so the definite-side tree serves both the form checks and mu-bar.
 The definite side is '-' iff e < 0, else '+'.  The context sorts the
@@ -39,7 +39,9 @@ K # -K) reports the twin's search under its own name.  The tables:
   or e != 0 class.  Up to mirror, the embeddable covers are Y(a,-a,a),
   Y(a,-a,a,-a), Y(a,-a,b,-b) with a or b odd, and Y(a+-1,-a,a,-a); the
   family Y(2l-1,-2l-1,-2l^2) stays UNKNOWN, and every other cover is
-  refuted by a completed check.
+  refuted by a completed check.  Family membership compares the
+  normalised Seifert keys (r, fibres) of Y and -Y with those of the few
+  members whose fibre sizes are Y's.
 
 Merge rule: a completed refutation gives OBSTRUCTED, citing the first
 check that fired (or the class's theorem).  Failing that, a catalog hit
@@ -166,64 +168,62 @@ def even_fibre_clause(invariants) -> bool:
 
 # ---------------------------------------------------------------------------
 # pretzel families
+#
+# Over S^2 a space is keyed by its normalised invariants (r, fibres), every
+# fibre (a, b) with -a < b < 0.  The strand multisets presenting Y, its
+# Rolfsen-equivalent forms, are exactly those with Y's key, so Y is in a
+# family up to mirror and Rolfsen twist when the key of Y or -Y is a member's.
+
+Key = tuple[int, tuple[tuple[int, int], ...]]
+OPEN_FAMILY = "pretzel(2l-1,-2l-1,-2l^2)"
 
 
-def _family_match(strands) -> tuple[str, dict] | None:
-    """Match one chirality against the embeddable families."""
-    ms = Counter(strands)
-    n = len(strands)
-    values = sorted(set(strands), key=abs)
-    if n == 3:
-        for a in values:
-            if ms == Counter({a: 2, -a: 1}):
-                return "pretzel(a,-a,a)", {"a": a}
-    if n == 4:
-        for a in values:
-            if a > 0 and ms == Counter({a: 2, -a: 2}):
-                return "pretzel(a,-a,a,-a)", {"a": a}
-        for a in values:
-            for d in (a + 1, a - 1):
-                target = Counter({-a: 2, a: 1})
-                target[d] += 1
-                if ms == target:
-                    return "pretzel(a+-1,-a,a,-a)", {"a": a, "d": d}
-        pos = sorted((x for x in strands if x > 0), key=abs)
-        neg = sorted((-x for x in strands if x < 0), key=abs)
-        if len(pos) == 2 and pos == neg:
-            a, b = pos
-            if a % 2 or b % 2:
-                return "pretzel(a,-a,b,-b) odd", {"a": a, "b": b}
-    return None
+def _strand_key(strands) -> Key:
+    """The key of Y(strands), with no Seifert space built: a strand x >= 2
+    is the fibre (x, 1 - x), x <= -2 the fibre (-x, -1), and r is the
+    number of -1 strands less the number of positive ones."""
+    fibres = sorted((x, 1 - x) if x > 0 else (-x, -1) for x in strands if abs(x) > 1)
+    return strands.count(-1) - sum(x > 0 for x in strands), tuple(fibres)
 
 
-def pretzel_embeddable_family(forms) -> tuple[str, dict] | None:
-    """Family membership up to permutation, mirror, and Rolfsen twists,
-    given ``ManifoldContext.strand_forms``."""
-    for strands in forms:
-        hit = _family_match(strands)
-        if hit is not None:
-            return hit
-    return None
+def _family_member(keys) -> tuple[str, tuple[int, ...]] | None:
+    """(family, strands) of the member, up to mirror, of an embeddable
+    family or of the open family whose key is one of ``keys``.  Only the
+    members whose strands of size >= 2 have the fibre sizes of ``keys``
+    are keyed; a strand +-1 carries no fibre."""
+    sizes = tuple(a for a, _ in keys[0][1]) if keys else ()
+    n = len(sizes)
+    lo, a, hi = (sizes[0], sizes[n // 2], sizes[-1]) if n else (1, 1, 1)
+    l = (lo + 1) // 2
+    u, v, w = 2 * l - 1, 2 * l + 1, 2 * l * l  # the sizes of the open member l
+    members = (
+        (n in (0, 3) and lo == hi, "pretzel(a,-a,a)", (a, -a, a)),
+        (n in (0, 4) and lo == hi, "pretzel(a,-a,a,-a)", (a, -a, a, -a)),
+        # a or b odd; a = 1 leaves the sizes (b, b)
+        (n == 2 and lo == hi, "pretzel(a,-a,b,-b) odd", (1, -1, a, -a)),
+        (n == 4 and (lo % 2 or hi % 2), "pretzel(a,-a,b,-b) odd", (lo, -lo, hi, -hi)),
+        # d = a +- 1; (a, d) = (1, 2) leaves the sizes (2,), and (2, 1) is
+        # Y(2,-2,2)
+        (sizes == (2,), "pretzel(a+-1,-a,a,-a)", (2, -1, 1, -1)),
+        (n == 4 and abs(lo + hi - 2 * a) == 1, "pretzel(a+-1,-a,a,-a)", (lo + hi - a, -a, a, -a)),
+        # l = 1 leaves the sizes (2, 3)
+        (sizes in ((2, 3), (u, v, w)), OPEN_FAMILY, (u, -v, -w)),
+    )
+    return next(((family, m) for ok, family, m in members if ok and _strand_key(m) in keys), None)
 
 
-def pretzel_unknown_family(forms) -> int | None:
+def pretzel_embeddable_family(keys) -> str | None:
+    """The embeddable family of Y up to mirror and Rolfsen twist, given
+    ``ManifoldContext.seifert_keys``; None outside them."""
+    hit = _family_member(keys)
+    return hit[0] if hit is not None and hit[0] != OPEN_FAMILY else None
+
+
+def pretzel_unknown_family(keys) -> int | None:
     """Membership in Y(2l-1, -2l-1, -2l^2) up to mirror, given
-    ``ManifoldContext.strand_forms``; returns l."""
-    for strands in forms:
-        evens = [x for x in strands if x % 2 == 0]
-        odds = sorted(x for x in strands if x % 2)
-        if len(strands) != 3 or len(evens) != 1 or len(odds) != 2:
-            continue
-        c = evens[0]
-        if c >= 0 or (-c) % 2:
-            continue
-        half = -c // 2
-        l = math.isqrt(half)
-        if l * l != half or l < 1:
-            continue
-        if odds == sorted((2 * l - 1, -2 * l - 1)):
-            return l
-    return None
+    ``ManifoldContext.seifert_keys``; returns l."""
+    hit = _family_member(keys)
+    return (hit[1][0] + 1) // 2 if hit is not None and hit[0] == OPEN_FAMILY else None
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +258,16 @@ class ManifoldContext:
         return first_homology(self.seifert or self.manifold)
 
     @cached_property
-    def _seifert_strand_forms(self) -> tuple[tuple[int, ...], ...]:
-        """The pretzel presentations of the Seifert view, none for a lens sum."""
-        return () if self.seifert is None else pretzel_strand_forms(self.seifert)
+    def seifert_keys(self) -> tuple[Key, ...]:
+        """The normalised Seifert keys (r, fibres) of Y and of -Y, none
+        without a Seifert view over S^2; -Y is keyed (-r - n, (a, -a - b))
+        for n fibres."""
+        s = self.seifert
+        if s is None or not s.base_orientable or s.genus:
+            return ()
+        norm = normalize_seifert(s)
+        r, fibres = norm.r, norm.invariants
+        return (r, fibres), (-r - len(fibres), tuple(sorted((a, -a - b) for a, b in fibres)))
 
     @cached_property
     def cover(self) -> PretzelCover | None:
@@ -268,7 +275,7 @@ class ManifoldContext:
         input is presented by the last of its strand forms."""
         m = self.manifold
         if isinstance(m, SeifertManifold):
-            forms = self._seifert_strand_forms
+            forms = pretzel_strand_forms(m)
             return PretzelCover(forms[-1]) if forms else None
         return m if isinstance(m, PretzelCover) else None
 
@@ -276,19 +283,6 @@ class ManifoldContext:
     def link_components(self) -> int | None:
         """Components of the branch link of the cover; None without one."""
         return None if self.cover is None else pretzel_link_components(self.cover.strands)
-
-    @cached_property
-    def strand_forms(self) -> tuple[tuple[int, ...], ...]:
-        """Every pretzel presentation of the cover and of its mirror, none
-        when the manifold is not a pretzel cover; family membership is a
-        diffeomorphism statement, so matching any Rolfsen-equivalent form
-        counts."""
-        c, s = self.cover, self.seifert
-        if c is None:
-            return ()
-        forms = {c.strands, c.mirror().strands}
-        forms.update(self._seifert_strand_forms, pretzel_strand_forms(s.mirror()))
-        return tuple(sorted(forms))
 
     def tree(self, side: str) -> PlumbingTree:
         """The standard plumbing of one orientation ('+' or '-'), built on
@@ -526,7 +520,7 @@ def _matches_lens_mirror(ctx: ManifoldContext) -> bool:
 
 
 def _matches_doubly_slice_pretzel(ctx: ManifoldContext) -> bool:
-    return pretzel_embeddable_family(ctx.strand_forms) is not None
+    return pretzel_embeddable_family(ctx.seifert_keys) is not None
 
 
 def _matches_odd_complementary_e0(ctx: ManifoldContext) -> bool:
@@ -542,11 +536,11 @@ def _matches_odd_complementary_e0(ctx: ManifoldContext) -> bool:
 
 
 _KIRBY_EXAMPLE = SeifertManifold(True, 0, 0, [(4, 1), (4, 1), (12, -7)])
-_KIRBY_FORMS = (normalize_seifert(_KIRBY_EXAMPLE), normalize_seifert(_KIRBY_EXAMPLE.mirror()))
+_KIRBY_KEYS = ManifoldContext(_KIRBY_EXAMPLE).seifert_keys
 
 
 def _matches_kirby_example(ctx: ManifoldContext) -> bool:
-    return ctx.seifert is not None and normalize_seifert(ctx.seifert) in _KIRBY_FORMS
+    return any(key in _KIRBY_KEYS for key in ctx.seifert_keys)
 
 
 CATALOG: tuple[CatalogEntry, ...] = (
@@ -646,8 +640,8 @@ def full_report(
         reason = f"theorem:{theorem}" if theorem else f"obstruction:{obstructed[0].name}"
     elif hits:
         status, reason = "EMBEDS", f"catalog:{hits[0].name}"
-    elif pretzel_unknown_family(ctx.strand_forms) is not None:
-        status, reason = "UNKNOWN", "open_family:pretzel(2l-1,-2l-1,-2l^2)"
+    elif pretzel_unknown_family(ctx.seifert_keys) is not None:
+        status, reason = "UNKNOWN", f"open_family:{OPEN_FAMILY}"
     else:
         status, reason = "UNKNOWN", "no obstruction fired; no catalog entry"
 

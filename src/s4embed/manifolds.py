@@ -208,7 +208,9 @@ def pretzel_strand_forms(m: SeifertManifold) -> tuple[tuple[int, ...], ...]:
     strand count lands in {3, 4}.  Distinct forms are related by Rolfsen
     twists, so they present diffeomorphic covers of different links.
     Every fibre becomes a strand, so a space with more than 4 fibres has
-    no form; it is refused before the 2^n choices are walked.
+    no form; it is refused before the 2^n choices are walked.  Only the
+    cover of a Seifert input reads these forms: family membership
+    compares the normalised Seifert keys of Y and -Y.
     """
     if not m.base_orientable or m.genus != 0 or len(m.invariants) > 4:
         return ()

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
@@ -16,7 +17,7 @@ from s4embed.classify import (
     weak_complementary_matched,
 )
 from s4embed.cli import parse_manifold
-from s4embed.manifolds import LensSum, PretzelCover, SeifertManifold
+from s4embed.manifolds import LensSum, PretzelCover, SeifertManifold, pretzel_strand_forms
 from s4embed.plumbing import seifert_star
 
 
@@ -99,28 +100,125 @@ def test_small_seifert_follows_lens_rule():
     assert r.result("lens_mirror_pairing").obstructed
 
 
-def strand_forms(strands):
-    """Every strand form of the cover and of its mirror, as a report reads them."""
-    return ManifoldContext(PretzelCover(strands)).strand_forms
+def keys(strands):
+    """The normalised Seifert keys of the cover and of its mirror, as a
+    report reads them."""
+    return ManifoldContext(PretzelCover(strands)).seifert_keys
 
 
 def test_pretzel_families():
-    assert pretzel_embeddable_family(strand_forms([3, -3, 3])) is not None
-    assert pretzel_embeddable_family(strand_forms([4, -4, 4, -4])) is not None
-    assert pretzel_embeddable_family(strand_forms([2, -2, 3, -3])) is not None
-    assert pretzel_embeddable_family(strand_forms([2, -2, 4, -4])) is None  # both even
-    assert pretzel_embeddable_family(strand_forms([3, -2, 2, -2])) is not None
-    assert pretzel_embeddable_family(strand_forms([1, -2, 2, -2])) is not None
+    assert pretzel_embeddable_family(keys([3, -3, 3])) is not None
+    assert pretzel_embeddable_family(keys([4, -4, 4, -4])) is not None
+    assert pretzel_embeddable_family(keys([2, -2, 3, -3])) is not None
+    assert pretzel_embeddable_family(keys([2, -2, 4, -4])) is None  # both even
+    assert pretzel_embeddable_family(keys([3, -2, 2, -2])) is not None
+    assert pretzel_embeddable_family(keys([1, -2, 2, -2])) is not None
     # Rolfsen-equivalent presentation of Y(2,-2,2)
-    assert pretzel_embeddable_family(strand_forms([1, -2, -2, -2])) is not None
-    assert pretzel_embeddable_family(strand_forms([5, -4, 3, 2])) is None
+    assert pretzel_embeddable_family(keys([1, -2, -2, -2])) is not None
+    assert pretzel_embeddable_family(keys([5, -4, 3, 2])) is None
 
 
 def test_pretzel_unknown_family():
-    assert pretzel_unknown_family(strand_forms([3, -5, -8])) == 2
-    assert pretzel_unknown_family(strand_forms([-3, 5, 8])) == 2
-    assert pretzel_unknown_family(strand_forms([5, -7, -18])) == 3
-    assert pretzel_unknown_family(strand_forms([3, -3, 3])) is None
+    assert pretzel_unknown_family(keys([3, -5, -8])) == 2
+    assert pretzel_unknown_family(keys([-3, 5, 8])) == 2
+    assert pretzel_unknown_family(keys([5, -7, -18])) == 3
+    assert pretzel_unknown_family(keys([3, -3, 3])) is None
+
+
+# The matcher that keys replaced: list every strand form of the cover and
+# of its mirror, and scan each form for the family shapes.
+
+
+def oracle_strand_forms(m):
+    """Every pretzel presentation of the cover and of its mirror, none
+    when the manifold is not a pretzel cover."""
+    ctx = ManifoldContext(m)
+    c, s = ctx.cover, ctx.seifert
+    if c is None:
+        return ()
+    forms = {c.strands, c.mirror().strands}
+    forms.update(pretzel_strand_forms(s), pretzel_strand_forms(s.mirror()))
+    return tuple(sorted(forms))
+
+
+def oracle_family_match(strands):
+    """The embeddable family one strand form matches, or None."""
+    ms = Counter(strands)
+    n = len(strands)
+    values = sorted(set(strands), key=abs)
+    if n == 3:
+        for a in values:
+            if ms == Counter({a: 2, -a: 1}):
+                return "pretzel(a,-a,a)"
+    if n == 4:
+        for a in values:
+            if a > 0 and ms == Counter({a: 2, -a: 2}):
+                return "pretzel(a,-a,a,-a)"
+        for a in values:
+            for d in (a + 1, a - 1):
+                target = Counter({-a: 2, a: 1})
+                target[d] += 1
+                if ms == target:
+                    return "pretzel(a+-1,-a,a,-a)"
+        pos = sorted((x for x in strands if x > 0), key=abs)
+        neg = sorted((-x for x in strands if x < 0), key=abs)
+        if len(pos) == 2 and pos == neg:
+            a, b = pos
+            if a % 2 or b % 2:
+                return "pretzel(a,-a,b,-b) odd"
+    return None
+
+
+def oracle_unknown_family(forms):
+    """l when some form is (2l-1, -2l-1, -2l^2), else None."""
+    for strands in forms:
+        evens = [x for x in strands if x % 2 == 0]
+        odds = sorted(x for x in strands if x % 2)
+        if len(strands) != 3 or len(evens) != 1 or len(odds) != 2:
+            continue
+        c = evens[0]
+        if c >= 0 or (-c) % 2:
+            continue
+        half = -c // 2
+        l = math.isqrt(half)
+        if l * l != half or l < 1:
+            continue
+        if odds == sorted((2 * l - 1, -2 * l - 1)):
+            return l
+    return None
+
+
+def membership_disagrees(m) -> str | None:
+    """How key matching differs from the strand-form scan on ``m``."""
+    forms = oracle_strand_forms(m)
+    scanned = (any(map(oracle_family_match, forms)), oracle_unknown_family(forms))
+    seifert_keys = ManifoldContext(m).seifert_keys
+    keyed = (
+        pretzel_embeddable_family(seifert_keys) is not None,
+        pretzel_unknown_family(seifert_keys),
+    )
+    return None if keyed == scanned else f"keys give {keyed}, forms {scanned}"
+
+
+def small_fibres(bound):
+    """Fibres (a, b) with a <= bound and 0 < |b| < a."""
+    return [(a, b) for a in range(2, bound + 1) for b in range(-a + 1, a) if math.gcd(a, b) == 1]
+
+
+def test_family_keys_agree_with_the_strand_form_scan():
+    """Every 3- and 4-strand cover with |a_i| <= 7, and every Seifert
+    space over S^2 with three fibres a <= 5 and r in [-2, 2], is in the
+    same family whether its keys or its strand forms are compared."""
+    values = [x for x in range(-7, 8) if x]
+    covers = [PretzelCover(s) for n in (3, 4) for s in combinations_with_replacement(values, n)]
+    spaces = [
+        SeifertManifold(True, 0, r, fibres)
+        for fibres in combinations_with_replacement(small_fibres(5), 3)
+        for r in range(-2, 3)
+    ]
+    assert (len(covers), len(spaces)) == (2940, 5700)
+    found = {m.describe(): why for m in covers + spaces if (why := membership_disagrees(m))}
+    assert found == {}
 
 
 def test_decide_pretzel_examples():
@@ -353,10 +451,9 @@ def test_report_densifies_each_form_once(monkeypatch, manifold, forms):
 
 
 def test_report_takes_each_strand_form_list_once(monkeypatch):
-    """A Seifert input with a pretzel presentation lists the forms of
-    itself and of its mirror once each: the cover and the family checks
-    share the first list."""
-    from s4embed import classify, manifolds
+    """Family membership compares keys, so a pretzel input lists no
+    strand forms, and a Seifert input lists its own once, for the cover."""
+    from s4embed import manifolds
 
     calls = []
 
@@ -367,23 +464,23 @@ def test_report_takes_each_strand_form_list_once(monkeypatch):
     forms = manifolds.pretzel_strand_forms
     monkeypatch.setattr(manifolds, "pretzel_strand_forms", counted)
     monkeypatch.setattr(classify, "pretzel_strand_forms", counted)
-    seifert = manifolds.pretzel_to_seifert(PretzelCover([3, -5, -8]))
-    ctx = ManifoldContext(seifert)
-    assert ctx.cover is not None and ctx.strand_forms
-    assert calls == [seifert, seifert.mirror()]
-    calls.clear()
-    full_report(seifert)
-    assert len(calls) == 2
+    cover = PretzelCover([3, -5, -8])
+    assert full_report(cover).reason == "open_family:pretzel(2l-1,-2l-1,-2l^2)"
+    assert calls == []
+    seifert = manifolds.pretzel_to_seifert(cover)
+    assert full_report(seifert).reason == "open_family:pretzel(2l-1,-2l-1,-2l^2)"
+    assert calls == [seifert]
 
 
 def test_many_fibres_have_no_strand_forms():
-    """A pretzel cover has at most 4 fibres, so a 30-fibre space is
-    refused without walking 2^30 strand choices."""
+    """A pretzel cover has at most 4 fibres, so a 30-fibre space finds no
+    family and no cover without walking 2^30 strand choices."""
     from time import process_time
 
     m = SeifertManifold(True, 0, 1, [(2, 1)] * 15 + [(3, -1)] * 15)
     start = process_time()
     ctx = ManifoldContext(m)
-    assert ctx.strand_forms == ()
+    assert pretzel_embeddable_family(ctx.seifert_keys) is None
+    assert pretzel_unknown_family(ctx.seifert_keys) is None
     assert ctx.cover is None
     assert process_time() - start < 0.1
