@@ -192,10 +192,12 @@ def enumerate_subsets(
             if nodes == limit:
                 raise BudgetExhausted
             nodes += 1
-            if c == width:
-                if not rem and not live:
+            if not rem:
+                # the norm is spent, so entries c.. can only be 0: settle
+                # the row at this node, not at one node per zero column
+                if not live and (c == width or not (same[c] and entries[c - 1] > 0)):
                     yield tuple(entries)
-            else:
+            elif c < width:
                 for pos in live:
                     d = deficit[pos]
                     if d * d > rem * suffix_sq[pos][c]:

@@ -206,23 +206,30 @@ LENS_21 = lens_chains(LensSum([(21, 8), (21, 13)]))
 # Node counts of the search, pinned so that a change to how the search
 # runs cannot silently change the tree it visits (and so what a budget
 # means).  The smallest budget at which the search completes is its node
-# count.
-PINNED_NODES = [
-    (chain_matrix([-2] * 8), "square", 230, 0),
-    ([[-3, 0, 0], [0, -2, 1], [0, 1, -2]], "square", 40, 2),
-    (p_chain(12), "square", 640, 2),
-    (LENS_21.incidence_matrix(), "square", 1092, 4),
-    (
+# count.  The ids name the forms, so re-pinning a count keeps them.
+PINNED_NODES = {
+    "chain8": (chain_matrix([-2] * 8), "square", 203, 0),
+    "diag3_chain2": ([[-3, 0, 0], [0, -2, 1], [0, 1, -2]], "square", 39, 2),
+    "p_chain12": (p_chain(12), "square", 575, 2),
+    "lens21": (LENS_21.incidence_matrix(), "square", 1041, 4),
+    "seifert_5_5_3": (
         plumbing_tree(SeifertManifold(True, 0, 0, [(5, 2), (5, 3), (3, 1)])).incidence_matrix(),
         "square",
-        353,
+        332,
         1,
     ),
-    (plumbing_tree(PretzelCover([2, -2, 2, -2])).incidence_matrix(), "rectangular", 138, 3),
-]
+    "pretzel_e0": (
+        plumbing_tree(PretzelCover([2, -2, 2, -2])).incidence_matrix(),
+        "rectangular",
+        132,
+        3,
+    ),
+}
 
 
-@pytest.mark.parametrize("Q, mode, nodes, count", PINNED_NODES)
+@pytest.mark.parametrize(
+    "Q, mode, nodes, count", list(PINNED_NODES.values()), ids=list(PINNED_NODES)
+)
 def test_search_tree_is_pinned(Q, mode, nodes, count):
     res = enumerate_subsets(Q, mode)
     assert res.complete
@@ -233,7 +240,9 @@ def test_search_tree_is_pinned(Q, mode, nodes, count):
     assert short.nodes == nodes - 1
 
 
-@pytest.mark.parametrize("Q, mode, nodes, count", PINNED_NODES)
+@pytest.mark.parametrize(
+    "Q, mode, nodes, count", list(PINNED_NODES.values()), ids=list(PINNED_NODES)
+)
 def test_until_sees_each_subset_once(Q, mode, nodes, count):
     """A callback that never accepts is handed every canonical subset
     once, in search order, and leaves the pinned tree as it is."""
@@ -246,11 +255,11 @@ def test_until_sees_each_subset_once(Q, mode, nodes, count):
 
 
 def test_until_stops_at_the_first_accepted_subset():
-    Q = PINNED_NODES[3][0]
+    Q = PINNED_NODES["lens21"][0]
     seen = []
     res = enumerate_subsets(Q, until=lambda s: seen.append(s) or len(seen) == 2)
     assert res.status == "stopped" and not res.complete
-    assert res.nodes < 1092
+    assert res.nodes < PINNED_NODES["lens21"][2]
     assert set(res.subsets) == set(seen) and len(seen) == 2
     # the first subset the search meets ends a search that accepts any
     first = enumerate_subsets(Q, until=lambda s: True)
@@ -272,11 +281,15 @@ def searched_status(monkeypatch):
 
 
 # lens(21,8) + lens(21,13): the double-subset check meets its first
-# splitting pair at node 495 of the 1092 of the complete search
-FIRST_SPLIT, ALL_NODES = 495, 1092
+# splitting pair at node 462 of the 1041 of the complete search
+FIRST_SPLIT, ALL_NODES = 462, PINNED_NODES["lens21"][2]
 
 
-@pytest.mark.parametrize("budget", [FIRST_SPLIT, FIRST_SPLIT + 1, ALL_NODES - 1, None])
+@pytest.mark.parametrize(
+    "budget",
+    [FIRST_SPLIT, FIRST_SPLIT + 1, ALL_NODES - 1, None],
+    ids=["first_split", "first_split+1", "all_nodes-1", None],
+)
 def test_double_subset_passes_once_its_witness_is_reached(monkeypatch, budget):
     statuses = searched_status(monkeypatch)
     res = obstructions.double_subset_obstruction(LENS_21, budget)
@@ -284,7 +297,7 @@ def test_double_subset_passes_once_its_witness_is_reached(monkeypatch, budget):
     assert statuses == ["stopped"]
 
 
-@pytest.mark.parametrize("budget", [0, 1, FIRST_SPLIT - 1])
+@pytest.mark.parametrize("budget", [0, 1, FIRST_SPLIT - 1], ids=[None, None, "first_split-1"])
 def test_double_subset_is_inconclusive_before_its_witness(monkeypatch, budget):
     statuses = searched_status(monkeypatch)
     res = obstructions.double_subset_obstruction(LENS_21, budget)
@@ -298,7 +311,7 @@ def test_inconclusive_notes_say_how_far_the_search_got():
     res = obstructions.double_subset_obstruction(LENS_21, FIRST_SPLIT - 1)
     assert (res.verdict, res.notes) == (
         "inconclusive",
-        "budget exhausted after 494 nodes; 2 subset(s) found",
+        "budget exhausted after 461 nodes; 2 subset(s) found",
     )
     e0 = plumbing_tree(PretzelCover([2, -2, 2, -2]))
     res = obstructions.semidefinite_obstruction(e0, 10)
@@ -342,7 +355,7 @@ def test_row_order_matches_rescan():
     """The incremental neighbour counts give the rescan's order, ties and
     all, on sparse and dense random forms and on plumbings."""
     rng = random.Random(17)
-    forms = [p_chain(31), PINNED_NODES[4][0], PINNED_NODES[5][0]]
+    forms = [p_chain(31), PINNED_NODES["seifert_5_5_3"][0], PINNED_NODES["pretzel_e0"][0]]
     for _ in range(200):
         n = rng.randint(1, 14)
         density = rng.choice([0.1, 0.3, 0.7])
