@@ -1,11 +1,12 @@
 """One decision engine: per-class check tables and one merge rule.
 
 ``full_report`` builds a ``ManifoldContext`` once per call.  It holds the
-Seifert view of the input, e, (b_1, torsion), the pretzel strands and
-the normalised Seifert keys of Y and -Y, each computed once, when first
-asked for.  It also owns the report's plumbings: one tree per orientation,
-built when a check first reads that side and shared by every later
-check, so the definite-side tree serves both the form checks and mu-bar.
+Seifert view of the input, e, (b_1, torsion), the normalised Seifert keys
+(r, fibres) of Y and -Y, and the component count k of a pretzel branch
+link, read off Y's key; each is computed once, when first asked for.
+It also owns the report's plumbings: one tree per orientation, built
+when a check first reads that side and shared by every later check, so
+the definite-side tree serves both the form checks and mu-bar.
 The definite side is '-' iff e < 0, else '+'.  The context sorts the
 manifold into one class, and the rows of the class's table run in order,
 every check on the same context.  A row is a (name, check) pair, and the
@@ -75,7 +76,6 @@ from .manifolds import (
     lens_class,
     lens_mirror_class,
     normalize_seifert,
-    pretzel_strand_forms,
     pretzel_to_seifert,
 )
 from .obstructions import (
@@ -85,7 +85,7 @@ from .obstructions import (
     semidefinite_obstruction,
 )
 from .plumbing import PlumbingTree, plumbing_tree
-from .spin import mubar_vanishing_threshold, pretzel_link_components, spin_profile
+from .spin import mubar_vanishing_threshold, spin_profile
 
 DEFAULT_BUDGET = 10**7
 
@@ -234,7 +234,9 @@ def pretzel_unknown_family(keys) -> int | None:
 class ManifoldContext:
     """What the checks of one ``full_report`` call read.  Each cached
     item is computed once, when first asked for, and lives only as long
-    as the call."""
+    as the call.  The pretzel view of Y is its normalised Seifert key:
+    family membership compares keys, and the spin checks read the link
+    component count off the key, with no strand form listed."""
 
     manifold: Manifold
     _trees: dict[str, PlumbingTree] = field(default_factory=dict, init=False, repr=False)
@@ -270,19 +272,37 @@ class ManifoldContext:
         return (r, fibres), (-r - len(fibres), tuple(sorted((a, -a - b) for a, b in fibres)))
 
     @cached_property
-    def cover(self) -> PretzelCover | None:
-        """The manifold as a pretzel cover, when it is one; a Seifert
-        input is presented by the last of its strand forms."""
-        m = self.manifold
-        if isinstance(m, SeifertManifold):
-            forms = pretzel_strand_forms(m)
-            return PretzelCover(forms[-1]) if forms else None
-        return m if isinstance(m, PretzelCover) else None
-
-    @cached_property
     def link_components(self) -> int | None:
-        """Components of the branch link of the cover; None without one."""
-        return None if self.cover is None else pretzel_link_components(self.cover.strands)
+        """Components k of the branch link of a pretzel presentation of Y,
+        read off the key (r, fibres) of Y; None when Y has none.
+
+        A strand form has one strand per fibre, -a for (a, -1) and +a for
+        (a, 1 - a) (either, for a = 2), plus ``extra`` strands +-1, 3 to 4
+        strands in all, so more than 4 fibres leave no form.  The -1
+        strands outnumber the +1 strands by owed = r + #(+a strands), so a
+        form exists iff some reading of the a = 2 fibres leaves an
+        extra >= |owed| of owed's parity.  k is the number of even
+        strands, or 1 or 2 by the parity of the strand count when every
+        strand is odd; either way it is the same for every form.
+        """
+        if not self.seifert_keys:
+            return None
+        r, fibres = self.seifert_keys[0]
+        if any(b not in (-1, 1 - a) for a, b in fibres):
+            return None
+        n = len(fibres)
+        owed = r + sum(a > 2 and b == 1 - a for a, b in fibres)
+        twos = sum(a == 2 for a, _ in fibres)
+        extras = (
+            extra
+            for t in range(twos + 1)
+            for extra in range(max(3 - n, abs(owed + t)), 5 - n)
+            if (extra - owed - t) % 2 == 0
+        )
+        extra = next(extras, None)
+        if extra is None:
+            return None
+        return sum(a % 2 == 0 for a, _ in fibres) or 2 - (n + extra) % 2
 
     def tree(self, side: str) -> PlumbingTree:
         """The standard plumbing of one orientation ('+' or '-'), built on
@@ -574,8 +594,7 @@ CATALOG: tuple[CatalogEntry, ...] = (
 )
 
 
-def catalog_matches(m: Manifold | ManifoldContext) -> list[CatalogEntry]:
-    ctx = m if isinstance(m, ManifoldContext) else ManifoldContext(m)
+def catalog_matches(ctx: ManifoldContext) -> list[CatalogEntry]:
     return [entry for entry in CATALOG if entry.matches(ctx)]
 
 

@@ -115,7 +115,7 @@ class _Parser:
         kind_pos = self.pos
         kind = self.word()
         if kind == "lens":
-            summands = [self.lens_body(kind_pos)]
+            summands = [self.lens_body()]
             while self.peek() == "+":
                 self.expect("+")
                 head_pos = self.pos
@@ -123,16 +123,16 @@ class _Parser:
                 if head != "lens":
                     self.pos = head_pos
                     self.error("only lens(...) terms can be summed")
-                summands.append(self.lens_body(head_pos))
+                summands.append(self.lens_body())
             return LensSum(summands)
         if kind == "seifert":
-            return self.seifert_body(kind_pos)
+            return self.seifert_body()
         if kind == "pretzel":
-            return self.pretzel_body(kind_pos)
+            return self.pretzel_body()
         self.pos = kind_pos
         self.error(f"unknown manifold kind {kind!r}")
 
-    def lens_body(self, where: int) -> tuple[int, int]:
+    def lens_body(self) -> tuple[int, int]:
         self.expect("(")
         p_pos = self.pos
         p = self.integer()
@@ -146,7 +146,7 @@ class _Parser:
             self.error(str(exc))
         return (p, q)
 
-    def seifert_body(self, where: int) -> SeifertManifold:
+    def seifert_body(self) -> SeifertManifold:
         self.expect("(")
         base_pos = self.pos
         base = self.word()
@@ -174,7 +174,7 @@ class _Parser:
             self.pos = base_pos
             self.error(str(exc))
 
-    def pretzel_body(self, where: int) -> PretzelCover:
+    def pretzel_body(self) -> PretzelCover:
         self.expect("(")
         first = self.pos
         strands = self.int_list()

@@ -200,65 +200,6 @@ def pretzel_to_seifert(m: PretzelCover) -> SeifertManifold:
     return SeifertManifold(True, 0, r, invs)
 
 
-def pretzel_strand_forms(m: SeifertManifold) -> tuple[tuple[int, ...], ...]:
-    """All pretzel strand multisets realising this Seifert manifold.
-
-    Needs base S^2 and every fibre rewritable as (a, +-1); leftover
-    central framing may be absorbed by +-1 strands as long as the total
-    strand count lands in {3, 4}.  Distinct forms are related by Rolfsen
-    twists, so they present diffeomorphic covers of different links.
-    Every fibre becomes a strand, so a space with more than 4 fibres has
-    no form; it is refused before the 2^n choices are walked.  Only the
-    cover of a Seifert input reads these forms: family membership
-    compares the normalised Seifert keys of Y and -Y.
-    """
-    if not m.base_orientable or m.genus != 0 or len(m.invariants) > 4:
-        return ()
-    norm = normalize_seifert(m)
-    # normalised fibre (a, b): b = -1 came from strand -a (no framing
-    # shift), b = 1 - a from strand +a (one framing shift); both apply
-    # when a = 2
-    choices = []
-    for a, b in norm.invariants:
-        opts = []
-        if b == -1:
-            opts.append((-a, 0))
-        if b == 1 - a:
-            opts.append((a, 1))
-        if not opts:
-            return ()
-        choices.append(opts)
-
-    n = len(choices)
-    forms = set()
-    for mask in range(1 << n):
-        strands = []
-        shifts = 0
-        ok = True
-        for i, opts in enumerate(choices):
-            want = (mask >> i) & 1
-            if want >= len(opts):
-                ok = False
-                break
-            strand, cost = opts[want]
-            strands.append(strand)
-            shifts += cost
-        if not ok:
-            continue
-        # unnormalised pretzel framing: r0 = norm.r + shifts, and +-1
-        # strands must supply it: (#(-1) - #(+1)) == r0
-        r0 = norm.r + shifts
-        for extra in range(0, 5 - n):
-            m_minus, rem = divmod(extra + r0, 2)
-            if rem or not 0 <= m_minus <= extra:
-                continue
-            m_plus = extra - m_minus
-            total = strands + [1] * m_plus + [-1] * m_minus
-            if 3 <= len(total) <= 4:
-                forms.add(tuple(sorted(total, reverse=True)))
-    return tuple(sorted(forms))
-
-
 # ---------------------------------------------------------------------------
 # first homology
 

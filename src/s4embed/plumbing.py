@@ -27,7 +27,6 @@ from .manifolds import (
     Manifold,
     PretzelCover,
     SeifertManifold,
-    euler_invariant,
     neg_continued_fraction,
     normalize_seifert,
     pretzel_to_seifert,
@@ -90,20 +89,25 @@ def _densify(weights, edges) -> list[list[int]]:
     return Q
 
 
-def _chain_edges(start: int, length: int) -> list[tuple[int, int]]:
-    return [(start + i, start + i + 1) for i in range(length - 1)]
+def _chains(pairs, hub: int | None = None) -> PlumbingTree:
+    """One linear chain per (p, q), weighted by the negated entries of
+    the expansion of p/q.  With a ``hub`` weight the hub is vertex 0 and
+    the first vertex of every chain is joined to it."""
+    weights: list[int] = [] if hub is None else [hub]
+    edges: list[tuple[int, int]] = []
+    for p, q in pairs:
+        seq = neg_continued_fraction(p, q)
+        start = len(weights)
+        weights.extend(-a for a in seq)
+        if hub is not None:
+            edges.append((0, start))
+        edges.extend((i, i + 1) for i in range(start, len(weights) - 1))
+    return PlumbingTree(tuple(weights), tuple(edges))
 
 
 def lens_chains(m: LensSum) -> PlumbingTree:
     """Disjoint linear chains with weights -a_j, one chain per summand."""
-    weights: list[int] = []
-    edges: list[tuple[int, int]] = []
-    for p, q in m.summands:
-        seq = neg_continued_fraction(p, q)
-        start = len(weights)
-        weights.extend(-a for a in seq)
-        edges.extend(_chain_edges(start, len(seq)))
-    return PlumbingTree(tuple(weights), tuple(edges))
+    return _chains(m.summands)
 
 
 def seifert_star(m: SeifertManifold) -> PlumbingTree:
@@ -118,29 +122,13 @@ def seifert_star(m: SeifertManifold) -> PlumbingTree:
     if not m.base_orientable:
         raise ValueError("star plumbing needs an orientable base")
     norm = normalize_seifert(m)
-    weights: list[int] = [norm.r]
-    edges: list[tuple[int, int]] = []
-    for a, b in norm.invariants:
-        seq = neg_continued_fraction(a, -b)
-        start = len(weights)
-        weights.extend(-c for c in seq)
-        edges.append((0, start))
-        edges.extend(_chain_edges(start, len(seq)))
-    return PlumbingTree(tuple(weights), tuple(edges))
+    return _chains([(a, -b) for a, b in norm.invariants], hub=norm.r)
 
 
 def seifert_leg_forest(m: SeifertManifold) -> PlumbingTree:
     """Leg chains alone: the definite form bounding a non-orientable-base
     Seifert manifold (the central curve does not contribute)."""
-    norm = normalize_seifert(m)
-    weights: list[int] = []
-    edges: list[tuple[int, int]] = []
-    for a, b in norm.invariants:
-        seq = neg_continued_fraction(a, -b)
-        start = len(weights)
-        weights.extend(-c for c in seq)
-        edges.extend(_chain_edges(start, len(seq)))
-    return PlumbingTree(tuple(weights), tuple(edges))
+    return _chains((a, -b) for a, b in normalize_seifert(m).invariants)
 
 
 def plumbing_tree(m: Manifold, orientation: str = "+") -> PlumbingTree:
@@ -158,8 +146,10 @@ def plumbing_tree(m: Manifold, orientation: str = "+") -> PlumbingTree:
         m = m.mirror()
     if isinstance(m, LensSum):
         return lens_chains(m)
-    if m.base_orientable:
-        if euler_invariant(m) < 0:
-            raise ValueError("orientation yields e < 0 with orientable base")
-        return seifert_star(m)
-    return seifert_leg_forest(m)
+    if not m.base_orientable:
+        return seifert_leg_forest(m)
+    # the star is indefinite exactly when e < 0
+    star = seifert_star(m)
+    if star.definiteness[0] == "indefinite":
+        raise ValueError("orientation yields e < 0 with orientable base")
+    return star

@@ -11,8 +11,10 @@ tree's edges, with no dense matrix: the Wu sets by GF(2) leaf stripping
 read it.
 
 For a pretzel-link double branched cover the number of spin structures
-is 2^(k-1), k the number of link components; the count doubles as a
-cross-check on the component count computed from strand parities.
+is 2^(k-1), k the number of link components.  The classifier reads k off
+the normalised Seifert key (``ManifoldContext.link_components``), and
+``spin_profile`` checks the Wu-set count against 2^(k-1), a cross-check
+on that rule.
 
 This module builds no plumbing: the caller chooses the orientation whose
 plumbing is negative (semi)definite and passes that tree in, so the
@@ -112,55 +114,6 @@ def mu_bar(tree: PlumbingTree, w) -> int:
     ww = sum(c for c, x in zip(tree.weights, w) if x)
     ww += 2 * sum(w[i] * w[j] for i, j in tree.edges)
     return tree.signature - ww
-
-
-def pretzel_link_components(strands) -> int:
-    """Component count of the pretzel link, from strand parities.
-
-    The two strands through each twist region swap ends iff the twist
-    count is odd; tracing the resulting identifications around the
-    diagram counts closed loops.
-    """
-    n = len(strands)
-    # endpoints per region: (i, 'TL'|'TR'|'BL'|'BR'); arcs join TR_i-TL_{i+1}
-    # and BR_i-BL_{i+1}; inside region i: odd twists TL-BR, TR-BL, even
-    # twists TL-BL, TR-BR.
-    joins: dict[tuple[int, str], tuple[int, str]] = {}
-
-    def join(a, b):
-        joins.setdefault(a, b)
-        joins.setdefault(b, a)
-
-    pair: dict[tuple[int, str], tuple[int, str]] = {}
-    for i, a in enumerate(strands):
-        if a % 2:
-            pair[(i, "TL")] = (i, "BR")
-            pair[(i, "BR")] = (i, "TL")
-            pair[(i, "TR")] = (i, "BL")
-            pair[(i, "BL")] = (i, "TR")
-        else:
-            pair[(i, "TL")] = (i, "BL")
-            pair[(i, "BL")] = (i, "TL")
-            pair[(i, "TR")] = (i, "BR")
-            pair[(i, "BR")] = (i, "TR")
-    for i in range(n):
-        j = (i + 1) % n
-        join((i, "TR"), (j, "TL"))
-        join((i, "BR"), (j, "BL"))
-
-    seen: set[tuple[int, str]] = set()
-    count = 0
-    for start in pair:
-        if start in seen:
-            continue
-        count += 1
-        cur = start
-        while cur not in seen:
-            seen.add(cur)
-            via_region = pair[cur]
-            seen.add(via_region)
-            cur = joins[via_region]
-    return count
 
 
 @dataclass(frozen=True)

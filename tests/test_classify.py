@@ -17,8 +17,9 @@ from s4embed.classify import (
     weak_complementary_matched,
 )
 from s4embed.cli import parse_manifold
-from s4embed.manifolds import LensSum, PretzelCover, SeifertManifold, pretzel_strand_forms
+from s4embed.manifolds import LensSum, PretzelCover, SeifertManifold, pretzel_to_seifert
 from s4embed.plumbing import seifert_star
+from test_manifolds import pretzel_strand_forms
 
 
 def status(m) -> str:
@@ -132,13 +133,8 @@ def test_pretzel_unknown_family():
 def oracle_strand_forms(m):
     """Every pretzel presentation of the cover and of its mirror, none
     when the manifold is not a pretzel cover."""
-    ctx = ManifoldContext(m)
-    c, s = ctx.cover, ctx.seifert
-    if c is None:
-        return ()
-    forms = {c.strands, c.mirror().strands}
-    forms.update(pretzel_strand_forms(s), pretzel_strand_forms(s.mirror()))
-    return tuple(sorted(forms))
+    s = ManifoldContext(m).seifert
+    return tuple(sorted({*pretzel_strand_forms(s), *pretzel_strand_forms(s.mirror())}))
 
 
 def oracle_family_match(strands):
@@ -393,13 +389,17 @@ def test_only_runs_just_the_named_rows(monkeypatch):
     assert searched == []
 
 
+def catalog(m):
+    return catalog_matches(ManifoldContext(m))
+
+
 def test_catalog_consistency():
-    assert catalog_matches(LensSum([(3, 1), (3, 2)]))
-    assert not catalog_matches(LensSum([(2, 1), (2, 1)]))
-    assert catalog_matches(PretzelCover([3, -3, 3]))
-    assert not catalog_matches(PretzelCover([3, -5, -8]))
+    assert catalog(LensSum([(3, 1), (3, 2)]))
+    assert not catalog(LensSum([(2, 1), (2, 1)]))
+    assert catalog(PretzelCover([3, -3, 3]))
+    assert not catalog(PretzelCover([3, -5, -8]))
     y = SeifertManifold(True, 0, 1, [(4, 1), (4, 1), (12, 5)])  # rewritten form
-    assert any(e.name == "surgery_example_4_4_12" for e in catalog_matches(y))
+    assert any(e.name == "surgery_example_4_4_12" for e in catalog(y))
 
 
 @pytest.mark.parametrize(
@@ -450,31 +450,21 @@ def test_report_densifies_each_form_once(monkeypatch, manifold, forms):
     assert len(built) == len(set(built)) == forms
 
 
-def test_report_takes_each_strand_form_list_once(monkeypatch):
-    """Family membership compares keys, so a pretzel input lists no
-    strand forms, and a Seifert input lists its own once, for the cover."""
-    from s4embed import manifolds
-
-    calls = []
-
-    def counted(m):
-        calls.append(m)
-        return forms(m)
-
-    forms = manifolds.pretzel_strand_forms
-    monkeypatch.setattr(manifolds, "pretzel_strand_forms", counted)
-    monkeypatch.setattr(classify, "pretzel_strand_forms", counted)
+def test_report_takes_each_strand_form_list_once():
+    """Family membership and k are read off the key, so the pretzel and
+    the Seifert input of one cover give the same reason and the same
+    mu-bar certificate."""
     cover = PretzelCover([3, -5, -8])
-    assert full_report(cover).reason == "open_family:pretzel(2l-1,-2l-1,-2l^2)"
-    assert calls == []
-    seifert = manifolds.pretzel_to_seifert(cover)
-    assert full_report(seifert).reason == "open_family:pretzel(2l-1,-2l-1,-2l^2)"
-    assert calls == [seifert]
+    reports = [full_report(cover), full_report(pretzel_to_seifert(cover))]
+    assert {r.reason for r in reports} == {"open_family:pretzel(2l-1,-2l-1,-2l^2)"}
+    first, second = (r.result("mubar_vanishing") for r in reports)
+    assert first.certificates == second.certificates
 
 
 def test_many_fibres_have_no_strand_forms():
     """A pretzel cover has at most 4 fibres, so a 30-fibre space finds no
-    family and no cover without walking 2^30 strand choices."""
+    family and no link component count without walking 2^30 strand
+    choices."""
     from time import process_time
 
     m = SeifertManifold(True, 0, 1, [(2, 1)] * 15 + [(3, -1)] * 15)
@@ -482,5 +472,5 @@ def test_many_fibres_have_no_strand_forms():
     ctx = ManifoldContext(m)
     assert pretzel_embeddable_family(ctx.seifert_keys) is None
     assert pretzel_unknown_family(ctx.seifert_keys) is None
-    assert ctx.cover is None
+    assert ctx.link_components is None
     assert process_time() - start < 0.1

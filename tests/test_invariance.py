@@ -6,13 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from s4embed.classify import full_report
-from s4embed.manifolds import (
-    LensSum,
-    PretzelCover,
-    SeifertManifold,
-    pretzel_strand_forms,
-    pretzel_to_seifert,
-)
+from s4embed.manifolds import LensSum, PretzelCover, SeifertManifold, pretzel_to_seifert
+from test_manifolds import pretzel_strand_forms
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 

@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import pytest
 
 from s4embed import plumbing
-from s4embed.classify import full_report
+from s4embed.classify import ManifoldContext, full_report
 from s4embed.manifolds import (
     LensSum,
     PretzelCover,
@@ -12,13 +13,8 @@ from s4embed.manifolds import (
     neg_continued_fraction,
 )
 from s4embed.plumbing import PlumbingTree, lens_chains, plumbing_tree
-from s4embed.spin import (
-    mu_bar,
-    mubar_vanishing_threshold,
-    pretzel_link_components,
-    spin_profile,
-    wu_sets,
-)
+from s4embed.spin import mu_bar, mubar_vanishing_threshold, spin_profile, wu_sets
+from test_manifolds import pretzel_strand_forms
 
 
 def e8_tree():
@@ -65,6 +61,56 @@ def test_mu_bar_examples():
     assert mu_bar(single_vertex(-3), (1,)) == 2
 
 
+def pretzel_link_components(strands) -> int:
+    """Component count of the pretzel link, by tracing its diagram: the
+    oracle for ``ManifoldContext.link_components``.
+
+    The two strands through each twist region swap ends iff the twist
+    count is odd; tracing the resulting identifications around the
+    diagram counts closed loops.
+    """
+    n = len(strands)
+    # endpoints per region: (i, 'TL'|'TR'|'BL'|'BR'); arcs join TR_i-TL_{i+1}
+    # and BR_i-BL_{i+1}; inside region i: odd twists TL-BR, TR-BL, even
+    # twists TL-BL, TR-BR.
+    joins: dict[tuple[int, str], tuple[int, str]] = {}
+
+    def join(a, b):
+        joins.setdefault(a, b)
+        joins.setdefault(b, a)
+
+    pair: dict[tuple[int, str], tuple[int, str]] = {}
+    for i, a in enumerate(strands):
+        if a % 2:
+            pair[(i, "TL")] = (i, "BR")
+            pair[(i, "BR")] = (i, "TL")
+            pair[(i, "TR")] = (i, "BL")
+            pair[(i, "BL")] = (i, "TR")
+        else:
+            pair[(i, "TL")] = (i, "BL")
+            pair[(i, "BL")] = (i, "TL")
+            pair[(i, "TR")] = (i, "BR")
+            pair[(i, "BR")] = (i, "TR")
+    for i in range(n):
+        j = (i + 1) % n
+        join((i, "TR"), (j, "TL"))
+        join((i, "BR"), (j, "BL"))
+
+    seen: set[tuple[int, str]] = set()
+    count = 0
+    for start in pair:
+        if start in seen:
+            continue
+        count += 1
+        cur = start
+        while cur not in seen:
+            seen.add(cur)
+            via_region = pair[cur]
+            seen.add(via_region)
+            cur = joins[via_region]
+    return count
+
+
 def test_pretzel_link_components():
     assert pretzel_link_components((2, 3, 7)) == 1
     assert pretzel_link_components((3, 3, 3)) == 1
@@ -78,13 +124,41 @@ def test_pretzel_link_components():
 
 def test_component_count_matches_spin_count():
     values = [-5, -4, -3, -2, 2, 3, 4, 5]
-    import itertools
-
     for n in (3, 4):
         for strands in itertools.combinations_with_replacement(values, n):
             cover = PretzelCover(strands)
-            k = pretzel_link_components(cover.strands)
+            k = ManifoldContext(cover).link_components
             assert full_report(cover).invariants["spin_count"] == 2 ** (k - 1)
+
+
+def link_components_disagree(m) -> str | None:
+    """How the context's k differs from the diagram trace on the last
+    strand form of ``m``, None without a form."""
+    forms = pretzel_strand_forms(ManifoldContext(m).seifert)
+    traced = pretzel_link_components(forms[-1]) if forms else None
+    keyed = ManifoldContext(m).link_components
+    return None if keyed == traced else f"key gives {keyed}, trace {traced}"
+
+
+def test_link_components_from_the_key_match_the_trace():
+    """Every 3- and 4-strand cover with |a_i| <= 7, and every Seifert
+    space over S^2 with 3-4 fibres a <= 5 and r in [-2, 2]: k read off
+    the key is the trace's on the last strand form, and None exactly
+    when there is no form."""
+    values = [x for x in range(-7, 8) if x]
+    covers = [
+        PretzelCover(s) for n in (3, 4) for s in itertools.combinations_with_replacement(values, n)
+    ]
+    fibres = [(a, b) for a in range(2, 6) for b in range(1 - a, a) if b and math.gcd(a, b) == 1]
+    spaces = [
+        SeifertManifold(True, 0, r, fs)
+        for n in (3, 4)
+        for fs in itertools.combinations_with_replacement(fibres, n)
+        for r in range(-2, 3)
+    ]
+    assert len(covers) + len(spaces) == 38565
+    found = {m.describe(): why for m in covers + spaces if (why := link_components_disagree(m))}
+    assert found == {}
 
 
 def mubar_certificate(cover: PretzelCover) -> dict:
