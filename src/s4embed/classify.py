@@ -605,12 +605,10 @@ def catalog_matches(ctx: ManifoldContext) -> list[CatalogEntry]:
 @dataclass
 class ObstructionReport:
     manifold: Manifold
-    canonical_form: str
     invariants: dict
     results: list[ObstructionResult]
     status: str
     reason: str
-    conflict: bool = False
 
     def result(self, name: str) -> ObstructionResult | None:
         return next((r for r in self.results if r.name == name), None)
@@ -664,6 +662,4 @@ def full_report(
     else:
         status, reason = "UNKNOWN", "no obstruction fired; no catalog entry"
 
-    return ObstructionReport(
-        m, m.describe(), _report_invariants(ctx), results, status, reason, status == "CONFLICT"
-    )
+    return ObstructionReport(m, _report_invariants(ctx), results, status, reason)

@@ -202,7 +202,7 @@ def parse_manifold(text: str) -> Manifold:
 def report_to_json(report: ObstructionReport, with_certificates: bool) -> dict:
     return {
         "input": report.manifold.describe(),
-        "canonical_form": report.canonical_form,
+        "canonical_form": report.manifold.describe(),
         "invariants": report.invariants,
         "obstructions": [
             r.to_json(with_certificates) for r in report.results
@@ -290,10 +290,10 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.json:
         payload = report_to_json(report, args.certificates)
-        print(json.dumps(payload, indent=2, sort_keys=False))
+        print(json.dumps(payload, indent=2))
     elif not args.quiet:
         print(f"input:      {text.strip()}")
-        print(f"canonical:  {report.canonical_form}")
+        print(f"canonical:  {report.manifold.describe()}")
         inv = report.invariants
         print(
             f"invariants: b1={inv['b1']} torsion={inv['torsion_factors']} "

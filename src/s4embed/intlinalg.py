@@ -1,7 +1,7 @@
 """Exact integer linear algebra shared by every obstruction.
 
 Smith and Hermite normal forms, the exact inertia and determinant of
-symmetric forms, and presentation-based finite abelian group and
+plumbing forms, and presentation-based finite abelian group and
 subgroup arithmetic.  Everything runs on Python's arbitrary-precision
 integers; determinants of plumbing matrices outgrow machine words as
 soon as legs get long, and none of these questions tolerate rounding.
@@ -14,15 +14,12 @@ form of H1's lift basis gives G/H1 as a sum of cyclic groups Z/e_i, and
 |H1 + H2| is |H1| times the order of H2's image there, which one echelon
 basis of width at most m gives.
 
-Inertia and determinant come from one sparse symmetric elimination,
-``signature_triple``, which takes the form as a diagonal and weighted
-edges.  It strips a leaf (a vertex of degree <= 1) whenever one exists
-and otherwise pivots on a vertex of minimum degree.  A plumbing form is
-a forest, so that is Neumann's leaf stripping (Trans. AMS 268, 1981):
-it runs in linear time on integer subtree determinants, and builds no
-dense matrix and no fraction.  Every step is a congruence, so the
-counts are exact for any symmetric matrix; only a non-leaf pivot, which
-no forest reaches, brings in exact rationals.
+Inertia and determinant come from one sparse elimination,
+``signature_triple``, which takes the form of a plumbing as a diagonal
+and unit edges.  A plumbing form is a forest, so the elimination is
+Neumann's leaf stripping (Trans. AMS 268, 1981): it runs in linear time
+on integer subtree determinants, and builds no dense matrix and no
+fraction.  Every step is a congruence, so the counts are exact.
 
 Matrices are plain lists of row lists.  All functions are pure, so
 concurrent use is safe.
@@ -32,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
@@ -235,145 +231,97 @@ def lattice_index(basis) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exact inertia and determinant of a symmetric integer form
+# exact inertia and determinant of a plumbing form
 
 
 def signature_triple(diag, edges) -> tuple[int, int, int, int]:
-    """(negative, zero, positive, determinant) of a symmetric integer form.
+    """(negative, zero, positive, determinant) of the form of a plumbing.
 
-    The form is given sparse: ``diag`` is its diagonal, and ``edges``
-    holds its nonzero off-diagonal entries as triples (i, j, a), one per
-    unordered pair, for Q[i][j] = Q[j][i] = a.  This is the one
-    elimination of a plumbing: its inertia gives the signature and the
-    definiteness, and its determinant |coker Q|.
+    The form is given sparse, as ``PlumbingTree`` stores it: ``diag`` is
+    its diagonal, and ``edges`` holds the pairs (i, j), one per unordered
+    pair, with Q[i][j] = Q[j][i] = 1.  This is the one elimination of a
+    plumbing: its inertia gives the signature and the definiteness, and
+    its determinant |coker Q|.
 
-    One sparse symmetric elimination over the graph of the edges.  The
-    pivot is a vertex of degree <= 1 whenever one exists, else a vertex
-    of minimum degree.  A vertex v carries its current diagonal as the
-    quotient num[v] / den[v] with den[v] != 0:
+    The graph of the edges must be a forest, and it is stripped leaf by
+    leaf.  A vertex v carries its current diagonal as the quotient
+    num[v] / den[v] with den[v] != 0:
 
     - a leaf v with nonzero diagonal counts its sign and is stripped into
-      its neighbour u along the edge a.  Its numerator and denominator
-      are the determinants of the subtree stripped into v, with and
-      without v, so u's become num[u] num[v] - a^2 den[u] den[v] and
-      den[u] num[v], the integer recurrence for the determinant of a
-      tree across one edge;
-    - a pivot with zero diagonal and a neighbour u is eliminated with u
-      as the 2x2 block [[0, b], [b, e]], whose determinant -b^2 < 0
-      gives one eigenvalue of each sign; when the pivot is a leaf the
-      block's Schur complement is zero, so nothing fills in;
-    - an isolated pivot counts its sign, or a zero eigenvalue;
-    - a non-leaf pivot with nonzero diagonal subtracts
-      Q[r][v] Q[v][s] / e from the rest, e its diagonal.
+      its neighbour u.  Its numerator and denominator are the
+      determinants of the subtree stripped into v, with and without v,
+      so u's become num[u] num[v] - den[u] den[v] and den[u] num[v], the
+      integer recurrence for the determinant of a tree across one edge;
+    - a leaf v with zero diagonal is eliminated with its neighbour u as
+      the 2x2 block [[0, 1], [1, e]], whose determinant -1 < 0 gives one
+      eigenvalue of each sign; the block's Schur complement is zero, so
+      u's other neighbours keep their diagonals;
+    - an isolated vertex counts its sign, or a zero eigenvalue.
 
-    On a forest every step strips a leaf, so the work is linear in the
-    number of vertices and every number is an integer: this is the leaf
-    stripping of Neumann's plumbing calculus (W. Neumann, *A calculus
-    for plumbing applied to the topology of complex surface
-    singularities and degenerating complex curves*, Trans. AMS 268,
-    1981).  det Q is the product of num[v] over the pivots that end a
-    component or fill in, times -b^2 den[v] den[u] for each zero-pivot
-    block.  On a forest that is one subtree determinant per component
-    and per block, so no running product of pivots grows.  Each step,
-    leaf or not, is a congruence by an invertible block pivot, so by
-    Sylvester's law of inertia the counts are exact for every symmetric
-    matrix; other graphs only cost fill-in, where exact rationals enter.
+    The work is linear in the number of vertices and every number is an
+    integer: this is the leaf stripping of Neumann's plumbing calculus
+    (W. Neumann, *A calculus for plumbing applied to the topology of
+    complex surface singularities and degenerating complex curves*,
+    Trans. AMS 268, 1981).  det Q is the product of num[v] over the
+    vertices that end a component, times -den[v] den[u] for each
+    zero-leaf block.  Each step is a congruence, so by Sylvester's law of
+    inertia the counts are exact.  A graph with a cycle runs out of
+    leaves, and raises ValueError.
     """
     n = len(diag)
     num = list(diag)
     den = [1] * n
-    adj: list = [{} for _ in range(n)]  # None once a vertex is eliminated
-    for i, j, a in edges:
-        adj[i][j] = adj[j][i] = a
+    adj: list = [set() for _ in range(n)]  # None once a vertex is eliminated
+    for i, j in edges:
+        adj[i].add(j)
+        adj[j].add(i)
     leaves = [i for i in range(n) if len(adj[i]) <= 1]
     neg = zero = pos = 0
     det = 1
     left = n
 
-    def detach(v) -> dict:
+    def detach(v) -> set:
         nonlocal left
         left -= 1
         row = adj[v]
         adj[v] = None
         for r in row:
-            del adj[r][v]
+            adj[r].discard(v)
         return row
 
-    def subtract(r, s, amount):
-        if r == s:
-            num[r] -= den[r] * amount
-        elif amount:
-            value = adj[r].get(s, 0) - amount
-            if value:
-                adj[r][s] = value
-            else:
-                del adj[r][s]
-
-    while left:
-        if leaves:
-            v = leaves.pop()
-            if adj[v] is None or len(adj[v]) > 1:
-                continue
-        else:
-            v = min((i for i in range(n) if adj[i] is not None), key=lambda i: len(adj[i]))
+    while leaves:
+        v = leaves.pop()
+        if adj[v] is None:
+            continue
         row = detach(v)
         N, D = num[v], den[v]
+        if not row:  # v ends its component
+            if not N:
+                zero += 1
+            elif (N > 0) == (D > 0):
+                pos += 1
+            else:
+                neg += 1
+            det *= N
+            continue
+        (u,) = row
         if N:
             if (N > 0) == (D > 0):
                 pos += 1
             else:
                 neg += 1
-            if len(row) == 1:  # a leaf: only its neighbour's diagonal changes
-                ((u, a),) = row.items()
-                num[u] = num[u] * N - a * a * den[u] * D
-                den[u] *= N
-                if len(adj[u]) <= 1:
-                    leaves.append(u)
-                continue
-            det *= N  # v ends its component, or fills in
-            if not row:
-                continue
-            inverse = Fraction(D, N)
-            for r, a in row.items():
-                for s, b in row.items():
-                    subtract(r, s, a * b * inverse)
+            num[u] = num[u] * N - den[u] * D
+            den[u] *= N
             touched = row
-        elif row:
+        else:
             pos += 1
             neg += 1
-            u, b = row.popitem()
-            det *= -b * b * D * den[u]
-            urow = detach(u)
-            touched = row.keys() | urow.keys()
-            if row:  # else v was a leaf and the block changes nothing else
-                inverse = Fraction(1, b)
-                e = Fraction(num[u], den[u])
-                for r in touched:
-                    rv, ru = row.get(r, 0), urow.get(r, 0)
-                    for s in touched:
-                        sv, su = row.get(s, 0), urow.get(s, 0)
-                        subtract(r, s, ((rv * su + ru * sv) - e * rv * sv * inverse) * inverse)
-        else:
-            zero += 1
-            det = 0
-            continue
+            det *= -D * den[u]
+            touched = detach(u)
         leaves.extend(r for r in touched if len(adj[r]) <= 1)
-    return neg, zero, pos, int(det)
-
-
-def definiteness(inertia) -> tuple[str, int]:
-    """Classify a symmetric integer form by its ``signature_triple``.
-
-    Returns ('negative_definite', 0), ('negative_semidefinite', corank)
-    or ('indefinite', 0); positive-definite forms land in 'indefinite'
-    since no construction here ever wants them.
-    """
-    neg, zero, pos, _ = inertia
-    if pos == 0 and zero == 0:
-        return "negative_definite", 0
-    if pos == 0:
-        return "negative_semidefinite", zero
-    return "indefinite", 0
+    if left:
+        raise ValueError("signature by leaf stripping needs a forest")
+    return neg, zero, pos, det
 
 
 # ---------------------------------------------------------------------------

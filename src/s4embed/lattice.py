@@ -3,10 +3,12 @@
 A subset is a set of integer vectors, one per vertex of the plumbing,
 realising the (negated) intersection form inside a standard diagonal
 lattice: row i has squared length -Q[i][i] and prescribed inner products
-with every other row.  Such factorisations exist only for negative
-definite Q (square mode, A is n x n) or negative semi-definite Q of
-corank one (rectangular mode, A is n x (n-1)), and they are meaningful
-only up to signed permutations of the ambient coordinates, i.e. signed
+with every other row.  The search takes the ``PlumbingTree`` of Q and
+reads its definiteness off the tree's cached inertia.  Such
+factorisations are searched for negative definite Q (A is n x n) and
+negative semi-definite Q of corank one (A is n x (n-1), one column
+fewer); the width of A is n minus the corank.  They are meaningful only
+up to signed permutations of the ambient coordinates, i.e. signed
 column permutations of A.
 
 The search places rows one at a time, most-constrained vertex first,
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Callable
 
-from .intlinalg import definiteness, signature_triple
+from .plumbing import PlumbingTree
 
 
 class BudgetExhausted(Exception):
@@ -99,16 +101,17 @@ def _row_order(G) -> list[int]:
 
 
 def enumerate_subsets(
-    Q,
-    mode: str = "square",
+    tree: PlumbingTree,
     budget: int | None = None,
     until: Callable[[LatticeSubset], bool] | None = None,
 ) -> SubsetSearchResult:
-    """All A with A A^t = -Q, up to signed column permutation.
+    """All A with A A^t = -Q, up to signed column permutation, Q the form
+    of ``tree``.
 
-    mode 'square' wants Q negative definite and returns n x n matrices;
-    mode 'rectangular' wants corank-one negative semi-definite Q and
-    returns n x (n-1) matrices.
+    Q must be negative definite, when A is n x n, or negative
+    semi-definite of corank one, when A is n x (n-1): the width is n
+    minus the corank of the tree's cached inertia.  Any other form
+    raises ValueError.
 
     The search keeps an explicit stack with one frame per placed row.  A
     frame is a generator of candidate rows: it walks the coordinates in a
@@ -127,31 +130,18 @@ def enumerate_subsets(
     is false.  The callback does not change the tree, so a search whose
     callback never accepts visits the same nodes as one without it.
     """
-    n = len(Q)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if Q[i][j] != Q[j][i]:
-                raise ValueError("Q must be symmetric")
-            if Q[i][j]:
-                edges.append((i, j, Q[i][j]))
-    kind, corank = definiteness(signature_triple([Q[i][i] for i in range(n)], edges))
-    if mode == "square":
-        if n and kind != "negative_definite":
-            raise ValueError("square mode needs negative definite Q")
-        width = n
-    elif mode == "rectangular":
-        if kind != "negative_semidefinite" or corank != 1:
-            raise ValueError("rectangular mode needs corank-one semi-definite Q")
-        width = n - 1
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    kind, corank = tree.definiteness
+    if kind == "indefinite" or corank > 1:
+        raise ValueError("the search needs a negative definite form or one of corank one")
+    n = tree.size
+    width = n - corank
 
     if n == 0:
         empty = LatticeSubset(())
         stopped = until is not None and until(empty)
         return SubsetSearchResult("stopped" if stopped else "complete", (empty,), 0)
 
+    Q = tree.incidence_matrix()
     order = _row_order(Q)
     gram = [[-Q[i][j] for j in range(n)] for i in range(n)]
     # nodes never equals -1, so no budget means no limit

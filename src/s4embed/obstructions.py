@@ -10,11 +10,14 @@ must factor through one fewer column.  For Z/2-homology spheres, a
 correction-term argument filters the usable factorisations: every class
 of im A / im Q must be hit by A x with x in {-1, +1}^n.
 
-Each check takes the ``PlumbingTree`` of the form.  The double-subset
-checks first read |coker Q| = |det Q| from the tree's sparse
-elimination, and a non-square order refutes them with no dense matrix
-built; only a check that searches densifies Q, for the cokernel and the
-lattice search.  Each check filters and pairs the factorisations inside
+Each check takes the ``PlumbingTree`` of the form and first states the
+definiteness it needs, read off the tree's cached inertia: negative
+definite for the double-subset checks, semi-definite of corank one for
+the rectangular one.  The double-subset checks then read |coker Q| =
+|det Q| from the same elimination, and a non-square order refutes them
+with no dense matrix built; only a check that searches densifies Q,
+once per tree, for the cokernel and the lattice search, which takes the
+tree itself.  Each check filters and pairs the factorisations inside
 the search, as the search finds them (``enumerate_subsets(...,
 until=...)``), and stops at its first witness.  A pass therefore cites
 the first witness the search meets, in search order.  Every verdict of
@@ -108,12 +111,11 @@ def char_vector_criterion(H: Subgroup) -> bool:
     return len(reachable) == H.order
 
 
-def _require_negative_definite(tree: PlumbingTree, check: str) -> None:
-    """Raise ValueError unless the tree's form is negative definite.  Only
-    a check that stops before its search calls this: ``enumerate_subsets``
-    makes the same test on the dense form it searches."""
-    if tree.size and tree.definiteness[0] != "negative_definite":
-        raise ValueError(f"{check} needs negative definite Q")
+def _require(tree: PlumbingTree, definiteness: tuple[str, int], check: str) -> None:
+    """Raise ValueError unless the tree's form has this definiteness."""
+    if tree.definiteness != definiteness:
+        kind, corank = definiteness
+        raise ValueError(f"{check} needs a {kind.replace('_', ' ')} form of corank {corank}")
 
 
 def _square_order(tree: PlumbingTree) -> bool:
@@ -143,16 +145,15 @@ def double_subset_obstruction(tree: PlumbingTree, budget: int | None = None) -> 
     count therefore covers only the subsets met before that pair.
     """
     name = "double_subset"
+    _require(tree, ("negative_definite", 0), "double-subset obstruction")
     if not _square_order(tree):
-        _require_negative_definite(tree, "double-subset obstruction")
         return ObstructionResult(
             name,
             "obstructed",
             notes=f"|coker Q| = {abs(tree.determinant)} is not a perfect square, "
             "so no factorisation exists",
         )
-    Q = tree.incidence_matrix()
-    G = cokernel(Q)
+    G = cokernel(tree.incidence_matrix())
     filtered = G.order % 2 == 1
     removed = 0
     usable: set = set()  # the lift bases of the kept column subgroups
@@ -183,7 +184,7 @@ def double_subset_obstruction(tree: PlumbingTree, budget: int | None = None) -> 
         kept.append((H, s))
         return False
 
-    res = enumerate_subsets(Q, "square", budget, until=split_found)  # checks Q itself
+    res = enumerate_subsets(tree, budget, until=split_found)
     filtered_note = (
         f"{removed} factorisation(s) removed by the correction-term filter; " if removed else ""
     )
@@ -208,8 +209,8 @@ def semidefinite_obstruction(tree: PlumbingTree, budget: int | None = None) -> O
     """Rectangular factorisation A A^t = -Q through one fewer column, Q
     the form of ``tree``; the search stops at the first one."""
     name = "semidefinite_subset"
-    # checks Q is corank one
-    res = enumerate_subsets(tree.incidence_matrix(), "rectangular", budget, until=lambda s: True)
+    _require(tree, ("negative_semidefinite", 1), "semi-definite obstruction")
+    res = enumerate_subsets(tree, budget, until=lambda s: True)
     if res.subsets:
         return ObstructionResult(name, "pass", [res.subsets[0]])
     if res.complete:
@@ -228,15 +229,14 @@ def nonorientable_obstruction(tree: PlumbingTree, budget: int | None = None) -> 
     name = "nonorientable_double_subset"
     if tree.size == 0:
         return ObstructionResult(name, "pass", notes="empty form, vacuous")
+    _require(tree, ("negative_definite", 0), "non-orientable obstruction")
     if not _square_order(tree):
-        _require_negative_definite(tree, "non-orientable obstruction")
         return ObstructionResult(
             name,
             "obstructed",
             notes=f"|coker Q| = {abs(tree.determinant)} is not a perfect square",
         )
-    Q = tree.incidence_matrix()
-    G = cokernel(Q)
+    G = cokernel(tree.incidence_matrix())
     doubled = tuple(sorted(G.factors))
     qualifying: list = []
     witness: list = []
@@ -252,7 +252,7 @@ def nonorientable_obstruction(tree: PlumbingTree, budget: int | None = None) -> 
                 return True
         return False
 
-    res = enumerate_subsets(Q, "square", budget, until=pair_found)  # checks Q itself
+    res = enumerate_subsets(tree, budget, until=pair_found)
     if witness:
         return ObstructionResult(
             name, "pass", witness, "cokernel is H + H twice over with small intersection"

@@ -13,7 +13,9 @@ Every plumbing here is a forest, and it is kept sparse: its signature,
 definiteness and determinant come from one integer leaf-stripping pass
 over its edges (``PlumbingTree.inertia``), taken once per tree, and the
 Wu sets from a GF(2) pass over the same edges (``spin.wu_sets``).  The
-dense matrix is built only for a check that searches.
+tree is the one form type below the obstructions: the lattice search
+takes it too, reads the definiteness off its cached inertia, and only a
+check that searches builds the dense matrix, once per tree.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ class PlumbingTree:
         """(negative, zero, positive, determinant) of the form, from one
         integer leaf-stripping pass over the edges, taken once per tree;
         the signature, the definiteness and the determinant read it."""
-        return intlinalg.signature_triple(self.weights, [(i, j, 1) for i, j in self.edges])
+        return intlinalg.signature_triple(self.weights, self.edges)
 
     @property
     def signature(self) -> int:
@@ -71,7 +73,13 @@ class PlumbingTree:
 
     @property
     def definiteness(self) -> tuple[str, int]:
-        return intlinalg.definiteness(self.inertia)
+        """('negative_definite', 0), ('negative_semidefinite', corank) or
+        ('indefinite', 0), read off the inertia; positive definite forms
+        land in 'indefinite' since no construction here wants them."""
+        _, zero, pos, _ = self.inertia
+        if pos:
+            return "indefinite", 0
+        return ("negative_semidefinite", zero) if zero else ("negative_definite", 0)
 
     @property
     def determinant(self) -> int:

@@ -148,10 +148,7 @@ def spin_profile(tree: PlumbingTree, side: str, k: int) -> SpinProfile:
     return SpinProfile(tuple(sorted(sign * mu_bar(tree, w) for w in wu)))
 
 
-MU_BAR_THRESHOLD = {1: 1, 2: 2, 3: 3, 4: 5}
-
-
 def mubar_vanishing_threshold(k: int) -> int:
     """Least number of vanishing mu-bar invariants an embedded cover
     admits: 2^((k+1)/2) - 1 for odd k, 3 * 2^((k-2)/2) - 1 for even k."""
-    return MU_BAR_THRESHOLD[k]
+    return 2 ** ((k + 1) // 2) - 1 if k % 2 else 3 * 2 ** ((k - 2) // 2) - 1

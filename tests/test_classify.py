@@ -243,7 +243,7 @@ def test_decide_pretzel_mirror_invariance():
 
 def test_full_report_examples():
     r = full_report(PretzelCover([2, -2, 3, -3]))
-    assert r.status == "EMBEDS" and not r.conflict
+    assert r.status == "EMBEDS"
     assert all(not res.obstructed for res in r.results)
 
     r2 = full_report(LensSum([(5, 1), (5, 1)]), certificates=True)

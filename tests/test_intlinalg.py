@@ -8,11 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from s4embed import intlinalg
 from s4embed.intlinalg import (
     FiniteAbelianGroup,
     cokernel,
-    definiteness,
     direct_sum_test,
     doubled_factors,
     hermite_row_basis,
@@ -147,11 +145,12 @@ def mod2_solution_set(M, b) -> list[tuple[int, ...]]:
 
 
 def sparse(M):
-    """(diagonal, edges) of a dense symmetric matrix, the input of
-    ``signature_triple``."""
+    """(diagonal, edges) of a dense symmetric matrix whose off-diagonal
+    entries are 0 or 1, the input of ``signature_triple``."""
     n = len(M)
+    assert all(M[i][j] in (0, 1) for i in range(n) for j in range(n) if i != j)
     return [M[i][i] for i in range(n)], [
-        (i, j, M[i][j]) for i in range(n) for j in range(i + 1, n) if M[i][j]
+        (i, j) for i in range(n) for j in range(i + 1, n) if M[i][j]
     ]
 
 
@@ -457,13 +456,11 @@ def test_solve_mod2_random_consistency():
 
 def test_signature_and_definiteness():
     assert signature_triple(*sparse(e8_matrix())) == (8, 0, 0, 1)
-    assert definiteness(signature_triple(*sparse(chain_matrix([-2, -2])))) == (
-        "negative_definite",
-        0,
-    )
-    assert definiteness(signature_triple([-1, -1], [(0, 1, 1)])) == ("negative_semidefinite", 1)
-    assert definiteness(signature_triple([1], [])) == ("indefinite", 0)
-    assert signature_triple([0, 0], [(0, 1, 1)]) == (1, 0, 1, -1)
+    assert PlumbingTree((-2, -2), ((0, 1),)).definiteness == ("negative_definite", 0)
+    assert PlumbingTree((-1, -1), ((0, 1),)).definiteness == ("negative_semidefinite", 1)
+    assert PlumbingTree((1,), ()).definiteness == ("indefinite", 0)
+    assert PlumbingTree((), ()).definiteness == ("negative_definite", 0)
+    assert signature_triple([0, 0], [(0, 1)]) == (1, 0, 1, -1)
     assert signature_triple([], []) == (0, 0, 0, 1)
 
 
@@ -509,13 +506,13 @@ def dense_signature_triple(M) -> tuple[int, int, int]:
 
 
 def random_forest(rng, n):
-    """Weighted forest form on n vertices; about one leaf in three has
+    """Unit-edge forest form on n vertices; about one leaf in three has
     weight 0, which forces the hyperbolic step."""
     Q = [[0] * n for _ in range(n)]
     for i in range(1, n):
         if rng.random() < 0.9:
             j = rng.randrange(i)
-            Q[i][j] = Q[j][i] = rng.choice([1, 1, 1, -1, 2])
+            Q[i][j] = Q[j][i] = 1
     for i in range(n):
         leaf = sum(1 for x in Q[i] if x) <= 1
         zero = rng.random() < (0.35 if leaf else 0.1)
@@ -525,59 +522,9 @@ def random_forest(rng, n):
 
 def test_signature_matches_eigen_count_small_random():
     rng = random.Random(13)
-    for _ in range(300):
-        n = rng.randint(1, 6)
-        M = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                M[i][j] = M[j][i] = rng.choice([0, 0, rng.randint(-4, 4)])
-        neg, zero, pos, det = signature_triple(*sparse(M))
-        assert (neg, zero, pos) == dense_signature_triple(M)
-        assert det == determinant(M)
-        # rank from SNF agrees
-        diag = check_snf(M)
-        assert sum(1 for d in diag if d) == neg + pos
     for _ in range(100):
         M = random_forest(rng, rng.randint(1, 40))
         assert inertia(M) == dense_signature_triple(M)
-
-
-def test_signature_of_semidefinite_forms():
-    """-A^T A is negative semidefinite of corank n - rank(A)."""
-    rng = random.Random(17)
-    for _ in range(100):
-        n, k = rng.randint(1, 6), rng.randint(0, 5)
-        A = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
-        M = [[-sum(row[i] * row[j] for row in A) for j in range(n)] for i in range(n)]
-        rank = sum(1 for d in check_snf(A) if d) if k else 0
-        assert inertia(M) == dense_signature_triple(M) == (rank, n - rank, 0)
-
-
-def random_unimodular(rng, n):
-    P = identity_matrix(n)
-    for _ in range(3 * n):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i != j:
-            c = rng.choice([-2, -1, 1, 2])
-            P[i] = [a + c * b for a, b in zip(P[i], P[j])]
-        if rng.random() < 0.2:
-            P[i] = [-a for a in P[i]]
-    return P
-
-
-def test_signature_by_sylvester_law():
-    """P^T D P has the inertia of D for unimodular P."""
-    rng = random.Random(19)
-    for _ in range(200):
-        n = rng.randint(1, 8)
-        D = [rng.choice([-3, -1, 0, 0, 1, 2]) for _ in range(n)]
-        P = random_unimodular(rng, n)
-        assert abs(determinant(P)) == 1
-        PT = [list(col) for col in zip(*P)]
-        diagonal = [[d if i == j else 0 for j, d in enumerate(D)] for i in range(n)]
-        M = mat_mul(mat_mul(PT, diagonal), P)
-        expected = (sum(d < 0 for d in D), D.count(0), sum(d > 0 for d in D))
-        assert signature_triple(*sparse(M)) == (*expected, math.prod(D))
 
 
 def test_signature_of_large_plumbings():
@@ -596,8 +543,8 @@ def dense(diag, edges):
     Q = [[0] * len(diag) for _ in diag]
     for i, d in enumerate(diag):
         Q[i][i] = d
-    for i, j, a in edges:
-        Q[i][j] = Q[j][i] = a
+    for i, j in edges:
+        Q[i][j] = Q[j][i] = 1
     return Q
 
 
@@ -607,62 +554,45 @@ fibre = st.tuples(st.integers(2, 7), st.integers(1, 6)).filter(
 
 
 @st.composite
-def weighted_forests(draw):
-    """(diag, edges) of a weighted forest.  Either a random one, with zero
+def forests(draw):
+    """PlumbingTree of a unit-edge forest.  Either a random one, with zero
     weights, isolated vertices and several components, or the plumbing of
     an e = 0 star (complementary fibre pairs over S^2), whose form is
     semi-definite of corank one."""
     if draw(st.booleans()):
         fibres = draw(st.lists(fibre, min_size=1, max_size=3))
-        tree = plumbing_tree(SeifertManifold(True, 0, 0, [*fibres, *((a, -b) for a, b in fibres)]))
-        return list(tree.weights), [(i, j, 1) for i, j in tree.edges]
+        return plumbing_tree(SeifertManifold(True, 0, 0, [*fibres, *((a, -b) for a, b in fibres)]))
     n = draw(st.integers(0, 24))
     diag = draw(st.lists(st.sampled_from([-5, -3, -2, -2, -1, 0, 0, 1, 2]), min_size=n, max_size=n))
     edges = []
     for i in range(1, n):
         parent = draw(st.one_of(st.none(), st.integers(0, i - 1)))  # None starts a component
         if parent is not None:
-            edges.append((parent, i, draw(st.sampled_from([1, 1, -1, 2, 3]))))
-    return diag, edges
+            edges.append((parent, i))
+    return PlumbingTree(tuple(diag), tuple(edges))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(form=weighted_forests())
-def test_forest_elimination_matches_dense_oracles(form):
+@given(tree=forests())
+def test_forest_elimination_matches_dense_oracles(tree):
     """Inertia and determinant against dense elimination and Bareiss, and
-    the Wu sets of the same forest with unit edges against dense GF(2)
-    solving."""
-    diag, edges = form
-    Q = dense(diag, edges)
-    assert signature_triple(diag, edges) == (*dense_signature_triple(Q), determinant(Q))
-    tree = PlumbingTree(tuple(diag), tuple((i, j) for i, j, _ in edges))
-    unit = dense(diag, [(i, j, 1) for i, j, _ in edges])
-    assert tree.inertia == (*dense_signature_triple(unit), determinant(unit))
-    assert wu_sets(tree) == mod2_solution_set(unit, diag)
+    the Wu sets against dense GF(2) solving."""
+    Q = dense(tree.weights, tree.edges)
+    assert tree.inertia == (*dense_signature_triple(Q), determinant(Q))
+    assert wu_sets(tree) == mod2_solution_set(Q, tree.weights)
 
 
-def test_forest_elimination_builds_no_fraction(monkeypatch):
-    """Leaf stripping stays in the integers: with ``Fraction`` made to
-    raise, forests (with zero pivots, so hyperbolic blocks too) still
-    eliminate, while a cycle, which needs a non-leaf pivot, does not."""
-
-    def no_fraction(*args):
-        raise AssertionError("Fraction built")
-
-    rng = random.Random(29)
-    forests = [sparse(random_forest(rng, rng.randint(1, 40))) for _ in range(50)]
-    expected = [signature_triple(*form) for form in forests]
-    monkeypatch.setattr(intlinalg, "Fraction", no_fraction)
-    assert [signature_triple(*form) for form in forests] == expected
-    assert any(zero for _, zero, _, _ in expected)
-    assert signature_triple([-2] * 100000, [(i, i + 1, 1) for i in range(99999)]) == (
+def test_elimination_needs_a_forest():
+    """A cycle leaves no leaf to strip and is refused, while a chain of
+    100,000 vertices still eliminates."""
+    with pytest.raises(ValueError, match="needs a forest"):
+        signature_triple([-2, -2, -2], [(0, 1), (1, 2), (0, 2)])
+    assert signature_triple([-2] * 100000, [(i, i + 1) for i in range(99999)]) == (
         100000,
         0,
         0,
         100001,
     )
-    with pytest.raises(AssertionError, match="Fraction built"):
-        signature_triple([-2, -2, -2], [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
 
 
 def test_hermite_basis_canonical():

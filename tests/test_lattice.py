@@ -12,28 +12,26 @@ from s4embed.lattice import (
     enumerate_subsets,
 )
 from s4embed.manifolds import LensSum, PretzelCover, SeifertManifold
-from s4embed.plumbing import lens_chains, plumbing_tree
+from s4embed.plumbing import PlumbingTree, lens_chains, plumbing_tree
 
 
-def chain_matrix(weights, extra_edges=()):
-    n = len(weights)
-    Q = [[0] * n for _ in range(n)]
-    for i, w in enumerate(weights):
-        Q[i][i] = w
-    for i in range(n - 1):
-        Q[i][i + 1] = Q[i + 1][i] = 1
-    for i, j in extra_edges:
-        Q[i][j] = Q[j][i] = 1
-    return Q
+def forest(weights, edges=()) -> PlumbingTree:
+    return PlumbingTree(tuple(weights), tuple(edges))
 
 
-def naive_enumerate_subsets(Q, mode: str = "square") -> tuple[LatticeSubset, ...]:
-    """Brute-force oracle: product over rows of all norm shells, filtered.
+def chain(weights) -> PlumbingTree:
+    return forest(weights, [(i, i + 1) for i in range(len(weights) - 1)])
 
-    Only usable for tiny Q; exists to certify the pruned search.
+
+def naive_enumerate_subsets(tree, corank: int = 0) -> tuple[LatticeSubset, ...]:
+    """Brute-force oracle: product over rows of all norm shells, filtered,
+    in width n - corank.
+
+    Only usable for tiny forms; exists to certify the pruned search.
     """
+    Q = tree.incidence_matrix()
     n = len(Q)
-    width = n if mode == "square" else n - 1
+    width = n - corank
     shells = []
     for i in range(n):
         norm = -Q[i][i]
@@ -81,8 +79,8 @@ def verify_factorization(A, Q) -> bool:
 
 
 def p_chain(p):
-    """The form of lens(p,1) + lens(p,p-1): one vertex and a (p-1)-chain."""
-    return lens_chains(LensSum([(p, 1), (p, p - 1)])).incidence_matrix()
+    """The plumbing of lens(p,1) + lens(p,p-1): one vertex and a (p-1)-chain."""
+    return lens_chains(LensSum([(p, 1), (p, p - 1)]))
 
 
 def test_verify_factorization_cases():
@@ -94,30 +92,32 @@ def test_verify_factorization_cases():
 
 
 def test_minus4_has_single_class():
-    res = enumerate_subsets([[-4]])
+    res = enumerate_subsets(forest([-4]))
     assert res.complete
     assert len(res.subsets) == 1
     assert abs(res.subsets[0].rows[0][0]) == 2
 
 
 def test_l32_chain_has_no_subsets():
-    res = enumerate_subsets(chain_matrix([-2, -2]))
+    res = enumerate_subsets(chain([-2, -2]))
     assert res.complete
     assert res.subsets == ()
 
 
+L31_L32 = forest([-3, -2, -2], [(1, 2)])
+
+
 def test_lens_sum_l31_l32_contains_standard_subset():
-    Q = [[-3, 0, 0], [0, -2, 1], [0, 1, -2]]
-    res = enumerate_subsets(Q)
+    res = enumerate_subsets(L31_L32)
     assert res.complete
     target = canonicalize_rows([[1, 1, 1], [1, -1, 0], [0, 1, -1]])
     assert target in {s.rows for s in res.subsets}
     for s in res.subsets:
-        assert verify_factorization(s, Q)
+        assert verify_factorization(s, L31_L32.incidence_matrix())
 
 
 def test_rectangular_rank_one():
-    res = enumerate_subsets([[-1, 1], [1, -1]], mode="rectangular")
+    res = enumerate_subsets(forest([-1, -1], [(0, 1)]))
     assert res.complete
     assert len(res.subsets) == 1
     rows = res.subsets[0].rows
@@ -125,22 +125,37 @@ def test_rectangular_rank_one():
     assert rows[0][0] * rows[1][0] == -1
 
 
-def test_mode_validation():
+def test_search_refuses_indefinite_and_corank_two_forms():
     with pytest.raises(ValueError):
-        enumerate_subsets([[1]])
+        enumerate_subsets(forest([1]))
     with pytest.raises(ValueError):
-        enumerate_subsets([[-2, 1], [1, -2]], mode="rectangular")
+        enumerate_subsets(chain([-2, 1, -2]))
+    corank_two = forest([-1, -1, 0], [(0, 1)])
+    assert corank_two.definiteness == ("negative_semidefinite", 2)
+    with pytest.raises(ValueError):
+        enumerate_subsets(corank_two)
+
+
+def test_checks_refuse_the_wrong_definiteness():
+    """The rectangular check refuses a definite form, and the square one a
+    semi-definite form it would otherwise search in one column fewer."""
+    with pytest.raises(ValueError):
+        obstructions.semidefinite_obstruction(chain([-2, -2]))
+    e0 = plumbing_tree(PretzelCover([2, -2, 2, -2]))
+    assert e0.definiteness == ("negative_semidefinite", 1)
+    with pytest.raises(ValueError):
+        obstructions.double_subset_obstruction(e0)
+    with pytest.raises(ValueError):
+        obstructions.nonorientable_obstruction(e0)
 
 
 def test_budget_exhaustion_reported():
-    Q = chain_matrix([-2] * 8)
-    res = enumerate_subsets(Q, budget=5)
+    res = enumerate_subsets(chain([-2] * 8), budget=5)
     assert res.status == "exhausted"
 
 
 def test_no_pair_related_by_signed_permutation():
-    Q = [[-3, 0, 0], [0, -2, 1], [0, 1, -2]]
-    res = enumerate_subsets(Q)
+    res = enumerate_subsets(L31_L32)
     seen = set()
     for s in res.subsets:
         key = canonicalize_rows(s.rows)
@@ -149,40 +164,57 @@ def test_no_pair_related_by_signed_permutation():
         seen.add(key)
 
 
-def random_negative_definite(rng, n, max_diag):
-    """Random symmetric negative definite Q with |diagonal| <= max_diag."""
-    from s4embed.intlinalg import definiteness, signature_triple
-    from test_intlinalg import sparse
+def random_forest(rng, n, max_diag) -> PlumbingTree:
+    """Unit-edge forest on n vertices with weights in [-max_diag, -1]."""
+    weights = [-rng.randint(1, max_diag) for _ in range(n)]
+    edges = [(rng.randrange(i), i) for i in range(1, n) if rng.random() < 0.7]
+    return forest(weights, edges)
 
+
+def random_with_definiteness(rng, n, max_diag, definiteness) -> PlumbingTree:
     while True:
-        Q = [[0] * n for _ in range(n)]
-        for i in range(n):
-            Q[i][i] = -rng.randint(1, max_diag)
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = rng.choice([0, 0, 0, 1, 1, -1, 2, -2])
-                Q[i][j] = Q[j][i] = v
-        if definiteness(signature_triple(*sparse(Q)))[0] == "negative_definite":
-            return Q
+        tree = random_forest(rng, n, max_diag)
+        if tree.definiteness == definiteness:
+            return tree
+
+
+def random_negative_definite(rng, n, max_diag) -> PlumbingTree:
+    return random_with_definiteness(rng, n, max_diag, ("negative_definite", 0))
 
 
 def test_oracle_equivalence_randomised():
     rng = random.Random(2024)
     for _ in range(50):
         n = rng.randint(1, 4)
-        Q = random_negative_definite(rng, n, 6)
-        fast = enumerate_subsets(Q)
+        tree = random_negative_definite(rng, n, 6)
+        fast = enumerate_subsets(tree)
         assert fast.complete
-        slow = naive_enumerate_subsets(Q)
+        slow = naive_enumerate_subsets(tree)
         assert {s.rows for s in fast.subsets} == {s.rows for s in slow}
+
+
+def test_oracle_equivalence_on_corank_one_forests():
+    """The search in one column fewer against the naive rectangular
+    enumeration, on random semi-definite forests of corank one."""
+    rng = random.Random(2025)
+    found = 0
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        tree = random_with_definiteness(rng, n, 3, ("negative_semidefinite", 1))
+        fast = enumerate_subsets(tree)
+        assert fast.complete
+        slow = naive_enumerate_subsets(tree, corank=1)
+        assert {s.rows for s in fast.subsets} == {s.rows for s in slow}
+        assert all(len(row) == n - 1 for s in fast.subsets for row in s.rows)
+        found += bool(fast.subsets)
+    assert found >= 10
 
 
 def test_rectangular_columns_span_full_rank():
     from s4embed.intlinalg import smith_normal_form
 
     tree = plumbing_tree(PretzelCover([2, -2, 2, -2]))
-    Q = tree.incidence_matrix()
-    res = enumerate_subsets(Q, mode="rectangular")
+    res = enumerate_subsets(tree)
     assert res.complete
     assert res.subsets, "the e=0 pretzel cover plumbing factors"
     for s in res.subsets:
@@ -194,11 +226,11 @@ def test_rectangular_columns_span_full_rank():
 
 def test_lens_chain_subsets_verify():
     for p, q in [(9, 2), (8, 3), (12, 5), (13, 5)]:
-        Q = lens_chains(LensSum([(p, q)])).incidence_matrix()
-        res = enumerate_subsets(Q)
+        tree = lens_chains(LensSum([(p, q)]))
+        res = enumerate_subsets(tree)
         assert res.complete
         for s in res.subsets:
-            assert verify_factorization(s, Q)
+            assert verify_factorization(s, tree.incidence_matrix())
 
 
 LENS_21 = lens_chains(LensSum([(21, 8), (21, 13)]))
@@ -208,26 +240,17 @@ LENS_21 = lens_chains(LensSum([(21, 8), (21, 13)]))
 # means).  The smallest budget at which the search completes is its node
 # count.
 PINNED_NODES = {
-    "chain8": (chain_matrix([-2] * 8), "square", 203, 0),
-    "diag3_chain2": ([[-3, 0, 0], [0, -2, 1], [0, 1, -2]], "square", 39, 2),
-    "p_chain12": (p_chain(12), "square", 575, 2),
-    "lens21": (LENS_21.incidence_matrix(), "square", 1041, 4),
-    "seifert_5_5_3": (
-        plumbing_tree(SeifertManifold(True, 0, 0, [(5, 2), (5, 3), (3, 1)])).incidence_matrix(),
-        "square",
-        332,
-        1,
-    ),
-    "pretzel_e0": (
-        plumbing_tree(PretzelCover([2, -2, 2, -2])).incidence_matrix(),
-        "rectangular",
-        132,
-        3,
-    ),
+    "chain8": (chain([-2] * 8), 203, 0),
+    "diag3_chain2": (L31_L32, 39, 2),
+    "p_chain12": (p_chain(12), 575, 2),
+    "lens21": (LENS_21, 1041, 4),
+    "seifert_5_5_3": (plumbing_tree(SeifertManifold(True, 0, 0, [(5, 2), (5, 3), (3, 1)])), 332, 1),
+    "pretzel_e0": (plumbing_tree(PretzelCover([2, -2, 2, -2])), 132, 3),
 }
 # Case ids stay as first pinned, so each case keeps its name across
 # re-pins; the node count in an id is the count before the search
-# settled a spent row at one node.
+# settled a spent row at one node, and "square" or "rectangular" says
+# whether the form is definite or semi-definite of corank one.
 PINNED_IDS = [
     "Q0-square-230-0",
     "Q1-square-40-2",
@@ -238,38 +261,37 @@ PINNED_IDS = [
 ]
 
 
-@pytest.mark.parametrize("Q, mode, nodes, count", list(PINNED_NODES.values()), ids=PINNED_IDS)
-def test_search_tree_is_pinned(Q, mode, nodes, count):
-    res = enumerate_subsets(Q, mode)
+@pytest.mark.parametrize("tree, nodes, count", list(PINNED_NODES.values()), ids=PINNED_IDS)
+def test_search_tree_is_pinned(tree, nodes, count):
+    res = enumerate_subsets(tree)
     assert res.complete
     assert (res.nodes, len(res.subsets)) == (nodes, count)
-    assert enumerate_subsets(Q, mode, budget=nodes) == res
-    short = enumerate_subsets(Q, mode, budget=nodes - 1)
+    assert enumerate_subsets(tree, budget=nodes) == res
+    short = enumerate_subsets(tree, budget=nodes - 1)
     assert short.status == "exhausted"
     assert short.nodes == nodes - 1
 
 
-@pytest.mark.parametrize("Q, mode, nodes, count", list(PINNED_NODES.values()), ids=PINNED_IDS)
-def test_until_sees_each_subset_once(Q, mode, nodes, count):
+@pytest.mark.parametrize("tree, nodes, count", list(PINNED_NODES.values()), ids=PINNED_IDS)
+def test_until_sees_each_subset_once(tree, nodes, count):
     """A callback that never accepts is handed every canonical subset
     once, in search order, and leaves the pinned tree as it is."""
     seen = []
-    res = enumerate_subsets(Q, mode, until=lambda s: seen.append(s) or False)
-    assert res == enumerate_subsets(Q, mode)
+    res = enumerate_subsets(tree, until=lambda s: seen.append(s) or False)
+    assert res == enumerate_subsets(tree)
     assert (res.status, res.nodes) == ("complete", nodes)
     assert len(seen) == len(set(seen)) == count
     assert sorted(s.rows for s in seen) == [s.rows for s in res.subsets]
 
 
 def test_until_stops_at_the_first_accepted_subset():
-    Q = PINNED_NODES["lens21"][0]
     seen = []
-    res = enumerate_subsets(Q, until=lambda s: seen.append(s) or len(seen) == 2)
+    res = enumerate_subsets(LENS_21, until=lambda s: seen.append(s) or len(seen) == 2)
     assert res.status == "stopped" and not res.complete
-    assert res.nodes < PINNED_NODES["lens21"][2]
+    assert res.nodes < PINNED_NODES["lens21"][1]
     assert set(res.subsets) == set(seen) and len(seen) == 2
     # the first subset the search meets ends a search that accepts any
-    first = enumerate_subsets(Q, until=lambda s: True)
+    first = enumerate_subsets(LENS_21, until=lambda s: True)
     assert first.subsets == (seen[0],) and first.nodes < res.nodes
 
 
@@ -289,7 +311,7 @@ def searched_status(monkeypatch):
 
 # lens(21,8) + lens(21,13): the double-subset check meets its first
 # splitting pair at node 462 of the 1041 of the complete search
-FIRST_SPLIT, ALL_NODES = 462, PINNED_NODES["lens21"][2]
+FIRST_SPLIT, ALL_NODES = 462, PINNED_NODES["lens21"][1]
 
 
 @pytest.mark.parametrize(
@@ -338,7 +360,7 @@ def test_obstructed_needs_the_complete_search(monkeypatch):
     statuses = searched_status(monkeypatch)
     tree = lens_chains(LensSum([(5, 1), (5, 1)]))
     assert obstructions.double_subset_obstruction(tree).verdict == "obstructed"
-    nodes = enumerate_subsets(tree.incidence_matrix()).nodes
+    nodes = enumerate_subsets(tree).nodes
     assert obstructions.double_subset_obstruction(tree, nodes - 1).verdict == "inconclusive"
     assert statuses == ["complete", "exhausted"]
 
@@ -362,7 +384,8 @@ def test_row_order_matches_rescan():
     """The incremental neighbour counts give the rescan's order, ties and
     all, on sparse and dense random forms and on plumbings."""
     rng = random.Random(17)
-    forms = [p_chain(31), PINNED_NODES["seifert_5_5_3"][0], PINNED_NODES["pretzel_e0"][0]]
+    trees = [p_chain(31), PINNED_NODES["seifert_5_5_3"][0], PINNED_NODES["pretzel_e0"][0]]
+    forms = [tree.incidence_matrix() for tree in trees]
     for _ in range(200):
         n = rng.randint(1, 14)
         density = rng.choice([0.1, 0.3, 0.7])
@@ -385,14 +408,14 @@ def frame_depth() -> int:
 
 
 def test_search_depth_costs_no_recursion():
-    Q = p_chain(61)
+    tree = p_chain(61)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(frame_depth() + 50)
     try:
-        res = enumerate_subsets(Q)
+        res = enumerate_subsets(tree)
     finally:
         sys.setrecursionlimit(limit)
     assert res.complete
     assert len(res.subsets) == 2
     for s in res.subsets:
-        assert verify_factorization(s, Q)
+        assert verify_factorization(s, tree.incidence_matrix())

@@ -117,8 +117,9 @@ def test_char_vector_criterion_filters_lambda():
     from s4embed.manifolds import euler_invariant
 
     assert euler_invariant(seif) > 0
-    Q = plumbing_tree(seif).incidence_matrix()
-    res = enumerate_subsets(Q)
+    tree = plumbing_tree(seif)
+    Q = tree.incidence_matrix()
+    res = enumerate_subsets(tree)
     assert res.complete and res.subsets
     assert all(not char_vector_criterion(column_subgroup(s, Q)) for s in res.subsets)
 
@@ -207,7 +208,7 @@ def full_double_subset(tree):
     det = determinant(Q) * (-1) ** len(Q)
     if det < 0 or math.isqrt(det) ** 2 != det:
         return "obstructed", double_subset_obstruction(tree).notes  # no search either way
-    res = enumerate_subsets(Q)
+    res = enumerate_subsets(tree)
     if not res.complete:
         return "inconclusive", "budget exhausted"
     G = cokernel(Q)
@@ -234,7 +235,7 @@ def full_double_subset(tree):
 
 
 def full_semidefinite(tree):
-    if enumerate_subsets(tree.incidence_matrix(), "rectangular").subsets:
+    if enumerate_subsets(tree).subsets:
         return "pass", ""
     return "obstructed", "complete search: no rectangular factorisation"
 
@@ -246,7 +247,7 @@ def full_nonorientable(tree):
         res = nonorientable_obstruction(tree)  # no search either way
         return res.verdict, res.notes
     G = cokernel(Q)
-    columns = [subset_column_subgroup(G, s) for s in enumerate_subsets(Q).subsets]
+    columns = [subset_column_subgroup(G, s) for s in enumerate_subsets(tree).subsets]
     qualifying = [H for H in columns if doubled_factors(H.factors) == tuple(sorted(G.factors))]
     for i, H1 in enumerate(qualifying):
         for H2 in qualifying[i:]:

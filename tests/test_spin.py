@@ -232,4 +232,4 @@ def test_mu_bar_negates_with_orientation():
 
 
 def test_thresholds():
-    assert [mubar_vanishing_threshold(k) for k in (1, 2, 3, 4)] == [1, 2, 3, 5]
+    assert [mubar_vanishing_threshold(k) for k in (1, 2, 3, 4, 5, 6)] == [1, 2, 3, 5, 7, 11]
