@@ -1,0 +1,98 @@
+"""A pinned verdict census over two Seifert sweeps.
+
+Every space of a sweep runs through ``full_report`` with a fixed budget.
+The census counts the spaces by (status, reason) and lists every
+UNKNOWN input; ``golden/census.json`` pins both for each sweep, so a
+change that moves any verdict shows as a diff of that file.  Every space
+is also reported with its orientation reversed, and must get the same
+status.
+
+- S5: orientable base S^2, three fibres (a, b) with 2 <= a <= 5 and
+  0 < b < a coprime, central framing r in [-2, 2];
+- N7: non-orientable bases N(1) and N(2), zero to two such fibres with
+  a <= 7, r in [-3, 3].
+
+To record the census again from the current code::
+
+    PYTHONPATH=src python tests/test_census.py
+"""
+
+import itertools
+import json
+import math
+from collections import Counter
+from pathlib import Path
+
+from s4embed.classify import full_report
+from s4embed.manifolds import SeifertManifold
+
+CENSUS = Path(__file__).parent / "golden" / "census.json"
+BUDGET = 10**5
+
+
+def fibres(a_max: int) -> list[tuple[int, int]]:
+    return [(a, b) for a in range(2, a_max + 1) for b in range(1, a) if math.gcd(a, b) == 1]
+
+
+def sweep_s5() -> list[SeifertManifold]:
+    return [
+        SeifertManifold(True, 0, r, list(invs))
+        for invs in itertools.combinations_with_replacement(fibres(5), 3)
+        for r in range(-2, 3)
+    ]
+
+
+def sweep_n7() -> list[SeifertManifold]:
+    return [
+        SeifertManifold(False, genus, r, list(invs))
+        for genus in (1, 2)
+        for k in range(3)
+        for invs in itertools.combinations_with_replacement(fibres(7), k)
+        for r in range(-3, 4)
+    ]
+
+
+SWEEPS = {"S5": sweep_s5, "N7": sweep_n7}
+
+
+def census(spaces) -> tuple[dict, list[str]]:
+    """The census of one sweep, and the spaces whose mirror got another
+    status."""
+    counts: Counter = Counter()
+    unknown = []
+    mirror_faults = []
+    for y in spaces:
+        report = full_report(y, budget=BUDGET)
+        counts[report.status, report.reason] += 1
+        if report.status == "UNKNOWN":
+            unknown.append(y.describe())
+        mirrored = full_report(y.mirror(), budget=BUDGET).status
+        if mirrored != report.status:
+            mirror_faults.append(f"{y.describe()}: {report.status} vs mirror {mirrored}")
+    table: dict = {}
+    for (status, reason), n in sorted(counts.items()):
+        table.setdefault(status, {})[reason] = n
+    return {"spaces": len(spaces), "counts": table, "unknown": unknown}, mirror_faults
+
+
+def record() -> str:
+    out = {name: census(sweep())[0] for name, sweep in SWEEPS.items()}
+    return json.dumps(out, indent=1) + "\n"
+
+
+def test_census_sweeps_are_sized():
+    assert (len(sweep_s5()), len(sweep_n7())) == (825, 2394)
+
+
+def test_census_is_reproduced():
+    pinned = json.loads(CENSUS.read_text())
+    assert list(pinned) == list(SWEEPS)
+    for name, sweep in SWEEPS.items():
+        table, mirror_faults = census(sweep())
+        assert mirror_faults == []
+        assert table == pinned[name], name
+
+
+if __name__ == "__main__":
+    CENSUS.parent.mkdir(exist_ok=True)
+    CENSUS.write_text(record())
