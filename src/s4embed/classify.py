@@ -308,7 +308,7 @@ class ManifoldContext:
         """The standard plumbing of one orientation ('+' or '-'), built on
         first use and kept for the rest of the call.  When both sides
         give the same tree, the first one built serves both, so its
-        elimination, and its dense form if a check searches it, are taken
+        elimination, and its cokernel if a check reads it, are taken
         once."""
         if side not in self._trees:
             tree = plumbing_tree(self.seifert or self.manifold, side)

@@ -1,10 +1,10 @@
 """Exact integer linear algebra shared by every obstruction.
 
-Smith and Hermite normal forms, the exact inertia and determinant of
-plumbing forms, and presentation-based finite abelian group and
-subgroup arithmetic.  Everything runs on Python's arbitrary-precision
-integers; determinants of plumbing matrices outgrow machine words as
-soon as legs get long, and none of these questions tolerate rounding.
+Smith and Hermite normal forms, the exact inertia of plumbing forms,
+and presentation-based finite abelian group and subgroup arithmetic.
+Everything runs on Python's arbitrary-precision integers; group orders
+of plumbings outgrow machine words as soon as legs get long, and none
+of these questions tolerate rounding.
 
 Subgroup questions are answered, in integers only, from the Hermite
 basis of the lift lattice (generators plus relations) in Z^m: the order
@@ -14,12 +14,12 @@ form of H1's lift basis gives G/H1 as a sum of cyclic groups Z/e_i, and
 |H1 + H2| is |H1| times the order of H2's image there, which one echelon
 basis of width at most m gives.
 
-Inertia and determinant come from one sparse elimination,
-``signature_triple``, which takes the form of a plumbing as a diagonal
-and unit edges.  A plumbing form is a forest, so the elimination is
-Neumann's leaf stripping (Trans. AMS 268, 1981): it runs in linear time
-on integer subtree determinants, and builds no dense matrix and no
-fraction.  Every step is a congruence, so the counts are exact.
+Inertia comes from one sparse elimination, ``signature_triple``, which
+takes the form of a plumbing as a diagonal and neighbour lists.  A plumbing
+form is a forest, so the elimination is Neumann's leaf stripping (Trans.
+AMS 268, 1981): it runs in linear time on integer subtree determinants,
+and builds no dense matrix and no fraction.  Every step is a congruence,
+so the counts are exact.
 
 Matrices are plain lists of row lists.  All functions are pure, so
 concurrent use is safe.
@@ -135,7 +135,7 @@ def smith_normal_form(
                     add_row(i, t, -q)
                     if D[i][t]:
                         swap_rows(i, t)
-            # clear the pivot row; this can dirty the column again
+            # clear the pivot row; only a swap dirties the column again
             dirty = False
             for j in range(t + 1, cols):
                 while D[t][j]:
@@ -144,12 +144,12 @@ def smith_normal_form(
                     if D[t][j]:
                         swap_cols(j, t)
                         dirty = True
-            if not dirty and all(D[i][t] == 0 for i in range(t + 1, rows)):
+            if not dirty:
                 break
 
-        # divisibility fix-up: pivot must divide the rest of the block
+        # divisibility fix-up: the pivot must divide the rest of the block, as a unit does
         fixed = True
-        for i in range(t + 1, rows):
+        for i in range(t + 1, rows if best > 1 else t + 1):
             for j in range(t + 1, cols):
                 if D[i][j] % D[t][t]:
                     add_row(t, i, 1)
@@ -162,11 +162,9 @@ def smith_normal_form(
 
     for i in range(limit):
         if D[i][i] < 0:
-            for j in range(cols):
-                D[i][j] = -D[i][j]
+            D[i] = [-x for x in D[i]]
             if U is not None:
-                for j in range(rows):
-                    U[i][j] = -U[i][j]
+                U[i] = [-x for x in U[i]]
     return U, D, V
 
 
@@ -231,19 +229,19 @@ def lattice_index(basis) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exact inertia and determinant of a plumbing form
+# exact inertia of a plumbing form
 
 
-def signature_triple(diag, edges) -> tuple[int, int, int, int]:
-    """(negative, zero, positive, determinant) of the form of a plumbing.
+def signature_triple(diag, neighbours) -> tuple[int, int, int]:
+    """(negative, zero, positive) eigenvalue counts of a plumbing form.
 
     The form is given sparse, as ``PlumbingTree`` stores it: ``diag`` is
-    its diagonal, and ``edges`` holds the pairs (i, j), one per unordered
-    pair, with Q[i][j] = Q[j][i] = 1.  This is the one elimination of a
-    plumbing: its inertia gives the signature and the definiteness, and
-    its determinant |coker Q|.
+    its diagonal, and ``neighbours[i]`` lists the j with Q[i][j] = 1, every
+    other off-diagonal entry being 0.  This is the one elimination of a
+    plumbing: its inertia gives the signature and the definiteness.
+    |coker Q| is read off the chains instead (``PlumbingTree.cokernel``).
 
-    The graph of the edges must be a forest, and it is stripped leaf by
+    The graph must be a forest, and it is stripped leaf by
     leaf.  A vertex v carries its current diagonal as the quotient
     num[v] / den[v] with den[v] != 0:
 
@@ -262,22 +260,16 @@ def signature_triple(diag, edges) -> tuple[int, int, int, int]:
     integer: this is the leaf stripping of Neumann's plumbing calculus
     (W. Neumann, *A calculus for plumbing applied to the topology of
     complex surface singularities and degenerating complex curves*,
-    Trans. AMS 268, 1981).  det Q is the product of num[v] over the
-    vertices that end a component, times -den[v] den[u] for each
-    zero-leaf block.  Each step is a congruence, so by Sylvester's law of
-    inertia the counts are exact.  A graph with a cycle runs out of
+    Trans. AMS 268, 1981).  Each step is a congruence, so by Sylvester's
+    law of inertia the counts are exact.  A graph with a cycle runs out of
     leaves, and raises ValueError.
     """
     n = len(diag)
     num = list(diag)
     den = [1] * n
-    adj: list = [set() for _ in range(n)]  # None once a vertex is eliminated
-    for i, j in edges:
-        adj[i].add(j)
-        adj[j].add(i)
+    adj: list = [set(row) for row in neighbours]  # None once a vertex is eliminated
     leaves = [i for i in range(n) if len(adj[i]) <= 1]
     neg = zero = pos = 0
-    det = 1
     left = n
 
     def detach(v) -> set:
@@ -302,7 +294,6 @@ def signature_triple(diag, edges) -> tuple[int, int, int, int]:
                 pos += 1
             else:
                 neg += 1
-            det *= N
             continue
         (u,) = row
         if N:
@@ -316,12 +307,11 @@ def signature_triple(diag, edges) -> tuple[int, int, int, int]:
         else:
             pos += 1
             neg += 1
-            det *= -D * den[u]
             touched = detach(u)
         leaves.extend(r for r in touched if len(adj[r]) <= 1)
     if left:
         raise ValueError("signature by leaf stripping needs a forest")
-    return neg, zero, pos, det
+    return neg, zero, pos
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +330,17 @@ class FiniteAbelianGroup:
 
     factors: tuple[int, ...]
     free_rank: int = 0
-    _torsion_rows: tuple[tuple[int, ...], ...] = field(default=(), repr=False)
+    _relations: list = field(default_factory=list, repr=False)  # M
+    # ambient coordinate i is m times generator k for (k, m) = _lift[i], if given
+    _lift: tuple[tuple[int, int], ...] = field(default=(), repr=False)
+
+    @cached_property
+    def _torsion_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Torsion rows of U in U M V = D, taken when the group first projects."""
+        U, D, _ = smith_normal_form(self._relations, right=False)
+        rows = [(U[i], D[i][i]) for i in range(len(U)) if i < len(D[i]) and D[i][i] >= 2]
+        lift = self._lift or [(k, 1) for k in range(len(U))]
+        return tuple(tuple(u[k] * m % d for k, m in lift) for u, d in rows)
 
     @property
     def order(self) -> int:
@@ -373,20 +373,11 @@ class FiniteAbelianGroup:
 
 
 def cokernel(M) -> FiniteAbelianGroup:
-    """Z^n / im(M) for square integer M, with free rank when singular."""
-    n = len(M)
-    if n == 0:
-        return FiniteAbelianGroup(factors=())
-    if any(len(row) != n for row in M):
-        raise ValueError("cokernel expects a square matrix")
-    U, D, _ = smith_normal_form(M, right=False)
-    diag = [D[i][i] for i in range(n)]
-    torsion = [(d, i) for i, d in enumerate(diag) if d >= 2]
-    return FiniteAbelianGroup(
-        factors=tuple(d for d, _ in torsion),
-        free_rank=diag.count(0),
-        _torsion_rows=tuple(tuple(x % d for x in U[i]) for d, i in torsion),
-    )
+    """Z^r / im(M), one generator per row of M and one relation per column,
+    for M of any shape: the free rank is r minus the rank of M."""
+    _, D, _ = smith_normal_form(M, left=False, right=False)
+    diag = [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
+    return FiniteAbelianGroup(tuple(d for d in diag if d >= 2), len(M) - sum(map(bool, diag)), M)
 
 
 @dataclass

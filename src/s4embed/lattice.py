@@ -4,7 +4,8 @@ A subset is a set of integer vectors, one per vertex of the plumbing,
 realising the (negated) intersection form inside a standard diagonal
 lattice: row i has squared length -Q[i][i] and prescribed inner products
 with every other row.  The search takes the ``PlumbingTree`` of Q and
-reads its definiteness off the tree's cached inertia.  Such
+reads its definiteness off the cached inertia, and Q off the weights and
+the neighbour lists, so no dense form is built.  Such
 factorisations are searched for negative definite Q (A is n x n) and
 negative semi-definite Q of corank one (A is n x (n-1), one column
 fewer); the width of A is n minus the corank.  They are meaningful only
@@ -77,26 +78,24 @@ def canonicalize_rows(rows) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(col[i] for col in cols) for i in range(len(rows)))
 
 
-def _row_order(G) -> list[int]:
-    """Deterministic placement order: heaviest constraints first.
+def _row_order(weights, neighbours) -> list[int]:
+    """Deterministic placement order: most placed neighbours first.
 
-    Start from the largest norm; afterwards always prefer vertices with
-    the most already-placed neighbours, breaking ties by norm then index.
+    Always prefer vertices with the most already-placed neighbours,
+    breaking ties by the larger weight (the smaller norm), then the smaller index.
     Each vertex keeps its count of placed neighbours, raised as its
     neighbours are placed, so the order takes O(n^2).
     """
-    n = len(G)
+    n = len(weights)
     placed: list[int] = []
     neighbours_placed = [0] * n
     remaining = set(range(n))
     while remaining:
-        best = max(remaining, key=lambda i: (neighbours_placed[i], G[i][i], -i))
+        best = max(remaining, key=lambda i: (neighbours_placed[i], weights[i], -i))
         placed.append(best)
         remaining.remove(best)
-        row = G[best]
-        for i in remaining:
-            if row[i]:
-                neighbours_placed[i] += 1
+        for i in neighbours[best]:
+            neighbours_placed[i] += 1
     return placed
 
 
@@ -141,9 +140,8 @@ def enumerate_subsets(
         stopped = until is not None and until(empty)
         return SubsetSearchResult("stopped" if stopped else "complete", (empty,), 0)
 
-    Q = tree.incidence_matrix()
-    order = _row_order(Q)
-    gram = [[-Q[i][j] for j in range(n)] for i in range(n)]
+    order = _row_order(tree.weights, tree.neighbours)
+    position = {v: pos for pos, v in enumerate(order)}
     # nodes never equals -1, so no budget means no limit
     limit = -1 if budget is None else max(budget, 0)
     nodes = 0
@@ -168,15 +166,15 @@ def enumerate_subsets(
         """
         nonlocal nodes
         i = order[depth]
-        # deficit[pos]: inner product still owed to placed row pos; only
-        # the rows in ``live`` owe a nonzero amount
-        deficit = [gram[i][order[pos]] for pos in range(depth)]
-        live = {pos for pos in range(depth) if deficit[pos]}
+        # deficit[pos]: inner product still owed to placed row pos, -1 to a
+        # neighbour of i and 0 to any other; the rows in ``live`` owe a nonzero amount
+        live = {position[u] for u in tree.neighbours[i] if position[u] < depth}
+        deficit = [-(pos in live) for pos in range(depth)]
         same, zero = same_as_prev[depth], all_zero[depth]
         entries = [0] * width
         tops = [0] * width  # the last value to try in each column
         rems = [0] * width  # the remaining norm before each column
-        rem = gram[i][i]
+        rem = -tree.weights[i]
         c = 0
         while True:
             if nodes == limit:

@@ -241,28 +241,13 @@ def _seifert_presentation(m: SeifertManifold) -> list[list[int]]:
     return rows
 
 
-def _square_presentation(rows) -> list[list[int]]:
-    """Pad a relation matrix with zero rows so cokernel() accepts it."""
-    if not rows:
-        return []
-    width = len(rows[0])
-    out = [list(r) for r in rows]
-    if len(out) > width:
-        raise ValueError("more relations than generators")
-    while len(out) < width:
-        out.append([0] * width)
-    return out
-
-
 def first_homology(m: Manifold) -> tuple[int, FiniteAbelianGroup]:
     """(b_1, torsion) of the manifold, from its presentation matrix."""
     if isinstance(m, PretzelCover):
         m = pretzel_to_seifert(m)
     if isinstance(m, LensSum):
-        n = len(m.summands)
-        M = [[m.summands[i][0] if i == j else 0 for j in range(n)] for i in range(n)]
-        return 0, cokernel(M)
-    rows = _seifert_presentation(m)
-    G = cokernel(_square_presentation(rows))
+        ps = [p for p, _ in m.summands]
+        return 0, cokernel([[p * (i == j) for j in range(len(ps))] for i, p in enumerate(ps)])
+    G = cokernel(list(zip(*_seifert_presentation(m))))  # relations as columns
     b1 = G.free_rank + (2 * m.genus if m.base_orientable else 0)
     return b1, replace(G, free_rank=0)

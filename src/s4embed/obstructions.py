@@ -13,17 +13,17 @@ of im A / im Q must be hit by A x with x in {-1, +1}^n.
 Each check takes the ``PlumbingTree`` of the form and first states the
 definiteness it needs, read off the tree's cached inertia: negative
 definite for the double-subset checks, semi-definite of corank one for
-the rectangular one.  The double-subset checks then read |coker Q| =
-|det Q| from the same elimination, and a non-square order refutes them
-with no dense matrix built; only a check that searches densifies Q,
-once per tree, for the cokernel and the lattice search, which takes the
-tree itself.  Each check filters and pairs the factorisations inside
-the search, as the search finds them (``enumerate_subsets(...,
-until=...)``), and stops at its first witness.  A pass therefore cites
-the first witness the search meets, in search order.  Every verdict of
-"obstructed" is backed by a provably completed search; budget
-exhaustion downgrades to "inconclusive" instead, whose note gives the
-nodes the search used and the subsets it found.
+the rectangular one.  The double-subset checks then take coker Q from
+the tree (``PlumbingTree.cokernel``, read off its chains and cached): a
+non-square |coker Q| refutes them with no search, and a search pairs its
+subgroups in that group.  No check builds a dense form.  Each check
+filters and pairs the factorisations inside the search, as the search
+finds them (``enumerate_subsets(..., until=...)``), and stops at its
+first witness.  A pass therefore cites the first witness the search
+meets, in search order.  Every verdict of "obstructed" is backed by a
+provably completed search; budget exhaustion downgrades to
+"inconclusive" instead, whose note gives the nodes the search used and
+the subsets it found.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from typing import Any
 from .intlinalg import (
     FiniteAbelianGroup,
     Subgroup,
-    cokernel,
     direct_sum_test,
     doubled_factors,
     subgroup_from_generators,
@@ -118,11 +117,9 @@ def _require(tree: PlumbingTree, definiteness: tuple[str, int], check: str) -> N
         raise ValueError(f"{check} needs a {kind.replace('_', ' ')} form of corank {corank}")
 
 
-def _square_order(tree: PlumbingTree) -> bool:
-    """Is det(-Q), which is |coker Q| for negative definite Q, a perfect
-    square?  Read from the tree's elimination, so no dense form is built."""
-    det = tree.determinant * (-1) ** tree.size
-    return det >= 0 and math.isqrt(det) ** 2 == det
+def _square_order(G: FiniteAbelianGroup) -> bool:
+    """Is |coker Q| a perfect square?"""
+    return math.isqrt(G.order) ** 2 == G.order
 
 
 def _exhausted(res: SubsetSearchResult) -> str:
@@ -146,14 +143,14 @@ def double_subset_obstruction(tree: PlumbingTree, budget: int | None = None) -> 
     """
     name = "double_subset"
     _require(tree, ("negative_definite", 0), "double-subset obstruction")
-    if not _square_order(tree):
+    G = tree.cokernel
+    if not _square_order(G):
         return ObstructionResult(
             name,
             "obstructed",
-            notes=f"|coker Q| = {abs(tree.determinant)} is not a perfect square, "
+            notes=f"|coker Q| = {G.order} is not a perfect square, "
             "so no factorisation exists",
         )
-    G = cokernel(tree.incidence_matrix())
     filtered = G.order % 2 == 1
     removed = 0
     usable: set = set()  # the lift bases of the kept column subgroups
@@ -230,13 +227,11 @@ def nonorientable_obstruction(tree: PlumbingTree, budget: int | None = None) -> 
     if tree.size == 0:
         return ObstructionResult(name, "pass", notes="empty form, vacuous")
     _require(tree, ("negative_definite", 0), "non-orientable obstruction")
-    if not _square_order(tree):
+    G = tree.cokernel
+    if not _square_order(G):
         return ObstructionResult(
-            name,
-            "obstructed",
-            notes=f"|coker Q| = {abs(tree.determinant)} is not a perfect square",
+            name, "obstructed", notes=f"|coker Q| = {G.order} is not a perfect square"
         )
-    G = cokernel(tree.incidence_matrix())
     doubled = tuple(sorted(G.factors))
     qualifying: list = []
     witness: list = []

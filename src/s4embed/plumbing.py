@@ -9,18 +9,16 @@ corank one when e = 0).  Over a non-orientable base the central curve
 drops out of second homology and the intersection form is the chain
 forest of the legs alone.
 
-Every plumbing here is a forest, and it is kept sparse: its signature,
-definiteness and determinant come from one integer leaf-stripping pass
-over its edges (``PlumbingTree.inertia``), taken once per tree, and the
-Wu sets from a GF(2) pass over the same edges (``spin.wu_sets``).  The
-tree is the one form type below the obstructions: the lattice search
-takes it too, reads the definiteness off its cached inertia, and only a
-check that searches builds the dense matrix, once per tree.
+Every plumbing here is a forest, kept sparse as the one form type below
+the obstructions: its inertia comes from leaf stripping
+(``PlumbingTree.inertia``), its cokernel from a walk along its chains
+(``PlumbingTree.cokernel``), each once per tree, its Wu sets from a GF(2)
+pass (``spin.wu_sets``); the lattice search reads its neighbour lists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from . import intlinalg
@@ -43,32 +41,30 @@ class PlumbingTree:
     weights: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
 
-    def incidence_matrix(self) -> list[list[int]]:
-        """The dense n x n form, built on the first call and shared by
-        every later one.  Only the checks that search read it, for the
-        lattice search and the cokernel it pairs in; the signature,
-        definiteness, determinant and Wu sets are read from the edges."""
-        return self._dense
-
-    @cached_property
-    def _dense(self) -> list[list[int]]:
-        return _densify(self.weights, self.edges)
-
     @property
     def size(self) -> int:
         return len(self.weights)
 
     @cached_property
-    def inertia(self) -> tuple[int, int, int, int]:
-        """(negative, zero, positive, determinant) of the form, from one
-        integer leaf-stripping pass over the edges, taken once per tree;
-        the signature, the definiteness and the determinant read it."""
-        return intlinalg.signature_triple(self.weights, self.edges)
+    def neighbours(self) -> tuple[tuple[int, ...], ...]:
+        """The neighbours of each vertex: Q's off-diagonal entries, all 1."""
+        adj: list[list[int]] = [[] for _ in self.weights]
+        for i, j in self.edges:
+            adj[i].append(j)
+            adj[j].append(i)
+        return tuple(map(tuple, adj))
+
+    @cached_property
+    def inertia(self) -> tuple[int, int, int]:
+        """(negative, zero, positive) eigenvalue counts of the form, from
+        one integer leaf-stripping pass over the edges, taken once per
+        tree; the signature and the definiteness read it."""
+        return intlinalg.signature_triple(self.weights, self.neighbours)
 
     @property
     def signature(self) -> int:
         """Signature of the plumbed 4-manifold."""
-        neg, _, pos, _ = self.inertia
+        neg, _, pos = self.inertia
         return pos - neg
 
     @property
@@ -76,25 +72,50 @@ class PlumbingTree:
         """('negative_definite', 0), ('negative_semidefinite', corank) or
         ('indefinite', 0), read off the inertia; positive definite forms
         land in 'indefinite' since no construction here wants them."""
-        _, zero, pos, _ = self.inertia
+        _, zero, pos = self.inertia
         if pos:
             return "indefinite", 0
         return ("negative_semidefinite", zero) if zero else ("negative_definite", 0)
 
-    @property
-    def determinant(self) -> int:
-        """det Q, so |det Q| = |coker Q| when it is nonzero."""
-        return self.inertia[3]
+    @cached_property
+    def cokernel(self) -> intlinalg.FiniteAbelianGroup:
+        """coker Q, read off the chains (Neumann, Trans. AMS 268, 1981).
 
-
-def _densify(weights, edges) -> list[list[int]]:
-    n = len(weights)
-    Q = [[0] * n for _ in range(n)]
-    for i, w in enumerate(weights):
-        Q[i][i] = w
-    for i, j in edges:
-        Q[i][j] = Q[j][i] = 1
-    return Q
+        Every vertex but a hub (degree >= 3) lies on a chain walked from its
+        free end, of class g: each vertex's class is m g, with m = 1 at the end
+        and m' = -w m - m_prev at the next, by the column of Q at a vertex of
+        weight w.  Past the chain m' g = 0, or m' g = h at a hub h: the first
+        chain to meet h gives h its class, each later one a relation, and h's
+        own column w h + (its neighbours' classes) = 0.  These relations, one
+        per chain, present the group, and a vertex's coordinates are its chain's
+        times m.  Two hubs on a chain raise ValueError."""
+        adj, weights = self.neighbours, self.weights
+        owner, mult = [-1] * self.size, [1] * self.size  # each vertex's chain and m
+        relations: list[dict[int, int]] = []  # columns: chain -> coefficient
+        chains = 0
+        for end, row in enumerate(adj):
+            if len(row) > 1 or owner[end] >= 0:
+                continue
+            k, chains = chains, chains + 1
+            prev, v, m_prev, m = -1, end, 0, 1
+            while v >= 0 and len(adj[v]) < 3:
+                owner[v], mult[v] = k, m
+                m_prev, m = m, -weights[v] * m - m_prev
+                ahead = [u for u in adj[v] if u != prev]  # at most one, as v is no hub
+                prev, v = v, ahead[0] if ahead else -1
+            if v >= 0 and owner[v] < 0:  # the first chain to meet hub v
+                owner[v], mult[v] = k, m
+            else:
+                relations.append({k: m} if v < 0 else {k: m, owner[v]: -mult[v]})
+        if -1 in owner:
+            raise ValueError("a chain between two hubs has no free end to walk from")
+        for h in (v for v, row in enumerate(adj) if len(row) >= 3):
+            rel = {owner[h]: weights[h] * mult[h]}
+            for u in adj[h]:
+                rel[owner[u]] = rel.get(owner[u], 0) + mult[u]
+            relations.append(rel)
+        G = intlinalg.cokernel([[rel.get(k, 0) for rel in relations] for k in range(chains)])
+        return replace(G, _lift=tuple(zip(owner, mult)))
 
 
 def _chains(pairs, hub: int | None = None) -> PlumbingTree:

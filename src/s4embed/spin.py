@@ -53,10 +53,7 @@ def wu_sets(tree: PlumbingTree) -> list[tuple[int, ...]]:
     """
     n = tree.size
     d = [w & 1 for w in tree.weights]
-    adj: list = [set() for _ in range(n)]  # None once a vertex is solved
-    for i, j in tree.edges:
-        adj[i].add(j)
-        adj[j].add(i)
+    adj: list = [set(row) for row in tree.neighbours]  # None once a vertex is solved
     # (v, mask, vertices): w_v is mask plus the w of those vertices, each
     # eliminated after v; bit 0 of a mask is the constant 1, bit t >= 1
     # the t-th free variable

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from functools import cached_property
 from itertools import combinations_with_replacement
 
 import pytest
@@ -18,7 +19,7 @@ from s4embed.classify import (
 )
 from s4embed.cli import parse_manifold
 from s4embed.manifolds import LensSum, PretzelCover, SeifertManifold, pretzel_to_seifert
-from s4embed.plumbing import seifert_star
+from s4embed.plumbing import PlumbingTree, seifert_star
 from test_manifolds import pretzel_strand_forms
 
 
@@ -426,28 +427,33 @@ def test_report_builds_each_side_once(monkeypatch, manifold, builds):
 
 
 @pytest.mark.parametrize(
-    "manifold, forms",
+    "manifold, cokernels",
     [
-        # |coker Q| = 71 is read from the sparse elimination and is not a
-        # square, so double_subset refutes without a dense form
-        (PretzelCover([3, 5, 7]), 0),
-        # e = 0 with both sides the same tree: one dense form
-        (PretzelCover([2, -2, 3, -3]), 1),
+        # |coker Q| = 71 is not a square, so double_subset refutes with
+        # the order and no search
+        (PretzelCover([3, 5, 7]), 1),
+        # e = 0: the semi-definite searches need no cokernel
+        (PretzelCover([2, -2, 3, -3]), 0),
         (SeifertManifold(False, 1, 0, [(3, 1), (3, -1)]), 1),
         (SeifertManifold(False, 1, 0, [(3, 1), (3, -2)]), 2),
+        # a lens sum that is its own mirror: both double-subset rows
+        # share one tree
+        (LensSum([(3, 1), (3, 2)]), 1),
     ],
 )
-def test_report_densifies_each_form_once(monkeypatch, manifold, forms):
-    built = []
+def test_report_takes_each_cokernel_once(monkeypatch, manifold, cokernels):
+    taken = []
 
-    def counted(weights, edges):
-        built.append((weights, edges))
-        return densify(weights, edges)
+    def counted(tree):
+        taken.append(tree)
+        return walk(tree)
 
-    densify = plumbing._densify
-    monkeypatch.setattr(plumbing, "_densify", counted)
-    full_report(manifold)
-    assert len(built) == len(set(built)) == forms
+    walk = PlumbingTree.cokernel.func
+    prop = cached_property(counted)
+    prop.__set_name__(PlumbingTree, "cokernel")
+    monkeypatch.setattr(PlumbingTree, "cokernel", prop)
+    full_report(manifold, certificates=True)
+    assert len(taken) == len(set(taken)) == cokernels
 
 
 def test_report_takes_each_strand_form_list_once():

@@ -80,6 +80,21 @@ def test_check_names_cover_every_reported_check():
     assert reported == set(CHECK_NAMES)
 
 
+@pytest.mark.parametrize(
+    "value",
+    [
+        {"a": [1, -2, [], {}], "b": {"c": None, "d": [True, False]}, "e": "\u00e9\n\"x\""},
+        [[[]]],
+        (10**40, 1.5),
+        {},
+        "plain",
+    ],
+)
+def test_indented_json_is_the_standard_library_bytes(value):
+    """The report printer writes exactly what json.dumps(indent=2) writes."""
+    assert cli._indented(value) == json.dumps(value, indent=2)
+
+
 def test_help_exits_zero(capsys):
     assert exit_code("--help") == 0
     assert "--seed" not in capsys.readouterr().out
@@ -120,9 +135,9 @@ def within_limits():
 
 @pytest.mark.parametrize("expr", ["lens(301,300)", "lens(2001,2000)", "lens(100001,100000)"])
 def test_long_chains_are_refuted_within_limits(expr):
-    """lens(p,p-1) plumbs a chain of p - 1 vertices.  Its determinant p is
-    read from the sparse elimination, so the certificate checks refute it
-    with no dense form, well inside the limits."""
+    """lens(p,p-1) plumbs a chain of p - 1 vertices.  Its cokernel Z/p is
+    read off the chain, so the certificate checks refute it with no dense
+    form, well inside the limits."""
     done = run_python(
         "-m", "s4embed.cli", expr, "--json", "--certificates", preexec_fn=within_limits
     )

@@ -60,7 +60,7 @@ def mat_eq(A, B) -> bool:
 
 def determinant(M) -> int:
     """Exact determinant by fraction-free Bareiss elimination; the oracle
-    for the determinant of ``signature_triple``."""
+    for the order of ``PlumbingTree.cokernel``."""
     n = len(M)
     if n == 0:
         return 1
@@ -145,17 +145,16 @@ def mod2_solution_set(M, b) -> list[tuple[int, ...]]:
 
 
 def sparse(M):
-    """(diagonal, edges) of a dense symmetric matrix whose off-diagonal
-    entries are 0 or 1, the input of ``signature_triple``."""
+    """(diagonal, neighbour lists) of a dense symmetric matrix whose
+    off-diagonal entries are 0 or 1, the input of ``signature_triple``."""
     n = len(M)
     assert all(M[i][j] in (0, 1) for i in range(n) for j in range(n) if i != j)
-    return [M[i][i] for i in range(n)], [
-        (i, j) for i in range(n) for j in range(i + 1, n) if M[i][j]
-    ]
+    neighbours = [[j for j in range(n) if j != i and M[i][j]] for i in range(n)]
+    return [M[i][i] for i in range(n)], neighbours
 
 
 def inertia(M) -> tuple[int, int, int]:
-    return signature_triple(*sparse(M))[:3]
+    return signature_triple(*sparse(M))
 
 
 E8_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)]
@@ -174,9 +173,8 @@ def group_from_factors(factors) -> FiniteAbelianGroup:
     for a, b in zip(factors, factors[1:]):
         if b % a:
             raise ValueError("invariant factors must form a divisibility chain")
-    m = len(factors)
-    rows = tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))
-    return FiniteAbelianGroup(factors=factors, _torsion_rows=rows)
+    diagonal = [[d * (i == j) for j in range(len(factors))] for i, d in enumerate(factors)]
+    return FiniteAbelianGroup(factors, 0, diagonal)
 
 
 def check_snf(M):
@@ -455,13 +453,16 @@ def test_solve_mod2_random_consistency():
 
 
 def test_signature_and_definiteness():
-    assert signature_triple(*sparse(e8_matrix())) == (8, 0, 0, 1)
+    assert signature_triple(*sparse(e8_matrix())) == (8, 0, 0)
+    assert PlumbingTree((-2,) * 8, tuple(E8_EDGES)).cokernel.order == 1
     assert PlumbingTree((-2, -2), ((0, 1),)).definiteness == ("negative_definite", 0)
     assert PlumbingTree((-1, -1), ((0, 1),)).definiteness == ("negative_semidefinite", 1)
     assert PlumbingTree((1,), ()).definiteness == ("indefinite", 0)
     assert PlumbingTree((), ()).definiteness == ("negative_definite", 0)
-    assert signature_triple([0, 0], [(0, 1)]) == (1, 0, 1, -1)
-    assert signature_triple([], []) == (0, 0, 0, 1)
+    assert signature_triple([0, 0], [[1], [0]]) == (1, 0, 1)
+    assert PlumbingTree((0, 0), ((0, 1),)).cokernel.order == 1
+    assert signature_triple([], []) == (0, 0, 0)
+    assert PlumbingTree((), ()).cokernel.order == 1
 
 
 def dense_signature_triple(M) -> tuple[int, int, int]:
@@ -528,24 +529,31 @@ def test_signature_matches_eigen_count_small_random():
 
 
 def test_signature_of_large_plumbings():
-    assert signature_triple(*sparse(chain_matrix([-2] * 300))) == (300, 0, 0, 301)
+    assert signature_triple(*sparse(chain_matrix([-2] * 300))) == (300, 0, 0)
+    assert chain_tree([-2] * 300).cokernel.factors == (301,)
     # e = 0; the normalised fibres give legs of 150, 150, 1 and 1 vertices
     star = SeifertManifold(True, 0, 0, [(151, 1), (151, 1), (151, -1), (151, -1)])
     assert euler_invariant(star) == 0
     tree = plumbing_tree(star)
     assert tree.size > 300
     assert tree.definiteness == ("negative_semidefinite", 1)
-    assert tree.inertia == (tree.size - 1, 1, 0, 0)
+    assert tree.inertia == (tree.size - 1, 1, 0)
+    assert tree.cokernel.free_rank == 1
 
 
-def dense(diag, edges):
-    """The dense symmetric matrix of a sparse form."""
-    Q = [[0] * len(diag) for _ in diag]
-    for i, d in enumerate(diag):
-        Q[i][i] = d
-    for i, j in edges:
+def dense(tree: PlumbingTree) -> list[list[int]]:
+    """The dense n x n form of a plumbing: the oracle the sparse tree is
+    checked against."""
+    Q = [[0] * tree.size for _ in tree.weights]
+    for i, w in enumerate(tree.weights):
+        Q[i][i] = w
+    for i, j in tree.edges:
         Q[i][j] = Q[j][i] = 1
     return Q
+
+
+def chain_tree(weights) -> PlumbingTree:
+    return PlumbingTree(tuple(weights), tuple((i, i + 1) for i in range(len(weights) - 1)))
 
 
 fibre = st.tuples(st.integers(2, 7), st.integers(1, 6)).filter(
@@ -575,24 +583,110 @@ def forests(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(tree=forests())
 def test_forest_elimination_matches_dense_oracles(tree):
-    """Inertia and determinant against dense elimination and Bareiss, and
-    the Wu sets against dense GF(2) solving."""
-    Q = dense(tree.weights, tree.edges)
-    assert tree.inertia == (*dense_signature_triple(Q), determinant(Q))
+    """Inertia against dense elimination, the Wu sets against dense GF(2)
+    solving, and the cokernel, wherever the chain walk reads it, against
+    the dense Smith form and Bareiss."""
+    Q = dense(tree)
+    assert tree.inertia == dense_signature_triple(Q)
     assert wu_sets(tree) == mod2_solution_set(Q, tree.weights)
+    try:
+        G = tree.cokernel
+    except ValueError:  # a chain between two hubs
+        assert sum(len(row) >= 3 for row in tree.neighbours) >= 2
+        return
+    assert_same_cokernel(tree, G)
+
+
+def assert_same_cokernel(tree: PlumbingTree, G: FiniteAbelianGroup) -> None:
+    """The tree's cokernel against the dense Smith form of Q: the same
+    factors and free rank, |det Q| as the order, and the columns of Q
+    projecting to zero."""
+    Q = dense(tree)
+    full = cokernel(Q)
+    assert (G.factors, G.free_rank) == (full.factors, full.free_rank)
+    det = determinant(Q)
+    assert (math.prod(G.factors) == abs(det)) if G.is_finite else det == 0
+    assert all(c == 0 for col in G.project_columns(Q) for c in col)
+
+
+def random_chains_and_stars(rng, n) -> PlumbingTree:
+    """A forest on n vertices whose components are chains and stars with
+    one hub of three to five legs, with weights in [-5, 2]."""
+    weights = [rng.choice([-5, -3, -2, -2, -2, -1, 0, 1, 2]) for _ in range(n)]
+    edges = []
+    v = 0
+    while v < n:
+        if n - v >= 4 and rng.random() < 0.5:
+            hub, v = v, v + 1
+            for _ in range(rng.randint(3, 5)):
+                prev = hub
+                for _ in range(rng.randint(1, 3)):
+                    if v == n:
+                        break
+                    edges.append((prev, v))
+                    prev, v = v, v + 1
+        else:
+            length = min(rng.randint(1, 5), n - v)
+            edges += [(i, i + 1) for i in range(v, v + length - 1)]
+            v += length
+    return PlumbingTree(tuple(weights), tuple(edges))
+
+
+def test_tree_cokernel_matches_dense_smith_form():
+    """On random chains and single-hub stars (n <= 14) the chain walk gives
+    the dense Smith form's group, and every set of columns spans a
+    subgroup of the same order in both."""
+    rng = random.Random(16)
+    stars = checked = 0
+    for _ in range(400):
+        tree = random_chains_and_stars(rng, rng.randint(0, 14))
+        G = tree.cokernel
+        assert_same_cokernel(tree, G)
+        stars += any(len(row) >= 3 for row in tree.neighbours)
+        if not G.is_finite:
+            continue
+        full = cokernel(dense(tree))
+        for _ in range(3):
+            width = rng.randint(1, 3)
+            A = [[rng.randint(-2, 2) for _ in range(width)] for _ in tree.weights]
+            orders = [
+                subgroup_from_generators(H, H.project_columns(A)).order for H in (G, full)
+            ]
+            assert orders[0] == orders[1]
+            checked += 1
+    assert stars >= 100 and checked >= 500
+
+
+def test_tree_cokernel_needs_one_hub_per_chain():
+    """A chain between two hubs has no free end, and is refused; two
+    adjacent hubs, each met by chains with free ends, need no walk
+    between them."""
+    legs = ((0, 1), (0, 2), (3, 4), (3, 5))
+    with pytest.raises(ValueError, match="two hubs"):
+        PlumbingTree((-2,) * 7, legs + ((0, 6), (6, 3))).cokernel
+    adjacent = PlumbingTree((-2,) * 6, legs + ((0, 3),))
+    assert_same_cokernel(adjacent, adjacent.cokernel)
+
+
+def test_cokernel_takes_relations_as_columns():
+    """One generator per row and one relation per column, in any shape."""
+    G = cokernel([[2, 0, 4]])
+    assert (G.factors, G.free_rank) == ((2,), 0)
+    G = cokernel([[2], [0]])
+    assert (G.factors, G.free_rank) == ((2,), 1)
+    G = cokernel([[], []])
+    assert (G.factors, G.free_rank) == ((), 2)
+    assert cokernel([]).order == 1
 
 
 def test_elimination_needs_a_forest():
     """A cycle leaves no leaf to strip and is refused, while a chain of
-    100,000 vertices still eliminates."""
+    100,000 vertices still eliminates, and its cokernel is read off it."""
     with pytest.raises(ValueError, match="needs a forest"):
-        signature_triple([-2, -2, -2], [(0, 1), (1, 2), (0, 2)])
-    assert signature_triple([-2] * 100000, [(i, i + 1) for i in range(99999)]) == (
-        100000,
-        0,
-        0,
-        100001,
-    )
+        signature_triple([-2, -2, -2], [[1, 2], [0, 2], [0, 1]])
+    tree = chain_tree([-2] * 100000)
+    assert tree.inertia == (100000, 0, 0)
+    assert tree.cokernel.factors == (100001,)
 
 
 def test_hermite_basis_canonical():

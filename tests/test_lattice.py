@@ -13,6 +13,7 @@ from s4embed.lattice import (
 )
 from s4embed.manifolds import LensSum, PretzelCover, SeifertManifold
 from s4embed.plumbing import PlumbingTree, lens_chains, plumbing_tree
+from test_intlinalg import dense
 
 
 def forest(weights, edges=()) -> PlumbingTree:
@@ -29,7 +30,7 @@ def naive_enumerate_subsets(tree, corank: int = 0) -> tuple[LatticeSubset, ...]:
 
     Only usable for tiny forms; exists to certify the pruned search.
     """
-    Q = tree.incidence_matrix()
+    Q = dense(tree)
     n = len(Q)
     width = n - corank
     shells = []
@@ -113,7 +114,7 @@ def test_lens_sum_l31_l32_contains_standard_subset():
     target = canonicalize_rows([[1, 1, 1], [1, -1, 0], [0, 1, -1]])
     assert target in {s.rows for s in res.subsets}
     for s in res.subsets:
-        assert verify_factorization(s, L31_L32.incidence_matrix())
+        assert verify_factorization(s, dense(L31_L32))
 
 
 def test_rectangular_rank_one():
@@ -230,7 +231,7 @@ def test_lens_chain_subsets_verify():
         res = enumerate_subsets(tree)
         assert res.complete
         for s in res.subsets:
-            assert verify_factorization(s, tree.incidence_matrix())
+            assert verify_factorization(s, dense(tree))
 
 
 LENS_21 = lens_chains(LensSum([(21, 8), (21, 13)]))
@@ -381,23 +382,19 @@ def rescan_row_order(G) -> list[int]:
 
 
 def test_row_order_matches_rescan():
-    """The incremental neighbour counts give the rescan's order, ties and
-    all, on sparse and dense random forms and on plumbings."""
+    """The incremental neighbour counts give the rescan's order of the
+    dense form, ties and all, on random forests and on plumbings."""
     rng = random.Random(17)
     trees = [p_chain(31), PINNED_NODES["seifert_5_5_3"][0], PINNED_NODES["pretzel_e0"][0]]
-    forms = [tree.incidence_matrix() for tree in trees]
     for _ in range(200):
         n = rng.randint(1, 14)
-        density = rng.choice([0.1, 0.3, 0.7])
-        Q = [[0] * n for _ in range(n)]
-        for i in range(n):
-            Q[i][i] = -rng.randint(1, 4)  # few norms, so ties are common
-            for j in range(i):
-                if rng.random() < density:
-                    Q[i][j] = Q[j][i] = rng.choice([-2, -1, 1, 2])
-        forms.append(Q)
-    for Q in forms:
-        assert _row_order(Q) == rescan_row_order(Q)
+        # few norms, so ties are common; sparse and bushy forests alike
+        weights = [-rng.randint(1, 4) for _ in range(n)]
+        density = rng.choice([0.3, 0.7, 1.0])
+        edges = [(rng.randrange(i), i) for i in range(1, n) if rng.random() < density]
+        trees.append(forest(weights, edges))
+    for tree in trees:
+        assert _row_order(tree.weights, tree.neighbours) == rescan_row_order(dense(tree))
 
 
 def frame_depth() -> int:
@@ -418,4 +415,4 @@ def test_search_depth_costs_no_recursion():
     assert res.complete
     assert len(res.subsets) == 2
     for s in res.subsets:
-        assert verify_factorization(s, tree.incidence_matrix())
+        assert verify_factorization(s, dense(tree))

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from s4embed import obstructions
+from s4embed import intlinalg, obstructions
 from s4embed.classify import ManifoldContext, full_report
 from s4embed.intlinalg import cokernel, direct_sum_test, doubled_factors
 from s4embed.lattice import LatticeSubset, enumerate_subsets
@@ -18,7 +18,7 @@ from s4embed.obstructions import (
     subset_column_subgroup,
 )
 from s4embed.plumbing import PlumbingTree, lens_chains, plumbing_tree, seifert_leg_forest
-from test_intlinalg import determinant
+from test_intlinalg import dense, determinant
 from test_lattice import verify_factorization
 
 
@@ -118,15 +118,15 @@ def test_char_vector_criterion_filters_lambda():
 
     assert euler_invariant(seif) > 0
     tree = plumbing_tree(seif)
-    Q = tree.incidence_matrix()
     res = enumerate_subsets(tree)
     assert res.complete and res.subsets
-    assert all(not char_vector_criterion(column_subgroup(s, Q)) for s in res.subsets)
+    G = tree.cokernel
+    assert all(not char_vector_criterion(subset_column_subgroup(G, s)) for s in res.subsets)
 
 
 def test_pass_certificates_verify():
     tree = lens_tree((3, 1), (3, 2))
-    Q = tree.incidence_matrix()
+    Q = dense(tree)
     res = double_subset_obstruction(tree)
     (A1, A2), (H1, H2) = res.certificates
     assert verify_factorization(A1, Q) and verify_factorization(A2, Q)
@@ -194,17 +194,38 @@ def test_six_summand_sum_joins_same_type_pairs_only(monkeypatch):
     assert len(joins) == 10210 and all(joins)
 
 
+def test_report_of_a_long_star_takes_only_small_smith_forms(monkeypatch):
+    """pretzel(201,-201,201) plumbs a star of 402 vertices on three legs.
+    Its cokernel is read off the chains, so every Smith form its report
+    takes has at most legs + 1 rows, however long the legs are."""
+    shapes = []
+
+    def recorded(M, *args, **kwargs):
+        shapes.append(len(M))
+        return smith_normal_form(M, *args, **kwargs)
+
+    smith_normal_form = intlinalg.smith_normal_form
+    monkeypatch.setattr(intlinalg, "smith_normal_form", recorded)
+    cover = PretzelCover([201, -201, 201])
+    tree = plumbing_tree(cover)
+    legs = sum(1 for edge in tree.edges if 0 in edge)
+    assert (tree.size, legs) == (402, 3)
+    full_report(cover)
+    assert shapes and max(shapes) <= legs + 1
+
+
 # ---------------------------------------------------------------------------
 # The checks as they ran before the pairing moved into the search: the
 # whole tree is enumerated, every subset sorted, and only then filtered
-# and paired, and |coker Q| is the dense Bareiss determinant.  Each takes
+# and paired in the cokernel of the dense form, and |coker Q| is its
+# Bareiss determinant.  Each takes
 # the plumbing tree and returns (verdict, notes); the streamed checks
 # must reach the same verdict, and the same notes wherever they do not
 # pass.
 
 
 def full_double_subset(tree):
-    Q = tree.incidence_matrix()
+    Q = dense(tree)
     det = determinant(Q) * (-1) ** len(Q)
     if det < 0 or math.isqrt(det) ** 2 != det:
         return "obstructed", double_subset_obstruction(tree).notes  # no search either way
@@ -241,7 +262,7 @@ def full_semidefinite(tree):
 
 
 def full_nonorientable(tree):
-    Q = tree.incidence_matrix()
+    Q = dense(tree)
     det = determinant(Q) * (-1) ** len(Q)
     if not Q or det < 0 or math.isqrt(det) ** 2 != det:
         res = nonorientable_obstruction(tree)  # no search either way
@@ -258,12 +279,15 @@ def full_nonorientable(tree):
     )
 
 
-def certificate_fault(check: str, result, Q) -> str | None:
-    """Why a streamed pass does not certify itself, or None."""
+def certificate_fault(check: str, result, tree) -> str | None:
+    """Why a streamed pass does not certify itself, or None.  The rows are
+    checked against the dense form, and the subgroups compared in the
+    tree's cokernel, where the check built them."""
+    Q = dense(tree)
     if check == "semidefinite_subset":
         (A,) = result.certificates
         return None if verify_factorization(A, Q) else "rows do not factor Q"
-    G = cokernel(Q)
+    G = tree.cokernel
     if result.notes.endswith("trivial cokernel"):
         ((A1, A2),) = result.certificates
         if G.order == 1 and A1 is A2 and verify_factorization(A1, Q):
@@ -308,14 +332,13 @@ def streaming_faults(m, tally: Counter) -> list[str]:
         else:
             side = ctx.definite_side if check == "double_subset" else "+"
         tree = ctx.tree(side)
-        Q = tree.incidence_matrix()
         verdict, notes = FULL_CHECKS[check](tree)
         if "perfect square" not in notes:
             tally[check, verdict] += 1
         if r.verdict != verdict or (verdict != "pass" and r.notes != notes):
             streamed = f"{r.verdict} ({r.notes})"
             faults.append(f"{m.describe()} {r.name}: {streamed} vs {verdict} ({notes})")
-        elif verdict == "pass" and (why := certificate_fault(check, r, Q)):
+        elif verdict == "pass" and (why := certificate_fault(check, r, tree)):
             faults.append(f"{m.describe()} {r.name}: {why}")
     return faults
 
