@@ -241,6 +241,8 @@ class ManifoldContext:
     manifold: Manifold
     _trees: dict[str, PlumbingTree] = field(default_factory=dict, init=False, repr=False)
     _searches: dict[tuple, ObstructionResult] = field(default_factory=dict, init=False, repr=False)
+    # set by ``full_report`` when a row reads the definite-side tree's cokernel
+    _homology_off_tree: bool = field(default=False, init=False, repr=False)
 
     @cached_property
     def seifert(self) -> SeifertManifold | None:
@@ -256,7 +258,14 @@ class ManifoldContext:
 
     @cached_property
     def homology(self) -> tuple[int, FiniteAbelianGroup]:
-        """(b_1, torsion of H_1)."""
+        """(b_1, torsion of H_1).  When e != 0 over an orientable base,
+        coker Q of the definite plumbing is the torsion and b_1 = 2 genus;
+        where a row reads that tree's cokernel anyway, H_1 is read off it,
+        so its Smith form is taken once.  Everywhere else H_1 comes from
+        ``first_homology``, which builds no plumbing: a long chain would
+        cost more than the whole report."""
+        if self._homology_off_tree:
+            return 2 * self.seifert.genus, self.tree(self.definite_side).cokernel
         return first_homology(self.seifert or self.manifold)
 
     @cached_property
@@ -641,6 +650,8 @@ def full_report(
     rows = table.checks + (table.certificates if certificates or only else ())
     if only is not None:
         rows = tuple(row for row in rows if row[0] in only)
+    if table in (PRETZEL, ORIENTABLE) and _DOUBLE in rows:
+        ctx._homology_off_tree = True
     results = [
         replace(r, name=name) for name, check in rows if (r := check(ctx, budget)) is not None
     ]

@@ -14,14 +14,16 @@ Each check takes the ``PlumbingTree`` of the form and first states the
 definiteness it needs, read off the tree's cached inertia: negative
 definite for the double-subset checks, semi-definite of corank one for
 the rectangular one.  The double-subset checks then take coker Q from
-the tree (``PlumbingTree.cokernel``, read off its chains and cached): a
-non-square |coker Q| refutes them with no search, and a search pairs its
-subgroups in that group.  No check builds a dense form.  Each check
-filters and pairs the factorisations inside the search, as the search
-finds them (``enumerate_subsets(..., until=...)``), and stops at its
-first witness.  A pass therefore cites the first witness the search
-meets, in search order.  Every verdict of "obstructed" is backed by a
-provably completed search; budget exhaustion downgrades to
+the tree (``PlumbingTree.cokernel``, read off its chains and cached).
+Both need coker Q = H + H, so a non-square |coker Q|, or invariant
+factors that do not come in equal pairs, refutes them with no search;
+otherwise a search pairs its subgroups in that group.  No check builds a
+dense form.  Each check filters and pairs the factorisations inside the
+search, as the search finds them (``enumerate_subsets(..., until=...)``),
+and stops at its first witness.  A pass therefore cites the first
+witness the search meets, in search order.  Every verdict of
+"obstructed" is backed by a provably completed search or by the
+invariant factors of coker Q; budget exhaustion downgrades to
 "inconclusive" instead, whose note gives the nodes the search used and
 the subsets it found.
 """
@@ -122,6 +124,17 @@ def _square_order(G: FiniteAbelianGroup) -> bool:
     return math.isqrt(G.order) ** 2 == G.order
 
 
+def pairs_up(factors) -> bool:
+    """Do the invariant factors come in equal pairs, d1 = d2, d3 = d4, ...,
+    as those of a group H + H do?  The trivial group's () does."""
+    return doubled_factors(factors[1::2]) == tuple(factors)
+
+
+def _not_doubled(G: FiniteAbelianGroup, consequence: str) -> str:
+    group = " + ".join(f"Z/{d}" for d in G.factors)
+    return f"coker Q = {group} is not of the form H + H, so {consequence}"
+
+
 def _exhausted(res: SubsetSearchResult) -> str:
     return f"budget exhausted after {res.nodes} nodes; {len(res.subsets)} subset(s) found"
 
@@ -134,6 +147,10 @@ def double_subset_obstruction(tree: PlumbingTree, budget: int | None = None) -> 
     trivial, in which case a single factorisation suffices.  For odd
     cokernel order, factorisations failing the correction-term filter
     cannot arise from a rational-ball side and are discarded.
+
+    The pairing joins only halves with equal ``factors``, so a pass needs
+    G = H + H: a non-square |G|, or invariant factors of G that do not
+    pair up, refutes the check with no search.
 
     The pairing runs inside the search: each new subset's column
     subgroup is filtered, and a new subgroup of order sqrt|G| is joined
@@ -151,6 +168,9 @@ def double_subset_obstruction(tree: PlumbingTree, budget: int | None = None) -> 
             notes=f"|coker Q| = {G.order} is not a perfect square, "
             "so no factorisation exists",
         )
+    if not pairs_up(G.factors):
+        notes = _not_doubled(G, "no splitting pair exists")
+        return ObstructionResult(name, "obstructed", notes=notes)
     filtered = G.order % 2 == 1
     removed = 0
     usable: set = set()  # the lift bases of the kept column subgroups
@@ -220,9 +240,12 @@ def semidefinite_obstruction(tree: PlumbingTree, budget: int | None = None) -> O
 def nonorientable_obstruction(tree: PlumbingTree, budget: int | None = None) -> ObstructionResult:
     """Pair of factorisations with coker Q isomorphic to H_i + H_i and
     |H_1 meet H_2| <= 2, Q the form of ``tree`` (the non-orientable base
-    form).  Each new qualifying subset is tested against the earlier ones
-    and itself as the search finds it, and the search stops at the first
-    good pair."""
+    form).  A subset qualifies when its column subgroup H has
+    ``doubled_factors(H.factors)`` equal to the factors of coker Q, so
+    none does unless those factors pair up: a non-square |coker Q| or
+    unpaired factors refute the check with no search.  Each new
+    qualifying subset is tested against the earlier ones and itself as
+    the search finds it, and the search stops at the first good pair."""
     name = "nonorientable_double_subset"
     if tree.size == 0:
         return ObstructionResult(name, "pass", notes="empty form, vacuous")
@@ -232,6 +255,9 @@ def nonorientable_obstruction(tree: PlumbingTree, budget: int | None = None) -> 
         return ObstructionResult(
             name, "obstructed", notes=f"|coker Q| = {G.order} is not a perfect square"
         )
+    if not pairs_up(G.factors):
+        notes = _not_doubled(G, "no subset qualifies")
+        return ObstructionResult(name, "obstructed", notes=notes)
     doubled = tuple(sorted(G.factors))
     qualifying: list = []
     witness: list = []

@@ -18,8 +18,15 @@ from s4embed.classify import (
     weak_complementary_matched,
 )
 from s4embed.cli import parse_manifold
-from s4embed.manifolds import LensSum, PretzelCover, SeifertManifold, pretzel_to_seifert
+from s4embed.manifolds import (
+    LensSum,
+    PretzelCover,
+    SeifertManifold,
+    first_homology,
+    pretzel_to_seifert,
+)
 from s4embed.plumbing import PlumbingTree, seifert_star
+from test_census import sweep_s5
 from test_manifolds import pretzel_strand_forms
 
 
@@ -454,6 +461,61 @@ def test_report_takes_each_cokernel_once(monkeypatch, manifold, cokernels):
     monkeypatch.setattr(PlumbingTree, "cokernel", prop)
     full_report(manifold, certificates=True)
     assert len(taken) == len(set(taken)) == cokernels
+
+
+def test_tree_cokernel_is_the_torsion_of_first_homology():
+    """Where e != 0 over an orientable base, coker Q of the definite
+    plumbing is the torsion of H_1 and b_1 = 2 genus, so the context may
+    read H_1 off the tree: every 3- and 4-strand pretzel cover with
+    |a_i| <= 7, every space of the S5 census sweep and its genus-1
+    twin."""
+    strands = [a for a in range(-7, 8) if a]
+    covers = [PretzelCover(s) for n in (3, 4) for s in combinations_with_replacement(strands, n)]
+    spaces = sweep_s5()
+    spaces += [SeifertManifold(True, 1, y.r, y.invariants) for y in spaces]
+    checked = 0
+    for m in covers + spaces:
+        ctx = ManifoldContext(m)
+        if ctx.euler == 0:
+            continue
+        ctx._homology_off_tree = True
+        b1, torsion = first_homology(m)
+        assert (ctx.homology[0], ctx.homology[1].factors) == (b1, torsion.factors), m.describe()
+        checked += 1
+    assert checked == 2892 + 2 * 817
+
+
+@pytest.mark.parametrize(
+    "manifold, only, calls",
+    [
+        # the definite tree's cokernel serves H_1 and double_subset
+        (PretzelCover([3, 5, 7]), None, 0),
+        (SeifertManifold(True, 1, 0, [(3, 1), (5, 1), (7, 1)]), None, 0),
+        # no row reads the tree, so none is built for H_1
+        (PretzelCover([3, 5, 7]), ["torsion_square"], 1),
+        (PretzelCover([3, 5, 7]), ["torsion_square", "double_subset"], 0),
+        # other classes: e = 0, a lens sum, a non-orientable base
+        (PretzelCover([2, -2, 3, -3]), None, 1),
+        (LensSum([(3, 1), (3, 2)]), None, 1),
+        (SeifertManifold(False, 1, 0, [(3, 1), (3, -1)]), None, 1),
+    ],
+)
+def test_report_reads_h1_off_the_tree_it_searches(monkeypatch, manifold, only, calls):
+    taken = []
+
+    def counted(m):
+        taken.append(m)
+        return homology(m)
+
+    homology = classify.first_homology
+    monkeypatch.setattr(classify, "first_homology", counted)
+    report = full_report(manifold, only=only)
+    assert len(taken) == calls
+    b1, torsion = homology(manifold)
+    assert (report.invariants["b1"], report.invariants["torsion_factors"]) == (
+        b1,
+        list(torsion.factors),
+    )
 
 
 def test_report_takes_each_strand_form_list_once():

@@ -147,6 +147,23 @@ def test_long_chains_are_refuted_within_limits(expr):
     assert [r["verdict"] for r in out["obstructions"]] == ["obstructed"] * 4
 
 
+def test_torsion_check_alone_builds_no_plumbing():
+    """The fibre (10000019, 1) plumbs a chain of about 10^7 vertices.
+    With only torsion_square asked for, no row reads the plumbing, so H_1
+    comes from the Seifert presentation and the space is refuted well
+    inside the limits."""
+    expr = "seifert(S2;0;(2,1),(3,1),(10000019,1))"
+    done = run_python(
+        "-m", "s4embed.cli", expr, "--obstruction", "torsion_square", "--json",
+        preexec_fn=within_limits,
+    )
+    assert done.returncode == 1, done.stderr
+    out = json.loads(done.stdout)
+    assert [(r["name"], r["verdict"]) for r in out["obstructions"]] == [
+        ("torsion_square", "obstructed")
+    ]
+
+
 def test_usage_error_exit_code_of_the_process():
     done = run_python("-m", "s4embed.cli", "lens(3,1)+lens(3,2)", "--bogus")
     assert done.returncode == 64

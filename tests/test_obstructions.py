@@ -52,6 +52,36 @@ def test_double_subset_nonsquare_order_shortcut():
     assert "perfect square" in res.notes
 
 
+@pytest.mark.parametrize(
+    "factors, paired",
+    [((9,), False), ((2, 8), False), ((3, 3, 9), False), ((), True), ((3, 3), True),
+     ((2, 2, 4, 4), True)],
+)
+def test_pairs_up(factors, paired):
+    assert obstructions.pairs_up(factors) is paired
+
+
+def test_unpaired_cokernel_is_refuted_with_no_search(monkeypatch):
+    """The star of 18 legs (2,1) has coker Q = (Z/2)^16 + Z/36, of square
+    order 2^18 * 9.  Its 17 factors do not pair up, so the check is
+    refuted with no lattice search, where the search would exhaust its
+    budget of 10^7 nodes and end inconclusive."""
+    searches = []
+
+    def counted(*args, **kwargs):
+        searches.append(args)
+        return search(*args, **kwargs)
+
+    search = obstructions.enumerate_subsets
+    monkeypatch.setattr(obstructions, "enumerate_subsets", counted)
+    y = SeifertManifold(True, 0, 0, [(2, 1)] * 18)
+    report = full_report(y)
+    assert (report.status, report.reason) == ("OBSTRUCTED", "obstruction:double_subset")
+    notes = report.result("double_subset").notes
+    assert notes.endswith("is not of the form H + H, so no splitting pair exists")
+    assert searches == []
+
+
 def test_double_subset_budget_inconclusive():
     res = double_subset_obstruction(lens_tree((9, 2), (9, 7)), budget=3)
     assert res.verdict == "inconclusive"
@@ -319,7 +349,10 @@ FULL_CHECKS = {
 def streaming_faults(m, tally: Counter) -> list[str]:
     """Compare every search check of one report with its full-enumeration
     form; the report runs with certificates, so a lens sum's searches run.
-    ``tally`` counts the (check, verdict) pairs of the forms searched."""
+    ``tally`` counts the (check, verdict) pairs of the forms searched, and
+    under (check, "not H + H") the forms the streamed check refuted by the
+    invariant factors of coker Q, with no search; there the full search
+    must say "obstructed" too."""
     ctx = ManifoldContext(m)
     report = full_report(m, certificates=True)
     faults = []
@@ -333,6 +366,12 @@ def streaming_faults(m, tally: Counter) -> list[str]:
             side = ctx.definite_side if check == "double_subset" else "+"
         tree = ctx.tree(side)
         verdict, notes = FULL_CHECKS[check](tree)
+        if "not of the form H + H" in r.notes:
+            # refuted by coker Q's invariant factors; the full search must agree
+            tally[check, "not H + H"] += 1
+            if verdict != "obstructed":
+                faults.append(f"{m.describe()} {r.name}: {r.notes} vs {verdict} ({notes})")
+            continue
         if "perfect square" not in notes:
             tally[check, verdict] += 1
         if r.verdict != verdict or (verdict != "pass" and r.notes != notes):
@@ -352,7 +391,11 @@ def test_streamed_checks_match_full_enumeration_on_lens_sums():
     tally = Counter()
     pairs = itertools.combinations_with_replacement(LENS_SUMMANDS, 2)
     assert [f for pair in pairs for f in streaming_faults(LensSum(list(pair)), tally)] == []
-    assert tally == {("double_subset", "pass"): 84, ("double_subset", "obstructed"): 528}
+    assert tally == {
+        ("double_subset", "pass"): 84,
+        ("double_subset", "obstructed"): 480,
+        ("double_subset", "not H + H"): 48,
+    }
 
 
 def test_streamed_checks_match_full_enumeration_on_pretzels():
@@ -361,7 +404,8 @@ def test_streamed_checks_match_full_enumeration_on_pretzels():
     assert [f for s in covers for f in streaming_faults(PretzelCover(list(s)), tally)] == []
     assert tally == {
         ("double_subset", "pass"): 8,
-        ("double_subset", "obstructed"): 30,
+        ("double_subset", "obstructed"): 4,
+        ("double_subset", "not H + H"): 26,
         ("semidefinite_subset", "obstructed"): 4,
     }
 
@@ -386,5 +430,6 @@ def test_streamed_checks_match_full_enumeration_on_nonorientable_bases():
     assert [f for y in spaces for f in streaming_faults(y, tally)] == []
     assert tally == {
         ("nonorientable_double_subset", "pass"): 86,
-        ("nonorientable_double_subset", "obstructed"): 274,
+        ("nonorientable_double_subset", "obstructed"): 210,
+        ("nonorientable_double_subset", "not H + H"): 64,
     }
