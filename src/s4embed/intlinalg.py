@@ -9,10 +9,12 @@ of these questions tolerate rounding.
 Subgroup questions are answered, in integers only, from the Hermite
 basis of the lift lattice (generators plus relations) in Z^m: the order
 of a subgroup is |G| over that lattice's index (Cohen, GTM 138, section
-2.4).  A join H1 + H2 is measured through H1's quotient map: the Smith
-form of H1's lift basis gives G/H1 as a sum of cyclic groups Z/e_i, and
-|H1 + H2| is |H1| times the order of H2's image there, which one echelon
-basis of width at most m gives.
+2.4).  One routine, ``_reduce_into``, reduces vectors into an
+upper-triangular basis.  The lift lattice contains the relations
+diag(G.factors), so its basis is triangular of full rank and its index
+is the product of the pivots.  A join H1 + H2 reduces H2's lift basis
+into a copy of H1's, and |H1 + H2| is |G| over the product of the
+pivots that result.
 
 Inertia comes from one sparse elimination, ``signature_triple``, which
 takes the form of a plumbing as a diagonal and neighbour lists.  A plumbing
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import mul
+from operator import mod
 
 
 # ---------------------------------------------------------------------------
@@ -179,53 +181,59 @@ def invariant_factors(M) -> tuple[int, ...]:
 # Hermite basis of a row lattice
 
 
+def _reduce_into(basis, rows) -> None:
+    """Reduce integer rows into an upper-triangular basis, in place.
+
+    ``basis[i]`` is None or the basis row whose pivot, its first nonzero
+    entry and a positive one, sits in column i.  Each row is reduced
+    column by column: an empty column takes the row (made positive) as
+    its pivot row, and a pivot absorbs the row's entry by one extended gcd
+    when it does not divide it.  Every step is unimodular, so the basis
+    spans the lattice of its old rows and the new ones.
+    """
+    for v in rows:
+        for i in range(len(basis)):
+            a = v[i]
+            if not a:
+                continue
+            b = basis[i]
+            if b is None:
+                basis[i] = list(v) if a > 0 else [-x for x in v]
+                break
+            q, rest = divmod(a, b[i])
+            if rest:
+                x, y, g = xgcd(b[i], a)
+                cb, cv = b[i] // g, a // g
+                basis[i] = [x * s + y * t for s, t in zip(b, v)]
+                v = [cb * t - cv * s for s, t in zip(b, v)]
+            else:
+                v = [t - q * s for s, t in zip(b, v)]
+
+
 def hermite_row_basis(rows, width: int) -> tuple[tuple[int, ...], ...]:
     """Canonical echelon basis of the lattice spanned by integer rows.
 
     Pivots are positive, entries above each pivot are reduced into
     [0, pivot), rows are sorted by pivot column.  Two generating sets
-    span the same lattice iff they produce identical bases.
+    span the same lattice iff they produce identical bases.  The rows are
+    reduced into a triangular basis by ``_reduce_into``, and then above
+    each pivot in ascending order: reducing by a pivot row changes only
+    columns at or after its pivot, so no earlier pivot column is undone.
     """
-    basis: list[list[int]] = []  # kept in echelon order by pivot column
-    pivots: list[int] = []
-
+    slots: list = [None] * width
     for vec in rows:
-        v = list(vec)
-        if len(v) != width:
+        if len(vec) != width:
             raise ValueError("row width mismatch")
-        while True:
-            lead = next((j for j, x in enumerate(v) if x), None)
-            if lead is None:
-                break
-            pos = 0
-            while pos < len(pivots) and pivots[pos] < lead:
-                pos += 1
-            if pos == len(pivots) or pivots[pos] != lead:
-                if v[lead] < 0:
-                    v = [-x for x in v]
-                basis.insert(pos, v)
-                pivots.insert(pos, lead)
-                break
-            b = basis[pos]
-            x, y, g = xgcd(b[lead], v[lead])
-            cb, cv = b[lead] // g, v[lead] // g
-            new_b = [x * p + y * q for p, q in zip(b, v)]
-            v = [cb * q - cv * p for p, q in zip(b, v)]
-            basis[pos] = new_b
-
-    # reduce entries above each pivot
-    for i in range(len(basis) - 1, -1, -1):
-        p = pivots[i]
+    _reduce_into(slots, rows)
+    basis = [row for row in slots if row is not None]
+    pivots = [i for i, row in enumerate(slots) if row is not None]
+    for i, p in enumerate(pivots):
+        b = basis[i]
         for k in range(i):
-            q = basis[k][p] // basis[i][p]
+            q = basis[k][p] // b[p]
             if q:
-                basis[k] = [a - q * b for a, b in zip(basis[k], basis[i])]
+                basis[k] = [a - q * c for a, c in zip(basis[k], b)]
     return tuple(tuple(r) for r in basis)
-
-
-def lattice_index(basis) -> int:
-    """Index in the ambient Z^n of a full-rank echelon basis."""
-    return math.prod(row[next(j for j, x in enumerate(row) if x)] for row in basis)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +377,7 @@ class FiniteAbelianGroup:
         return list(zip(*coords)) if coords else [()] * width
 
     def reduce(self, coords) -> tuple[int, ...]:
-        return tuple(c % d for c, d in zip(coords, self.factors))
+        return tuple(map(mod, coords, self.factors))
 
 
 def cokernel(M) -> FiniteAbelianGroup:
@@ -392,7 +400,6 @@ class Subgroup:
     parent: FiniteAbelianGroup
     generators: tuple[tuple[int, ...], ...]
     order: int
-    factors: tuple[int, ...]
     basis: tuple[tuple[int, ...], ...]
 
     def __eq__(self, other):
@@ -402,88 +409,42 @@ class Subgroup:
         return hash(self.basis)
 
     @cached_property
-    def quotient_map(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """G/H as pairs (column, e) with e >= 2: x in Z^m maps to the
-        element of the sum of the Z/e with coordinates (x . column) mod e.
-
-        With U B V = D the Smith form of the lift basis B, x lies in the
-        lift lattice iff every (xV)_i is a multiple of D_ii, so the
-        columns of V carry Z^m onto G/H.  Built on first use; it lives
-        as long as the subgroup.
-        """
-        _, D, V = smith_normal_form(self.basis, left=False)
-        return tuple(
-            (tuple(row[i] % D[i][i] for row in V), D[i][i])
-            for i in range(len(D))
-            if D[i][i] >= 2
-        )
+    def factors(self) -> tuple[int, ...]:
+        """Invariant factors, from the Smith form of the relation lattice
+        written in the lift basis, found by exact integer division pivot
+        by pivot.  Taken on first use."""
+        X = []
+        for i, d in enumerate(self.parent.factors):
+            v = [0] * len(self.basis)
+            v[i] = d
+            coeffs = []
+            for j, row in enumerate(self.basis):
+                c, rest = divmod(v[j], row[j])
+                assert rest == 0, "relation lattice not inside lift lattice"
+                coeffs.append(c)
+                v = [a - c * b for a, b in zip(v, row)]
+            X.append(coeffs)
+        factors = tuple(d for d in invariant_factors(X) if d != 0)
+        assert math.prod(factors) == self.order
+        return factors
 
 
 def subgroup_from_generators(G: FiniteAbelianGroup, gens) -> Subgroup:
     """Subgroup of G spanned by elements given in torsion coordinates.
 
-    The order is |G| divided by the lift lattice's index, and the
-    structure comes from the Smith form of the relation lattice written
-    in a basis of the lift lattice, found by exact integer division
-    pivot by pivot.
+    The lift lattice is spanned by the relations, diag(G.factors), and
+    the generators: its Hermite basis is the relations' diagonal with the
+    generators reduced into it, so it is triangular of full rank and
+    its index is the product of its pivots.  The order is |G| over that
+    index.
     """
     if not G.is_finite:
         raise ValueError("subgroup arithmetic needs a finite parent")
     m = len(G.factors)
     gens = tuple(G.reduce(g) for g in gens)
-    if m == 0:
-        return Subgroup(G, (), 1, (), ())
-    relations = [
-        tuple(G.factors[i] if j == i else 0 for j in range(m)) for i in range(m)
-    ]
-    basis = hermite_row_basis(list(gens) + relations, m)
-    order = G.order // lattice_index(basis)
-
-    # relation rows in coordinates of the lift lattice basis, which has
-    # full rank, so row i has its pivot in column i
-    X = []
-    for rel in relations:
-        v = list(rel)
-        coeffs = []
-        for i, row in enumerate(basis):
-            c, rest = divmod(v[i], row[i])
-            assert rest == 0, "relation lattice not inside lift lattice"
-            coeffs.append(c)
-            v = [a - c * b for a, b in zip(v, row)]
-        X.append(coeffs)
-    factors = tuple(d for d in invariant_factors(X) if d != 0)
-    assert math.prod(factors) == order
-    return Subgroup(G, gens, order, factors, basis)
-
-
-def generated_order(gens, moduli) -> int:
-    """Order of the subgroup of Z/e_1 + ... + Z/e_r spanned by gens.
-
-    The lifts of gens and the relations e_i u_i span a lattice of full
-    rank in Z^r whose index is prod(e_i) over the subgroup's order.  Its
-    echelon basis starts as the relations, so column i always has a
-    pivot row; each generator is reduced into the pivot rows column by
-    column, a pivot absorbing the generator's entry by one extended gcd
-    when it does not divide it.  Every step is unimodular, so the span,
-    and hence the product of the pivots, stays right.
-    """
-    r = len(moduli)
-    basis = [[e if j == i else 0 for j in range(r)] for i, e in enumerate(moduli)]
-    for v in gens:
-        for i in range(r):
-            a = v[i]
-            if not a:
-                continue
-            b = basis[i]
-            q, rest = divmod(a, b[i])
-            if rest:
-                x, y, g = xgcd(b[i], a)
-                cb, cv = b[i] // g, a // g
-                basis[i] = [x * s + y * t for s, t in zip(b, v)]
-                v = [cb * t - cv * s for s, t in zip(b, v)]
-            else:
-                v = [t - q * s for s, t in zip(b, v)]
-    return math.prod(moduli) // math.prod(row[i] for i, row in enumerate(basis))
+    relations = [tuple(d if j == i else 0 for j in range(m)) for i, d in enumerate(G.factors)]
+    basis = hermite_row_basis(relations + list(dict.fromkeys(gens)), m)  # repeats add nothing
+    return Subgroup(G, gens, G.order // math.prod(row[i] for i, row in enumerate(basis)), basis)
 
 
 def direct_sum_test(
@@ -492,19 +453,13 @@ def direct_sum_test(
     """(is_direct_sum, isomorphic, |H1 meet H2|) inside G.
 
     The sum is direct and fills G iff |H1||H2| = |G| and |H1 + H2| = |G|;
-    the intersection order is |H1||H2| / |H1 + H2|.  H2's lift rows are
-    carried into G/H1 = Z/e_1 + ... + Z/e_r by H1's quotient map, and
-    |H1 + H2| is |H1| times the order of their image, read off one
-    echelon basis of width r <= m by ``generated_order``.  Only H1's
-    quotient map is built (once per subgroup), so the work is not
-    symmetric in H1 and H2, though the answer is.
+    the intersection order is |H1||H2| / |H1 + H2|.  H2's lift basis is
+    reduced into a copy of H1's, which is triangular of full rank, and
+    |H1 + H2| is |G| over the product of the pivots of the result.
     """
-    quotient = H1.quotient_map
-    images = [
-        [sum(map(mul, row, col)) % e for col, e in quotient]
-        for row in H2.basis
-    ]
-    joined = H1.order * generated_order(images, [e for _, e in quotient])
+    basis = list(H1.basis)
+    _reduce_into(basis, H2.basis)
+    joined = G.order // math.prod(row[i] for i, row in enumerate(basis))
     total = H1.order * H2.order
     assert total % joined == 0
     is_direct = total == G.order and joined == G.order

@@ -19,14 +19,27 @@ placed row, so a plumbing of any size searches without Python recursion.
 The frames share state that is pushed and popped with the rows: for
 each column the placed rows nonzero there, so an entry updates only the
 inner products it changes; each row's suffix sums of squares, for the
-Cauchy-Schwarz cut; and two flags per column for the symmetry cuts.
-Those cuts keep the tree small while preserving at least one
-representative per orbit: every prefix must have its columns weakly
-increasing in lexicographic order, and the topmost nonzero entry of
-every column must be negative.  Survivors are reduced to a canonical
-form and de-duplicated, so the output is the complete, deterministic
-list of orbit representatives -- or an explicit "budget exhausted"
-signal, which callers must never conflate with "none exist".
+Cauchy-Schwarz cut; and, for the symmetry cuts, a flag per column and
+the first column that every placed row leaves zero.  The symmetry cuts
+keep the tree small while preserving at least one representative per
+orbit: every prefix must have its columns weakly increasing in
+lexicographic order, and the topmost nonzero entry of every column must
+be negative.  Two more cuts follow from these constraints, and remove
+only subtrees that yield no row:
+
+- forced entries: at the last nonzero column of a placed row, the entry
+  must repay that row's whole inner-product deficit, so it is the
+  deficit over the row's entry there, or nothing if that does not
+  divide.  Each column keeps the placed rows that end there;
+- the zero suffix: the columns that are zero in every placed row form a
+  suffix, and the entries there rise weakly to at most 0, so entry c of
+  the suffix has the largest square of the entries from c on, and
+  x^2 (width - c) >= rem bounds it from above.
+
+Survivors are reduced to a canonical form and de-duplicated, so the
+output is the complete, deterministic list of orbit representatives --
+or an explicit "budget exhausted" signal, which callers must never
+conflate with "none exist".
 
 A caller that needs only one witness passes ``until``: the search hands
 it each new representative as it is found, in search order, and stops
@@ -39,6 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from operator import neg
 from typing import Callable
 
 from .plumbing import PlumbingTree
@@ -73,9 +87,8 @@ def canonicalize_rows(rows) -> tuple[tuple[int, ...], ...]:
     and its negation, then columns are sorted; this is constant on
     orbits and minimises the row-major reading of the matrix.
     """
-    cols = [min(col, tuple(-x for x in col)) for col in zip(*rows)]
-    cols.sort()
-    return tuple(tuple(col[i] for col in cols) for i in range(len(rows)))
+    cols = sorted(min(col, tuple(map(neg, col))) for col in zip(*rows))
+    return tuple(zip(*cols)) if cols else ((),) * len(rows)
 
 
 def _row_order(weights, neighbours) -> list[int]:
@@ -118,7 +131,12 @@ def enumerate_subsets(
     as it backtracks, so the depth of the search costs no Python
     recursion.  For each column the placed rows that are nonzero there
     are listed, and placing an entry updates the inner-product deficits
-    of those rows only.  ``budget`` bounds the number of search nodes;
+    of those rows only.  Besides the symmetry and Cauchy-Schwarz cuts,
+    an entry is forced where a placed row ends, and bounded above in the
+    all-zero suffix of the columns (see the module docstring); each cut
+    removes only subtrees that yield nothing, so the rows, and the
+    order in which ``until`` meets them, are those of the search without
+    them.  ``budget`` bounds the number of search nodes;
     exhausting it yields status 'exhausted' with whatever was found so
     far.  ``nodes`` of the result counts the nodes visited.
 
@@ -150,9 +168,12 @@ def enumerate_subsets(
     placed: list[tuple[int, ...]] = []  # row vectors in search order
     suffix_sq: list[list[int]] = []  # per row: sums of squares of row[c:]
     support: list[list[tuple[int, int]]] = [[] for _ in range(width)]
-    # per prefix depth: column c equals column c-1 / column c is all zero
+    closing: list[list[tuple[int, int]]] = [[] for _ in range(width)]  # rows ending there
+    # per prefix depth: column c equals column c-1; the first of the
+    # all-zero columns, which form a suffix, as a nonzero column's
+    # negative topmost entry puts it before them in lexicographic order
     same_as_prev = [[False] + [True] * (width - 1)]
-    all_zero = [[True] * width]
+    zero_from = [0]
 
     def candidates(depth: int):
         """Rows that fit the placed prefix at ``depth``, in search order.
@@ -162,7 +183,9 @@ def enumerate_subsets(
         the remaining columns, then tries the values of entry c that the
         symmetry cuts admit: the columns of the prefix stay weakly
         increasing in lexicographic order, and the topmost nonzero entry
-        of a column is negative.
+        of a column is negative.  Within those, a row ending at column c
+        forces entry c, and in the zero suffix entry c is at most
+        -ceil(sqrt(rem / (width - c))).
         """
         nonlocal nodes
         i = order[depth]
@@ -170,7 +193,7 @@ def enumerate_subsets(
         # neighbour of i and 0 to any other; the rows in ``live`` owe a nonzero amount
         live = {position[u] for u in tree.neighbours[i] if position[u] < depth}
         deficit = [-(pos in live) for pos in range(depth)]
-        same, zero = same_as_prev[depth], all_zero[depth]
+        same, zero = same_as_prev[depth], zero_from[depth]
         entries = [0] * width
         tops = [0] * width  # the last value to try in each column
         rems = [0] * width  # the remaining norm before each column
@@ -195,7 +218,19 @@ def enumerate_subsets(
                     lo = -cap
                     if same[c] and entries[c - 1] > lo:
                         lo = entries[c - 1]
-                    hi = 0 if zero[c] else cap
+                    # entries c.. of the zero suffix rise weakly to at most 0,
+                    # so entry c has the largest square of the rest of rem
+                    hi = -isqrt((rem - 1) // (width - c)) - 1 if c >= zero else cap
+                    # a row that ends at column c is repaid in full by entry c
+                    for pos, a in closing[c]:
+                        x, rest = divmod(deficit[pos], a)
+                        if rest:
+                            hi = lo - 1
+                            break
+                        if x > lo:
+                            lo = x
+                        if x < hi:
+                            hi = x
                     if lo <= hi:
                         entries[c] = lo
                         tops[c] = hi
@@ -238,25 +273,33 @@ def enumerate_subsets(
         pos = len(placed)
         placed.append(row)
         acc = [0] * (width + 1)
+        last = None
         for c in range(width - 1, -1, -1):
             acc[c] = acc[c + 1] + row[c] * row[c]
             if row[c]:
                 support[c].append((pos, row[c]))
+                if last is None:
+                    last = c
+                    closing[c].append((pos, row[c]))
         suffix_sq.append(acc)
-        same, zero = same_as_prev[-1], all_zero[-1]
+        same = same_as_prev[-1]
         same_as_prev.append(
             [False] + [same[c] and row[c] == row[c - 1] for c in range(1, width)]
         )
-        all_zero.append([zero[c] and not row[c] for c in range(width)])
+        zero_from.append(zero_from[-1] if last is None else max(zero_from[-1], last + 1))
 
     def pop() -> None:
         row = placed.pop()
+        last = None
         for c in range(width):
             if row[c]:
                 support[c].pop()
+                last = c
+        if last is not None:
+            closing[last].pop()
         suffix_sq.pop()
         same_as_prev.pop()
-        all_zero.pop()
+        zero_from.pop()
 
     found: set[tuple[tuple[int, ...], ...]] = set()
     status = "complete"

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import add, mod
 from typing import Any
 
 from .intlinalg import (
@@ -108,7 +109,7 @@ def char_vector_criterion(H: Subgroup) -> bool:
     for g in H.generators:
         if len(reachable) == H.order:
             break
-        reachable |= {tuple((a + b) % d for a, b, d in zip(r, g, factors)) for r in reachable}
+        reachable |= {tuple(map(mod, map(add, r, g), factors)) for r in reachable}
     return len(reachable) == H.order
 
 
@@ -130,6 +131,12 @@ def pairs_up(factors) -> bool:
     return doubled_factors(factors[1::2]) == tuple(factors)
 
 
+def _half(G: FiniteAbelianGroup, H: Subgroup) -> bool:
+    """Is G isomorphic to H + H?  The order is compared first, so a
+    subgroup of any other order takes no Smith form for its factors."""
+    return H.order * H.order == G.order and doubled_factors(H.factors) == G.factors
+
+
 def _not_doubled(G: FiniteAbelianGroup, consequence: str) -> str:
     group = " + ".join(f"Z/{d}" for d in G.factors)
     return f"coker Q = {group} is not of the form H + H, so {consequence}"
@@ -148,15 +155,20 @@ def double_subset_obstruction(tree: PlumbingTree, budget: int | None = None) -> 
     cokernel order, factorisations failing the correction-term filter
     cannot arise from a rational-ball side and are discarded.
 
-    The pairing joins only halves with equal ``factors``, so a pass needs
-    G = H + H: a non-square |G|, or invariant factors of G that do not
-    pair up, refutes the check with no search.
+    A splitting pair G = H1 + H2 with H1 isomorphic to H2 makes G
+    isomorphic to H1 + H1, so G's invariant factors are H1's, each
+    doubled.  A non-square |G|, or invariant factors of G that do not
+    pair up, therefore refutes the check with no search.  Otherwise the
+    factors of G fix the type of a half, by cancellation of finite
+    abelian groups, and a subgroup of any other type has no partner that
+    splits G with it: only halves H with ``doubled_factors(H.factors)``
+    equal to G's factors are kept and joined.
 
     The pairing runs inside the search: each new subset's column
-    subgroup is filtered, and a new subgroup of order sqrt|G| is joined
-    against the kept ones of the same invariant factors, so the search
-    stops at the first splitting pair.  On a pass the filter's "removed"
-    count therefore covers only the subsets met before that pair.
+    subgroup is filtered, and a new half is joined against the kept
+    ones, so the search stops at the first splitting pair.  On a pass
+    the filter's "removed" count therefore covers only the subsets met
+    before that pair.
     """
     name = "double_subset"
     _require(tree, ("negative_definite", 0), "double-subset obstruction")
@@ -174,9 +186,7 @@ def double_subset_obstruction(tree: PlumbingTree, budget: int | None = None) -> 
     filtered = G.order % 2 == 1
     removed = 0
     usable: set = set()  # the lift bases of the kept column subgroups
-    # a splitting pair has |H1||H2| = |G| and H1 isomorphic to H2, so
-    # only same-type subgroups of order sqrt|G| are joined
-    halves: dict[tuple[int, ...], list] = {}
+    halves: list = []  # (H, subset) with G isomorphic to H + H
     witness: list = []
 
     def split_found(s: LatticeSubset) -> bool:
@@ -191,14 +201,13 @@ def double_subset_obstruction(tree: PlumbingTree, budget: int | None = None) -> 
         if H.basis in usable:
             return False
         usable.add(H.basis)
-        if H.order * H.order != G.order:
+        if not _half(G, H):
             return False
-        kept = halves.setdefault(H.factors, [])
-        for H1, A1 in kept:  # the earlier one is H1: one quotient map each
+        for H1, A1 in halves:
             if direct_sum_test(G, H1, H)[0]:
                 witness.extend([(A1, s), (H1, H)])
                 return True
-        kept.append((H, s))
+        halves.append((H, s))
         return False
 
     res = enumerate_subsets(tree, budget, until=split_found)
@@ -258,13 +267,12 @@ def nonorientable_obstruction(tree: PlumbingTree, budget: int | None = None) -> 
     if not pairs_up(G.factors):
         notes = _not_doubled(G, "no subset qualifies")
         return ObstructionResult(name, "obstructed", notes=notes)
-    doubled = tuple(sorted(G.factors))
     qualifying: list = []
     witness: list = []
 
     def pair_found(s: LatticeSubset) -> bool:
         H = subset_column_subgroup(G, s)
-        if doubled_factors(H.factors) != doubled:
+        if not _half(G, H):
             return False
         qualifying.append((H, s))
         for H1, A1 in qualifying:

@@ -15,7 +15,6 @@ from s4embed.intlinalg import (
     doubled_factors,
     hermite_row_basis,
     identity_matrix,
-    lattice_index,
     signature_triple,
     smith_normal_form,
     subgroup_from_generators,
@@ -388,8 +387,8 @@ def coordinate_halves(rng, G) -> list[list[tuple[int, ...]]]:
 
 def test_subgroup_arithmetic_against_brute_force():
     """Order, membership, structure and the direct-sum test agree with
-    enumerating every element of small groups.  The join works through
-    the first subgroup's quotient map, so every ordered pair is tested,
+    enumerating every element of small groups.  The join reduces the
+    second subgroup's lift basis into the first's, so every ordered pair is tested,
     self-pairs included, and pairs with |H1||H2| = |G| are built on
     purpose."""
     rng = random.Random(29)
@@ -689,8 +688,44 @@ def test_elimination_needs_a_forest():
     assert tree.cokernel.factors == (100001,)
 
 
+def regenerate(rng, rows):
+    """Another generating set of the lattice the rows span: the rows under
+    random unimodular row operations, plus integer combinations of them,
+    shuffled."""
+    rows = [list(r) for r in rows]
+    for _ in range(3 * len(rows)):
+        i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+        if i == j:
+            rows[i] = [-x for x in rows[i]]
+        else:
+            k = rng.randint(-2, 2)
+            rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+    out = list(rows)
+    for _ in range(rng.randint(0, 2)):
+        ks = [rng.randint(-2, 2) for _ in rows]
+        out.append([sum(k * r[c] for k, r in zip(ks, rows)) for c in range(len(rows[0]))])
+    rng.shuffle(out)
+    return out
+
+
 def test_hermite_basis_canonical():
+    """Every generating set of one lattice gives the same basis, in the
+    canonical shape: positive pivots in increasing columns, each entry
+    above a pivot reduced into [0, pivot)."""
     b1 = hermite_row_basis([(2, 0), (0, 2), (1, 1)], 2)
     b2 = hermite_row_basis([(1, 1), (2, 0)], 2)
-    assert b1 == b2
-    assert lattice_index(b1) == 2
+    assert b1 == b2 == ((1, 1), (0, 2))
+    rows = [(-1, -1, 0), (0, -1, -1), (-1, 1, 0)]
+    assert hermite_row_basis(rows, 3) == hermite_row_basis(rows[::-1], 3)
+    rng = random.Random(31)
+    for _ in range(600):
+        m = rng.choice([3, 4])
+        rows = [tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(rng.randint(1, m + 1))]
+        basis = hermite_row_basis(rows, m)
+        pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+        assert pivots == sorted(set(pivots))
+        for i, (row, p) in enumerate(zip(basis, pivots)):
+            assert row[p] > 0
+            assert all(0 <= basis[k][p] < row[p] for k in range(i))
+        for _ in range(3):
+            assert hermite_row_basis(regenerate(rng, rows), m) == basis

@@ -1,12 +1,15 @@
 import random
 import sys
 from math import isqrt
+from typing import Callable
 
 import pytest
 
 from s4embed import obstructions
 from s4embed.lattice import (
+    BudgetExhausted,
     LatticeSubset,
+    SubsetSearchResult,
     _row_order,
     canonicalize_rows,
     enumerate_subsets,
@@ -241,16 +244,17 @@ LENS_21 = lens_chains(LensSum([(21, 8), (21, 13)]))
 # means).  The smallest budget at which the search completes is its node
 # count.
 PINNED_NODES = {
-    "chain8": (chain([-2] * 8), 203, 0),
-    "diag3_chain2": (L31_L32, 39, 2),
-    "p_chain12": (p_chain(12), 575, 2),
-    "lens21": (LENS_21, 1041, 4),
-    "seifert_5_5_3": (plumbing_tree(SeifertManifold(True, 0, 0, [(5, 2), (5, 3), (3, 1)])), 332, 1),
-    "pretzel_e0": (plumbing_tree(PretzelCover([2, -2, 2, -2])), 132, 3),
+    "chain8": (chain([-2] * 8), 81, 0),
+    "diag3_chain2": (L31_L32, 19, 2),
+    "p_chain12": (p_chain(12), 175, 2),
+    "lens21": (LENS_21, 505, 4),
+    "seifert_5_5_3": (plumbing_tree(SeifertManifold(True, 0, 0, [(5, 2), (5, 3), (3, 1)])), 143, 1),
+    "pretzel_e0": (plumbing_tree(PretzelCover([2, -2, 2, -2])), 59, 3),
 }
 # Case ids stay as first pinned, so each case keeps its name across
 # re-pins; the node count in an id is the count before the search
-# settled a spent row at one node, and "square" or "rectangular" says
+# settled a spent row at one node and before its forced-entry and
+# zero-suffix cuts, and "square" or "rectangular" says
 # whether the form is definite or semi-definite of corank one.
 PINNED_IDS = [
     "Q0-square-230-0",
@@ -311,8 +315,8 @@ def searched_status(monkeypatch):
 
 
 # lens(21,8) + lens(21,13): the double-subset check meets its first
-# splitting pair at node 462 of the 1041 of the complete search
-FIRST_SPLIT, ALL_NODES = 462, PINNED_NODES["lens21"][1]
+# splitting pair at node 248 of the 505 of the complete search
+FIRST_SPLIT, ALL_NODES = 248, PINNED_NODES["lens21"][1]
 
 
 @pytest.mark.parametrize(
@@ -341,7 +345,7 @@ def test_inconclusive_notes_say_how_far_the_search_got():
     res = obstructions.double_subset_obstruction(LENS_21, FIRST_SPLIT - 1)
     assert (res.verdict, res.notes) == (
         "inconclusive",
-        "budget exhausted after 461 nodes; 2 subset(s) found",
+        "budget exhausted after 247 nodes; 2 subset(s) found",
     )
     e0 = plumbing_tree(PretzelCover([2, -2, 2, -2]))
     res = obstructions.semidefinite_obstruction(e0, 10)
@@ -350,10 +354,10 @@ def test_inconclusive_notes_say_how_far_the_search_got():
         "budget exhausted after 10 nodes; 0 subset(s) found",
     )
     legs = plumbing_tree(SeifertManifold(False, 1, 0, [(3, 1), (3, -1)]))
-    res = obstructions.nonorientable_obstruction(legs, 20)
+    res = obstructions.nonorientable_obstruction(legs, 14)
     assert (res.verdict, res.notes) == (
         "inconclusive",
-        "budget exhausted after 20 nodes; 1 subset(s) found",
+        "budget exhausted after 14 nodes; 1 subset(s) found",
     )
 
 
@@ -416,3 +420,211 @@ def test_search_depth_costs_no_recursion():
     assert len(res.subsets) == 2
     for s in res.subsets:
         assert verify_factorization(s, dense(tree))
+
+
+def reference_enumerate_subsets(
+    tree: PlumbingTree,
+    budget: int | None = None,
+    until: Callable[[LatticeSubset], bool] | None = None,
+) -> SubsetSearchResult:
+    """The search as it ran before its forced-entry and zero-suffix cuts,
+    kept as the reference those cuts are checked against: they may only
+    remove subtrees that yield nothing."""
+    kind, corank = tree.definiteness
+    if kind == "indefinite" or corank > 1:
+        raise ValueError("the search needs a negative definite form or one of corank one")
+    n = tree.size
+    width = n - corank
+
+    if n == 0:
+        empty = LatticeSubset(())
+        stopped = until is not None and until(empty)
+        return SubsetSearchResult("stopped" if stopped else "complete", (empty,), 0)
+
+    order = _row_order(tree.weights, tree.neighbours)
+    position = {v: pos for pos, v in enumerate(order)}
+    # nodes never equals -1, so no budget means no limit
+    limit = -1 if budget is None else max(budget, 0)
+    nodes = 0
+
+    # State of the placed rows, pushed and popped with them.
+    placed: list[tuple[int, ...]] = []  # row vectors in search order
+    suffix_sq: list[list[int]] = []  # per row: sums of squares of row[c:]
+    support: list[list[tuple[int, int]]] = [[] for _ in range(width)]
+    # per prefix depth: column c equals column c-1 / column c is all zero
+    same_as_prev = [[False] + [True] * (width - 1)]
+    all_zero = [[True] * width]
+
+    def candidates(depth: int):
+        """Rows that fit the placed prefix at ``depth``, in search order.
+
+        The node with prefix entries[:c] checks that no placed row's
+        remaining inner product exceeds what Cauchy-Schwarz allows in
+        the remaining columns, then tries the values of entry c that the
+        symmetry cuts admit: the columns of the prefix stay weakly
+        increasing in lexicographic order, and the topmost nonzero entry
+        of a column is negative.
+        """
+        nonlocal nodes
+        i = order[depth]
+        # deficit[pos]: inner product still owed to placed row pos, -1 to a
+        # neighbour of i and 0 to any other; the rows in ``live`` owe a nonzero amount
+        live = {position[u] for u in tree.neighbours[i] if position[u] < depth}
+        deficit = [-(pos in live) for pos in range(depth)]
+        same, zero = same_as_prev[depth], all_zero[depth]
+        entries = [0] * width
+        tops = [0] * width  # the last value to try in each column
+        rems = [0] * width  # the remaining norm before each column
+        rem = -tree.weights[i]
+        c = 0
+        while True:
+            if nodes == limit:
+                raise BudgetExhausted
+            nodes += 1
+            if not rem:
+                # the norm is spent, so entries c.. can only be 0: settle
+                # the row at this node, not at one node per zero column
+                if not live and (c == width or not (same[c] and entries[c - 1] > 0)):
+                    yield tuple(entries)
+            elif c < width:
+                for pos in live:
+                    d = deficit[pos]
+                    if d * d > rem * suffix_sq[pos][c]:
+                        break
+                else:
+                    cap = isqrt(rem)
+                    lo = -cap
+                    if same[c] and entries[c - 1] > lo:
+                        lo = entries[c - 1]
+                    hi = 0 if zero[c] else cap
+                    if lo <= hi:
+                        entries[c] = lo
+                        tops[c] = hi
+                        rems[c] = rem
+                        if lo:
+                            for pos, a in support[c]:
+                                d = deficit[pos] - lo * a
+                                deficit[pos] = d
+                                if d:
+                                    live.add(pos)
+                                else:
+                                    live.discard(pos)
+                        rem -= lo * lo
+                        c += 1
+                        continue
+            # backtrack to the last column with a value left to try,
+            # setting the columns passed on the way back to zero
+            while True:
+                c -= 1
+                if c < 0:
+                    return
+                v = entries[c]
+                w = v + 1 if v < tops[c] else 0
+                step = w - v
+                if step:
+                    entries[c] = w
+                    for pos, a in support[c]:
+                        d = deficit[pos] - step * a
+                        deficit[pos] = d
+                        if d:
+                            live.add(pos)
+                        else:
+                            live.discard(pos)
+                if v < tops[c]:
+                    rem = rems[c] - w * w
+                    c += 1
+                    break
+
+    def push(row: tuple[int, ...]) -> None:
+        pos = len(placed)
+        placed.append(row)
+        acc = [0] * (width + 1)
+        for c in range(width - 1, -1, -1):
+            acc[c] = acc[c + 1] + row[c] * row[c]
+            if row[c]:
+                support[c].append((pos, row[c]))
+        suffix_sq.append(acc)
+        same, zero = same_as_prev[-1], all_zero[-1]
+        same_as_prev.append(
+            [False] + [same[c] and row[c] == row[c - 1] for c in range(1, width)]
+        )
+        all_zero.append([zero[c] and not row[c] for c in range(width)])
+
+    def pop() -> None:
+        row = placed.pop()
+        for c in range(width):
+            if row[c]:
+                support[c].pop()
+        suffix_sq.pop()
+        same_as_prev.pop()
+        all_zero.pop()
+
+    found: set[tuple[tuple[int, ...], ...]] = set()
+    status = "complete"
+    frames = [candidates(0)]
+    try:
+        while frames:
+            row = next(frames[-1], None)
+            if row is None:
+                frames.pop()
+                if placed:
+                    pop()
+            elif len(placed) == n - 1:
+                rows_in_input_order = [None] * n
+                for pos, vec in enumerate(placed):
+                    rows_in_input_order[order[pos]] = vec
+                rows_in_input_order[order[-1]] = row
+                rows = canonicalize_rows(rows_in_input_order)
+                if rows not in found:
+                    found.add(rows)
+                    if until is not None and until(LatticeSubset(rows)):
+                        status = "stopped"
+                        break
+            else:
+                push(row)
+                frames.append(candidates(len(placed)))
+    except BudgetExhausted:
+        status = "exhausted"
+
+    subsets = tuple(LatticeSubset(rows) for rows in sorted(found))
+    return SubsetSearchResult(status, subsets, nodes)
+
+
+def chain_or_star(rng, n) -> PlumbingTree:
+    """A random chain, or a star: one hub, vertex 0, with the other
+    vertices cut into legs."""
+    weights = [-rng.randint(1, rng.choice([2, 3, 5])) for _ in range(n)]
+    if rng.random() < 0.5:
+        return chain(weights)
+    return forest(weights, [(0 if i == 1 or rng.random() < 0.4 else i - 1, i) for i in range(1, n)])
+
+
+def test_cuts_remove_only_subtrees_that_yield_nothing():
+    """Against the search without its forced-entry and zero-suffix cuts,
+    on every pinned tree and on 220 random chains and stars (160
+    definite, 60 of corank one, n <= 10): ``until`` is handed the same
+    subsets in the same order, the status is the same, and the cut
+    search never visits more nodes."""
+    rng = random.Random(7)
+    want = {("negative_definite", 0): 160, ("negative_semidefinite", 1): 60}
+    trees = [tree for tree, _, _ in PINNED_NODES.values()]
+    while any(want.values()):
+        tree = chain_or_star(rng, rng.randint(1, 10))
+        if want.get(tree.definiteness):
+            want[tree.definiteness] -= 1
+            trees.append(tree)
+    found = 0
+    for tree in trees:
+        seen, expected = [], []
+        res = enumerate_subsets(tree, until=lambda s: seen.append(s) or False)
+        ref = reference_enumerate_subsets(tree, until=lambda s: expected.append(s) or False)
+        assert seen == expected
+        assert res.status == ref.status == "complete"
+        assert res.nodes <= ref.nodes
+        found += bool(seen)
+        if len(seen) > 1:  # both stop at the second subset they meet
+            second = lambda s: s == seen[1]  # noqa: E731
+            res, ref = enumerate_subsets(tree, until=second), reference_enumerate_subsets(tree, until=second)
+            assert (res.status, res.subsets) == (ref.status, ref.subsets)
+            assert res.status == "stopped" and res.nodes <= ref.nodes
+    assert found >= 100

@@ -206,13 +206,18 @@ def test_char_vector_criterion_against_brute_force():
 
 def test_six_summand_sum_joins_same_type_pairs_only(monkeypatch):
     """The double-subset search of this sum keeps 204 subgroups of order
-    1344 = sqrt|G|, so C(204, 2) = 20,706 pairs; only the 10,210 of
-    equal invariant factors can split G and reach the join.  The sum is
-    its own mirror, so its two double-subset rows share one search."""
+    1344 = sqrt|G|, so C(204, 2) = 20,706 pairs.  A splitting pair
+    G = H1 + H2 with H1 isomorphic to H2 makes G isomorphic to H1 + H1,
+    so G's invariant factors are H1's, each doubled; by cancellation of
+    finite abelian groups that fixes the type of H1, and a half of any
+    other type can split G with no subgroup.  128 of the 204 have the
+    type whose factors double to G's, and only their C(128, 2) = 8,128
+    pairs reach the join.  The sum is its own mirror, so its two
+    double-subset rows share one search."""
     joins = []
 
     def counted(G, H1, H2):
-        joins.append(H1.factors == H2.factors and H1.order * H2.order == G.order)
+        joins.append(doubled_factors(H1.factors) == doubled_factors(H2.factors) == G.factors)
         return direct_sum_test(G, H1, H2)
 
     direct_sum_test = obstructions.direct_sum_test
@@ -221,7 +226,7 @@ def test_six_summand_sum_joins_same_type_pairs_only(monkeypatch):
     notes = {r.name: (r.verdict, r.notes) for r in full_report(m, certificates=True).results}
     expected = ("obstructed", "complete search: 204 usable subgroup(s), no splitting pair")
     assert notes["double_subset"] == notes["double_subset_mirror"] == expected
-    assert len(joins) == 10210 and all(joins)
+    assert len(joins) == 8128 and all(joins)
 
 
 def test_report_of_a_long_star_takes_only_small_smith_forms(monkeypatch):
