@@ -394,7 +394,8 @@ class Subgroup:
 
     ``basis`` is the Hermite basis of the lift lattice (generators plus
     relation lattice) inside Z^m, so two subgroups are equal iff their
-    bases coincide; order, membership and joins are read from it too.
+    bases coincide; order, factors, membership and joins are read from
+    it too.
     """
 
     parent: FiniteAbelianGroup
