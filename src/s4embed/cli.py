@@ -263,13 +263,16 @@ _ARGS.add_argument("--quiet", action="store_true", help="suppress text output")
 
 
 def _indented(x, pad: str = "\n") -> str:
-    """``json.dumps(x, indent=2)`` byte for byte, without its slow pure-Python encoder."""
+    """``json.dumps(x, indent=2)`` byte for byte, without its slow pure-Python encoder.
+    A list of ints alone, such as a certificate row, is printed in one step."""
     kind, inner = type(x), pad + "  "
     if kind is dict and x:
         items = [f"{inner}{_quoted(k)}: {_indented(v, inner)}" for k, v in x.items()]
         return "{" + ",".join(items) + pad + "}"
     if kind in (list, tuple) and x:
-        return "[" + ",".join([inner + _indented(v, inner) for v in x]) + pad + "]"
+        flat = all(type(v) is int for v in x)
+        items = map(repr, x) if flat else [_indented(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
     return _quoted(x) if kind is str else repr(x) if kind is int else json.dumps(x)
 
 

@@ -350,6 +350,20 @@ class FiniteAbelianGroup:
         lift = self._lift or [(k, 1) for k in range(len(U))]
         return tuple(tuple(u[k] * m % d for k, m in lift) for u, d in rows)
 
+    @cached_property
+    def generators(self) -> tuple[tuple[int, ...], ...]:
+        """A generator of each invariant factor, as integer coefficients of
+        the presentation's generators (the rows of M): column i of U^-1 for
+        the torsion row i of U M V = D.  As M V = U^-1 D, that is column i
+        of M V divided by D[i][i], so no U is taken."""
+        M = self._relations
+        _, D, V = smith_normal_form(M, left=False)
+        return tuple(
+            tuple(sum(a * v[i] for a, v in zip(row, V)) // D[i][i] for row in M)
+            for i in range(min(len(D), len(V)))
+            if D[i][i] >= 2
+        )
+
     @property
     def order(self) -> int:
         if self.free_rank:

@@ -16,16 +16,18 @@ definite for the double-subset checks, semi-definite of corank one for
 the rectangular one.  The double-subset checks then take coker Q from
 the tree (``PlumbingTree.cokernel``, read off its chains and cached).
 Both need coker Q = H + H, so a non-square |coker Q|, or invariant
-factors that do not come in equal pairs, refutes them with no search;
-otherwise a search pairs its subgroups in that group.  No check builds a
-dense form.  Each check filters and pairs the factorisations inside the
-search, as the search finds them (``enumerate_subsets(..., until=...)``),
-and stops at its first witness.  A pass therefore cites the first
-witness the search meets, in search order.  Every verdict of
-"obstructed" is backed by a provably completed search or by the
-invariant factors of coker Q; budget exhaustion downgrades to
-"inconclusive" instead, whose note gives the nodes the search used and
-the subsets it found.
+factors that do not come in equal pairs, refutes them with no search.
+The orientable check also needs the 2-primary linking form of coker Q to
+be even (``PlumbingTree.odd_linking_factor``), and is refuted with no
+search where it is not; otherwise a search pairs its subgroups in that
+group.  No check builds a dense form.  Each check filters and pairs the
+factorisations inside the search, as the search finds them
+(``enumerate_subsets(..., until=...)``), and stops at its first witness.
+A pass therefore cites the first witness the search meets, in search
+order.  Every verdict of "obstructed" is backed by a provably completed
+search, by the invariant factors of coker Q or by its linking form;
+budget exhaustion downgrades to "inconclusive" instead, whose note gives
+the nodes the search used and the subsets it found.
 """
 
 from __future__ import annotations
@@ -164,6 +166,17 @@ def double_subset_obstruction(tree: PlumbingTree, budget: int | None = None) -> 
     splits G with it: only halves H with ``doubled_factors(H.factors)``
     equal to G's factors are kept and joined.
 
+    Each column subgroup H = im A / im Q is a Lagrangian of the linking
+    form lambda(x, y) = x^t Q^-1 y mod 1 on G: for x = A u and y = A v,
+    A A^t = -Q gives lambda(x, y) = -u^t v, an integer, and |H|^2 = |G|.
+    A splitting pair G = H1 + H2 therefore makes lambda hyperbolic: for
+    x = a + b with a in H1 and b in H2, lambda(x, x) = 2 lambda(a, b), and
+    if 2^k x = 0, then 2^k a = 0 as the sum is direct, so
+    2^(k-1) lambda(x, x) = 2^k lambda(a, b) = lambda(2^k a, b) = 0.  Where
+    the 2-primary part of lambda is odd (``PlumbingTree.odd_linking_factor``)
+    the check is refuted with no search, and the note names the factor of
+    G on which it is odd.
+
     The pairing runs inside the search: each new subset's column
     subgroup is filtered, and a new half is joined against the kept
     ones, so the search stops at the first splitting pair.  On a pass
@@ -183,6 +196,10 @@ def double_subset_obstruction(tree: PlumbingTree, budget: int | None = None) -> 
     if not pairs_up(G.factors):
         notes = _not_doubled(G, "no splitting pair exists")
         return ObstructionResult(name, "obstructed", notes=notes)
+    d = tree.odd_linking_factor
+    if d is not None:
+        odd = f"the linking form of coker Q is odd on its factor Z/{d}"
+        return ObstructionResult(name, "obstructed", notes=f"{odd}, so no splitting pair exists")
     filtered = G.order % 2 == 1
     removed = 0
     usable: set = set()  # the lift bases of the kept column subgroups

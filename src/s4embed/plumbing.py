@@ -89,14 +89,23 @@ class PlumbingTree:
         own column w h + (its neighbours' classes) = 0.  These relations, one
         per chain, present the group, and a vertex's coordinates are its chain's
         times m.  Two hubs on a chain raise ValueError."""
+        ends, owner, mult, relations = self._walk
+        rows = [[rel.get(k, 0) for rel in relations] for k in range(len(ends))]
+        return replace(intlinalg.cokernel(rows), _lift=tuple(zip(owner, mult)))
+
+    @cached_property
+    def _walk(self) -> tuple[list[int], list[int], list[int], list[dict[int, int]]]:
+        """The chain walk of ``cokernel``: (the free end of each chain, each
+        vertex's chain, its m, the relations as {chain: coefficient})."""
         adj, weights = self.neighbours, self.weights
         owner, mult = [-1] * self.size, [1] * self.size  # each vertex's chain and m
+        ends: list[int] = []
         relations: list[dict[int, int]] = []  # columns: chain -> coefficient
-        chains = 0
         for end, row in enumerate(adj):
             if len(row) > 1 or owner[end] >= 0:
                 continue
-            k, chains = chains, chains + 1
+            k = len(ends)
+            ends.append(end)
             prev, v, m_prev, m = -1, end, 0, 1
             while v >= 0 and len(adj[v]) < 3:
                 owner[v], mult[v] = k, m
@@ -114,8 +123,91 @@ class PlumbingTree:
             for u in adj[h]:
                 rel[owner[u]] = rel.get(owner[u], 0) + mult[u]
             relations.append(rel)
-        G = intlinalg.cokernel([[rel.get(k, 0) for rel in relations] for k in range(chains)])
-        return replace(G, _lift=tuple(zip(owner, mult)))
+        return ends, owner, mult, relations
+
+    @cached_property
+    def odd_linking_factor(self) -> int | None:
+        """None where the 2-primary part of the linking form of coker Q is
+        even; else, for the least k with 2^(k-1) lambda(x, x) != 0 for some x
+        of order 2^k, the least invariant factor of coker Q of 2-part 2^k.
+
+        The linking form is lambda(x, y) = x^t Q^-1 y mod 1 on coker Q.  On
+        the x with 2^k x = 0 the map x -> 2^(k-1) lambda(x, x) is a
+        homomorphism, as the cross term 2^k lambda(x, y) = lambda(2^k x, y)
+        vanishes.  The multiples of the Smith generators that lie there span
+        them, and the map vanishes on each but the odd multiples m f of a
+        generator f of order d = 2^k m, where it is m t / 2 with the integer
+        t = d lambda(f, f).  So the part is even iff t is even for every
+        generator of even order: the 2-primary part of the condition for a
+        hyperbolic linking form (Kawauchi-Kojima, *Algebraic classification
+        of linking pairings on 3-manifolds*, Math. Ann. 253, 1980).  Which k
+        fail does not depend on the basis, so neither does the factor named.
+        An odd |coker Q| returns None at once.
+
+        Disjoint chains are an orthogonal sum of lens-space forms q/p on Z/p,
+        q prime to p, p the determinant of a chain, read off its relation: the
+        form fails at k exactly where some p has 2-part 2^k.  Elsewhere lambda
+        is read on the chain generators g_k of ``cokernel``, the classes of the
+        chain ends: lambda(g_k, g_l) = Q^-1 at (end_k, end_l), from one exact
+        solve per chain end that an even generator uses (``_inverse_column``),
+        and the Smith generators are combinations of the g_k
+        (``FiniteAbelianGroup.generators``)."""
+        G = self.cokernel
+        if G.order % 2:
+            return None
+        ends, _, _, relations = self._walk
+        if all(len(row) < 3 for row in self.neighbours):
+            odd = [p for rel in relations for p in rel.values() if p % 2 == 0]
+        else:
+            even = [(d, f) for d, f in zip(G.factors, G.generators) if d % 2 == 0]
+            used = {k for _, f in even for k, c in enumerate(f) if c}
+            columns = {k: self._inverse_column(ends[k], G.order) for k in used}
+            odd = []
+            for d, f in even:
+                terms = [(k, c) for k, c in enumerate(f) if c]
+                num = sum(c * e * columns[k].get(ends[l], 0) for k, c in terms for l, e in terms)
+                t, rest = divmod(d * num, G.order)
+                assert rest == 0, "d f is not zero in coker Q"
+                if t % 2:
+                    odd.append(d)
+        if not odd:
+            return None
+        two = min(p & -p for p in odd)  # the least 2-part
+        return next(d for d in G.factors if d & -d == two)
+
+    def _inverse_column(self, s: int, order: int) -> dict[int, int]:
+        """order * Q^-1 e_s as integers on the component of s, where Q^-1 e_s
+        lives; ``order`` is a multiple of that component's determinant, as
+        |coker Q| is.
+
+        Rooted at s, leaf stripping gives each vertex v the determinant D_v of
+        its subtree and the product P_v of its children's.  The restriction of
+        Q x = e_s to the subtree of a child v of u reads Q_v x_v = -x_u e_v, so
+        x_v = -x_u P_v / D_v, and x_s = P_s / D_s.  D_s x is a column of the
+        adjugate of the component's form, so every scaled entry is an integer
+        and each division is exact.  They need every D_v nonzero, as it is for
+        a definite form; a zero raises ValueError."""
+        adj, weights = self.neighbours, self.weights
+        parent, bfs = {s: -1}, [s]
+        for v in bfs:  # breadth first: each vertex after its parent
+            for u in adj[v]:
+                if u not in parent:
+                    parent[u] = v
+                    bfs.append(u)
+        det: dict[int, int] = {}
+        sub: dict[int, int] = {}
+        for v in reversed(bfs):
+            D, P = weights[v], 1
+            for u in adj[v]:
+                if u != parent[v]:
+                    D, P = D * det[u] - P * sub[u], P * det[u]
+            if not D:
+                raise ValueError("the linking form needs nonzero subtree determinants")
+            det[v], sub[v] = D, P
+        x = {s: sub[s] * (order // det[s])}
+        for v in bfs[1:]:
+            x[v] = -x[parent[v]] * sub[v] // det[v]
+        return x
 
 
 def _chains(pairs, hub: int | None = None) -> PlumbingTree:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from s4embed import cli
-from s4embed.classify import CHECK_NAMES
+from s4embed.classify import CHECK_NAMES, full_report
 from s4embed.cli import main, parse_manifold
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -88,11 +88,24 @@ def test_check_names_cover_every_reported_check():
         (10**40, 1.5),
         {},
         "plain",
+        [3, -1, 0, 10**20],
+        [1, True, None],
     ],
 )
 def test_indented_json_is_the_standard_library_bytes(value):
     """The report printer writes exactly what json.dumps(indent=2) writes."""
     assert cli._indented(value) == json.dumps(value, indent=2)
+
+
+def test_indented_certificate_report_is_the_standard_library_bytes():
+    """A --certificates report, with its subset rows (flat lists of ints,
+    printed in one step), subgroup factors and mu-bar lists, comes out as
+    json.dumps(indent=2) writes it."""
+    report = full_report(parse_manifold("pretzel(3,-3,3)"), certificates=True)
+    payload = cli.report_to_json(report, with_certificates=True)
+    certificates = json.dumps([r.get("certificate") for r in payload["obstructions"]])
+    assert all(key in certificates for key in ("subset_rows", "subgroup_factors", "mu_values"))
+    assert cli._indented(payload) == json.dumps(payload, indent=2)
 
 
 def test_help_exits_zero(capsys):

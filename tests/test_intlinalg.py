@@ -656,6 +656,92 @@ def test_tree_cokernel_matches_dense_smith_form():
     assert stars >= 100 and checked >= 500
 
 
+def rational_solve(M, rhs) -> list[list[Fraction]]:
+    """The x with M x = b for each b of ``rhs``, M square and invertible, by
+    Gauss-Jordan elimination over the rationals."""
+    n = len(M)
+    A = [[*map(Fraction, row), *(Fraction(b[i]) for b in rhs)] for i, row in enumerate(M)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if A[r][c])
+        A[c], A[p] = A[p], A[c]
+        A[c] = [x / A[c][c] for x in A[c]]
+        for r in range(n):
+            if r != c and A[r][c]:
+                A[r] = [a - A[r][c] * b for a, b in zip(A[r], A[c])]
+    return [[row[n + k] for row in A] for k in range(len(rhs))]
+
+
+def dense_odd_linking_factor(tree: PlumbingTree) -> int | None:
+    """``PlumbingTree.odd_linking_factor`` read off the dense form: lambda
+    is x^t Q^-1 y in fractions, and coker Q's Smith generators are the
+    columns of U^-1 for U Q V = D.  A generator f of order d = 2^k m, m
+    odd, gives 2^(k-1) lambda(m f, m f) = m d lambda(f, f) / 2; for the
+    least 2-part 2^k where that is not an integer, the least factor of
+    that 2-part is named."""
+    Q = dense(tree)
+    U, D, _ = smith_normal_form(Q, right=False)
+    factors = [D[i][i] for i in range(len(Q)) if D[i][i] >= 2]
+    even = [(i, D[i][i]) for i in range(len(Q)) if D[i][i] % 2 == 0]
+    units = identity_matrix(len(Q))
+    gens = rational_solve(U, [units[i] for i, _ in even])
+    odd = []
+    for (_, d), f, x in zip(even, gens, rational_solve(Q, gens)):
+        t = d * sum(a * b for a, b in zip(f, x))
+        assert t.denominator == 1
+        if t.numerator % 2:
+            odd.append(d & -d)
+    return next((d for d in factors if odd and d & -d == min(odd)), None)
+
+
+def random_definite_tree(rng) -> PlumbingTree:
+    """Disjoint chains, or a star with one hub whose legs come in repeated
+    copies (which makes the linking form even often), with weights <= -1."""
+    weights, edges = [], []
+
+    def leg(start, ws):
+        prev = start
+        for w in ws:
+            weights.append(w)
+            if prev >= 0:
+                edges.append((prev, len(weights) - 1))
+            prev = len(weights) - 1
+
+    if rng.random() < 0.3:
+        for _ in range(rng.randint(1, 4)):
+            leg(-1, [rng.choice([-6, -5, -4, -3, -2, -2, -1]) for _ in range(rng.randint(1, 4))])
+    else:
+        weights.append(rng.randint(-8, -1))
+        for _ in range(rng.randint(1, 3)):
+            ws = [rng.randint(-4, -2) for _ in range(rng.randint(1, 2))]
+            for _ in range(rng.randint(2, 3)):
+                leg(0, ws)
+    return PlumbingTree(tuple(weights), tuple(edges))
+
+
+def test_odd_linking_factor_matches_dense_oracle():
+    """On 300 negative definite chain forests and one-hub stars (n <= 12)
+    of even |coker Q|, the tree names the factor the dense oracle names, or
+    none where the oracle finds the 2-primary linking form even.  Chains
+    are always odd there, as some chain has an even determinant."""
+    rng = random.Random(19)
+    kinds = Counter()
+    while sum(kinds.values()) < 300:
+        tree = random_definite_tree(rng)
+        hubs = sum(len(row) >= 3 for row in tree.neighbours)
+        if tree.size > 12 or hubs > 1 or tree.definiteness != ("negative_definite", 0):
+            continue
+        if tree.cokernel.order % 2:
+            continue
+        d = tree.odd_linking_factor
+        assert d == dense_odd_linking_factor(tree), tree
+        kinds["star" if hubs else "chains", "even" if d is None else "odd"] += 1
+    assert kinds[("chains", "even")] == 0
+    assert min(kinds[k] for k in (("chains", "odd"), ("star", "even"), ("star", "odd"))) >= 40
+    # a leaf of weight 0 has a zero subtree determinant, which the solve refuses
+    with pytest.raises(ValueError, match="nonzero subtree determinants"):
+        PlumbingTree((-3, -3, -2, 0), ((0, 1), (0, 2), (0, 3))).odd_linking_factor
+
+
 def test_tree_cokernel_needs_one_hub_per_chain():
     """A chain between two hubs has no free end, and is refused; two
     adjacent hubs, each met by chains with free ends, need no walk

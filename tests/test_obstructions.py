@@ -6,7 +6,8 @@ from collections import Counter
 import pytest
 
 from s4embed import intlinalg, obstructions
-from s4embed.classify import ManifoldContext, full_report
+from s4embed.classify import LENS_SUM, ORIENTABLE, PRETZEL, ManifoldContext, full_report
+from s4embed.cli import parse_manifold
 from s4embed.intlinalg import cokernel, direct_sum_test, doubled_factors
 from s4embed.lattice import LatticeSubset, enumerate_subsets
 from s4embed.manifolds import LensSum, PretzelCover, SeifertManifold, pretzel_to_seifert
@@ -18,6 +19,8 @@ from s4embed.obstructions import (
     subset_column_subgroup,
 )
 from s4embed.plumbing import PlumbingTree, lens_chains, plumbing_tree, seifert_leg_forest
+from test_census import sweep_s5
+from test_golden import corpus_inputs
 from test_intlinalg import dense, determinant
 from test_lattice import verify_factorization
 
@@ -61,11 +64,8 @@ def test_pairs_up(factors, paired):
     assert obstructions.pairs_up(factors) is paired
 
 
-def test_unpaired_cokernel_is_refuted_with_no_search(monkeypatch):
-    """The star of 18 legs (2,1) has coker Q = (Z/2)^16 + Z/36, of square
-    order 2^18 * 9.  Its 17 factors do not pair up, so the check is
-    refuted with no lattice search, where the search would exhaust its
-    budget of 10^7 nodes and end inconclusive."""
+def counted_searches(monkeypatch) -> list:
+    """The lattice searches the obstructions start from here on."""
     searches = []
 
     def counted(*args, **kwargs):
@@ -74,6 +74,15 @@ def test_unpaired_cokernel_is_refuted_with_no_search(monkeypatch):
 
     search = obstructions.enumerate_subsets
     monkeypatch.setattr(obstructions, "enumerate_subsets", counted)
+    return searches
+
+
+def test_unpaired_cokernel_is_refuted_with_no_search(monkeypatch):
+    """The star of 18 legs (2,1) has coker Q = (Z/2)^16 + Z/36, of square
+    order 2^18 * 9.  Its 17 factors do not pair up, so the check is
+    refuted with no lattice search, where the search would exhaust its
+    budget of 10^7 nodes and end inconclusive."""
+    searches = counted_searches(monkeypatch)
     y = SeifertManifold(True, 0, 0, [(2, 1)] * 18)
     report = full_report(y)
     assert (report.status, report.reason) == ("OBSTRUCTED", "obstruction:double_subset")
@@ -204,16 +213,16 @@ def test_char_vector_criterion_against_brute_force():
     assert 40 <= sum(outcomes) <= 110
 
 
-def test_six_summand_sum_joins_same_type_pairs_only(monkeypatch):
-    """The double-subset search of this sum keeps 204 subgroups of order
-    1344 = sqrt|G|, so C(204, 2) = 20,706 pairs.  A splitting pair
-    G = H1 + H2 with H1 isomorphic to H2 makes G isomorphic to H1 + H1,
-    so G's invariant factors are H1's, each doubled; by cancellation of
-    finite abelian groups that fixes the type of H1, and a half of any
-    other type can split G with no subgroup.  128 of the 204 have the
-    type whose factors double to G's, and only their C(128, 2) = 8,128
-    pairs reach the join.  The sum is its own mirror, so its two
-    double-subset rows share one search."""
+def test_nine_leg_star_joins_same_type_pairs_only(monkeypatch):
+    """seifert(S2; 4; (2,1) x 9) has coker Q = (Z/2)^8, whose factors pair
+    up and whose linking form is even, so its double-subset check searches
+    and pairs, and passes.  A splitting pair G = H1 + H2 with H1
+    isomorphic to H2 makes G isomorphic to H1 + H1, so G's invariant
+    factors are H1's, each doubled; by cancellation of finite abelian
+    groups that fixes the type of H1, and a half of any other type can
+    split G with no subgroup.  Only halves of that type reach the join:
+    5,480 joins before the first splitting pair, the count the search met
+    before the linking form was read."""
     joins = []
 
     def counted(G, H1, H2):
@@ -222,11 +231,23 @@ def test_six_summand_sum_joins_same_type_pairs_only(monkeypatch):
 
     direct_sum_test = obstructions.direct_sum_test
     monkeypatch.setattr(obstructions, "direct_sum_test", counted)
+    y = SeifertManifold(True, 0, 4, [(2, 1)] * 9)
+    result = full_report(y).result("double_subset")
+    assert (result.verdict, result.notes) == ("pass", "cokernel splits as H + H")
+    assert len(joins) == 5480 and all(joins)
+
+
+def test_six_summand_sum_is_refuted_by_its_linking_form(monkeypatch):
+    """coker Q of this sum is Z/8 + Z/8 + Z/168 + Z/168, whose factors
+    pair up, but its summands with p = 8 make the linking form odd: both
+    double-subset rows are refuted with no search, where a complete search
+    used to keep 204 subgroups and join 8,128 pairs."""
+    searches = counted_searches(monkeypatch)
     m = LensSum([(8, 3), (8, 3), (8, 5), (8, 5), (21, 8), (21, 13)])
     notes = {r.name: (r.verdict, r.notes) for r in full_report(m, certificates=True).results}
-    expected = ("obstructed", "complete search: 204 usable subgroup(s), no splitting pair")
-    assert notes["double_subset"] == notes["double_subset_mirror"] == expected
-    assert len(joins) == 8128 and all(joins)
+    odd = "the linking form of coker Q is odd on its factor Z/8, so no splitting pair exists"
+    assert notes["double_subset"] == notes["double_subset_mirror"] == ("obstructed", odd)
+    assert searches == []
 
 
 def test_report_of_a_long_star_takes_only_small_smith_forms(monkeypatch):
@@ -354,10 +375,11 @@ FULL_CHECKS = {
 def streaming_faults(m, tally: Counter) -> list[str]:
     """Compare every search check of one report with its full-enumeration
     form; the report runs with certificates, so a lens sum's searches run.
-    ``tally`` counts the (check, verdict) pairs of the forms searched, and
+    ``tally`` counts the (check, verdict) pairs of the forms searched,
     under (check, "not H + H") the forms the streamed check refuted by the
-    invariant factors of coker Q, with no search; there the full search
-    must say "obstructed" too."""
+    invariant factors of coker Q, and under (check, "odd linking form")
+    those it refuted by the linking form, both with no search; there the
+    full search must say "obstructed" too."""
     ctx = ManifoldContext(m)
     report = full_report(m, certificates=True)
     faults = []
@@ -371,9 +393,12 @@ def streaming_faults(m, tally: Counter) -> list[str]:
             side = ctx.definite_side if check == "double_subset" else "+"
         tree = ctx.tree(side)
         verdict, notes = FULL_CHECKS[check](tree)
-        if "not of the form H + H" in r.notes:
-            # refuted by coker Q's invariant factors; the full search must agree
-            tally[check, "not H + H"] += 1
+        refuted = "not H + H" if "not of the form H + H" in r.notes else None
+        if "linking form of coker Q is odd" in r.notes:
+            refuted = "odd linking form"
+        if refuted:
+            # refuted with no search; the full search must agree
+            tally[check, refuted] += 1
             if verdict != "obstructed":
                 faults.append(f"{m.describe()} {r.name}: {r.notes} vs {verdict} ({notes})")
             continue
@@ -398,8 +423,9 @@ def test_streamed_checks_match_full_enumeration_on_lens_sums():
     assert [f for pair in pairs for f in streaming_faults(LensSum(list(pair)), tally)] == []
     assert tally == {
         ("double_subset", "pass"): 84,
-        ("double_subset", "obstructed"): 480,
+        ("double_subset", "obstructed"): 364,
         ("double_subset", "not H + H"): 48,
+        ("double_subset", "odd linking form"): 116,
     }
 
 
@@ -409,8 +435,9 @@ def test_streamed_checks_match_full_enumeration_on_pretzels():
     assert [f for s in covers for f in streaming_faults(PretzelCover(list(s)), tally)] == []
     assert tally == {
         ("double_subset", "pass"): 8,
-        ("double_subset", "obstructed"): 4,
+        ("double_subset", "obstructed"): 2,
         ("double_subset", "not H + H"): 26,
+        ("double_subset", "odd linking form"): 2,
         ("semidefinite_subset", "obstructed"): 4,
     }
 
@@ -438,3 +465,73 @@ def test_streamed_checks_match_full_enumeration_on_nonorientable_bases():
         ("nonorientable_double_subset", "obstructed"): 210,
         ("nonorientable_double_subset", "not H + H"): 64,
     }
+
+
+def test_disjoint_chains_have_an_odd_linking_form_iff_some_p_is_even():
+    """A lens sum's chains give an orthogonal sum of lens-space forms q/p on
+    Z/p with q prime to p, so the 2-primary linking form is odd exactly
+    when some summand has an even p; where the factors pair up, that is
+    when the double-subset check is refuted by it."""
+    summands = [(p, q) for p, q in LENS_SUMMANDS if p <= 9]
+    refuted = 0
+    for k in (1, 2, 3):
+        for sum_ in itertools.combinations_with_replacement(summands, k):
+            tree = lens_tree(*sum_)
+            even_p = any(p % 2 == 0 for p, _ in sum_)
+            assert (tree.odd_linking_factor is not None) == even_p, sum_
+            if obstructions.pairs_up(tree.cokernel.factors):
+                notes = double_subset_obstruction(tree, budget=1).notes
+                assert ("linking form of coker Q is odd" in notes) == even_p, sum_
+                refuted += even_p
+    assert refuted == 21
+
+
+def double_subset_trees(m) -> list[PlumbingTree]:
+    """The trees the double-subset rows of m's report search: both sides
+    of a lens sum, the definite side of an e != 0 space or cover."""
+    ctx = ManifoldContext(m)
+    if ctx.table is LENS_SUM:
+        return [ctx.tree("+"), ctx.tree("-")]
+    return [ctx.tree(ctx.definite_side)] if ctx.table in (ORIENTABLE, PRETZEL) else []
+
+
+def test_no_double_subset_pass_has_an_odd_linking_form():
+    """Every splitting pair makes the linking form hyperbolic, so a search
+    that skips the linking-form refutation never passes where that
+    refutation would fire.  The distinct trees whose factors pair up are
+    searched so, over the golden inputs, the 3- and 4-strand pretzels with
+    |a_i| <= 7 and e != 0, the S5 census spaces and every two-summand lens
+    sum with p <= 15.  Each tally counts (verdict, |coker Q| even, linking
+    form odd): 85 passes, 15 of them of even order, and 71 trees the
+    linking form refutes."""
+    pretzels = [
+        PretzelCover(list(s))
+        for k in (3, 4)
+        for s in itertools.combinations_with_replacement([a for a in range(-7, 8) if a], k)
+    ]
+    pairs = itertools.combinations_with_replacement(LENS_SUMMANDS, 2)
+    sweeps = {
+        "golden": [parse_manifold(expr) for expr in corpus_inputs()],
+        "pretzels": pretzels,
+        "S5": sweep_s5(),
+        "lens": [LensSum(list(pair)) for pair in pairs],
+    }
+    tallies = {}
+    for name, manifolds in sweeps.items():
+        tally, seen = Counter(), set()
+        for m in manifolds:
+            for tree in double_subset_trees(m):
+                if tree in seen or not obstructions.pairs_up(tree.cokernel.factors):
+                    continue
+                seen.add(tree)
+                blind = PlumbingTree(tree.weights, tree.edges)
+                blind.__dict__["odd_linking_factor"] = None  # taken as even, so it searches
+                verdict = double_subset_obstruction(blind).verdict
+                even = tree.cokernel.order % 2 == 0
+                tally[verdict, even, tree.odd_linking_factor is not None] += 1
+        assert ("pass", True, True) not in tally, name
+        tallies[name] = tally
+    passes = {name: (t["pass", False, False], t["pass", True, False]) for name, t in tallies.items()}
+    assert passes == {"golden": (14, 4), "pretzels": (11, 9), "S5": (3, 2), "lens": (42, 0)}
+    refuted = {name: t["obstructed", True, True] for name, t in tallies.items()}
+    assert refuted == {"golden": 7, "pretzels": 5, "S5": 1, "lens": 58}
