@@ -12,9 +12,12 @@ manifold into one class, and the rows of the class's table run in order,
 every check on the same context.  A row is a (name, check) pair, and the
 check's result is reported under the row's name; ``full_report(only=...)``
 picks rows by name, so only the named checks run.  A search is run once
-per (obstruction, tree) in a report: a mirror row whose plumbing equals
-its twin's (e = 0 complementary pairs, many non-orientable spaces, sums
-K # -K) reports the twin's search under its own name.  The tables:
+per (obstruction, tree) in a report.  Plumbings are laid out in one
+canonical order (``plumbing``), so a mirror row shares its twin's search
+whenever the two plumbings are isomorphic, as with reversed lens chains
+or permuted legs (e = 0 complementary pairs, many non-orientable spaces,
+sums K # -K, L(p, q) # L(p, q) with q^2 = -1 mod p), and reports it
+under its own name.  The tables:
 
 * lens sums: torsion_square, lens_mirror_pairing.  A sum embeds iff
   every p_i is odd and the summands match up into mirror pairs, so these
@@ -315,13 +318,15 @@ class ManifoldContext:
 
     def tree(self, side: str) -> PlumbingTree:
         """The standard plumbing of one orientation ('+' or '-'), built on
-        first use and kept for the rest of the call.  When both sides
-        give the same tree, the first one built serves both, so its
-        elimination, and its cokernel if a check reads it, are taken
-        once."""
+        first use and kept for the rest of the call.  Plumbings are laid
+        out canonically, so the two sides give the same tree whenever
+        their weighted graphs are isomorphic (chains reversed, chains or
+        legs permuted).  Then the second side takes the first one's tree,
+        before its definiteness check, so the tree's elimination,
+        cokernel and searches are taken once."""
         if side not in self._trees:
-            tree = plumbing_tree(self.seifert or self.manifold, side)
-            self._trees[side] = next((t for t in self._trees.values() if t == tree), tree)
+            m = self.seifert or self.manifold
+            self._trees[side] = plumbing_tree(m, side, shared=self._trees.values())
         return self._trees[side]
 
     @cached_property

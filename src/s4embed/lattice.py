@@ -51,6 +51,7 @@ about the subsets it did not reach.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import isqrt
 from operator import neg
 from typing import Callable
@@ -96,19 +97,26 @@ def _row_order(weights, neighbours) -> list[int]:
 
     Always prefer vertices with the most already-placed neighbours,
     breaking ties by the larger weight (the smaller norm), then the smaller index.
-    Each vertex keeps its count of placed neighbours, raised as its
-    neighbours are placed, so the order takes O(n^2).
+    A heap holds (-placed neighbours, -weight, index) for the unplaced
+    vertices; placing a vertex pushes a fresh entry for each unplaced
+    neighbour.  A fresh entry comes up before the stale ones of its
+    vertex, which are skipped as placed, so the order takes O(n log n).
     """
-    n = len(weights)
+    counts = [0] * len(weights)
+    heap = [(0, -w, i) for i, w in enumerate(weights)]
+    heapify(heap)
     placed: list[int] = []
-    neighbours_placed = [0] * n
-    remaining = set(range(n))
-    while remaining:
-        best = max(remaining, key=lambda i: (neighbours_placed[i], weights[i], -i))
-        placed.append(best)
-        remaining.remove(best)
-        for i in neighbours[best]:
-            neighbours_placed[i] += 1
+    done = [False] * len(weights)
+    while heap:
+        v = heappop(heap)[2]
+        if done[v]:
+            continue
+        done[v] = True
+        placed.append(v)
+        for u in neighbours[v]:
+            if not done[u]:
+                counts[u] += 1
+                heappush(heap, (-counts[u], -weights[u], u))
     return placed
 
 

@@ -14,6 +14,17 @@ the obstructions: its inertia comes from leaf stripping
 (``PlumbingTree.inertia``), its cokernel from a walk along its chains
 (``PlumbingTree.cokernel``), each once per tree, its Wu sets from a GF(2)
 pass (``spin.wu_sets``); the lattice search reads its neighbour lists.
+
+Every plumbing is laid out in one canonical vertex order.  A star's hub
+is vertex 0 and each leg is read from the hub outward; with no hub, each
+chain is read from the end whose continued-fraction sequence is the
+lexicographically smaller.  Chains, and a star's legs, follow one
+another in ascending order of those sequences.  So plumbings that differ
+only by reversed chains or permuted chains or legs are one
+``PlumbingTree``, and they share one elimination and one search.  The
+search breaks its ties by vertex index, so this order also fixes where
+it starts: at the first vertex of the largest weight.  Row i of a subset certificate is vertex i of the plumbing
+its search ran on.
 """
 
 from __future__ import annotations
@@ -35,8 +46,10 @@ from .manifolds import (
 
 @dataclass(frozen=True)
 class PlumbingTree:
-    """Weighted forest with at most simple edges; a star has its hub at
-    vertex 0."""
+    """Weighted forest with at most simple edges.  The builders below lay
+    it out in the canonical order of the module docstring, a star with
+    its hub at vertex 0, so isomorphic plumbings come out as equal trees;
+    row i of a subset certificate found on the tree is its vertex i."""
 
     weights: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
@@ -212,12 +225,17 @@ class PlumbingTree:
 
 def _chains(pairs, hub: int | None = None) -> PlumbingTree:
     """One linear chain per (p, q), weighted by the negated entries of
-    the expansion of p/q.  With a ``hub`` weight the hub is vertex 0 and
-    the first vertex of every chain is joined to it."""
+    the expansion of p/q, in the canonical order of the module docstring.
+    With a ``hub`` weight the hub is vertex 0, the first vertex of every
+    chain is joined to it, and each chain is read from the hub outward;
+    with none, each chain is read from the end whose sequence is the
+    lexicographically smaller."""
+    seqs = [neg_continued_fraction(p, q) for p, q in pairs]
+    if hub is None:
+        seqs = [min(seq, seq[::-1]) for seq in seqs]
     weights: list[int] = [] if hub is None else [hub]
     edges: list[tuple[int, int]] = []
-    for p, q in pairs:
-        seq = neg_continued_fraction(p, q)
+    for seq in sorted(seqs):
         start = len(weights)
         weights.extend(-a for a in seq)
         if hub is not None:
@@ -227,7 +245,12 @@ def _chains(pairs, hub: int | None = None) -> PlumbingTree:
 
 
 def lens_chains(m: LensSum) -> PlumbingTree:
-    """Disjoint linear chains with weights -a_j, one chain per summand."""
+    """Disjoint linear chains with weights -a_j, one chain per summand.
+    L(p, q) = L(p, q^-1) has the reversed chain, so each chain is read
+    from its lexicographically smaller end and the chains are sorted:
+    the tree depends only on the multiset of summands up to that
+    identity, and a sum and its mirror get one tree whenever their
+    chains match up so."""
     return _chains(m.summands)
 
 
@@ -236,9 +259,10 @@ def seifert_star(m: SeifertManifold) -> PlumbingTree:
 
     Built from the normalised description (a_i > -b_i > 0): hub weight
     is the normalised central framing, legs carry the negated entries of
-    the expansion of a_i / -b_i, innermost vertex adjacent to the hub.
-    The result is a valid surgery presentation for any e; it is negative
-    (semi)definite exactly when e >= 0.
+    the expansion of a_i / -b_i, innermost vertex adjacent to the hub,
+    the legs in ascending order of those sequences, so the fibres' order
+    does not change the tree.  The result is a valid surgery presentation
+    for any e; it is negative (semi)definite exactly when e >= 0.
     """
     if not m.base_orientable:
         raise ValueError("star plumbing needs an orientable base")
@@ -248,16 +272,20 @@ def seifert_star(m: SeifertManifold) -> PlumbingTree:
 
 def seifert_leg_forest(m: SeifertManifold) -> PlumbingTree:
     """Leg chains alone: the definite form bounding a non-orientable-base
-    Seifert manifold (the central curve does not contribute)."""
+    Seifert manifold (the central curve does not contribute).  With no hub
+    the chains are laid out as a lens sum's: each read from its
+    lexicographically smaller end, in ascending order."""
     return _chains((a, -b) for a, b in normalize_seifert(m).invariants)
 
 
-def plumbing_tree(m: Manifold, orientation: str = "+") -> PlumbingTree:
+def plumbing_tree(m: Manifold, orientation: str = "+", shared=()) -> PlumbingTree:
     """The standard definite/semi-definite plumbing for either orientation.
 
     orientation '-' builds the tree for the reversed manifold.  For an
     orientable-base Seifert manifold the chosen orientation must have
     e >= 0, otherwise no standard definite plumbing exists on that side.
+    A tree of ``shared`` equal to the one built is returned in its place,
+    before the definiteness check, so its inertia is not taken twice.
     """
     if orientation not in ("+", "-"):
         raise ValueError("orientation must be '+' or '-'")
@@ -265,12 +293,13 @@ def plumbing_tree(m: Manifold, orientation: str = "+") -> PlumbingTree:
         m = pretzel_to_seifert(m)
     if orientation == "-":
         m = m.mirror()
-    if isinstance(m, LensSum):
-        return lens_chains(m)
-    if not m.base_orientable:
-        return seifert_leg_forest(m)
-    # the star is indefinite exactly when e < 0
-    star = seifert_star(m)
-    if star.definiteness[0] == "indefinite":
+    star = not isinstance(m, LensSum) and m.base_orientable
+    if star:
+        tree = seifert_star(m)
+    else:
+        tree = lens_chains(m) if isinstance(m, LensSum) else seifert_leg_forest(m)
+    tree = next((t for t in shared if t == tree), tree)
+    # the star is indefinite exactly when e < 0; a chain forest is definite
+    if star and tree.definiteness[0] == "indefinite":
         raise ValueError("orientation yields e < 0 with orientable base")
-    return star
+    return tree

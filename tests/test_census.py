@@ -29,6 +29,7 @@ import json
 import math
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 from s4embed.classify import full_report
@@ -82,23 +83,29 @@ TESTED = ("S5", "N7")  # the sweeps the tests check; --check runs them all
 
 
 def census(spaces) -> tuple[dict, list[str]]:
-    """The census of one sweep, and the spaces whose mirror got another
-    status."""
+    """The census of one sweep, and its faults: each space or mirror
+    reported CONFLICT, with its reason, and each space whose mirror got
+    another status."""
     counts: Counter = Counter()
     unknown = []
-    mirror_faults = []
+    found = []
     for y in spaces:
         report = full_report(y, budget=BUDGET)
         counts[report.status, report.reason] += 1
         if report.status == "UNKNOWN":
             unknown.append(y.describe())
-        mirrored = full_report(y.mirror(), budget=BUDGET).status
-        if mirrored != report.status:
-            mirror_faults.append(f"{y.describe()}: {report.status} vs mirror {mirrored}")
+        mirrored = full_report(y.mirror(), budget=BUDGET)
+        found += [
+            f"{r.manifold.describe()}: CONFLICT, {r.reason}"
+            for r in (report, mirrored)
+            if r.status == "CONFLICT"
+        ]
+        if mirrored.status != report.status:
+            found.append(f"{y.describe()}: {report.status} vs mirror {mirrored.status}")
     table: dict = {}
     for (status, reason), n in sorted(counts.items()):
         table.setdefault(status, {})[reason] = n
-    return {"spaces": len(spaces), "counts": table, "unknown": unknown}, mirror_faults
+    return {"spaces": len(spaces), "counts": table, "unknown": unknown}, found
 
 
 def record() -> str:
@@ -108,12 +115,13 @@ def record() -> str:
 
 def faults(names) -> list[str]:
     """How the census of each named sweep differs from the pinned one,
-    and its mirror faults."""
+    each CONFLICT line of the sweep with its input, and its mirror
+    faults."""
     pinned = json.loads(CENSUS.read_text())
     out = [] if list(pinned) == list(SWEEPS) else [f"pinned sweeps {list(pinned)}"]
     for name in names:
-        table, mirror_faults = census(SWEEPS[name]())
-        out += [f"{name}: {fault}" for fault in mirror_faults]
+        table, found = census(SWEEPS[name]())
+        out += [f"{name}: {fault}" for fault in found]
         if table != pinned.get(name):
             out.append(f"{name}: census differs from the pinned one")
     return out
@@ -122,6 +130,25 @@ def faults(names) -> list[str]:
 def test_census_sweeps_are_sized():
     sizes = {name: len(sweep()) for name, sweep in SWEEPS.items()}
     assert sizes == {"S5": 825, "N7": 2394, "S7": 29070, "S11": 61705}
+
+
+def test_faults_name_each_conflict_with_its_input(monkeypatch):
+    """A CONFLICT line is named with its input and reason, on either
+    orientation, and not only as a count that differs."""
+    y = sweep_s5()[0]
+    mirror = y.mirror().describe()
+
+    def conflicting(m, budget):
+        report = reported(m, budget=budget)
+        if m.describe() != mirror:
+            return report
+        return replace(report, status="CONFLICT", reason="catalog:a contradicts obstruction:b")
+
+    reported = full_report
+    monkeypatch.setitem(globals(), "full_report", conflicting)
+    _, found = census([y])
+    assert found[0] == f"{mirror}: CONFLICT, catalog:a contradicts obstruction:b"
+    assert found[1].startswith(f"{y.describe()}: ") and found[1].endswith(" vs mirror CONFLICT")
 
 
 def test_census_is_reproduced():

@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from s4embed import classify, plumbing
+from s4embed import classify, intlinalg, plumbing
 from s4embed.classify import (
     ManifoldContext,
     catalog_matches,
@@ -383,10 +383,29 @@ def test_mirror_row_on_the_same_tree_shares_its_twins_search(monkeypatch, text, 
 
 
 def test_sides_with_different_trees_run_two_searches(monkeypatch):
-    """lens(5,2) has chain [3,2] and its mirror lens(5,3) chain [2,3]."""
+    """lens(5,1) has chain [5] and its mirror lens(5,4) chain [2,2,2,2]."""
     searched = count_searches(monkeypatch)
-    full_report(LensSum([(5, 2), (5, 2)]), certificates=True)
+    full_report(LensSum([(5, 1), (5, 1)]), certificates=True)
     assert len(searched) == 2 and searched[0] != searched[1]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # lens(5,2) has chain [3,2], its mirror lens(5,3) the reversed [2,3]
+        "lens(5,2)+lens(5,2)",
+        # the mirror lens(7,5)+lens(7,5)+lens(7,4)+lens(7,4) has the same
+        # chains reversed and in another order
+        "lens(7,2)+lens(7,2)+lens(7,3)+lens(7,3)",
+        "seifert(N(1); 0; (5,2),(5,-3))",
+    ],
+)
+def test_sides_with_isomorphic_plumbings_run_one_search(monkeypatch, text):
+    """The canonical layout makes isomorphic plumbings one tree, so the
+    mirror row shares its twin's search."""
+    searched = count_searches(monkeypatch)
+    full_report(parse_manifold(text), certificates=True)
+    assert len(searched) == 1
 
 
 def test_only_runs_just_the_named_rows(monkeypatch):
@@ -431,6 +450,29 @@ def test_report_builds_each_side_once(monkeypatch, manifold, builds):
     monkeypatch.setattr(plumbing, "seifert_star", counted)
     full_report(manifold)
     assert len(calls) == builds
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "pretzel(2,-2,3,-3)",
+        "seifert(S2; 0; (3,1),(3,-1),(5,2),(5,-2))",
+        "seifert(S2; 0; (4,1),(4,-1),(6,1),(6,-1))",
+    ],
+)
+def test_mirror_star_equal_to_its_twin_takes_one_inertia(monkeypatch, text):
+    """e = 0 complementary pairs: the two sides' stars are one tree, and
+    the second side takes it before its definiteness check."""
+    taken = []
+
+    def counted(weights, neighbours):
+        taken.append(weights)
+        return inertia(weights, neighbours)
+
+    inertia = intlinalg.signature_triple
+    monkeypatch.setattr(intlinalg, "signature_triple", counted)
+    full_report(parse_manifold(text), certificates=True)
+    assert len(taken) == 1
 
 
 @pytest.mark.parametrize(

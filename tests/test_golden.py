@@ -15,7 +15,8 @@ import itertools
 import json
 from pathlib import Path
 
-from s4embed.cli import main
+from s4embed.classify import ManifoldContext
+from s4embed.cli import main, parse_manifold
 
 CORPUS = Path(__file__).parent / "golden" / "corpus.jsonl"
 DEFAULT_CORPUS = Path(__file__).parent / "golden" / "lens_default.jsonl"
@@ -106,6 +107,40 @@ def test_golden_corpus_reproduced():
 def test_default_lens_reports_reproduced():
     assert len(DEFAULT_CORPUS.read_text().splitlines()) == len(LENS_SUMS)
     assert changed_lines(DEFAULT_CORPUS) == []
+
+
+def subset_rows(node):
+    """Every ``subset_rows`` list in a certificate."""
+    if isinstance(node, dict) and "subset_rows" in node:
+        yield node["subset_rows"]
+    elif isinstance(node, list):
+        for item in node:
+            yield from subset_rows(item)
+
+
+def test_golden_certificates_factor_their_own_sides_form():
+    """Row i of a subset certificate is vertex i of the plumbing its row
+    searched: the mirror rows search the '-' side, double_subset the
+    definite side and the other searches the '+' side.  Every recorded
+    subset A satisfies A A^t = -Q there."""
+    # imported here, so that recording the corpora needs no pytest
+    from test_intlinalg import dense
+    from test_lattice import verify_factorization
+
+    checked = 0
+    for line in CORPUS.read_text().splitlines():
+        entry = json.loads(line)
+        ctx = ManifoldContext(parse_manifold(entry["expr"]))
+        for result in entry["report"]["obstructions"]:
+            name = result["name"]
+            if name.endswith("_mirror"):
+                side = "-"
+            else:
+                side = ctx.definite_side if name == "double_subset" else "+"
+            for rows in subset_rows(result.get("certificate", [])):
+                assert verify_factorization(rows, dense(ctx.tree(side))), (entry["expr"], name)
+                checked += 1
+    assert checked == 92
 
 
 if __name__ == "__main__":

@@ -1,12 +1,16 @@
 """The verdict depends on the 3-manifold, not on how it is written down."""
 
 import math
+import random
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from s4embed.classify import full_report
+from s4embed.lattice import enumerate_subsets
 from s4embed.manifolds import LensSum, PretzelCover, SeifertManifold, pretzel_to_seifert
+from s4embed.plumbing import PlumbingTree, _chains
+from test_intlinalg import dense
 from test_manifolds import pretzel_strand_forms
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -72,3 +76,46 @@ def test_lens_sum_order_presentation_and_mirror_agree(summands, data):
     m = LensSum(summands)
     found = statuses([m, LensSum(rewritten), m.mirror()])
     assert len(set(found.values())) == 1, found
+
+
+CHAINS = [(p, q) for p in range(2, 8) for q in range(1, p) if math.gcd(p, q) == 1]
+
+
+def relabelled(tree: PlumbingTree, perm: list[int]) -> PlumbingTree:
+    """The plumbing of the dense form of ``tree`` with vertex v renamed
+    perm[v]."""
+    Q, n = dense(tree), tree.size
+    R = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            R[perm[i]][perm[j]] = Q[i][j]
+    edges = tuple((i, j) for i in range(n) for j in range(i + 1, n) if R[i][j])
+    return PlumbingTree(tuple(R[i][i] for i in range(n)), edges)
+
+
+def test_relabelled_plumbings_are_one_tree():
+    """Reversing chains (q -> q^-1 mod p) and permuting chains or legs
+    gives the identical tree, on 160 random chain forests and 160 random
+    one-hub stars.  The layout does not change what the search finds:
+    the form with its vertices relabelled at random has as many subsets,
+    with the same status."""
+    rng = random.Random(21)
+    searched = 0
+    for trial in range(320):
+        hub = -rng.randint(1, 4) if trial % 2 else None
+        pairs = [rng.choice(CHAINS) for _ in range(rng.randint(1, 4))]
+        tree = _chains(pairs, hub)
+        for _ in range(4):
+            layout = rng.sample(pairs, len(pairs))
+            if hub is None:
+                layout = [(p, pow(q, -1, p) if rng.random() < 0.5 else q) for p, q in layout]
+            assert _chains(layout, hub) == tree, (pairs, layout, hub)
+        kind, corank = tree.definiteness
+        if kind == "indefinite" or corank > 1 or tree.size > 9:
+            continue
+        copy = relabelled(tree, rng.sample(range(tree.size), tree.size))
+        found, again = enumerate_subsets(tree), enumerate_subsets(copy)
+        assert found.complete and again.complete
+        assert len(found.subsets) == len(again.subsets), (pairs, hub)
+        searched += 1
+    assert searched >= 150

@@ -104,9 +104,10 @@ def test_lens_classification_helpers():
 
 
 def test_lens_chains_weights():
+    # chains in ascending order of their sequences: [2, 2] before [3]
     tree = lens_chains(LensSum([(3, 1), (3, 2)]))
-    assert tree.weights == (-3, -2, -2)
-    assert tree.edges == ((1, 2),)
+    assert tree.weights == (-2, -2, -3)
+    assert tree.edges == ((0, 1),)
     assert tree.definiteness == ("negative_definite", 0)
 
 
