@@ -9,7 +9,8 @@ Grammar::
     BASE     := S2 | O(g) | N(k)
     pretzel  := pretzel(a,b,c[,d])
 
-``--certificates`` prints each check's certificates.  It also runs the
+``--certificates`` prints each check's certificates, in text as one line
+of the JSON that ``--json`` carries for each.  It also runs the
 checks that only certify: a lens sum is decided by torsion_square and
 lens_mirror_pairing, and its double_subset and double_subset_mirror
 searches run only with ``--certificates`` or when ``--obstruction`` names
@@ -38,6 +39,7 @@ from json.encoder import encode_basestring_ascii as _quoted
 
 from .classify import CHECK_NAMES, DEFAULT_BUDGET, ObstructionReport, full_report
 from .manifolds import LensSum, Manifold, PretzelCover, SeifertManifold
+from .obstructions import certificate_json
 
 
 class ParseError(ValueError):
@@ -321,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
             print(line)
             if args.certificates and r.certificates:
                 for cert in r.certificates:
-                    print(f"        {cert}")
+                    print(f"        {json.dumps(certificate_json(cert))}")
         print(f"status:     {report.status}  ({report.reason})")
     return EXIT_CODES.get(report.status, INTERNAL_ERROR)
 

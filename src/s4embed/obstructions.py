@@ -67,17 +67,17 @@ class ObstructionResult:
         if self.notes:
             out["notes"] = self.notes
         if with_certificates and self.certificates:
-            out["certificate"] = [_certificate_json(c) for c in self.certificates]
+            out["certificate"] = [certificate_json(c) for c in self.certificates]
         return out
 
 
-def _certificate_json(cert):
+def certificate_json(cert):
     if isinstance(cert, LatticeSubset):
         return {"subset_rows": [list(r) for r in cert.rows]}
     if isinstance(cert, Subgroup):
         return {"subgroup_factors": list(cert.factors), "order": cert.order}
     if isinstance(cert, tuple):
-        return [_certificate_json(c) for c in cert]
+        return [certificate_json(c) for c in cert]
     if isinstance(cert, dict):
         return cert
     return str(cert)

@@ -108,6 +108,36 @@ def test_indented_certificate_report_is_the_standard_library_bytes():
     assert cli._indented(payload) == json.dumps(payload, indent=2)
 
 
+def test_text_certificates_are_their_json(capsys):
+    """Text mode prints each certificate as one line of the JSON that
+    ``--json`` carries for it, so no field of a group or subgroup leaks
+    into the output through its repr."""
+    assert main(["lens(3,1)+lens(3,2)", "--certificates"]) == 0
+    subsets = (
+        '[{"subset_rows": [[-1, -1, 0], [0, 1, -1], [-1, 1, 1]]}, '
+        '{"subset_rows": [[-1, -1, 0], [0, 1, -1], [1, -1, -1]]}]'
+    )
+    halves = '[{"subgroup_factors": [3], "order": 3}, {"subgroup_factors": [3], "order": 3}]'
+    assert capsys.readouterr().out.splitlines() == [
+        "input:      lens(3,1)+lens(3,2)",
+        "canonical:  lens(3,1) + lens(3,2)",
+        "invariants: b1=0 torsion=[3, 3] euler=None spin=1",
+        "  [        pass] torsion_square  (|torsion H_1| = 9 = 3^2)",
+        "  [        pass] lens_mirror_pairing  (summands pair into mirrors)",
+        "  [        pass] double_subset  (cokernel splits as H + H)",
+        f"        {subsets}",
+        f"        {halves}",
+        "  [        pass] double_subset_mirror  (cokernel splits as H + H)",
+        f"        {subsets}",
+        f"        {halves}",
+        "status:     EMBEDS  (catalog:mirror_lens_sum)",
+    ]
+    main(["lens(3,1)+lens(3,2)", "--certificates", "--json"])
+    report = json.loads(capsys.readouterr().out)
+    first = report["obstructions"][2]["certificate"]
+    assert [json.dumps(c) for c in first] == [subsets, halves]
+
+
 def test_help_exits_zero(capsys):
     assert exit_code("--help") == 0
     assert "--seed" not in capsys.readouterr().out
