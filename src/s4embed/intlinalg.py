@@ -6,6 +6,11 @@ Everything runs on Python's arbitrary-precision integers; group orders
 of plumbings outgrow machine words as soon as legs get long, and none
 of these questions tolerate rounding.
 
+A group is built by ``cokernel`` from one Smith form U M V = D of its
+relation matrix M, which it keeps: D gives its invariant factors, U its
+torsion coordinates and M V / D its generators, so no group takes a
+second Smith form.
+
 Subgroup questions are answered, in integers only, from the Hermite
 basis of the lift lattice (generators plus relations) in Z^m: the order
 of a subgroup is |G| over that lattice's index (Cohen, GTM 138, section
@@ -62,54 +67,47 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 # Smith normal form
 
 
-def smith_normal_form(
-    M, left: bool = True, right: bool = True
-) -> tuple[list[list[int]] | None, list[list[int]], list[list[int]] | None]:
+def smith_normal_form(M) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Diagonalise M over the integers.
 
     Returns (U, D, V) with U*M*V == D, U and V unimodular, and D diagonal
     with d1 | d2 | ... | dk and every di >= 0.  Pivots are chosen with
     minimal absolute value, which keeps coefficient growth tame at the
-    matrix sizes plumbing graphs produce.  ``left=False`` (``right=False``)
-    skips the updates of U (V) and returns None in its place; D is the
-    same either way.
+    matrix sizes plumbing graphs produce.  ``cokernel`` takes the one
+    Smith form of each group, and the group reads all three matrices.
     """
     rows = len(M)
     cols = len(M[0]) if rows else 0
     D = [list(r) for r in M]
-    U = identity_matrix(rows) if left else None
-    V = identity_matrix(cols) if right else None
+    U = identity_matrix(rows)
+    V = identity_matrix(cols)
 
     def swap_rows(i, j):
         if i != j:
             D[i], D[j] = D[j], D[i]
-            if U is not None:
-                U[i], U[j] = U[j], U[i]
+            U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         if i != j:
             for r in D:
                 r[i], r[j] = r[j], r[i]
-            if V is not None:
-                for r in V:
-                    r[i], r[j] = r[j], r[i]
+            for r in V:
+                r[i], r[j] = r[j], r[i]
 
     def add_row(dst, src, c):
         # row[dst] += c * row[src]
         Dd, Ds = D[dst], D[src]
         for j in range(cols):
             Dd[j] += c * Ds[j]
-        if U is not None:
-            Ud, Us = U[dst], U[src]
-            for j in range(rows):
-                Ud[j] += c * Us[j]
+        Ud, Us = U[dst], U[src]
+        for j in range(rows):
+            Ud[j] += c * Us[j]
 
     def add_col(dst, src, c):
         for r in D:
             r[dst] += c * r[src]
-        if V is not None:
-            for r in V:
-                r[dst] += c * r[src]
+        for r in V:
+            r[dst] += c * r[src]
 
     t = 0
     limit = min(rows, cols)
@@ -165,16 +163,8 @@ def smith_normal_form(
     for i in range(limit):
         if D[i][i] < 0:
             D[i] = [-x for x in D[i]]
-            if U is not None:
-                U[i] = [-x for x in U[i]]
+            U[i] = [-x for x in U[i]]
     return U, D, V
-
-
-def invariant_factors(M) -> tuple[int, ...]:
-    """Diagonal of the Smith form, zeros included, ones stripped."""
-    _, D, _ = smith_normal_form(M, left=False, right=False)
-    diag = [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
-    return tuple(d for d in diag if d != 1)
 
 
 # ---------------------------------------------------------------------------
@@ -328,24 +318,26 @@ def signature_triple(diag, neighbours) -> tuple[int, int, int]:
 
 @dataclass
 class FiniteAbelianGroup:
-    """Z^n / im(M) in invariant-factor coordinates.
+    """Z^n / im(M) in invariant-factor coordinates, built by ``cokernel``.
 
     ``factors`` is the chain d1 | d2 | ... with every di >= 2; the group
-    is the direct sum of Z/di plus ``free_rank`` copies of Z.
-    ``project_columns`` carries ambient integer vectors, the columns of a
-    matrix, onto the torsion coordinates.
+    is the direct sum of Z/di plus ``free_rank`` copies of Z.  The group
+    keeps the one Smith form U M V = D it was read from: U carries
+    ambient integer vectors, the columns of a matrix, onto the torsion
+    coordinates (``project_columns``), and M V / D gives the generators.
     """
 
     factors: tuple[int, ...]
-    free_rank: int = 0
-    _relations: list = field(default_factory=list, repr=False)  # M
+    free_rank: int
+    _relations: list = field(repr=False)  # M
+    _smith: tuple = field(repr=False)  # (U, D, V)
     # ambient coordinate i is m times generator k for (k, m) = _lift[i], if given
     _lift: tuple[tuple[int, int], ...] = field(default=(), repr=False)
 
     @cached_property
     def _torsion_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Torsion rows of U in U M V = D, taken when the group first projects."""
-        U, D, _ = smith_normal_form(self._relations, right=False)
+        """Torsion rows of U, through the lift, taken when the group first projects."""
+        U, D, _ = self._smith
         rows = [(U[i], D[i][i]) for i in range(len(U)) if i < len(D[i]) and D[i][i] >= 2]
         lift = self._lift or [(k, 1) for k in range(len(U))]
         return tuple(tuple(u[k] * m % d for k, m in lift) for u, d in rows)
@@ -355,9 +347,8 @@ class FiniteAbelianGroup:
         """A generator of each invariant factor, as integer coefficients of
         the presentation's generators (the rows of M): column i of U^-1 for
         the torsion row i of U M V = D.  As M V = U^-1 D, that is column i
-        of M V divided by D[i][i], so no U is taken."""
-        M = self._relations
-        _, D, V = smith_normal_form(M, left=False)
+        of M V divided by D[i][i]."""
+        M, (_, D, V) = self._relations, self._smith
         return tuple(
             tuple(sum(a * v[i] for a, v in zip(row, V)) // D[i][i] for row in M)
             for i in range(min(len(D), len(V)))
@@ -394,12 +385,16 @@ class FiniteAbelianGroup:
         return tuple(map(mod, coords, self.factors))
 
 
-def cokernel(M) -> FiniteAbelianGroup:
+def cokernel(M, lift=()) -> FiniteAbelianGroup:
     """Z^r / im(M), one generator per row of M and one relation per column,
-    for M of any shape: the free rank is r minus the rank of M."""
-    _, D, _ = smith_normal_form(M, left=False, right=False)
-    diag = [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
-    return FiniteAbelianGroup(tuple(d for d in diag if d >= 2), len(M) - sum(map(bool, diag)), M)
+    for M of any shape: the free rank is r minus the rank of M.  The one
+    Smith form of M is taken here and kept on the group.  ``lift`` writes
+    a larger ambient lattice's coordinate i as m times generator k, for
+    (k, m) = lift[i]; ``project_columns`` then takes columns in it."""
+    U, D, V = smith_normal_form(M)
+    diag = [D[i][i] for i in range(min(len(D), len(V)))]
+    free = len(M) - sum(map(bool, diag))
+    return FiniteAbelianGroup(tuple(d for d in diag if d >= 2), free, M, (U, D, V), tuple(lift))
 
 
 @dataclass
@@ -425,7 +420,7 @@ class Subgroup:
 
     @cached_property
     def factors(self) -> tuple[int, ...]:
-        """Invariant factors, from the Smith form of the relation lattice
+        """Invariant factors: those of the cokernel of the relation lattice
         written in the lift basis, found by exact integer division pivot
         by pivot.  Taken on first use."""
         X = []
@@ -439,7 +434,7 @@ class Subgroup:
                 coeffs.append(c)
                 v = [a - c * b for a, b in zip(v, row)]
             X.append(coeffs)
-        factors = tuple(d for d in invariant_factors(X) if d != 0)
+        factors = cokernel(X).factors
         assert math.prod(factors) == self.order
         return factors
 

@@ -23,13 +23,14 @@ another in ascending order of those sequences.  So plumbings that differ
 only by reversed chains or permuted chains or legs are one
 ``PlumbingTree``, and they share one elimination and one search.  The
 search breaks its ties by vertex index, so this order also fixes where
-it starts: at the first vertex of the largest weight.  Row i of a subset certificate is vertex i of the plumbing
-its search ran on.
+it starts: at the first vertex of the largest weight.  Row i of a
+subset certificate is vertex i of the plumbing its search ran on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 from . import intlinalg
@@ -102,29 +103,30 @@ class PlumbingTree:
         own column w h + (its neighbours' classes) = 0.  These relations, one
         per chain, present the group, and a vertex's coordinates are its chain's
         times m.  Two hubs on a chain raise ValueError."""
-        ends, owner, mult, relations = self._walk
-        rows = [[rel.get(k, 0) for rel in relations] for k in range(len(ends))]
-        return replace(intlinalg.cokernel(rows), _lift=tuple(zip(owner, mult)))
+        tails, owner, mult, relations = self._walk
+        rows = [[rel.get(k, 0) for rel in relations] for k in range(len(tails))]
+        return intlinalg.cokernel(rows, zip(owner, mult))
 
     @cached_property
-    def _walk(self) -> tuple[list[int], list[int], list[int], list[dict[int, int]]]:
-        """The chain walk of ``cokernel``: (the free end of each chain, each
-        vertex's chain, its m, the relations as {chain: coefficient})."""
+    def _walk(self) -> tuple[list[tuple[int, int]], list[int], list[int], list[dict[int, int]]]:
+        """The chain walk of ``cokernel``: (each chain's (q, a), the m of its
+        last vertex and the m just past it; each vertex's chain; its m; the
+        relations as {chain: coefficient})."""
         adj, weights = self.neighbours, self.weights
         owner, mult = [-1] * self.size, [1] * self.size  # each vertex's chain and m
-        ends: list[int] = []
+        tails: list[tuple[int, int]] = []
         relations: list[dict[int, int]] = []  # columns: chain -> coefficient
         for end, row in enumerate(adj):
             if len(row) > 1 or owner[end] >= 0:
                 continue
-            k = len(ends)
-            ends.append(end)
+            k = len(tails)
             prev, v, m_prev, m = -1, end, 0, 1
             while v >= 0 and len(adj[v]) < 3:
                 owner[v], mult[v] = k, m
                 m_prev, m = m, -weights[v] * m - m_prev
                 ahead = [u for u in adj[v] if u != prev]  # at most one, as v is no hub
                 prev, v = v, ahead[0] if ahead else -1
+            tails.append((m_prev, m))
             if v >= 0 and owner[v] < 0:  # the first chain to meet hub v
                 owner[v], mult[v] = k, m
             else:
@@ -136,7 +138,7 @@ class PlumbingTree:
             for u in adj[h]:
                 rel[owner[u]] = rel.get(owner[u], 0) + mult[u]
             relations.append(rel)
-        return ends, owner, mult, relations
+        return tails, owner, mult, relations
 
     @cached_property
     def odd_linking_factor(self) -> int | None:
@@ -159,68 +161,47 @@ class PlumbingTree:
 
         Disjoint chains are an orthogonal sum of lens-space forms q/p on Z/p,
         q prime to p, p the determinant of a chain, read off its relation: the
-        form fails at k exactly where some p has 2-part 2^k.  Elsewhere lambda
-        is read on the chain generators g_k of ``cokernel``, the classes of the
-        chain ends: lambda(g_k, g_l) = Q^-1 at (end_k, end_l), from one exact
-        solve per chain end that an even generator uses (``_inverse_column``),
-        and the Smith generators are combinations of the g_k
-        (``FiniteAbelianGroup.generators``)."""
+        form fails at k exactly where some p has 2-part 2^k.  On a star lambda
+        is read in closed form on the chain generators g_k of ``cokernel``, the
+        classes of the chain ends, with no solve.  Chain k has determinant
+        a_k, the walk's m just past it, and class q_k g_k at its last vertex.
+        With hub weight w and e = -w - sum over the legs of q_k / a_k,
+
+            lambda(g_k, g_l) = -[k, l legs] / (e a_k a_l) - [k = l] q_k^-1 / a_k,
+
+        q_k^-1 taken mod a_k; a chain off the hub has no e term.  So for a
+        Smith generator f = sum c_k g_k (``FiniteAbelianGroup.generators``),
+        lambda(f, f) = -(sum over legs of c_k / a_k)^2 / e
+        - sum c_k^2 q_k^-1 / a_k.  A zero a_k, or a second hub, raises
+        ValueError."""
         G = self.cokernel
         if G.order % 2:
             return None
-        ends, _, _, relations = self._walk
-        if all(len(row) < 3 for row in self.neighbours):
+        tails, owner, _, relations = self._walk
+        hubs = [v for v, row in enumerate(self.neighbours) if len(row) >= 3]
+        if not hubs:
             odd = [p for rel in relations for p in rel.values() if p % 2 == 0]
         else:
-            even = [(d, f) for d, f in zip(G.factors, G.generators) if d % 2 == 0]
-            used = {k for _, f in even for k, c in enumerate(f) if c}
-            columns = {k: self._inverse_column(ends[k], G.order) for k in used}
+            if len(hubs) > 1:
+                raise ValueError("the linking form is read on at most one hub")
+            if not all(a for _, a in tails):
+                raise ValueError("the linking form needs nonzero subtree determinants")
+            legs = {owner[u] for u in self.neighbours[hubs[0]]}
+            e = -self.weights[hubs[0]] - sum(Fraction(*tails[k]) for k in legs)
             odd = []
-            for d, f in even:
-                terms = [(k, c) for k, c in enumerate(f) if c]
-                num = sum(c * e * columns[k].get(ends[l], 0) for k, c in terms for l, e in terms)
-                t, rest = divmod(d * num, G.order)
-                assert rest == 0, "d f is not zero in coker Q"
-                if t % 2:
+            for d, f in zip(G.factors, G.generators):
+                if d % 2:
+                    continue
+                at_hub = sum(Fraction(f[k], tails[k][1]) for k in legs)
+                own = sum(Fraction(c * c * pow(q, -1, a), a) for c, (q, a) in zip(f, tails))
+                t = d * (-at_hub * at_hub / e - own)
+                assert t.denominator == 1, "d f is not zero in coker Q"
+                if t.numerator % 2:
                     odd.append(d)
         if not odd:
             return None
         two = min(p & -p for p in odd)  # the least 2-part
         return next(d for d in G.factors if d & -d == two)
-
-    def _inverse_column(self, s: int, order: int) -> dict[int, int]:
-        """order * Q^-1 e_s as integers on the component of s, where Q^-1 e_s
-        lives; ``order`` is a multiple of that component's determinant, as
-        |coker Q| is.
-
-        Rooted at s, leaf stripping gives each vertex v the determinant D_v of
-        its subtree and the product P_v of its children's.  The restriction of
-        Q x = e_s to the subtree of a child v of u reads Q_v x_v = -x_u e_v, so
-        x_v = -x_u P_v / D_v, and x_s = P_s / D_s.  D_s x is a column of the
-        adjugate of the component's form, so every scaled entry is an integer
-        and each division is exact.  They need every D_v nonzero, as it is for
-        a definite form; a zero raises ValueError."""
-        adj, weights = self.neighbours, self.weights
-        parent, bfs = {s: -1}, [s]
-        for v in bfs:  # breadth first: each vertex after its parent
-            for u in adj[v]:
-                if u not in parent:
-                    parent[u] = v
-                    bfs.append(u)
-        det: dict[int, int] = {}
-        sub: dict[int, int] = {}
-        for v in reversed(bfs):
-            D, P = weights[v], 1
-            for u in adj[v]:
-                if u != parent[v]:
-                    D, P = D * det[u] - P * sub[u], P * det[u]
-            if not D:
-                raise ValueError("the linking form needs nonzero subtree determinants")
-            det[v], sub[v] = D, P
-        x = {s: sub[s] * (order // det[s])}
-        for v in bfs[1:]:
-            x[v] = -x[parent[v]] * sub[v] // det[v]
-        return x
 
 
 def _chains(pairs, hub: int | None = None) -> PlumbingTree:

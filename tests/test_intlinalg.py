@@ -167,13 +167,15 @@ def e8_matrix():
 
 
 def group_from_factors(factors) -> FiniteAbelianGroup:
-    """Z/d1 + ... + Z/dk, given the divisibility chain d1 | d2 | ..."""
+    """Z/d1 + ... + Z/dk, given the divisibility chain d1 | d2 | ... with
+    every di >= 2, as the cokernel of diag(d1, ..., dk)."""
     factors = tuple(int(d) for d in factors)
     for a, b in zip(factors, factors[1:]):
         if b % a:
             raise ValueError("invariant factors must form a divisibility chain")
-    diagonal = [[d * (i == j) for j in range(len(factors))] for i, d in enumerate(factors)]
-    return FiniteAbelianGroup(factors, 0, diagonal)
+    G = cokernel([[d * (i == j) for j in range(len(factors))] for i, d in enumerate(factors)])
+    assert G.factors == factors
+    return G
 
 
 def check_snf(M):
@@ -181,13 +183,6 @@ def check_snf(M):
     assert mat_eq(mat_mul(mat_mul(U, M), V), D)
     assert abs(determinant(U)) == 1
     assert abs(determinant(V)) == 1
-    # skipping U or V leaves D and the other matrix as they were, so
-    # U M V = D holds for whatever is returned
-    for left, right in [(True, False), (False, True), (False, False)]:
-        U2, D2, V2 = smith_normal_form(M, left=left, right=right)
-        assert D2 == D
-        assert U2 == (U if left else None)
-        assert V2 == (V if right else None)
     diag = [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
     assert all(d >= 0 for d in diag)
     for a, b in zip(diag, diag[1:]):
@@ -679,7 +674,7 @@ def dense_odd_linking_factor(tree: PlumbingTree) -> int | None:
     least 2-part 2^k where that is not an integer, the least factor of
     that 2-part is named."""
     Q = dense(tree)
-    U, D, _ = smith_normal_form(Q, right=False)
+    U, D, _ = smith_normal_form(Q)
     factors = [D[i][i] for i in range(len(Q)) if D[i][i] >= 2]
     even = [(i, D[i][i]) for i in range(len(Q)) if D[i][i] % 2 == 0]
     units = identity_matrix(len(Q))
@@ -694,8 +689,9 @@ def dense_odd_linking_factor(tree: PlumbingTree) -> int | None:
 
 
 def random_definite_tree(rng) -> PlumbingTree:
-    """Disjoint chains, or a star with one hub whose legs come in repeated
-    copies (which makes the linking form even often), with weights <= -1."""
+    """Disjoint chains, or a star with one hub and three to six legs, each
+    a new leg or a copy of an earlier one (copies make the linking form
+    even often), now and then beside a chain, with weights <= -1."""
     weights, edges = [], []
 
     def leg(start, ws):
@@ -711,16 +707,19 @@ def random_definite_tree(rng) -> PlumbingTree:
             leg(-1, [rng.choice([-6, -5, -4, -3, -2, -2, -1]) for _ in range(rng.randint(1, 4))])
     else:
         weights.append(rng.randint(-8, -1))
-        for _ in range(rng.randint(1, 3)):
-            ws = [rng.randint(-4, -2) for _ in range(rng.randint(1, 2))]
-            for _ in range(rng.randint(2, 3)):
-                leg(0, ws)
+        shapes: list = []
+        for _ in range(rng.randint(3, 6)):
+            if not shapes or rng.random() < 0.5:
+                shapes.append([rng.randint(-4, -2) for _ in range(rng.randint(1, 2))])
+            leg(0, rng.choice(shapes))
+        if rng.random() < 0.2:
+            leg(-1, [rng.choice([-4, -3, -2]) for _ in range(rng.randint(1, 2))])
     return PlumbingTree(tuple(weights), tuple(edges))
 
 
 def test_odd_linking_factor_matches_dense_oracle():
-    """On 300 negative definite chain forests and one-hub stars (n <= 12)
-    of even |coker Q|, the tree names the factor the dense oracle names, or
+    """On 300 negative definite chain forests and one-hub stars (n <= 12),
+    some beside a chain, of even |coker Q|, the tree names the factor the dense oracle names, or
     none where the oracle finds the 2-primary linking form even.  Chains
     are always odd there, as some chain has an even determinant."""
     rng = random.Random(19)
@@ -737,9 +736,14 @@ def test_odd_linking_factor_matches_dense_oracle():
         kinds["star" if hubs else "chains", "even" if d is None else "odd"] += 1
     assert kinds[("chains", "even")] == 0
     assert min(kinds[k] for k in (("chains", "odd"), ("star", "even"), ("star", "odd"))) >= 40
-    # a leaf of weight 0 has a zero subtree determinant, which the solve refuses
+    # a leaf of weight 0 has a zero subtree determinant, which the closed
+    # form refuses, and so is a second hub
     with pytest.raises(ValueError, match="nonzero subtree determinants"):
         PlumbingTree((-3, -3, -2, 0), ((0, 1), (0, 2), (0, 3))).odd_linking_factor
+    two_hubs = PlumbingTree((-2, -2, -2, -2, -3, -2), ((0, 1), (0, 2), (3, 4), (3, 5), (0, 3)))
+    assert two_hubs.cokernel.factors == (4,)
+    with pytest.raises(ValueError, match="at most one hub"):
+        two_hubs.odd_linking_factor
 
 
 def test_tree_cokernel_needs_one_hub_per_chain():

@@ -270,6 +270,34 @@ def test_report_of_a_long_star_takes_only_small_smith_forms(monkeypatch):
     assert shapes and max(shapes) <= legs + 1
 
 
+def test_searched_cokernel_takes_one_smith_form(monkeypatch):
+    """The definite tree of pretzel(4,4,-4) has coker Q = Z/4 + Z/4 and an
+    even linking form, so its double-subset check searches it.  Its factors,
+    its generators (which the linking form reads) and its column projections
+    (which the search reads) all come from the one Smith form that its
+    cokernel takes."""
+    calls = []
+
+    def recorded(M, *args, **kwargs):
+        calls.append(len(M))
+        return smith_normal_form(M, *args, **kwargs)
+
+    smith_normal_form = intlinalg.smith_normal_form
+    monkeypatch.setattr(intlinalg, "smith_normal_form", recorded)
+    cover = PretzelCover([4, 4, -4])
+    ctx = ManifoldContext(cover)
+    tree = ctx.tree(ctx.definite_side)
+    G = tree.cokernel
+    assert G.factors == (4, 4) and len(G.generators) == 2
+    assert tree.odd_linking_factor is None
+    units = [[int(i == j) for j in range(tree.size)] for i in range(tree.size)]
+    assert len(G.project_columns(units)) == tree.size
+    assert calls == [len(G.generators[0])]
+    searches = counted_searches(monkeypatch)
+    assert full_report(cover).results[-1].name == "double_subset"
+    assert [args[0] for args in searches] == [tree]
+
+
 # ---------------------------------------------------------------------------
 # The checks as they ran before the pairing moved into the search: the
 # whole tree is enumerated, every subset sorted, and only then filtered
