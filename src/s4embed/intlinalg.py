@@ -45,7 +45,10 @@ from operator import mod
 
 
 def identity_matrix(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

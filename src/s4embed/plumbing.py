@@ -29,8 +29,8 @@ subset certificate is vertex i of the plumbing its search ran on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from . import intlinalg
@@ -187,16 +187,21 @@ class PlumbingTree:
             if not all(a for _, a in tails):
                 raise ValueError("the linking form needs nonzero subtree determinants")
             legs = {owner[u] for u in self.neighbours[hubs[0]]}
-            e = -self.weights[hubs[0]] - sum(Fraction(*tails[k]) for k in legs)
+            # t over the integer denominator P E A: P and A multiply the a_k of
+            # the legs and of every chain, and E = e P
+            P = math.prod(tails[k][1] for k in legs)
+            A = math.prod(a for _, a in tails)
+            E = -self.weights[hubs[0]] * P - sum(tails[k][0] * (P // tails[k][1]) for k in legs)
+            inverses = [pow(q, -1, a) for q, a in tails]
             odd = []
             for d, f in zip(G.factors, G.generators):
                 if d % 2:
                     continue
-                at_hub = sum(Fraction(f[k], tails[k][1]) for k in legs)
-                own = sum(Fraction(c * c * pow(q, -1, a), a) for c, (q, a) in zip(f, tails))
-                t = d * (-at_hub * at_hub / e - own)
-                assert t.denominator == 1, "d f is not zero in coker Q"
-                if t.numerator % 2:
+                at_hub = sum(f[k] * (P // tails[k][1]) for k in legs)  # P sum c_k / a_k
+                own = sum(c * c * b * (A // a) for c, b, (_, a) in zip(f, inverses, tails))
+                t, rest = divmod(-d * (at_hub * at_hub * A + own * P * E), P * E * A)
+                assert rest == 0, "d f is not zero in coker Q"
+                if t % 2:
                     odd.append(d)
         if not odd:
             return None
