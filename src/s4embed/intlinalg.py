@@ -7,9 +7,8 @@ of plumbings outgrow machine words as soon as legs get long, and none
 of these questions tolerate rounding.
 
 A group is built by ``cokernel`` from one Smith form U M V = D of its
-relation matrix M, which it keeps: D gives its invariant factors, U its
-torsion coordinates and M V / D its generators, so no group takes a
-second Smith form.
+relation matrix M, which it keeps and reads for its factors, torsion
+coordinates and generators.
 
 Subgroup questions are answered, in integers only, from the Hermite
 basis of the lift lattice (generators plus relations) in Z^m: the order

@@ -719,9 +719,10 @@ def random_definite_tree(rng) -> PlumbingTree:
 
 def test_odd_linking_factor_matches_dense_oracle():
     """On 300 negative definite chain forests and one-hub stars (n <= 12),
-    some beside a chain, of even |coker Q|, the tree names the factor the dense oracle names, or
-    none where the oracle finds the 2-primary linking form even.  Chains
-    are always odd there, as some chain has an even determinant."""
+    some beside a chain, of even |coker Q|, the tree names the factor the
+    dense oracle names, or none where the oracle finds the 2-primary
+    linking form even.  Chains are always odd there, as some chain has an
+    even determinant."""
     rng = random.Random(19)
     kinds = Counter()
     while sum(kinds.values()) < 300:
