@@ -26,26 +26,27 @@ under its own name.  The tables:
   caller asks for certificates or names one of them, and they cannot
   change the verdict or the reason.
 * base S^2 with at most two fibres, given as a Seifert space or as a
-  pretzel cover with at most two strands |a_i| >= 2: torsion_square,
-  lens_mirror_pairing (the lens-space rule).  These are lens spaces.
-  S^3 and S^1 x S^2 (H_1 trivial or Z) embed; any other lens space is
-  refuted, and the verdict cites theorem:lens_mirror_pairing.
+  pretzel cover with at most two strands |a_i| >= 2: torsion_square
+  alone (the lens-space rule).  These are lens spaces.  S^3 and
+  S^1 x S^2 (H_1 trivial or Z) embed; any other lens space has cyclic
+  torsion H_1 != 0, which is never G + G, so it is refuted, and the
+  verdict cites theorem:lens_mirror_pairing.
 * non-orientable base: torsion_square, weak_complementary_pairs,
   even_fibre_clause, nonorientable_double_subset and its mirror.
 * orientable base, e = 0: torsion_square, complementary_pairs,
-  semidefinite_subset and its mirror, then spin_count_parity and
-  mubar_vanishing when the space is a pretzel cover.  With every a_i odd,
-  complementary pairs also suffice.
+  semidefinite_subset and its mirror, then mubar_vanishing when the
+  space is a pretzel cover.  With every a_i odd, complementary pairs
+  also suffice.
 * orientable base, e != 0: torsion_square, double_subset on the definite
-  side, spin_count_parity, mubar_vanishing.
+  side, mubar_vanishing.
 * pretzel covers with at least three strands |a_i| >= 2: torsion_square,
-  spin_count_parity, mubar_vanishing, then the form checks of the e = 0
-  or e != 0 class.  Up to mirror, the embeddable covers are Y(a,-a,a),
-  Y(a,-a,a,-a), Y(a,-a,b,-b) with a or b odd, and Y(a+-1,-a,a,-a); the
-  family Y(2l-1,-2l-1,-2l^2) stays UNKNOWN, and every other cover is
-  refuted by a completed check.  Family membership compares the
-  normalised Seifert keys (r, fibres) of Y and -Y with those of the few
-  members whose fibre sizes are Y's.
+  mubar_vanishing, then the form checks of the e = 0 or e != 0 class.
+  Up to mirror, the embeddable covers are Y(a,-a,a), Y(a,-a,a,-a),
+  Y(a,-a,b,-b) with a or b odd, and Y(a+-1,-a,a,-a); the family
+  Y(2l-1,-2l-1,-2l^2) stays UNKNOWN, and every other cover is refuted
+  by a completed check.  Family membership compares the normalised
+  Seifert keys (r, fibres) of Y and -Y with those of the few members
+  whose fibre sizes are Y's.
 
 Merge rule: a completed refutation gives OBSTRUCTED, citing the first
 check that fired (or the class's theorem).  Failing that, a catalog hit
@@ -85,6 +86,7 @@ from .obstructions import (
     ObstructionResult,
     double_subset_obstruction,
     nonorientable_obstruction,
+    pairs_up,
     semidefinite_obstruction,
 )
 from .plumbing import PlumbingTree, plumbing_tree
@@ -238,7 +240,7 @@ class ManifoldContext:
     """What the checks of one ``full_report`` call read.  Each cached
     item is computed once, when first asked for, and lives only as long
     as the call.  The pretzel view of Y is its normalised Seifert key:
-    family membership compares keys, and the spin checks read the link
+    family membership compares keys, and mubar_vanishing reads the link
     component count off the key, with no strand form listed."""
 
     manifold: Manifold
@@ -286,7 +288,8 @@ class ManifoldContext:
     @cached_property
     def link_components(self) -> int | None:
         """Components k of the branch link of a pretzel presentation of Y,
-        read off the key (r, fibres) of Y; None when Y has none.
+        read off the key (r, fibres) of Y; None when Y has none.  Only
+        mubar_vanishing reads it, for its threshold.
 
         A strand form has one strand per fibre, -a for (a, -1) and +a for
         (a, 1 - a) (either, for a = 2), plus ``extra`` strands +-1, 3 to 4
@@ -354,13 +357,9 @@ class ManifoldContext:
 
 # ---------------------------------------------------------------------------
 # checks: each reads the context and returns its result, which the engine
-# names after the check's table row, or None where it does not apply (the
-# spin checks need a pretzel presentation).  Layer functions are looked up
-# by module-global name at call time.
-
-
-def _is_square(n: int) -> bool:
-    return math.isqrt(n) ** 2 == n
+# names after the check's table row, or None where it does not apply
+# (mubar_vanishing needs a pretzel presentation).  Layer functions are
+# looked up by module-global name at call time.
 
 
 def _judged(ok: bool, passed: str, failed: str, certificates=()) -> ObstructionResult:
@@ -370,29 +369,25 @@ def _judged(ok: bool, passed: str, failed: str, certificates=()) -> ObstructionR
 
 
 def _torsion_square(ctx: ManifoldContext, budget: int) -> ObstructionResult:
-    """Embedded manifolds have torsion H_1 of square order (the torsion
-    splits as G + G across the two sides)."""
-    order = ctx.homology[1].order
+    """The torsion of H_1 of a closed orientable 3-manifold in S^4 splits
+    as G + G, one G from each side (Hantzsche, *Einlagerung von
+    Mannigfaltigkeiten in euklidische Räume*, Math. Z. 43, 1938); so its
+    invariant factors pair up, and in particular its order is a square."""
+    torsion = ctx.homology[1]
+    order, root = torsion.order, math.isqrt(torsion.order)
+    if root * root != order:
+        return _judged(False, "", f"|torsion H_1| = {order} is not a perfect square")
+    group = " + ".join(f"Z/{d}" for d in torsion.factors)
     return _judged(
-        _is_square(order),
-        f"|torsion H_1| = {order} = {math.isqrt(order)}^2",
-        f"|torsion H_1| = {order} is not a perfect square",
+        pairs_up(torsion.factors),
+        f"|torsion H_1| = {order} = {root}^2",
+        f"torsion H_1 = {group} is not of the form G + G",
     )
 
 
 def _lens_mirror_pairing(ctx: ManifoldContext, budget: int) -> ObstructionResult:
     fault = _lens_sum_fault(ctx.manifold)
     return _judged(fault is None, "summands pair into mirrors", fault)
-
-
-def _lens_space(ctx: ManifoldContext, budget: int) -> ObstructionResult | None:
-    """At most two fibres over S^2 give a lens space, or S^3 or S^1 x S^2
-    when the torsion is trivial; only those two embed.  A nontrivial
-    lens space of non-square order is already refuted by torsion_square."""
-    order = ctx.homology[1].order
-    if order == 1 or not _is_square(order):
-        return None
-    return ObstructionResult("", "obstructed", notes="a single nontrivial lens space never embeds")
 
 
 def _complementary_pairs(ctx: ManifoldContext, budget: int) -> ObstructionResult:
@@ -416,19 +411,6 @@ def _even_fibre_clause(ctx: ManifoldContext, budget: int) -> ObstructionResult:
         even_fibre_clause(ctx.seifert.invariants),
         "",
         "two even-a fibres violate the +-b, +-b^-1 clause",
-    )
-
-
-def _spin_count_parity(ctx: ManifoldContext, budget: int) -> ObstructionResult | None:
-    """b_1 is even iff the branch link has an odd component count."""
-    k = ctx.link_components
-    if k is None:
-        return None
-    b1 = ctx.homology[0]
-    return _judged(
-        (b1 % 2 == 0) == (k % 2 == 1),
-        f"k = {k}, b_1 = {b1}",
-        f"k = {k} components force b_1 parity {1 - b1 % 2}, found b_1 = {b1}",
     )
 
 
@@ -488,7 +470,7 @@ _DOUBLE: Row = (
     "double_subset",
     lambda ctx, b: _search(ctx, double_subset_obstruction, ctx.definite_side, b),
 )
-_SPIN = (("spin_count_parity", _spin_count_parity), ("mubar_vanishing", _mubar_vanishing))
+_MUBAR: Row = ("mubar_vanishing", _mubar_vanishing)
 _E0_FORMS = (
     ("complementary_pairs", _complementary_pairs),
     ("semidefinite_subset", lambda ctx, b: _search(ctx, semidefinite_obstruction, "+", b)),
@@ -502,9 +484,7 @@ LENS_SUM = CheckTable(
         ("double_subset_mirror", lambda ctx, b: _search(ctx, double_subset_obstruction, "-", b)),
     ),
 )
-LENS_SPACE = CheckTable(
-    (_TORSION, ("lens_mirror_pairing", _lens_space)), theorem="lens_mirror_pairing"
-)
+LENS_SPACE = CheckTable((_TORSION,), theorem="lens_mirror_pairing")
 NONORIENTABLE = CheckTable((
     _TORSION,
     ("weak_complementary_pairs", _weak_complementary_pairs),
@@ -518,10 +498,10 @@ NONORIENTABLE = CheckTable((
         lambda ctx, b: _search(ctx, nonorientable_obstruction, "-", b),
     ),
 ))
-ORIENTABLE_E0 = CheckTable((_TORSION, *_E0_FORMS, *_SPIN))
-ORIENTABLE = CheckTable((_TORSION, _DOUBLE, *_SPIN))
-PRETZEL_E0 = CheckTable((_TORSION, *_SPIN, *_E0_FORMS))
-PRETZEL = CheckTable((_TORSION, *_SPIN, _DOUBLE))
+ORIENTABLE_E0 = CheckTable((_TORSION, *_E0_FORMS, _MUBAR))
+ORIENTABLE = CheckTable((_TORSION, _DOUBLE, _MUBAR))
+PRETZEL_E0 = CheckTable((_TORSION, _MUBAR, *_E0_FORMS))
+PRETZEL = CheckTable((_TORSION, _MUBAR, _DOUBLE))
 
 # every name a row of the tables above carries; ``--obstruction`` accepts
 # exactly these

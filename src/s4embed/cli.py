@@ -18,7 +18,11 @@ one of them.  Status, reason and exit code are the same either way.  A
 passing search stops at, and cites, the first witness it meets.
 
 ``--obstruction NAME`` (repeatable) runs only the named checks; the
-status is merged from their results alone.
+status is merged from their results alone.  A name that the input's
+class has no row for runs nothing: a single lens space, given as a
+Seifert space or a pretzel cover, is decided by torsion_square alone
+(its torsion is cyclic, so never G + G unless trivial), and
+lens_mirror_pairing names a row of lens sums only.
 
 Exit codes: 0 embeds, 1 obstructed, 2 unknown, 64 parse/usage error,
 70 internal error.  Code 70 means either a conflict (status CONFLICT: a

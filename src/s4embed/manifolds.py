@@ -213,7 +213,10 @@ def _seifert_presentation(m: SeifertManifold) -> list[list[int]]:
     central curve); relations a_i x_i + b_i h = 0 and sum x_i + r h = 0.
     Genus contributes free summands only.  Non-orientable base with k
     crosscaps: extra generators v_1..v_k with 2h = 0 and the central
-    relation 2(v_1 + ... + v_k) + sum x_i + r h = 0.
+    relation 2(v_1 + ... + v_k) + sum x_i + r h = 0.  The relation
+    2h = 0 holds because each crosscap reverses the fibre, so this is
+    the presentation for an orientable total space; every input class is
+    one, which the torsion check's G + G test needs.
     """
     n = len(m.invariants)
     if m.base_orientable:

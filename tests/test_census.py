@@ -14,8 +14,12 @@ status.
 - S7: orientable base S^2, three or four fibres with a <= 7, r in [-2, 2];
 - S11: orientable base S^2, three fibres with a <= 11, r in [-2, 2].
 
-The tests check S5 and N7, which take a few seconds.  S7 and S11 take
-about a minute of CPU together; to check all four sweeps::
+Every space with a pretzel form must also get the status of each
+pretzel cover presenting it or its mirror (``pretzel_form_faults``).
+
+The tests check S5 and N7, and the pretzel forms of S5, which take a few
+seconds.  S7 and S11 take about a minute of CPU together; to check all
+four sweeps and the pretzel forms of S5, S7 and S11::
 
     PYTHONPATH=src python tests/test_census.py --check
 
@@ -155,32 +159,59 @@ def test_census_is_reproduced():
     assert faults(TESTED) == []
 
 
-def test_pretzel_forms_get_the_census_status():
-    """Every S5 space with a pretzel form gets the status of each pretzel
-    cover presenting it or its mirror.  The forms are found by brute force:
-    every 3- and 4-strand multiset of strands in [-5, 5], +-1 included,
-    keyed by ``_strand_key`` and looked up by the space's Seifert keys.
-    218 of the 825 spaces have a form, with 560 covers among them."""
+# per sweep with pretzel forms: the largest strand |a_i| tried (no larger
+# one gives a fibre of the sweep), and the spaces with a form and their
+# covers, as ``pretzel_form_faults`` counts them
+PRETZEL_FORMS = {"S5": (5, 218, 560), "S7": (7, 1622, 3514), "S11": (11, 3265, 7260)}
+
+
+def pretzel_form_faults(name: str) -> list[str]:
+    """Every space of the sweep with a pretzel form must get the status of
+    each pretzel cover presenting it or its mirror.  The forms are found
+    by brute force: every 3- and 4-strand multiset of strands in
+    [-a, a], +-1 included, keyed by ``_strand_key`` and looked up by the
+    space's Seifert keys; each cover is reported once.  Returns each
+    space whose covers disagree, and a line if the counts of spaces and
+    covers differ from ``PRETZEL_FORMS``."""
+    bound, *pinned = PRETZEL_FORMS[name]
     forms = defaultdict(list)
-    strands = [x for x in range(-5, 6) if x]
+    strands = [x for x in range(-bound, bound + 1) if x]
     for k in (3, 4):
         for s in itertools.combinations_with_replacement(strands, k):
             forms[_strand_key(list(s))].append(s)
-    spaces = covers = 0
-    for y in sweep_s5():
+    covered = {}
+    for y in SWEEPS[name]():
         found = [s for key in ManifoldContext(y).seifert_keys for s in forms[key]]
         if found:
-            spaces += 1
-            covers += len(found)
-            statuses = {full_report(PretzelCover(s), budget=BUDGET).status for s in found}
-            assert statuses == {full_report(y, budget=BUDGET).status}, y.describe()
-    assert (spaces, covers) == (218, 560)
+            covered[y] = found
+    statuses = {
+        s: full_report(PretzelCover(s), budget=BUDGET).status
+        for s in set().union(*covered.values())
+    }
+    out = []
+    for y, found in covered.items():
+        status = full_report(y, budget=BUDGET).status
+        if {statuses[s] for s in found} != {status}:
+            out.append(f"{y.describe()}: {status} vs its pretzel covers {found}")
+    counts = [len(covered), sum(map(len, covered.values()))]
+    if counts != pinned:
+        out.append(f"{name}: {counts[0]} spaces with {counts[1]} pretzel covers, pinned {pinned}")
+    return out
+
+
+def test_pretzel_forms_get_the_census_status():
+    """S5 here; ``--check`` also runs S7 and S11."""
+    assert pretzel_form_faults("S5") == []
 
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--check"]:
-        found = faults(SWEEPS)
-        print("\n".join(found) or f"census of {', '.join(SWEEPS)} reproduced")
+        found = faults(SWEEPS) + [f for name in PRETZEL_FORMS for f in pretzel_form_faults(name)]
+        print(
+            "\n".join(found)
+            or f"census of {', '.join(SWEEPS)} reproduced; pretzel forms of "
+            f"{', '.join(PRETZEL_FORMS)} agree"
+        )
         sys.exit(1 if found else 0)
     CENSUS.parent.mkdir(exist_ok=True)
     CENSUS.write_text(record())

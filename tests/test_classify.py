@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from s4embed import classify, intlinalg, plumbing
+from s4embed import classify, intlinalg, obstructions, plumbing
 from s4embed.classify import (
     ManifoldContext,
     catalog_matches,
@@ -26,8 +26,9 @@ from s4embed.manifolds import (
     pretzel_to_seifert,
 )
 from s4embed.plumbing import PlumbingTree, seifert_star
-from test_census import sweep_s5
+from test_census import fibres, sweep_s5
 from test_manifolds import pretzel_strand_forms
+from test_spin import pretzel_link_components
 
 
 def status(m) -> str:
@@ -101,12 +102,74 @@ def test_decide_seifert_e0_without_odd_clause():
 
 
 def test_small_seifert_follows_lens_rule():
-    # at most two fibres over S^2: S^3 and S^1 x S^2 embed, lens spaces do not
+    # at most two fibres over S^2: S^3 and S^1 x S^2 embed, lens spaces do
+    # not.  The torsion row alone decides: Z/4 has square order but is not
+    # G + G, and the verdict cites the lens-space theorem.
     assert status(SeifertManifold(True, 0, 0, [(3, 1)])) == "EMBEDS"  # S^3
     assert status(SeifertManifold(True, 0, -1, [(2, -1), (3, -1)])) == "EMBEDS"  # S^3
     r = full_report(SeifertManifold(True, 0, 0, [(2, 1), (2, 1)]))  # L(4, q)
     assert (r.status, r.reason) == ("OBSTRUCTED", "theorem:lens_mirror_pairing")
-    assert r.result("lens_mirror_pairing").obstructed
+    assert [res.name for res in r.results] == ["torsion_square"]
+    assert r.result("torsion_square").notes == "torsion H_1 = Z/4 is not of the form G + G"
+
+
+@pytest.mark.parametrize(
+    "expr, group",
+    [("seifert(N(1); 1; )", "Z/4"), ("seifert(N(1); 0; (5,2),(5,-3))", "Z/5 + Z/20")],
+)
+def test_torsion_that_is_not_g_plus_g_is_refuted(expr, group):
+    """Torsion of square order that does not split as G + G (Hantzsche)
+    refutes the space, where every other row of its class passes."""
+    r = full_report(parse_manifold(expr))
+    assert (r.status, r.reason) == ("OBSTRUCTED", "obstruction:torsion_square")
+    assert r.result("torsion_square").notes == f"torsion H_1 = {group} is not of the form G + G"
+    assert [res.name for res in r.results if res.obstructed] == ["torsion_square"]
+
+
+def test_g_plus_g_torsion_passes_the_torsion_row():
+    r = full_report(parse_manifold("lens(3,1)+lens(3,2)"))
+    assert r.invariants["torsion_factors"] == [3, 3]
+    assert r.result("torsion_square").verdict == "pass"
+    assert (r.status, r.reason) == ("EMBEDS", "catalog:mirror_lens_sum")
+
+
+def test_g_plus_g_torsion_subsumes_the_retired_rows():
+    """Two rows went once the torsion row tested G + G, as each refuted
+    only spaces whose torsion does not pair up.
+
+    - The parity rule: a pretzel cover with k link components has
+      b_1 even iff k is odd.  dim H_1(Y; Z/2) = k - 1 and G + G torsion
+      has even 2-rank, so the rule holds wherever the torsion pairs up.
+      Checked on every 3- and 4-strand cover with 1 <= |a_i| <= 7, k
+      traced off the diagram.
+    - The lens-space row: a lens space has cyclic H_1, never G + G unless
+      trivial.  Checked on the covers above of that class and on every
+      space over S^2 with at most two fibres a <= 11, r in [-3, 3].
+    """
+    strands = [x for x in range(-7, 8) if x]
+    covers = [
+        PretzelCover(list(s)) for n in (3, 4) for s in combinations_with_replacement(strands, n)
+    ]
+    spaces = [
+        SeifertManifold(True, 0, r, list(invs))
+        for r in range(-3, 4)
+        for n in range(3)
+        for invs in combinations_with_replacement(fibres(11), n)
+    ]
+    parity_refuted = lens_spaces = 0
+    for m in covers + spaces:
+        ctx = ManifoldContext(m)
+        b1, torsion = ctx.homology
+        paired = obstructions.pairs_up(torsion.factors)
+        if isinstance(m, PretzelCover):
+            k = pretzel_link_components(m.strands)
+            parity_refuted += (b1 % 2 == 0) != (k % 2 == 1)
+            assert not paired or (b1 % 2 == 0) == (k % 2 == 1), m.describe()
+        if ctx.table is classify.LENS_SPACE:
+            lens_spaces += 1
+            assert torsion.order == 1 or not paired, m.describe()
+    assert (len(covers), parity_refuted) == (2940, 1344)
+    assert (len(spaces), lens_spaces) == (6321, 6321 + 483)
 
 
 def keys(strands):

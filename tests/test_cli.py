@@ -37,6 +37,8 @@ def exit_code(*argv: str) -> int:
         (["lens(5,1)+lens(5,1)", "--obstruction", "double_subst"], 64),
         (["lens(3,1)+lens(3,2)", "--obstruction", "double_subst"], 64),
         (["lens(3,1)+lens(3,2)", "--obstruction", "torsion_square", "--obstruction", "x"], 64),
+        # a retired check: G + G torsion in torsion_square implies its rule
+        (["pretzel(3,-5,-8)", "--obstruction", "spin_count_parity"], 64),
     ],
 )
 def test_exit_codes(argv, code, capsys):
@@ -56,7 +58,6 @@ CHECK_EXAMPLES = {
     "even_fibre_clause": "seifert(N(1); 0; (3,1),(3,-1))",
     "nonorientable_double_subset": "seifert(N(1); 0; (3,1),(3,-1))",
     "nonorientable_double_subset_mirror": "seifert(N(1); 0; (3,1),(3,-1))",
-    "spin_count_parity": "pretzel(3,-5,-8)",
     "mubar_vanishing": "pretzel(3,-5,-8)",
 }
 

@@ -81,10 +81,11 @@ def test_unpaired_cokernel_is_refuted_with_no_search(monkeypatch):
     """The star of 18 legs (2,1) has coker Q = (Z/2)^16 + Z/36, of square
     order 2^18 * 9.  Its 17 factors do not pair up, so the check is
     refuted with no lattice search, where the search would exhaust its
-    budget of 10^7 nodes and end inconclusive."""
+    budget of 10^7 nodes and end inconclusive.  The full report cites the
+    torsion row, which reads the same factors; the check is run alone."""
     searches = counted_searches(monkeypatch)
     y = SeifertManifold(True, 0, 0, [(2, 1)] * 18)
-    report = full_report(y)
+    report = full_report(y, only=["double_subset"])
     assert (report.status, report.reason) == ("OBSTRUCTED", "obstruction:double_subset")
     notes = report.result("double_subset").notes
     assert notes.endswith("is not of the form H + H, so no splitting pair exists")
