@@ -88,6 +88,7 @@ from .obstructions import (
     nonorientable_obstruction,
     pairs_up,
     semidefinite_obstruction,
+    undoubled,
 )
 from .plumbing import PlumbingTree, plumbing_tree
 from .spin import mubar_vanishing_threshold, spin_profile
@@ -246,8 +247,6 @@ class ManifoldContext:
     manifold: Manifold
     _trees: dict[str, PlumbingTree] = field(default_factory=dict, init=False, repr=False)
     _searches: dict[tuple, ObstructionResult] = field(default_factory=dict, init=False, repr=False)
-    # set by ``full_report`` when a row reads the definite-side tree's cokernel
-    _homology_off_tree: bool = field(default=False, init=False, repr=False)
 
     @cached_property
     def seifert(self) -> SeifertManifold | None:
@@ -263,14 +262,12 @@ class ManifoldContext:
 
     @cached_property
     def homology(self) -> tuple[int, FiniteAbelianGroup]:
-        """(b_1, torsion of H_1).  When e != 0 over an orientable base,
-        coker Q of the definite plumbing is the torsion and b_1 = 2 genus;
-        where a row reads that tree's cokernel anyway, H_1 is read off it,
-        so its Smith form is taken once.  Everywhere else H_1 comes from
-        ``first_homology``, which builds no plumbing: a long chain would
-        cost more than the whole report."""
-        if self._homology_off_tree:
-            return 2 * self.seifert.genus, self.tree(self.definite_side).cokernel
+        """(b_1, torsion of H_1), from ``first_homology`` alone, which
+        builds no plumbing: a long chain would cost more than the whole
+        report.  For a lens sum, and over an orientable base with e != 0,
+        the torsion is coker Q of each definite plumbing (Neumann, Trans.
+        AMS 268, 1981), so the double-subset rows read its order and
+        factors here before any tree is built."""
         return first_homology(self.seifert or self.manifold)
 
     @cached_property
@@ -430,6 +427,13 @@ def _mubar_vanishing(ctx: ManifoldContext, budget: int) -> ObstructionResult | N
     )
 
 
+def _double_subset(ctx: ManifoldContext, side: str, budget: int) -> ObstructionResult:
+    """double_subset on the form of ``side``, refuted with no tree where the
+    torsion of H_1 (coker Q on either side, as H_1(-Y) = H_1(Y)) is not H + H."""
+    refuted = undoubled("double_subset", ctx.homology[1])
+    return refuted or _search(ctx, double_subset_obstruction, side, budget)
+
+
 def _search(ctx: ManifoldContext, obstruction, side: str, budget: int) -> ObstructionResult:
     """``obstruction`` run on the plumbing form of ``side``, once per
     (obstruction, tree) in a report: a mirror row whose tree is its
@@ -464,12 +468,13 @@ class CheckTable:
     theorem: str | None = None
     certificates: tuple[Row, ...] = ()
 
+    @property
+    def names(self) -> tuple[str, ...]:
+        return tuple(name for name, _ in self.checks + self.certificates)
+
 
 _TORSION: Row = ("torsion_square", _torsion_square)
-_DOUBLE: Row = (
-    "double_subset",
-    lambda ctx, b: _search(ctx, double_subset_obstruction, ctx.definite_side, b),
-)
+_DOUBLE: Row = ("double_subset", lambda ctx, b: _double_subset(ctx, ctx.definite_side, b))
 _MUBAR: Row = ("mubar_vanishing", _mubar_vanishing)
 _E0_FORMS = (
     ("complementary_pairs", _complementary_pairs),
@@ -481,7 +486,7 @@ LENS_SUM = CheckTable(
     (_TORSION, ("lens_mirror_pairing", _lens_mirror_pairing)),
     certificates=(
         _DOUBLE,
-        ("double_subset_mirror", lambda ctx, b: _search(ctx, double_subset_obstruction, "-", b)),
+        ("double_subset_mirror", lambda ctx, b: _double_subset(ctx, "-", b)),
     ),
 )
 LENS_SPACE = CheckTable((_TORSION,), theorem="lens_mirror_pairing")
@@ -506,7 +511,7 @@ PRETZEL = CheckTable((_TORSION, _MUBAR, _DOUBLE))
 # every name a row of the tables above carries; ``--obstruction`` accepts
 # exactly these
 _TABLES = (LENS_SUM, LENS_SPACE, NONORIENTABLE, ORIENTABLE_E0, ORIENTABLE, PRETZEL_E0, PRETZEL)
-CHECK_NAMES = tuple(dict.fromkeys(name for t in _TABLES for name, _ in t.checks + t.certificates))
+CHECK_NAMES = tuple(dict.fromkeys(name for t in _TABLES for name in t.names))
 
 
 # ---------------------------------------------------------------------------
@@ -635,8 +640,6 @@ def full_report(
     rows = table.checks + (table.certificates if certificates or only else ())
     if only is not None:
         rows = tuple(row for row in rows if row[0] in only)
-    if table in (PRETZEL, ORIENTABLE) and _DOUBLE in rows:
-        ctx._homology_off_tree = True
     results = [
         replace(r, name=name) for name, check in rows if (r := check(ctx, budget)) is not None
     ]

@@ -19,10 +19,11 @@ passing search stops at, and cites, the first witness it meets.
 
 ``--obstruction NAME`` (repeatable) runs only the named checks; the
 status is merged from their results alone.  A name that the input's
-class has no row for runs nothing: a single lens space, given as a
-Seifert space or a pretzel cover, is decided by torsion_square alone
-(its torsion is cyclic, so never G + G unless trivial), and
-lens_mirror_pairing names a row of lens sums only.
+class has no row for is a usage error, and its one stderr line names the
+rows the class has: a single lens space, given as a Seifert space or a
+pretzel cover, has torsion_square alone (its torsion is cyclic, so never
+G + G unless trivial), and lens_mirror_pairing names a row of lens sums
+only.
 
 Exit codes: 0 embeds, 1 obstructed, 2 unknown, 64 parse/usage error,
 70 internal error.  Code 70 means either a conflict (status CONFLICT: a
@@ -41,7 +42,7 @@ import json
 import sys
 from json.encoder import encode_basestring_ascii as _quoted
 
-from .classify import CHECK_NAMES, DEFAULT_BUDGET, ObstructionReport, full_report
+from .classify import CHECK_NAMES, DEFAULT_BUDGET, ManifoldContext, ObstructionReport, full_report
 from .manifolds import LensSum, Manifold, PretzelCover, SeifertManifold
 from .obstructions import certificate_json
 
@@ -262,8 +263,9 @@ _ARGS.add_argument(
     choices=CHECK_NAMES,
     metavar="NAME",
     help="run only the named checks (repeatable): the others do not run, "
-    "and a certificate search runs when named.  An unknown name is a usage "
-    f"error.  Names: {', '.join(CHECK_NAMES)}",
+    "and a certificate search runs when named.  A name that is unknown, or "
+    "that the input's class has no row for, is a usage error.  Names: "
+    f"{', '.join(CHECK_NAMES)}",
 )
 _ARGS.add_argument("--quiet", action="store_true", help="suppress text output")
 
@@ -294,6 +296,13 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    if args.obstruction:
+        rows = ManifoldContext(manifold).table.names
+        missing = [name for name in args.obstruction if name not in rows]
+        if missing:
+            reason = f"{manifold.describe()} has no row {missing[0]}; its rows: {', '.join(rows)}"
+            print(f"error: {reason}", file=sys.stderr)
+            return USAGE_ERROR
 
     try:
         report = full_report(

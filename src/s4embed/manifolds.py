@@ -211,37 +211,24 @@ def _seifert_presentation(m: SeifertManifold) -> list[list[int]]:
 
     Orientable base: generators x_1..x_n (fibre meridians) and h (the
     central curve); relations a_i x_i + b_i h = 0 and sum x_i + r h = 0.
-    Genus contributes free summands only.  Non-orientable base with k
-    crosscaps: extra generators v_1..v_k with 2h = 0 and the central
-    relation 2(v_1 + ... + v_k) + sum x_i + r h = 0.  The relation
+    The central relation is solved for x_n, which leaves n generators and
+    n relations, the size of the chain walk's presentation of coker Q
+    (``PlumbingTree.cokernel``); a space with no fibres takes the fibre
+    (1, 0).  Genus contributes free summands only.  Non-orientable base
+    with k crosscaps: extra generators v_1..v_k with 2h = 0 and the
+    central relation 2(v_1 + ... + v_k) + sum x_i + r h = 0.  The relation
     2h = 0 holds because each crosscap reverses the fibre, so this is
     the presentation for an orientable total space; every input class is
     one, which the torsion check's G + G test needs.
     """
-    n = len(m.invariants)
     if m.base_orientable:
-        rows = []
-        for i, (a, b) in enumerate(m.invariants):
-            row = [0] * (n + 1)
-            row[i] = a
-            row[n] = b
-            rows.append(row)
-        rows.append([1] * n + [m.r])
-        return rows
-    k = m.genus
-    width = k + n + 1
-    rows = []
-    for i, (a, b) in enumerate(m.invariants):
-        row = [0] * width
-        row[k + i] = a
-        row[width - 1] = b
-        rows.append(row)
-    row = [0] * width
-    row[width - 1] = 2
-    rows.append(row)
-    central = [2] * k + [1] * n + [m.r]
-    rows.append(central)
-    return rows
+        *legs, (a, b) = m.invariants or ((1, 0),)
+        rows = [[c * (i == j) for j in range(len(legs))] + [d] for i, (c, d) in enumerate(legs)]
+        return rows + [[-a] * len(legs) + [b - a * m.r]]
+    k, fibres = m.genus, m.invariants
+    n = len(fibres)
+    rows = [[0] * k + [a * (i == j) for j in range(n)] + [b] for i, (a, b) in enumerate(fibres)]
+    return rows + [[0] * (k + n) + [2], [2] * k + [1] * n + [m.r]]
 
 
 def first_homology(m: Manifold) -> tuple[int, FiniteAbelianGroup]:

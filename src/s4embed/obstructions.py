@@ -16,7 +16,8 @@ definite for the double-subset checks, semi-definite of corank one for
 the rectangular one.  The double-subset checks then take coker Q from
 the tree (``PlumbingTree.cokernel``, read off its chains and cached).
 Both need coker Q = H + H, so a non-square |coker Q|, or invariant
-factors that do not come in equal pairs, refutes them with no search.
+factors that do not come in equal pairs, refutes them (``undoubled``);
+a report refutes the orientable one so with no tree, on H_1's torsion.
 The orientable check also needs the 2-primary linking form of coker Q to
 be even (``PlumbingTree.odd_linking_factor``), and is refuted with no
 search where it is not; otherwise a search pairs its subgroups in that
@@ -122,11 +123,6 @@ def _require(tree: PlumbingTree, definiteness: tuple[str, int], check: str) -> N
         raise ValueError(f"{check} needs a {kind.replace('_', ' ')} form of corank {corank}")
 
 
-def _square_order(G: FiniteAbelianGroup) -> bool:
-    """Is |coker Q| a perfect square?"""
-    return math.isqrt(G.order) ** 2 == G.order
-
-
 def pairs_up(factors) -> bool:
     """Do the invariant factors come in equal pairs, d1 = d2, d3 = d4, ...,
     as those of a group H + H do?  The trivial group's () does."""
@@ -139,9 +135,27 @@ def _half(G: FiniteAbelianGroup, H: Subgroup) -> bool:
     return H.order * H.order == G.order and doubled_factors(H.factors) == G.factors
 
 
-def _not_doubled(G: FiniteAbelianGroup, consequence: str) -> str:
-    group = " + ".join(f"Z/{d}" for d in G.factors)
-    return f"coker Q = {group} is not of the form H + H, so {consequence}"
+# each check's note after a non-square |coker Q| and after unpaired factors
+_UNDOUBLED = {
+    "double_subset": (", so no factorisation exists", "no splitting pair exists"),
+    "nonorientable_double_subset": ("", "no subset qualifies"),
+}
+
+
+def undoubled(name: str, G: FiniteAbelianGroup) -> ObstructionResult | None:
+    """The refutation of check ``name`` where G, its coker Q, is not H + H
+    by a non-square order or invariant factors that do not pair up; None
+    where G may be H + H.  It reads only G's factors, so a report can pass
+    any group isomorphic to coker Q, and no plumbing need exist."""
+    square, unpaired = _UNDOUBLED[name]
+    if math.isqrt(G.order) ** 2 != G.order:
+        notes = f"|coker Q| = {G.order} is not a perfect square{square}"
+    elif not pairs_up(G.factors):
+        group = " + ".join(f"Z/{d}" for d in G.factors)
+        notes = f"coker Q = {group} is not of the form H + H, so {unpaired}"
+    else:
+        return None
+    return ObstructionResult(name, "obstructed", notes=notes)
 
 
 def _exhausted(res: SubsetSearchResult) -> str:
@@ -186,16 +200,8 @@ def double_subset_obstruction(tree: PlumbingTree, budget: int | None = None) -> 
     name = "double_subset"
     _require(tree, ("negative_definite", 0), "double-subset obstruction")
     G = tree.cokernel
-    if not _square_order(G):
-        return ObstructionResult(
-            name,
-            "obstructed",
-            notes=f"|coker Q| = {G.order} is not a perfect square, "
-            "so no factorisation exists",
-        )
-    if not pairs_up(G.factors):
-        notes = _not_doubled(G, "no splitting pair exists")
-        return ObstructionResult(name, "obstructed", notes=notes)
+    if (refuted := undoubled(name, G)) is not None:
+        return refuted
     d = tree.odd_linking_factor
     if d is not None:
         odd = f"the linking form of coker Q is odd on its factor Z/{d}"
@@ -277,13 +283,8 @@ def nonorientable_obstruction(tree: PlumbingTree, budget: int | None = None) -> 
         return ObstructionResult(name, "pass", notes="empty form, vacuous")
     _require(tree, ("negative_definite", 0), "non-orientable obstruction")
     G = tree.cokernel
-    if not _square_order(G):
-        return ObstructionResult(
-            name, "obstructed", notes=f"|coker Q| = {G.order} is not a perfect square"
-        )
-    if not pairs_up(G.factors):
-        notes = _not_doubled(G, "no subset qualifies")
-        return ObstructionResult(name, "obstructed", notes=notes)
+    if (refuted := undoubled(name, G)) is not None:
+        return refuted
     qualifying: list = []
     witness: list = []
 

@@ -22,10 +22,11 @@ from s4embed.manifolds import (
     LensSum,
     PretzelCover,
     SeifertManifold,
+    euler_invariant,
     first_homology,
     pretzel_to_seifert,
 )
-from s4embed.plumbing import PlumbingTree, seifert_star
+from s4embed.plumbing import PlumbingTree, plumbing_tree, seifert_star
 from test_census import fibres, sweep_s5
 from test_manifolds import pretzel_strand_forms
 from test_spin import pretzel_link_components
@@ -541,9 +542,9 @@ def test_mirror_star_equal_to_its_twin_takes_one_inertia(monkeypatch, text):
 @pytest.mark.parametrize(
     "manifold, cokernels",
     [
-        # |coker Q| = 71 is not a square, so double_subset refutes with
-        # the order and no search
-        (PretzelCover([3, 5, 7]), 1),
+        # |H_1| = 71 is not a square, so double_subset is refuted on H_1
+        # with no tree
+        (PretzelCover([3, 5, 7]), 0),
         # e = 0: the semi-definite searches need no cokernel
         (PretzelCover([2, -2, 3, -3]), 0),
         (SeifertManifold(False, 1, 0, [(3, 1), (3, -1)]), 1),
@@ -569,53 +570,86 @@ def test_report_takes_each_cokernel_once(monkeypatch, manifold, cokernels):
 
 
 def test_tree_cokernel_is_the_torsion_of_first_homology():
-    """Where e != 0 over an orientable base, coker Q of the definite
-    plumbing is the torsion of H_1 and b_1 = 2 genus, so the context may
-    read H_1 off the tree: every 3- and 4-strand pretzel cover with
-    |a_i| <= 7, every space of the S5 census sweep and its genus-1
-    twin."""
+    """Over an orientable base, coker Q of a side's definite plumbing, or
+    of either side's semi-definite one when e = 0, is H_1 less the 2 genus
+    free summands of the base (Neumann, Trans. AMS 268, 1981).  So its
+    factors and free rank check the n x n presentation of
+    ``first_homology`` against the chain walk of ``PlumbingTree.cokernel``,
+    on every 3- and 4-strand pretzel cover with |a_i| <= 7, every space of
+    the S5 census sweep with its genus-1 and genus-2 twins, and every
+    space of genus 0 or 1 with 0, 1 or 2 fibres a <= 7 and r in [-3, 3]."""
     strands = [a for a in range(-7, 8) if a]
     covers = [PretzelCover(s) for n in (3, 4) for s in combinations_with_replacement(strands, n)]
-    spaces = sweep_s5()
-    spaces += [SeifertManifold(True, 1, y.r, y.invariants) for y in spaces]
-    checked = 0
+    s5 = sweep_s5()
+    spaces = [SeifertManifold(True, g, y.r, y.invariants) for g in (0, 1, 2) for y in s5]
+    spaces += [
+        SeifertManifold(True, g, r, invs)
+        for g in (0, 1)
+        for n in range(3)
+        for invs in combinations_with_replacement(fibres(7), n)
+        for r in range(-3, 4)
+    ]
+    kinds = Counter()
     for m in covers + spaces:
-        ctx = ManifoldContext(m)
-        if ctx.euler == 0:
-            continue
-        ctx._homology_off_tree = True
+        y = m if isinstance(m, SeifertManifold) else pretzel_to_seifert(m)
+        e = euler_invariant(y)
         b1, torsion = first_homology(m)
-        assert (ctx.homology[0], ctx.homology[1].factors) == (b1, torsion.factors), m.describe()
-        checked += 1
-    assert checked == 2892 + 2 * 817
+        for side in ("+", "-") if e == 0 else ("-" if e < 0 else "+",):
+            G = plumbing_tree(m, side).cokernel
+            assert (G.free_rank + 2 * y.genus, G.factors) == (b1, torsion.factors), m.describe()
+        kinds[e == 0, y.genus > 0, len(y.invariants) <= 2] += 1
+    # (e = 0, genus >= 1, at most two fibres): inputs
+    assert kinds == {
+        (False, False, False): 3235,
+        (False, False, True): 1661,
+        (False, True, False): 1634,
+        (False, True, True): 1187,
+        (True, False, False): 47,
+        (True, False, True): 19,
+        (True, True, False): 16,
+        (True, True, True): 10,
+    }
 
 
 @pytest.mark.parametrize(
-    "manifold, only, calls",
+    "manifold, only, plumbings",
     [
-        # the definite tree's cokernel serves H_1 and double_subset
-        (PretzelCover([3, 5, 7]), None, 0),
+        # |H_1| = 71 is not a square: double_subset is refuted on H_1, and
+        # only mu-bar builds the definite tree
+        (PretzelCover([3, 5, 7]), None, 1),
         (SeifertManifold(True, 1, 0, [(3, 1), (5, 1), (7, 1)]), None, 0),
-        # no row reads the tree, so none is built for H_1
-        (PretzelCover([3, 5, 7]), ["torsion_square"], 1),
+        (PretzelCover([3, 5, 7]), ["torsion_square"], 0),
         (PretzelCover([3, 5, 7]), ["torsion_square", "double_subset"], 0),
-        # other classes: e = 0, a lens sum, a non-orientable base
-        (PretzelCover([2, -2, 3, -3]), None, 1),
-        (LensSum([(3, 1), (3, 2)]), None, 1),
-        (SeifertManifold(False, 1, 0, [(3, 1), (3, -1)]), None, 1),
+        # other classes: e = 0, a lens sum whose sides are one tree (built
+        # twice, the second found equal to the first), a non-orientable base
+        (PretzelCover([2, -2, 3, -3]), None, 2),
+        (LensSum([(3, 1), (3, 2)]), ["double_subset", "double_subset_mirror"], 2),
+        (SeifertManifold(False, 1, 0, [(3, 1), (3, -1)]), None, 2),
+        # H_1 = Z/15: both certificate rows of the lens sum are refuted on it
+        (LensSum([(3, 1), (5, 1)]), ["double_subset", "double_subset_mirror"], 0),
+        # torsion Z/3 + Z/3: double_subset searches the definite tree
+        (PretzelCover([3, -3, 3]), None, 1),
     ],
 )
-def test_report_reads_h1_off_the_tree_it_searches(monkeypatch, manifold, only, calls):
-    taken = []
+def test_report_reads_h1_once_from_first_homology(monkeypatch, manifold, only, plumbings):
+    """Every report takes H_1 from one ``first_homology`` call, whatever
+    rows run, and a double-subset row refuted on its order or factors
+    builds no plumbing: ``plumbings`` counts the ``plumbing_tree`` calls."""
+    homologies, built = [], []
 
     def counted(m):
-        taken.append(m)
+        homologies.append(m)
         return homology(m)
 
-    homology = classify.first_homology
+    def counted_tree(*args, **kwargs):
+        built.append(args)
+        return build(*args, **kwargs)
+
+    homology, build = classify.first_homology, classify.plumbing_tree
     monkeypatch.setattr(classify, "first_homology", counted)
+    monkeypatch.setattr(classify, "plumbing_tree", counted_tree)
     report = full_report(manifold, only=only)
-    assert len(taken) == calls
+    assert (len(homologies), len(built)) == (1, plumbings)
     b1, torsion = homology(manifold)
     assert (report.invariants["b1"], report.invariants["torsion_factors"]) == (
         b1,

@@ -45,6 +45,28 @@ def test_exit_codes(argv, code, capsys):
     assert exit_code(*argv) == code
 
 
+@pytest.mark.parametrize(
+    "expr, name, rows",
+    [
+        # a lens space given as a Seifert space is decided by its torsion
+        ("seifert(S2; 0; (2,1),(2,1))", "lens_mirror_pairing", "torsion_square"),
+        (
+            "lens(5,1)+lens(5,1)",
+            "mubar_vanishing",
+            "torsion_square, lens_mirror_pairing, double_subset, double_subset_mirror",
+        ),
+    ],
+)
+def test_a_row_the_class_lacks_is_a_usage_error(expr, name, rows, capsys):
+    """A name that the input's class has no row for exits 64, with one
+    stderr line naming the rows the class has, though another name is
+    one of them."""
+    assert main([expr, "--obstruction", "torsion_square", "--obstruction", name]) == 64
+    out, err = capsys.readouterr()
+    canonical = parse_manifold(expr).describe()
+    assert (out, err) == ("", f"error: {canonical} has no row {name}; its rows: {rows}\n")
+
+
 # an input whose check table reports each check name
 CHECK_EXAMPLES = {
     "torsion_square": "lens(3,1)+lens(3,2)",
@@ -177,11 +199,15 @@ def within_limits():
     resource.setrlimit(resource.RLIMIT_CPU, (10, 10))
 
 
-@pytest.mark.parametrize("expr", ["lens(301,300)", "lens(2001,2000)", "lens(100001,100000)"])
+@pytest.mark.parametrize(
+    "expr",
+    ["lens(301,300)", "lens(2001,2000)", "lens(100001,100000)", "lens(1000000007,1000000006)"],
+)
 def test_long_chains_are_refuted_within_limits(expr):
-    """lens(p,p-1) plumbs a chain of p - 1 vertices.  Its cokernel Z/p is
-    read off the chain, so the certificate checks refute it with no dense
-    form, well inside the limits."""
+    """lens(p,p-1) plumbs a chain of p - 1 vertices.  H_1 = Z/p, read off
+    the summands, is coker Q of either side's chain and not H + H, so the
+    certificate checks refute it with no plumbing built, well inside the
+    limits."""
     done = run_python(
         "-m", "s4embed.cli", expr, "--json", "--certificates", preexec_fn=within_limits
     )
@@ -193,8 +219,8 @@ def test_long_chains_are_refuted_within_limits(expr):
 
 def test_torsion_check_alone_builds_no_plumbing():
     """The fibre (10000019, 1) plumbs a chain of about 10^7 vertices.
-    With only torsion_square asked for, no row reads the plumbing, so H_1
-    comes from the Seifert presentation and the space is refuted well
+    H_1 comes from the Seifert presentation, and with only torsion_square
+    asked for no row reads the plumbing, so the space is refuted well
     inside the limits."""
     expr = "seifert(S2;0;(2,1),(3,1),(10000019,1))"
     done = run_python(
