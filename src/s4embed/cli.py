@@ -23,7 +23,8 @@ class has no row for is a usage error, and its one stderr line names the
 rows the class has: a single lens space, given as a Seifert space or a
 pretzel cover, has torsion_square alone (its torsion is cyclic, so never
 G + G unless trivial), and lens_mirror_pairing names a row of lens sums
-only.
+only.  A named row that returns no result, as mubar_vanishing does with
+no pretzel form, is a usage error too, and its stderr line names it.
 
 Exit codes: 0 embeds, 1 obstructed, 2 unknown, 64 parse/usage error,
 70 internal error.  Code 70 means either a conflict (status CONFLICT: a
@@ -241,7 +242,6 @@ _ARGS = _ArgumentParser(
     "smoothly in the 4-sphere.",
 )
 _ARGS.add_argument("expr", nargs="?", help="manifold expression")
-_ARGS.add_argument("--manifold", dest="manifold", help="manifold expression")
 _ARGS.add_argument("--json", action="store_true", help="emit a JSON report")
 _ARGS.add_argument(
     "--certificates",
@@ -263,8 +263,8 @@ _ARGS.add_argument(
     choices=CHECK_NAMES,
     metavar="NAME",
     help="run only the named checks (repeatable): the others do not run, "
-    "and a certificate search runs when named.  A name that is unknown, or "
-    "that the input's class has no row for, is a usage error.  Names: "
+    "and a certificate search runs when named.  A name that is unknown, not a "
+    "row of the input's class, or whose row returns no result is a usage error.  Names: "
     f"{', '.join(CHECK_NAMES)}",
 )
 _ARGS.add_argument("--quiet", action="store_true", help="suppress text output")
@@ -287,7 +287,7 @@ def _indented(x, pad: str = "\n") -> str:
 def main(argv: list[str] | None = None) -> int:
     args = _ARGS.parse_args(argv)
 
-    text = args.manifold or args.expr
+    text = args.expr
     if not text:
         print("error: no manifold given", file=sys.stderr)
         return USAGE_ERROR
@@ -317,6 +317,10 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(f"error: {reason}", file=sys.stderr)
         return INTERNAL_ERROR
+    ran = {r.name for r in report.results}
+    if idle := [name for name in args.obstruction or () if name not in ran]:
+        print(f"error: row {idle[0]} does not apply to {manifold.describe()}", file=sys.stderr)
+        return USAGE_ERROR
 
     if args.json:
         payload = report_to_json(report, args.certificates)

@@ -20,15 +20,17 @@ factors that do not come in equal pairs, refutes them (``undoubled``);
 a report refutes the orientable one so with no tree, on H_1's torsion.
 The orientable check also needs the 2-primary linking form of coker Q to
 be even (``PlumbingTree.odd_linking_factor``), and is refuted with no
-search where it is not; otherwise a search pairs its subgroups in that
-group.  No check builds a dense form.  Each check filters and pairs the
-factorisations inside the search, as the search finds them
-(``enumerate_subsets(..., until=...)``), and stops at its first witness.
-A pass therefore cites the first witness the search meets, in search
-order.  Every verdict of "obstructed" is backed by a provably completed
-search, by the invariant factors of coker Q or by its linking form;
-budget exhaustion downgrades to "inconclusive" instead, whose note gives
-the nodes the search used and the subsets it found.
+search where it is not; otherwise a search pairs its column subgroups,
+whatever their type: each is a Lagrangian of the linking form, and two
+Lagrangians whose sum is direct are isomorphic.  No check builds a
+dense form.  Each check filters and pairs the factorisations inside the
+search, as the search finds them (``enumerate_subsets(..., until=...)``),
+and stops at its first witness.  A pass therefore cites the first
+witness the search meets, in search order.  Every verdict of
+"obstructed" is backed by a provably completed search, by the invariant
+factors of coker Q or by its linking form; budget exhaustion downgrades
+to "inconclusive" instead, whose note gives the nodes the search used
+and the subsets it found.
 """
 
 from __future__ import annotations
@@ -129,12 +131,6 @@ def pairs_up(factors) -> bool:
     return doubled_factors(factors[1::2]) == tuple(factors)
 
 
-def _half(G: FiniteAbelianGroup, H: Subgroup) -> bool:
-    """Is G isomorphic to H + H?  The order is compared first, so a
-    subgroup of any other order takes no Smith form for its factors."""
-    return H.order * H.order == G.order and doubled_factors(H.factors) == G.factors
-
-
 # each check's note after a non-square |coker Q| and after unpaired factors
 _UNDOUBLED = {
     "double_subset": (", so no factorisation exists", "no splitting pair exists"),
@@ -174,16 +170,17 @@ def double_subset_obstruction(tree: PlumbingTree, budget: int | None = None) -> 
     A splitting pair G = H1 + H2 with H1 isomorphic to H2 makes G
     isomorphic to H1 + H1, so G's invariant factors are H1's, each
     doubled.  A non-square |G|, or invariant factors of G that do not
-    pair up, therefore refutes the check with no search.  Otherwise the
-    factors of G fix the type of a half, by cancellation of finite
-    abelian groups, and a subgroup of any other type has no partner that
-    splits G with it: only halves H with ``doubled_factors(H.factors)``
-    equal to G's factors are kept and joined.
+    pair up, therefore refutes the check with no search.
 
     Each column subgroup H = im A / im Q is a Lagrangian of the linking
     form lambda(x, y) = x^t Q^-1 y mod 1 on G: for x = A u and y = A v,
     A A^t = -Q gives lambda(x, y) = -u^t v, an integer, and |H|^2 = |G|.
-    A splitting pair G = H1 + H2 therefore makes lambda hyperbolic: for
+    Two column subgroups whose sum is direct are therefore isomorphic:
+    lambda is nondegenerate and vanishes on each, so y -> lambda(., y)
+    maps H2 one-to-one into Hom(H1, Q/Z), which is isomorphic to H1 and
+    of H2's order (Kawauchi-Kojima, Math. Ann. 253, 1980; Wall, Topology
+    2, 1963).  Every usable subgroup is thus kept and joined, whatever
+    its type.  A splitting pair also makes lambda hyperbolic: for
     x = a + b with a in H1 and b in H2, lambda(x, x) = 2 lambda(a, b), and
     if 2^k x = 0, then 2^k a = 0 as the sum is direct, so
     2^(k-1) lambda(x, x) = 2^k lambda(a, b) = lambda(2^k a, b) = 0.  Where
@@ -192,10 +189,10 @@ def double_subset_obstruction(tree: PlumbingTree, budget: int | None = None) -> 
     G on which it is odd.
 
     The pairing runs inside the search: each new subset's column
-    subgroup is filtered, and a new half is joined against the kept
-    ones, so the search stops at the first splitting pair.  On a pass
-    the filter's "removed" count therefore covers only the subsets met
-    before that pair.
+    subgroup is filtered, and a new one is joined against the kept ones
+    and then kept, so the search stops at the first splitting pair.  On
+    a pass the filter's "removed" count therefore covers only the
+    subsets met before that pair.
     """
     name = "double_subset"
     _require(tree, ("negative_definite", 0), "double-subset obstruction")
@@ -208,8 +205,7 @@ def double_subset_obstruction(tree: PlumbingTree, budget: int | None = None) -> 
         return ObstructionResult(name, "obstructed", notes=f"{odd}, so no splitting pair exists")
     filtered = G.order % 2 == 1
     removed = 0
-    usable: set = set()  # the lift bases of the kept column subgroups
-    halves: list = []  # (H, subset) with G isomorphic to H + H
+    usable: dict = {}  # lift basis -> (H, subset), in search order
     witness: list = []
 
     def split_found(s: LatticeSubset) -> bool:
@@ -223,14 +219,11 @@ def double_subset_obstruction(tree: PlumbingTree, budget: int | None = None) -> 
             return True
         if H.basis in usable:
             return False
-        usable.add(H.basis)
-        if not _half(G, H):
-            return False
-        for H1, A1 in halves:
+        for H1, A1 in usable.values():
             if direct_sum_test(G, H1, H)[0]:
                 witness.extend([(A1, s), (H1, H)])
                 return True
-        halves.append((H, s))
+        usable[H.basis] = (H, s)
         return False
 
     res = enumerate_subsets(tree, budget, until=split_found)
@@ -275,7 +268,9 @@ def nonorientable_obstruction(tree: PlumbingTree, budget: int | None = None) -> 
     form).  A subset qualifies when its column subgroup H has
     ``doubled_factors(H.factors)`` equal to the factors of coker Q, so
     none does unless those factors pair up: a non-square |coker Q| or
-    unpaired factors refute the check with no search.  Each new
+    unpaired factors refute the check with no search.  The type is tested
+    here, as the pair need not split coker Q, and a Lagrangian need not be
+    a half: 2G in G = Z/4 + Z/4 is one.  Each new
     qualifying subset is tested against the earlier ones and itself as
     the search finds it, and the search stops at the first good pair."""
     name = "nonorientable_double_subset"
@@ -290,7 +285,7 @@ def nonorientable_obstruction(tree: PlumbingTree, budget: int | None = None) -> 
 
     def pair_found(s: LatticeSubset) -> bool:
         H = subset_column_subgroup(G, s)
-        if not _half(G, H):
+        if doubled_factors(H.factors) != G.factors:
             return False
         qualifying.append((H, s))
         for H1, A1 in qualifying:

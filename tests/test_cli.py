@@ -39,6 +39,9 @@ def exit_code(*argv: str) -> int:
         (["lens(3,1)+lens(3,2)", "--obstruction", "torsion_square", "--obstruction", "x"], 64),
         # a retired check: G + G torsion in torsion_square implies its rule
         (["pretzel(3,-5,-8)", "--obstruction", "spin_count_parity"], 64),
+        # the expression is positional only
+        (["lens(3,1)", "--manifold", "lens(5,1)"], 64),
+        (["--manifold", "lens(3,1)"], 64),
     ],
 )
 def test_exit_codes(argv, code, capsys):
@@ -65,6 +68,21 @@ def test_a_row_the_class_lacks_is_a_usage_error(expr, name, rows, capsys):
     out, err = capsys.readouterr()
     canonical = parse_manifold(expr).describe()
     assert (out, err) == ("", f"error: {canonical} has no row {name}; its rows: {rows}\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"], ["--certificates"]])
+def test_a_row_that_does_not_apply_is_a_usage_error(flags, capsys):
+    """A named row of the input's class that returns no result exits 64,
+    with one stderr line naming the row: mubar_vanishing needs a pretzel
+    form, and this space, which the default rows refute, has none."""
+    expr = "seifert(S2;1;(2,1),(3,1),(5,1),(7,1),(11,1))"
+    assert main([expr, "--quiet"]) == 1
+    capsys.readouterr()
+    argv = [expr, "--obstruction", "torsion_square", "--obstruction", "mubar_vanishing"]
+    assert main([*argv, *flags]) == 64
+    out, err = capsys.readouterr()
+    canonical = parse_manifold(expr).describe()
+    assert (out, err) == ("", f"error: row mubar_vanishing does not apply to {canonical}\n")
 
 
 # an input whose check table reports each check name

@@ -21,7 +21,7 @@ from s4embed.obstructions import (
 from s4embed.plumbing import PlumbingTree, lens_chains, plumbing_tree, seifert_leg_forest
 from test_census import sweep_s5
 from test_golden import corpus_inputs
-from test_intlinalg import dense, determinant
+from test_intlinalg import dense, determinant, random_definite_tree, rational_solve
 from test_lattice import verify_factorization
 
 
@@ -214,16 +214,62 @@ def test_char_vector_criterion_against_brute_force():
     assert 40 <= sum(outcomes) <= 110
 
 
+def test_column_subgroups_are_lagrangians():
+    """The pairing joins its column subgroups with no test of their type,
+    and this is why that is sound.  On random lens forests, two or three
+    summands with p < 12 where the second is often the first or its
+    mirror, and on random negative definite stars (n <= 8), every subset
+    the search returns spans a column subgroup H with |H|^2 = |G| on
+    whose column classes the linking form x^t Q^-1 y, read off the dense
+    form, is an integer; and every two distinct column subgroups whose
+    sum is direct have equal factors, so both are halves of G.  About
+    half the subgroups met are not halves."""
+    rng = random.Random(25)
+    summands = [(p, q) for p, q in LENS_SUMMANDS if p < 12]
+    trees = subsets = halves = direct = 0
+    while trees < 400:
+        if trees % 2:
+            tree = random_definite_tree(rng)
+            if tree.size > 8 or tree.definiteness != ("negative_definite", 0):
+                continue
+        else:
+            sum_ = rng.sample(summands, rng.randint(2, 3))
+            p, q = sum_[0]
+            sum_[1] = rng.choice([sum_[1], (p, p - q), (p, q)])
+            tree = lens_tree(*sum_)
+        trees += 1
+        Q, G = dense(tree), tree.cokernel
+        res = enumerate_subsets(tree)
+        assert res.complete
+        kept = {}
+        for A in res.subsets:
+            H = subset_column_subgroup(G, A)
+            assert H.order * H.order == G.order
+            columns = [list(col) for col in zip(*A.rows)]
+            solved = rational_solve(Q, columns)  # Q^-1 y for each column y
+            links = [sum(a * b for a, b in zip(x, z)) for x in columns for z in solved]
+            assert all(t.denominator == 1 for t in links)
+            kept.setdefault(H.basis, H)
+            subsets += 1
+            halves += doubled_factors(H.factors) == G.factors
+        for H1, H2 in itertools.combinations(kept.values(), 2):
+            if direct_sum_test(G, H1, H2)[0]:
+                assert H1.factors == H2.factors
+                direct += 1
+    # 175 subsets, 86 of them halves (G isomorphic to H + H), 31 direct pairs
+    assert subsets >= 150 and 50 <= halves <= subsets - 50 and direct >= 25
+
+
 def test_nine_leg_star_joins_same_type_pairs_only(monkeypatch):
     """seifert(S2; 4; (2,1) x 9) has coker Q = (Z/2)^8, whose factors pair
     up and whose linking form is even, so its double-subset check searches
-    and pairs, and passes.  A splitting pair G = H1 + H2 with H1
-    isomorphic to H2 makes G isomorphic to H1 + H1, so G's invariant
-    factors are H1's, each doubled; by cancellation of finite abelian
-    groups that fixes the type of H1, and a half of any other type can
-    split G with no subgroup.  Only halves of that type reach the join:
-    5,480 joins before the first splitting pair, the count the search met
-    before the linking form was read."""
+    and pairs, and passes: 5,480 joins before the first splitting pair,
+    the count the search met before the linking form was read.  Every
+    usable subgroup is joined, whatever its type, but each is a
+    Lagrangian of order 16, and every subgroup of order 16 in (Z/2)^8 is
+    (Z/2)^4, so every join is of two halves of one type.  Lagrangians
+    that are not halves, such as 3G = (Z/3)^2 in G = Z/9 + Z/9 of
+    L(9,5) # L(9,5), are met by the lens-sum oracle below."""
     joins = []
 
     def counted(G, H1, H2):
