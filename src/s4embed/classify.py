@@ -34,19 +34,14 @@ under its own name.  The tables:
 * non-orientable base: torsion_square, weak_complementary_pairs,
   even_fibre_clause, nonorientable_double_subset and its mirror.
 * orientable base, e = 0: torsion_square, complementary_pairs,
-  semidefinite_subset and its mirror, then mubar_vanishing when the
-  space is a pretzel cover.  With every a_i odd, complementary pairs
-  also suffice.
+  semidefinite_subset and its mirror, then mubar_vanishing.  With every
+  a_i odd, complementary pairs also suffice.
 * orientable base, e != 0: torsion_square, double_subset on the definite
   side, mubar_vanishing.
-* pretzel covers with at least three strands |a_i| >= 2: torsion_square,
-  mubar_vanishing, then the form checks of the e = 0 or e != 0 class.
-  Up to mirror, the embeddable covers are Y(a,-a,a), Y(a,-a,a,-a),
-  Y(a,-a,b,-b) with a or b odd, and Y(a+-1,-a,a,-a); the family
-  Y(2l-1,-2l-1,-2l^2) stays UNKNOWN, and every other cover is refuted
-  by a completed check.  Family membership compares the normalised
-  Seifert keys (r, fibres) of Y and -Y with those of the few members
-  whose fibre sizes are Y's.
+
+A pretzel cover is sorted by its Seifert space, so it runs that space's
+table and gets that space's report.  mubar_vanishing applies to any
+space over S^2 that has a pretzel presentation, in either form.
 
 Merge rule: a completed refutation gives OBSTRUCTED, citing the first
 check that fired (or the class's theorem).  Failing that, a catalog hit
@@ -56,8 +51,13 @@ a refutation is an internal error, reported as status CONFLICT and never
 silently resolved.
 
 The catalog lists known embeddable families with their constructions
-(twist-spun mirror sums, doubly slice pretzel moves, a handle-calculus
-example).
+(twist-spun mirror sums, doubly slice pretzel moves, Sigma_g x S^1, a
+handle-calculus example).  Up to mirror, the embeddable pretzel covers
+are Y(a,-a,a), Y(a,-a,a,-a), Y(a,-a,b,-b) with a or b odd, and
+Y(a+-1,-a,a,-a); the family Y(2l-1,-2l-1,-2l^2) stays UNKNOWN, and every
+other cover is refuted by a completed check.  Family membership compares
+the normalised Seifert keys (r, fibres) of Y and -Y with those of the
+few members whose fibre sizes are Y's.
 """
 
 from __future__ import annotations
@@ -337,7 +337,9 @@ class ManifoldContext:
 
     @cached_property
     def table(self) -> CheckTable:
-        """The check table of the manifold's class."""
+        """The check table of the manifold's class, read off its Seifert
+        view: a pretzel cover runs its Seifert space's table, so the two
+        presentations give the same rows in the same order."""
         m, s = self.manifold, self.seifert
         if isinstance(m, LensSum):
             return LENS_SUM
@@ -347,8 +349,6 @@ class ManifoldContext:
             return LENS_SPACE
         if not s.base_orientable:
             return NONORIENTABLE
-        if isinstance(m, PretzelCover):
-            return PRETZEL_E0 if self.euler == 0 else PRETZEL
         return ORIENTABLE_E0 if self.euler == 0 else ORIENTABLE
 
 
@@ -448,7 +448,7 @@ def _search(ctx: ManifoldContext, obstruction, side: str, budget: int) -> Obstru
 
 
 # ---------------------------------------------------------------------------
-# check tables, one per class (pretzel covers split by e)
+# check tables, one per class
 
 Check = Callable[[ManifoldContext, int], "ObstructionResult | None"]
 Row = tuple[str, Check]
@@ -505,12 +505,10 @@ NONORIENTABLE = CheckTable((
 ))
 ORIENTABLE_E0 = CheckTable((_TORSION, *_E0_FORMS, _MUBAR))
 ORIENTABLE = CheckTable((_TORSION, _DOUBLE, _MUBAR))
-PRETZEL_E0 = CheckTable((_TORSION, _MUBAR, *_E0_FORMS))
-PRETZEL = CheckTable((_TORSION, _MUBAR, _DOUBLE))
 
 # every name a row of the tables above carries; ``--obstruction`` accepts
 # exactly these
-_TABLES = (LENS_SUM, LENS_SPACE, NONORIENTABLE, ORIENTABLE_E0, ORIENTABLE, PRETZEL_E0, PRETZEL)
+_TABLES = (LENS_SUM, LENS_SPACE, NONORIENTABLE, ORIENTABLE_E0, ORIENTABLE)
 CHECK_NAMES = tuple(dict.fromkeys(name for t in _TABLES for name in t.names))
 
 
@@ -543,12 +541,15 @@ def _matches_doubly_slice_pretzel(ctx: ManifoldContext) -> bool:
 
 
 def _matches_odd_complementary_e0(ctx: ManifoldContext) -> bool:
+    """e = 0 over an orientable base, every a_i odd, the fibres in
+    complementary pairs.  With no fibres this is Sigma_g x S^1: an
+    unknotted Sigma_g in S^3 in S^4 has a trivial normal bundle, so
+    Sigma_g x S^1 bounds Sigma_g x D^2 in S^4."""
     s = ctx.seifert
     if s is None or not s.base_orientable:
         return False
     return (
         ctx.euler == 0
-        and bool(s.invariants)
         and all(a % 2 for a, _ in s.invariants)
         and complementary_matched(s.invariants)
     )
@@ -582,7 +583,9 @@ CATALOG: tuple[CatalogEntry, ...] = (
     ),
     CatalogEntry(
         "odd_complementary_e0",
-        "Seifert manifolds with complementary pairs, all a_i odd, e = 0",
+        "Seifert manifolds with complementary pairs, all a_i odd, e = 0; "
+        "with no fibres, Sigma_g x S^1 bounds Sigma_g x D^2 for an unknotted "
+        "Sigma_g in S^3 in S^4",
         _matches_odd_complementary_e0,
     ),
     CatalogEntry(
@@ -608,9 +611,6 @@ class ObstructionReport:
     results: list[ObstructionResult]
     status: str
     reason: str
-
-    def result(self, name: str) -> ObstructionResult | None:
-        return next((r for r in self.results if r.name == name), None)
 
 
 def _report_invariants(ctx: ManifoldContext) -> dict:

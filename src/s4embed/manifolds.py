@@ -231,10 +231,9 @@ def _seifert_presentation(m: SeifertManifold) -> list[list[int]]:
     return rows + [[0] * (k + n) + [2], [2] * k + [1] * n + [m.r]]
 
 
-def first_homology(m: Manifold) -> tuple[int, FiniteAbelianGroup]:
-    """(b_1, torsion) of the manifold, from its presentation matrix."""
-    if isinstance(m, PretzelCover):
-        m = pretzel_to_seifert(m)
+def first_homology(m: LensSum | SeifertManifold) -> tuple[int, FiniteAbelianGroup]:
+    """(b_1, torsion) of the manifold, from its presentation matrix; a
+    pretzel cover is read as its Seifert space (``pretzel_to_seifert``)."""
     if isinstance(m, LensSum):
         ps = [p for p, _ in m.summands]
         return 0, cokernel([[p * (i == j) for j in range(len(ps))] for i, p in enumerate(ps)])

@@ -1,4 +1,6 @@
-"""Standard (semi)definite plumbings bounding the three manifold classes.
+"""Standard (semi)definite plumbings bounding lens-space sums and Seifert
+manifolds.  A pretzel cover is plumbed as its Seifert space
+(``pretzel_to_seifert``), which is what the report's context passes in.
 
 A lens-space sum bounds the disjoint union of linear chains with weights
 given by negated continued-fraction entries; that plumbing is negative
@@ -34,20 +36,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import intlinalg
-from .manifolds import (
-    LensSum,
-    Manifold,
-    PretzelCover,
-    SeifertManifold,
-    neg_continued_fraction,
-    normalize_seifert,
-    pretzel_to_seifert,
-)
+from .manifolds import LensSum, SeifertManifold, neg_continued_fraction, normalize_seifert
 
 
 @dataclass(frozen=True)
 class PlumbingTree:
-    """Weighted forest with at most simple edges.  The builders below lay
+    """Weighted forest with at most simple edges.  ``plumbing_tree`` lays
     it out in the canonical order of the module docstring, a star with
     its hub at vertex 0, so isomorphic plumbings come out as equal trees;
     row i of a subset certificate found on the tree is its vertex i."""
@@ -230,42 +224,18 @@ def _chains(pairs, hub: int | None = None) -> PlumbingTree:
     return PlumbingTree(tuple(weights), tuple(edges))
 
 
-def lens_chains(m: LensSum) -> PlumbingTree:
-    """Disjoint linear chains with weights -a_j, one chain per summand.
-    L(p, q) = L(p, q^-1) has the reversed chain, so each chain is read
-    from its lexicographically smaller end and the chains are sorted:
-    the tree depends only on the multiset of summands up to that
-    identity, and a sum and its mirror get one tree whenever their
-    chains match up so."""
-    return _chains(m.summands)
-
-
-def seifert_star(m: SeifertManifold) -> PlumbingTree:
-    """Star plumbing of an orientable-base Seifert manifold.
-
-    Built from the normalised description (a_i > -b_i > 0): hub weight
-    is the normalised central framing, legs carry the negated entries of
-    the expansion of a_i / -b_i, innermost vertex adjacent to the hub,
-    the legs in ascending order of those sequences, so the fibres' order
-    does not change the tree.  The result is a valid surgery presentation
-    for any e; it is negative (semi)definite exactly when e >= 0.
-    """
-    if not m.base_orientable:
-        raise ValueError("star plumbing needs an orientable base")
-    norm = normalize_seifert(m)
-    return _chains([(a, -b) for a, b in norm.invariants], hub=norm.r)
-
-
-def seifert_leg_forest(m: SeifertManifold) -> PlumbingTree:
-    """Leg chains alone: the definite form bounding a non-orientable-base
-    Seifert manifold (the central curve does not contribute).  With no hub
-    the chains are laid out as a lens sum's: each read from its
-    lexicographically smaller end, in ascending order."""
-    return _chains((a, -b) for a, b in normalize_seifert(m).invariants)
-
-
-def plumbing_tree(m: Manifold, orientation: str = "+", shared=()) -> PlumbingTree:
+def plumbing_tree(m: LensSum | SeifertManifold, orientation: str = "+", shared=()) -> PlumbingTree:
     """The standard definite/semi-definite plumbing for either orientation.
+
+    A lens sum gives one chain per summand.  L(p, q) = L(p, q^-1) has the
+    reversed chain, so in the canonical layout the tree depends only on
+    the multiset of summands up to that identity, and a sum and its
+    mirror get one tree whenever their chains match up so.  A Seifert
+    space is read in its normalised form (a_i > -b_i > 0): each leg
+    carries the negated entries of the expansion of a_i / -b_i, and over
+    an orientable base the hub weighs the normalised framing r, each leg's
+    innermost vertex joined to it.  That star presents Y for any e and is
+    negative (semi)definite exactly when e >= 0.
 
     orientation '-' builds the tree for the reversed manifold.  For an
     orientable-base Seifert manifold the chosen orientation must have
@@ -275,15 +245,13 @@ def plumbing_tree(m: Manifold, orientation: str = "+", shared=()) -> PlumbingTre
     """
     if orientation not in ("+", "-"):
         raise ValueError("orientation must be '+' or '-'")
-    if isinstance(m, PretzelCover):
-        m = pretzel_to_seifert(m)
     if orientation == "-":
         m = m.mirror()
-    star = not isinstance(m, LensSum) and m.base_orientable
-    if star:
-        tree = seifert_star(m)
+    if isinstance(m, LensSum):
+        star, tree = False, _chains(m.summands)
     else:
-        tree = lens_chains(m) if isinstance(m, LensSum) else seifert_leg_forest(m)
+        star, norm = m.base_orientable, normalize_seifert(m)
+        tree = _chains([(a, -b) for a, b in norm.invariants], norm.r if star else None)
     tree = next((t for t in shared if t == tree), tree)
     # the star is indefinite exactly when e < 0; a chain forest is definite
     if star and tree.definiteness[0] == "indefinite":

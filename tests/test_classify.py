@@ -26,9 +26,9 @@ from s4embed.manifolds import (
     first_homology,
     pretzel_to_seifert,
 )
-from s4embed.plumbing import PlumbingTree, plumbing_tree, seifert_star
+from s4embed.plumbing import PlumbingTree, plumbing_tree
 from test_census import fibres, sweep_s5
-from test_manifolds import pretzel_strand_forms
+from test_manifolds import pretzel_strand_forms, result
 from test_spin import pretzel_link_components
 
 
@@ -99,7 +99,7 @@ def test_decide_seifert_e0_without_odd_clause():
     r2 = full_report(y2)
     assert r2.status == "OBSTRUCTED"
     assert r2.reason == "obstruction:torsion_square"
-    assert r2.result("complementary_pairs").obstructed
+    assert result(r2, "complementary_pairs").obstructed
 
 
 def test_small_seifert_follows_lens_rule():
@@ -111,7 +111,7 @@ def test_small_seifert_follows_lens_rule():
     r = full_report(SeifertManifold(True, 0, 0, [(2, 1), (2, 1)]))  # L(4, q)
     assert (r.status, r.reason) == ("OBSTRUCTED", "theorem:lens_mirror_pairing")
     assert [res.name for res in r.results] == ["torsion_square"]
-    assert r.result("torsion_square").notes == "torsion H_1 = Z/4 is not of the form G + G"
+    assert result(r, "torsion_square").notes == "torsion H_1 = Z/4 is not of the form G + G"
 
 
 @pytest.mark.parametrize(
@@ -123,14 +123,14 @@ def test_torsion_that_is_not_g_plus_g_is_refuted(expr, group):
     refutes the space, where every other row of its class passes."""
     r = full_report(parse_manifold(expr))
     assert (r.status, r.reason) == ("OBSTRUCTED", "obstruction:torsion_square")
-    assert r.result("torsion_square").notes == f"torsion H_1 = {group} is not of the form G + G"
+    assert result(r, "torsion_square").notes == f"torsion H_1 = {group} is not of the form G + G"
     assert [res.name for res in r.results if res.obstructed] == ["torsion_square"]
 
 
 def test_g_plus_g_torsion_passes_the_torsion_row():
     r = full_report(parse_manifold("lens(3,1)+lens(3,2)"))
     assert r.invariants["torsion_factors"] == [3, 3]
-    assert r.result("torsion_square").verdict == "pass"
+    assert result(r, "torsion_square").verdict == "pass"
     assert (r.status, r.reason) == ("EMBEDS", "catalog:mirror_lens_sum")
 
 
@@ -328,7 +328,7 @@ def test_full_report_examples():
 
     r4 = full_report(PretzelCover([4, -4, 2, -2]))
     assert r4.status == "OBSTRUCTED"
-    assert r4.result("mubar_vanishing").obstructed
+    assert result(r4, "mubar_vanishing").obstructed
 
 
 def test_full_report_merge_never_embeds_from_passes_alone():
@@ -437,7 +437,7 @@ def test_mirror_row_on_the_same_tree_shares_its_twins_search(monkeypatch, text, 
     searched = count_searches(monkeypatch)
     r = full_report(parse_manifold(text), certificates=True)
     assert len(searched) == 1
-    twin, mirror = r.result(twins), r.result(twins + "_mirror")
+    twin, mirror = result(r, twins), result(r, twins + "_mirror")
     assert mirror is not twin
     assert (mirror.verdict, mirror.notes, mirror.certificates) == (
         twin.verdict,
@@ -484,6 +484,24 @@ def catalog(m):
     return catalog_matches(ManifoldContext(m))
 
 
+@pytest.mark.parametrize(
+    "text, embeds",
+    [
+        ("seifert(O(1); 0; )", True),
+        ("seifert(O(2); 0; )", True),
+        # e = -1: the circle bundle of Euler number 1 over the torus
+        ("seifert(O(1); 1; )", False),
+    ],
+)
+def test_surface_times_circle_embeds(text, embeds):
+    """Sigma_g x S^1 bounds Sigma_g x D^2 for an unknotted Sigma_g in S^3
+    in S^4; a nonzero Euler number is no product."""
+    report = full_report(parse_manifold(text))
+    assert (report.status == "EMBEDS") == embeds, report.reason
+    if embeds:
+        assert report.reason == "catalog:odd_complementary_e0"
+
+
 def test_catalog_consistency():
     assert catalog(LensSum([(3, 1), (3, 2)]))
     assert not catalog(LensSum([(2, 1), (2, 1)]))
@@ -507,11 +525,12 @@ def test_catalog_consistency():
 def test_report_builds_each_side_once(monkeypatch, manifold, builds):
     calls = []
 
-    def counted(m):
-        calls.append(m)
-        return seifert_star(m)
+    def counted(*args):
+        calls.append(args)
+        return chains(*args)
 
-    monkeypatch.setattr(plumbing, "seifert_star", counted)
+    chains = plumbing._chains
+    monkeypatch.setattr(plumbing, "_chains", counted)
     full_report(manifold)
     assert len(calls) == builds
 
@@ -593,9 +612,9 @@ def test_tree_cokernel_is_the_torsion_of_first_homology():
     for m in covers + spaces:
         y = m if isinstance(m, SeifertManifold) else pretzel_to_seifert(m)
         e = euler_invariant(y)
-        b1, torsion = first_homology(m)
+        b1, torsion = first_homology(y)
         for side in ("+", "-") if e == 0 else ("-" if e < 0 else "+",):
-            G = plumbing_tree(m, side).cokernel
+            G = plumbing_tree(y, side).cokernel
             assert (G.free_rank + 2 * y.genus, G.factors) == (b1, torsion.factors), m.describe()
         kinds[e == 0, y.genus > 0, len(y.invariants) <= 2] += 1
     # (e = 0, genus >= 1, at most two fibres): inputs
@@ -650,6 +669,8 @@ def test_report_reads_h1_once_from_first_homology(monkeypatch, manifold, only, p
     monkeypatch.setattr(classify, "plumbing_tree", counted_tree)
     report = full_report(manifold, only=only)
     assert (len(homologies), len(built)) == (1, plumbings)
+    if isinstance(manifold, PretzelCover):
+        manifold = pretzel_to_seifert(manifold)
     b1, torsion = homology(manifold)
     assert (report.invariants["b1"], report.invariants["torsion_factors"]) == (
         b1,
@@ -664,7 +685,7 @@ def test_report_takes_each_strand_form_list_once():
     cover = PretzelCover([3, -5, -8])
     reports = [full_report(cover), full_report(pretzel_to_seifert(cover))]
     assert {r.reason for r in reports} == {"open_family:pretzel(2l-1,-2l-1,-2l^2)"}
-    first, second = (r.result("mubar_vanishing") for r in reports)
+    first, second = (result(r, "mubar_vanishing") for r in reports)
     assert first.certificates == second.certificates
 
 

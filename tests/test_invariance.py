@@ -31,12 +31,20 @@ def shifted(fibres, r, shifts):
     return [(a, b + k * a) for (a, b), k in zip(fibres, shifts)], r + sum(shifts)
 
 
+def rows(report) -> tuple:
+    return report.status, report.reason, [(r.name, r.verdict, r.notes) for r in report.results]
+
+
 @SETTINGS
 @example(strands=[-3, -2, 1])  # S^3, once UNKNOWN in its Seifert form
+@example(strands=[-4, -2, 2])  # once cited mubar_vanishing as a cover only
 @given(strands=st.lists(strand, min_size=3, max_size=4))
 def test_pretzel_seifert_mirror_and_rolfsen_forms_agree(strands):
+    """Every form gets one status, and a cover gets its Seifert space's
+    report: the same reason and the same rows in the same order."""
     cover = PretzelCover(strands)
     seif = pretzel_to_seifert(cover)
+    assert rows(full_report(cover)) == rows(full_report(seif))
     reordered = [PretzelCover(strands[::-1]), PretzelCover(strands[1:] + strands[:1])]
     forms = [cover, *reordered, seif, cover.mirror(), seif.mirror()]
     for source in (seif, seif.mirror()):

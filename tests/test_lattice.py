@@ -14,8 +14,8 @@ from s4embed.lattice import (
     canonicalize_rows,
     enumerate_subsets,
 )
-from s4embed.manifolds import LensSum, PretzelCover, SeifertManifold
-from s4embed.plumbing import PlumbingTree, lens_chains, plumbing_tree
+from s4embed.manifolds import LensSum, PretzelCover, SeifertManifold, pretzel_to_seifert
+from s4embed.plumbing import PlumbingTree, plumbing_tree
 from test_intlinalg import dense
 
 
@@ -84,7 +84,7 @@ def verify_factorization(A, Q) -> bool:
 
 def p_chain(p):
     """The plumbing of lens(p,1) + lens(p,p-1): one vertex and a (p-1)-chain."""
-    return lens_chains(LensSum([(p, 1), (p, p - 1)]))
+    return plumbing_tree(LensSum([(p, 1), (p, p - 1)]))
 
 
 def test_verify_factorization_cases():
@@ -145,7 +145,7 @@ def test_checks_refuse_the_wrong_definiteness():
     semi-definite form it would otherwise search in one column fewer."""
     with pytest.raises(ValueError):
         obstructions.semidefinite_obstruction(chain([-2, -2]))
-    e0 = plumbing_tree(PretzelCover([2, -2, 2, -2]))
+    e0 = plumbing_tree(pretzel_to_seifert(PretzelCover([2, -2, 2, -2])))
     assert e0.definiteness == ("negative_semidefinite", 1)
     with pytest.raises(ValueError):
         obstructions.double_subset_obstruction(e0)
@@ -217,7 +217,7 @@ def test_oracle_equivalence_on_corank_one_forests():
 def test_rectangular_columns_span_full_rank():
     from s4embed.intlinalg import smith_normal_form
 
-    tree = plumbing_tree(PretzelCover([2, -2, 2, -2]))
+    tree = plumbing_tree(pretzel_to_seifert(PretzelCover([2, -2, 2, -2])))
     res = enumerate_subsets(tree)
     assert res.complete
     assert res.subsets, "the e=0 pretzel cover plumbing factors"
@@ -230,14 +230,14 @@ def test_rectangular_columns_span_full_rank():
 
 def test_lens_chain_subsets_verify():
     for p, q in [(9, 2), (8, 3), (12, 5), (13, 5)]:
-        tree = lens_chains(LensSum([(p, q)]))
+        tree = plumbing_tree(LensSum([(p, q)]))
         res = enumerate_subsets(tree)
         assert res.complete
         for s in res.subsets:
             assert verify_factorization(s, dense(tree))
 
 
-LENS_21 = lens_chains(LensSum([(21, 8), (21, 13)]))
+LENS_21 = plumbing_tree(LensSum([(21, 8), (21, 13)]))
 
 # Node counts of the search, pinned so that a change to how the search
 # runs cannot silently change the tree it visits (and so what a budget
@@ -249,7 +249,7 @@ PINNED_NODES = {
     "p_chain12": (p_chain(12), 175, 2),
     "lens21": (LENS_21, 505, 4),
     "seifert_5_5_3": (plumbing_tree(SeifertManifold(True, 0, 0, [(5, 2), (5, 3), (3, 1)])), 143, 1),
-    "pretzel_e0": (plumbing_tree(PretzelCover([2, -2, 2, -2])), 59, 3),
+    "pretzel_e0": (plumbing_tree(pretzel_to_seifert(PretzelCover([2, -2, 2, -2]))), 59, 3),
 }
 # Case ids stay as first pinned, so each case keeps its name across
 # re-pins; the node count in an id is the count before the search
@@ -347,7 +347,7 @@ def test_inconclusive_notes_say_how_far_the_search_got():
         "inconclusive",
         "budget exhausted after 247 nodes; 2 subset(s) found",
     )
-    e0 = plumbing_tree(PretzelCover([2, -2, 2, -2]))
+    e0 = plumbing_tree(pretzel_to_seifert(PretzelCover([2, -2, 2, -2])))
     res = obstructions.semidefinite_obstruction(e0, 10)
     assert (res.verdict, res.notes) == (
         "inconclusive",
@@ -363,7 +363,7 @@ def test_inconclusive_notes_say_how_far_the_search_got():
 
 def test_obstructed_needs_the_complete_search(monkeypatch):
     statuses = searched_status(monkeypatch)
-    tree = lens_chains(LensSum([(5, 1), (5, 1)]))
+    tree = plumbing_tree(LensSum([(5, 1), (5, 1)]))
     assert obstructions.double_subset_obstruction(tree).verdict == "obstructed"
     nodes = enumerate_subsets(tree).nodes
     assert obstructions.double_subset_obstruction(tree, nodes - 1).verdict == "inconclusive"

@@ -15,7 +15,7 @@ from s4embed.manifolds import (
     normalize_seifert,
     pretzel_to_seifert,
 )
-from s4embed.plumbing import lens_chains, plumbing_tree, seifert_star
+from s4embed.plumbing import plumbing_tree
 from test_intlinalg import dense, determinant
 
 
@@ -105,7 +105,7 @@ def test_lens_classification_helpers():
 
 def test_lens_chains_weights():
     # chains in ascending order of their sequences: [2, 2] before [3]
-    tree = lens_chains(LensSum([(3, 1), (3, 2)]))
+    tree = plumbing_tree(LensSum([(3, 1), (3, 2)]))
     assert tree.weights == (-2, -2, -3)
     assert tree.edges == ((0, 1),)
     assert tree.definiteness == ("negative_definite", 0)
@@ -113,7 +113,7 @@ def test_lens_chains_weights():
 
 def test_seifert_star_shape():
     y = SeifertManifold(True, 0, 0, [(3, 1), (3, -1), (3, 1)])
-    tree = seifert_star(y)
+    tree = plumbing_tree(y)
     # centre -2 with legs (-2,-2), (-2,-2), (-3)
     assert tree.weights[0] == -2
     assert sorted(tree.weights) == [-3, -2, -2, -2, -2, -2]
@@ -127,7 +127,7 @@ def test_seifert_star_shape():
 def test_plumbing_nonorientable_drops_centre():
     y = SeifertManifold(False, 1, 0, [(3, 1), (3, -1)])
     forest = plumbing_tree(y)
-    star_like = seifert_star(SeifertManifold(True, 0, 0, [(3, 1), (3, -1)]))
+    star_like = plumbing_tree(SeifertManifold(True, 0, 0, [(3, 1), (3, -1)]))
     assert sorted(forest.weights) == sorted(star_like.weights[1:])
     # no hub: the two legs are separate chains
     assert len(forest.edges) == forest.size - 2
@@ -156,14 +156,15 @@ def test_first_homology_lens():
 
 
 def test_first_homology_pretzels():
-    b1, torsion = first_homology(PretzelCover([1, 2, 2, 2]))
+    b1, torsion = first_homology(pretzel_to_seifert(PretzelCover([1, 2, 2, 2])))
     assert b1 == 0
     assert torsion.order == 20
 
-    b1, torsion = first_homology(PretzelCover([3, -3, 3]))
+    seif = pretzel_to_seifert(PretzelCover([3, -3, 3]))
+    b1, torsion = first_homology(seif)
     assert b1 == 0
     assert torsion.order == 9
-    star = plumbing_tree(PretzelCover([3, -3, 3]))
+    star = plumbing_tree(seif)
     assert star.cokernel.order == 9
 
 
@@ -173,10 +174,10 @@ def test_first_homology_agrees_with_star_determinant():
     for strands in [(2, -2, 2), (3, 5, -2), (5, -4, 3, 2), (2, 3, 5)]:
         cover = PretzelCover(strands)
         seif = pretzel_to_seifert(cover)
-        b1, torsion = first_homology(cover)
+        b1, torsion = first_homology(seif)
         if euler_invariant(seif) != 0:
             side = "+" if euler_invariant(seif) > 0 else "-"
-            tree = plumbing_tree(cover, side)
+            tree = plumbing_tree(seif, side)
             assert torsion.factors == tree.cokernel.factors
             assert torsion.order == abs(determinant(dense(tree)))
             assert b1 == 0
@@ -260,6 +261,12 @@ def test_pretzel_conversion_preserves_invariants():
         cover = PretzelCover(strands)
         expected = sum(Fraction(1, a) for a in strands)
         assert euler_invariant(pretzel_to_seifert(cover)) == expected
+
+
+def result(report, name: str):
+    """The result a report gives under the row ``name``; None when that
+    row did not run."""
+    return next((r for r in report.results if r.name == name), None)
 
 
 def spin_count(m) -> int:

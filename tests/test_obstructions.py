@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from s4embed import intlinalg, obstructions
-from s4embed.classify import LENS_SUM, ORIENTABLE, PRETZEL, ManifoldContext, full_report
+from s4embed.classify import LENS_SUM, ORIENTABLE, ManifoldContext, full_report
 from s4embed.cli import parse_manifold
 from s4embed.intlinalg import cokernel, direct_sum_test, doubled_factors
 from s4embed.lattice import LatticeSubset, enumerate_subsets
@@ -18,15 +18,16 @@ from s4embed.obstructions import (
     semidefinite_obstruction,
     subset_column_subgroup,
 )
-from s4embed.plumbing import PlumbingTree, lens_chains, plumbing_tree, seifert_leg_forest
+from s4embed.plumbing import PlumbingTree, plumbing_tree
 from test_census import sweep_s5
 from test_golden import corpus_inputs
 from test_intlinalg import dense, determinant, random_definite_tree, rational_solve
 from test_lattice import verify_factorization
+from test_manifolds import result
 
 
 def lens_tree(*summands):
-    return lens_chains(LensSum(list(summands)))
+    return plumbing_tree(LensSum(list(summands)))
 
 
 def test_double_subset_l31_l32_passes():
@@ -87,7 +88,7 @@ def test_unpaired_cokernel_is_refuted_with_no_search(monkeypatch):
     y = SeifertManifold(True, 0, 0, [(2, 1)] * 18)
     report = full_report(y, only=["double_subset"])
     assert (report.status, report.reason) == ("OBSTRUCTED", "obstruction:double_subset")
-    notes = report.result("double_subset").notes
+    notes = result(report, "double_subset").notes
     assert notes.endswith("is not of the form H + H, so no splitting pair exists")
     assert searches == []
 
@@ -102,11 +103,11 @@ def test_semidefinite_examples():
     res = semidefinite_obstruction(PlumbingTree((-1, -1), ((0, 1),)))
     assert res.verdict == "pass"
 
-    tree = plumbing_tree(PretzelCover([2, -2, 2, -2]))
+    tree = plumbing_tree(pretzel_to_seifert(PretzelCover([2, -2, 2, -2])))
     res2 = semidefinite_obstruction(tree)
     assert res2.verdict == "pass"
 
-    tree3 = plumbing_tree(PretzelCover([4, -4, 2, -2]))
+    tree3 = plumbing_tree(pretzel_to_seifert(PretzelCover([4, -4, 2, -2])))
     res3 = semidefinite_obstruction(tree3)
     assert res3.verdict in ("pass", "obstructed")  # recorded; mu-bar decides
 
@@ -116,11 +117,11 @@ def test_semidefinite_examples():
 
 def test_nonorientable_examples():
     y = SeifertManifold(False, 1, 0, [(3, 1), (3, -1)])
-    res = nonorientable_obstruction(seifert_leg_forest(y))
+    res = nonorientable_obstruction(plumbing_tree(y))
     assert res.verdict == "pass"
 
     y2 = SeifertManifold(False, 1, 0, [(3, 1), (2, 1)])
-    res2 = nonorientable_obstruction(seifert_leg_forest(y2))
+    res2 = nonorientable_obstruction(plumbing_tree(y2))
     assert res2.verdict == "obstructed"  # |coker| = 6 is not a square
 
     res3 = nonorientable_obstruction(PlumbingTree((), ()))
@@ -279,8 +280,8 @@ def test_nine_leg_star_joins_same_type_pairs_only(monkeypatch):
     direct_sum_test = obstructions.direct_sum_test
     monkeypatch.setattr(obstructions, "direct_sum_test", counted)
     y = SeifertManifold(True, 0, 4, [(2, 1)] * 9)
-    result = full_report(y).result("double_subset")
-    assert (result.verdict, result.notes) == ("pass", "cokernel splits as H + H")
+    found = result(full_report(y), "double_subset")
+    assert (found.verdict, found.notes) == ("pass", "cokernel splits as H + H")
     assert len(joins) == 5480 and all(joins)
 
 
@@ -310,7 +311,7 @@ def test_report_of_a_long_star_takes_only_small_smith_forms(monkeypatch):
     smith_normal_form = intlinalg.smith_normal_form
     monkeypatch.setattr(intlinalg, "smith_normal_form", recorded)
     cover = PretzelCover([201, -201, 201])
-    tree = plumbing_tree(cover)
+    tree = plumbing_tree(pretzel_to_seifert(cover))
     legs = sum(1 for edge in tree.edges if 0 in edge)
     assert (tree.size, legs) == (402, 3)
     full_report(cover)
@@ -341,7 +342,7 @@ def test_searched_cokernel_takes_one_smith_form(monkeypatch):
     assert len(G.project_columns(units)) == tree.size
     assert calls == [len(G.generators[0])]
     searches = counted_searches(monkeypatch)
-    assert full_report(cover).results[-1].name == "double_subset"
+    assert result(full_report(cover), "double_subset").verdict == "pass"
     assert [args[0] for args in searches] == [tree]
 
 
@@ -567,7 +568,7 @@ def double_subset_trees(m) -> list[PlumbingTree]:
     ctx = ManifoldContext(m)
     if ctx.table is LENS_SUM:
         return [ctx.tree("+"), ctx.tree("-")]
-    return [ctx.tree(ctx.definite_side)] if ctx.table in (ORIENTABLE, PRETZEL) else []
+    return [ctx.tree(ctx.definite_side)] if ctx.table is ORIENTABLE else []
 
 
 def test_no_double_subset_pass_has_an_odd_linking_form():

@@ -12,9 +12,9 @@ from s4embed.manifolds import (
     first_homology,
     neg_continued_fraction,
 )
-from s4embed.plumbing import PlumbingTree, lens_chains, plumbing_tree
+from s4embed.plumbing import PlumbingTree, plumbing_tree
 from s4embed.spin import mu_bar, mubar_vanishing_threshold, spin_profile, wu_sets
-from test_manifolds import pretzel_strand_forms
+from test_manifolds import pretzel_strand_forms, result
 
 
 def e8_tree():
@@ -164,7 +164,7 @@ def test_link_components_from_the_key_match_the_trace():
 
 def mubar_certificate(cover: PretzelCover) -> dict:
     """mu_values, k and threshold of the report's mubar_vanishing check."""
-    return full_report(cover).result("mubar_vanishing").certificates[0]
+    return result(full_report(cover), "mubar_vanishing").certificates[0]
 
 
 def test_spin_profile_even_pairs():
@@ -216,8 +216,8 @@ def test_mu_bar_stable_across_lens_presentations():
             if math.gcd(p, q) != 1:
                 continue
             q2 = pow(q, -1, p)
-            t1 = lens_chains(LensSum([(p, q)]))
-            t2 = lens_chains(LensSum([(p, q2)]))
+            t1 = plumbing_tree(LensSum([(p, q)]))
+            t2 = plumbing_tree(LensSum([(p, q2)]))
             mv1 = sorted(mu_bar(t1, w) for w in wu_sets(t1))
             mv2 = sorted(mu_bar(t2, w) for w in wu_sets(t2))
             assert mv1 == mv2
@@ -225,8 +225,8 @@ def test_mu_bar_stable_across_lens_presentations():
 
 def test_mu_bar_negates_with_orientation():
     for p, q in [(7, 2), (9, 4), (11, 3), (8, 3)]:
-        t = lens_chains(LensSum([(p, q)]))
-        tm = lens_chains(LensSum([(p, p - q)]))
+        t = plumbing_tree(LensSum([(p, q)]))
+        tm = plumbing_tree(LensSum([(p, p - q)]))
         mv = sorted(mu_bar(t, w) for w in wu_sets(t))
         mvm = sorted(-mu_bar(tm, w) for w in wu_sets(tm))
         assert mv == mvm
