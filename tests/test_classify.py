@@ -489,7 +489,7 @@ def catalog(m):
     [
         ("seifert(O(1); 0; )", True),
         ("seifert(O(2); 0; )", True),
-        # e = -1: the circle bundle of Euler number 1 over the torus
+        # r = 1, so e = -1: a circle bundle over the torus that is no product
         ("seifert(O(1); 1; )", False),
     ],
 )
