@@ -34,8 +34,12 @@ under its own name.  The tables:
 * non-orientable base: torsion_square, weak_complementary_pairs,
   even_fibre_clause, nonorientable_double_subset and its mirror.
 * orientable base, e = 0: torsion_square, complementary_pairs,
-  semidefinite_subset and its mirror, then mubar_vanishing.  With every
-  a_i odd, complementary pairs also suffice.
+  mubar_vanishing.  The semidefinite_subset and semidefinite_subset_mirror
+  searches are certificates, as a lens sum's double-subset searches are:
+  complementary pairs give a rectangular factorisation of either side's
+  form with no search (see ``ORIENTABLE_E0``), so a search refutes only
+  where complementary_pairs already has.  With every a_i odd,
+  complementary pairs also suffice.
 * orientable base, e != 0: torsion_square, double_subset on the definite
   side, mubar_vanishing.
 
@@ -460,7 +464,9 @@ class CheckTable:
     result is reported under its row's name.  A refutation cites the
     first row that fired, or ``theorem`` for a class decided by one.
     ``certificates`` is an optional tail of rows that cannot change what
-    the rows before them decide; they run only on request.  A mirror
+    the rows before them decide: by a theorem, none refutes where those
+    rows do not (``LENS_SUM``, ``ORIENTABLE_E0``).  They run only on
+    request, after the other rows.  A mirror
     search whose plumbing equals its twin's shares the twin's search.
     ``full_report(only=...)`` picks rows by name before any runs."""
 
@@ -476,8 +482,8 @@ class CheckTable:
 _TORSION: Row = ("torsion_square", _torsion_square)
 _DOUBLE: Row = ("double_subset", lambda ctx, b: _double_subset(ctx, ctx.definite_side, b))
 _MUBAR: Row = ("mubar_vanishing", _mubar_vanishing)
-_E0_FORMS = (
-    ("complementary_pairs", _complementary_pairs),
+_COMPLEMENTARY: Row = ("complementary_pairs", _complementary_pairs)
+_SEMIDEFINITE = (
     ("semidefinite_subset", lambda ctx, b: _search(ctx, semidefinite_obstruction, "+", b)),
     ("semidefinite_subset_mirror", lambda ctx, b: _search(ctx, semidefinite_obstruction, "-", b)),
 )
@@ -503,7 +509,21 @@ NONORIENTABLE = CheckTable((
         lambda ctx, b: _search(ctx, nonorientable_obstruction, "-", b),
     ),
 ))
-ORIENTABLE_E0 = CheckTable((_TORSION, *_E0_FORMS, _MUBAR))
+# e = 0 over an orientable base: the semidefinite searches only certify.
+# If complementary_pairs fails, the report already cites it.  If it
+# passes, A A^t = -Q has a solution through n - 1 columns on either side,
+# built with no search.  Normalised, the star's hub weighs -k for k
+# complementary pairs of legs a/q and a/(a - q), whose expansions are
+# Riemenschneider dual (Math. Ann. 209, 1974); so the chain (one leg
+# reversed, a -1 vertex, its partner) blows down to a 0-framed unknot.
+# Undo the blow-downs from the empty row of the form (0): a blow-up at an
+# edge (u, v), or at an end u, adds a coordinate c, set to 1 on the new
+# vertex and to -1 on u and v (Lisca, Geom. Topol. 11, 2007).  The chain
+# of pair j then has rows of width n_j, one fewer than its vertices.  Its
+# -1 vertex meets the two innermost leg vertices alone, so the k centre
+# rows, on disjoint coordinates, sum to a hub row of norm k.  The legs'
+# rows and that hub row factor -Q through sum n_j = n - 1 columns.
+ORIENTABLE_E0 = CheckTable((_TORSION, _COMPLEMENTARY, _MUBAR), certificates=_SEMIDEFINITE)
 ORIENTABLE = CheckTable((_TORSION, _DOUBLE, _MUBAR))
 
 # every name a row of the tables above carries; ``--obstruction`` accepts

@@ -11,11 +11,14 @@ Grammar::
 
 ``--certificates`` prints each check's certificates, in text as one line
 of the JSON that ``--json`` carries for each.  It also runs the
-checks that only certify: a lens sum is decided by torsion_square and
-lens_mirror_pairing, and its double_subset and double_subset_mirror
-searches run only with ``--certificates`` or when ``--obstruction`` names
-one of them.  Status, reason and exit code are the same either way.  A
-passing search stops at, and cites, the first witness it meets.
+checks that only certify, after the others: a lens sum is decided by
+torsion_square and lens_mirror_pairing, and a Seifert space with e = 0
+over an orientable base by its rows up to mubar_vanishing.  Their
+searches (double_subset and double_subset_mirror; semidefinite_subset
+and semidefinite_subset_mirror) run only with ``--certificates`` or when
+``--obstruction`` names one of them.  Status, reason and exit code are
+the same either way.  A passing search stops at, and cites, the first
+witness it meets.
 
 ``--obstruction NAME`` (repeatable) runs only the named checks; the
 status is merged from their results alone.  A name that the input's
@@ -247,8 +250,9 @@ _ARGS.add_argument(
     "--certificates",
     action="store_true",
     help="include certificates in output, running the searches that only "
-    "certify (the double-subset checks of a lens sum); a passing search "
-    "cites the first witness it meets",
+    "certify (the double-subset checks of a lens sum, the semidefinite-subset "
+    "checks of an e = 0 Seifert space over an orientable base); a passing "
+    "search cites the first witness it meets",
 )
 _ARGS.add_argument(
     "--budget",

@@ -517,9 +517,9 @@ def test_catalog_consistency():
         (PretzelCover([3, 5, 7]), 1),
         (PretzelCover([-3, -5, -7]), 1),
         (SeifertManifold(True, 0, 0, [(3, 1), (5, 1), (7, 1)]), 1),
-        # e = 0: the '+' side serves mu-bar and semidefinite_subset, the
-        # '-' side semidefinite_subset_mirror
-        (PretzelCover([2, -2, 2, -2]), 2),
+        # e = 0: the '+' side serves mu-bar; the semidefinite searches,
+        # which would build the '-' side, are certificates
+        (PretzelCover([2, -2, 2, -2]), 1),
     ],
 )
 def test_report_builds_each_side_once(monkeypatch, manifold, builds):
@@ -639,9 +639,11 @@ def test_tree_cokernel_is_the_torsion_of_first_homology():
         (SeifertManifold(True, 1, 0, [(3, 1), (5, 1), (7, 1)]), None, 0),
         (PretzelCover([3, 5, 7]), ["torsion_square"], 0),
         (PretzelCover([3, 5, 7]), ["torsion_square", "double_subset"], 0),
-        # other classes: e = 0, a lens sum whose sides are one tree (built
-        # twice, the second found equal to the first), a non-orientable base
-        (PretzelCover([2, -2, 3, -3]), None, 2),
+        # other classes: e = 0 (only mu-bar builds a tree; the semidefinite
+        # searches are certificates), a lens sum whose sides are one tree
+        # (built twice, the second found equal to the first), a
+        # non-orientable base
+        (PretzelCover([2, -2, 3, -3]), None, 1),
         (LensSum([(3, 1), (3, 2)]), ["double_subset", "double_subset_mirror"], 2),
         (SeifertManifold(False, 1, 0, [(3, 1), (3, -1)]), None, 2),
         # H_1 = Z/15: both certificate rows of the lens sum are refuted on it

@@ -1,16 +1,30 @@
 import itertools
 import math
 import random
-from collections import Counter
+from collections import Counter, defaultdict
+from fractions import Fraction
 
 import pytest
 
 from s4embed import intlinalg, obstructions
-from s4embed.classify import LENS_SUM, ORIENTABLE, ManifoldContext, full_report
+from s4embed.classify import (
+    LENS_SUM,
+    ORIENTABLE,
+    ORIENTABLE_E0,
+    ManifoldContext,
+    complementary_matched,
+    full_report,
+)
 from s4embed.cli import parse_manifold
 from s4embed.intlinalg import cokernel, direct_sum_test, doubled_factors
 from s4embed.lattice import LatticeSubset, enumerate_subsets
-from s4embed.manifolds import LensSum, PretzelCover, SeifertManifold, pretzel_to_seifert
+from s4embed.manifolds import (
+    LensSum,
+    PretzelCover,
+    SeifertManifold,
+    euler_invariant,
+    pretzel_to_seifert,
+)
 from s4embed.obstructions import (
     char_vector_criterion,
     double_subset_obstruction,
@@ -19,7 +33,7 @@ from s4embed.obstructions import (
     subset_column_subgroup,
 )
 from s4embed.plumbing import PlumbingTree, plumbing_tree
-from test_census import sweep_s5
+from test_census import sweep_s5, sweep_s7
 from test_golden import corpus_inputs
 from test_intlinalg import dense, determinant, random_definite_tree, rational_solve
 from test_lattice import verify_factorization
@@ -109,10 +123,123 @@ def test_semidefinite_examples():
 
     tree3 = plumbing_tree(pretzel_to_seifert(PretzelCover([4, -4, 2, -2])))
     res3 = semidefinite_obstruction(tree3)
-    assert res3.verdict in ("pass", "obstructed")  # recorded; mu-bar decides
+    assert res3.verdict == "pass"  # its fibres pair into complements; mu-bar refutes it
 
     with pytest.raises(ValueError):
         semidefinite_obstruction(PlumbingTree((-2,), ()))
+
+
+def blown_up_chain(c: list[int]) -> list[list[int]]:
+    """Rows r_v with r_u . r_v = -Q(u, v) for the chain whose -Q has
+    diagonal ``c``, through one fewer coordinate than it has vertices,
+    when the chain blows down to the 0-framed unknot.  Blow down a vertex
+    of -Q weight 1, which joins its neighbours; undo that by a new
+    coordinate, 1 on the vertex and -1 on each neighbour.  The form (0)
+    has the empty row."""
+    if c == [0]:
+        return [[]]
+    i = c.index(1)
+    ends = [j for j in (i - 1, i + 1) if 0 <= j < len(c)]
+    down = [x - (j in ends) for j, x in enumerate(c) if j != i]
+    rows = [row + [0] for row in blown_up_chain(down)]
+    for j in ends:
+        rows[j - (j > i)][-1] = -1
+    rows.insert(i, [0] * (len(rows[0]) - 1) + [1])
+    return rows
+
+
+def complementary_witness(tree: PlumbingTree) -> list[list[int]]:
+    """A with A A^t = -Q through tree.size - 1 columns, for the star of an
+    e = 0 space whose legs pair into complements a/q, a/(a - q), built
+    from the pairing with no search (the proof at
+    ``classify.ORIENTABLE_E0``).  Each pair's chain (one leg reversed, a
+    -1 vertex, its partner) is blown up from (0) on coordinates of its
+    own, and the hub's row is the sum of the chains' centre rows."""
+    adj = tree.neighbours
+    legs = defaultdict(list)  # a/q -> legs, each read from the hub outward
+    for v in adj[0]:
+        prev, leg = 0, [v]
+        while len(adj[leg[-1]]) == 2:
+            (nxt,) = (u for u in adj[leg[-1]] if u != prev)
+            prev = leg[-1]
+            leg.append(nxt)
+        value = Fraction(-tree.weights[leg[-1]])  # a/q = [c_1, ..., c_s], c = -weight
+        for v in reversed(leg[:-1]):
+            value = -tree.weights[v] - 1 / value
+        legs[value].append(leg)
+    chains = []
+    for value in sorted(legs):
+        while legs[value]:
+            leg = legs[value].pop()
+            a, q = value.numerator, value.denominator
+            partner = legs[Fraction(a, a - q)].pop()
+            chains.append(leg[::-1] + [0] + partner)  # 0 marks the centre
+    width = sum(len(chain) - 1 for chain in chains)
+    A = [[0] * width for _ in range(tree.size)]
+    offset = 0
+    for chain in chains:
+        local = blown_up_chain([1 if v == 0 else -tree.weights[v] for v in chain])
+        for v, row in zip(chain, local):
+            for t, x in enumerate(row):
+                A[v][offset + t] += x  # the centre rows add up on the hub
+        offset += len(chain) - 1
+    return A
+
+
+def random_complementary_spaces(rng: random.Random, count: int) -> list[SeifertManifold]:
+    """Seifert spaces over O(g), g <= 2, with 2 to 4 complementary pairs
+    (a, b), (a, -b) of a <= 13, each fibre shifted by a random multiple of
+    a and the framing shifted to keep e = 0."""
+    spaces = []
+    for _ in range(count):
+        fibres, r = [], 0
+        for _ in range(rng.randint(2, 4)):
+            a = rng.randint(2, 13)
+            b = rng.choice([b for b in range(1, a) if math.gcd(a, b) == 1])
+            s, t = rng.randint(-2, 2), rng.randint(-2, 2)
+            fibres += [(a, b + s * a), (a, -b + t * a)]
+            r += s + t
+        spaces.append(SeifertManifold(True, rng.randint(0, 2), r, fibres))
+    return spaces
+
+
+def test_complementary_pairs_build_a_semidefinite_witness():
+    """Where complementary_pairs passes, either side's star factors as
+    A A^t = -Q through n - 1 columns with no search, so neither
+    semidefinite row can refute what complementary_pairs passes; this is
+    why they are certificates of ``ORIENTABLE_E0``.  The witness is
+    checked against the dense form, and the search passes on the same
+    tree, on both sides of every e = 0 space of the S7 sweep whose fibres
+    pair up (S5's spaces have three fibres, so none does) and of a seeded
+    random sample."""
+    s7 = [y for y in sweep_s7() if euler_invariant(y) == 0 and complementary_matched(y.invariants)]
+    sample = random_complementary_spaces(random.Random(27), 150)
+    assert len(s7) == 45
+    for y in s7 + sample:
+        ctx = ManifoldContext(y)
+        assert ctx.table is ORIENTABLE_E0 and ctx.euler == 0, y.describe()
+        assert complementary_matched(y.invariants), y.describe()
+        for side in "+-":
+            tree = ctx.tree(side)
+            A = complementary_witness(tree)
+            assert len(A[0]) == tree.size - 1, (y.describe(), side)
+            assert verify_factorization(A, dense(tree)), (y.describe(), side)
+            assert semidefinite_obstruction(tree).verdict == "pass", (y.describe(), side)
+
+
+def test_e0_report_runs_its_searches_only_as_certificates(monkeypatch):
+    """A default e = 0 report starts no lattice search; with certificates,
+    or with a semidefinite row named, the search runs and passes."""
+    searches = counted_searches(monkeypatch)
+    y = parse_manifold("seifert(S2; 0; (3,1),(3,-1),(5,2),(5,-2))")
+    report = full_report(y)
+    assert [r.name for r in report.results] == ["torsion_square", "complementary_pairs"]
+    assert (searches, report.status) == ([], "EMBEDS")
+    for kwargs in ({"certificates": True}, {"only": ["semidefinite_subset_mirror"]}):
+        searches.clear()
+        report = full_report(y, **kwargs)
+        mirror = result(report, "semidefinite_subset_mirror")
+        assert (len(searches), mirror.verdict, report.status) == (1, "pass", "EMBEDS"), kwargs
 
 
 def test_nonorientable_examples():
