@@ -55,7 +55,8 @@ a refutation is an internal error, reported as status CONFLICT and never
 silently resolved.
 
 The catalog lists known embeddable families with their constructions
-(twist-spun mirror sums, doubly slice pretzel moves, Sigma_g x S^1, a
+(twist-spun mirror sums, doubly slice pretzel moves, Sigma_g x S^1, the
+circle bundles over N_h that bound a neighbourhood of N_h in S^4, a
 handle-calculus example).  Up to mirror, the embeddable pretzel covers
 are Y(a,-a,a), Y(a,-a,a,-a), Y(a,-a,b,-b) with a or b odd, and
 Y(a+-1,-a,a,-a); the family Y(2l-1,-2l-1,-2l^2) stays UNKNOWN, and every
@@ -575,6 +576,19 @@ def _matches_odd_complementary_e0(ctx: ManifoldContext) -> bool:
     )
 
 
+def _matches_nonorientable_surface_bundle(ctx: ManifoldContext) -> bool:
+    """seifert(N(h); r; ) with no fibres, |r| <= 2h and r = 2h mod 4: the
+    circle bundle over N_h of Euler number -r.  A sum of h standard RP^2s
+    in S^4 has normal Euler number e for each e in {-2h, -2h + 4, ..., 2h}
+    (Whitney), and Massey (Pacific J. Math. 31, 1969) showed there are no
+    others; the boundary of its tubular neighbourhood is that bundle.  The
+    set is symmetric, so either orientation matches."""
+    s = ctx.seifert
+    if s is None or s.base_orientable or s.invariants:
+        return False
+    return abs(s.r) <= 2 * s.genus and (s.r - 2 * s.genus) % 4 == 0
+
+
 _KIRBY_EXAMPLE = SeifertManifold(True, 0, 0, [(4, 1), (4, 1), (12, -7)])
 _KIRBY_KEYS = ManifoldContext(_KIRBY_EXAMPLE).seifert_keys
 
@@ -607,6 +621,14 @@ CATALOG: tuple[CatalogEntry, ...] = (
         "with no fibres, Sigma_g x S^1 bounds Sigma_g x D^2 for an unknotted "
         "Sigma_g in S^3 in S^4",
         _matches_odd_complementary_e0,
+    ),
+    CatalogEntry(
+        "nonorientable_surface_bundle",
+        "circle bundles over N_h of Euler number e, |e| <= 2h, e = 2h mod 4: "
+        "the boundary of a tubular neighbourhood of N_h in S^4, a sum of h "
+        "standard RP^2s with normal Euler number e (Whitney; Massey, Pacific "
+        "J. Math. 31, 1969)",
+        _matches_nonorientable_surface_bundle,
     ),
     CatalogEntry(
         "surgery_example_4_4_12",

@@ -502,6 +502,59 @@ def test_surface_times_circle_embeds(text, embeds):
         assert report.reason == "catalog:odd_complementary_e0"
 
 
+@pytest.mark.parametrize(
+    "text, embeds",
+    [
+        ("seifert(N(1); 2; )", True),
+        ("seifert(N(1); -2; )", True),
+        ("seifert(N(2); 0; )", True),
+        ("seifert(N(3); 2; )", True),
+        # |r| > 2h: no RP^2 in S^4 has normal Euler number 4
+        ("seifert(N(1); 4; )", False),
+        # r = 0 is not 2h mod 4; this is RP^3 # RP^3
+        ("seifert(N(1); 0; )", False),
+        # a fibre takes the space out of the bundle family
+        ("seifert(N(1); 2; (3,1),(3,-1))", False),
+    ],
+)
+def test_nonorientable_surface_bundle_embeds(text, embeds):
+    """The circle bundle over N_h of Euler number e bounds a tubular
+    neighbourhood of N_h in S^4 for e in {-2h, -2h + 4, ..., 2h}
+    (Whitney; Massey, Pacific J. Math. 31, 1969)."""
+    report = full_report(parse_manifold(text))
+    hit = report.reason == "catalog:nonorientable_surface_bundle"
+    assert (report.status == "EMBEDS", hit) == (embeds, embeds), report.reason
+
+
+def test_nonorientable_surface_bundles_are_never_refuted():
+    """No row refutes a member of the family, on either orientation, for
+    h <= 5, so the catalog entry can give no CONFLICT there; every r of
+    the parity 2h outside the range is still UNKNOWN, and every odd r is
+    refuted by its Z/4 torsion."""
+    statuses = Counter()
+    for h in range(1, 6):
+        for r in range(-2 * h - 4, 2 * h + 5):
+            y = SeifertManifold(False, h, r, [])
+            member = abs(r) <= 2 * h and (r - 2 * h) % 4 == 0
+            for m in (y, y.mirror()):
+                statuses[member, r % 2, full_report(m).status] += 1
+    assert statuses == {
+        (True, 0, "EMBEDS"): 40,
+        (False, 0, "UNKNOWN"): 70,
+        (False, 1, "OBSTRUCTED"): 100,
+    }
+
+
+def test_q8_space_gets_one_verdict_in_both_presentations():
+    """seifert(N(1); 2; ) has pi_1 = <v, h | v^2 = h^2, v h v^-1 = h^-1>
+    = Q8, so it is S^3/Q8, the cover of pretzel(2,-2,2)."""
+    reports = [full_report(parse_manifold(t)) for t in ("seifert(N(1); 2; )", "pretzel(2,-2,2)")]
+    assert {r.status for r in reports} == {"EMBEDS"}
+    assert {(r.invariants["b1"], tuple(r.invariants["torsion_factors"])) for r in reports} == {
+        (0, (2, 2))
+    }
+
+
 def test_catalog_consistency():
     assert catalog(LensSum([(3, 1), (3, 2)]))
     assert not catalog(LensSum([(2, 1), (2, 1)]))
