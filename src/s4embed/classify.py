@@ -511,9 +511,9 @@ NONORIENTABLE = CheckTable((
     ),
 ))
 # e = 0 over an orientable base: the semidefinite searches only certify.
-# If complementary_pairs fails, the report already cites it.  If it
-# passes, A A^t = -Q has a solution through n - 1 columns on either side,
-# built with no search.  Normalised, the star's hub weighs -k for k
+# If complementary_pairs fails, the report is already OBSTRUCTED, citing
+# it or an earlier row.  If it passes, A A^t = -Q has a solution through
+# n - 1 columns on either side, built with no search.  Normalised, the star's hub weighs -k for k
 # complementary pairs of legs a/q and a/(a - q), whose expansions are
 # Riemenschneider dual (Math. Ann. 209, 1974); so the chain (one leg
 # reversed, a -1 vertex, its partner) blows down to a 0-framed unknot.

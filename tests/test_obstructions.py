@@ -164,8 +164,8 @@ def complementary_witness(tree: PlumbingTree) -> list[list[int]]:
             prev = leg[-1]
             leg.append(nxt)
         value = Fraction(-tree.weights[leg[-1]])  # a/q = [c_1, ..., c_s], c = -weight
-        for v in reversed(leg[:-1]):
-            value = -tree.weights[v] - 1 / value
+        for u in reversed(leg[:-1]):
+            value = -tree.weights[u] - 1 / value
         legs[value].append(leg)
     chains = []
     for value in sorted(legs):
