@@ -80,6 +80,7 @@ from .manifolds import (
     Manifold,
     PretzelCover,
     SeifertManifold,
+    chain_ends,
     euler_invariant,
     first_homology,
     lens_class,
@@ -91,6 +92,7 @@ from .obstructions import (
     ObstructionResult,
     double_subset_obstruction,
     nonorientable_obstruction,
+    odd_linking_factor,
     pairs_up,
     semidefinite_obstruction,
     undoubled,
@@ -271,8 +273,8 @@ class ManifoldContext:
         builds no plumbing: a long chain would cost more than the whole
         report.  For a lens sum, and over an orientable base with e != 0,
         the torsion is coker Q of each definite plumbing (Neumann, Trans.
-        AMS 268, 1981), so the double-subset rows read its order and
-        factors here before any tree is built."""
+        AMS 268, 1981), so the double-subset rows read its order, factors
+        and linking form (``odd_linking_factor``) before any tree is built."""
         return first_homology(self.seifert or self.manifold)
 
     @cached_property
@@ -434,9 +436,15 @@ def _mubar_vanishing(ctx: ManifoldContext, budget: int) -> ObstructionResult | N
 
 def _double_subset(ctx: ManifoldContext, side: str, budget: int) -> ObstructionResult:
     """double_subset on the form of ``side``, refuted with no tree where the
-    torsion of H_1 (coker Q on either side, as H_1(-Y) = H_1(Y)) is not H + H."""
-    refuted = undoubled("double_subset", ctx.homology[1])
-    return refuted or _search(ctx, double_subset_obstruction, side, budget)
+    torsion of H_1 (coker Q on either side, as H_1(-Y) = H_1(Y)) is not
+    H + H or its linking form is odd."""
+    torsion = ctx.homology[1]
+    if refuted := undoubled("double_subset", torsion):
+        return refuted
+    if d := odd_linking_factor(torsion, *chain_ends(ctx.seifert or ctx.manifold)):
+        odd = f"the linking form of coker Q is odd on its factor Z/{d}"
+        return ObstructionResult("", "obstructed", notes=f"{odd}, so no splitting pair exists")
+    return _search(ctx, double_subset_obstruction, side, budget)
 
 
 def _search(ctx: ManifoldContext, obstruction, side: str, budget: int) -> ObstructionResult:

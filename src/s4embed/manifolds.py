@@ -206,25 +206,31 @@ def pretzel_to_seifert(m: PretzelCover) -> SeifertManifold:
 Manifold = LensSum | SeifertManifold | PretzelCover
 
 
-def _seifert_presentation(m: SeifertManifold) -> list[list[int]]:
-    """Relation matrix for H_1 from the surgery description.
+def chain_ends(m: LensSum | SeifertManifold) -> tuple[int | None, tuple[tuple[int, int], ...]]:
+    """The hub weight w and the chain ends (q, a) of the '+' plumbing of a
+    lens sum or an orientable-base space, with no plumbing built: the m
+    of a chain's last vertex and just past it, in the walk of
+    ``PlumbingTree.cokernel``.  A fibre (a, b) is the leg (-b, a) and w is
+    r; a summand L(p, q) is a chain (q, p) with no hub, and so is a space
+    with no fibres, a lone vertex (1, -r).  Normalising a fibre shifts q
+    by t a and w by -t, adding t (a_k g_k - a_0 g_0) to the hub relation
+    (``first_homology``), so fibres as given present the same group on the
+    same g_k, with the same e and q^-1 mod a."""
+    if isinstance(m, LensSum):
+        return None, tuple((q, p) for p, q in m.summands)
+    if not m.invariants:
+        return None, ((1, -m.r),)
+    return m.r, tuple((-b, a) for a, b in m.invariants)
 
-    Orientable base: generators x_1..x_n (fibre meridians) and h (the
-    central curve); relations a_i x_i + b_i h = 0 and sum x_i + r h = 0.
-    The central relation is solved for x_n, which leaves n generators and
-    n relations, the size of the chain walk's presentation of coker Q
-    (``PlumbingTree.cokernel``); a space with no fibres takes the fibre
-    (1, 0).  Genus contributes free summands only.  Non-orientable base
-    with k crosscaps: extra generators v_1..v_k with 2h = 0 and the
-    central relation 2(v_1 + ... + v_k) + sum x_i + r h = 0.  The relation
-    2h = 0 holds because each crosscap reverses the fibre, so this is
-    the presentation for an orientable total space; every input class is
-    one, which the torsion check's G + G test needs.
-    """
-    if m.base_orientable:
-        *legs, (a, b) = m.invariants or ((1, 0),)
-        rows = [[c * (i == j) for j in range(len(legs))] + [d] for i, (c, d) in enumerate(legs)]
-        return rows + [[-a] * len(legs) + [b - a * m.r]]
+
+def _nonorientable_presentation(m: SeifertManifold) -> list[list[int]]:
+    """Relation matrix for H_1 over a base of k crosscaps, from the surgery
+    description: generators v_1..v_k, x_1..x_n (fibre meridians) and h (the
+    central curve); relations a_i x_i + b_i h = 0, 2h = 0 and
+    2(v_1 + ... + v_k) + sum x_i + r h = 0.  The relation 2h = 0 holds
+    because each crosscap reverses the fibre, so this is the presentation
+    for an orientable total space; every input class is one, which the
+    torsion check's G + G test needs."""
     k, fibres = m.genus, m.invariants
     n = len(fibres)
     rows = [[0] * k + [a * (i == j) for j in range(n)] + [b] for i, (a, b) in enumerate(fibres)]
@@ -233,10 +239,23 @@ def _seifert_presentation(m: SeifertManifold) -> list[list[int]]:
 
 def first_homology(m: LensSum | SeifertManifold) -> tuple[int, FiniteAbelianGroup]:
     """(b_1, torsion) of the manifold, from its presentation matrix; a
-    pretzel cover is read as its Seifert space (``pretzel_to_seifert``)."""
-    if isinstance(m, LensSum):
-        ps = [p for p, _ in m.summands]
-        return 0, cokernel([[p * (i == j) for j in range(len(ps))] for i, p in enumerate(ps)])
-    G = cokernel(list(zip(*_seifert_presentation(m))))  # relations as columns
-    b1 = G.free_rank + (2 * m.genus if m.base_orientable else 0)
+    pretzel cover is read as its Seifert space (``pretzel_to_seifert``).
+    A lens sum or an orientable base is presented n x n on its n chain
+    ends g_k (``chain_ends``), by the walk's relations: a_k g_k = 0 with no
+    hub; with one, whose class is a_0 g_0, a_k g_k = a_0 g_0 for k >= 1 and
+    (w a_0 + q_0) g_0 + sum over k >= 1 of q_k g_k = 0.  The torsion's
+    generators are written in the g_k; genus adds free summands only."""
+    if isinstance(m, SeifertManifold) and not m.base_orientable:
+        G = cokernel(list(zip(*_nonorientable_presentation(m))))  # relations as columns
+        return G.free_rank, replace(G, free_rank=0)
+    hub, ends = chain_ends(m)
+    n = len(ends)
+    if hub is None:
+        rows = [[a * (i == j) for j in range(n)] for i, (_, a) in enumerate(ends)]
+    else:  # a row per g_k, a column per relation
+        (q0, a0), *legs = ends
+        rows = [[-a0] * (n - 1) + [hub * a0 + q0]]
+        rows += [[a * (i == j) for j in range(n - 1)] + [q] for i, (q, a) in enumerate(legs)]
+    G = cokernel(rows)
+    b1 = G.free_rank + (2 * m.genus if isinstance(m, SeifertManifold) else 0)
     return b1, replace(G, free_rank=0)

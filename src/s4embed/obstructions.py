@@ -16,11 +16,10 @@ definite for the double-subset checks, semi-definite of corank one for
 the rectangular one.  The double-subset checks then take coker Q from
 the tree (``PlumbingTree.cokernel``, read off its chains and cached).
 Both need coker Q = H + H, so a non-square |coker Q|, or invariant
-factors that do not come in equal pairs, refutes them (``undoubled``);
-a report refutes the orientable one so with no tree, on H_1's torsion.
+factors that do not come in equal pairs, refutes them (``undoubled``).
 The orientable check also needs the 2-primary linking form of coker Q to
-be even (``PlumbingTree.odd_linking_factor``), and is refuted with no
-search where it is not; otherwise a search pairs its column subgroups,
+be even (``odd_linking_factor``), and a report refutes it on either
+ground with no tree, on H_1.  Otherwise a search pairs its column subgroups,
 whatever their type: each is a Lagrangian of the linking form, and two
 Lagrangians whose sum is direct are isomorphic.  No check builds a
 dense form.  Each check filters and pairs the factorisations inside the
@@ -154,6 +153,60 @@ def undoubled(name: str, G: FiniteAbelianGroup) -> ObstructionResult | None:
     return ObstructionResult(name, "obstructed", notes=notes)
 
 
+def odd_linking_factor(G: FiniteAbelianGroup, hub: int | None, ends) -> int | None:
+    """None where the 2-primary part of the linking form of G is even;
+    else, for the least k with 2^(k-1) lambda(x, x) != 0 for some x of
+    order 2^k, the least invariant factor of G of 2-part 2^k.  G is H_1
+    (``first_homology``) of a lens sum, or of an orientable-base space with
+    e != 0, on the chain ends (q_k, a_k) of its '+' plumbing (``chain_ends``).
+
+    The linking form is lambda(x, y) = x^t Q^-1 y mod 1 on coker Q.  On
+    the x with 2^k x = 0 the map x -> 2^(k-1) lambda(x, x) is a
+    homomorphism, as the cross term 2^k lambda(x, y) = lambda(2^k x, y)
+    vanishes.  The multiples of the Smith generators that lie there span
+    them, and the map vanishes on each but the odd multiples m f of a
+    generator f of order d = 2^k m, where it is m t / 2 with the integer
+    t = d lambda(f, f).  So the part is even iff t is even for every
+    generator of even order: the 2-primary part of the condition for a
+    hyperbolic linking form (Kawauchi-Kojima, *Algebraic classification
+    of linking pairings on 3-manifolds*, Math. Ann. 253, 1980).  Which k
+    fail depends on no basis, and reversing orientation negates lambda,
+    so neither the factor named nor the side read matters.
+
+    With no hub lambda is a sum of lens-space forms q/p on Z/p, q prime
+    to p, and fails at k where some p has 2-part 2^k.  With a hub of
+    weight w and e = -w - sum of q_k / a_k, it is in closed form on the g_k:
+
+        lambda(g_k, g_l) = -1 / (e a_k a_l) - [k = l] q_k^-1 / a_k,
+
+    q_k^-1 taken mod a_k.  So for a Smith generator f = sum c_k g_k
+    (``FiniteAbelianGroup.generators``), lambda(f, f) is
+    -(sum of c_k / a_k)^2 / e - sum of c_k^2 q_k^-1 / a_k."""
+    if G.order % 2:
+        return None
+    if hub is None:
+        odd = [a for _, a in ends if a % 2 == 0]
+    else:
+        # t over the integer denominator P E, with P the product of the a_k and E = e P
+        P = math.prod(a for _, a in ends)
+        E = -hub * P - sum(q * (P // a) for q, a in ends)
+        inverses = [pow(q, -1, a) for q, a in ends]
+        odd = []
+        for d, f in zip(G.factors, G.generators):
+            if d % 2:
+                continue
+            at_hub = sum(c * (P // a) for c, (_, a) in zip(f, ends))  # P sum c_k / a_k
+            own = sum(c * c * b * (P // a) for c, b, (_, a) in zip(f, inverses, ends))
+            t, rest = divmod(-d * (at_hub * at_hub + own * E), P * E)
+            assert rest == 0, "d f is not zero in G"
+            if t % 2:
+                odd.append(d)
+    if not odd:
+        return None
+    two = min(p & -p for p in odd)  # the least 2-part
+    return next(d for d in G.factors if d & -d == two)
+
+
 def _exhausted(res: SubsetSearchResult) -> str:
     return f"budget exhausted after {res.nodes} nodes; {len(res.subsets)} subset(s) found"
 
@@ -183,10 +236,10 @@ def double_subset_obstruction(tree: PlumbingTree, budget: int | None = None) -> 
     its type.  A splitting pair also makes lambda hyperbolic: for
     x = a + b with a in H1 and b in H2, lambda(x, x) = 2 lambda(a, b), and
     if 2^k x = 0, then 2^k a = 0 as the sum is direct, so
-    2^(k-1) lambda(x, x) = 2^k lambda(a, b) = lambda(2^k a, b) = 0.  Where
-    the 2-primary part of lambda is odd (``PlumbingTree.odd_linking_factor``)
-    the check is refuted with no search, and the note names the factor of
-    G on which it is odd.
+    2^(k-1) lambda(x, x) = 2^k lambda(a, b) = lambda(2^k a, b) = 0.  A
+    report refutes the check on H_1 first, with no tree, where G is not
+    H + H or the 2-primary part of lambda is odd (``odd_linking_factor``);
+    so it searches only where neither fires.
 
     The pairing runs inside the search: each new subset's column
     subgroup is filtered, and a new one is joined against the kept ones
@@ -199,10 +252,6 @@ def double_subset_obstruction(tree: PlumbingTree, budget: int | None = None) -> 
     G = tree.cokernel
     if (refuted := undoubled(name, G)) is not None:
         return refuted
-    d = tree.odd_linking_factor
-    if d is not None:
-        odd = f"the linking form of coker Q is odd on its factor Z/{d}"
-        return ObstructionResult(name, "obstructed", notes=f"{odd}, so no splitting pair exists")
     filtered = G.order % 2 == 1
     removed = 0
     usable: dict = {}  # lift basis -> (H, subset), in search order

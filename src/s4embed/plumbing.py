@@ -31,7 +31,6 @@ subset certificate is vertex i of the plumbing its search ran on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -97,30 +96,20 @@ class PlumbingTree:
         own column w h + (its neighbours' classes) = 0.  These relations, one
         per chain, present the group, and a vertex's coordinates are its chain's
         times m.  Two hubs on a chain raise ValueError."""
-        tails, owner, mult, relations = self._walk
-        rows = [[rel.get(k, 0) for rel in relations] for k in range(len(tails))]
-        return intlinalg.cokernel(rows, zip(owner, mult))
-
-    @cached_property
-    def _walk(self) -> tuple[list[tuple[int, int]], list[int], list[int], list[dict[int, int]]]:
-        """The chain walk of ``cokernel``: (each chain's (q, a), the m of its
-        last vertex and the m just past it; each vertex's chain; its m; the
-        relations as {chain: coefficient})."""
         adj, weights = self.neighbours, self.weights
         owner, mult = [-1] * self.size, [1] * self.size  # each vertex's chain and m
-        tails: list[tuple[int, int]] = []
+        chains = 0
         relations: list[dict[int, int]] = []  # columns: chain -> coefficient
         for end, row in enumerate(adj):
             if len(row) > 1 or owner[end] >= 0:
                 continue
-            k = len(tails)
+            k, chains = chains, chains + 1
             prev, v, m_prev, m = -1, end, 0, 1
             while v >= 0 and len(adj[v]) < 3:
                 owner[v], mult[v] = k, m
                 m_prev, m = m, -weights[v] * m - m_prev
                 ahead = [u for u in adj[v] if u != prev]  # at most one, as v is no hub
                 prev, v = v, ahead[0] if ahead else -1
-            tails.append((m_prev, m))
             if v >= 0 and owner[v] < 0:  # the first chain to meet hub v
                 owner[v], mult[v] = k, m
             else:
@@ -132,75 +121,8 @@ class PlumbingTree:
             for u in adj[h]:
                 rel[owner[u]] = rel.get(owner[u], 0) + mult[u]
             relations.append(rel)
-        return tails, owner, mult, relations
-
-    @cached_property
-    def odd_linking_factor(self) -> int | None:
-        """None where the 2-primary part of the linking form of coker Q is
-        even; else, for the least k with 2^(k-1) lambda(x, x) != 0 for some x
-        of order 2^k, the least invariant factor of coker Q of 2-part 2^k.
-
-        The linking form is lambda(x, y) = x^t Q^-1 y mod 1 on coker Q.  On
-        the x with 2^k x = 0 the map x -> 2^(k-1) lambda(x, x) is a
-        homomorphism, as the cross term 2^k lambda(x, y) = lambda(2^k x, y)
-        vanishes.  The multiples of the Smith generators that lie there span
-        them, and the map vanishes on each but the odd multiples m f of a
-        generator f of order d = 2^k m, where it is m t / 2 with the integer
-        t = d lambda(f, f).  So the part is even iff t is even for every
-        generator of even order: the 2-primary part of the condition for a
-        hyperbolic linking form (Kawauchi-Kojima, *Algebraic classification
-        of linking pairings on 3-manifolds*, Math. Ann. 253, 1980).  Which k
-        fail does not depend on the basis, so neither does the factor named.
-        An odd |coker Q| returns None at once.
-
-        Disjoint chains are an orthogonal sum of lens-space forms q/p on Z/p,
-        q prime to p, p the determinant of a chain, read off its relation: the
-        form fails at k exactly where some p has 2-part 2^k.  On a star lambda
-        is read in closed form on the chain generators g_k of ``cokernel``, the
-        classes of the chain ends, with no solve.  Chain k has determinant
-        a_k, the walk's m just past it, and class q_k g_k at its last vertex.
-        With hub weight w and e = -w - sum over the legs of q_k / a_k,
-
-            lambda(g_k, g_l) = -[k, l legs] / (e a_k a_l) - [k = l] q_k^-1 / a_k,
-
-        q_k^-1 taken mod a_k; a chain off the hub has no e term.  So for a
-        Smith generator f = sum c_k g_k (``FiniteAbelianGroup.generators``),
-        lambda(f, f) = -(sum over legs of c_k / a_k)^2 / e
-        - sum c_k^2 q_k^-1 / a_k.  A zero a_k, or a second hub, raises
-        ValueError."""
-        G = self.cokernel
-        if G.order % 2:
-            return None
-        tails, owner, _, relations = self._walk
-        hubs = [v for v, row in enumerate(self.neighbours) if len(row) >= 3]
-        if not hubs:
-            odd = [p for rel in relations for p in rel.values() if p % 2 == 0]
-        else:
-            if len(hubs) > 1:
-                raise ValueError("the linking form is read on at most one hub")
-            if not all(a for _, a in tails):
-                raise ValueError("the linking form needs nonzero subtree determinants")
-            legs = {owner[u] for u in self.neighbours[hubs[0]]}
-            # t over the integer denominator P E A: P and A multiply the a_k of
-            # the legs and of every chain, and E = e P
-            P = math.prod(tails[k][1] for k in legs)
-            A = math.prod(a for _, a in tails)
-            E = -self.weights[hubs[0]] * P - sum(tails[k][0] * (P // tails[k][1]) for k in legs)
-            inverses = [pow(q, -1, a) for q, a in tails]
-            odd = []
-            for d, f in zip(G.factors, G.generators):
-                if d % 2:
-                    continue
-                at_hub = sum(f[k] * (P // tails[k][1]) for k in legs)  # P sum c_k / a_k
-                own = sum(c * c * b * (A // a) for c, b, (_, a) in zip(f, inverses, tails))
-                t, rest = divmod(-d * (at_hub * at_hub * A + own * P * E), P * E * A)
-                assert rest == 0, "d f is not zero in coker Q"
-                if t % 2:
-                    odd.append(d)
-        if not odd:
-            return None
-        two = min(p & -p for p in odd)  # the least 2-part
-        return next(d for d in G.factors if d & -d == two)
+        rows = [[rel.get(k, 0) for rel in relations] for k in range(chains)]
+        return intlinalg.cokernel(rows, zip(owner, mult))
 
 
 def _chains(pairs, hub: int | None = None) -> PlumbingTree:

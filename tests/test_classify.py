@@ -703,6 +703,15 @@ def test_tree_cokernel_is_the_torsion_of_first_homology():
         (LensSum([(3, 1), (5, 1)]), ["double_subset", "double_subset_mirror"], 0),
         # torsion Z/3 + Z/3: double_subset searches the definite tree
         (PretzelCover([3, -3, 3]), None, 1),
+        # torsion Z/2 + Z/2 pairs up, but the linking form, read on H_1's
+        # chain ends, is odd; with no pretzel form mu-bar builds no tree
+        (SeifertManifold(True, 1, 1, [(2, 1), (2, 1), (4, 1)]), None, 0),
+        # Z/8 + Z/8 + Z/168 + Z/168, odd on Z/8: both rows refuted on H_1
+        (
+            LensSum([(8, 3), (8, 3), (8, 5), (8, 5), (21, 8), (21, 13)]),
+            ["double_subset", "double_subset_mirror"],
+            0,
+        ),
     ],
 )
 def test_report_reads_h1_once_from_first_homology(monkeypatch, manifold, only, plumbings):
@@ -731,6 +740,25 @@ def test_report_reads_h1_once_from_first_homology(monkeypatch, manifold, only, p
         b1,
         list(torsion.factors),
     )
+
+
+def test_long_even_lens_sum_is_refuted_with_no_plumbing(monkeypatch):
+    """lens(10^8, 10^8 - 1) + lens(10^8, 1) plumbs a chain of 10^8 - 1
+    vertices.  H_1 = Z/10^8 + Z/10^8 pairs up, but its linking form, read
+    on the chain ends, is odd, so both double-subset rows are refuted with
+    no plumbing built."""
+
+    def no_tree(*args, **kwargs):
+        raise AssertionError("a plumbing was built")
+
+    monkeypatch.setattr(classify, "plumbing_tree", no_tree)
+    m = LensSum([(10**8, 10**8 - 1), (10**8, 1)])
+    report = full_report(m, only=["double_subset", "double_subset_mirror"])
+    odd = "the linking form of coker Q is odd on its factor Z/100000000, so no splitting pair exists"
+    assert [(r.name, r.verdict, r.notes) for r in report.results] == [
+        ("double_subset", "obstructed", odd),
+        ("double_subset_mirror", "obstructed", odd),
+    ]
 
 
 def test_report_takes_each_strand_form_list_once():

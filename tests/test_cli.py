@@ -237,7 +237,7 @@ def test_long_chains_are_refuted_within_limits(expr):
 
 def test_torsion_check_alone_builds_no_plumbing():
     """The fibre (10000019, 1) plumbs a chain of about 10^7 vertices.
-    H_1 comes from the Seifert presentation, and with only torsion_square
+    H_1 comes from the fibres' chain ends, and with only torsion_square
     asked for no row reads the plumbing, so the space is refuted well
     inside the limits."""
     expr = "seifert(S2;0;(2,1),(3,1),(10000019,1))"

@@ -19,7 +19,14 @@ from s4embed.intlinalg import (
     smith_normal_form,
     subgroup_from_generators,
 )
-from s4embed.manifolds import SeifertManifold, euler_invariant
+from s4embed.manifolds import (
+    LensSum,
+    SeifertManifold,
+    chain_ends,
+    euler_invariant,
+    first_homology,
+)
+from s4embed.obstructions import odd_linking_factor
 from s4embed.plumbing import PlumbingTree, plumbing_tree
 from s4embed.spin import wu_sets
 
@@ -667,7 +674,7 @@ def rational_solve(M, rhs) -> list[list[Fraction]]:
 
 
 def dense_odd_linking_factor(tree: PlumbingTree) -> int | None:
-    """``PlumbingTree.odd_linking_factor`` read off the dense form: lambda
+    """``obstructions.odd_linking_factor`` read off the dense form: lambda
     is x^t Q^-1 y in fractions, and coker Q's Smith generators are the
     columns of U^-1 for U Q V = D.  A generator f of order d = 2^k m, m
     odd, gives 2^(k-1) lambda(m f, m f) = m d lambda(f, f) / 2; for the
@@ -717,34 +724,55 @@ def random_definite_tree(rng) -> PlumbingTree:
     return PlumbingTree(tuple(weights), tuple(edges))
 
 
+def random_linking_space(rng) -> LensSum | SeifertManifold:
+    """A lens sum of one to four summands with p <= 12, or a space over S^2
+    or a torus with zero to six fibres a <= 6, |b| <= 2a, in any
+    normalisation, each summand or fibre new or a copy of an earlier one
+    (copies make the linking form even often)."""
+    pool: list = []
+    if rng.random() < 0.3:
+        for _ in range(rng.randint(1, 4)):
+            if not pool or rng.random() < 0.6:
+                p = rng.randint(2, 12)
+                pool.append((p, rng.choice([q for q in range(1, p) if math.gcd(p, q) == 1])))
+            pool.append(rng.choice(pool))
+        return LensSum(pool[: len(pool) // 2 + 1])
+    fibres: list = []
+    for _ in range(rng.randint(0, 6)):
+        if not pool or rng.random() < 0.5:
+            a = rng.randint(2, 6)
+            pool.append((a, rng.choice([b for b in range(-2 * a, 2 * a) if math.gcd(a, b) == 1])))
+        fibres.append(rng.choice(pool))
+    return SeifertManifold(True, rng.randint(0, 1), rng.randint(-3, 3), fibres)
+
+
 def test_odd_linking_factor_matches_dense_oracle():
-    """On 300 negative definite chain forests and one-hub stars (n <= 12),
-    some beside a chain, of even |coker Q|, the tree names the factor the
-    dense oracle names, or none where the oracle finds the 2-primary
-    linking form even.  Chains are always odd there, as some chain has an
-    even determinant."""
+    """On 300 random lens sums and orientable-base spaces with e != 0 and
+    even |H_1|, read as their definite plumbings have n <= 14 vertices,
+    the linking-form test on the chain-end presentation of H_1 names the
+    factor the dense oracle names on each definite plumbing, or none where
+    the oracle finds the 2-primary linking form even; and so does the
+    test on the mirror's presentation.  A lens sum is definite on both
+    sides; a Seifert space on the side of e's sign.  Chains are always odd
+    there, as some chain has an even determinant."""
     rng = random.Random(19)
     kinds = Counter()
     while sum(kinds.values()) < 300:
-        tree = random_definite_tree(rng)
-        hubs = sum(len(row) >= 3 for row in tree.neighbours)
-        if tree.size > 12 or hubs > 1 or tree.definiteness != ("negative_definite", 0):
+        m = random_linking_space(rng)
+        lens = isinstance(m, LensSum)
+        if not lens and euler_invariant(m) == 0:
             continue
-        if tree.cokernel.order % 2:
+        sides = ("+", "-") if lens else ("+" if euler_invariant(m) > 0 else "-",)
+        trees = [plumbing_tree(m, side) for side in sides]
+        torsion = first_homology(m)[1]
+        if max(t.size for t in trees) > 14 or torsion.order % 2:
             continue
-        d = tree.odd_linking_factor
-        assert d == dense_odd_linking_factor(tree), tree
-        kinds["star" if hubs else "chains", "even" if d is None else "odd"] += 1
+        d = odd_linking_factor(torsion, *chain_ends(m))
+        assert d == odd_linking_factor(first_homology(m.mirror())[1], *chain_ends(m.mirror()))
+        assert all(d == dense_odd_linking_factor(tree) for tree in trees), m.describe()
+        kinds["chains" if lens or not m.invariants else "star", "even" if d is None else "odd"] += 1
     assert kinds[("chains", "even")] == 0
     assert min(kinds[k] for k in (("chains", "odd"), ("star", "even"), ("star", "odd"))) >= 40
-    # a leaf of weight 0 has a zero subtree determinant, which the closed
-    # form refuses, and so is a second hub
-    with pytest.raises(ValueError, match="nonzero subtree determinants"):
-        PlumbingTree((-3, -3, -2, 0), ((0, 1), (0, 2), (0, 3))).odd_linking_factor
-    two_hubs = PlumbingTree((-2, -2, -2, -2, -3, -2), ((0, 1), (0, 2), (3, 4), (3, 5), (0, 3)))
-    assert two_hubs.cokernel.factors == (4,)
-    with pytest.raises(ValueError, match="at most one hub"):
-        two_hubs.odd_linking_factor
 
 
 def test_tree_cokernel_needs_one_hub_per_chain():

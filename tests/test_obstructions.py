@@ -22,13 +22,16 @@ from s4embed.manifolds import (
     LensSum,
     PretzelCover,
     SeifertManifold,
+    chain_ends,
     euler_invariant,
+    first_homology,
     pretzel_to_seifert,
 )
 from s4embed.obstructions import (
     char_vector_criterion,
     double_subset_obstruction,
     nonorientable_obstruction,
+    odd_linking_factor,
     semidefinite_obstruction,
     subset_column_subgroup,
 )
@@ -446,11 +449,11 @@ def test_report_of_a_long_star_takes_only_small_smith_forms(monkeypatch):
 
 
 def test_searched_cokernel_takes_one_smith_form(monkeypatch):
-    """The definite tree of pretzel(4,4,-4) has coker Q = Z/4 + Z/4 and an
-    even linking form, so its double-subset check searches it.  Its factors,
-    its generators (which the linking form reads) and its column projections
-    (which the search reads) all come from the one Smith form that its
-    cokernel takes."""
+    """pretzel(4,4,-4) has H_1 = Z/4 + Z/4 and an even linking form, read
+    on the generators of H_1's one Smith form, so its double-subset check
+    searches its definite tree.  The tree's factors and its column
+    projections (which the search reads) come from the one Smith form
+    that its cokernel takes."""
     calls = []
 
     def recorded(M, *args, **kwargs):
@@ -461,13 +464,14 @@ def test_searched_cokernel_takes_one_smith_form(monkeypatch):
     monkeypatch.setattr(intlinalg, "smith_normal_form", recorded)
     cover = PretzelCover([4, 4, -4])
     ctx = ManifoldContext(cover)
+    assert odd_linking_factor(ctx.homology[1], *chain_ends(ctx.seifert)) is None
+    assert calls == [3]  # H_1 on the chain ends of three legs
     tree = ctx.tree(ctx.definite_side)
     G = tree.cokernel
     assert G.factors == (4, 4) and len(G.generators) == 2
-    assert tree.odd_linking_factor is None
     units = [[int(i == j) for j in range(tree.size)] for i in range(tree.size)]
     assert len(G.project_columns(units)) == tree.size
-    assert calls == [len(G.generators[0])]
+    assert calls == [3, len(G.generators[0])]
     searches = counted_searches(monkeypatch)
     assert result(full_report(cover), "double_subset").verdict == "pass"
     assert [args[0] for args in searches] == [tree]
@@ -672,19 +676,20 @@ def test_streamed_checks_match_full_enumeration_on_nonorientable_bases():
 
 def test_disjoint_chains_have_an_odd_linking_form_iff_some_p_is_even():
     """A lens sum's chains give an orthogonal sum of lens-space forms q/p on
-    Z/p with q prime to p, so the 2-primary linking form is odd exactly
-    when some summand has an even p; where the factors pair up, that is
-    when the double-subset check is refuted by it."""
+    Z/p with q prime to p, so the 2-primary linking form of H_1 is odd
+    exactly when some summand has an even p; where the factors pair up,
+    that is when the double-subset row is refuted by it."""
     summands = [(p, q) for p, q in LENS_SUMMANDS if p <= 9]
     refuted = 0
     for k in (1, 2, 3):
         for sum_ in itertools.combinations_with_replacement(summands, k):
-            tree = lens_tree(*sum_)
+            m = LensSum(list(sum_))
+            torsion = first_homology(m)[1]
             even_p = any(p % 2 == 0 for p, _ in sum_)
-            assert (tree.odd_linking_factor is not None) == even_p, sum_
-            if obstructions.pairs_up(tree.cokernel.factors):
-                notes = double_subset_obstruction(tree, budget=1).notes
-                assert ("linking form of coker Q is odd" in notes) == even_p, sum_
+            assert (odd_linking_factor(torsion, *chain_ends(m)) is not None) == even_p, sum_
+            if obstructions.pairs_up(torsion.factors):
+                row = result(full_report(m, budget=1, only=["double_subset"]), "double_subset")
+                assert ("linking form of coker Q is odd" in row.notes) == even_p, sum_
                 refuted += even_p
     assert refuted == 21
 
@@ -707,7 +712,8 @@ def test_no_double_subset_pass_has_an_odd_linking_form():
     sum with p <= 15.  Each tally counts (verdict, |coker Q| even, linking
     form odd): 57 passes, 15 of them of even order, and 56 trees the
     linking form refutes.  Isomorphic plumbings are one tree, so a sum and
-    its reordering or mirror count once."""
+    its reordering or mirror count once.  The linking form is read on the
+    chain ends of H_1, and each tree is searched whatever its form."""
     pretzels = [
         PretzelCover(list(s))
         for k in (3, 4)
@@ -724,15 +730,15 @@ def test_no_double_subset_pass_has_an_odd_linking_form():
     for name, manifolds in sweeps.items():
         tally, seen = Counter(), set()
         for m in manifolds:
-            for tree in double_subset_trees(m):
+            y = pretzel_to_seifert(m) if isinstance(m, PretzelCover) else m
+            for tree in double_subset_trees(y):
                 if tree in seen or not obstructions.pairs_up(tree.cokernel.factors):
                     continue
                 seen.add(tree)
-                blind = PlumbingTree(tree.weights, tree.edges)
-                blind.__dict__["odd_linking_factor"] = None  # taken as even, so it searches
-                verdict = double_subset_obstruction(blind).verdict
+                verdict = double_subset_obstruction(tree).verdict
                 even = tree.cokernel.order % 2 == 0
-                tally[verdict, even, tree.odd_linking_factor is not None] += 1
+                odd = odd_linking_factor(first_homology(y)[1], *chain_ends(y))
+                tally[verdict, even, odd is not None] += 1
         assert ("pass", True, True) not in tally, name
         tallies[name] = tally
     passes = {name: (t["pass", False, False], t["pass", True, False]) for name, t in tallies.items()}
