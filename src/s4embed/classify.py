@@ -81,6 +81,7 @@ from .manifolds import (
     PretzelCover,
     SeifertManifold,
     chain_ends,
+    chain_group,
     euler_invariant,
     first_homology,
     lens_class,
@@ -274,8 +275,16 @@ class ManifoldContext:
         report.  For a lens sum, and over an orientable base with e != 0,
         the torsion is coker Q of each definite plumbing (Neumann, Trans.
         AMS 268, 1981), so the double-subset rows read its order, factors
-        and linking form (``odd_linking_factor``) before any tree is built."""
+        and linking form (``odd_linking_factor``) before any tree is built,
+        and their search projects onto it through ``PlumbingTree.lift``."""
         return first_homology(self.seifert or self.manifold)
+
+    @cached_property
+    def leg_group(self) -> FiniteAbelianGroup:
+        """coker Q of the legs over a non-orientable base, the sum of the
+        Z/a_k on the legs' ends (``chain_group``), not H_1; it serves the
+        non-orientable searches of both sides."""
+        return chain_group(None, [(-b, a) for a, b in self.seifert.invariants])
 
     @cached_property
     def seifert_keys(self) -> tuple[Key, ...]:
@@ -329,8 +338,8 @@ class ManifoldContext:
         out canonically, so the two sides give the same tree whenever
         their weighted graphs are isomorphic (chains reversed, chains or
         legs permuted).  Then the second side takes the first one's tree,
-        before its definiteness check, so the tree's elimination,
-        cokernel and searches are taken once."""
+        before its definiteness check, so the tree's elimination and
+        searches are taken once."""
         if side not in self._trees:
             m = self.seifert or self.manifold
             self._trees[side] = plumbing_tree(m, side, shared=self._trees.values())
@@ -444,19 +453,19 @@ def _double_subset(ctx: ManifoldContext, side: str, budget: int) -> ObstructionR
     if d := odd_linking_factor(torsion, *chain_ends(ctx.seifert or ctx.manifold)):
         odd = f"the linking form of coker Q is odd on its factor Z/{d}"
         return ObstructionResult("", "obstructed", notes=f"{odd}, so no splitting pair exists")
-    return _search(ctx, double_subset_obstruction, side, budget)
+    return _search(ctx, double_subset_obstruction, side, budget, torsion)
 
 
-def _search(ctx: ManifoldContext, obstruction, side: str, budget: int) -> ObstructionResult:
-    """``obstruction`` run on the plumbing form of ``side``, once per
-    (obstruction, tree) in a report: a mirror row whose tree is its
-    twin's takes the twin's result.  The rows below call this through a
-    lambda, so the obstruction is looked up by module-global name when
-    the row runs."""
+def _search(ctx: ManifoldContext, obstruction, side: str, budget: int, *group) -> ObstructionResult:
+    """``obstruction`` run on the plumbing form of ``side``, and on
+    ``group``, its coker Q, if given; once per (obstruction, tree) in a
+    report: a mirror row whose tree is its twin's takes the twin's
+    result.  The rows call this through a lambda, so the obstruction is
+    looked up by module-global name when the row runs."""
     tree = ctx.tree(side)
     key = (obstruction, tree)
     if key not in ctx._searches:
-        ctx._searches[key] = obstruction(tree, budget)
+        ctx._searches[key] = obstruction(tree, *group, budget)
     return ctx._searches[key]
 
 
@@ -511,11 +520,11 @@ NONORIENTABLE = CheckTable((
     ("even_fibre_clause", _even_fibre_clause),
     (
         "nonorientable_double_subset",
-        lambda ctx, b: _search(ctx, nonorientable_obstruction, "+", b),
+        lambda ctx, b: _search(ctx, nonorientable_obstruction, "+", b, ctx.leg_group),
     ),
     (
         "nonorientable_double_subset_mirror",
-        lambda ctx, b: _search(ctx, nonorientable_obstruction, "-", b),
+        lambda ctx, b: _search(ctx, nonorientable_obstruction, "-", b, ctx.leg_group),
     ),
 ))
 # e = 0 over an orientable base: the semidefinite searches only certify.

@@ -239,7 +239,7 @@ def signature_triple(diag, neighbours) -> tuple[int, int, int]:
     its diagonal, and ``neighbours[i]`` lists the j with Q[i][j] = 1, every
     other off-diagonal entry being 0.  This is the one elimination of a
     plumbing: its inertia gives the signature and the definiteness.
-    |coker Q| is read off the chains instead (``PlumbingTree.cokernel``).
+    coker Q is presented on the chain ends instead (``manifolds.chain_group``).
 
     The graph must be a forest, and it is stripped leaf by
     leaf.  A vertex v carries its current diagonal as the quotient
@@ -327,21 +327,22 @@ class FiniteAbelianGroup:
     keeps the one Smith form U M V = D it was read from: U carries
     ambient integer vectors, the columns of a matrix, onto the torsion
     coordinates (``project_columns``), and M V / D gives the generators.
+    ``lift`` writes ambient coordinate i as m times generator k, for
+    (k, m) = lift[i], as ``PlumbingTree.lift`` does; () is the identity.
     """
 
     factors: tuple[int, ...]
     free_rank: int
     _relations: list = field(repr=False)  # M
     _smith: tuple = field(repr=False)  # (U, D, V)
-    # ambient coordinate i is m times generator k for (k, m) = _lift[i], if given
-    _lift: tuple[tuple[int, int], ...] = field(default=(), repr=False)
+    lift: tuple[tuple[int, int], ...] = field(default=(), repr=False)
 
     @cached_property
     def _torsion_rows(self) -> tuple[tuple[int, ...], ...]:
         """Torsion rows of U, through the lift, taken when the group first projects."""
         U, D, _ = self._smith
         rows = [(U[i], D[i][i]) for i in range(len(U)) if i < len(D[i]) and D[i][i] >= 2]
-        lift = self._lift or [(k, 1) for k in range(len(U))]
+        lift = self.lift or [(k, 1) for k in range(len(U))]
         return tuple(tuple(u[k] * m % d for k, m in lift) for u, d in rows)
 
     @cached_property
@@ -387,16 +388,14 @@ class FiniteAbelianGroup:
         return tuple(map(mod, coords, self.factors))
 
 
-def cokernel(M, lift=()) -> FiniteAbelianGroup:
+def cokernel(M) -> FiniteAbelianGroup:
     """Z^r / im(M), one generator per row of M and one relation per column,
     for M of any shape: the free rank is r minus the rank of M.  The one
-    Smith form of M is taken here and kept on the group.  ``lift`` writes
-    a larger ambient lattice's coordinate i as m times generator k, for
-    (k, m) = lift[i]; ``project_columns`` then takes columns in it."""
+    Smith form of M is taken here and kept on the group."""
     U, D, V = smith_normal_form(M)
     diag = [D[i][i] for i in range(min(len(D), len(V)))]
     free = len(M) - sum(map(bool, diag))
-    return FiniteAbelianGroup(tuple(d for d in diag if d >= 2), free, M, (U, D, V), tuple(lift))
+    return FiniteAbelianGroup(tuple(d for d in diag if d >= 2), free, M, (U, D, V))
 
 
 @dataclass

@@ -77,9 +77,6 @@ class LensSum:
         norm = sorted(normalize_lens(p, q) for p, q in summands)
         object.__setattr__(self, "summands", tuple(norm))
 
-    def mirror(self) -> "LensSum":
-        return LensSum([(p, p - q) for p, q in self.summands])
-
     def describe(self) -> str:
         if not self.summands:
             return "S3"
@@ -119,14 +116,6 @@ class SeifertManifold:
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "invariants", tuple(sorted(invs)))
-
-    def mirror(self) -> "SeifertManifold":
-        return SeifertManifold(
-            self.base_orientable,
-            self.genus,
-            -self.r,
-            [(a, -b) for a, b in self.invariants],
-        )
 
     def describe(self) -> str:
         base = (
@@ -177,9 +166,6 @@ class PretzelCover:
             raise ValueError("zero strand")
         object.__setattr__(self, "strands", strands)
 
-    def mirror(self) -> "PretzelCover":
-        return PretzelCover([-a for a in self.strands])
-
     def describe(self) -> str:
         return f"pretzel({','.join(str(a) for a in self.strands)})"
 
@@ -209,13 +195,13 @@ Manifold = LensSum | SeifertManifold | PretzelCover
 def chain_ends(m: LensSum | SeifertManifold) -> tuple[int | None, tuple[tuple[int, int], ...]]:
     """The hub weight w and the chain ends (q, a) of the '+' plumbing of a
     lens sum or an orientable-base space, with no plumbing built: the m
-    of a chain's last vertex and just past it, in the walk of
-    ``PlumbingTree.cokernel``.  A fibre (a, b) is the leg (-b, a) and w is
-    r; a summand L(p, q) is a chain (q, p) with no hub, and so is a space
-    with no fibres, a lone vertex (1, -r).  Normalising a fibre shifts q
-    by t a and w by -t, adding t (a_k g_k - a_0 g_0) to the hub relation
-    (``first_homology``), so fibres as given present the same group on the
-    same g_k, with the same e and q^-1 mod a."""
+    of a chain's innermost vertex and just past it, in the lift that
+    ``plumbing._chains`` lays out.  A fibre (a, b) is the leg (-b, a) and
+    w is r; a summand L(p, q) is a chain (q, p) with no hub, and so is a
+    space with no fibres, a lone vertex (1, -r).  Normalising a fibre
+    shifts q by t a and w by -t, adding t (a_k g_k - a_0 g_0) to the hub
+    relation (``chain_group``), so fibres as given present the same group
+    on the same g_k, with the same e and q^-1 mod a."""
     if isinstance(m, LensSum):
         return None, tuple((q, p) for p, q in m.summands)
     if not m.invariants:
@@ -237,18 +223,11 @@ def _nonorientable_presentation(m: SeifertManifold) -> list[list[int]]:
     return rows + [[0] * (k + n) + [2], [2] * k + [1] * n + [m.r]]
 
 
-def first_homology(m: LensSum | SeifertManifold) -> tuple[int, FiniteAbelianGroup]:
-    """(b_1, torsion) of the manifold, from its presentation matrix; a
-    pretzel cover is read as its Seifert space (``pretzel_to_seifert``).
-    A lens sum or an orientable base is presented n x n on its n chain
-    ends g_k (``chain_ends``), by the walk's relations: a_k g_k = 0 with no
-    hub; with one, whose class is a_0 g_0, a_k g_k = a_0 g_0 for k >= 1 and
-    (w a_0 + q_0) g_0 + sum over k >= 1 of q_k g_k = 0.  The torsion's
-    generators are written in the g_k; genus adds free summands only."""
-    if isinstance(m, SeifertManifold) and not m.base_orientable:
-        G = cokernel(list(zip(*_nonorientable_presentation(m))))  # relations as columns
-        return G.free_rank, replace(G, free_rank=0)
-    hub, ends = chain_ends(m)
+def chain_group(hub: int | None, ends) -> FiniteAbelianGroup:
+    """coker Q of a plumbing, presented n x n on its n chain ends g_k
+    (``chain_ends``): a_k g_k = 0 with no hub; with one, whose class is
+    a_0 g_0, a_k g_k = a_0 g_0 for k >= 1 and (w a_0 + q_0) g_0 + sum over
+    k >= 1 of q_k g_k = 0.  ``PlumbingTree.lift`` writes vertices in the g_k."""
     n = len(ends)
     if hub is None:
         rows = [[a * (i == j) for j in range(n)] for i, (_, a) in enumerate(ends)]
@@ -256,6 +235,17 @@ def first_homology(m: LensSum | SeifertManifold) -> tuple[int, FiniteAbelianGrou
         (q0, a0), *legs = ends
         rows = [[-a0] * (n - 1) + [hub * a0 + q0]]
         rows += [[a * (i == j) for j in range(n - 1)] + [q] for i, (q, a) in enumerate(legs)]
-    G = cokernel(rows)
+    return cokernel(rows)
+
+
+def first_homology(m: LensSum | SeifertManifold) -> tuple[int, FiniteAbelianGroup]:
+    """(b_1, torsion) of the manifold, from its presentation matrix; a
+    pretzel cover is read as its Seifert space (``pretzel_to_seifert``).
+    A lens sum or an orientable base is presented on its chain ends
+    (``chain_group``); genus adds free summands only."""
+    if isinstance(m, SeifertManifold) and not m.base_orientable:
+        G = cokernel(list(zip(*_nonorientable_presentation(m))))  # relations as columns
+        return G.free_rank, replace(G, free_rank=0)
+    G = chain_group(*chain_ends(m))
     b1 = G.free_rank + (2 * m.genus if isinstance(m, SeifertManifold) else 0)
     return b1, replace(G, free_rank=0)

@@ -13,8 +13,8 @@ of im A / im Q must be hit by A x with x in {-1, +1}^n.
 Each check takes the ``PlumbingTree`` of the form and first states the
 definiteness it needs, read off the tree's cached inertia: negative
 definite for the double-subset checks, semi-definite of corank one for
-the rectangular one.  The double-subset checks then take coker Q from
-the tree (``PlumbingTree.cokernel``, read off its chains and cached).
+the rectangular one.  The double-subset checks also take coker Q, the
+report's own group, on the generators ``PlumbingTree.lift`` names.
 Both need coker Q = H + H, so a non-square |coker Q|, or invariant
 factors that do not come in equal pairs, refutes them (``undoubled``).
 The orientable check also needs the 2-primary linking form of coker Q to
@@ -35,7 +35,7 @@ and the subsets it found.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import add, mod
 from typing import Any
 
@@ -211,9 +211,13 @@ def _exhausted(res: SubsetSearchResult) -> str:
     return f"budget exhausted after {res.nodes} nodes; {len(res.subsets)} subset(s) found"
 
 
-def double_subset_obstruction(tree: PlumbingTree, budget: int | None = None) -> ObstructionResult:
+def double_subset_obstruction(
+    tree: PlumbingTree, group: FiniteAbelianGroup, budget: int | None = None
+) -> ObstructionResult:
     """Search for two factorisations splitting coker Q as H + H, Q the
-    form of ``tree``.
+    form of ``tree`` and ``group`` its coker Q, presented on the
+    generators ``tree.lift`` writes vertices in (``cokernel`` of the dense
+    form, on a bare tree).
 
     The pair must have distinct column subgroups unless the cokernel is
     trivial, in which case a single factorisation suffices.  For odd
@@ -249,7 +253,7 @@ def double_subset_obstruction(tree: PlumbingTree, budget: int | None = None) -> 
     """
     name = "double_subset"
     _require(tree, ("negative_definite", 0), "double-subset obstruction")
-    G = tree.cokernel
+    G = replace(group, lift=tree.lift)
     if (refuted := undoubled(name, G)) is not None:
         return refuted
     filtered = G.order % 2 == 1
@@ -311,10 +315,13 @@ def semidefinite_obstruction(tree: PlumbingTree, budget: int | None = None) -> O
     return ObstructionResult(name, "inconclusive", notes=_exhausted(res))
 
 
-def nonorientable_obstruction(tree: PlumbingTree, budget: int | None = None) -> ObstructionResult:
+def nonorientable_obstruction(
+    tree: PlumbingTree, group: FiniteAbelianGroup, budget: int | None = None
+) -> ObstructionResult:
     """Pair of factorisations with coker Q isomorphic to H_i + H_i and
     |H_1 meet H_2| <= 2, Q the form of ``tree`` (the non-orientable base
-    form).  A subset qualifies when its column subgroup H has
+    form) and ``group`` its coker Q, as in ``double_subset_obstruction``.
+    A subset qualifies when its column subgroup H has
     ``doubled_factors(H.factors)`` equal to the factors of coker Q, so
     none does unless those factors pair up: a non-square |coker Q| or
     unpaired factors refute the check with no search.  The type is tested
@@ -326,7 +333,7 @@ def nonorientable_obstruction(tree: PlumbingTree, budget: int | None = None) -> 
     if tree.size == 0:
         return ObstructionResult(name, "pass", notes="empty form, vacuous")
     _require(tree, ("negative_definite", 0), "non-orientable obstruction")
-    G = tree.cokernel
+    G = replace(group, lift=tree.lift)
     if (refuted := undoubled(name, G)) is not None:
         return refuted
     qualifying: list = []

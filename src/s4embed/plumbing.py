@@ -13,9 +13,10 @@ forest of the legs alone.
 
 Every plumbing here is a forest, kept sparse as the one form type below
 the obstructions: its inertia comes from leaf stripping
-(``PlumbingTree.inertia``), its cokernel from a walk along its chains
-(``PlumbingTree.cokernel``), each once per tree, its Wu sets from a GF(2)
+(``PlumbingTree.inertia``, once per tree), its Wu sets from a GF(2)
 pass (``spin.wu_sets``); the lattice search reads its neighbour lists.
+``_chains`` writes each vertex's class on the chain ends that present
+coker Q (``PlumbingTree.lift``), so a search reads the report's group.
 
 Every plumbing is laid out in one canonical vertex order.  A star's hub
 is vertex 0 and each leg is read from the hub outward; with no hub, each
@@ -31,11 +32,11 @@ subset certificate is vertex i of the plumbing its search ran on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import intlinalg
-from .manifolds import LensSum, SeifertManifold, neg_continued_fraction, normalize_seifert
+from .manifolds import LensSum, SeifertManifold, neg_continued_fraction
 
 
 @dataclass(frozen=True)
@@ -43,10 +44,14 @@ class PlumbingTree:
     """Weighted forest with at most simple edges.  ``plumbing_tree`` lays
     it out in the canonical order of the module docstring, a star with
     its hub at vertex 0, so isomorphic plumbings come out as equal trees;
-    row i of a subset certificate found on the tree is its vertex i."""
+    row i of a subset certificate found on the tree is its vertex i.
+    ``lift`` names vertex i's class m g_k, (k, m) = lift[i], on the chain
+    ends of ``manifolds.chain_group``, () the identity; equal trees of one
+    report share one search whatever their lifts (``plumbing_tree``)."""
 
     weights: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
+    lift: tuple[tuple[int, int], ...] = field(default=(), compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -84,96 +89,71 @@ class PlumbingTree:
             return "indefinite", 0
         return ("negative_semidefinite", zero) if zero else ("negative_definite", 0)
 
-    @cached_property
-    def cokernel(self) -> intlinalg.FiniteAbelianGroup:
-        """coker Q, read off the chains (Neumann, Trans. AMS 268, 1981).
 
-        Every vertex but a hub (degree >= 3) lies on a chain walked from its
-        free end, of class g: each vertex's class is m g, with m = 1 at the end
-        and m' = -w m - m_prev at the next, by the column of Q at a vertex of
-        weight w.  Past the chain m' g = 0, or m' g = h at a hub h: the first
-        chain to meet h gives h its class, each later one a relation, and h's
-        own column w h + (its neighbours' classes) = 0.  These relations, one
-        per chain, present the group, and a vertex's coordinates are its chain's
-        times m.  Two hubs on a chain raise ValueError."""
-        adj, weights = self.neighbours, self.weights
-        owner, mult = [-1] * self.size, [1] * self.size  # each vertex's chain and m
-        chains = 0
-        relations: list[dict[int, int]] = []  # columns: chain -> coefficient
-        for end, row in enumerate(adj):
-            if len(row) > 1 or owner[end] >= 0:
-                continue
-            k, chains = chains, chains + 1
-            prev, v, m_prev, m = -1, end, 0, 1
-            while v >= 0 and len(adj[v]) < 3:
-                owner[v], mult[v] = k, m
-                m_prev, m = m, -weights[v] * m - m_prev
-                ahead = [u for u in adj[v] if u != prev]  # at most one, as v is no hub
-                prev, v = v, ahead[0] if ahead else -1
-            if v >= 0 and owner[v] < 0:  # the first chain to meet hub v
-                owner[v], mult[v] = k, m
-            else:
-                relations.append({k: m} if v < 0 else {k: m, owner[v]: -mult[v]})
-        if -1 in owner:
-            raise ValueError("a chain between two hubs has no free end to walk from")
-        for h in (v for v, row in enumerate(adj) if len(row) >= 3):
-            rel = {owner[h]: weights[h] * mult[h]}
-            for u in adj[h]:
-                rel[owner[u]] = rel.get(owner[u], 0) + mult[u]
-            relations.append(rel)
-        rows = [[rel.get(k, 0) for rel in relations] for k in range(chains)]
-        return intlinalg.cokernel(rows, zip(owner, mult))
+def _chains(hub: int | None, ends) -> PlumbingTree:
+    """One linear chain per chain end (q, a) (``chain_ends``), weighted by
+    the negated expansion of a / (q mod a), in the canonical order of the
+    module docstring, ties in order of k.  With a ``hub`` weight w (vertex
+    0) each chain is read from the hub outward, and reducing q by t a adds
+    t to w; with none, from the end whose sequence is the smaller.
 
-
-def _chains(pairs, hub: int | None = None) -> PlumbingTree:
-    """One linear chain per (p, q), weighted by the negated entries of
-    the expansion of p/q, in the canonical order of the module docstring.
-    With a ``hub`` weight the hub is vertex 0, the first vertex of every
-    chain is joined to it, and each chain is read from the hub outward;
-    with none, each chain is read from the end whose sequence is the
-    lexicographically smaller."""
-    seqs = [neg_continued_fraction(p, q) for p, q in pairs]
+    The lift names chain k's last vertex g_k and each one inward m' g_k,
+    m' = c m - m_prev past weight -c, so Q's columns there vanish; past
+    the first vertex m = a, the hub's class a_0 g_0 (g_0 with no legs) or
+    0: the relations of ``chain_group``, up to t (a_k g_k - a_0 g_0) for a
+    reduced q.  A hub-less chain's Z/a is spanned from either end."""
+    seqs = [neg_continued_fraction(a, q % a) for q, a in ends]
     if hub is None:
         seqs = [min(seq, seq[::-1]) for seq in seqs]
+    else:
+        hub += sum(q // a for q, a in ends)
     weights: list[int] = [] if hub is None else [hub]
+    lift = [] if hub is None else [(0, ends[0][1] if ends else 1)]
     edges: list[tuple[int, int]] = []
-    for seq in sorted(seqs):
+    for seq, k in sorted((seq, k) for k, seq in enumerate(seqs)):
         start = len(weights)
-        weights.extend(-a for a in seq)
+        weights.extend(-c for c in seq)
         if hub is not None:
             edges.append((0, start))
         edges.extend((i, i + 1) for i in range(start, len(weights) - 1))
-    return PlumbingTree(tuple(weights), tuple(edges))
+        mults, m, m_prev = [], 1, 0
+        for c in reversed(seq):
+            mults.append((k, m))
+            m, m_prev = c * m - m_prev, m
+        lift.extend(reversed(mults))
+    return PlumbingTree(tuple(weights), tuple(edges), tuple(lift))
 
 
 def plumbing_tree(m: LensSum | SeifertManifold, orientation: str = "+", shared=()) -> PlumbingTree:
     """The standard definite/semi-definite plumbing for either orientation.
 
-    A lens sum gives one chain per summand.  L(p, q) = L(p, q^-1) has the
-    reversed chain, so in the canonical layout the tree depends only on
-    the multiset of summands up to that identity, and a sum and its
-    mirror get one tree whenever their chains match up so.  A Seifert
-    space is read in its normalised form (a_i > -b_i > 0): each leg
-    carries the negated entries of the expansion of a_i / -b_i, and over
-    an orientable base the hub weighs the normalised framing r, each leg's
-    innermost vertex joined to it.  That star presents Y for any e and is
-    negative (semi)definite exactly when e >= 0.
+    Its chains are read as ``chain_ends`` reads them: a summand L(p, q) is
+    the chain (q, p), a fibre (a, b) the leg (-b, a), and over an
+    orientable base the hub weighs r, each leg's innermost vertex joined
+    to it; ``_chains`` reduces each q mod a, the normalised form
+    (a_i > -b_i > 0).  L(p, q) = L(p, q^-1) has the reversed chain, so in
+    the canonical layout a sum and its mirror get one tree whenever their
+    chains match up so.  The star presents Y for any e and is negative
+    (semi)definite exactly when e >= 0.
 
-    orientation '-' builds the tree for the reversed manifold.  For an
-    orientable-base Seifert manifold the chosen orientation must have
-    e >= 0, otherwise no standard definite plumbing exists on that side.
-    A tree of ``shared`` equal to the one built is returned in its place,
-    before the definiteness check, so its inertia is not taken twice.
+    orientation '-' builds the tree for the reversed manifold by negating
+    every q and w.  That negates only the hub relation of ``chain_group``,
+    so both sides' lifts name the g_k of m's own chain ends, and a tree
+    that serves both keeps one lift.  For an orientable-base Seifert
+    manifold the chosen orientation must have e >= 0, otherwise no
+    standard definite plumbing exists on that side.  A tree of ``shared``
+    equal to the one built is returned in its place, before the
+    definiteness check, so its inertia is not taken twice.
     """
     if orientation not in ("+", "-"):
         raise ValueError("orientation must be '+' or '-'")
-    if orientation == "-":
-        m = m.mirror()
+    s = 1 if orientation == "+" else -1
     if isinstance(m, LensSum):
-        star, tree = False, _chains(m.summands)
+        star, hub, ends = False, None, [(s * q, p) for p, q in m.summands]
     else:
-        star, norm = m.base_orientable, normalize_seifert(m)
-        tree = _chains([(a, -b) for a, b in norm.invariants], norm.r if star else None)
+        star, ends = m.base_orientable, [(-s * b, a) for a, b in m.invariants]
+        hub = s * m.r if star else None
+    tree = _chains(hub, ends)
     tree = next((t for t in shared if t == tree), tree)
     # the star is indefinite exactly when e < 0; a chain forest is definite
     if star and tree.definiteness[0] == "indefinite":

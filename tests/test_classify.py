@@ -1,11 +1,11 @@
 import math
 from collections import Counter
-from functools import cached_property
+from dataclasses import replace
 from itertools import combinations_with_replacement
 
 import pytest
 
-from s4embed import classify, intlinalg, obstructions, plumbing
+from s4embed import classify, intlinalg, manifolds, obstructions, plumbing
 from s4embed.classify import (
     ManifoldContext,
     catalog_matches,
@@ -18,6 +18,7 @@ from s4embed.classify import (
     weak_complementary_matched,
 )
 from s4embed.cli import parse_manifold
+from s4embed.intlinalg import cokernel, identity_matrix, subgroup_from_generators
 from s4embed.manifolds import (
     LensSum,
     PretzelCover,
@@ -26,8 +27,9 @@ from s4embed.manifolds import (
     first_homology,
     pretzel_to_seifert,
 )
-from s4embed.plumbing import PlumbingTree, plumbing_tree
-from test_census import fibres, sweep_s5
+from s4embed.plumbing import plumbing_tree
+from test_census import fibres, mirror, sweep_s5
+from test_intlinalg import dense
 from test_manifolds import pretzel_strand_forms, result
 from test_spin import pretzel_link_components
 
@@ -206,7 +208,7 @@ def oracle_strand_forms(m):
     """Every pretzel presentation of the cover and of its mirror, none
     when the manifold is not a pretzel cover."""
     s = ManifoldContext(m).seifert
-    return tuple(sorted({*pretzel_strand_forms(s), *pretzel_strand_forms(s.mirror())}))
+    return tuple(sorted({*pretzel_strand_forms(s), *pretzel_strand_forms(mirror(s))}))
 
 
 def oracle_family_match(strands):
@@ -392,9 +394,9 @@ def count_searches(monkeypatch) -> list:
     searched = []
 
     def counting(search):
-        def counted(Q, budget=None):
-            searched.append(Q)
-            return search(Q, budget)
+        def counted(tree, *args):
+            searched.append(tree)
+            return search(tree, *args)
 
         return counted
 
@@ -536,7 +538,7 @@ def test_nonorientable_surface_bundles_are_never_refuted():
         for r in range(-2 * h - 4, 2 * h + 5):
             y = SeifertManifold(False, h, r, [])
             member = abs(r) <= 2 * h and (r - 2 * h) % 4 == 0
-            for m in (y, y.mirror()):
+            for m in (y, mirror(y)):
                 statuses[member, r % 2, full_report(m).status] += 1
     assert statuses == {
         (True, 0, "EMBEDS"): 40,
@@ -612,44 +614,51 @@ def test_mirror_star_equal_to_its_twin_takes_one_inertia(monkeypatch, text):
 
 
 @pytest.mark.parametrize(
-    "manifold, cokernels",
+    "manifold, groups",
     [
         # |H_1| = 71 is not a square, so double_subset is refuted on H_1
         # with no tree
-        (PretzelCover([3, 5, 7]), 0),
-        # e = 0: the semi-definite searches need no cokernel
-        (PretzelCover([2, -2, 3, -3]), 0),
-        (SeifertManifold(False, 1, 0, [(3, 1), (3, -1)]), 1),
+        (PretzelCover([3, 5, 7]), 1),
+        # e = 0: the semi-definite searches need no group
+        (PretzelCover([2, -2, 3, -3]), 1),
+        # over N(h), H_1 and the legs' group, whether the two sides'
+        # forests are one tree or two
+        (SeifertManifold(False, 1, 0, [(3, 1), (3, -1)]), 2),
         (SeifertManifold(False, 1, 0, [(3, 1), (3, -2)]), 2),
         # a lens sum that is its own mirror: both double-subset rows
-        # share one tree
+        # search H_1 through one tree
         (LensSum([(3, 1), (3, 2)]), 1),
     ],
 )
-def test_report_takes_each_cokernel_once(monkeypatch, manifold, cokernels):
+def test_report_takes_each_cokernel_once(monkeypatch, manifold, groups):
+    """A report presents each group once, on chain ends or by the surgery
+    presentation, and its searches project onto that group through each
+    tree's lift: H_1, and over N(h) the legs' group as well, however many
+    sides search."""
     taken = []
 
-    def counted(tree):
-        taken.append(tree)
-        return walk(tree)
+    def counted(M):
+        taken.append(M)
+        return present(M)
 
-    walk = PlumbingTree.cokernel.func
-    prop = cached_property(counted)
-    prop.__set_name__(PlumbingTree, "cokernel")
-    monkeypatch.setattr(PlumbingTree, "cokernel", prop)
+    present = manifolds.cokernel
+    monkeypatch.setattr(manifolds, "cokernel", counted)
     full_report(manifold, certificates=True)
-    assert len(taken) == len(set(taken)) == cokernels
+    assert len(taken) == groups
 
 
 def test_tree_cokernel_is_the_torsion_of_first_homology():
     """Over an orientable base, coker Q of a side's definite plumbing, or
     of either side's semi-definite one when e = 0, is H_1 less the 2 genus
-    free summands of the base (Neumann, Trans. AMS 268, 1981).  So its
-    factors and free rank check the n x n presentation of
-    ``first_homology`` against the chain walk of ``PlumbingTree.cokernel``,
-    on every 3- and 4-strand pretzel cover with |a_i| <= 7, every space of
-    the S5 census sweep with its genus-1 and genus-2 twins, and every
-    space of genus 0 or 1 with 0, 1 or 2 fibres a <= 7 and r in [-3, 3]."""
+    free summands of the base (Neumann, Trans. AMS 268, 1981).  The
+    tree's lift carries it onto the torsion of ``first_homology``: every
+    column of Q projects to 0 and the vertex classes generate.  Where
+    e != 0, |coker Q| = |e| a_1 ... a_n, the torsion's order; where e = 0
+    the dense Smith form gives the torsion's factors and free rank 1.
+    This runs on every 3- and 4-strand pretzel cover with |a_i| <= 7,
+    every space of the S5 census sweep with its genus-1 and genus-2
+    twins, and every space of genus 0 or 1 with 0, 1 or 2 fibres a <= 7
+    and r in [-3, 3]."""
     strands = [a for a in range(-7, 8) if a]
     covers = [PretzelCover(s) for n in (3, 4) for s in combinations_with_replacement(strands, n)]
     s5 = sweep_s5()
@@ -666,9 +675,18 @@ def test_tree_cokernel_is_the_torsion_of_first_homology():
         y = m if isinstance(m, SeifertManifold) else pretzel_to_seifert(m)
         e = euler_invariant(y)
         b1, torsion = first_homology(y)
+        assert b1 == 2 * y.genus + (e == 0), m.describe()
         for side in ("+", "-") if e == 0 else ("-" if e < 0 else "+",):
-            G = plumbing_tree(y, side).cokernel
-            assert (G.free_rank + 2 * y.genus, G.factors) == (b1, torsion.factors), m.describe()
+            tree = plumbing_tree(y, side)
+            G = replace(torsion, lift=tree.lift)
+            assert not any(map(any, G.project_columns(dense(tree)))), m.describe()
+            vertices = G.project_columns(identity_matrix(tree.size))
+            assert subgroup_from_generators(G, vertices).order == G.order, m.describe()
+            if e:
+                assert G.order == abs(e * math.prod(a for a, _ in y.invariants)), m.describe()
+            else:
+                Q = cokernel(dense(tree))
+                assert (Q.free_rank, Q.factors) == (1, G.factors), m.describe()
         kinds[e == 0, y.genus > 0, len(y.invariants) <= 2] += 1
     # (e = 0, genus >= 1, at most two fibres): inputs
     assert kinds == {

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from s4embed.intlinalg import (
     smith_normal_form,
     subgroup_from_generators,
 )
+from s4embed.classify import ManifoldContext
 from s4embed.manifolds import (
     LensSum,
     SeifertManifold,
@@ -29,6 +31,7 @@ from s4embed.manifolds import (
 from s4embed.obstructions import odd_linking_factor
 from s4embed.plumbing import PlumbingTree, plumbing_tree
 from s4embed.spin import wu_sets
+from test_census import mirror
 
 
 def chain_matrix(weights):
@@ -66,7 +69,7 @@ def mat_eq(A, B) -> bool:
 
 def determinant(M) -> int:
     """Exact determinant by fraction-free Bareiss elimination; the oracle
-    for the order of ``PlumbingTree.cokernel``."""
+    for the order of the group a tree's lift projects onto."""
     n = len(M)
     if n == 0:
         return 1
@@ -455,15 +458,14 @@ def test_solve_mod2_random_consistency():
 
 def test_signature_and_definiteness():
     assert signature_triple(*sparse(e8_matrix())) == (8, 0, 0)
-    assert PlumbingTree((-2,) * 8, tuple(E8_EDGES)).cokernel.order == 1
+    assert cokernel(e8_matrix()).order == 1
     assert PlumbingTree((-2, -2), ((0, 1),)).definiteness == ("negative_definite", 0)
     assert PlumbingTree((-1, -1), ((0, 1),)).definiteness == ("negative_semidefinite", 1)
     assert PlumbingTree((1,), ()).definiteness == ("indefinite", 0)
     assert PlumbingTree((), ()).definiteness == ("negative_definite", 0)
     assert signature_triple([0, 0], [[1], [0]]) == (1, 0, 1)
-    assert PlumbingTree((0, 0), ((0, 1),)).cokernel.order == 1
+    assert cokernel([[0, 1], [1, 0]]).order == 1
     assert signature_triple([], []) == (0, 0, 0)
-    assert PlumbingTree((), ()).cokernel.order == 1
 
 
 def dense_signature_triple(M) -> tuple[int, int, int]:
@@ -531,7 +533,11 @@ def test_signature_matches_eigen_count_small_random():
 
 def test_signature_of_large_plumbings():
     assert signature_triple(*sparse(chain_matrix([-2] * 300))) == (300, 0, 0)
-    assert chain_tree([-2] * 300).cokernel.factors == (301,)
+    lens = LensSum([(301, 300)])
+    assert plumbing_tree(lens) == chain_tree([-2] * 300)
+    G = replace(first_homology(lens)[1], lift=plumbing_tree(lens).lift)
+    assert G.factors == (301,)
+    assert all(c == 0 for col in G.project_columns(chain_matrix([-2] * 300)) for c in col)
     # e = 0; the normalised fibres give legs of 150, 150, 1 and 1 vertices
     star = SeifertManifold(True, 0, 0, [(151, 1), (151, 1), (151, -1), (151, -1)])
     assert euler_invariant(star) == 0
@@ -539,7 +545,7 @@ def test_signature_of_large_plumbings():
     assert tree.size > 300
     assert tree.definiteness == ("negative_semidefinite", 1)
     assert tree.inertia == (tree.size - 1, 1, 0)
-    assert tree.cokernel.free_rank == 1
+    assert first_homology(star)[0] == 1
 
 
 def dense(tree: PlumbingTree) -> list[list[int]]:
@@ -584,78 +590,96 @@ def forests(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(tree=forests())
 def test_forest_elimination_matches_dense_oracles(tree):
-    """Inertia against dense elimination, the Wu sets against dense GF(2)
-    solving, and the cokernel, wherever the chain walk reads it, against
-    the dense Smith form and Bareiss."""
+    """Inertia against dense elimination, and the Wu sets against dense
+    GF(2) solving."""
     Q = dense(tree)
     assert tree.inertia == dense_signature_triple(Q)
     assert wu_sets(tree) == mod2_solution_set(Q, tree.weights)
-    try:
-        G = tree.cokernel
-    except ValueError:  # a chain between two hubs
-        assert sum(len(row) >= 3 for row in tree.neighbours) >= 2
-        return
-    assert_same_cokernel(tree, G)
 
 
-def assert_same_cokernel(tree: PlumbingTree, G: FiniteAbelianGroup) -> None:
-    """The tree's cokernel against the dense Smith form of Q: the same
-    factors and free rank, |det Q| as the order, and the columns of Q
-    projecting to zero."""
+def assert_lift(tree: PlumbingTree, G: FiniteAbelianGroup) -> FiniteAbelianGroup:
+    """G, given ``tree.lift``, against the dense form Q of the tree: every
+    column of Q projects to 0, the vertex classes generate G, and G has
+    the invariant factors of the dense Smith form and |det Q| as its
+    order.  So the lift carries coker Q onto G.  Returns G with the lift."""
     Q = dense(tree)
-    full = cokernel(Q)
-    assert (G.factors, G.free_rank) == (full.factors, full.free_rank)
-    det = determinant(Q)
-    assert (math.prod(G.factors) == abs(det)) if G.is_finite else det == 0
+    G = replace(G, lift=tree.lift)
     assert all(c == 0 for col in G.project_columns(Q) for c in col)
+    vertices = G.project_columns(identity_matrix(tree.size))
+    assert subgroup_from_generators(G, vertices).order == G.order
+    assert G.factors == cokernel(Q).factors
+    assert G.order == abs(determinant(Q))
+    return G
 
 
-def random_chains_and_stars(rng, n) -> PlumbingTree:
-    """A forest on n vertices whose components are chains and stars with
-    one hub of three to five legs, with weights in [-5, 2]."""
-    weights = [rng.choice([-5, -3, -2, -2, -2, -1, 0, 1, 2]) for _ in range(n)]
-    edges = []
-    v = 0
-    while v < n:
-        if n - v >= 4 and rng.random() < 0.5:
-            hub, v = v, v + 1
-            for _ in range(rng.randint(3, 5)):
-                prev = hub
-                for _ in range(rng.randint(1, 3)):
-                    if v == n:
-                        break
-                    edges.append((prev, v))
-                    prev, v = v, v + 1
-        else:
-            length = min(rng.randint(1, 5), n - v)
-            edges += [(i, i + 1) for i in range(v, v + length - 1)]
-            v += length
-    return PlumbingTree(tuple(weights), tuple(edges))
+def searched_group(ctx: ManifoldContext) -> FiniteAbelianGroup:
+    """The group a report's searches project onto: H_1's torsion, or over
+    a non-orientable base the legs' group."""
+    m = ctx.seifert or ctx.manifold
+    orientable = not isinstance(m, SeifertManifold) or m.base_orientable
+    return ctx.homology[1] if orientable else ctx.leg_group
+
+
+def searched(m, side: str) -> tuple[PlumbingTree, FiniteAbelianGroup]:
+    """The tree of ``side`` and the group a report's search on it projects
+    onto (``searched_group``)."""
+    ctx = ManifoldContext(m)
+    return ctx.tree(side), searched_group(ctx)
+
+
+def random_searched_space(rng) -> tuple[LensSum | SeifertManifold, tuple[str, ...]]:
+    """A lens sum of one to four summands with p <= 13 (both sides), a
+    star over S^2 or a torus with zero to five fibres a <= 7, |b| <= 2a,
+    in any normalisation (the definite side, e != 0), or a space over
+    N(1) to N(3) with one to four such fibres (both sides)."""
+    def fibres(least, most):
+        return [
+            (a, rng.choice([b for b in range(-2 * a, 2 * a + 1) if math.gcd(a, b) == 1]))
+            for a in (rng.randint(2, 7) for _ in range(rng.randint(least, most)))
+        ]
+
+    kind = rng.randrange(3)
+    if kind == 0:
+        sums = []
+        for p in (rng.randint(2, 13) for _ in range(rng.randint(1, 4))):
+            sums.append((p, rng.choice([q for q in range(1, p) if math.gcd(p, q) == 1])))
+        return LensSum(sums), ("+", "-")
+    if kind == 1:
+        m = SeifertManifold(True, rng.randint(0, 1), rng.randint(-4, 4), fibres(0, 5))
+        e = euler_invariant(m)
+        return m, () if e == 0 else ("+" if e > 0 else "-",)
+    return SeifertManifold(False, rng.randint(1, 3), rng.randint(-4, 4), fibres(1, 4)), ("+", "-")
 
 
 def test_tree_cokernel_matches_dense_smith_form():
-    """On random chains and single-hub stars (n <= 14) the chain walk gives
-    the dense Smith form's group, and every set of columns spans a
-    subgroup of the same order in both."""
+    """On random lens sums, stars and non-orientable forests (n <= 14),
+    each searched tree's lift carries coker Q onto the group its report
+    searches in (``assert_lift``), and every set of columns spans a
+    subgroup of the same order there and in the dense Smith form's
+    group.  Both sides of one report search one group, and a tree the
+    second side shares with the first keeps the first side's lift."""
     rng = random.Random(16)
-    stars = checked = 0
-    for _ in range(400):
-        tree = random_chains_and_stars(rng, rng.randint(0, 14))
-        G = tree.cokernel
-        assert_same_cokernel(tree, G)
-        stars += any(len(row) >= 3 for row in tree.neighbours)
-        if not G.is_finite:
-            continue
-        full = cokernel(dense(tree))
-        for _ in range(3):
-            width = rng.randint(1, 3)
-            A = [[rng.randint(-2, 2) for _ in range(width)] for _ in tree.weights]
-            orders = [
-                subgroup_from_generators(H, H.project_columns(A)).order for H in (G, full)
-            ]
-            assert orders[0] == orders[1]
-            checked += 1
-    assert stars >= 100 and checked >= 500
+    kinds: Counter = Counter()
+    checked = shared = 0
+    while sum(kinds.values()) < 3000:
+        m, sides = random_searched_space(rng)
+        ctx = ManifoldContext(m)
+        for side in sides:
+            tree, G = ctx.tree(side), searched_group(ctx)
+            if tree.size > 14:
+                continue
+            G = assert_lift(tree, G)
+            kinds[type(m).__name__, getattr(m, "base_orientable", None), side] += 1
+            shared += side == "-" and tree is ctx._trees.get("+")
+            full = cokernel(dense(tree))
+            for _ in range(2):
+                width = rng.randint(1, 3)
+                A = [[rng.randint(-2, 2) for _ in range(width)] for _ in tree.weights]
+                orders = [subgroup_from_generators(H, H.project_columns(A)).order for H in (G, full)]
+                assert orders[0] == orders[1]
+                checked += 1
+    assert len(kinds) == 6 and min(kinds.values()) >= 200, kinds
+    assert checked >= 6000 and shared >= 50
 
 
 def rational_solve(M, rhs) -> list[list[Fraction]]:
@@ -768,22 +792,11 @@ def test_odd_linking_factor_matches_dense_oracle():
         if max(t.size for t in trees) > 14 or torsion.order % 2:
             continue
         d = odd_linking_factor(torsion, *chain_ends(m))
-        assert d == odd_linking_factor(first_homology(m.mirror())[1], *chain_ends(m.mirror()))
+        assert d == odd_linking_factor(first_homology(mirror(m))[1], *chain_ends(mirror(m)))
         assert all(d == dense_odd_linking_factor(tree) for tree in trees), m.describe()
         kinds["chains" if lens or not m.invariants else "star", "even" if d is None else "odd"] += 1
     assert kinds[("chains", "even")] == 0
     assert min(kinds[k] for k in (("chains", "odd"), ("star", "even"), ("star", "odd"))) >= 40
-
-
-def test_tree_cokernel_needs_one_hub_per_chain():
-    """A chain between two hubs has no free end, and is refused; two
-    adjacent hubs, each met by chains with free ends, need no walk
-    between them."""
-    legs = ((0, 1), (0, 2), (3, 4), (3, 5))
-    with pytest.raises(ValueError, match="two hubs"):
-        PlumbingTree((-2,) * 7, legs + ((0, 6), (6, 3))).cokernel
-    adjacent = PlumbingTree((-2,) * 6, legs + ((0, 3),))
-    assert_same_cokernel(adjacent, adjacent.cokernel)
 
 
 def test_cokernel_takes_relations_as_columns():
@@ -799,12 +812,22 @@ def test_cokernel_takes_relations_as_columns():
 
 def test_elimination_needs_a_forest():
     """A cycle leaves no leaf to strip and is refused, while a chain of
-    100,000 vertices still eliminates, and its cokernel is read off it."""
+    100,000 vertices still eliminates, and its lift names each vertex's
+    class in H_1 = Z/100001: the columns of Q at the chain's two ends and
+    at a middle vertex project to 0, and the end vertices generate."""
     with pytest.raises(ValueError, match="needs a forest"):
         signature_triple([-2, -2, -2], [[1, 2], [0, 2], [0, 1]])
-    tree = chain_tree([-2] * 100000)
-    assert tree.inertia == (100000, 0, 0)
-    assert tree.cokernel.factors == (100001,)
+    n, lens = 100000, LensSum([(100001, 100000)])
+    tree = plumbing_tree(lens)
+    assert tree == chain_tree([-2] * n)
+    assert tree.inertia == (n, 0, 0)
+    G = replace(first_homology(lens)[1], lift=tree.lift)
+    assert G.factors == (100001,)
+    cols = (0, n // 2, n - 1)
+    Q = [[-2 * (i == c) + (abs(i - c) == 1) for c in cols] for i in range(n)]
+    assert G.project_columns(Q) == [(0,)] * 3
+    ends = [[int(i == c) for c in (0, n - 1)] for i in range(n)]
+    assert all(math.gcd(x, 100001) == 1 for (x,) in G.project_columns(ends))
 
 
 def regenerate(rng, rows):

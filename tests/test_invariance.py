@@ -10,6 +10,7 @@ from s4embed.classify import full_report
 from s4embed.lattice import enumerate_subsets
 from s4embed.manifolds import LensSum, PretzelCover, SeifertManifold, pretzel_to_seifert
 from s4embed.plumbing import PlumbingTree, _chains
+from test_census import mirror
 from test_intlinalg import dense
 from test_manifolds import pretzel_strand_forms
 
@@ -46,8 +47,8 @@ def test_pretzel_seifert_mirror_and_rolfsen_forms_agree(strands):
     seif = pretzel_to_seifert(cover)
     assert rows(full_report(cover)) == rows(full_report(seif))
     reordered = [PretzelCover(strands[::-1]), PretzelCover(strands[1:] + strands[:1])]
-    forms = [cover, *reordered, seif, cover.mirror(), seif.mirror()]
-    for source in (seif, seif.mirror()):
+    forms = [cover, *reordered, seif, mirror(cover), mirror(seif)]
+    for source in (seif, mirror(seif)):
         forms += [PretzelCover(s) for s in pretzel_strand_forms(source)]
     found = statuses(forms)
     assert len(set(found.values())) == 1, found
@@ -67,7 +68,7 @@ def test_seifert_fibre_order_shifts_and_mirror_agree(orientable, r, fibres, data
     m = SeifertManifold(orientable, genus, r, fibres)
     invariants, framing = shifted(order, r, shifts)
     rewritten = SeifertManifold(orientable, genus, framing, invariants)
-    found = statuses([m, rewritten, m.mirror()])
+    found = statuses([m, rewritten, mirror(m)])
     assert len(set(found.values())) == 1, found
 
 
@@ -82,7 +83,7 @@ def test_lens_sum_order_presentation_and_mirror_agree(summands, data):
         (p, (pow(q, -1, p) if inv else q) + k * p) for (p, q), k, inv in zip(order, ks, inverted)
     ]
     m = LensSum(summands)
-    found = statuses([m, LensSum(rewritten), m.mirror()])
+    found = statuses([m, LensSum(rewritten), mirror(m)])
     assert len(set(found.values())) == 1, found
 
 
@@ -102,22 +103,26 @@ def relabelled(tree: PlumbingTree, perm: list[int]) -> PlumbingTree:
 
 
 def test_relabelled_plumbings_are_one_tree():
-    """Reversing chains (q -> q^-1 mod p) and permuting chains or legs
-    gives the identical tree, on 160 random chain forests and 160 random
-    one-hub stars.  The layout does not change what the search finds:
-    the form with its vertices relabelled at random has as many subsets,
-    with the same status."""
+    """Reversing chains (q -> q^-1 mod p), permuting chains or legs, and
+    shifting a chain end q by t p (with -t on the hub weight, as
+    normalising a fibre does) gives the identical tree, on 160 random
+    chain forests and 160 random one-hub stars.  The layout does not
+    change what the search finds: the form with its vertices relabelled
+    at random has as many subsets, with the same status."""
     rng = random.Random(21)
     searched = 0
     for trial in range(320):
         hub = -rng.randint(1, 4) if trial % 2 else None
         pairs = [rng.choice(CHAINS) for _ in range(rng.randint(1, 4))]
-        tree = _chains(pairs, hub)
+        tree = _chains(hub, [(q, p) for p, q in pairs])
         for _ in range(4):
             layout = rng.sample(pairs, len(pairs))
             if hub is None:
                 layout = [(p, pow(q, -1, p) if rng.random() < 0.5 else q) for p, q in layout]
-            assert _chains(layout, hub) == tree, (pairs, layout, hub)
+            shifts = [rng.randint(-2, 2) for _ in layout]
+            ends = [(q + t * p, p) for (p, q), t in zip(layout, shifts)]
+            w = None if hub is None else hub - sum(shifts)
+            assert _chains(w, ends) == tree, (pairs, layout, hub)
         kind, corank = tree.definiteness
         if kind == "indefinite" or corank > 1 or tree.size > 9:
             continue

@@ -16,7 +16,7 @@ from s4embed.lattice import (
 )
 from s4embed.manifolds import LensSum, PretzelCover, SeifertManifold, pretzel_to_seifert
 from s4embed.plumbing import PlumbingTree, plumbing_tree
-from test_intlinalg import dense
+from test_intlinalg import dense, searched
 
 
 def forest(weights, edges=()) -> PlumbingTree:
@@ -145,12 +145,12 @@ def test_checks_refuse_the_wrong_definiteness():
     semi-definite form it would otherwise search in one column fewer."""
     with pytest.raises(ValueError):
         obstructions.semidefinite_obstruction(chain([-2, -2]))
-    e0 = plumbing_tree(pretzel_to_seifert(PretzelCover([2, -2, 2, -2])))
+    e0, G = searched(pretzel_to_seifert(PretzelCover([2, -2, 2, -2])), "+")
     assert e0.definiteness == ("negative_semidefinite", 1)
     with pytest.raises(ValueError):
-        obstructions.double_subset_obstruction(e0)
+        obstructions.double_subset_obstruction(e0, G)
     with pytest.raises(ValueError):
-        obstructions.nonorientable_obstruction(e0)
+        obstructions.nonorientable_obstruction(e0, G)
 
 
 def test_budget_exhaustion_reported():
@@ -237,7 +237,7 @@ def test_lens_chain_subsets_verify():
             assert verify_factorization(s, dense(tree))
 
 
-LENS_21 = plumbing_tree(LensSum([(21, 8), (21, 13)]))
+LENS_21, LENS_21_H1 = searched(LensSum([(21, 8), (21, 13)]), "+")
 
 # Node counts of the search, pinned so that a change to how the search
 # runs cannot silently change the tree it visits (and so what a budget
@@ -326,7 +326,7 @@ FIRST_SPLIT, ALL_NODES = 248, PINNED_NODES["lens21"][1]
 )
 def test_double_subset_passes_once_its_witness_is_reached(monkeypatch, budget):
     statuses = searched_status(monkeypatch)
-    res = obstructions.double_subset_obstruction(LENS_21, budget)
+    res = obstructions.double_subset_obstruction(LENS_21, LENS_21_H1, budget)
     assert res.verdict == "pass"
     assert statuses == ["stopped"]
 
@@ -334,7 +334,7 @@ def test_double_subset_passes_once_its_witness_is_reached(monkeypatch, budget):
 @pytest.mark.parametrize("budget", [0, 1, FIRST_SPLIT - 1], ids=[None, None, "first_split-1"])
 def test_double_subset_is_inconclusive_before_its_witness(monkeypatch, budget):
     statuses = searched_status(monkeypatch)
-    res = obstructions.double_subset_obstruction(LENS_21, budget)
+    res = obstructions.double_subset_obstruction(LENS_21, LENS_21_H1, budget)
     assert res.verdict == "inconclusive"
     assert statuses == ["exhausted"]
 
@@ -342,7 +342,7 @@ def test_double_subset_is_inconclusive_before_its_witness(monkeypatch, budget):
 def test_inconclusive_notes_say_how_far_the_search_got():
     """An exhausted search reports the nodes it used and the subsets it
     found, in each of the three checks."""
-    res = obstructions.double_subset_obstruction(LENS_21, FIRST_SPLIT - 1)
+    res = obstructions.double_subset_obstruction(LENS_21, LENS_21_H1, FIRST_SPLIT - 1)
     assert (res.verdict, res.notes) == (
         "inconclusive",
         "budget exhausted after 247 nodes; 2 subset(s) found",
@@ -353,8 +353,8 @@ def test_inconclusive_notes_say_how_far_the_search_got():
         "inconclusive",
         "budget exhausted after 10 nodes; 0 subset(s) found",
     )
-    legs = plumbing_tree(SeifertManifold(False, 1, 0, [(3, 1), (3, -1)]))
-    res = obstructions.nonorientable_obstruction(legs, 14)
+    legs, G = searched(SeifertManifold(False, 1, 0, [(3, 1), (3, -1)]), "+")
+    res = obstructions.nonorientable_obstruction(legs, G, 14)
     assert (res.verdict, res.notes) == (
         "inconclusive",
         "budget exhausted after 14 nodes; 1 subset(s) found",
@@ -363,10 +363,10 @@ def test_inconclusive_notes_say_how_far_the_search_got():
 
 def test_obstructed_needs_the_complete_search(monkeypatch):
     statuses = searched_status(monkeypatch)
-    tree = plumbing_tree(LensSum([(5, 1), (5, 1)]))
-    assert obstructions.double_subset_obstruction(tree).verdict == "obstructed"
+    tree, G = searched(LensSum([(5, 1), (5, 1)]), "+")
+    assert obstructions.double_subset_obstruction(tree, G).verdict == "obstructed"
     nodes = enumerate_subsets(tree).nodes
-    assert obstructions.double_subset_obstruction(tree, nodes - 1).verdict == "inconclusive"
+    assert obstructions.double_subset_obstruction(tree, G, nodes - 1).verdict == "inconclusive"
     assert statuses == ["complete", "exhausted"]
 
 

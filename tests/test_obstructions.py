@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from collections import Counter, defaultdict
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -38,17 +39,31 @@ from s4embed.obstructions import (
 from s4embed.plumbing import PlumbingTree, plumbing_tree
 from test_census import sweep_s5, sweep_s7
 from test_golden import corpus_inputs
-from test_intlinalg import dense, determinant, random_definite_tree, rational_solve
+from test_intlinalg import (
+    assert_lift,
+    dense,
+    determinant,
+    random_definite_tree,
+    random_searched_space,
+    rational_solve,
+    searched,
+)
 from test_lattice import verify_factorization
 from test_manifolds import result
 
 
-def lens_tree(*summands):
-    return plumbing_tree(LensSum(list(summands)))
+def lens_searched(*summands):
+    """The '+' tree of a lens sum and its report's group, H_1."""
+    return searched(LensSum(list(summands)), "+")
+
+
+def bare(tree: PlumbingTree) -> tuple[PlumbingTree, intlinalg.FiniteAbelianGroup]:
+    """The tree with no lift, and the dense Smith form's group of its form."""
+    return PlumbingTree(tree.weights, tree.edges), cokernel(dense(tree))
 
 
 def test_double_subset_l31_l32_passes():
-    res = double_subset_obstruction(lens_tree((3, 1), (3, 2)))
+    res = double_subset_obstruction(*lens_searched((3, 1), (3, 2)))
     assert res.verdict == "pass"
     (A1, A2), (H1, H2) = res.certificates
     assert H1.order == H2.order == 3
@@ -56,19 +71,19 @@ def test_double_subset_l31_l32_passes():
 
 
 def test_double_subset_l21_l21_obstructed():
-    res = double_subset_obstruction(lens_tree((2, 1), (2, 1)))
+    res = double_subset_obstruction(*lens_searched((2, 1), (2, 1)))
     assert res.verdict == "obstructed"
 
 
 def test_double_subset_identity_passes():
-    res = double_subset_obstruction(PlumbingTree((-1, -1), ()))
+    res = double_subset_obstruction(*bare(PlumbingTree((-1, -1), ())))
     assert res.verdict == "pass"
     A1, A2 = res.certificates[0]
     assert A1 is A2  # trivial cokernel permits a repeated factorisation
 
 
 def test_double_subset_nonsquare_order_shortcut():
-    res = double_subset_obstruction(lens_tree((3, 1)))
+    res = double_subset_obstruction(*lens_searched((3, 1)))
     assert res.verdict == "obstructed"
     assert "perfect square" in res.notes
 
@@ -111,7 +126,7 @@ def test_unpaired_cokernel_is_refuted_with_no_search(monkeypatch):
 
 
 def test_double_subset_budget_inconclusive():
-    res = double_subset_obstruction(lens_tree((9, 2), (9, 7)), budget=3)
+    res = double_subset_obstruction(*lens_searched((9, 2), (9, 7)), budget=3)
     assert res.verdict == "inconclusive"
     assert res.notes == "budget exhausted after 3 nodes; 0 subset(s) found"
 
@@ -247,14 +262,14 @@ def test_e0_report_runs_its_searches_only_as_certificates(monkeypatch):
 
 def test_nonorientable_examples():
     y = SeifertManifold(False, 1, 0, [(3, 1), (3, -1)])
-    res = nonorientable_obstruction(plumbing_tree(y))
+    res = nonorientable_obstruction(*searched(y, "+"))
     assert res.verdict == "pass"
 
     y2 = SeifertManifold(False, 1, 0, [(3, 1), (2, 1)])
-    res2 = nonorientable_obstruction(plumbing_tree(y2))
+    res2 = nonorientable_obstruction(*searched(y2, "+"))
     assert res2.verdict == "obstructed"  # |coker| = 6 is not a square
 
-    res3 = nonorientable_obstruction(PlumbingTree((), ()))
+    res3 = nonorientable_obstruction(*bare(PlumbingTree((), ())))
     assert res3.verdict == "pass"
 
 
@@ -288,28 +303,77 @@ def test_char_vector_criterion_filters_lambda():
     from s4embed.manifolds import euler_invariant
 
     assert euler_invariant(seif) > 0
-    tree = plumbing_tree(seif)
+    tree, G = searched(seif, "+")
     res = enumerate_subsets(tree)
     assert res.complete and res.subsets
-    G = tree.cokernel
+    G = assert_lift(tree, G)
     assert all(not char_vector_criterion(subset_column_subgroup(G, s)) for s in res.subsets)
 
 
 def test_pass_certificates_verify():
-    tree = lens_tree((3, 1), (3, 2))
+    tree, G = lens_searched((3, 1), (3, 2))
     Q = dense(tree)
-    res = double_subset_obstruction(tree)
+    res = double_subset_obstruction(tree, G)
     (A1, A2), (H1, H2) = res.certificates
     assert verify_factorization(A1, Q) and verify_factorization(A2, Q)
     assert H1.order * H2.order == 9
 
 
 def test_obstructed_monotone_under_budget():
-    tree = lens_tree((5, 1), (5, 1))
-    small = double_subset_obstruction(tree, budget=10)
-    big = double_subset_obstruction(tree, budget=10**7)
+    tree, G = lens_searched((5, 1), (5, 1))
+    small = double_subset_obstruction(tree, G, budget=10)
+    big = double_subset_obstruction(tree, G, budget=10**7)
     assert big.verdict == "obstructed"
     assert small.verdict in ("inconclusive", "obstructed")
+
+
+def doubled_space(rng) -> tuple[LensSum | SeifertManifold, tuple[str, ...]]:
+    """A space built to search often: one or two lens summands, fibres or
+    legs, then their mirrors or complements (a, -b), then now and then a
+    random one more.  A lens sum (both sides), a star over S^2 with
+    r in [-2, 2] (the definite side, e != 0), or a forest over N(1) (both
+    sides), whose first partner is any fibre of the same a."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        half = rng.sample(LENS_SUMMANDS[:40], rng.randint(1, 2))
+        extra = rng.sample(LENS_SUMMANDS[:40], int(rng.random() < 0.3))
+        return LensSum([*half, *((p, p - q) for p, q in half), *extra]), ("+", "-")
+    half = rng.sample(SMALL_FIBRES, rng.randint(1, 2))
+    fibres = [*half, *((a, -b) for a, b in half), *rng.sample(SMALL_FIBRES, int(rng.random() < 0.5))]
+    if kind == 2:
+        fibres[len(half)] = rng.choice([f for f in SMALL_FIBRES if f[0] == half[0][0]])
+        return SeifertManifold(False, 1, rng.randint(-2, 2), fibres), ("+", "-")
+    m = SeifertManifold(True, 0, rng.randint(-2, 2), fibres)
+    e = euler_invariant(m)
+    return m, () if e == 0 else ("+" if e > 0 else "-",)
+
+
+def test_searches_through_a_lift_match_the_bare_dense_form():
+    """A search reads its group only through the tree's lift, so the
+    double-subset and non-orientable checks give the same result,
+    certificates included, on a built tree with its report's group as on
+    the bare tree (lift ()) with the dense Smith form's group, over 600
+    trees with n <= 10 (``doubled_space``).  The checks run without the
+    report's refutations on H_1, so odd linking forms search too."""
+    rng = random.Random(29)
+    tally = Counter()
+    while sum(tally.values()) < 600:
+        m, sides = doubled_space(rng)
+        check = nonorientable_obstruction
+        if not isinstance(m, SeifertManifold) or m.base_orientable:
+            check = double_subset_obstruction
+        for side in sides:
+            tree, G = searched(m, side)
+            if tree.size > 10:
+                continue
+            built = check(tree, G, 10**5)
+            plain = check(*bare(tree), 10**5)
+            assert built.to_json(True) == plain.to_json(True), (m.describe(), side)
+            searched_ = built.verdict == "pass" or built.notes.startswith("complete search")
+            tally[check.__name__, built.verdict, searched_] += 1
+    checks = ("double_subset_obstruction", "nonorientable_obstruction")
+    counts = [tally[c, v, True] for c in checks for v in ("pass", "obstructed")]
+    assert min(counts) >= 15, tally
 
 
 def test_char_vector_criterion_against_brute_force():
@@ -360,16 +424,17 @@ def test_column_subgroups_are_lagrangians():
     trees = subsets = halves = direct = 0
     while trees < 400:
         if trees % 2:
-            tree = random_definite_tree(rng)
+            tree, G = bare(random_definite_tree(rng))
             if tree.size > 8 or tree.definiteness != ("negative_definite", 0):
                 continue
         else:
             sum_ = rng.sample(summands, rng.randint(2, 3))
             p, q = sum_[0]
             sum_[1] = rng.choice([sum_[1], (p, p - q), (p, q)])
-            tree = lens_tree(*sum_)
+            tree, G = lens_searched(*sum_)
+            G = replace(G, lift=tree.lift)
         trees += 1
-        Q, G = dense(tree), tree.cokernel
+        Q = dense(tree)
         res = enumerate_subsets(tree)
         assert res.complete
         kept = {}
@@ -430,8 +495,9 @@ def test_six_summand_sum_is_refuted_by_its_linking_form(monkeypatch):
 
 def test_report_of_a_long_star_takes_only_small_smith_forms(monkeypatch):
     """pretzel(201,-201,201) plumbs a star of 402 vertices on three legs.
-    Its cokernel is read off the chains, so every Smith form its report
-    takes has at most legs + 1 rows, however long the legs are."""
+    Its cokernel is H_1, presented on the chain ends, and its search
+    projects onto it through the star's lift, so every Smith form its
+    report takes has at most legs + 1 rows, however long the legs are."""
     shapes = []
 
     def recorded(M, *args, **kwargs):
@@ -451,9 +517,9 @@ def test_report_of_a_long_star_takes_only_small_smith_forms(monkeypatch):
 def test_searched_cokernel_takes_one_smith_form(monkeypatch):
     """pretzel(4,4,-4) has H_1 = Z/4 + Z/4 and an even linking form, read
     on the generators of H_1's one Smith form, so its double-subset check
-    searches its definite tree.  The tree's factors and its column
-    projections (which the search reads) come from the one Smith form
-    that its cokernel takes."""
+    searches its definite tree.  The search's factors and its column
+    projections come from that same Smith form, through the tree's lift:
+    no second one is taken of the group."""
     calls = []
 
     def recorded(M, *args, **kwargs):
@@ -467,11 +533,11 @@ def test_searched_cokernel_takes_one_smith_form(monkeypatch):
     assert odd_linking_factor(ctx.homology[1], *chain_ends(ctx.seifert)) is None
     assert calls == [3]  # H_1 on the chain ends of three legs
     tree = ctx.tree(ctx.definite_side)
-    G = tree.cokernel
+    G = replace(ctx.homology[1], lift=tree.lift)
     assert G.factors == (4, 4) and len(G.generators) == 2
     units = [[int(i == j) for j in range(tree.size)] for i in range(tree.size)]
     assert len(G.project_columns(units)) == tree.size
-    assert calls == [3, len(G.generators[0])]
+    assert calls == [3]
     searches = counted_searches(monkeypatch)
     assert result(full_report(cover), "double_subset").verdict == "pass"
     assert [args[0] for args in searches] == [tree]
@@ -491,7 +557,7 @@ def full_double_subset(tree):
     Q = dense(tree)
     det = determinant(Q) * (-1) ** len(Q)
     if det < 0 or math.isqrt(det) ** 2 != det:
-        return "obstructed", double_subset_obstruction(tree).notes  # no search either way
+        return "obstructed", double_subset_obstruction(*bare(tree)).notes  # no search either way
     res = enumerate_subsets(tree)
     if not res.complete:
         return "inconclusive", "budget exhausted"
@@ -528,7 +594,7 @@ def full_nonorientable(tree):
     Q = dense(tree)
     det = determinant(Q) * (-1) ** len(Q)
     if not Q or det < 0 or math.isqrt(det) ** 2 != det:
-        res = nonorientable_obstruction(tree)  # no search either way
+        res = nonorientable_obstruction(*bare(tree))  # no search either way
         return res.verdict, res.notes
     G = cokernel(Q)
     columns = [subset_column_subgroup(G, s) for s in enumerate_subsets(tree).subsets]
@@ -542,15 +608,16 @@ def full_nonorientable(tree):
     )
 
 
-def certificate_fault(check: str, result, tree) -> str | None:
+def certificate_fault(check: str, result, tree, group) -> str | None:
     """Why a streamed pass does not certify itself, or None.  The rows are
     checked against the dense form, and the subgroups compared in the
-    tree's cokernel, where the check built them."""
+    report's ``group`` through the tree's lift, where the check built
+    them."""
     Q = dense(tree)
     if check == "semidefinite_subset":
         (A,) = result.certificates
         return None if verify_factorization(A, Q) else "rows do not factor Q"
-    G = tree.cokernel
+    G = replace(group, lift=tree.lift)
     if result.notes.endswith("trivial cokernel"):
         ((A1, A2),) = result.certificates
         if G.order == 1 and A1 is A2 and verify_factorization(A1, Q):
@@ -599,6 +666,7 @@ def streaming_faults(m, tally: Counter) -> list[str]:
         else:
             side = ctx.definite_side if check == "double_subset" else "+"
         tree = ctx.tree(side)
+        group = ctx.leg_group if check == "nonorientable_double_subset" else ctx.homology[1]
         verdict, notes = FULL_CHECKS[check](tree)
         refuted = "not H + H" if "not of the form H + H" in r.notes else None
         if "linking form of coker Q is odd" in r.notes:
@@ -614,7 +682,7 @@ def streaming_faults(m, tally: Counter) -> list[str]:
         if r.verdict != verdict or (verdict != "pass" and r.notes != notes):
             streamed = f"{r.verdict} ({r.notes})"
             faults.append(f"{m.describe()} {r.name}: {streamed} vs {verdict} ({notes})")
-        elif verdict == "pass" and (why := certificate_fault(check, r, tree)):
+        elif verdict == "pass" and (why := certificate_fault(check, r, tree, group)):
             faults.append(f"{m.describe()} {r.name}: {why}")
     return faults
 
@@ -731,13 +799,14 @@ def test_no_double_subset_pass_has_an_odd_linking_form():
         tally, seen = Counter(), set()
         for m in manifolds:
             y = pretzel_to_seifert(m) if isinstance(m, PretzelCover) else m
+            G = first_homology(y)[1]
             for tree in double_subset_trees(y):
-                if tree in seen or not obstructions.pairs_up(tree.cokernel.factors):
+                if tree in seen or not obstructions.pairs_up(G.factors):
                     continue
                 seen.add(tree)
-                verdict = double_subset_obstruction(tree).verdict
-                even = tree.cokernel.order % 2 == 0
-                odd = odd_linking_factor(first_homology(y)[1], *chain_ends(y))
+                verdict = double_subset_obstruction(tree, G).verdict
+                even = G.order % 2 == 0
+                odd = odd_linking_factor(G, *chain_ends(y))
                 tally[verdict, even, odd is not None] += 1
         assert ("pass", True, True) not in tally, name
         tallies[name] = tally
