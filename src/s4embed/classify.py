@@ -280,11 +280,13 @@ class ManifoldContext:
         return first_homology(self.seifert or self.manifold)
 
     @cached_property
-    def leg_group(self) -> FiniteAbelianGroup:
+    def leg_group(self) -> FiniteAbelianGroup | None:
         """coker Q of the legs over a non-orientable base, the sum of the
         Z/a_k on the legs' ends (``chain_group``), not H_1; it serves the
-        non-orientable searches of both sides."""
-        return chain_group(None, [(-b, a) for a, b in self.seifert.invariants])
+        non-orientable searches of both sides.  None with no legs: the
+        empty form passes with no group read."""
+        legs = [(-b, a) for a, b in self.seifert.invariants]
+        return chain_group(None, legs) if legs else None
 
     @cached_property
     def seifert_keys(self) -> tuple[Key, ...]:

@@ -1,13 +1,18 @@
 """Command-line front end: parse a manifold expression, run the
 obstruction report, emit text or byte-stable JSON.
 
-Grammar::
+Grammar, where every integer is decimal digits after an optional sign
+and whitespace may appear between any two tokens::
 
     expr     := lens_sum | seifert | pretzel
     lens_sum := lens(p,q) { '+' lens(p,q) }
-    seifert  := seifert(BASE ; r ; (a1,b1), (a2,b2), ...)
+    seifert  := seifert(BASE ; r [; [(a1,b1), (a2,b2), ...]])
     BASE     := S2 | O(g) | N(k)
     pretzel  := pretzel(a,b,c[,d])
+
+The fibre list is optional: ``seifert(S2;0)`` and ``seifert(S2; 0; )``
+are the same space.  Every rejected expression raises ``ParseError``,
+which names a position in the text; the CLI prints it and exits 64.
 
 ``--certificates`` prints each check's certificates, in text as one line
 of the JSON that ``--json`` carries for each.  It also runs the
@@ -43,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from json.encoder import encode_basestring_ascii as _quoted
 
@@ -57,158 +63,101 @@ class ParseError(ValueError):
         self.position = position
 
 
-class _Parser:
+# every token may follow whitespace; the group is None where it is absent
+_TOKENS = {
+    token: (re.compile(rf"\s*({pattern})?").match, message)
+    for token, pattern, message in (
+        ("integer", r"[+-]?\d+", "expected an integer"),
+        ("name", r"\w+", "expected a name"),
+        ("end", r"\Z", "trailing input"),
+        *((p, re.escape(p), f"expected {p!r}") for p in "(),;+"),
+    )
+}
+
+
+class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
 
-    def error(self, message: str):
-        raise ParseError(message, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, token: str):
-        self.skip_ws()
-        if not self.text.startswith(token, self.pos):
-            self.error(f"expected {token!r}")
-        self.pos += len(token)
-
-    def word(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        if start == self.pos:
-            self.error("expected a name")
-        return self.text[start : self.pos]
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.peek() in "+-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start or not self.text[start : self.pos].lstrip("+-"):
-            self.pos = start
-            self.error("expected an integer")
-        return int(self.text[start : self.pos])
-
-    def int_list(self) -> list[int]:
-        out = [self.integer()]
-        while self.peek() == ",":
-            self.expect(",")
-            out.append(self.integer())
-        return out
-
-    def pair_list(self) -> list[tuple[int, int]]:
-        pairs = []
-        while True:
-            self.expect("(")
-            a = self.integer()
-            self.expect(",")
-            b = self.integer()
-            self.expect(")")
-            pairs.append((a, b))
-            if self.peek() != ",":
-                break
-            self.expect(",")
-        return pairs
-
-    def manifold(self) -> Manifold:
-        kind_pos = self.pos
-        kind = self.word()
-        if kind == "lens":
-            summands = [self.lens_body()]
-            while self.peek() == "+":
-                self.expect("+")
-                head_pos = self.pos
-                head = self.word()
-                if head != "lens":
-                    self.pos = head_pos
-                    self.error("only lens(...) terms can be summed")
-                summands.append(self.lens_body())
-            return LensSum(summands)
-        if kind == "seifert":
-            return self.seifert_body()
-        if kind == "pretzel":
-            return self.pretzel_body()
-        self.pos = kind_pos
-        self.error(f"unknown manifold kind {kind!r}")
-
-    def lens_body(self) -> tuple[int, int]:
-        self.expect("(")
-        p_pos = self.pos
-        p = self.integer()
-        self.expect(",")
-        q = self.integer()
-        self.expect(")")
-        try:
-            LensSum([(p, q)])
-        except ValueError as exc:
-            self.pos = p_pos
-            self.error(str(exc))
-        return (p, q)
-
-    def seifert_body(self) -> SeifertManifold:
-        self.expect("(")
-        base_pos = self.pos
-        base = self.word()
-        if base == "S2":
-            orientable, genus = True, 0
-        elif base in ("O", "N"):
-            self.expect("(")
-            genus = self.integer()
-            self.expect(")")
-            orientable = base == "O"
-        else:
-            self.pos = base_pos
-            self.error("base must be S2, O(g) or N(k)")
-        self.expect(";")
-        r = self.integer()
-        pairs: list[tuple[int, int]] = []
-        if self.peek() == ";":
-            self.expect(";")
-            if self.peek() == "(":
-                pairs = self.pair_list()
-        self.expect(")")
-        try:
-            return SeifertManifold(orientable, genus, r, pairs)
-        except ValueError as exc:
-            self.pos = base_pos
-            self.error(str(exc))
-
-    def pretzel_body(self) -> PretzelCover:
-        self.expect("(")
-        first = self.pos
-        strands = self.int_list()
-        self.expect(")")
-        try:
-            return PretzelCover(strands)
-        except ValueError as exc:
-            self.pos = first
-            self.error(str(exc))
-
-    def parse(self) -> Manifold:
-        m = self.manifold()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error("trailing input")
-        return m
+    def take(self, token: str, optional: bool = False):
+        """The next token, as an int for ``integer``, if it is ``token``;
+        else None if ``optional``, or a ParseError at the next non-space."""
+        match, message = _TOKENS[token]
+        found = match(self.text, self.pos)
+        value = found[1]
+        if value is None:
+            if optional:
+                return None
+            raise ParseError(message, found.end())
+        self.pos = end = found.end()
+        if token != "integer":
+            return value
+        # a digit that int() does not read, such as '²', spoils the literal
+        if not self.text[end : end + 1].isdigit():
+            try:
+                return int(value)
+            except ValueError:  # past sys.get_int_max_str_digits()
+                pass
+        raise ParseError("invalid integer literal", found.start(1))
 
 
 def parse_manifold(text: str) -> Manifold:
     """Parse the manifold DSL; the result is canonicalised on
-    construction, so parse -> describe -> parse is the identity."""
-    return _Parser(text).parse()
+    construction, so parse -> describe -> parse is the identity.  A
+    constructor's error is reported at the start of its body."""
+    s = _Scanner(text)
+    summands: list[tuple[int, int]] = []
+    head = 0  # where the term starts: 0, or just past its '+'
+    while True:
+        kind = s.take("name")
+        if summands and kind != "lens":
+            raise ParseError("only lens(...) terms can be summed", head)
+        if kind not in ("lens", "seifert", "pretzel"):
+            raise ParseError(f"unknown manifold kind {kind!r}", head)
+        s.take("(")
+        start = s.pos
+        if kind == "lens":
+            p = s.take("integer")
+            s.take(",")
+            make, args = LensSum, ([(p, s.take("integer"))],)
+        elif kind == "pretzel":
+            strands = [s.take("integer")]
+            while s.take(",", optional=True):
+                strands.append(s.take("integer"))
+            make, args = PretzelCover, (strands,)
+        else:
+            base, genus = s.take("name"), 0
+            if base not in ("S2", "O", "N"):
+                raise ParseError("base must be S2, O(g) or N(k)", start)
+            if base != "S2":
+                s.take("(")
+                genus = s.take("integer")
+                s.take(")")
+            s.take(";")
+            r, pairs = s.take("integer"), []
+            more = s.take(";", optional=True) and s.take("(", optional=True)
+            while more:
+                a = s.take("integer")
+                s.take(",")
+                pairs.append((a, s.take("integer")))
+                s.take(")")
+                more = s.take(",", optional=True) and s.take("(")
+            make, args = SeifertManifold, (base != "N", genus, r, pairs)
+        s.take(")")
+        try:
+            m = make(*args)
+        except ValueError as exc:
+            raise ParseError(str(exc), start) from None
+        if kind != "lens":
+            break
+        summands += m.summands
+        if not s.take("+", optional=True):
+            m = LensSum(summands)
+            break
+        head = s.pos
+    s.take("end")
+    return m
 
 
 def report_to_json(report: ObstructionReport, with_certificates: bool) -> dict:
@@ -297,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
     try:
         manifold = parse_manifold(text)
-    except (ParseError, ValueError) as exc:
+    except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     if args.obstruction:

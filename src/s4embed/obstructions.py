@@ -316,11 +316,12 @@ def semidefinite_obstruction(tree: PlumbingTree, budget: int | None = None) -> O
 
 
 def nonorientable_obstruction(
-    tree: PlumbingTree, group: FiniteAbelianGroup, budget: int | None = None
+    tree: PlumbingTree, group: FiniteAbelianGroup | None, budget: int | None = None
 ) -> ObstructionResult:
     """Pair of factorisations with coker Q isomorphic to H_i + H_i and
     |H_1 meet H_2| <= 2, Q the form of ``tree`` (the non-orientable base
-    form) and ``group`` its coker Q, as in ``double_subset_obstruction``.
+    form) and ``group`` its coker Q, as in ``double_subset_obstruction``,
+    or None when the form is empty and passes vacuously.
     A subset qualifies when its column subgroup H has
     ``doubled_factors(H.factors)`` equal to the factors of coker Q, so
     none does unless those factors pair up: a non-square |coker Q| or

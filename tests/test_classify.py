@@ -628,6 +628,8 @@ def test_mirror_star_equal_to_its_twin_takes_one_inertia(monkeypatch, text):
         # a lens sum that is its own mirror: both double-subset rows
         # search H_1 through one tree
         (LensSum([(3, 1), (3, 2)]), 1),
+        # over N(h) with no legs, H_1 alone: the empty form reads no group
+        (SeifertManifold(False, 1, 1, []), 1),
     ],
 )
 def test_report_takes_each_cokernel_once(monkeypatch, manifold, groups):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import resource
 import subprocess
@@ -6,10 +7,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from s4embed import cli
 from s4embed.classify import CHECK_NAMES, full_report
-from s4embed.cli import main, parse_manifold
+from s4embed.cli import ParseError, main, parse_manifold
+from s4embed.manifolds import LensSum, PretzelCover, SeifertManifold
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -46,6 +50,122 @@ def exit_code(*argv: str) -> int:
 )
 def test_exit_codes(argv, code, capsys):
     assert exit_code(*argv) == code
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("pretzel(3,-5,-8", "expected ')' at position 15"),
+        ("seifert(S2; 0; (2,1),)", "expected '(' at position 21"),
+        ("  torus(2,3)", "unknown manifold kind 'torus' at position 0"),
+        ("  seifert(T2; 0; )", "base must be S2, O(g) or N(k) at position 10"),
+        ("lens(3,1) + pretzel(3,-5,-8)", "only lens(...) terms can be summed at position 11"),
+        ("lens(3,1) x", "trailing input at position 10"),
+        ("lens(3, 1) + lens( 4,2)", "L(4,2) is not a lens space at position 18"),
+    ],
+)
+def test_parse_error_names_its_position(text, message):
+    """A missing token is reported at the next non-space; an unknown kind
+    at the start of the text, a summand that is not a lens space just past
+    its '+', and a base or a constructor's error just past the body's '('."""
+    with pytest.raises(ParseError) as caught:
+        parse_manifold(text)
+    assert str(caught.value) == message
+    assert caught.value.position == int(message.rsplit(" ", 1)[1])
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "lens(3\u00b2,1)",
+        pytest.param(
+            "lens(" + "1" * 5000 + ",1)",
+            id="5000-digit literal",
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "get_int_max_str_digits"), reason="int() reads any length"
+            ),
+        ),
+    ],
+)
+def test_a_literal_int_cannot_read_is_a_parse_error(text):
+    """str.isdigit takes '²', which int() does not read, and int() reads
+    at most 4,300 digits by default; either literal is rejected where it
+    starts, and the CLI exits 64."""
+    with pytest.raises(ParseError, match=r"^invalid integer literal at position 5$"):
+        parse_manifold(text)
+    assert exit_code(text) == 64
+
+
+spaces = st.text(" \t\n\u00a0\u3000", max_size=2)
+summand = st.tuples(st.integers(2, 30), st.integers(-40, 40)).filter(lambda s: math.gcd(*s) == 1)
+fibre = st.tuples(st.integers(2, 9), st.integers(-12, 12)).filter(lambda f: math.gcd(*f) == 1)
+
+
+@st.composite
+def expressions(draw):
+    """(text, manifold): a valid expression of one of the three forms,
+    with whitespace between tokens and integers spelt with signs and
+    leading zeros."""
+
+    def spell(value):
+        sign = "-" if value < 0 else draw(st.sampled_from(["", "+"]))
+        zeros = draw(st.sampled_from(["", "0"]))
+        return f"{draw(spaces)}{sign}{zeros}{abs(value)}{draw(spaces)}"
+
+    def body(values):
+        return f"{draw(spaces)}({','.join(map(spell, values))}){draw(spaces)}"
+
+    kind = draw(st.sampled_from(["lens", "seifert", "pretzel"]))
+    if kind == "lens":
+        summands = draw(st.lists(summand, min_size=1, max_size=3))
+        text = "+".join(f"{draw(spaces)}lens{body(s)}" for s in summands)
+        return text, LensSum(summands)
+    if kind == "pretzel":
+        strands = draw(st.lists(st.integers(-9, 9).filter(bool), min_size=3, max_size=4))
+        return f"{draw(spaces)}pretzel{body(strands)}", PretzelCover(strands)
+    orientable, genus = draw(st.sampled_from([(True, 0), (True, 1), (False, 1), (False, 2)]))
+    base = "S2" if orientable and not genus else ("O" if orientable else "N") + body([genus])
+    r = draw(st.integers(-6, 6))
+    fibres = draw(st.lists(fibre, max_size=4))
+    tail = draw(st.sampled_from(["", ";", "; "]))  # no fibres, written three ways
+    if fibres:
+        tail = ";" + ",".join(map(body, fibres))
+    text = f"seifert{draw(spaces)}({draw(spaces)}{base};{spell(r)}{tail})"
+    return text, SeifertManifold(orientable, genus, r, fibres)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(expressions())
+def test_expressions_parse_to_their_manifold(expression):
+    """A valid expression parses to the manifold built from its parts, and
+    describe() is read back as the same manifold."""
+    text, m = expression
+    assert parse_manifold(text) == m
+    assert parse_manifold(m.describe()) == m
+
+
+@st.composite
+def mutated(draw):
+    """A valid expression with one to three characters inserted, deleted
+    or replaced."""
+    text = draw(expressions())[0]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        c = draw(st.sampled_from("0719\u00b2\u0661(),;+- \u3000_aNOS"))
+        edits = [text[:i] + c + text[i:], text[:i] + text[i + 1 :], text[:i] + c + text[i + 1 :]]
+        text = draw(st.sampled_from(edits))
+    return text
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(mutated(), st.text(max_size=30)))
+def test_any_text_parses_or_is_a_parse_error(text):
+    """Whatever the text, parsing returns a manifold or raises ParseError
+    at a position inside it (or at its end)."""
+    try:
+        parse_manifold(text)
+    except ParseError as exc:
+        assert 0 <= exc.position <= len(text)
 
 
 @pytest.mark.parametrize(
