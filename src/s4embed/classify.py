@@ -435,13 +435,14 @@ def _mubar_vanishing(ctx: ManifoldContext, budget: int) -> ObstructionResult | N
     k = ctx.link_components
     if k is None:
         return None
-    profile = spin_profile(ctx.tree(ctx.definite_side), ctx.definite_side, k)
+    mu_values = spin_profile(ctx.tree(ctx.definite_side), ctx.definite_side, k)
+    vanishing = mu_values.count(0)
     threshold = mubar_vanishing_threshold(k)
     return _judged(
-        profile.vanishing >= threshold,
-        f"{profile.vanishing} of {profile.spin_count} mu-bar values vanish",
-        f"only {profile.vanishing} vanishing mu-bar values, need {threshold}",
-        [{"mu_values": list(profile.mu_values), "k": k, "threshold": threshold}],
+        vanishing >= threshold,
+        f"{vanishing} of {len(mu_values)} mu-bar values vanish",
+        f"only {vanishing} vanishing mu-bar values, need {threshold}",
+        [{"mu_values": list(mu_values), "k": k, "threshold": threshold}],
     )
 
 

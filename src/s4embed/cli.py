@@ -1,8 +1,8 @@
 """Command-line front end: parse a manifold expression, run the
 obstruction report, emit text or byte-stable JSON.
 
-Grammar, where every integer is decimal digits after an optional sign
-and whitespace may appear between any two tokens::
+Grammar, where every integer is 1 to 4,300 decimal digits after an
+optional sign and whitespace may appear between any two tokens::
 
     expr     := lens_sum | seifert | pretzel
     lens_sum := lens(p,q) { '+' lens(p,q) }
@@ -67,7 +67,9 @@ class ParseError(ValueError):
 _TOKENS = {
     token: (re.compile(rf"\s*({pattern})?").match, message)
     for token, pattern, message in (
-        ("integer", r"[+-]?\d+", "expected an integer"),
+        # at most int()'s default 4,300 digits, whatever the interpreter's
+        # limit: a longer literal is refused by the next-digit check below
+        ("integer", r"[+-]?\d{1,4300}", "expected an integer"),
         ("name", r"\w+", "expected a name"),
         ("end", r"\Z", "trailing input"),
         *((p, re.escape(p), f"expected {p!r}") for p in "(),;+"),
@@ -93,11 +95,12 @@ class _Scanner:
         self.pos = end = found.end()
         if token != "integer":
             return value
-        # a digit that int() does not read, such as '²', spoils the literal
+        # a digit that int() does not read, such as '²', or a 4,301st digit
+        # spoils the literal
         if not self.text[end : end + 1].isdigit():
             try:
                 return int(value)
-            except ValueError:  # past sys.get_int_max_str_digits()
+            except ValueError:  # past a lowered sys.get_int_max_str_digits()
                 pass
         raise ParseError("invalid integer literal", found.start(1))
 

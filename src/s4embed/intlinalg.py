@@ -20,12 +20,13 @@ is the product of the pivots.  A join H1 + H2 reduces H2's lift basis
 into a copy of H1's, and |H1 + H2| is |G| over the product of the
 pivots that result.
 
-Inertia comes from one sparse elimination, ``signature_triple``, which
-takes the form of a plumbing as a diagonal and neighbour lists.  A plumbing
-form is a forest, so the elimination is Neumann's leaf stripping (Trans.
-AMS 268, 1981): it runs in linear time on integer subtree determinants,
-and builds no dense matrix and no fraction.  Every step is a congruence,
-so the counts are exact.
+A plumbing form, given as a diagonal and neighbour lists, is a forest,
+and one walk, ``strip_forest``, strips it leaf by leaf (Neumann, Trans.
+AMS 268, 1981) for both of its obstructions: ``signature_triple`` reads
+the inertia off it on integer subtree determinants, and ``spin.wu_sets``
+the Wu sets over GF(2).  Both run in linear time and build no dense
+matrix and no fraction.  Every step is a congruence, so the counts are
+exact.
 
 Matrices are plain lists of row lists.  All functions are pure, so
 concurrent use is safe.
@@ -229,7 +230,57 @@ def hermite_row_basis(rows, width: int) -> tuple[tuple[int, ...], ...]:
 
 
 # ---------------------------------------------------------------------------
-# exact inertia of a plumbing form
+# leaf stripping of a plumbing forest, and its exact inertia
+
+
+def strip_forest(neighbours, pivots):
+    """Strip a forest leaf by leaf, yielding each elimination step.
+
+    This is the one walk of a plumbing form: ``signature_triple`` reads
+    its inertia off it over the integers, and ``spin.wu_sets`` its Wu
+    sets over GF(2) (W. Neumann, *A calculus for plumbing applied to the
+    topology of complex surface singularities and degenerating complex
+    curves*, Trans. AMS 268, 1981).  ``neighbours[i]`` lists vertex i's
+    neighbours, and each step takes a vertex v of degree at most one:
+
+    - ``(v, None, None)``: v is isolated;
+    - ``(v, u, None)``: v is a leaf with nonzero pivot, stripped into its
+      neighbour u;
+    - ``(v, u, rest)``: v is a leaf with zero pivot, taken with its
+      neighbour u; ``rest`` is the set of u's other neighbours.
+
+    ``pivots[v]`` is read when v is taken, so the caller steers the walk
+    by updating u's pivot before it asks for the next step.  Every vertex
+    is taken once, in linear time.  A graph with a cycle runs out of
+    leaves, and raises ValueError.
+    """
+    adj: list = [set(row) for row in neighbours]  # None once a vertex is taken
+    leaves = [v for v in range(len(adj)) if len(adj[v]) <= 1]
+
+    def detach(v) -> set:
+        row = adj[v]
+        adj[v] = None
+        for r in row:
+            adj[r].discard(v)
+        return row
+
+    while leaves:
+        v = leaves.pop()
+        if adj[v] is None:
+            continue
+        row = detach(v)
+        if not row:  # v ends its component
+            yield v, None, None
+            continue
+        (u,) = row
+        if pivots[v]:
+            yield v, u, None
+        else:
+            row = detach(u)
+            yield v, u, row
+        leaves.extend(r for r in row if len(adj[r]) <= 1)
+    if adj.count(None) < len(adj):
+        raise ValueError("leaf stripping needs a forest")
 
 
 def signature_triple(diag, neighbours) -> tuple[int, int, int]:
@@ -237,13 +288,13 @@ def signature_triple(diag, neighbours) -> tuple[int, int, int]:
 
     The form is given sparse, as ``PlumbingTree`` stores it: ``diag`` is
     its diagonal, and ``neighbours[i]`` lists the j with Q[i][j] = 1, every
-    other off-diagonal entry being 0.  This is the one elimination of a
-    plumbing: its inertia gives the signature and the definiteness.
-    coker Q is presented on the chain ends instead (``manifolds.chain_group``).
+    other off-diagonal entry being 0.  Its inertia gives the signature
+    and the definiteness.  coker Q is presented on the chain ends instead
+    (``manifolds.chain_group``).
 
-    The graph must be a forest, and it is stripped leaf by
-    leaf.  A vertex v carries its current diagonal as the quotient
-    num[v] / den[v] with den[v] != 0:
+    The graph must be a forest, and ``strip_forest`` strips it.  A
+    vertex v carries its current diagonal as the quotient num[v] / den[v]
+    with den[v] != 0, and num is the walk's pivot list:
 
     - a leaf v with nonzero diagonal counts its sign and is stripped into
       its neighbour u.  Its numerator and denominator are the
@@ -257,60 +308,27 @@ def signature_triple(diag, neighbours) -> tuple[int, int, int]:
     - an isolated vertex counts its sign, or a zero eigenvalue.
 
     The work is linear in the number of vertices and every number is an
-    integer: this is the leaf stripping of Neumann's plumbing calculus
-    (W. Neumann, *A calculus for plumbing applied to the topology of
-    complex surface singularities and degenerating complex curves*,
-    Trans. AMS 268, 1981).  Each step is a congruence, so by Sylvester's
-    law of inertia the counts are exact.  A graph with a cycle runs out of
-    leaves, and raises ValueError.
+    integer.  Each step is a congruence, so by Sylvester's law of inertia
+    the counts are exact.  A graph with a cycle raises ValueError.
     """
-    n = len(diag)
     num = list(diag)
-    den = [1] * n
-    adj: list = [set(row) for row in neighbours]  # None once a vertex is eliminated
-    leaves = [i for i in range(n) if len(adj[i]) <= 1]
+    den = [1] * len(num)
     neg = zero = pos = 0
-    left = n
-
-    def detach(v) -> set:
-        nonlocal left
-        left -= 1
-        row = adj[v]
-        adj[v] = None
-        for r in row:
-            adj[r].discard(v)
-        return row
-
-    while leaves:
-        v = leaves.pop()
-        if adj[v] is None:
-            continue
-        row = detach(v)
-        N, D = num[v], den[v]
-        if not row:  # v ends its component
-            if not N:
-                zero += 1
-            elif (N > 0) == (D > 0):
-                pos += 1
-            else:
-                neg += 1
-            continue
-        (u,) = row
-        if N:
-            if (N > 0) == (D > 0):
-                pos += 1
-            else:
-                neg += 1
-            num[u] = num[u] * N - den[u] * D
-            den[u] *= N
-            touched = row
-        else:
+    for v, u, rest in strip_forest(neighbours, num):
+        if rest is not None:
             pos += 1
             neg += 1
-            touched = detach(u)
-        leaves.extend(r for r in touched if len(adj[r]) <= 1)
-    if left:
-        raise ValueError("signature by leaf stripping needs a forest")
+            continue
+        N, D = num[v], den[v]
+        if not N:  # an isolated vertex
+            zero += 1
+        elif (N > 0) == (D > 0):
+            pos += 1
+        else:
+            neg += 1
+        if u is not None:
+            num[u] = num[u] * N - den[u] * D
+            den[u] *= N
     return neg, zero, pos
 
 

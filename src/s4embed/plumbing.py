@@ -12,9 +12,10 @@ drops out of second homology and the intersection form is the chain
 forest of the legs alone.
 
 Every plumbing here is a forest, kept sparse as the one form type below
-the obstructions: its inertia comes from leaf stripping
-(``PlumbingTree.inertia``, once per tree), its Wu sets from a GF(2)
-pass (``spin.wu_sets``); the lattice search reads its neighbour lists.
+the obstructions.  One leaf walk, ``intlinalg.strip_forest``, gives both
+its inertia, over the integers (``PlumbingTree.inertia``, once per
+tree), and its Wu sets, over GF(2) (``spin.wu_sets``); the lattice
+search reads its neighbour lists.
 ``_chains`` writes each vertex's class on the chain ends that present
 coker Q (``PlumbingTree.lift``), so a search reads the report's group.
 

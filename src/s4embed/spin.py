@@ -5,10 +5,10 @@ Spin structures on the boundary of a plumbing correspond to Wu sets:
 0/1 vertex vectors w with Q w = diag(Q) mod 2.  For such a set,
 mu_bar = sigma(X) - w.w, with w.w the square of the integral lift under
 the intersection form.  Both ingredients are computed exactly from the
-tree's edges, with no dense matrix: the Wu sets by GF(2) leaf stripping
-(``wu_sets``), and sigma(X) by the tree's one integer elimination
-(``PlumbingTree.signature``), once per plumbing however many Wu sets
-read it.
+tree's edges, with no dense matrix, by the one leaf walk of the tree,
+``intlinalg.strip_forest``: the Wu sets over GF(2) (``wu_sets``), and
+sigma(X) over the integers (``PlumbingTree.signature``), once per
+plumbing however many Wu sets read it.
 
 For a pretzel-link double branched cover the number of spin structures
 is 2^(k-1), k the number of link components.  The classifier reads k off
@@ -24,18 +24,18 @@ check from one tree per side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .intlinalg import strip_forest
 from .plumbing import PlumbingTree
 
 
 def wu_sets(tree: PlumbingTree) -> list[tuple[int, ...]]:
     """All 0/1 vertex vectors w with Q w = diag(Q) mod 2, sorted.
 
-    GF(2) leaf stripping on the tree's edges, with d the current
-    diagonal mod 2.  The right-hand side starts equal to d, and every
-    step below changes both alike, so it stays equal to d and is not
-    kept; for the same reason the system is always consistent.
+    GF(2) leaf stripping by ``intlinalg.strip_forest``, with d, the
+    current diagonal mod 2, as the walk's pivot list.  The right-hand
+    side starts equal to d, and every step below changes both alike, so
+    it stays equal to d and is not kept; for the same reason the system
+    is always consistent.
 
     - A leaf v with neighbour u and d_v = 1 gives w_v = 1 + w_u, and
       moving its row into u's flips d_u.
@@ -53,43 +53,22 @@ def wu_sets(tree: PlumbingTree) -> list[tuple[int, ...]]:
     """
     n = tree.size
     d = [w & 1 for w in tree.weights]
-    adj: list = [set(row) for row in tree.neighbours]  # None once a vertex is solved
     # (v, mask, vertices): w_v is mask plus the w of those vertices, each
     # eliminated after v; bit 0 of a mask is the constant 1, bit t >= 1
     # the t-th free variable
     steps: list[tuple[int, int, tuple[int, ...]]] = []
     free = 0
-
-    def detach(v) -> set:
-        row = adj[v]
-        adj[v] = None
-        for r in row:
-            adj[r].discard(v)
-        return row
-
-    leaves = [v for v in range(n) if len(adj[v]) <= 1]
-    while leaves:
-        v = leaves.pop()
-        if adj[v] is None or len(adj[v]) > 1:
-            continue
-        row = detach(v)
-        if not row:
+    for v, u, rest in strip_forest(tree.neighbours, d):
+        if u is None:
             if not d[v]:
                 free += 1
             steps.append((v, 1 if d[v] else 1 << free, ()))
-            continue
-        (u,) = row
-        if d[v]:
+        elif rest is None:
             steps.append((v, 1, (u,)))
             d[u] ^= 1
-            touched = row
         else:
-            touched = detach(u)
             steps.append((u, 0, ()))
-            steps.append((v, d[u], tuple(touched)))
-        leaves.extend(r for r in touched if len(adj[r]) <= 1)
-    if len(steps) != n:
-        raise ValueError("Wu sets by leaf stripping need a forest")
+            steps.append((v, d[u], tuple(rest)))
     masks = [0] * n
     for v, mask, later in reversed(steps):
         for r in later:
@@ -113,24 +92,9 @@ def mu_bar(tree: PlumbingTree, w) -> int:
     return tree.signature - ww
 
 
-@dataclass(frozen=True)
-class SpinProfile:
-    """The mu-bar values over the Wu sets of the definite-side plumbing,
-    one per spin structure."""
-
-    mu_values: tuple[int, ...]  # sorted multiset
-
-    @property
-    def spin_count(self) -> int:
-        return len(self.mu_values)
-
-    @property
-    def vanishing(self) -> int:
-        return sum(1 for v in self.mu_values if v == 0)
-
-
-def spin_profile(tree: PlumbingTree, side: str, k: int) -> SpinProfile:
-    """mu-bar values of a pretzel cover with k link components.
+def spin_profile(tree: PlumbingTree, side: str, k: int) -> tuple[int, ...]:
+    """The sorted mu-bar values of a pretzel cover with k link components,
+    one per spin structure.
 
     ``tree`` is the standard plumbing of orientation ``side`` ('+' or
     '-'), the one the caller found negative (semi)definite.  The values
@@ -142,7 +106,7 @@ def spin_profile(tree: PlumbingTree, side: str, k: int) -> SpinProfile:
     wu = wu_sets(tree)
     if len(wu) != 2 ** (k - 1):
         raise ArithmeticError(f"spin count {len(wu)} disagrees with 2^(k-1) for k={k}")
-    return SpinProfile(tuple(sorted(sign * mu_bar(tree, w) for w in wu)))
+    return tuple(sorted(sign * mu_bar(tree, w) for w in wu))
 
 
 def mubar_vanishing_threshold(k: int) -> int:

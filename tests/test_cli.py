@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -74,26 +75,37 @@ def test_parse_error_names_its_position(text, message):
     assert caught.value.position == int(message.rsplit(" ", 1)[1])
 
 
+@contextmanager
+def no_int_digit_limit():
+    """Lift the interpreter's integer digit limit, where it has one, for
+    a block."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(default)
+
+
 @pytest.mark.parametrize(
-    "text",
-    [
-        "lens(3\u00b2,1)",
-        pytest.param(
-            "lens(" + "1" * 5000 + ",1)",
-            id="5000-digit literal",
-            marks=pytest.mark.skipif(
-                not hasattr(sys, "get_int_max_str_digits"), reason="int() reads any length"
-            ),
-        ),
-    ],
+    "text", ["lens(3\u00b2,1)", pytest.param("lens(" + "1" * 5000 + ",1)", id="5000-digit literal")]
 )
 def test_a_literal_int_cannot_read_is_a_parse_error(text):
-    """str.isdigit takes '²', which int() does not read, and int() reads
-    at most 4,300 digits by default; either literal is rejected where it
-    starts, and the CLI exits 64."""
-    with pytest.raises(ParseError, match=r"^invalid integer literal at position 5$"):
+    """str.isdigit takes '²', which int() does not read, and an integer
+    has at most 4,300 digits, int()'s default limit; either literal is
+    rejected where it starts, with the interpreter's limit or with none,
+    and the CLI exits 64.  A literal of 4,300 digits still parses."""
+    message = r"^invalid integer literal at position 5$"
+    with pytest.raises(ParseError, match=message):
         parse_manifold(text)
     assert exit_code(text) == 64
+    with no_int_digit_limit(), pytest.raises(ParseError, match=message):
+        parse_manifold(text)
+    digits = "1" * 4300
+    assert parse_manifold(f"lens({digits},1)") == LensSum([(int(digits), 1)])
 
 
 spaces = st.text(" \t\n\u00a0\u3000", max_size=2)

@@ -811,12 +811,15 @@ def test_cokernel_takes_relations_as_columns():
 
 
 def test_elimination_needs_a_forest():
-    """A cycle leaves no leaf to strip and is refused, while a chain of
-    100,000 vertices still eliminates, and its lift names each vertex's
-    class in H_1 = Z/100001: the columns of Q at the chain's two ends and
-    at a middle vertex project to 0, and the end vertices generate."""
+    """A cycle leaves no leaf to strip and is refused, by the inertia and
+    by the Wu sets alike, while a chain of 100,000 vertices still
+    eliminates, and its lift names each vertex's class in H_1 = Z/100001:
+    the columns of Q at the chain's two ends and at a middle vertex
+    project to 0, and the end vertices generate."""
     with pytest.raises(ValueError, match="needs a forest"):
         signature_triple([-2, -2, -2], [[1, 2], [0, 2], [0, 1]])
+    with pytest.raises(ValueError, match="needs a forest"):
+        wu_sets(PlumbingTree((-2, -2, -2), ((0, 1), (1, 2), (0, 2))))
     n, lens = 100000, LensSum([(100001, 100000)])
     tree = plumbing_tree(lens)
     assert tree == chain_tree([-2] * n)
