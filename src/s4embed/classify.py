@@ -167,17 +167,10 @@ def weak_complementary_matched(invariants) -> bool:
 
 def even_fibre_clause(invariants) -> bool:
     """Every two even-multiplicity fibres (a_i even, a_j even) must share
-    a_i = a_j with b_i in {+-b_j, +-b_j^-1} mod a."""
-    evens = [(a, b % a) for a, b in invariants if a % 2 == 0]
-    for i in range(len(evens)):
-        for j in range(i + 1, len(evens)):
-            (a1, b1), (a2, b2) = evens[i], evens[j]
-            if a1 != a2:
-                return False
-            inv = pow(b2, -1, a1)
-            if b1 % a1 not in {b2 % a1, (-b2) % a1, inv % a1, (-inv) % a1}:
-                return False
-    return True
+    a_i = a_j with b_i in {+-b_j, +-b_j^-1} mod a: all of them have one
+    lens class L(a, b) up to mirror."""
+    classes = {(a, lens_class(a, b)[2] | lens_mirror_class(a, b)[2]) for a, b in invariants if a % 2 == 0}
+    return len(classes) <= 1
 
 
 # ---------------------------------------------------------------------------

@@ -37,11 +37,14 @@ no pretzel form, is a usage error too, and its stderr line names it.
 Exit codes: 0 embeds, 1 obstructed, 2 unknown, 64 parse/usage error,
 70 internal error.  Code 70 means either a conflict (status CONFLICT: a
 catalog hit contradicting a completed obstruction) or an exception
-raised while building the report (status ERROR, printed as one line:
-the JSON object {"input", "status", "reason"} with ``--json``, else
-``error: <reason>`` on stderr, the reason reading
-``internal:<Type>: <message>``).  Neither should ever happen, and both
-are surfaced loudly.
+raised after parsing, while building the report or its output (status
+ERROR, printed as one line: the JSON object {"input", "status",
+"reason"} with ``--json``, else ``error: <reason>`` on stderr, the
+reason reading ``internal:<Type>: <message>``).  The output is built
+whole before any of it is printed, so a fault while rendering, such as
+an integer past the interpreter's digit limit, prints that one line and
+nothing else.  Neither should ever happen, and both are surfaced
+loudly.
 """
 
 from __future__ import annotations
@@ -240,6 +243,22 @@ def _indented(x, pad: str = "\n") -> str:
     return _quoted(x) if kind is str else repr(x) if kind is int else json.dumps(x)
 
 
+def _text_report(report: ObstructionReport, text: str, with_certificates: bool) -> str:
+    inv = report.invariants
+    lines = [
+        f"input:      {text.strip()}",
+        f"canonical:  {report.manifold.describe()}",
+        f"invariants: b1={inv['b1']} torsion={inv['torsion_factors']} "
+        f"euler={inv['euler']} spin={inv['spin_count']}",
+    ]
+    for r in report.results:
+        lines.append(f"  [{r.verdict:>12}] {r.name}" + (f"  ({r.notes})" if r.notes else ""))
+        if with_certificates:
+            lines += [f"        {json.dumps(certificate_json(cert))}" for cert in r.certificates]
+    lines.append(f"status:     {report.status}  ({report.reason})")
+    return "\n".join(lines)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _ARGS.parse_args(argv)
 
@@ -264,6 +283,14 @@ def main(argv: list[str] | None = None) -> int:
         report = full_report(
             manifold, budget=args.budget, only=args.obstruction, certificates=args.certificates
         )
+        ran = {r.name for r in report.results}
+        if idle := [name for name in args.obstruction or () if name not in ran]:
+            print(f"error: row {idle[0]} does not apply to {manifold.describe()}", file=sys.stderr)
+            return USAGE_ERROR
+        if args.json:
+            out = _indented(report_to_json(report, args.certificates))
+        else:
+            out = None if args.quiet else _text_report(report, text, args.certificates)
     except Exception as exc:  # a fault in the program, reported as one line
         message = " ".join(str(exc).split())
         reason = f"internal:{type(exc).__name__}: {message}"
@@ -273,31 +300,8 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(f"error: {reason}", file=sys.stderr)
         return INTERNAL_ERROR
-    ran = {r.name for r in report.results}
-    if idle := [name for name in args.obstruction or () if name not in ran]:
-        print(f"error: row {idle[0]} does not apply to {manifold.describe()}", file=sys.stderr)
-        return USAGE_ERROR
-
-    if args.json:
-        payload = report_to_json(report, args.certificates)
-        print(_indented(payload))
-    elif not args.quiet:
-        print(f"input:      {text.strip()}")
-        print(f"canonical:  {report.manifold.describe()}")
-        inv = report.invariants
-        print(
-            f"invariants: b1={inv['b1']} torsion={inv['torsion_factors']} "
-            f"euler={inv['euler']} spin={inv['spin_count']}"
-        )
-        for r in report.results:
-            line = f"  [{r.verdict:>12}] {r.name}"
-            if r.notes:
-                line += f"  ({r.notes})"
-            print(line)
-            if args.certificates and r.certificates:
-                for cert in r.certificates:
-                    print(f"        {json.dumps(certificate_json(cert))}")
-        print(f"status:     {report.status}  ({report.reason})")
+    if out is not None:
+        print(out)
     return EXIT_CODES.get(report.status, INTERNAL_ERROR)
 
 

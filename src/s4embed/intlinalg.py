@@ -74,96 +74,88 @@ def smith_normal_form(M) -> tuple[list[list[int]], list[list[int]], list[list[in
     """Diagonalise M over the integers.
 
     Returns (U, D, V) with U*M*V == D, U and V unimodular, and D diagonal
-    with d1 | d2 | ... | dk and every di >= 0.  Pivots are chosen with
-    minimal absolute value, which keeps coefficient growth tame at the
-    matrix sizes plumbing graphs produce.  ``cokernel`` takes the one
-    Smith form of each group, and the group reads all three matrices.
+    with d1 | d2 | ... | dk and every di >= 0.  This is the textbook
+    pivot loop (Cohen, GTM 138, section 2.4), run once per diagonal
+    position t on the block D[t:, t:]:
+
+    1. a least nonzero |entry| of the block is the pivot, swapped to
+       (t, t), which keeps coefficient growth tame at the matrix sizes
+       plumbing graphs produce;
+    2. one division step reduces the rest of column t and row t modulo
+       the pivot;
+    3. if they are not yet clear, the loop picks a pivot again;
+    4. if they are, and a pivot other than +-1 fails to divide an entry
+       of the rest of the block, that entry's row is added to row t and
+       the loop picks a pivot again;
+    5. otherwise it moves on to t + 1.
+
+    The loop ends: a round that does not move on leaves a nonzero
+    remainder smaller than the pivot in row or column t, at once or
+    after the row is added, so the least |entry| of the block falls.
+
+    D is unique; U and V are one choice among many.  ``cokernel`` takes
+    the one Smith form of each group, and the group reads all three
+    matrices, but only through what depends on no basis: the subgroups
+    that U's torsion rows project onto, and the factor that
+    ``obstructions.odd_linking_factor`` names from the generators in V.
     """
     rows = len(M)
     cols = len(M[0]) if rows else 0
     D = [list(r) for r in M]
     U = identity_matrix(rows)
     V = identity_matrix(cols)
-
-    def swap_rows(i, j):
-        if i != j:
-            D[i], D[j] = D[j], D[i]
-            U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for r in D:
-                r[i], r[j] = r[j], r[i]
-            for r in V:
-                r[i], r[j] = r[j], r[i]
-
-    def add_row(dst, src, c):
-        # row[dst] += c * row[src]
-        Dd, Ds = D[dst], D[src]
-        for j in range(cols):
-            Dd[j] += c * Ds[j]
-        Ud, Us = U[dst], U[src]
-        for j in range(rows):
-            Ud[j] += c * Us[j]
-
-    def add_col(dst, src, c):
-        for r in D:
-            r[dst] += c * r[src]
-        for r in V:
-            r[dst] += c * r[src]
-
     t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        # locate a minimal-|value| pivot in the remaining block
-        piv = None
-        best = None
+    while t < min(rows, cols):
+        best = 0
         for i in range(t, rows):
             Di = D[i]
             for j in range(t, cols):
                 v = Di[j]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    piv = (i, j)
-        if piv is None:
+                if v and (not best or abs(v) < best):
+                    best, pi, pj = abs(v), i, j
+            if best == 1:
+                break
+        if not best:
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-
-        while True:
-            # clear the pivot column
-            for i in range(t + 1, rows):
-                while D[i][t]:
-                    q = D[i][t] // D[t][t]
-                    add_row(i, t, -q)
-                    if D[i][t]:
-                        swap_rows(i, t)
-            # clear the pivot row; only a swap dirties the column again
-            dirty = False
-            for j in range(t + 1, cols):
-                while D[t][j]:
-                    q = D[t][j] // D[t][t]
-                    add_col(j, t, -q)
-                    if D[t][j]:
-                        swap_cols(j, t)
-                        dirty = True
-            if not dirty:
-                break
-
-        # divisibility fix-up: the pivot must divide the rest of the block, as a unit does
-        fixed = True
+        if pi != t:
+            D[t], D[pi] = D[pi], D[t]
+            U[t], U[pi] = U[pi], U[t]
+        if pj != t:
+            for r in D + V:
+                r[t], r[pj] = r[pj], r[t]
+        Dt, Ut, p = D[t], U[t], D[t][t]
+        # rows below t are zero before column t, and rows above it are
+        # zero from column t on
+        for i in range(t + 1, rows):
+            Di, Ui = D[i], U[i]
+            if Di[t]:
+                q = Di[t] // p
+                for j in range(t, cols):
+                    Di[j] -= q * Dt[j]
+                for j in range(rows):
+                    Ui[j] -= q * Ut[j]
+        for j in range(t + 1, cols):
+            if Dt[j]:
+                q = Dt[j] // p
+                for r in D[t:]:
+                    r[j] -= q * r[t]
+                for r in V:
+                    r[j] -= q * r[t]
+        if any(Dt[t + 1 :]) or any(r[t] for r in D[t + 1 :]):
+            continue
+        # a pivot other than +-1 must divide the rest of the block
         for i in range(t + 1, rows if best > 1 else t + 1):
-            for j in range(t + 1, cols):
-                if D[i][j] % D[t][t]:
-                    add_row(t, i, 1)
-                    fixed = False
-                    break
-            if not fixed:
+            Di, Ui = D[i], U[i]
+            if math.gcd(p, *Di[t + 1 :]) < best:
+                for j in range(t + 1, cols):
+                    Dt[j] += Di[j]
+                for j in range(rows):
+                    Ut[j] += Ui[j]
                 break
-        if fixed:
+        else:
             t += 1
 
-    for i in range(limit):
+    for i in range(min(rows, cols)):
         if D[i][i] < 0:
             D[i] = [-x for x in D[i]]
             U[i] = [-x for x in U[i]]

@@ -210,17 +210,21 @@ def chain_ends(m: LensSum | SeifertManifold) -> tuple[int | None, tuple[tuple[in
 
 
 def _nonorientable_presentation(m: SeifertManifold) -> list[list[int]]:
-    """Relation matrix for H_1 over a base of k crosscaps, from the surgery
-    description: generators v_1..v_k, x_1..x_n (fibre meridians) and h (the
-    central curve); relations a_i x_i + b_i h = 0, 2h = 0 and
+    """Relation matrix for H_1 over a base of k crosscaps, less k - 1 free
+    summands, from the surgery description: generators v_1..v_k (the
+    crosscaps), x_1..x_n (fibre meridians) and h (the central curve);
+    relations a_i x_i + b_i h = 0, 2h = 0 and
     2(v_1 + ... + v_k) + sum x_i + r h = 0.  The relation 2h = 0 holds
     because each crosscap reverses the fibre, so this is the presentation
     for an orientable total space; every input class is one, which the
-    torsion check's G + G test needs."""
-    k, fibres = m.genus, m.invariants
+    torsion check's G + G test needs.  The v_j enter only as
+    u = v_1 + ... + v_k, so the matrix has one column for u, then x_1..x_n
+    and h; v_2..v_k, which no relation names, are the k - 1 free summands
+    that ``first_homology`` adds."""
+    fibres = m.invariants
     n = len(fibres)
-    rows = [[0] * k + [a * (i == j) for j in range(n)] + [b] for i, (a, b) in enumerate(fibres)]
-    return rows + [[0] * (k + n) + [2], [2] * k + [1] * n + [m.r]]
+    rows = [[0] + [a * (i == j) for j in range(n)] + [b] for i, (a, b) in enumerate(fibres)]
+    return rows + [[0] * (n + 1) + [2], [2] + [1] * n + [m.r]]
 
 
 def chain_group(hub: int | None, ends) -> FiniteAbelianGroup:
@@ -242,10 +246,12 @@ def first_homology(m: LensSum | SeifertManifold) -> tuple[int, FiniteAbelianGrou
     """(b_1, torsion) of the manifold, from its presentation matrix; a
     pretzel cover is read as its Seifert space (``pretzel_to_seifert``).
     A lens sum or an orientable base is presented on its chain ends
-    (``chain_group``); genus adds free summands only."""
+    (``chain_group``); genus adds free summands only, 2g over O(g), and
+    k - 1 over N(k) past its presentation on one crosscap generator
+    (``_nonorientable_presentation``)."""
     if isinstance(m, SeifertManifold) and not m.base_orientable:
         G = cokernel(list(zip(*_nonorientable_presentation(m))))  # relations as columns
-        return G.free_rank, replace(G, free_rank=0)
+        return G.free_rank + m.genus - 1, replace(G, free_rank=0)
     G = chain_group(*chain_ends(m))
     b1 = G.free_rank + (2 * m.genus if isinstance(m, SeifertManifold) else 0)
     return b1, replace(G, free_rank=0)

@@ -76,14 +76,14 @@ def test_parse_error_names_its_position(text, message):
 
 
 @contextmanager
-def no_int_digit_limit():
-    """Lift the interpreter's integer digit limit, where it has one, for
-    a block."""
+def int_digit_limit(digits: int):
+    """Set the interpreter's integer digit limit, where it has one, for
+    a block; 0 lifts it."""
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
         return
     default = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+    sys.set_int_max_str_digits(digits)
     try:
         yield
     finally:
@@ -102,7 +102,7 @@ def test_a_literal_int_cannot_read_is_a_parse_error(text):
     with pytest.raises(ParseError, match=message):
         parse_manifold(text)
     assert exit_code(text) == 64
-    with no_int_digit_limit(), pytest.raises(ParseError, match=message):
+    with int_digit_limit(0), pytest.raises(ParseError, match=message):
         parse_manifold(text)
     digits = "1" * 4300
     assert parse_manifold(f"lens({digits},1)") == LensSum([(int(digits), 1)])
@@ -414,6 +414,24 @@ def test_internal_error_is_one_structured_line(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {reason}\n"
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no integer digit limit before Python 3.11"
+)
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_a_fault_while_printing_is_one_internal_error_line(flags, capsys):
+    """seifert(O(10000); 0; ) is a surface times a circle, which embeds,
+    but its spin count 2^20001 has more than 4,300 digits, past the
+    interpreter's default limit for printing an integer.  The output is
+    built whole inside the internal-error guard, so that fault exits 70
+    with its one line and nothing else."""
+    with int_digit_limit(4300):
+        assert main(["seifert(O(10000); 0; )", *flags]) == 70
+    captured = capsys.readouterr()
+    line = captured.out if flags else captured.err
+    assert captured.out + captured.err == line and line.count("\n") == 1
+    assert "internal:ValueError: Exceeds the limit (4300 digits)" in line
 
 
 def test_interrupt_is_not_swallowed(monkeypatch):

@@ -226,6 +226,36 @@ def test_snf_random_matrices():
             assert math.prod(diag) == abs(determinant(M))
 
 
+def test_snf_matches_determinantal_divisors():
+    """Independent of the algorithm: d_1 ... d_k is the gcd of all k x k
+    minors of M, so 0 past its rank.  Checked on 300 random matrices up
+    to 5 x 5 with entries in [-20, 20], about a third of them of less
+    than full rank: a row is the sum of two others (or twice one), and
+    half of all matrices are transposed."""
+    rng = random.Random(33)
+    deficient = 0
+    for _ in range(300):
+        n, m = sorted((rng.randint(1, 5), rng.randint(1, 5)))
+        M = [[rng.randint(-20, 20) for _ in range(m)] for _ in range(n)]
+        if n >= 2 and rng.random() < 0.5:
+            a, *others = rng.sample(range(n), n)
+            b, c = rng.choice(others), rng.choice(others)
+            M[b], M[c] = [x // 2 for x in M[b]], [x // 2 for x in M[c]]
+            M[a] = [x + y for x, y in zip(M[b], M[c])]
+        if rng.random() < 0.5:
+            M, n, m = [list(col) for col in zip(*M)], m, n
+        diag = check_snf(M)
+        for k in range(1, min(n, m) + 1):
+            minors = (
+                determinant([[M[i][j] for j in cols] for i in rows])
+                for rows in itertools.combinations(range(n), k)
+                for cols in itertools.combinations(range(m), k)
+            )
+            assert math.prod(diag[:k]) == math.gcd(*minors), M
+        deficient += 0 in diag
+    assert deficient >= 60
+
+
 def test_cokernel_single_lens():
     G = cokernel([[-3]])
     assert G.factors == (3,)
