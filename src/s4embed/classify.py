@@ -1,9 +1,11 @@
 """One decision engine: per-class check tables and one merge rule.
 
 ``full_report`` builds a ``ManifoldContext`` once per call.  It holds the
-Seifert view of the input, e, (b_1, torsion), the normalised Seifert keys
-(r, fibres) of Y and -Y, and the component count k of a pretzel branch
-link, read off Y's key; each is computed once, when first asked for.
+Seifert view of the input, e, (b_1, torsion), the rank m of
+H_1(Y; Z/2), the normalised Seifert keys (r, fibres) of Y and -Y, the
+component count k = m + 1 of a pretzel branch link, and the refutation
+both double-subset rows take from H_1; each is computed once, when first
+asked for.
 It also owns the report's plumbings: one tree per orientation, built
 when a check first reads that side and shared by every later check, so
 the definite-side tree serves both the form checks and mu-bar.
@@ -242,8 +244,8 @@ class ManifoldContext:
     """What the checks of one ``full_report`` call read.  Each cached
     item is computed once, when first asked for, and lives only as long
     as the call.  The pretzel view of Y is its normalised Seifert key:
-    family membership compares keys, and mubar_vanishing reads the link
-    component count off the key, with no strand form listed."""
+    family membership compares keys, and whether Y has a pretzel form
+    at all is read off the key, with no strand form listed."""
 
     manifold: Manifold
     _trees: dict[str, PlumbingTree] = field(default_factory=dict, init=False, repr=False)
@@ -273,6 +275,27 @@ class ManifoldContext:
         return first_homology(self.seifert or self.manifold)
 
     @cached_property
+    def z2_rank(self) -> int:
+        """m, the rank of H_1(Y; Z/2): b_1 plus the number of even
+        invariant factors of the torsion.  Y has 2^m spin structures."""
+        b1, torsion = self.homology
+        return b1 + sum(d % 2 == 0 for d in torsion.factors)
+
+    @cached_property
+    def double_subset_refutation(self) -> ObstructionResult | None:
+        """The refutation both double_subset rows take with no tree, where
+        the torsion of H_1 (coker Q on either side, as H_1(-Y) = H_1(Y))
+        is not H + H or its linking form is odd; None where it is neither.
+        It reads no side, so a report takes it once for both rows."""
+        torsion = self.homology[1]
+        if refuted := undoubled("double_subset", torsion):
+            return refuted
+        if d := odd_linking_factor(torsion, *chain_ends(self.seifert or self.manifold)):
+            odd = f"the linking form of coker Q is odd on its factor Z/{d}"
+            return ObstructionResult("", "obstructed", notes=f"{odd}, so no splitting pair exists")
+        return None
+
+    @cached_property
     def leg_group(self) -> FiniteAbelianGroup | None:
         """coker Q of the legs over a non-orientable base, the sum of the
         Z/a_k on the legs' ends (``chain_group``), not H_1; it serves the
@@ -295,18 +318,18 @@ class ManifoldContext:
 
     @cached_property
     def link_components(self) -> int | None:
-        """Components k of the branch link of a pretzel presentation of Y,
-        read off the key (r, fibres) of Y; None when Y has none.  Only
-        mubar_vanishing reads it, for its threshold.
+        """Components k of the branch link of a pretzel presentation of Y;
+        None when Y has none.  Only mubar_vanishing reads it, for its
+        threshold.  A k-component link L has 2^k Fox 2-colourings, and
+        they number 2 |H_1(Sigma_2(L); Z/2)|, so k = m + 1 (``z2_rank``).
 
-        A strand form has one strand per fibre, -a for (a, -1) and +a for
+        Whether a form exists is read off the key (r, fibres) of Y.  A
+        strand form has one strand per fibre, -a for (a, -1) and +a for
         (a, 1 - a) (either, for a = 2), plus ``extra`` strands +-1, 3 to 4
         strands in all, so more than 4 fibres leave no form.  The -1
         strands outnumber the +1 strands by owed = r + #(+a strands), so a
         form exists iff some reading of the a = 2 fibres leaves an
-        extra >= |owed| of owed's parity.  k is the number of even
-        strands, or 1 or 2 by the parity of the strand count when every
-        strand is odd; either way it is the same for every form.
+        extra >= |owed| of owed's parity.
         """
         if not self.seifert_keys:
             return None
@@ -316,16 +339,13 @@ class ManifoldContext:
         n = len(fibres)
         owed = r + sum(a > 2 and b == 1 - a for a, b in fibres)
         twos = sum(a == 2 for a, _ in fibres)
-        extras = (
-            extra
+        if not any(
+            (extra - owed - t) % 2 == 0
             for t in range(twos + 1)
             for extra in range(max(3 - n, abs(owed + t)), 5 - n)
-            if (extra - owed - t) % 2 == 0
-        )
-        extra = next(extras, None)
-        if extra is None:
+        ):
             return None
-        return sum(a % 2 == 0 for a, _ in fibres) or 2 - (n + extra) % 2
+        return self.z2_rank + 1
 
     def tree(self, side: str) -> PlumbingTree:
         """The standard plumbing of one orientation ('+' or '-'), built on
@@ -440,16 +460,11 @@ def _mubar_vanishing(ctx: ManifoldContext, budget: int) -> ObstructionResult | N
 
 
 def _double_subset(ctx: ManifoldContext, side: str, budget: int) -> ObstructionResult:
-    """double_subset on the form of ``side``, refuted with no tree where the
-    torsion of H_1 (coker Q on either side, as H_1(-Y) = H_1(Y)) is not
-    H + H or its linking form is odd."""
-    torsion = ctx.homology[1]
-    if refuted := undoubled("double_subset", torsion):
-        return refuted
-    if d := odd_linking_factor(torsion, *chain_ends(ctx.seifert or ctx.manifold)):
-        odd = f"the linking form of coker Q is odd on its factor Z/{d}"
-        return ObstructionResult("", "obstructed", notes=f"{odd}, so no splitting pair exists")
-    return _search(ctx, double_subset_obstruction, side, budget, torsion)
+    """double_subset on the form of ``side``, unless H_1 refutes it with
+    no tree (``ManifoldContext.double_subset_refutation``)."""
+    return ctx.double_subset_refutation or _search(
+        ctx, double_subset_obstruction, side, budget, ctx.homology[1]
+    )
 
 
 def _search(ctx: ManifoldContext, obstruction, side: str, budget: int, *group) -> ObstructionResult:
@@ -670,12 +685,11 @@ class ObstructionReport:
 
 def _report_invariants(ctx: ManifoldContext) -> dict:
     b1, torsion = ctx.homology
-    even = sum(1 for d in torsion.factors if d % 2 == 0)
     return {
         "b1": b1,
         "torsion_factors": list(torsion.factors),
         "euler": None if ctx.euler is None else str(ctx.euler),
-        "spin_count": 2 ** (b1 + even),  # |H^1(Y; Z/2)|
+        "spin_count": 2 ** ctx.z2_rank,  # |H^1(Y; Z/2)|
     }
 
 

@@ -290,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.json:
             out = _indented(report_to_json(report, args.certificates))
         else:
-            out = None if args.quiet else _text_report(report, text, args.certificates)
+            out = _text_report(report, text, args.certificates)
     except Exception as exc:  # a fault in the program, reported as one line
         message = " ".join(str(exc).split())
         reason = f"internal:{type(exc).__name__}: {message}"
@@ -300,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(f"error: {reason}", file=sys.stderr)
         return INTERNAL_ERROR
-    if out is not None:
+    if args.json or not args.quiet:
         print(out)
     return EXIT_CODES.get(report.status, INTERNAL_ERROR)
 

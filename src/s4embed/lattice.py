@@ -16,11 +16,15 @@ The search places rows one at a time, most-constrained vertex first,
 enumerating candidate vectors coordinate by coordinate under exact
 norm/inner-product bounds.  It runs on an explicit stack, one frame per
 placed row, so a plumbing of any size searches without Python recursion.
-The frames share state that is pushed and popped with the rows: for
-each column the placed rows nonzero there, so an entry updates only the
-inner products it changes; each row's suffix sums of squares, for the
-Cauchy-Schwarz cut; and, for the symmetry cuts, a flag per column and
-the first column that every placed row leaves zero.  The symmetry cuts
+Each frame owns the row it places: it keeps the inner products its row
+still owes to the placed rows, and for each row it yields it lists the
+row for the frames below, under each column where it is nonzero (so an
+entry updates only the inner products it changes) and under its last
+such column, with the row's suffix sums of squares for the
+Cauchy-Schwarz cut.  It takes the row back when the search returns to
+it.  The frame below is handed the symmetry state of the prefix: which
+columns equal their predecessor in every placed row, and the first
+column that every placed row leaves zero.  The symmetry cuts
 keep the tree small while preserving at least one representative per
 orbit: every prefix must have its columns weakly increasing in
 lexicographic order, and the topmost nonzero entry of every column must
@@ -28,8 +32,8 @@ be negative.  Two more cuts follow from these constraints, and remove
 only subtrees that yield no row:
 
 - forced entries: at the last nonzero column of a placed row, the entry
-  must repay that row's whole inner-product deficit, so it is the
-  deficit over the row's entry there, or nothing if that does not
+  must repay all the inner product still owed to that row, so it is the
+  amount owed over the row's entry there, or nothing if that does not
   divide.  Each column keeps the placed rows that end there;
 - the zero suffix: the columns that are zero in every placed row form a
   suffix, and the entries there rise weakly to at most 0, so entry c of
@@ -134,19 +138,22 @@ def enumerate_subsets(
     raises ValueError.
 
     The search keeps an explicit stack with one frame per placed row.  A
-    frame is a generator of candidate rows: it walks the coordinates in a
-    loop, one search node per prefix of the row, and undoes its updates
-    as it backtracks, so the depth of the search costs no Python
-    recursion.  For each column the placed rows that are nonzero there
-    are listed, and placing an entry updates the inner-product deficits
-    of those rows only.  Besides the symmetry and Cauchy-Schwarz cuts,
-    an entry is forced where a placed row ends, and bounded above in the
-    all-zero suffix of the columns (see the module docstring); each cut
-    removes only subtrees that yield nothing, so the rows, and the
-    order in which ``until`` meets them, are those of the search without
-    them.  ``budget`` bounds the number of search nodes;
-    exhausting it yields status 'exhausted' with whatever was found so
-    far.  ``nodes`` of the result counts the nodes visited.
+    frame is a generator over the candidates for its row: it walks the
+    coordinates in a loop, one search node per prefix of the row, and
+    undoes its updates as it backtracks, so the depth of the search
+    costs no Python recursion.  It keeps the inner products its row
+    still owes in one dict, placed position -> nonzero amount; an entry
+    updates only the rows listed as nonzero in its column.  For each
+    candidate it places the row and yields the frame below, which the
+    main loop pushes, and it takes the row back when resumed.  Besides
+    the symmetry and Cauchy-Schwarz cuts, an entry is forced where a
+    placed row ends, and bounded above in the all-zero suffix of the
+    columns (see the module docstring); each cut removes only subtrees
+    that yield nothing, so the rows, and the order in which ``until``
+    meets them, are those of the search without them.  ``budget`` bounds
+    the number of search nodes; exhausting it yields status 'exhausted'
+    with whatever was found so far.  ``nodes`` of the result counts the
+    nodes visited.
 
     ``until``, when given, is called once with each new canonical subset,
     in search order, as soon as the search finds it.  If it returns true
@@ -172,36 +179,33 @@ def enumerate_subsets(
     limit = -1 if budget is None else max(budget, 0)
     nodes = 0
 
-    # State of the placed rows, pushed and popped with them.
-    placed: list[tuple[int, ...]] = []  # row vectors in search order
-    suffix_sq: list[list[int]] = []  # per row: sums of squares of row[c:]
+    # The rows placed so far, each placed by the frame that yields it and
+    # taken back when that frame resumes.
+    rows: list[tuple[int, ...]] = [()] * n  # by vertex
+    suffix_sq: list[list[int]] = [[]] * n  # by position: sums of squares of row[c:]
     support: list[list[tuple[int, int]]] = [[] for _ in range(width)]
     closing: list[list[tuple[int, int]]] = [[] for _ in range(width)]  # rows ending there
-    # per prefix depth: column c equals column c-1; the first of the
-    # all-zero columns, which form a suffix, as a nonzero column's
-    # negative topmost entry puts it before them in lexicographic order
-    same_as_prev = [[False] + [True] * (width - 1)]
-    zero_from = [0]
 
-    def candidates(depth: int):
-        """Rows that fit the placed prefix at ``depth``, in search order.
+    def candidates(depth: int, same: list[bool], zero: int):
+        """The frame at ``depth``: for each row that fits the placed
+        prefix, in search order, it places the row and yields the frame
+        below, or, at the last depth, yields the row alone.
 
         The node with prefix entries[:c] checks that no placed row's
         remaining inner product exceeds what Cauchy-Schwarz allows in
         the remaining columns, then tries the values of entry c that the
         symmetry cuts admit: the columns of the prefix stay weakly
-        increasing in lexicographic order, and the topmost nonzero entry
+        increasing in lexicographic order (``same[c]``: column c equals
+        column c-1 in every placed row), and the topmost nonzero entry
         of a column is negative.  Within those, a row ending at column c
-        forces entry c, and in the zero suffix entry c is at most
-        -ceil(sqrt(rem / (width - c))).
+        forces entry c, and in the zero suffix, the columns from
+        ``zero`` on, entry c is at most -ceil(sqrt(rem / (width - c))).
         """
         nonlocal nodes
         i = order[depth]
-        # deficit[pos]: inner product still owed to placed row pos, -1 to a
-        # neighbour of i and 0 to any other; the rows in ``live`` owe a nonzero amount
-        live = {position[u] for u in tree.neighbours[i] if position[u] < depth}
-        deficit = [-(pos in live) for pos in range(depth)]
-        same, zero = same_as_prev[depth], zero_from[depth]
+        # placed position -> the nonzero inner product still owed to its
+        # row, -1 to each neighbour of i at the start
+        owed = {position[u]: -1 for u in tree.neighbours[i] if position[u] < depth}
         entries = [0] * width
         tops = [0] * width  # the last value to try in each column
         rems = [0] * width  # the remaining norm before each column
@@ -214,11 +218,37 @@ def enumerate_subsets(
             if not rem:
                 # the norm is spent, so entries c.. can only be 0: settle
                 # the row at this node, not at one node per zero column
-                if not live and (c == width or not (same[c] and entries[c - 1] > 0)):
-                    yield tuple(entries)
+                if not owed and (c == width or not (same[c] and entries[c - 1] > 0)):
+                    row = rows[i] = tuple(entries)
+                    if depth == n - 1:
+                        yield row
+                    else:
+                        # place the row for the frames below, last column first
+                        acc = [0] * (width + 1)
+                        cols = []  # its nonzero columns
+                        for col in range(width - 1, -1, -1):
+                            x = row[col]
+                            acc[col] = acc[col + 1] + x * x
+                            if x:
+                                support[col].append((depth, x))
+                                cols.append(col)
+                        suffix_sq[depth] = acc
+                        last = cols[0] if cols else -1
+                        if cols:
+                            closing[last].append((depth, row[last]))
+                        below = [False] + [
+                            same[k] and row[k] == row[k - 1] for k in range(1, width)
+                        ]
+                        # a nonzero column's negative topmost entry puts it
+                        # before the all-zero ones in lexicographic order
+                        yield candidates(depth + 1, below, max(zero, last + 1))
+                        # the search is back at this frame: take the row back
+                        for col in cols:
+                            support[col].pop()
+                        if cols:
+                            closing[last].pop()
             elif c < width:
-                for pos in live:
-                    d = deficit[pos]
+                for pos, d in owed.items():
                     if d * d > rem * suffix_sq[pos][c]:
                         break
                 else:
@@ -231,7 +261,7 @@ def enumerate_subsets(
                     hi = -isqrt((rem - 1) // (width - c)) - 1 if c >= zero else cap
                     # a row that ends at column c is repaid in full by entry c
                     for pos, a in closing[c]:
-                        x, rest = divmod(deficit[pos], a)
+                        x, rest = divmod(owed.get(pos, 0), a)
                         if rest:
                             hi = lo - 1
                             break
@@ -245,12 +275,11 @@ def enumerate_subsets(
                         rems[c] = rem
                         if lo:
                             for pos, a in support[c]:
-                                d = deficit[pos] - lo * a
-                                deficit[pos] = d
+                                d = owed.get(pos, 0) - lo * a
                                 if d:
-                                    live.add(pos)
+                                    owed[pos] = d
                                 else:
-                                    live.discard(pos)
+                                    del owed[pos]
                         rem -= lo * lo
                         c += 1
                         continue
@@ -266,75 +295,35 @@ def enumerate_subsets(
                 if step:
                     entries[c] = w
                     for pos, a in support[c]:
-                        d = deficit[pos] - step * a
-                        deficit[pos] = d
+                        d = owed.get(pos, 0) - step * a
                         if d:
-                            live.add(pos)
+                            owed[pos] = d
                         else:
-                            live.discard(pos)
+                            del owed[pos]
                 if v < tops[c]:
                     rem = rems[c] - w * w
                     c += 1
                     break
 
-    def push(row: tuple[int, ...]) -> None:
-        pos = len(placed)
-        placed.append(row)
-        acc = [0] * (width + 1)
-        last = None
-        for c in range(width - 1, -1, -1):
-            acc[c] = acc[c + 1] + row[c] * row[c]
-            if row[c]:
-                support[c].append((pos, row[c]))
-                if last is None:
-                    last = c
-                    closing[c].append((pos, row[c]))
-        suffix_sq.append(acc)
-        same = same_as_prev[-1]
-        same_as_prev.append(
-            [False] + [same[c] and row[c] == row[c - 1] for c in range(1, width)]
-        )
-        zero_from.append(zero_from[-1] if last is None else max(zero_from[-1], last + 1))
-
-    def pop() -> None:
-        row = placed.pop()
-        last = None
-        for c in range(width):
-            if row[c]:
-                support[c].pop()
-                last = c
-        if last is not None:
-            closing[last].pop()
-        suffix_sq.pop()
-        same_as_prev.pop()
-        zero_from.pop()
-
     found: set[tuple[tuple[int, ...], ...]] = set()
     status = "complete"
-    frames = [candidates(0)]
+    frames = [candidates(0, [False] + [True] * (width - 1), 0)]
     try:
         while frames:
-            row = next(frames[-1], None)
-            if row is None:
+            child = next(frames[-1], None)
+            if child is None:
                 frames.pop()
-                if placed:
-                    pop()
-            elif len(placed) == n - 1:
-                rows_in_input_order = [None] * n
-                for pos, vec in enumerate(placed):
-                    rows_in_input_order[order[pos]] = vec
-                rows_in_input_order[order[-1]] = row
-                rows = canonicalize_rows(rows_in_input_order)
-                if rows not in found:
-                    found.add(rows)
-                    if until is not None and until(LatticeSubset(rows)):
+            elif len(frames) < n:
+                frames.append(child)
+            else:
+                subset = canonicalize_rows(rows)
+                if subset not in found:
+                    found.add(subset)
+                    if until is not None and until(LatticeSubset(subset)):
                         status = "stopped"
                         break
-            else:
-                push(row)
-                frames.append(candidates(len(placed)))
     except BudgetExhausted:
         status = "exhausted"
 
-    subsets = tuple(LatticeSubset(rows) for rows in sorted(found))
+    subsets = tuple(LatticeSubset(subset) for subset in sorted(found))
     return SubsetSearchResult(status, subsets, nodes)

@@ -12,9 +12,9 @@ plumbing however many Wu sets read it.
 
 For a pretzel-link double branched cover the number of spin structures
 is 2^(k-1), k the number of link components.  The classifier reads k off
-the normalised Seifert key (``ManifoldContext.link_components``), and
-``spin_profile`` checks the Wu-set count against 2^(k-1), a cross-check
-on that rule.
+H_1 (``ManifoldContext.link_components``): 2^(k-1) = |H_1(Y; Z/2)|.
+``spin_profile`` checks the Wu-set count of the plumbing against
+2^(k-1), a cross-check of the plumbing against H_1.
 
 This module builds no plumbing: the caller chooses the orientation whose
 plumbing is negative (semi)definite and passes that tree in, so the
@@ -100,12 +100,12 @@ def spin_profile(tree: PlumbingTree, side: str, k: int) -> tuple[int, ...]:
     '-'), the one the caller found negative (semi)definite.  The values
     are reported for the '+' orientation: reversing orientation negates
     mu-bar and fixes the vanishing count.  The Wu-set count must be the
-    spin count 2^(k-1).
+    spin count 2^(k-1) that the caller read off H_1.
     """
     sign = -1 if side == "-" else 1
     wu = wu_sets(tree)
     if len(wu) != 2 ** (k - 1):
-        raise ArithmeticError(f"spin count {len(wu)} disagrees with 2^(k-1) for k={k}")
+        raise ArithmeticError(f"{len(wu)} Wu sets disagree with 2^(k-1) = |H_1(Y; Z/2)| for k={k}")
     return tuple(sorted(sign * mu_bar(tree, w) for w in wu))
 
 

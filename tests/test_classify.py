@@ -781,10 +781,29 @@ def test_long_even_lens_sum_is_refuted_with_no_plumbing(monkeypatch):
     ]
 
 
+def test_both_double_subset_rows_read_one_linking_form(monkeypatch):
+    """The H_1 refutation of the double-subset rows reads no side, so a
+    report with both rows takes the linking form once."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return linking(*args)
+
+    linking = classify.odd_linking_factor
+    monkeypatch.setattr(classify, "odd_linking_factor", counted)
+    report = full_report(LensSum([(8, 3), (8, 5)]), certificates=True)
+    assert len(calls) == 1
+    assert [(r.name, r.verdict) for r in report.results[-2:]] == [
+        ("double_subset", "obstructed"),
+        ("double_subset_mirror", "obstructed"),
+    ]
+
+
 def test_report_takes_each_strand_form_list_once():
-    """Family membership and k are read off the key, so the pretzel and
-    the Seifert input of one cover give the same reason and the same
-    mu-bar certificate."""
+    """Family membership is read off the key and k off H_1, so the
+    pretzel and the Seifert input of one cover give the same reason and
+    the same mu-bar certificate."""
     cover = PretzelCover([3, -5, -8])
     reports = [full_report(cover), full_report(pretzel_to_seifert(cover))]
     assert {r.reason for r in reports} == {"open_family:pretzel(2l-1,-2l-1,-2l^2)"}

@@ -419,17 +419,18 @@ def test_internal_error_is_one_structured_line(monkeypatch, capsys):
 @pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="no integer digit limit before Python 3.11"
 )
-@pytest.mark.parametrize("flags", [[], ["--json"]])
+@pytest.mark.parametrize("flags", [[], ["--json"], ["--quiet"]])
 def test_a_fault_while_printing_is_one_internal_error_line(flags, capsys):
     """seifert(O(10000); 0; ) is a surface times a circle, which embeds,
     but its spin count 2^20001 has more than 4,300 digits, past the
     interpreter's default limit for printing an integer.  The output is
-    built whole inside the internal-error guard, so that fault exits 70
-    with its one line and nothing else."""
+    built whole inside the internal-error guard, also when --quiet does
+    not print it, so that fault exits 70 with its one line and nothing
+    else in every output mode."""
     with int_digit_limit(4300):
         assert main(["seifert(O(10000); 0; )", *flags]) == 70
     captured = capsys.readouterr()
-    line = captured.out if flags else captured.err
+    line = captured.out if "--json" in flags else captured.err
     assert captured.out + captured.err == line and line.count("\n") == 1
     assert "internal:ValueError: Exceeds the limit (4300 digits)" in line
 

@@ -264,9 +264,18 @@ PINNED_IDS = [
     "Q4-square-353-1",
     "Q5-rectangular-138-3",
 ]
+# Deep searches, pinned the same way: frames stack 61 and 201 rows deep.
+DEEP_PINS = {
+    "p_chain61": (p_chain(61), 2428, 2),
+    "lens201": (plumbing_tree(LensSum([(201, 200), (201, 1)]), "+"), 22126, 2),
+}
 
 
-@pytest.mark.parametrize("tree, nodes, count", list(PINNED_NODES.values()), ids=PINNED_IDS)
+@pytest.mark.parametrize(
+    "tree, nodes, count",
+    list(PINNED_NODES.values()) + list(DEEP_PINS.values()),
+    ids=PINNED_IDS + list(DEEP_PINS),
+)
 def test_search_tree_is_pinned(tree, nodes, count):
     res = enumerate_subsets(tree)
     assert res.complete

@@ -144,8 +144,8 @@ def link_components_disagree(m) -> str | None:
 def test_link_components_from_the_key_match_the_trace():
     """Every 3- and 4-strand cover with |a_i| <= 7, and every Seifert
     space over S^2 with 3-4 fibres a <= 5 and r in [-2, 2]: k read off
-    the key is the trace's on the last strand form, and None exactly
-    when there is no form."""
+    H_1 is the trace's on the last strand form, and None exactly when
+    the key admits no form."""
     values = [x for x in range(-7, 8) if x]
     covers = [
         PretzelCover(s) for n in (3, 4) for s in itertools.combinations_with_replacement(values, n)
