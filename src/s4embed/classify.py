@@ -1,11 +1,12 @@
 """One decision engine: per-class check tables and one merge rule.
 
-``full_report`` builds a ``ManifoldContext`` once per call.  It holds the
+``full_report`` builds a ``ManifoldContext`` once per call, and every
+check reads that context alone.  It holds the search budget, the
 Seifert view of the input, e, (b_1, torsion), the rank m of
 H_1(Y; Z/2), the normalised Seifert keys (r, fibres) of Y and -Y, the
-component count k = m + 1 of a pretzel branch link, and the refutation
-both double-subset rows take from H_1; each is computed once, when first
-asked for.
+pretzel family member of Y, the component count k = m + 1 of a pretzel
+branch link, and the refutation both double-subset rows take from H_1;
+each value is computed once, when first asked for.
 It also owns the report's plumbings: one tree per orientation, built
 when a check first reads that side and shared by every later check, so
 the definite-side tree serves both the form checks and mu-bar.
@@ -197,10 +198,10 @@ def _strand_key(strands) -> Key:
 
 def _family_member(keys) -> tuple[str, tuple[int, ...]] | None:
     """(family, strands) of the member, up to mirror, of an embeddable
-    family or of the open family whose key is one of ``keys``.  Only the
-    members whose strands of size >= 2 have the fibre sizes of ``keys``
-    are keyed; a strand +-1 carries no fibre."""
-    sizes = tuple(a for a, _ in keys[0][1]) if keys else ()
+    family or of the open family whose key is one of ``keys``, which are
+    not empty.  Only the members whose strands of size >= 2 have the
+    fibre sizes of ``keys`` are keyed; a strand +-1 carries no fibre."""
+    sizes = tuple(a for a, _ in keys[0][1])
     n = len(sizes)
     lo, a, hi = (sizes[0], sizes[n // 2], sizes[-1]) if n else (1, 1, 1)
     l = (lo + 1) // 2
@@ -221,33 +222,21 @@ def _family_member(keys) -> tuple[str, tuple[int, ...]] | None:
     return next(((family, m) for ok, family, m in members if ok and _strand_key(m) in keys), None)
 
 
-def pretzel_embeddable_family(keys) -> str | None:
-    """The embeddable family of Y up to mirror and Rolfsen twist, given
-    ``ManifoldContext.seifert_keys``; None outside them."""
-    hit = _family_member(keys)
-    return hit[0] if hit is not None and hit[0] != OPEN_FAMILY else None
-
-
-def pretzel_unknown_family(keys) -> int | None:
-    """Membership in Y(2l-1, -2l-1, -2l^2) up to mirror, given
-    ``ManifoldContext.seifert_keys``; returns l."""
-    hit = _family_member(keys)
-    return (hit[1][0] + 1) // 2 if hit is not None and hit[0] == OPEN_FAMILY else None
-
-
 # ---------------------------------------------------------------------------
 # per-call context
 
 
 @dataclass
 class ManifoldContext:
-    """What the checks of one ``full_report`` call read.  Each cached
-    item is computed once, when first asked for, and lives only as long
-    as the call.  The pretzel view of Y is its normalised Seifert key:
-    family membership compares keys, and whether Y has a pretzel form
-    at all is read off the key, with no strand form listed."""
+    """All that the checks of one ``full_report`` call read: the
+    manifold, the node budget of each search, and the values below.  Each
+    cached item is computed once, when first asked for, and lives only as
+    long as the call.  The pretzel view of Y is its normalised Seifert
+    key: the family member compares keys, and whether Y has a pretzel
+    form at all is read off the key, with no strand form listed."""
 
     manifold: Manifold
+    budget: int = DEFAULT_BUDGET
     _trees: dict[str, PlumbingTree] = field(default_factory=dict, init=False, repr=False)
     _searches: dict[tuple, ObstructionResult] = field(default_factory=dict, init=False, repr=False)
 
@@ -317,19 +306,31 @@ class ManifoldContext:
         return (r, fibres), (-r - len(fibres), tuple(sorted((a, -a - b) for a, b in fibres)))
 
     @cached_property
+    def pretzel_family(self) -> tuple[str, tuple[int, ...]] | None:
+        """Y's pretzel family member (``_family_member``), None at once
+        without keys.  The catalog's doubly_slice_pretzel entry and the
+        merge rule's open-family reason read it."""
+        return _family_member(self.seifert_keys) if self.seifert_keys else None
+
+    @cached_property
     def link_components(self) -> int | None:
         """Components k of the branch link of a pretzel presentation of Y;
         None when Y has none.  Only mubar_vanishing reads it, for its
         threshold.  A k-component link L has 2^k Fox 2-colourings, and
         they number 2 |H_1(Sigma_2(L); Z/2)|, so k = m + 1 (``z2_rank``).
 
-        Whether a form exists is read off the key (r, fibres) of Y.  A
-        strand form has one strand per fibre, -a for (a, -1) and +a for
-        (a, 1 - a) (either, for a = 2), plus ``extra`` strands +-1, 3 to 4
-        strands in all, so more than 4 fibres leave no form.  The -1
-        strands outnumber the +1 strands by owed = r + #(+a strands), so a
-        form exists iff some reading of the a = 2 fibres leaves an
-        extra >= |owed| of owed's parity.
+        Whether a form exists is read off the key (r, fibres) of Y, with n
+        fibres.  A strand form has one strand per fibre, -a for (a, -1)
+        and +a for (a, 1 - a) (either, for a = 2: t of the ``twos`` such
+        fibres read +2), plus x extra strands, p of them +1 and q of them
+        -1, 3 to 4 strands in all.  r counts the -1 strands less the
+        positive ones, so with owed = r + #(+a strands, a > 2):
+        - q - p = owed + t and q + p = x;
+        - so x >= |owed + t| and x has the parity of owed + t;
+        - x ranges over {3 - n, 4 - n}, one of each parity, or only 0 when
+          n = 4, and more than 4 fibres leave no form;
+        - so a form exists iff some value in [owed, owed + twos] has
+          absolute value at most 4 - n.
         """
         if not self.seifert_keys:
             return None
@@ -339,13 +340,9 @@ class ManifoldContext:
         n = len(fibres)
         owed = r + sum(a > 2 and b == 1 - a for a, b in fibres)
         twos = sum(a == 2 for a, _ in fibres)
-        if not any(
-            (extra - owed - t) % 2 == 0
-            for t in range(twos + 1)
-            for extra in range(max(3 - n, abs(owed + t)), 5 - n)
-        ):
-            return None
-        return self.z2_rank + 1
+        if n <= 4 and owed <= 4 - n and owed + twos >= n - 4:
+            return self.z2_rank + 1
+        return None
 
     def tree(self, side: str) -> PlumbingTree:
         """The standard plumbing of one orientation ('+' or '-'), built on
@@ -396,7 +393,7 @@ def _judged(ok: bool, passed: str, failed: str, certificates=()) -> ObstructionR
     )
 
 
-def _torsion_square(ctx: ManifoldContext, budget: int) -> ObstructionResult:
+def _torsion_square(ctx: ManifoldContext) -> ObstructionResult:
     """The torsion of H_1 of a closed orientable 3-manifold in S^4 splits
     as G + G, one G from each side (Hantzsche, *Einlagerung von
     Mannigfaltigkeiten in euklidische Räume*, Math. Z. 43, 1938); so its
@@ -413,12 +410,12 @@ def _torsion_square(ctx: ManifoldContext, budget: int) -> ObstructionResult:
     )
 
 
-def _lens_mirror_pairing(ctx: ManifoldContext, budget: int) -> ObstructionResult:
+def _lens_mirror_pairing(ctx: ManifoldContext) -> ObstructionResult:
     fault = _lens_sum_fault(ctx.manifold)
     return _judged(fault is None, "summands pair into mirrors", fault)
 
 
-def _complementary_pairs(ctx: ManifoldContext, budget: int) -> ObstructionResult:
+def _complementary_pairs(ctx: ManifoldContext) -> ObstructionResult:
     return _judged(
         complementary_matched(ctx.seifert.invariants),
         "invariants pair into complements",
@@ -426,7 +423,7 @@ def _complementary_pairs(ctx: ManifoldContext, budget: int) -> ObstructionResult
     )
 
 
-def _weak_complementary_pairs(ctx: ManifoldContext, budget: int) -> ObstructionResult:
+def _weak_complementary_pairs(ctx: ManifoldContext) -> ObstructionResult:
     return _judged(
         weak_complementary_matched(ctx.seifert.invariants),
         "invariants pair into weak complements",
@@ -434,7 +431,7 @@ def _weak_complementary_pairs(ctx: ManifoldContext, budget: int) -> ObstructionR
     )
 
 
-def _even_fibre_clause(ctx: ManifoldContext, budget: int) -> ObstructionResult:
+def _even_fibre_clause(ctx: ManifoldContext) -> ObstructionResult:
     return _judged(
         even_fibre_clause(ctx.seifert.invariants),
         "",
@@ -442,7 +439,7 @@ def _even_fibre_clause(ctx: ManifoldContext, budget: int) -> ObstructionResult:
     )
 
 
-def _mubar_vanishing(ctx: ManifoldContext, budget: int) -> ObstructionResult | None:
+def _mubar_vanishing(ctx: ManifoldContext) -> ObstructionResult | None:
     """At least 2^((k+1)/2)-1 (k odd) or 3*2^((k-2)/2)-1 (k even)
     vanishing mu-bar invariants are required."""
     k = ctx.link_components
@@ -459,31 +456,31 @@ def _mubar_vanishing(ctx: ManifoldContext, budget: int) -> ObstructionResult | N
     )
 
 
-def _double_subset(ctx: ManifoldContext, side: str, budget: int) -> ObstructionResult:
+def _double_subset(ctx: ManifoldContext, side: str) -> ObstructionResult:
     """double_subset on the form of ``side``, unless H_1 refutes it with
     no tree (``ManifoldContext.double_subset_refutation``)."""
-    return ctx.double_subset_refutation or _search(
-        ctx, double_subset_obstruction, side, budget, ctx.homology[1]
-    )
+    group = ctx.homology[1]
+    return ctx.double_subset_refutation or _search(ctx, double_subset_obstruction, side, group)
 
 
-def _search(ctx: ManifoldContext, obstruction, side: str, budget: int, *group) -> ObstructionResult:
+def _search(ctx: ManifoldContext, obstruction, side: str, *group) -> ObstructionResult:
     """``obstruction`` run on the plumbing form of ``side``, and on
-    ``group``, its coker Q, if given; once per (obstruction, tree) in a
-    report: a mirror row whose tree is its twin's takes the twin's
-    result.  The rows call this through a lambda, so the obstruction is
-    looked up by module-global name when the row runs."""
+    ``group``, its coker Q, if given, within ``ctx.budget`` nodes; once
+    per (obstruction, tree) in a report: a mirror row whose tree is its
+    twin's takes the twin's result.  The rows call this through a lambda,
+    so the obstruction is looked up by module-global name when the row
+    runs."""
     tree = ctx.tree(side)
     key = (obstruction, tree)
     if key not in ctx._searches:
-        ctx._searches[key] = obstruction(tree, *group, budget)
+        ctx._searches[key] = obstruction(tree, *group, ctx.budget)
     return ctx._searches[key]
 
 
 # ---------------------------------------------------------------------------
 # check tables, one per class
 
-Check = Callable[[ManifoldContext, int], "ObstructionResult | None"]
+Check = Callable[[ManifoldContext], "ObstructionResult | None"]
 Row = tuple[str, Check]
 
 
@@ -509,20 +506,17 @@ class CheckTable:
 
 
 _TORSION: Row = ("torsion_square", _torsion_square)
-_DOUBLE: Row = ("double_subset", lambda ctx, b: _double_subset(ctx, ctx.definite_side, b))
+_DOUBLE: Row = ("double_subset", lambda ctx: _double_subset(ctx, ctx.definite_side))
 _MUBAR: Row = ("mubar_vanishing", _mubar_vanishing)
 _COMPLEMENTARY: Row = ("complementary_pairs", _complementary_pairs)
 _SEMIDEFINITE = (
-    ("semidefinite_subset", lambda ctx, b: _search(ctx, semidefinite_obstruction, "+", b)),
-    ("semidefinite_subset_mirror", lambda ctx, b: _search(ctx, semidefinite_obstruction, "-", b)),
+    ("semidefinite_subset", lambda ctx: _search(ctx, semidefinite_obstruction, "+")),
+    ("semidefinite_subset_mirror", lambda ctx: _search(ctx, semidefinite_obstruction, "-")),
 )
 
 LENS_SUM = CheckTable(
     (_TORSION, ("lens_mirror_pairing", _lens_mirror_pairing)),
-    certificates=(
-        _DOUBLE,
-        ("double_subset_mirror", lambda ctx, b: _double_subset(ctx, "-", b)),
-    ),
+    certificates=(_DOUBLE, ("double_subset_mirror", lambda ctx: _double_subset(ctx, "-"))),
 )
 LENS_SPACE = CheckTable((_TORSION,), theorem="lens_mirror_pairing")
 NONORIENTABLE = CheckTable((
@@ -531,11 +525,11 @@ NONORIENTABLE = CheckTable((
     ("even_fibre_clause", _even_fibre_clause),
     (
         "nonorientable_double_subset",
-        lambda ctx, b: _search(ctx, nonorientable_obstruction, "+", b, ctx.leg_group),
+        lambda ctx: _search(ctx, nonorientable_obstruction, "+", ctx.leg_group),
     ),
     (
         "nonorientable_double_subset_mirror",
-        lambda ctx, b: _search(ctx, nonorientable_obstruction, "-", b, ctx.leg_group),
+        lambda ctx: _search(ctx, nonorientable_obstruction, "-", ctx.leg_group),
     ),
 ))
 # e = 0 over an orientable base: the semidefinite searches only certify.
@@ -586,7 +580,7 @@ def _matches_lens_mirror(ctx: ManifoldContext) -> bool:
 
 
 def _matches_doubly_slice_pretzel(ctx: ManifoldContext) -> bool:
-    return pretzel_embeddable_family(ctx.seifert_keys) is not None
+    return ctx.pretzel_family is not None and ctx.pretzel_family[0] != OPEN_FAMILY
 
 
 def _matches_odd_complementary_e0(ctx: ManifoldContext) -> bool:
@@ -684,12 +678,16 @@ class ObstructionReport:
 
 
 def _report_invariants(ctx: ManifoldContext) -> dict:
+    """spin_count = |H^1(Y; Z/2)| = 2^m is an integer of at most 4,300
+    digits, the default printing limit, while m <= 14,284; past that it
+    is the string "2^m", and 2^m is never built."""
     b1, torsion = ctx.homology
+    m = ctx.z2_rank
     return {
         "b1": b1,
         "torsion_factors": list(torsion.factors),
         "euler": None if ctx.euler is None else str(ctx.euler),
-        "spin_count": 2 ** ctx.z2_rank,  # |H^1(Y; Z/2)|
+        "spin_count": 2**m if m <= 14284 else f"2^{m}",
     }
 
 
@@ -704,13 +702,13 @@ def full_report(
     carries its row's name.  The table's certificate rows join when
     ``certificates`` or ``only`` is set, and ``only`` then keeps the rows
     with those names, so only the named checks run."""
-    ctx = ManifoldContext(m)
+    ctx = ManifoldContext(m, budget)
     table = ctx.table
     rows = table.checks + (table.certificates if certificates or only else ())
     if only is not None:
         rows = tuple(row for row in rows if row[0] in only)
     results = [
-        replace(r, name=name) for name, check in rows if (r := check(ctx, budget)) is not None
+        replace(r, name=name) for name, check in rows if (r := check(ctx)) is not None
     ]
 
     hits = catalog_matches(ctx)
@@ -725,7 +723,7 @@ def full_report(
         reason = f"theorem:{theorem}" if theorem else f"obstruction:{obstructed[0].name}"
     elif hits:
         status, reason = "EMBEDS", f"catalog:{hits[0].name}"
-    elif pretzel_unknown_family(ctx.seifert_keys) is not None:
+    elif ctx.pretzel_family is not None:  # with no catalog hit, the open family
         status, reason = "UNKNOWN", f"open_family:{OPEN_FAMILY}"
     else:
         status, reason = "UNKNOWN", "no obstruction fired; no catalog entry"

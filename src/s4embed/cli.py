@@ -11,7 +11,10 @@ optional sign and whitespace may appear between any two tokens::
     pretzel  := pretzel(a,b,c[,d])
 
 The fibre list is optional: ``seifert(S2;0)`` and ``seifert(S2; 0; )``
-are the same space.  Every rejected expression raises ``ParseError``,
+are the same space.  A base genus g, or crosscap count k, is refused
+when b_1 (at most 2g + 1, or k) or the rank of H_1(Y; Z/2) could pass
+4,300 digits, as the report prints both; a larger spin count 2^m prints
+as the string "2^m".  Every rejected expression raises ``ParseError``,
 which names a position in the text; the CLI prints it and exits 64.
 
 ``--certificates`` prints each check's certificates, in text as one line
@@ -78,6 +81,10 @@ _TOKENS = {
         *((p, re.escape(p), f"expected {p!r}") for p in "(),;+"),
     )
 }
+
+
+# integers below this have at most 4,300 digits, int()'s default limit
+_PRINTABLE = 10**4300
 
 
 class _Scanner:
@@ -149,6 +156,11 @@ def parse_manifold(text: str) -> Manifold:
                 pairs.append((a, s.take("integer")))
                 s.take(")")
                 more = s.take(",", optional=True) and s.take("(")
+            # the report prints b_1 and m, the rank of H_1(Y; Z/2): b_1 is at
+            # most 2g + 1 over O(g) and k over N(k), and m at most b_1 + n + 2
+            # for n fibres
+            if (genus if base == "N" else 2 * genus + 1) + len(pairs) + 2 >= _PRINTABLE:
+                raise ParseError("base genus too large to print H_1 in 4,300 digits", start)
             make, args = SeifertManifold, (base != "N", genus, r, pairs)
         s.take(")")
         try:

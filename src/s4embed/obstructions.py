@@ -258,7 +258,12 @@ def double_subset_obstruction(
         return refuted
     filtered = G.order % 2 == 1
     removed = 0
-    usable: dict = {}  # lift basis -> (H, subset), in search order
+    # (H, subset) in search order, each H new: Q is definite, so A is
+    # square and nonsingular, and im Q lies in im A, so H = im A / im Q
+    # determines im A.  If im A = im A', then A' = A U with U unimodular,
+    # and A U U^t A^t = A A^t gives U U^t = I: U is a signed permutation,
+    # so A' is in A's orbit, which the search yields once.
+    usable: list = []
     witness: list = []
 
     def split_found(s: LatticeSubset) -> bool:
@@ -270,13 +275,11 @@ def double_subset_obstruction(
         if G.order == 1:
             witness.append((s, s))
             return True
-        if H.basis in usable:
-            return False
-        for H1, A1 in usable.values():
+        for H1, A1 in usable:
             if direct_sum_test(G, H1, H)[0]:
                 witness.extend([(A1, s), (H1, H)])
                 return True
-        usable[H.basis] = (H, s)
+        usable.append((H, s))
         return False
 
     res = enumerate_subsets(tree, budget, until=split_found)

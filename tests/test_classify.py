@@ -13,8 +13,6 @@ from s4embed.classify import (
     even_fibre_clause,
     full_report,
     lens_mirror_matched,
-    pretzel_embeddable_family,
-    pretzel_unknown_family,
     weak_complementary_matched,
 )
 from s4embed.cli import parse_manifold
@@ -179,6 +177,19 @@ def keys(strands):
     """The normalised Seifert keys of the cover and of its mirror, as a
     report reads them."""
     return ManifoldContext(PretzelCover(strands)).seifert_keys
+
+
+# The two readings of the family member: the catalog's and the merge rule's.
+
+
+def pretzel_embeddable_family(keys) -> str | None:
+    hit = classify._family_member(keys)
+    return hit[0] if hit is not None and hit[0] != classify.OPEN_FAMILY else None
+
+
+def pretzel_unknown_family(keys) -> int | None:
+    hit = classify._family_member(keys)
+    return (hit[1][0] + 1) // 2 if hit is not None and hit[0] == classify.OPEN_FAMILY else None
 
 
 def test_pretzel_families():
@@ -800,6 +811,35 @@ def test_both_double_subset_rows_read_one_linking_form(monkeypatch):
     ]
 
 
+def count_calls(monkeypatch, name) -> list:
+    """Wrap the classify function ``name``; each call appends its args."""
+    calls = []
+    inner = getattr(classify, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(classify, name, counted)
+    return calls
+
+
+def test_a_report_without_keys_keys_no_family_member(monkeypatch):
+    """A lens sum has no Seifert keys, so its report keys no member of
+    a pretzel family."""
+    calls = count_calls(monkeypatch, "_strand_key")
+    assert full_report(LensSum([(3, 1), (3, 2)])).status == "EMBEDS"
+    assert calls == []
+
+
+def test_a_report_reads_the_family_member_once(monkeypatch):
+    """The catalog and the merge rule read one cached family member."""
+    calls = count_calls(monkeypatch, "_family_member")
+    report = full_report(PretzelCover([3, -5, -8]))
+    assert report.reason == f"open_family:{classify.OPEN_FAMILY}"
+    assert len(calls) == 1
+
+
 def test_report_takes_each_strand_form_list_once():
     """Family membership is read off the key and k off H_1, so the
     pretzel and the Seifert input of one cover give the same reason and
@@ -820,7 +860,6 @@ def test_many_fibres_have_no_strand_forms():
     m = SeifertManifold(True, 0, 1, [(2, 1)] * 15 + [(3, -1)] * 15)
     start = process_time()
     ctx = ManifoldContext(m)
-    assert pretzel_embeddable_family(ctx.seifert_keys) is None
-    assert pretzel_unknown_family(ctx.seifert_keys) is None
+    assert ctx.pretzel_family is None
     assert ctx.link_components is None
     assert process_time() - start < 0.1

@@ -416,23 +416,79 @@ def test_internal_error_is_one_structured_line(monkeypatch, capsys):
     assert captured.err == f"error: {reason}\n"
 
 
-@pytest.mark.skipif(
-    not hasattr(sys, "set_int_max_str_digits"), reason="no integer digit limit before Python 3.11"
-)
 @pytest.mark.parametrize("flags", [[], ["--json"], ["--quiet"]])
-def test_a_fault_while_printing_is_one_internal_error_line(flags, capsys):
-    """seifert(O(10000); 0; ) is a surface times a circle, which embeds,
-    but its spin count 2^20001 has more than 4,300 digits, past the
-    interpreter's default limit for printing an integer.  The output is
-    built whole inside the internal-error guard, also when --quiet does
-    not print it, so that fault exits 70 with its one line and nothing
-    else in every output mode."""
-    with int_digit_limit(4300):
-        assert main(["seifert(O(10000); 0; )", *flags]) == 70
+def test_a_fault_while_printing_is_one_internal_error_line(flags, monkeypatch, capsys):
+    """A fault in rendering the report, here an integer past the
+    interpreter's digit limit, exits 70 with its one line and nothing
+    else in every output mode: the output is built whole inside the
+    internal-error guard, also when --quiet does not print it."""
+    fault = fail_with(ValueError("Exceeds the limit (4300 digits) for integer string conversion"))
+    monkeypatch.setattr(cli, "_indented", fault)
+    monkeypatch.setattr(cli, "_text_report", fault)
+    assert main(["pretzel(3,-5,-8)", *flags]) == 70
     captured = capsys.readouterr()
     line = captured.out if "--json" in flags else captured.err
     assert captured.out + captured.err == line and line.count("\n") == 1
     assert "internal:ValueError: Exceeds the limit (4300 digits)" in line
+
+
+GENUS_4300 = "1" + "0" * 4299  # 10^4299: 2g + 1 has 4,300 digits
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+@pytest.mark.parametrize(
+    "expr, b1, spin",
+    [
+        ("seifert(O(10000); 0; )", 20001, "2^20001"),
+        ("seifert(O(1000000000000); 0; )", 2 * 10**12 + 1, f"2^{2 * 10**12 + 1}"),
+        ("seifert(N(1000000000000); 0; )", 10**12 - 1, f"2^{10**12 + 1}"),
+        (f"seifert(O({GENUS_4300}); 0; )", 2 * 10**4299 + 1, f"2^{2 * 10**4299 + 1}"),
+        # m = b_1 + 2 either side of 14,284
+        ("seifert(N(14283); 2; )", 14282, 2**14284),
+        ("seifert(N(14284); 0; )", 14283, "2^14285"),
+    ],
+    ids=["O(10^4)", "O(10^12)", "N(10^12)", "O(10^4299)", "m=14284", "m=14285"],
+)
+def test_a_large_base_genus_prints(expr, b1, spin, flags):
+    """Sigma_g x S^1 embeds whatever g, and the report prints b_1 and the
+    spin count 2^m with the interpreter's default digit limit: as an
+    integer while m <= 14,284 (at most 4,300 digits), else as "2^m",
+    with no 2^m built, so each run keeps within the child limits.  N(k)
+    with no fibres is a circle bundle that the catalog embeds too."""
+    done = run_python("-m", "s4embed.cli", expr, *flags, preexec_fn=within_limits)
+    assert done.returncode == 0, done.stderr
+    if "--json" in flags:
+        invariants = json.loads(done.stdout)["invariants"]
+        assert (invariants["b1"], invariants["spin_count"]) == (b1, spin)
+    else:
+        assert f"b1={b1} " in done.stdout and f"spin={spin}\n" in done.stdout
+
+
+def test_a_genus_too_large_to_print_is_a_parse_error():
+    """b_1 is at most 2g + 1 over O(g), so a genus whose 2g + 1 passes
+    4,300 digits is refused where the base starts, and the CLI exits 64;
+    10^4299 still parses."""
+    message = r"^base genus too large to print H_1 in 4,300 digits at position 8$"
+    text = f"seifert(O({5 * 10**4299}); 0; )"
+    with pytest.raises(ParseError, match=message):
+        parse_manifold(text)
+    assert exit_code(text) == 64
+    assert parse_manifold(f"seifert(O({GENUS_4300}); 0; )").genus == 10**4299
+
+
+def test_the_budget_reaches_every_search(capsys):
+    """--budget bounds each search of the report: with 3 nodes both
+    double-subset certificates of a mirror pair stop inconclusive, and the
+    sum still embeds by the theorem."""
+    assert main(["lens(9,2)+lens(9,7)", "--json", "--certificates", "--budget", "3"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    searches = [(r["name"], r["verdict"], r["notes"]) for r in out["obstructions"][2:]]
+    notes = "budget exhausted after 3 nodes; 0 subset(s) found"
+    assert searches == [
+        ("double_subset", "inconclusive", notes),
+        ("double_subset_mirror", "inconclusive", notes),
+    ]
+    assert (out["status"], out["reason"]) == ("EMBEDS", "catalog:mirror_lens_sum")
 
 
 def test_interrupt_is_not_swallowed(monkeypatch):

@@ -563,6 +563,8 @@ def full_double_subset(tree):
         return "inconclusive", "budget exhausted"
     G = cokernel(Q)
     columns = [(subset_column_subgroup(G, s), s) for s in res.subsets]
+    # a complete search yields each column subgroup once
+    assert len({H.basis for H, _ in columns}) == len(columns), "a column subgroup repeats"
     note = ""
     if G.order % 2 == 1:
         kept = [(H, s) for H, s in columns if char_vector_criterion(H)]
