@@ -51,9 +51,13 @@ table and gets that space's report.  mubar_vanishing applies to any
 space over S^2 that has a pretzel presentation, in either form.
 
 Merge rule: a completed refutation gives OBSTRUCTED, citing the first
-check that fired (or the class's theorem).  Failing that, a catalog hit
-gives EMBEDS, membership of the open pretzel family gives UNKNOWN with
-that reason, and anything else is UNKNOWN.  A catalog hit together with
+check that fired (or the class's theorem).  A default report stops at
+that first refutation and lists only the rows that ran: the status and
+the reason read no later row, and CONFLICT needs only one refutation
+beside a catalog hit.  With certificates every row runs, the certificate
+tail too, and with ``only`` every named row.  Failing a refutation, a
+catalog hit gives EMBEDS, membership of the open pretzel family gives
+UNKNOWN with that reason, and anything else is UNKNOWN.  A catalog hit together with
 a refutation is an internal error, reported as status CONFLICT and never
 silently resolved.
 
@@ -699,17 +703,22 @@ def full_report(
 ) -> ObstructionReport:
     """Run the check table of the manifold's class and merge the results
     with the catalog by the rule in the module docstring.  Each result
-    carries its row's name.  The table's certificate rows join when
-    ``certificates`` or ``only`` is set, and ``only`` then keeps the rows
-    with those names, so only the named checks run."""
+    carries its row's name.  By default the rows stop after the first
+    refutation, so the report lists the rows that ran.  The table's
+    certificate rows join when ``certificates`` or ``only`` is set, and
+    every row then runs; ``only`` keeps the rows with those names, so
+    only the named checks run."""
     ctx = ManifoldContext(m, budget)
     table = ctx.table
     rows = table.checks + (table.certificates if certificates or only else ())
     if only is not None:
         rows = tuple(row for row in rows if row[0] in only)
-    results = [
-        replace(r, name=name) for name, check in rows if (r := check(ctx)) is not None
-    ]
+    results = []
+    for name, check in rows:
+        if (r := check(ctx)) is not None:
+            results.append(replace(r, name=name))
+            if r.obstructed and not certificates and only is None:
+                break
 
     hits = catalog_matches(ctx)
     obstructed = [r for r in results if r.obstructed]

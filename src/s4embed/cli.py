@@ -17,9 +17,11 @@ when b_1 (at most 2g + 1, or k) or the rank of H_1(Y; Z/2) could pass
 as the string "2^m".  Every rejected expression raises ``ParseError``,
 which names a position in the text; the CLI prints it and exits 64.
 
-``--certificates`` prints each check's certificates, in text as one line
-of the JSON that ``--json`` carries for each.  It also runs the
-checks that only certify, after the others: a lens sum is decided by
+A default report stops at its first refutation and lists the checks
+that ran.  ``--certificates`` runs every check, and prints each check's
+certificates, in text as one line of the JSON that ``--json`` carries
+for each.  It also runs the checks that only certify, after the others:
+a lens sum is decided by
 torsion_square and lens_mirror_pairing, and a Seifert space with e = 0
 over an orientable base by its rows up to mubar_vanishing.  Their
 searches (double_subset and double_subset_mirror; semidefinite_subset
@@ -216,10 +218,11 @@ _ARGS.add_argument("--json", action="store_true", help="emit a JSON report")
 _ARGS.add_argument(
     "--certificates",
     action="store_true",
-    help="include certificates in output, running the searches that only "
-    "certify (the double-subset checks of a lens sum, the semidefinite-subset "
-    "checks of an e = 0 Seifert space over an orientable base); a passing "
-    "search cites the first witness it meets",
+    help="include certificates in output and run every check: a default "
+    "report stops at its first refutation and lists the checks that ran.  "
+    "This also runs the searches that only certify (the double-subset checks "
+    "of a lens sum, the semidefinite-subset checks of an e = 0 Seifert space "
+    "over an orientable base); a passing search cites the first witness it meets",
 )
 _ARGS.add_argument(
     "--budget",

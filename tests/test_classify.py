@@ -94,12 +94,16 @@ def test_decide_seifert_e0_without_odd_clause():
     y = SeifertManifold(True, 0, 0, [(4, 1), (4, -1)])
     assert status(y) == "EMBEDS"
 
-    # non-complementary e = 0 is refuted; torsion_square fires first
+    # non-complementary e = 0 is refuted; torsion_square fires first, and a
+    # default report stops there
     y2 = SeifertManifold(True, 0, 0, [(2, 1), (6, -1), (6, -1), (6, -1)])
     r2 = full_report(y2)
     assert r2.status == "OBSTRUCTED"
     assert r2.reason == "obstruction:torsion_square"
-    assert result(r2, "complementary_pairs").obstructed
+    assert [r.name for r in r2.results] == ["torsion_square"]
+    every = full_report(y2, certificates=True)
+    assert (every.status, every.reason) == (r2.status, r2.reason)
+    assert result(every, "complementary_pairs").obstructed
 
 
 def test_small_seifert_follows_lens_rule():
@@ -580,15 +584,18 @@ def test_catalog_consistency():
 @pytest.mark.parametrize(
     "manifold, builds",
     [
+        # the definite side serves double_subset and mu-bar
         (PretzelCover([3, 5, 7]), 1),
         (PretzelCover([-3, -5, -7]), 1),
         (SeifertManifold(True, 0, 0, [(3, 1), (5, 1), (7, 1)]), 1),
-        # e = 0: the '+' side serves mu-bar; the semidefinite searches,
-        # which would build the '-' side, are certificates
-        (PretzelCover([2, -2, 2, -2]), 1),
+        # e = 0: the '+' side serves mu-bar and semidefinite_subset, and the
+        # mirror search builds the '-' side once
+        (PretzelCover([2, -2, 2, -2]), 2),
     ],
 )
 def test_report_builds_each_side_once(monkeypatch, manifold, builds):
+    """Every row runs, certificates too, and builds each side it reads
+    once."""
     calls = []
 
     def counted(*args):
@@ -597,7 +604,7 @@ def test_report_builds_each_side_once(monkeypatch, manifold, builds):
 
     chains = plumbing._chains
     monkeypatch.setattr(plumbing, "_chains", counted)
-    full_report(manifold)
+    full_report(manifold, certificates=True)
     assert len(calls) == builds
 
 
@@ -717,9 +724,9 @@ def test_tree_cokernel_is_the_torsion_of_first_homology():
 @pytest.mark.parametrize(
     "manifold, only, plumbings",
     [
-        # |H_1| = 71 is not a square: double_subset is refuted on H_1, and
-        # only mu-bar builds the definite tree
-        (PretzelCover([3, 5, 7]), None, 1),
+        # |H_1| = 71 is not a square: torsion_square refutes it, and the
+        # report stops before a row builds a tree
+        (PretzelCover([3, 5, 7]), None, 0),
         (SeifertManifold(True, 1, 0, [(3, 1), (5, 1), (7, 1)]), None, 0),
         (PretzelCover([3, 5, 7]), ["torsion_square"], 0),
         (PretzelCover([3, 5, 7]), ["torsion_square", "double_subset"], 0),
