@@ -14,18 +14,20 @@ The fibre list is optional: ``seifert(S2;0)`` and ``seifert(S2; 0; )``
 are the same space.  A base genus g, or crosscap count k, is refused
 when b_1 (at most 2g + 1, or k) or the rank of H_1(Y; Z/2) could pass
 4,300 digits, as the report prints both; a larger spin count 2^m prints
-as the string "2^m".  Every rejected expression raises ``ParseError``,
-which names a position in the text; the CLI prints it and exits 64.
+as the string "2^m".  So is an input whose torsion of H_1 has order at
+least 10^4300 (``torsion_order``), as the report prints its invariant
+factors.  Every rejected expression raises ``ParseError``, which names a
+position in the text; the CLI prints it and exits 64.
 
 A default report stops at its first refutation and lists the checks
 that ran.  ``--certificates`` runs every check, and prints each check's
 certificates, in text as one line of the JSON that ``--json`` carries
 for each.  It also runs the checks that only certify, after the others:
-a lens sum is decided by
-torsion_square and lens_mirror_pairing, and a Seifert space with e = 0
-over an orientable base by its rows up to mubar_vanishing.  Their
-searches (double_subset and double_subset_mirror; semidefinite_subset
-and semidefinite_subset_mirror) run only with ``--certificates`` or when
+a lens sum is decided by torsion_square and lens_mirror_pairing, and a
+Seifert space with e = 0 over an orientable base by its rows up to
+mubar_vanishing.  Their searches (double_subset and
+double_subset_mirror; semidefinite_subset and
+semidefinite_subset_mirror) run only with ``--certificates`` or when
 ``--obstruction`` names one of them.  Status, reason and exit code are
 the same either way.  A passing search stops at, and cites, the first
 witness it meets.
@@ -61,7 +63,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _quoted
 
 from .classify import CHECK_NAMES, DEFAULT_BUDGET, ManifoldContext, ObstructionReport, full_report
-from .manifolds import LensSum, Manifold, PretzelCover, SeifertManifold
+from .manifolds import LensSum, Manifold, PretzelCover, SeifertManifold, torsion_order
 from .obstructions import certificate_json
 
 
@@ -177,6 +179,9 @@ def parse_manifold(text: str) -> Manifold:
             break
         head = s.pos
     s.take("end")
+    # the report prints the invariant factors of the torsion of H_1
+    if torsion_order(m) >= _PRINTABLE:
+        raise ParseError("torsion of H_1 too large to print in 4,300 digits", 0 if kind == "lens" else start)
     return m
 
 

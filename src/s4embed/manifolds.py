@@ -255,3 +255,36 @@ def first_homology(m: LensSum | SeifertManifold) -> tuple[int, FiniteAbelianGrou
     G = chain_group(*chain_ends(m))
     b1 = G.free_rank + (2 * m.genus if isinstance(m, SeifertManifold) else 0)
     return b1, replace(G, free_rank=0)
+
+
+
+def torsion_order(m: Manifold) -> int:
+    """The order of the torsion of H_1, read off the input's integers with
+    no presentation reduced:
+    - a lens sum: prod p_i;
+    - a non-orientable base: 4 prod a_i, the determinant of the square
+      presentation of ``_nonorientable_presentation`` up to sign;
+    - an orientable base with e != 0: |e| prod a_i, the determinant of
+      the presentation on q_1..q_n, h with relations a_i q_i + b_i h and
+      q_1 + ... + q_n - r h, up to sign;
+    - an orientable base with e = 0: prod a_i / L^2, L = lcm(a_i).  That
+      presentation then has rank n, so its adjugate is c x y^t, with x
+      and y the primitive vectors (-b_i L / a_i; L) and (-L / a_i; L) of
+      its kernel and cokernel, and the order, the gcd of its n-minors,
+      is |c|.  The minor of the a_i q_i rows and columns is prod a_i =
+      +-c L^2;
+    - a pretzel cover, as its Seifert space: the fibres are the |x| of
+      the strands x, and e = sum 1/x.
+    A genus adds free summands only."""
+    if isinstance(m, LensSum):
+        return math.prod(p for p, _ in m.summands)
+    if isinstance(m, PretzelCover):
+        sizes, ratios = [abs(x) for x in m.strands], [(1, x) for x in m.strands]
+    else:
+        sizes = [a for a, _ in m.invariants]
+        ratios = [(b, a) for a, b in m.invariants] + [(-m.r, 1)]
+    fibres = math.prod(sizes)
+    if isinstance(m, SeifertManifold) and not m.base_orientable:
+        return 4 * fibres
+    e_times = sum(num * (fibres // den) for num, den in ratios)
+    return abs(e_times) or fibres // math.lcm(*sizes) ** 2

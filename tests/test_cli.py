@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from s4embed import cli
-from s4embed.classify import CHECK_NAMES, full_report
+from s4embed import classify, cli
+from s4embed.classify import CHECK_NAMES, CatalogEntry, full_report
 from s4embed.cli import ParseError, main, parse_manifold
 from s4embed.manifolds import LensSum, PretzelCover, SeifertManifold
 
@@ -382,6 +382,65 @@ def test_torsion_check_alone_builds_no_plumbing():
     assert [(r["name"], r["verdict"]) for r in out["obstructions"]] == [
         ("torsion_square", "obstructed")
     ]
+
+
+def test_a_default_report_stops_before_the_long_leg():
+    """By default the same space is refuted by torsion_square, its first
+    row, and the report stops there: double_subset, which would build
+    the 10^7-vertex leg, does not run."""
+    done = run_python(
+        "-m", "s4embed.cli", "seifert(S2;0;(2,1),(3,1),(10000019,1))", "--json",
+        preexec_fn=within_limits,
+    )
+    assert done.returncode == 1, done.stderr
+    out = json.loads(done.stdout)
+    assert [(r["name"], r["verdict"]) for r in out["obstructions"]] == [
+        ("torsion_square", "obstructed")
+    ]
+    assert out["reason"] == "obstruction:torsion_square"
+
+
+def test_a_default_report_still_reads_conflict(monkeypatch, capsys):
+    """A catalog hit beside a refutation is a CONFLICT, exit 70, also when
+    the report stops at that first refutation: a planted entry that
+    matches pretzel(3,5,7), refuted by torsion_square."""
+    planted = CatalogEntry("planted", "none", lambda ctx: ctx.manifold == PretzelCover([3, 5, 7]))
+    monkeypatch.setattr(classify, "CATALOG", (*classify.CATALOG, planted))
+    report = full_report(PretzelCover([3, 5, 7]))
+    assert [r.name for r in report.results] == ["torsion_square"]
+    reason = "catalog:planted contradicts obstruction:torsion_square"
+    assert (report.status, report.reason) == ("CONFLICT", reason)
+    assert main(["pretzel(3,5,7)", "--json"]) == 70
+    out = json.loads(capsys.readouterr().out)
+    assert (out["status"], out["reason"]) == ("CONFLICT", reason)
+
+
+P, Q = 10**2200 + 1, 10**2200 + 3  # coprime
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"], ["--quiet"]])
+@pytest.mark.parametrize(
+    "text, position",
+    [(f"lens({P},1)+lens({Q},1)", 0), (f"seifert(S2;1;({P},1),({Q},1))", 8)],
+    ids=["lens sum", "seifert"],
+)
+def test_a_torsion_too_large_to_print_is_a_parse_error(text, position, flags, capsys):
+    """Each literal has 2,201 digits, but the torsion of H_1 has order
+    about 10^4400, and the report prints its factors: the parser refuses
+    it, exit 64, in every output mode."""
+    message = f"torsion of H_1 too large to print in 4,300 digits at position {position}"
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse_manifold(text)
+    assert main([text, *flags]) == 64
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_a_torsion_of_4299_digits_prints(capsys):
+    """Just under the limit the sum parses and its factor prints."""
+    p, q = 10**2149 + 1, 10**2149 + 3
+    assert main([f"lens({p},1)+lens({q},1)", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["invariants"]["torsion_factors"] == [p * q]
 
 
 def test_usage_error_exit_code_of_the_process():

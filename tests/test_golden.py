@@ -15,7 +15,7 @@ import itertools
 import json
 from pathlib import Path
 
-from s4embed.classify import ManifoldContext
+from s4embed.classify import ManifoldContext, full_report
 from s4embed.cli import main, parse_manifold
 
 CORPUS = Path(__file__).parent / "golden" / "corpus.jsonl"
@@ -107,6 +107,33 @@ def test_golden_corpus_reproduced():
 def test_default_lens_reports_reproduced():
     assert len(DEFAULT_CORPUS.read_text().splitlines()) == len(LENS_SUMS)
     assert changed_lines(DEFAULT_CORPUS) == []
+
+
+def test_a_default_report_stops_at_its_first_refutation():
+    """Over every input of both corpora, the default report has the status
+    and reason of the report that runs every row, and its (name, verdict)
+    rows are a prefix of that report's, ending at the first obstructed
+    row if there is one."""
+    exprs = {json.loads(line)["expr"] for c in (CORPUS, DEFAULT_CORPUS) for line in c.read_text().splitlines()}
+    assert len(exprs) == len(corpus_inputs())
+    stopped = 0
+    for expr in exprs:
+        m = parse_manifold(expr)
+        short, every = full_report(m), full_report(m, certificates=True)
+        assert (short.status, short.reason) == (every.status, every.reason), expr
+        rows = [(r.name, r.verdict) for r in short.results]
+        all_rows = [(r.name, r.verdict) for r in every.results]
+        assert rows == all_rows[: len(rows)], expr
+        refuted = [i for i, (_, verdict) in enumerate(all_rows) if verdict == "obstructed"]
+        if refuted:
+            assert len(rows) == refuted[0] + 1, expr
+            checks = {name for name, _ in ManifoldContext(m).table.checks}
+            stopped += len(rows) < sum(name in checks for name, _ in all_rows)
+        else:
+            assert "obstructed" not in dict(rows).values(), expr
+    # the inputs whose default report leaves out a row that is not a
+    # certificate
+    assert stopped == 66
 
 
 def subset_rows(node):

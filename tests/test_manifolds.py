@@ -18,6 +18,7 @@ from s4embed.manifolds import (
     neg_continued_fraction,
     normalize_seifert,
     pretzel_to_seifert,
+    torsion_order,
 )
 from s4embed.plumbing import plumbing_tree
 from test_intlinalg import assert_lift, dense, determinant
@@ -362,6 +363,46 @@ def test_nonorientable_homology_matches_the_crosscap_presentation():
         assert (b1, torsion.factors) == (G.free_rank, G.factors), m.describe()
     b1, torsion = first_homology(SeifertManifold(False, 14000, 0, [(2, 1)]))
     assert (b1, torsion.factors) == (13999, (8,))
+
+
+def test_torsion_order_is_read_off_the_input():
+    """On 3,000 random lens sums, Seifert spaces over orientable and
+    non-orientable bases and pretzel covers, and on e = 0 spaces with
+    one or two complementary pairs, ``torsion_order`` is the order of the
+    torsion of ``first_homology``."""
+    rng = random.Random(37)
+
+    def fibres(most):
+        out = []
+        for _ in range(rng.randint(0, most)):
+            a = rng.randint(2, 12)
+            out.append((a, rng.choice([b for b in range(-2 * a, 2 * a) if math.gcd(a, b) == 1])))
+        return out
+
+    strands = [x for x in range(-7, 8) if x]
+    inputs = []
+    for _ in range(750):
+        inputs += [
+            LensSum(fibres(3)),
+            SeifertManifold(True, rng.randint(0, 2), rng.randint(-4, 4), fibres(5)),
+            SeifertManifold(False, rng.randint(1, 3), rng.randint(-4, 4), fibres(4)),
+            PretzelCover([rng.choice(strands) for _ in range(rng.randint(3, 4))]),
+        ]
+    inputs += [
+        SeifertManifold(True, g, k, [(a, b), (a, k * a - b), *extra])
+        for a in range(2, 10)
+        for b in range(1, a)
+        if math.gcd(a, b) == 1
+        for k in (-1, 0, 1)
+        for g in (0, 1)
+        for extra in ([], [(6, 1), (6, -1)], [(4, 1), (4, -1)])
+    ]
+    zero = 0
+    for m in inputs:
+        s = pretzel_to_seifert(m) if isinstance(m, PretzelCover) else m
+        assert torsion_order(m) == first_homology(s)[1].order, m.describe()
+        zero += not isinstance(m, LensSum) and s.base_orientable and euler_invariant(s) == 0
+    assert zero >= 300
 
 
 def test_genus_adds_free_rank():
