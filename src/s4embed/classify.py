@@ -57,9 +57,9 @@ the reason read no later row, and CONFLICT needs only one refutation
 beside a catalog hit.  With certificates every row runs, the certificate
 tail too, and with ``only`` every named row.  Failing a refutation, a
 catalog hit gives EMBEDS, membership of the open pretzel family gives
-UNKNOWN with that reason, and anything else is UNKNOWN.  A catalog hit together with
-a refutation is an internal error, reported as status CONFLICT and never
-silently resolved.
+UNKNOWN with that reason, and anything else is UNKNOWN.  A catalog hit
+together with a refutation is an internal error, reported as status
+CONFLICT and never silently resolved.
 
 The catalog lists known embeddable families with their constructions
 (twist-spun mirror sums, doubly slice pretzel moves, Sigma_g x S^1, the

@@ -179,9 +179,10 @@ def parse_manifold(text: str) -> Manifold:
             break
         head = s.pos
     s.take("end")
-    # the report prints the invariant factors of the torsion of H_1
+    # the report prints the order of the torsion of H_1 and its factors
     if torsion_order(m) >= _PRINTABLE:
-        raise ParseError("torsion of H_1 too large to print in 4,300 digits", 0 if kind == "lens" else start)
+        where = 0 if kind == "lens" else start
+        raise ParseError("torsion of H_1 too large to print in 4,300 digits", where)
     return m
 
 

@@ -257,7 +257,6 @@ def first_homology(m: LensSum | SeifertManifold) -> tuple[int, FiniteAbelianGrou
     return b1, replace(G, free_rank=0)
 
 
-
 def torsion_order(m: Manifold) -> int:
     """The order of the torsion of H_1, read off the input's integers with
     no presentation reduced:
@@ -266,15 +265,16 @@ def torsion_order(m: Manifold) -> int:
       presentation of ``_nonorientable_presentation`` up to sign;
     - an orientable base with e != 0: |e| prod a_i, the determinant of
       the presentation on q_1..q_n, h with relations a_i q_i + b_i h and
-      q_1 + ... + q_n - r h, up to sign;
+      q_1 + ... + q_n + r h, up to sign;
     - an orientable base with e = 0: prod a_i / L^2, L = lcm(a_i).  That
       presentation then has rank n, so its adjugate is c x y^t, with x
       and y the primitive vectors (-b_i L / a_i; L) and (-L / a_i; L) of
       its kernel and cokernel, and the order, the gcd of its n-minors,
       is |c|.  The minor of the a_i q_i rows and columns is prod a_i =
       +-c L^2;
-    - a pretzel cover, as its Seifert space: the fibres are the |x| of
-      the strands x, and e = sum 1/x.
+    - a pretzel cover, as its Seifert space: prod a_i is the product of
+      the |x| over its strands x, as a strand +-1 carries no fibre, and
+      e = sum 1/x.
     A genus adds free summands only."""
     if isinstance(m, LensSum):
         return math.prod(p for p, _ in m.summands)
