@@ -114,7 +114,8 @@ def test_a_default_report_stops_at_its_first_refutation():
     and reason of the report that runs every row, and its (name, verdict)
     rows are a prefix of that report's, ending at the first obstructed
     row if there is one."""
-    exprs = {json.loads(line)["expr"] for c in (CORPUS, DEFAULT_CORPUS) for line in c.read_text().splitlines()}
+    lines = CORPUS.read_text().splitlines() + DEFAULT_CORPUS.read_text().splitlines()
+    exprs = {json.loads(line)["expr"] for line in lines}
     assert len(exprs) == len(corpus_inputs())
     stopped = 0
     for expr in exprs:
@@ -129,8 +130,6 @@ def test_a_default_report_stops_at_its_first_refutation():
             assert len(rows) == refuted[0] + 1, expr
             checks = {name for name, _ in ManifoldContext(m).table.checks}
             stopped += len(rows) < sum(name in checks for name, _ in all_rows)
-        else:
-            assert "obstructed" not in dict(rows).values(), expr
     # the inputs whose default report leaves out a row that is not a
     # certificate
     assert stopped == 66
