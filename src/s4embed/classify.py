@@ -5,8 +5,9 @@ check reads that context alone.  It holds the search budget, the
 Seifert view of the input, e, (b_1, torsion), the rank m of
 H_1(Y; Z/2), the normalised Seifert keys (r, fibres) of Y and -Y, the
 pretzel family member of Y, the component count k = m + 1 of a pretzel
-branch link, and the refutation both double-subset rows take from H_1;
-each value is computed once, when first asked for.
+branch link, the linking form of H_1 and the refutation both
+double-subset rows take from H_1; each value is computed once, when
+first asked for.
 It also owns the report's plumbings: one tree per orientation, built
 when a check first reads that side and shared by every later check, so
 the definite-side tree serves both the form checks and mu-bar.
@@ -25,9 +26,11 @@ under its own name.  The tables:
 * lens sums: torsion_square, lens_mirror_pairing.  A sum embeds iff
   every p_i is odd and the summands match up into mirror pairs, so these
   two checks decide it by the theorem.  The double_subset and
-  double_subset_mirror searches are certificates: they run only when the
+  double_subset_mirror rows are certificates: they run only when the
   caller asks for certificates or names one of them, and they cannot
-  change the verdict or the reason.
+  change the verdict or the reason.  Where the theorem says the sum
+  embeds, their pair is built from the mirror chains, not searched for
+  (see ``LENS_SUM``); elsewhere H_1 refutes them or they search.
 * base S^2 with at most two fibres, given as a Seifert space or as a
   pretzel cover with at most two strands |a_i| >= 2: torsion_square
   alone (the lens-space rule).  These are lens spaces.  S^3 and
@@ -89,6 +92,7 @@ from .manifolds import (
     SeifertManifold,
     chain_ends,
     chain_group,
+    chain_length,
     euler_invariant,
     first_homology,
     lens_class,
@@ -97,12 +101,18 @@ from .manifolds import (
     pretzel_to_seifert,
 )
 from .obstructions import (
+    PRINTED_ROWS,
+    LinkingForm,
     ObstructionResult,
+    built_double_subset,
     double_subset_obstruction,
+    linking_form,
+    nonhyperbolic_part,
     nonorientable_obstruction,
     odd_linking_factor,
     pairs_up,
     semidefinite_obstruction,
+    summarised_double_subset,
     undoubled,
 )
 from .plumbing import PlumbingTree, plumbing_tree
@@ -275,18 +285,34 @@ class ManifoldContext:
         return b1 + sum(d % 2 == 0 for d in torsion.factors)
 
     @cached_property
+    def linking_form(self) -> LinkingForm:
+        """The linking form of the torsion of H_1 on a cyclic basis, read
+        on the chain ends of the '+' plumbing with no tree built
+        (``obstructions.linking_form``): diagonal on a lens sum's chain
+        ends, in closed form on the Smith generators of a star.  Both
+        linking-form tests of ``double_subset_refutation`` read it."""
+        return linking_form(self.homology[1], *chain_ends(self.seifert or self.manifold))
+
+    @cached_property
     def double_subset_refutation(self) -> ObstructionResult | None:
         """The refutation both double_subset rows take with no tree, where
         the torsion of H_1 (coker Q on either side, as H_1(-Y) = H_1(Y))
-        is not H + H or its linking form is odd; None where it is neither.
-        It reads no side, so a report takes it once for both rows."""
+        is not H + H, or its linking form is odd at 2 or not hyperbolic at
+        an odd prime; None where none of these holds.  A splitting pair
+        makes the form hyperbolic at every prime
+        (``obstructions.nonhyperbolic_part``).  It reads no side, so a
+        report takes it once for both rows."""
         torsion = self.homology[1]
         if refuted := undoubled("double_subset", torsion):
             return refuted
-        if d := odd_linking_factor(torsion, *chain_ends(self.seifert or self.manifold)):
-            odd = f"the linking form of coker Q is odd on its factor Z/{d}"
-            return ObstructionResult("", "obstructed", notes=f"{odd}, so no splitting pair exists")
-        return None
+        if d := odd_linking_factor(torsion, self.linking_form):
+            why = f"the linking form of coker Q is odd on its factor Z/{d}"
+        elif part := nonhyperbolic_part(self.linking_form):
+            piece = " + ".join([f"Z/{part[0]}"] * part[1])
+            why = f"the linking form of coker Q is not hyperbolic on its part {piece}"
+        else:
+            return None
+        return ObstructionResult("", "obstructed", notes=f"{why}, so no splitting pair exists")
 
     @cached_property
     def leg_group(self) -> FiniteAbelianGroup | None:
@@ -461,23 +487,35 @@ def _mubar_vanishing(ctx: ManifoldContext) -> ObstructionResult | None:
 
 
 def _double_subset(ctx: ManifoldContext, side: str) -> ObstructionResult:
-    """double_subset on the form of ``side``, unless H_1 refutes it with
-    no tree (``ManifoldContext.double_subset_refutation``)."""
+    """double_subset on the form of ``side``.  A lens sum that the theorem
+    says embeds passes with a built pair and no search: dense on its tree
+    (``built_double_subset``), or summarised with no tree past
+    PRINTED_ROWS rows (``summarised_double_subset``).  Otherwise H_1
+    refutes it with no tree (``ManifoldContext.double_subset_refutation``)
+    or the search runs."""
     group = ctx.homology[1]
-    return ctx.double_subset_refutation or _search(ctx, double_subset_obstruction, side, group)
+    m = ctx.manifold
+    if isinstance(m, LensSum) and _lens_sum_fault(m) is None:
+        rows = sum(chain_length(p, q if side == "+" else p - q) for p, q in m.summands)
+        if rows > PRINTED_ROWS:
+            return summarised_double_subset(rows, group)
+        return _search(ctx, built_double_subset, side, group)
+    return ctx.double_subset_refutation or _search(
+        ctx, double_subset_obstruction, side, group, ctx.budget
+    )
 
 
-def _search(ctx: ManifoldContext, obstruction, side: str, *group) -> ObstructionResult:
-    """``obstruction`` run on the plumbing form of ``side``, and on
-    ``group``, its coker Q, if given, within ``ctx.budget`` nodes; once
-    per (obstruction, tree) in a report: a mirror row whose tree is its
+def _search(ctx: ManifoldContext, obstruction, side: str, *args) -> ObstructionResult:
+    """``obstruction`` run on the plumbing form of ``side`` and ``args``
+    (its coker Q, if given, and ``ctx.budget`` for a search); once per
+    (obstruction, tree) in a report: a mirror row whose tree is its
     twin's takes the twin's result.  The rows call this through a lambda,
     so the obstruction is looked up by module-global name when the row
     runs."""
     tree = ctx.tree(side)
     key = (obstruction, tree)
     if key not in ctx._searches:
-        ctx._searches[key] = obstruction(tree, *group, ctx.budget)
+        ctx._searches[key] = obstruction(tree, *args)
     return ctx._searches[key]
 
 
@@ -514,10 +552,23 @@ _DOUBLE: Row = ("double_subset", lambda ctx: _double_subset(ctx, ctx.definite_si
 _MUBAR: Row = ("mubar_vanishing", _mubar_vanishing)
 _COMPLEMENTARY: Row = ("complementary_pairs", _complementary_pairs)
 _SEMIDEFINITE = (
-    ("semidefinite_subset", lambda ctx: _search(ctx, semidefinite_obstruction, "+")),
-    ("semidefinite_subset_mirror", lambda ctx: _search(ctx, semidefinite_obstruction, "-")),
+    ("semidefinite_subset", lambda ctx: _search(ctx, semidefinite_obstruction, "+", ctx.budget)),
+    (
+        "semidefinite_subset_mirror",
+        lambda ctx: _search(ctx, semidefinite_obstruction, "-", ctx.budget),
+    ),
 )
 
+# A lens sum's double-subset rows only certify.  Where every p is odd and
+# the summands pair into mirrors, the pair is built with no search
+# (``obstructions.built_double_subset``): Lisca's blow-up chain of each
+# mirror pair gives A, and A' negates the rows of each pair's second
+# chain.  The chains meet in no entry of Q, so A' A'^t = A A^t = -Q.  On
+# a pair's block H = im A / im Q is the graph of some phi and H' that of
+# -phi, so H + H' is direct iff 2 is invertible, that is iff every p is
+# odd: the theorem's condition, and why it builds nothing for an even p.
+# Past PRINTED_ROWS rows the pair is summarised with no tree built.  A
+# refuted sum is refuted on H_1 where it can be, and searches otherwise.
 LENS_SUM = CheckTable(
     (_TORSION, ("lens_mirror_pairing", _lens_mirror_pairing)),
     certificates=(_DOUBLE, ("double_subset_mirror", lambda ctx: _double_subset(ctx, "-"))),
@@ -529,11 +580,11 @@ NONORIENTABLE = CheckTable((
     ("even_fibre_clause", _even_fibre_clause),
     (
         "nonorientable_double_subset",
-        lambda ctx: _search(ctx, nonorientable_obstruction, "+", ctx.leg_group),
+        lambda ctx: _search(ctx, nonorientable_obstruction, "+", ctx.leg_group, ctx.budget),
     ),
     (
         "nonorientable_double_subset_mirror",
-        lambda ctx: _search(ctx, nonorientable_obstruction, "-", ctx.leg_group),
+        lambda ctx: _search(ctx, nonorientable_obstruction, "-", ctx.leg_group, ctx.budget),
     ),
 ))
 # e = 0 over an orientable base: the semidefinite searches only certify.

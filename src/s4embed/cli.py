@@ -30,7 +30,10 @@ double_subset_mirror; semidefinite_subset and
 semidefinite_subset_mirror) run only with ``--certificates`` or when
 ``--obstruction`` names one of them.  Status, reason and exit code are
 the same either way.  A passing search stops at, and cites, the first
-witness it meets.
+witness it meets.  A lens sum that embeds by the theorem searches
+nothing: its double-subset rows cite a pair built from its mirror
+chains, and past 1,000 rows (``PRINTED_ROWS``) a note summarises the
+pair in place of its rows.
 
 ``--obstruction NAME`` (repeatable) runs only the named checks; the
 status is merged from their results alone.  A name that the input's
@@ -64,7 +67,7 @@ from json.encoder import encode_basestring_ascii as _quoted
 
 from .classify import CHECK_NAMES, DEFAULT_BUDGET, ManifoldContext, ObstructionReport, full_report
 from .manifolds import LensSum, Manifold, PretzelCover, SeifertManifold, torsion_order
-from .obstructions import certificate_json
+from .obstructions import PRINTED_ROWS, certificate_json
 
 
 class ParseError(ValueError):
@@ -228,7 +231,9 @@ _ARGS.add_argument(
     "report stops at its first refutation and lists the checks that ran.  "
     "This also runs the searches that only certify (the double-subset checks "
     "of a lens sum, the semidefinite-subset checks of an e = 0 Seifert space "
-    "over an orientable base); a passing search cites the first witness it meets",
+    "over an orientable base); a passing search cites the first witness it meets.  "
+    "A lens sum that embeds cites a pair built from its mirror chains, with no "
+    f"search; past {PRINTED_ROWS} rows a note summarises that pair in place of its rows",
 )
 _ARGS.add_argument(
     "--budget",

@@ -43,6 +43,22 @@ def neg_continued_fraction(p: int, q: int) -> tuple[int, ...]:
     return tuple(seq)
 
 
+def chain_length(p: int, q: int) -> int:
+    """len(neg_continued_fraction(p, q)), in O(log p) steps: while
+    d = p - q is at most q the next entry is 2, and the step
+    (p, q) -> (q, q - d) keeps d, so the run of floor(q / d) entries 2 is
+    taken at once."""
+    n = 0
+    while q:
+        d = p - q
+        if d <= q:
+            run, q = divmod(q, d)
+            n, p = n + run, q + d
+        else:
+            n, p, q = n + 1, q, -(-p // q) * q - p
+    return n
+
+
 # ---------------------------------------------------------------------------
 # lens spaces
 

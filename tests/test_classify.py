@@ -403,9 +403,9 @@ def test_certificate_searches_agree_with_the_theorem():
     assert found == {}
 
 
-def count_searches(monkeypatch) -> list:
-    """Wrap the three searches the check tables run; each call appends
-    the form it searched."""
+def count_searches(monkeypatch, *more) -> list:
+    """Wrap the three searches the check tables run, and the classify
+    functions named in ``more``; each call appends the form it read."""
     searched = []
 
     def counting(search):
@@ -416,14 +416,17 @@ def count_searches(monkeypatch) -> list:
         return counted
 
     for search in ("double_subset", "semidefinite", "nonorientable"):
-        name = f"{search}_obstruction"
+        more += (f"{search}_obstruction",)
+    for name in more:
         monkeypatch.setattr(classify, name, counting(getattr(classify, name)))
     return searched
 
 
 def test_lens_sums_search_only_for_certificates(monkeypatch):
-    """The default report of a lens sum runs no double-subset search;
-    certificates, or naming one of the searches, runs it."""
+    """The default report of a lens sum runs no double-subset search.  An
+    embeddable sum's certificate rows pass with a built pair and search
+    nothing.  A refuted sum whose linking form is hyperbolic searches when
+    certificates are asked for or one of its rows is named."""
     searched = count_searches(monkeypatch)
     m = LensSum([(8, 3), (8, 3), (8, 5), (8, 5), (21, 8), (21, 13)])
     r = full_report(m)
@@ -431,14 +434,15 @@ def test_lens_sums_search_only_for_certificates(monkeypatch):
     assert (r.status, r.reason) == ("OBSTRUCTED", "obstruction:lens_mirror_pairing")
     assert searched == []
 
-    r = full_report(LensSum([(3, 1), (3, 2)]), only=["double_subset_mirror"])
-    assert [res.name for res in r.results] == ["double_subset_mirror"]
-    assert r.status == "EMBEDS" and len(searched) == 1
+    for kwargs in ({"only": ["double_subset_mirror"]}, {"certificates": True}):
+        r = full_report(LensSum([(3, 1), (3, 2)]), **kwargs)
+        built = [res for res in r.results if res.name.startswith("double_subset")]
+        assert [res.verdict for res in built] == ["pass"] * len(built) and built, kwargs
+        assert r.status == "EMBEDS" and searched == [], kwargs
 
-    # lens(3,1)+lens(3,2) is its own mirror: both rows share one search
-    r = full_report(LensSum([(3, 1), (3, 2)]), certificates=True)
-    assert [res.name for res in r.results][2:] == ["double_subset", "double_subset_mirror"]
-    assert len(searched) == 2
+    r = full_report(LensSum([(5, 1), (5, 1)]), only=["double_subset_mirror"])
+    assert [(res.name, res.verdict) for res in r.results] == [("double_subset_mirror", "obstructed")]
+    assert len(searched) == 1
 
 
 @pytest.mark.parametrize(
@@ -483,8 +487,9 @@ def test_sides_with_different_trees_run_two_searches(monkeypatch):
 )
 def test_sides_with_isomorphic_plumbings_run_one_search(monkeypatch, text):
     """The canonical layout makes isomorphic plumbings one tree, so the
-    mirror row shares its twin's search."""
-    searched = count_searches(monkeypatch)
+    mirror row shares its twin's search, or, on an embeddable lens sum,
+    its twin's built pair."""
+    searched = count_searches(monkeypatch, "built_double_subset")
     full_report(parse_manifold(text), certificates=True)
     assert len(searched) == 1
 

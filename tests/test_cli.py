@@ -287,20 +287,21 @@ def test_text_certificates_are_their_json(capsys):
     into the output through its repr."""
     assert main(["lens(3,1)+lens(3,2)", "--certificates"]) == 0
     subsets = (
-        '[{"subset_rows": [[-1, -1, 0], [0, 1, -1], [-1, 1, 1]]}, '
-        '{"subset_rows": [[-1, -1, 0], [0, 1, -1], [1, -1, -1]]}]'
+        '[{"subset_rows": [[0, 1, -1], [-1, -1, 0], [1, -1, -1]]}, '
+        '{"subset_rows": [[0, 1, -1], [-1, -1, 0], [-1, 1, 1]]}]'
     )
     halves = '[{"subgroup_factors": [3], "order": 3}, {"subgroup_factors": [3], "order": 3}]'
+    built = "cokernel splits as H + H, by a pair built from the mirror chains"
     assert capsys.readouterr().out.splitlines() == [
         "input:      lens(3,1)+lens(3,2)",
         "canonical:  lens(3,1) + lens(3,2)",
         "invariants: b1=0 torsion=[3, 3] euler=None spin=1",
         "  [        pass] torsion_square  (|torsion H_1| = 9 = 3^2)",
         "  [        pass] lens_mirror_pairing  (summands pair into mirrors)",
-        "  [        pass] double_subset  (cokernel splits as H + H)",
+        f"  [        pass] double_subset  ({built})",
         f"        {subsets}",
         f"        {halves}",
-        "  [        pass] double_subset_mirror  (cokernel splits as H + H)",
+        f"  [        pass] double_subset_mirror  ({built})",
         f"        {subsets}",
         f"        {halves}",
         "status:     EMBEDS  (catalog:mirror_lens_sum)",
@@ -365,6 +366,27 @@ def test_long_chains_are_refuted_within_limits(expr):
     out = json.loads(done.stdout)
     assert out["status"] == "OBSTRUCTED"
     assert [r["verdict"] for r in out["obstructions"]] == ["obstructed"] * 4
+
+
+def test_a_long_mirror_pair_is_summarised_within_limits():
+    """lens(1000003,1000002) + lens(1000003,1) plumbs 1,000,003 vertices
+    on each side.  The theorem says it embeds, so its certificate rows
+    pass with a built pair; past PRINTED_ROWS rows the pair is summarised
+    in the note, with no plumbing built, well inside the limits."""
+    expr = "lens(1000003,1000002)+lens(1000003,1)"
+    done = run_python(
+        "-m", "s4embed.cli", expr, "--json", "--certificates", preexec_fn=within_limits
+    )
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    notes = (
+        "cokernel splits as H + H, by a pair built from the mirror chains; "
+        "its 1000003 rows, past 1000, are neither built nor printed"
+    )
+    half = {"subgroup_factors": [1000003], "order": 1000003}
+    assert [(r["name"], r["notes"], r["certificate"]) for r in out["obstructions"][2:]] == [
+        (name, notes, [[half, half]]) for name in ("double_subset", "double_subset_mirror")
+    ]
 
 
 def test_torsion_check_alone_builds_no_plumbing():
@@ -536,10 +558,12 @@ def test_a_genus_too_large_to_print_is_a_parse_error():
 
 
 def test_the_budget_reaches_every_search(capsys):
-    """--budget bounds each search of the report: with 3 nodes both
-    double-subset certificates of a mirror pair stop inconclusive, and the
-    sum still embeds by the theorem."""
-    assert main(["lens(9,2)+lens(9,7)", "--json", "--certificates", "--budget", "3"]) == 0
+    """--budget bounds each search of the report: lens(5,1)+lens(5,1) has
+    torsion Z/5 + Z/5 and a hyperbolic linking form, so both double-subset
+    certificates search, and with 3 nodes both stop inconclusive; the sum
+    is still refuted by the theorem, as its summands do not pair into
+    mirrors."""
+    assert main(["lens(5,1)+lens(5,1)", "--json", "--certificates", "--budget", "3"]) == 1
     out = json.loads(capsys.readouterr().out)
     searches = [(r["name"], r["verdict"], r["notes"]) for r in out["obstructions"][2:]]
     notes = "budget exhausted after 3 nodes; 0 subset(s) found"
@@ -547,6 +571,17 @@ def test_the_budget_reaches_every_search(capsys):
         ("double_subset", "inconclusive", notes),
         ("double_subset_mirror", "inconclusive", notes),
     ]
+    assert (out["status"], out["reason"]) == ("OBSTRUCTED", "obstruction:lens_mirror_pairing")
+
+
+def test_a_mirror_pair_passes_with_its_built_pair_under_any_budget(capsys):
+    """A sum that the theorem says embeds searches nothing: under a 3-node
+    budget both certificate rows pass with the built pair."""
+    assert main(["lens(9,2)+lens(9,7)", "--json", "--certificates", "--budget", "3"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    rows = [(r["name"], r["verdict"], r["notes"]) for r in out["obstructions"][2:]]
+    built = "cokernel splits as H + H, by a pair built from the mirror chains"
+    assert rows == [("double_subset", "pass", built), ("double_subset_mirror", "pass", built)]
     assert (out["status"], out["reason"]) == ("EMBEDS", "catalog:mirror_lens_sum")
 
 
@@ -571,8 +606,9 @@ sys.exit(cli.main(sys.argv[1:]))
 
 
 def test_internal_error_of_the_process_has_no_traceback():
-    # the search of a lens sum runs only for certificates
-    done = run_python("-c", CLI_WITH_FAILING_SEARCH, "lens(3,1)+lens(3,2)", "--certificates")
+    # the search of a lens sum runs only for certificates, and only where
+    # the sum is refuted and its linking form hyperbolic
+    done = run_python("-c", CLI_WITH_FAILING_SEARCH, "lens(5,1)+lens(5,1)", "--certificates")
     assert done.returncode == 70
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("error: internal:RecursionError: ")

@@ -28,7 +28,7 @@ from s4embed.manifolds import (
     euler_invariant,
     first_homology,
 )
-from s4embed.obstructions import odd_linking_factor
+from s4embed.obstructions import linking_form, odd_linking_factor
 from s4embed.plumbing import PlumbingTree, plumbing_tree
 from s4embed.spin import wu_sets
 from test_census import mirror
@@ -821,8 +821,9 @@ def test_odd_linking_factor_matches_dense_oracle():
         torsion = first_homology(m)[1]
         if max(t.size for t in trees) > 14 or torsion.order % 2:
             continue
-        d = odd_linking_factor(torsion, *chain_ends(m))
-        assert d == odd_linking_factor(first_homology(mirror(m))[1], *chain_ends(mirror(m)))
+        d = odd_linking_factor(torsion, linking_form(torsion, *chain_ends(m)))
+        mirrored = first_homology(mirror(m))[1]
+        assert d == odd_linking_factor(mirrored, linking_form(mirrored, *chain_ends(mirror(m))))
         assert all(d == dense_odd_linking_factor(tree) for tree in trees), m.describe()
         kinds["chains" if lens or not m.invariants else "star", "even" if d is None else "odd"] += 1
     assert kinds[("chains", "even")] == 0
