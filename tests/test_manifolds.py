@@ -11,6 +11,7 @@ from s4embed.manifolds import (
     LensSum,
     PretzelCover,
     SeifertManifold,
+    chain_length,
     euler_invariant,
     first_homology,
     lens_class,
@@ -43,6 +44,17 @@ def test_neg_continued_fraction_values():
     assert neg_continued_fraction(3, 1) == (3,)
     assert neg_continued_fraction(12, 5) == (3, 2, 3)
     assert neg_continued_fraction(7, 4) == (2, 4)
+
+
+def test_chain_length_is_the_length_of_the_expansion():
+    """chain_length counts the entries of neg_continued_fraction without
+    listing them, so it also sizes a chain of 10^2200 vertices."""
+    for p in range(2, 200):
+        for q in range(1, p):
+            if math.gcd(p, q) == 1:
+                assert chain_length(p, q) == len(neg_continued_fraction(p, q)), (p, q)
+    P = 10**2200 + 1
+    assert (chain_length(P, P - 1), chain_length(P, 1)) == (P - 1, 1)
 
 
 def test_neg_continued_fraction_rejects():
