@@ -171,16 +171,14 @@ class LinkingForm:
     """The linking form lambda(x, y) = x^t Q^-1 y mod 1 of a group G =
     coker Q, on a basis x_i of G as a direct sum of the cyclic groups
     Z/d_i, d_i = ``orders[i]``: lambda(x_i, x_j) = ``gram[i][j]`` / N mod 1,
-    N the least common multiple of the d_i (``linking_form``).  Both
+    N = ``denominator``, the least common multiple of the d_i
+    (``linking_form``).  Both
     linking-form tests read it: ``odd_linking_factor`` at 2 and
     ``nonhyperbolic_part`` at the odd primes."""
 
     orders: tuple[int, ...]
     gram: tuple[tuple[int, ...], ...]
-
-    @property
-    def denominator(self) -> int:
-        return math.lcm(*self.orders)
+    denominator: int
 
 
 def linking_form(G: FiniteAbelianGroup, hub: int | None, ends) -> LinkingForm:
@@ -200,7 +198,7 @@ def linking_form(G: FiniteAbelianGroup, hub: int | None, ends) -> LinkingForm:
     is -(sum of c_k / a_k)(sum of c'_k / a_k) / e - sum of
     c_k c'_k q_k^-1 / a_k.  No Smith form is taken here."""
     if G.order == 1:
-        return LinkingForm((), ())
+        return LinkingForm((), (), 1)
     if hub is None:
         # a lone vertex (1, -r) of a space with no fibres has a = -r
         basis = [(abs(a), q, a) for q, a in ends if abs(a) > 1]
@@ -209,7 +207,7 @@ def linking_form(G: FiniteAbelianGroup, hub: int | None, ends) -> LinkingForm:
         gram = tuple(
             tuple(x if i == j else 0 for j in range(len(basis))) for i, x in enumerate(diagonal)
         )
-        return LinkingForm(tuple(d for d, _, _ in basis), gram)
+        return LinkingForm(tuple(d for d, _, _ in basis), gram, N)
     # lambda over the integer denominator P E, with P the product of the a_k and E = e P
     P = math.prod(a for _, a in ends)
     E = -hub * P - sum(q * (P // a) for q, a in ends)
@@ -226,7 +224,7 @@ def linking_form(G: FiniteAbelianGroup, hub: int | None, ends) -> LinkingForm:
             assert rest == 0, "N f is not zero in G"
             row.append(x % N)
         gram.append(tuple(row))
-    return LinkingForm(G.factors, tuple(gram))
+    return LinkingForm(G.factors, tuple(gram), N)
 
 
 def odd_linking_factor(G: FiniteAbelianGroup, form: LinkingForm) -> int | None:
@@ -290,7 +288,7 @@ def _jordan_units(form: LinkingForm, l: int) -> list[tuple[int, int]]:
     Among the e_i of the top exponent k, lambda is nondegenerate, so some
     b_ii, or some b_ij, i != j, has full order l^k; in the second case e_i
     + e_j, as l is odd, and it replaces e_i.  That e_i spans an orthogonal
-    summand: every other e_j less c e_j, c = lambda(e_j, e_i) /
+    summand: every other e_j less c e_i, c = lambda(e_j, e_i) /
     lambda(e_i, e_i), is orthogonal to it, and of the same order, as l^k_j
     lambda(e_j, e_i) = 0 makes l^(k - k_j) divide c."""
     N = form.denominator
@@ -358,7 +356,8 @@ def nonhyperbolic_part(form: LinkingForm) -> tuple[int, int] | None:
         for k, u in _jordan_units(form, l):
             pieces.setdefault(k, []).append(u)
         for k in sorted(pieces):
-            n, units = len(pieces[k]), pieces[k]
+            units = pieces[k]
+            n = len(units)
             disc = (-1) ** (n // 2) * math.prod(units)
             if n % 2 or pow(disc, (l - 1) // 2, l) != 1:
                 return l**k, n
