@@ -5,9 +5,9 @@ check reads that context alone.  It holds the search budget, the
 Seifert view of the input, e, (b_1, torsion), the rank m of
 H_1(Y; Z/2), the normalised Seifert keys (r, fibres) of Y and -Y, the
 pretzel family member of Y, the component count k = m + 1 of a pretzel
-branch link, the linking form of H_1 and the refutation both
-double-subset rows take from H_1; each value is computed once, when
-first asked for.
+branch link, the linking form of H_1, the refutation both
+double-subset rows take from H_1, and a lens sum's fault and built pair;
+each value is computed once, when first asked for.
 It also owns the report's plumbings: one tree per orientation, built
 when a check first reads that side and shared by every later check, so
 the definite-side tree serves both the form checks and mu-bar.
@@ -29,8 +29,8 @@ under its own name.  The tables:
   double_subset_mirror rows are certificates: they run only when the
   caller asks for certificates or names one of them, and they cannot
   change the verdict or the reason.  Where the theorem says the sum
-  embeds, their pair is built from the mirror chains, not searched for
-  (see ``LENS_SUM``); elsewhere H_1 refutes them or they search.
+  embeds, both cite one pair built with no search and no plumbing;
+  elsewhere H_1 refutes them or they search, up to a size (``LENS_SUM``).
 * base S^2 with at most two fibres, given as a Seifert space or as a
   pretzel cover with at most two strands |a_i| >= 2: torsion_square
   alone (the lens-space rule).  These are lens spaces.  S^3 and
@@ -112,7 +112,6 @@ from .obstructions import (
     odd_linking_factor,
     pairs_up,
     semidefinite_obstruction,
-    summarised_double_subset,
     undoubled,
 )
 from .plumbing import PlumbingTree, plumbing_tree
@@ -147,19 +146,6 @@ def _mirror_matched(pairs) -> bool:
         return lens_mirror_class(p, next(iter(reps)))
 
     return _matchable([lens_class(p, q) for p, q in pairs], partner)
-
-
-def lens_mirror_matched(m: LensSum) -> bool:
-    """Does the summand multiset split into mirror pairs?"""
-    return _mirror_matched(m.summands)
-
-
-def _lens_sum_fault(m: LensSum) -> str | None:
-    """Why the sum breaks the lens-sum rule (every p_i odd, summands in
-    mirror pairs), or None when it keeps it."""
-    if not all(p % 2 for p, _ in m.summands):
-        return "some p_i is even"
-    return None if lens_mirror_matched(m) else "no mirror matching of the summands"
 
 
 def _residue_pairs(invariants):
@@ -315,6 +301,23 @@ class ManifoldContext:
         return ObstructionResult("", "obstructed", notes=f"{why}, so no splitting pair exists")
 
     @cached_property
+    def lens_sum_fault(self) -> str | None:
+        """Why a lens sum breaks the theorem's rule (every p_i odd, the
+        summands in mirror pairs), or None; lens_mirror_pairing, both
+        double-subset rows and the mirror_lens_sum entry read it."""
+        summands = self.manifold.summands
+        if not all(p % 2 for p, _ in summands):
+            return "some p_i is even"
+        return None if _mirror_matched(summands) else "no mirror matching of the summands"
+
+    @cached_property
+    def built_pair(self) -> ObstructionResult:
+        """double_subset's pass on a lens sum that keeps the rule, built
+        with no plumbing (``built_double_subset``); a sum and its mirror
+        have the same chains, so both double-subset rows read it."""
+        return built_double_subset(chain_ends(self.manifold)[1], self.homology[1])
+
+    @cached_property
     def leg_group(self) -> FiniteAbelianGroup | None:
         """coker Q of the legs over a non-orientable base, the sum of the
         Z/a_k on the legs' ends (``chain_group``), not H_1; it serves the
@@ -441,7 +444,7 @@ def _torsion_square(ctx: ManifoldContext) -> ObstructionResult:
 
 
 def _lens_mirror_pairing(ctx: ManifoldContext) -> ObstructionResult:
-    fault = _lens_sum_fault(ctx.manifold)
+    fault = ctx.lens_sum_fault
     return _judged(fault is None, "summands pair into mirrors", fault)
 
 
@@ -487,22 +490,21 @@ def _mubar_vanishing(ctx: ManifoldContext) -> ObstructionResult | None:
 
 
 def _double_subset(ctx: ManifoldContext, side: str) -> ObstructionResult:
-    """double_subset on the form of ``side``.  A lens sum that the theorem
-    says embeds passes with a built pair and no search: dense on its tree
-    (``built_double_subset``), or summarised with no tree past
-    PRINTED_ROWS rows (``summarised_double_subset``).  Otherwise H_1
-    refutes it with no tree (``ManifoldContext.double_subset_refutation``)
-    or the search runs."""
-    group = ctx.homology[1]
+    """double_subset on the form of ``side``: the built pair on a lens sum
+    that the theorem says embeds, else H_1's refutation
+    (``ManifoldContext.double_subset_refutation``), else the search, but
+    not on a lens sum's side past PRINTED_ROWS rows (``LENS_SUM``)."""
     m = ctx.manifold
-    if isinstance(m, LensSum) and _lens_sum_fault(m) is None:
+    if isinstance(m, LensSum) and ctx.lens_sum_fault is None:
+        return ctx.built_pair
+    if refuted := ctx.double_subset_refutation:
+        return refuted
+    if isinstance(m, LensSum):
         rows = sum(chain_length(p, q if side == "+" else p - q) for p, q in m.summands)
         if rows > PRINTED_ROWS:
-            return summarised_double_subset(rows, group)
-        return _search(ctx, built_double_subset, side, group)
-    return ctx.double_subset_refutation or _search(
-        ctx, double_subset_obstruction, side, group, ctx.budget
-    )
+            notes = f"its {rows} rows, past {PRINTED_ROWS}, are not searched"
+            return ObstructionResult("", "inconclusive", notes=notes)
+    return _search(ctx, double_subset_obstruction, side, ctx.homology[1], ctx.budget)
 
 
 def _search(ctx: ManifoldContext, obstruction, side: str, *args) -> ObstructionResult:
@@ -566,9 +568,11 @@ _SEMIDEFINITE = (
 # chain.  The chains meet in no entry of Q, so A' A'^t = A A^t = -Q.  On
 # a pair's block H = im A / im Q is the graph of some phi and H' that of
 # -phi, so H + H' is direct iff 2 is invertible, that is iff every p is
-# odd: the theorem's condition, and why it builds nothing for an even p.
-# Past PRINTED_ROWS rows the pair is summarised with no tree built.  A
-# refuted sum is refuted on H_1 where it can be, and searches otherwise.
+# odd: the theorem's condition.  Laid out from the chain ends, it reads no
+# tree, serves both rows and past PRINTED_ROWS rows is summarised.  A
+# refuted sum is refuted on H_1 where it can be; else a side, of
+# chain_length(p, q) rows a summand on '+' and chain_length(p, p - q) on
+# '-', searches up to PRINTED_ROWS rows and is inconclusive past them.
 LENS_SUM = CheckTable(
     (_TORSION, ("lens_mirror_pairing", _lens_mirror_pairing)),
     certificates=(_DOUBLE, ("double_subset_mirror", lambda ctx: _double_subset(ctx, "-"))),
@@ -631,7 +635,7 @@ def _is_trivial_embeddable(ctx: ManifoldContext) -> bool:
 
 def _matches_lens_mirror(ctx: ManifoldContext) -> bool:
     m = ctx.manifold
-    return isinstance(m, LensSum) and bool(m.summands) and _lens_sum_fault(m) is None
+    return isinstance(m, LensSum) and bool(m.summands) and ctx.lens_sum_fault is None
 
 
 def _matches_doubly_slice_pretzel(ctx: ManifoldContext) -> bool:

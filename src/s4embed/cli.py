@@ -32,8 +32,9 @@ semidefinite_subset_mirror) run only with ``--certificates`` or when
 the same either way.  A passing search stops at, and cites, the first
 witness it meets.  A lens sum that embeds by the theorem searches
 nothing: its double-subset rows cite a pair built from its mirror
-chains, and past 1,000 rows (``PRINTED_ROWS``) a note summarises the
-pair in place of its rows.
+chains.  Past 1,000 rows (``PRINTED_ROWS``) a lens sum's certificate row
+builds no plumbing: a note summarises that pair, or a refuted sum's
+side that H_1 does not refute reads inconclusive, unsearched.
 
 ``--obstruction NAME`` (repeatable) runs only the named checks; the
 status is merged from their results alone.  A name that the input's
@@ -233,7 +234,8 @@ _ARGS.add_argument(
     "of a lens sum, the semidefinite-subset checks of an e = 0 Seifert space "
     "over an orientable base); a passing search cites the first witness it meets.  "
     "A lens sum that embeds cites a pair built from its mirror chains, with no "
-    f"search; past {PRINTED_ROWS} rows a note summarises that pair in place of its rows",
+    f"search.  Past {PRINTED_ROWS} rows a note summarises that pair, and a refuted "
+    "lens sum's side is not searched and reads inconclusive",
 )
 _ARGS.add_argument(
     "--budget",

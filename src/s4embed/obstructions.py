@@ -41,8 +41,9 @@ and the subsets it found.
 Where the lens-sum theorem says a sum embeds, the witness pair is built,
 not searched for (``built_double_subset``): Lisca's blow-up chains of
 each mirror pair give A (``blown_up_chain``, ``mirror_chain_pair``), and
-A' negates each pair's second chain.  Past PRINTED_ROWS rows the pair is
-summarised in its note (``summarised_double_subset``).
+A' negates each pair's second chain.  It is laid out from the sum's chain
+ends by the plumbing's layout rule and reads no plumbing.  Past
+PRINTED_ROWS rows it is summarised in its note.
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ from .intlinalg import (
     subgroup_from_generators,
 )
 from .lattice import LatticeSubset, SubsetSearchResult, enumerate_subsets
-from .plumbing import PlumbingTree
+from .manifolds import chain_length
+from .plumbing import PlumbingTree, chain_layout
 
 
 @dataclass
@@ -417,36 +419,33 @@ def _chain_value(seq) -> tuple[int, int]:
     return p, q
 
 
-def mirror_chain_pair(tree: PlumbingTree) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
-    """Sparse rows of A and A', row i on vertex i, with A A^t = A' A'^t =
-    -Q, for the chain forest ``tree`` of a lens sum whose summands pair
-    into mirrors L(p, q), L(p, p - q); ValueError if they do not.
+def mirror_chain_pair(layout) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Dense rows of A and A', row i on vertex i of ``layout``
+    (``plumbing.chain_layout``), with A A^t = A' A'^t = -Q for the chain
+    forest of a lens sum whose summands pair into mirrors L(p, q),
+    L(p, p - q); ValueError if they do not.
 
-    Chains are paired in vertex order, each with the first unpaired chain
+    Chains are paired in layout order, each with the first unpaired chain
     of its mirror class before it, so a self-mirror class (q^2 = -1 mod p)
     pairs with a second copy of itself.  The expansions p/q = [c_1, ...,
     c_s] and p/(p - q) = [d_1, ..., d_t] are Riemenschneider dual (Math.
     Ann. 209, 1974), so the chain [c_s, ..., c_1, 1, d_1, ..., d_t] blows
     down to (0), and ``blown_up_chain`` gives it rows through s + t
     coordinates of the pair's own.  Read from the pair's first chain, in
-    vertex order, its value is p/q; its partner is read forward if its
+    layout order, its value is p/q; its partner is read forward if its
     value is p/(p - q), else backward (p/q^-1 reverses the expansion).
     The centre row is dropped, and the two chains meet in no entry of Q,
     so the rows factor -Q.  A' negates the rows of each pair's second
     chain, which changes no entry of A A^t."""
-    weights, n = tree.weights, tree.size
-    linked = {i for i, _ in tree.edges}
-    chains, start = [], 0
-    for v in range(n):
-        if v not in linked:
-            chains.append(range(start, v + 1))
-            start = v + 1
+    weights = [c for seq, _ in layout for c in seq]
+    A = [[0] * len(weights) for _ in weights]
+    A2 = [[0] * len(weights) for _ in weights]
     waiting: dict[tuple, list] = {}
-    A: list[dict[int, int]] = [{} for _ in range(n)]
-    A2: list[dict[int, int]] = [{} for _ in range(n)]
-    offset = 0
-    for chain in chains:
-        p, q = _chain_value([-weights[v] for v in chain])
+    start = offset = 0
+    for seq, _ in layout:
+        chain = range(start, start + len(seq))
+        start += len(seq)
+        p, q = _chain_value(seq)
         cls = (p, min(q, pow(q, -1, p)))
         mirror = (p, min(p - q, pow(p - q, -1, p)))
         if not waiting.get(mirror):
@@ -455,41 +454,31 @@ def mirror_chain_pair(tree: PlumbingTree) -> tuple[list[dict[int, int]], list[di
         first, q1 = waiting[mirror].pop()
         second = chain if (q1 + q) % p == 0 else chain[::-1]
         order = [*first[::-1], -1, *second]  # -1 marks the centre
-        rows = blown_up_chain([1 if v < 0 else -weights[v] for v in order])
+        rows = blown_up_chain([1 if v < 0 else weights[v] for v in order])
         for v, row in zip(order, rows):
             if v >= 0:
                 sign = -1 if v in chain else 1
-                A[v] = {offset + t: x for t, x in row.items()}
-                A2[v] = {offset + t: sign * x for t, x in row.items()}
+                for t, x in row.items():
+                    A[v][offset + t], A2[v][offset + t] = x, sign * x
         offset += len(order) - 1
     if any(waiting.values()):
         raise ValueError("the chains do not pair into mirrors")
-    return A, A2
+    return tuple(map(tuple, A)), tuple(map(tuple, A2))
 
 
-def _dense(rows: list[dict[int, int]]) -> tuple[tuple[int, ...], ...]:
-    dense = [[0] * len(rows) for _ in rows]
-    for out, row in zip(dense, rows):
-        for t, x in row.items():
-            out[t] = x
-    return tuple(map(tuple, dense))
-
-
-# a built pair of more rows is summarised in its note and not built
+# past this many rows a lens sum's certificate row builds no plumbing
 PRINTED_ROWS = 1000
 
 _BUILT = "cokernel splits as H + H, by a pair built from the mirror chains"
 
 
-def _halves(group: FiniteAbelianGroup) -> dict:
-    """H, each half of G = H + H': G.factors doubles H's, and |H|^2 = |G|."""
-    return {"subgroup_factors": list(group.factors[1::2]), "order": math.isqrt(group.order)}
-
-
-def built_double_subset(tree: PlumbingTree, group: FiniteAbelianGroup) -> ObstructionResult:
-    """The pass of double_subset on the chain forest ``tree`` of a lens sum
-    with every p odd whose summands pair into mirrors, ``group`` its coker
-    Q, with no search: the pair A, A' of ``mirror_chain_pair``, dense.
+def built_double_subset(ends, group: FiniteAbelianGroup) -> ObstructionResult:
+    """The pass of double_subset on a lens sum with every p odd whose
+    summands pair into mirrors, from its chain ends (q, p) and its coker
+    Q, ``group``, with no search and no plumbing read: the pair A, A' of
+    ``mirror_chain_pair``, laid out by ``chain_layout`` as either side's
+    tree is, as a sum and its mirror have the same chains.  Past
+    PRINTED_ROWS rows, the sum of chain_length(p, q), it is not built.
 
     Its column subgroups split coker Q.  On each pair's block, H = im A /
     im Q is the graph of a map phi from the first chain's Z/p to the
@@ -501,18 +490,14 @@ def built_double_subset(tree: PlumbingTree, group: FiniteAbelianGroup) -> Obstru
     no subgroup built.  Nothing of this is checked at run time: the
     tests check the factorisations, the correction-term filter and the
     split on random and recorded sums."""
-    A, A2 = mirror_chain_pair(tree)
-    H = _halves(group)
-    pair = (LatticeSubset(_dense(A)), LatticeSubset(_dense(A2)))
+    # H, each half of G = H + H': G.factors doubles H's, and |H|^2 = |G|
+    H = {"subgroup_factors": list(group.factors[1::2]), "order": math.isqrt(group.order)}
+    rows = sum(chain_length(p, q % p) for q, p in ends)
+    if rows > PRINTED_ROWS:
+        notes = f"{_BUILT}; its {rows} rows, past {PRINTED_ROWS}, are neither built nor printed"
+        return ObstructionResult("double_subset", "pass", [(H, H)], notes)
+    pair = tuple(map(LatticeSubset, mirror_chain_pair(chain_layout(ends))))
     return ObstructionResult("double_subset", "pass", [pair, (H, H)], _BUILT)
-
-
-def summarised_double_subset(rows: int, group: FiniteAbelianGroup) -> ObstructionResult:
-    """``built_double_subset`` for a plumbing of more than PRINTED_ROWS
-    rows: the pair is neither built nor printed, and the note says so."""
-    H = _halves(group)
-    notes = f"{_BUILT}; its {rows} rows, past {PRINTED_ROWS}, are neither built nor printed"
-    return ObstructionResult("double_subset", "pass", [(H, H)], notes)
 
 
 def _exhausted(res: SubsetSearchResult) -> str:

@@ -29,6 +29,9 @@ only by reversed chains or permuted chains or legs are one
 search breaks its ties by vertex index, so this order also fixes where
 it starts: at the first vertex of the largest weight.  Row i of a
 subset certificate is vertex i of the plumbing its search ran on.
+``chain_layout`` states this order once, for its two readers: ``_chains``
+lays out every plumbing, and ``obstructions.mirror_chain_pair`` a lens
+sum's built pair, with no plumbing, so its row i is the tree's vertex i.
 """
 
 from __future__ import annotations
@@ -91,27 +94,33 @@ class PlumbingTree:
         return ("negative_semidefinite", zero) if zero else ("negative_definite", 0)
 
 
+def chain_layout(ends, hub: bool = False) -> list[tuple[tuple[int, ...], int]]:
+    """(seq, k) for each chain end (q, a) of ``chain_ends``, k its index
+    and seq the expansion of a / (q mod a), read from the hub outward
+    with a ``hub``, else from its smaller end, in the canonical order of
+    the module docstring, ties in order of k."""
+    seqs = [neg_continued_fraction(a, q % a) for q, a in ends]
+    if not hub:
+        seqs = [min(seq, seq[::-1]) for seq in seqs]
+    return sorted((seq, k) for k, seq in enumerate(seqs))
+
+
 def _chains(hub: int | None, ends) -> PlumbingTree:
-    """One linear chain per chain end (q, a) (``chain_ends``), weighted by
-    the negated expansion of a / (q mod a), in the canonical order of the
-    module docstring, ties in order of k.  With a ``hub`` weight w (vertex
-    0) each chain is read from the hub outward, and reducing q by t a adds
-    t to w; with none, from the end whose sequence is the smaller.
+    """One linear chain per chain end (q, a), weighted by the negated
+    expansion of a / (q mod a), laid out by ``chain_layout``.  With a
+    ``hub`` weight w (vertex 0) reducing q by t a adds t to w.
 
     The lift names chain k's last vertex g_k and each one inward m' g_k,
     m' = c m - m_prev past weight -c, so Q's columns there vanish; past
     the first vertex m = a, the hub's class a_0 g_0 (g_0 with no legs) or
     0: the relations of ``chain_group``, up to t (a_k g_k - a_0 g_0) for a
     reduced q.  A hub-less chain's Z/a is spanned from either end."""
-    seqs = [neg_continued_fraction(a, q % a) for q, a in ends]
-    if hub is None:
-        seqs = [min(seq, seq[::-1]) for seq in seqs]
-    else:
+    if hub is not None:
         hub += sum(q // a for q, a in ends)
     weights: list[int] = [] if hub is None else [hub]
     lift = [] if hub is None else [(0, ends[0][1] if ends else 1)]
     edges: list[tuple[int, int]] = []
-    for seq, k in sorted((seq, k) for k, seq in enumerate(seqs)):
+    for seq, k in chain_layout(ends, hub is not None):
         start = len(weights)
         weights.extend(-c for c in seq)
         if hub is not None:

@@ -12,7 +12,6 @@ from s4embed.classify import (
     complementary_matched,
     even_fibre_clause,
     full_report,
-    lens_mirror_matched,
     weak_complementary_matched,
 )
 from s4embed.cli import parse_manifold
@@ -58,8 +57,8 @@ def test_long_chain_lens_sums_embed(p):
 def test_lens_pairing_invariances():
     # q and q^-1 present the same lens space
     assert status(LensSum([(7, 2), (7, 5)])) == status(LensSum([(7, 4), (7, 5)]))
-    assert lens_mirror_matched(LensSum([(7, 2), (7, 5)]))
-    assert lens_mirror_matched(LensSum([(7, 4), (7, 5)]))
+    assert ManifoldContext(LensSum([(7, 2), (7, 5)])).lens_sum_fault is None
+    assert ManifoldContext(LensSum([(7, 4), (7, 5)])).lens_sum_fault is None
 
 
 def test_pairing_helpers():
@@ -487,8 +486,8 @@ def test_sides_with_different_trees_run_two_searches(monkeypatch):
 )
 def test_sides_with_isomorphic_plumbings_run_one_search(monkeypatch, text):
     """The canonical layout makes isomorphic plumbings one tree, so the
-    mirror row shares its twin's search, or, on an embeddable lens sum,
-    its twin's built pair."""
+    mirror row shares its twin's search; on an embeddable lens sum both
+    rows read the one built pair."""
     searched = count_searches(monkeypatch, "built_double_subset")
     full_report(parse_manifold(text), certificates=True)
     assert len(searched) == 1
@@ -736,11 +735,10 @@ def test_tree_cokernel_is_the_torsion_of_first_homology():
         (PretzelCover([3, 5, 7]), ["torsion_square"], 0),
         (PretzelCover([3, 5, 7]), ["torsion_square", "double_subset"], 0),
         # other classes: e = 0 (only mu-bar builds a tree; the semidefinite
-        # searches are certificates), a lens sum whose sides are one tree
-        # (built twice, the second found equal to the first), a
-        # non-orientable base
+        # searches are certificates), an embeddable lens sum (its built
+        # pair reads no tree), a non-orientable base
         (PretzelCover([2, -2, 3, -3]), None, 1),
-        (LensSum([(3, 1), (3, 2)]), ["double_subset", "double_subset_mirror"], 2),
+        (LensSum([(3, 1), (3, 2)]), ["double_subset", "double_subset_mirror"], 0),
         (SeifertManifold(False, 1, 0, [(3, 1), (3, -1)]), None, 2),
         # H_1 = Z/15: both certificate rows of the lens sum are refuted on it
         (LensSum([(3, 1), (5, 1)]), ["double_subset", "double_subset_mirror"], 0),
@@ -802,6 +800,42 @@ def test_long_even_lens_sum_is_refuted_with_no_plumbing(monkeypatch):
         ("double_subset", "obstructed", odd),
         ("double_subset_mirror", "obstructed", odd),
     ]
+
+
+def test_a_long_refuted_side_is_not_searched(monkeypatch):
+    """lens(1009,1008) + lens(1009,1008) has |H_1| = 1009^2 and a
+    hyperbolic linking form (1009 = 1 mod 4), so H_1 refutes neither
+    certificate row.  Its '+' side has 2 x 1,008 = 2,016 rows, past
+    PRINTED_ROWS: that row is inconclusive and builds no '+' plumbing.
+    The mirror side, two 1-vertex chains, still searches and is
+    obstructed, and lens_mirror_pairing decides the status."""
+    built = []
+
+    def counted_tree(m, side="+", **kwargs):
+        built.append(side)
+        return build(m, side, **kwargs)
+
+    build = classify.plumbing_tree
+    monkeypatch.setattr(classify, "plumbing_tree", counted_tree)
+    report = full_report(LensSum([(1009, 1008), (1009, 1008)]), certificates=True)
+    assert report.status == "OBSTRUCTED"
+    assert [(r.name, r.verdict) for r in report.results[2:]] == [
+        ("double_subset", "inconclusive"),
+        ("double_subset_mirror", "obstructed"),
+    ]
+    assert report.results[2].notes == "its 2016 rows, past 1000, are not searched"
+    assert built == ["-"]
+
+
+def test_an_embeddable_lens_sum_takes_its_mirror_matching_once(monkeypatch):
+    """lens_mirror_pairing, both double-subset rows and the
+    mirror_lens_sum catalog entry read one fault, so a certificate report
+    of an embeddable lens sum matches its summands into mirrors once."""
+    calls = count_calls(monkeypatch, "_mirror_matched")
+    report = full_report(LensSum([(7, 2), (7, 5), (5, 2), (5, 2)]), certificates=True)
+    assert (report.status, report.reason) == ("EMBEDS", "catalog:mirror_lens_sum")
+    assert [r.verdict for r in report.results] == ["pass"] * 4
+    assert len(calls) == 1
 
 
 def test_both_double_subset_rows_read_one_linking_form(monkeypatch):

@@ -834,20 +834,24 @@ def test_no_double_subset_pass_has_an_odd_linking_form():
 # The built pair of an embeddable lens sum, and the odd-primary linking form
 
 
-def built_pair_fault(m: LensSum, side: str) -> str | None:
-    """Why the pair built for one side of m does not certify the
-    double-subset check there, or None: A and A' must factor -Q of the
-    dense form, both pass the correction-term filter, their column
-    subgroups split coker Q, and the halves cited are those subgroups'
-    type."""
+def built_pair_fault(m: LensSum) -> str | None:
+    """Why the pair built from m's summands does not certify the
+    double-subset check, or None: A and A' must factor -Q of the dense
+    form of ``ctx.tree(side)`` on both sides, both pass the
+    correction-term filter, their column subgroups split coker Q, and the
+    halves cited are those subgroups' type.  The pair is laid out from the
+    chain ends with no tree, so the factorisation checks the shared
+    layout against the real plumbing."""
     ctx = ManifoldContext(m)
-    tree, group = ctx.tree(side), ctx.homology[1]
-    result = obstructions.built_double_subset(tree, group)
+    group = ctx.homology[1]
+    result = obstructions.built_double_subset(chain_ends(m)[1], group)
     (A1, A2), (half, _) = result.certificates
-    Q = dense(tree)
-    if not (verify_factorization(A1, Q) and verify_factorization(A2, Q)):
-        return "rows do not factor -Q"
-    G = replace(group, lift=tree.lift)
+    for side in "+-":
+        Q = dense(ctx.tree(side))
+        if not (verify_factorization(A1, Q) and verify_factorization(A2, Q)):
+            return f"rows do not factor -Q on side {side}"
+    # -Y has Y's summand classes, so both sides are one tree with one lift
+    G = replace(group, lift=ctx.tree("+").lift)
     H1, H2 = subset_column_subgroup(G, A1), subset_column_subgroup(G, A2)
     if not (char_vector_criterion(H1) and char_vector_criterion(H2)):
         return "a factorisation fails the correction-term filter"
@@ -911,7 +915,7 @@ def test_built_pairs_certify_every_embeddable_lens_sum(monkeypatch):
         # -Y has Y's summand classes, so both sides are one tree
         ctx = ManifoldContext(m)
         assert ctx.tree("+") is ctx.tree("-"), m.describe()
-        if why := built_pair_fault(m, "+"):
+        if why := built_pair_fault(m):
             faults.append(f"{m.describe()}: {why}")
     assert faults == []
 
