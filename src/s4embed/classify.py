@@ -6,8 +6,10 @@ Seifert view of the input, e, (b_1, torsion), the rank m of
 H_1(Y; Z/2), the normalised Seifert keys (r, fibres) of Y and -Y, the
 pretzel family member of Y, the component count k = m + 1 of a pretzel
 branch link, the linking form of H_1, the refutation both
-double-subset rows take from H_1, and a lens sum's fault and built pair;
-each value is computed once, when first asked for.
+double-subset rows take from H_1, a lens sum's fault, whether the legs
+over a non-orientable base pair into weak complements, and the pair
+built for a lens sum's double-subset rows or for the non-orientable
+rows; each value is computed once, when first asked for.
 It also owns the report's plumbings: one tree per orientation, built
 when a check first reads that side and shared by every later check, so
 the definite-side tree serves both the form checks and mu-bar.
@@ -38,7 +40,10 @@ under its own name.  The tables:
   torsion H_1 != 0, which is never G + G, so it is refuted, and the
   verdict cites theorem:lens_mirror_pairing.
 * non-orientable base: torsion_square, weak_complementary_pairs,
-  even_fibre_clause, nonorientable_double_subset and its mirror.
+  even_fibre_clause, nonorientable_double_subset and its mirror.  Where
+  the legs pair into weak complements with at most one pair of even a,
+  both of the last two cite one pair built with no search and no
+  plumbing; elsewhere they search, up to a size (``NONORIENTABLE``).
 * orientable base, e = 0: torsion_square, complementary_pairs,
   mubar_vanishing.  The semidefinite_subset and semidefinite_subset_mirror
   searches are certificates, as a lens sum's double-subset searches are:
@@ -311,20 +316,45 @@ class ManifoldContext:
         return None if _mirror_matched(summands) else "no mirror matching of the summands"
 
     @cached_property
-    def built_pair(self) -> ObstructionResult:
-        """double_subset's pass on a lens sum that keeps the rule, built
-        with no plumbing (``built_double_subset``); a sum and its mirror
-        have the same chains, so both double-subset rows read it."""
-        return built_double_subset(chain_ends(self.manifold)[1], self.homology[1])
+    def weak_paired(self) -> bool:
+        """Do the fibres over a non-orientable base pair into weak
+        complements (``weak_complementary_matched``)?  Its row and
+        ``built_pair`` read it."""
+        return weak_complementary_matched(self.seifert.invariants)
+
+    @cached_property
+    def forest(self) -> tuple[tuple[int, int], ...]:
+        """The chain ends (q, a) of the '+' plumbing of a lens sum or of a
+        space over a non-orientable base, a forest of chains with no hub:
+        a summand L(p, q) is (q, p), a fibre (a, b) the leg (-b, a)."""
+        m = self.seifert or self.manifold
+        if isinstance(m, LensSum):
+            return chain_ends(m)[1]
+        return tuple((-b, a) for a, b in m.invariants)
+
+    @cached_property
+    def built_pair(self) -> ObstructionResult | None:
+        """The pass, built with no search and no plumbing
+        (``built_double_subset``), of both double-subset rows of a lens
+        sum that keeps the rule, or of both non-orientable rows where the
+        legs pair into weak complements with at most one pair of even a;
+        None elsewhere.  Either side has the same chains, so both rows
+        read it."""
+        if isinstance(self.manifold, LensSum) and self.lens_sum_fault is None:
+            return built_double_subset("double_subset", self.forest, self.homology[1])
+        legs = self.forest if self.table is NONORIENTABLE else ()
+        # weak pairs match fibres of equal a: at most two fibres of even a
+        if legs and self.weak_paired and sum(a % 2 == 0 for _, a in legs) <= 2:
+            return built_double_subset("nonorientable_double_subset", legs, self.leg_group)
+        return None
 
     @cached_property
     def leg_group(self) -> FiniteAbelianGroup | None:
         """coker Q of the legs over a non-orientable base, the sum of the
         Z/a_k on the legs' ends (``chain_group``), not H_1; it serves the
-        non-orientable searches of both sides.  None with no legs: the
-        empty form passes with no group read."""
-        legs = [(-b, a) for a, b in self.seifert.invariants]
-        return chain_group(None, legs) if legs else None
+        non-orientable rows of both sides.  None with no legs: the empty
+        form passes with no group read."""
+        return chain_group(None, self.forest) if self.forest else None
 
     @cached_property
     def seifert_keys(self) -> tuple[Key, ...]:
@@ -458,7 +488,7 @@ def _complementary_pairs(ctx: ManifoldContext) -> ObstructionResult:
 
 def _weak_complementary_pairs(ctx: ManifoldContext) -> ObstructionResult:
     return _judged(
-        weak_complementary_matched(ctx.seifert.invariants),
+        ctx.weak_paired,
         "invariants pair into weak complements",
         "invariants do not pair into weak complements",
     )
@@ -489,22 +519,47 @@ def _mubar_vanishing(ctx: ManifoldContext) -> ObstructionResult | None:
     )
 
 
+def _unsearched(ctx: ManifoldContext, side: str) -> ObstructionResult | None:
+    """Inconclusive, with no plumbing built, where the chain forest of
+    ``side`` has more than PRINTED_ROWS rows, the sum of chain_length over
+    its chains, (q, a) of ``ManifoldContext.forest`` being (-q, a) on '-';
+    None where it is searched."""
+    s = 1 if side == "+" else -1
+    rows = sum(chain_length(a, s * q % a) for q, a in ctx.forest)
+    if rows <= PRINTED_ROWS:
+        return None
+    notes = f"its {rows} rows, past {PRINTED_ROWS}, are not searched"
+    return ObstructionResult("", "inconclusive", notes=notes)
+
+
 def _double_subset(ctx: ManifoldContext, side: str) -> ObstructionResult:
     """double_subset on the form of ``side``: the built pair on a lens sum
     that the theorem says embeds, else H_1's refutation
     (``ManifoldContext.double_subset_refutation``), else the search, but
     not on a lens sum's side past PRINTED_ROWS rows (``LENS_SUM``)."""
-    m = ctx.manifold
-    if isinstance(m, LensSum) and ctx.lens_sum_fault is None:
-        return ctx.built_pair
+    if built := ctx.built_pair:
+        return built
     if refuted := ctx.double_subset_refutation:
         return refuted
-    if isinstance(m, LensSum):
-        rows = sum(chain_length(p, q if side == "+" else p - q) for p, q in m.summands)
-        if rows > PRINTED_ROWS:
-            notes = f"its {rows} rows, past {PRINTED_ROWS}, are not searched"
-            return ObstructionResult("", "inconclusive", notes=notes)
+    if isinstance(ctx.manifold, LensSum) and (unsearched := _unsearched(ctx, side)):
+        return unsearched
     return _search(ctx, double_subset_obstruction, side, ctx.homology[1], ctx.budget)
+
+
+def _nonorientable_double_subset(ctx: ManifoldContext, side: str) -> ObstructionResult:
+    """nonorientable_double_subset on the form of ``side``: the built pair
+    where the legs pair into weak complements with at most one pair of
+    even a, else the refutation of an undoubled coker Q of the legs, which
+    reads no plumbing and so is taken at any size, else the search, but
+    not on a side past PRINTED_ROWS rows (``NONORIENTABLE``)."""
+    if built := ctx.built_pair:
+        return built
+    group = ctx.leg_group
+    if group is not None and (refuted := undoubled("nonorientable_double_subset", group)):
+        return refuted
+    return _unsearched(ctx, side) or _search(
+        ctx, nonorientable_obstruction, side, group, ctx.budget
+    )
 
 
 def _search(ctx: ManifoldContext, obstruction, side: str, *args) -> ObstructionResult:
@@ -578,18 +633,30 @@ LENS_SUM = CheckTable(
     certificates=(_DOUBLE, ("double_subset_mirror", lambda ctx: _double_subset(ctx, "-"))),
 )
 LENS_SPACE = CheckTable((_TORSION,), theorem="lens_mirror_pairing")
+# Over a non-orientable base the form is the chain forest of the legs, a
+# fibre (a, b) the leg (-b, a), and its coker Q is G, the sum of the Z/a_k.
+# The rows need A A^t = -Q twice, with column subgroups H, H' that each
+# double to G and meet in at most 2 elements.  weak_complementary_matched
+# holds iff the legs' lens classes pair into mirrors, so Lisca's blow-up
+# chain of each pair gives A, and A' negates each pair's second chain:
+# A A^t = A' A'^t = -Q (``obstructions.built_double_subset``).  H is the
+# graph of an isomorphism phi from the first chains' group to the
+# second's, and H' that of -phi, so both are the sum of the pairs' Z/a_j,
+# and each doubles to G, the sum of the (Z/a_j)^2.  H meet H' is
+# {x : 2 phi(x) = 0}, of order 2^(number of pairs with a_j even), so at
+# most 2 iff at most one pair has a_j even; weak pairs match fibres of
+# equal a, so that number is half the number of fibres of even a.  There
+# the pair is built, reads no tree, serves both rows and past PRINTED_ROWS
+# rows is summarised.  Elsewhere, legs that are not weak-paired (met only
+# with certificates or a named row) or two or more pairs of even a, an
+# undoubled G refutes the row and a side searches up to PRINTED_ROWS rows,
+# the sum of chain_length over its legs, and is inconclusive past them.
 NONORIENTABLE = CheckTable((
     _TORSION,
     ("weak_complementary_pairs", _weak_complementary_pairs),
     ("even_fibre_clause", _even_fibre_clause),
-    (
-        "nonorientable_double_subset",
-        lambda ctx: _search(ctx, nonorientable_obstruction, "+", ctx.leg_group, ctx.budget),
-    ),
-    (
-        "nonorientable_double_subset_mirror",
-        lambda ctx: _search(ctx, nonorientable_obstruction, "-", ctx.leg_group, ctx.budget),
-    ),
+    ("nonorientable_double_subset", lambda ctx: _nonorientable_double_subset(ctx, "+")),
+    ("nonorientable_double_subset_mirror", lambda ctx: _nonorientable_double_subset(ctx, "-")),
 ))
 # e = 0 over an orientable base: the semidefinite searches only certify.
 # If complementary_pairs fails, the report is already OBSTRUCTED, citing

@@ -32,9 +32,12 @@ semidefinite_subset_mirror) run only with ``--certificates`` or when
 the same either way.  A passing search stops at, and cites, the first
 witness it meets.  A lens sum that embeds by the theorem searches
 nothing: its double-subset rows cite a pair built from its mirror
-chains.  Past 1,000 rows (``PRINTED_ROWS``) a lens sum's certificate row
-builds no plumbing: a note summarises that pair, or a refuted sum's
-side that H_1 does not refute reads inconclusive, unsearched.
+chains.  So do the non-orientable rows of legs that pair into weak
+complements with at most one pair of even a.  Past 1,000 rows
+(``PRINTED_ROWS``) these rows build no plumbing: a note summarises the
+built pair, or a side that would be searched, a refuted lens sum's
+that H_1 does not refute or a non-orientable one, reads inconclusive,
+unsearched.
 
 ``--obstruction NAME`` (repeatable) runs only the named checks; the
 status is merged from their results alone.  A name that the input's
@@ -233,9 +236,11 @@ _ARGS.add_argument(
     "This also runs the searches that only certify (the double-subset checks "
     "of a lens sum, the semidefinite-subset checks of an e = 0 Seifert space "
     "over an orientable base); a passing search cites the first witness it meets.  "
-    "A lens sum that embeds cites a pair built from its mirror chains, with no "
-    f"search.  Past {PRINTED_ROWS} rows a note summarises that pair, and a refuted "
-    "lens sum's side is not searched and reads inconclusive",
+    "A lens sum that embeds, and legs over a non-orientable base in weak "
+    "complements with at most one pair of even a, cite a pair built from their "
+    f"mirror chains, with no search.  Past {PRINTED_ROWS} rows a note summarises "
+    "that pair, and a side that would be searched, a refuted lens sum's or a "
+    "non-orientable one, is not searched and reads inconclusive",
 )
 _ARGS.add_argument(
     "--budget",

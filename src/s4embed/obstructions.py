@@ -38,12 +38,14 @@ factors of coker Q or by its linking form; budget exhaustion downgrades
 to "inconclusive" instead, whose note gives the nodes the search used
 and the subsets it found.
 
-Where the lens-sum theorem says a sum embeds, the witness pair is built,
-not searched for (``built_double_subset``): Lisca's blow-up chains of
-each mirror pair give A (``blown_up_chain``, ``mirror_chain_pair``), and
-A' negates each pair's second chain.  It is laid out from the sum's chain
-ends by the plumbing's layout rule and reads no plumbing.  Past
-PRINTED_ROWS rows it is summarised in its note.
+Where a chain forest pairs into mirrors, the witness pair is built, not
+searched for (``built_double_subset``): Lisca's blow-up chains of each
+mirror pair give A (``blown_up_chain``, ``mirror_chain_pair``), and A'
+negates each pair's second chain.  It serves double_subset on a lens sum
+that the theorem says embeds, and nonorientable_double_subset on legs
+that pair into weak complements with at most one pair of even a.  It is
+laid out from the forest's chain ends by the plumbing's layout rule and
+reads no plumbing.  Past PRINTED_ROWS rows it is summarised in its note.
 """
 
 from __future__ import annotations
@@ -421,9 +423,10 @@ def _chain_value(seq) -> tuple[int, int]:
 
 def mirror_chain_pair(layout) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Dense rows of A and A', row i on vertex i of ``layout``
-    (``plumbing.chain_layout``), with A A^t = A' A'^t = -Q for the chain
-    forest of a lens sum whose summands pair into mirrors L(p, q),
-    L(p, p - q); ValueError if they do not.
+    (``plumbing.chain_layout``), with A A^t = A' A'^t = -Q for a chain
+    forest, a lens sum's or the legs over a non-orientable base, whose
+    chains pair into mirrors L(p, q), L(p, p - q); ValueError if they do
+    not.
 
     Chains are paired in layout order, each with the first unpaired chain
     of its mirror class before it, so a self-mirror class (q^2 = -1 mod p)
@@ -466,38 +469,55 @@ def mirror_chain_pair(layout) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(map(tuple, A)), tuple(map(tuple, A2))
 
 
-# past this many rows a lens sum's certificate row builds no plumbing
+# past this many rows a certificate row of a chain forest builds no plumbing
 PRINTED_ROWS = 1000
 
-_BUILT = "cokernel splits as H + H, by a pair built from the mirror chains"
+# each check's note on a pass, found or built
+_PASSED = {
+    "double_subset": "cokernel splits as H + H",
+    "nonorientable_double_subset": "cokernel is H + H twice over with small intersection",
+}
 
 
-def built_double_subset(ends, group: FiniteAbelianGroup) -> ObstructionResult:
-    """The pass of double_subset on a lens sum with every p odd whose
-    summands pair into mirrors, from its chain ends (q, p) and its coker
-    Q, ``group``, with no search and no plumbing read: the pair A, A' of
+def built_double_subset(name: str, ends, group: FiniteAbelianGroup) -> ObstructionResult:
+    """The pass of check ``name`` on a chain forest whose chains pair into
+    mirrors, from its chain ends (q, a) and its coker Q, ``group``, with
+    no search and no plumbing read: the pair A, A' of
     ``mirror_chain_pair``, laid out by ``chain_layout`` as either side's
-    tree is, as a sum and its mirror have the same chains.  Past
-    PRINTED_ROWS rows, the sum of chain_length(p, q), it is not built.
+    tree is, as the two sides have the same chains.  Past PRINTED_ROWS
+    rows, the sum of chain_length(a, q), it is not built.
 
-    Its column subgroups split coker Q.  On each pair's block, H = im A /
-    im Q is the graph of a map phi from the first chain's Z/p to the
-    second's, and H', its second chain negated, the graph of -phi; so
-    H + H' is direct iff 2 is invertible on Z/p, that is iff every p is
-    odd: the theorem's condition.  H and H' are then isomorphic
-    Lagrangians (``double_subset_obstruction``), each of G's factors
-    taken once, of order sqrt |G|, and the result cites that type, with
-    no subgroup built.  Nothing of this is checked at run time: the
-    tests check the factorisations, the correction-term filter and the
-    split on random and recorded sums."""
-    # H, each half of G = H + H': G.factors doubles H's, and |H|^2 = |G|
+    On each pair's block, H = im A / im Q is the graph of an isomorphism
+    phi from the first chain's Z/a to the second's, and H', its second
+    chain negated, the graph of -phi.  So H and H' are isomorphic to the
+    sum of the pairs' Z/a_j, each taken once: G's factors taken once, of
+    order sqrt |G|, and each doubles to G, the sum of the (Z/a_j)^2.  The
+    result cites that type, with no subgroup built.  H meet H' is
+    {x : 2 phi(x) = 0}, of order 2^(number of pairs with a_j even).
+
+    - double_subset, a lens sum with every p odd whose summands pair into
+      mirrors: H meet H' = 0, so H + H' = G, and H and H' are isomorphic
+      Lagrangians (``double_subset_obstruction``).  Every p odd is the
+      lens-sum theorem's condition.
+    - nonorientable_double_subset, the legs (-b, a) of fibres (a, b) over
+      a non-orientable base: ``weak_complementary_matched`` holds iff the
+      legs' lens classes pair into mirrors, so A A^t = A' A'^t = -Q, and
+      H meet H' has at most 2 elements iff at most one pair has a even.
+      Weak pairs match fibres of equal a, so the pairs of even a number
+      half the fibres of even a.
+
+    Nothing of this is checked at run time: the tests check the
+    factorisations, the correction-term filter, the split, the doubling
+    and the meet on random and recorded forests."""
+    # H, each half of G = H + H: G.factors doubles H's, and |H|^2 = |G|
     H = {"subgroup_factors": list(group.factors[1::2]), "order": math.isqrt(group.order)}
-    rows = sum(chain_length(p, q % p) for q, p in ends)
+    built = f"{_PASSED[name]}, by a pair built from the mirror chains"
+    rows = sum(chain_length(a, q % a) for q, a in ends)
     if rows > PRINTED_ROWS:
-        notes = f"{_BUILT}; its {rows} rows, past {PRINTED_ROWS}, are neither built nor printed"
-        return ObstructionResult("double_subset", "pass", [(H, H)], notes)
+        notes = f"{built}; its {rows} rows, past {PRINTED_ROWS}, are neither built nor printed"
+        return ObstructionResult(name, "pass", [(H, H)], notes)
     pair = tuple(map(LatticeSubset, mirror_chain_pair(chain_layout(ends))))
-    return ObstructionResult("double_subset", "pass", [pair, (H, H)], _BUILT)
+    return ObstructionResult(name, "pass", [pair, (H, H)], built)
 
 
 def _exhausted(res: SubsetSearchResult) -> str:
@@ -582,7 +602,7 @@ def double_subset_obstruction(
         f"{removed} factorisation(s) removed by the correction-term filter; " if removed else ""
     )
     if witness:
-        note = "trivial cokernel" if G.order == 1 else "cokernel splits as H + H"
+        note = "trivial cokernel" if G.order == 1 else _PASSED[name]
         return ObstructionResult(name, "pass", witness, filtered_note + note)
     if not res.complete:
         return ObstructionResult(name, "inconclusive", notes=_exhausted(res))
@@ -651,9 +671,7 @@ def nonorientable_obstruction(
 
     res = enumerate_subsets(tree, budget, until=pair_found)
     if witness:
-        return ObstructionResult(
-            name, "pass", witness, "cokernel is H + H twice over with small intersection"
-        )
+        return ObstructionResult(name, "pass", witness, _PASSED[name])
     if res.complete:
         return ObstructionResult(
             name,

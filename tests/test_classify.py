@@ -408,9 +408,9 @@ def count_searches(monkeypatch, *more) -> list:
     searched = []
 
     def counting(search):
-        def counted(tree, *args):
+        def counted(tree, *args, **kwargs):
             searched.append(tree)
-            return search(tree, *args)
+            return search(tree, *args, **kwargs)
 
         return counted
 
@@ -447,7 +447,8 @@ def test_lens_sums_search_only_for_certificates(monkeypatch):
 @pytest.mark.parametrize(
     "text, twins",
     [
-        ("seifert(N(1); 0; (3,1),(3,-1))", "nonorientable_double_subset"),
+        # two pairs of even a: the pair is searched for, not built
+        ("seifert(N(1); 0; (2,1),(2,1),(2,1),(2,1))", "nonorientable_double_subset"),
         ("pretzel(2,-2,3,-3)", "semidefinite_subset"),
         ("pretzel(2,-2,2,-2)", "semidefinite_subset"),
         ("seifert(S2; 0; (3,1),(3,-1),(5,2),(5,-2))", "semidefinite_subset"),
@@ -482,15 +483,61 @@ def test_sides_with_different_trees_run_two_searches(monkeypatch):
         # chains reversed and in another order
         "lens(7,2)+lens(7,2)+lens(7,3)+lens(7,3)",
         "seifert(N(1); 0; (5,2),(5,-3))",
+        # weak pairs with two pairs of even a search
+        "seifert(N(1); 0; (4,1),(4,-1),(2,1),(2,1))",
     ],
 )
 def test_sides_with_isomorphic_plumbings_run_one_search(monkeypatch, text):
     """The canonical layout makes isomorphic plumbings one tree, so the
-    mirror row shares its twin's search; on an embeddable lens sum both
-    rows read the one built pair."""
+    mirror row shares its twin's search; on an embeddable lens sum, and
+    on weak-paired legs with at most one pair of even a, both rows read
+    the one built pair."""
     searched = count_searches(monkeypatch, "built_double_subset")
     full_report(parse_manifold(text), certificates=True)
     assert len(searched) == 1
+
+
+def test_weak_paired_legs_pass_with_a_built_pair_under_any_budget(monkeypatch):
+    """Legs in weak complements with at most one pair of even a search
+    nothing and build no plumbing: under a 3-node budget both
+    non-orientable rows pass with the built pair."""
+    searched = count_searches(monkeypatch, "plumbing_tree")
+    r = full_report(parse_manifold("seifert(N(1); 0; (3,1),(3,-1))"), budget=3)
+    built = (
+        "cokernel is H + H twice over with small intersection, "
+        "by a pair built from the mirror chains"
+    )
+    rows = [(res.name, res.verdict, res.notes) for res in r.results[3:]]
+    assert rows == [(name, "pass", built) for name in NONORIENTABLE_ROWS]
+    assert searched == []
+    assert (r.status, r.reason) == ("UNKNOWN", "no obstruction fired; no catalog entry")
+
+
+def test_two_pairs_of_even_a_still_search(monkeypatch):
+    """(2,1) four times pairs into two weak pairs of even a, where the built
+    pair's column subgroups meet in 4 elements; the rows search, once for
+    both sides, and pass."""
+    searched = count_searches(monkeypatch)
+    r = full_report(parse_manifold("seifert(N(1); 0; (2,1),(2,1),(2,1),(2,1))"))
+    found = "cokernel is H + H twice over with small intersection"
+    rows = [(res.name, res.verdict, res.notes) for res in r.results[3:]]
+    assert rows == [(name, "pass", found) for name in NONORIENTABLE_ROWS]
+    assert len(searched) == 1
+
+
+NONORIENTABLE_ROWS = ("nonorientable_double_subset", "nonorientable_double_subset_mirror")
+
+
+def test_an_undoubled_leg_group_is_refuted_at_any_size(monkeypatch):
+    """The leg (-1, 10007) plumbs a chain of 10,006 vertices, past
+    PRINTED_ROWS, but coker Q of the legs, Z/10007, is not H + H: the
+    named row is refuted on it, not left unsearched, and no plumbing is
+    built."""
+    searched = count_searches(monkeypatch, "plumbing_tree")
+    r = full_report(parse_manifold("seifert(N(1); 0; (10007,1))"), only=[NONORIENTABLE_ROWS[0]])
+    notes = "|coker Q| = 10007 is not a perfect square"
+    assert [(res.verdict, res.notes) for res in r.results] == [("obstructed", notes)]
+    assert searched == []
 
 
 def test_only_runs_just_the_named_rows(monkeypatch):
@@ -736,10 +783,11 @@ def test_tree_cokernel_is_the_torsion_of_first_homology():
         (PretzelCover([3, 5, 7]), ["torsion_square", "double_subset"], 0),
         # other classes: e = 0 (only mu-bar builds a tree; the semidefinite
         # searches are certificates), an embeddable lens sum (its built
-        # pair reads no tree), a non-orientable base
+        # pair reads no tree), a non-orientable base with two pairs of even
+        # a (both sides search one tree)
         (PretzelCover([2, -2, 3, -3]), None, 1),
         (LensSum([(3, 1), (3, 2)]), ["double_subset", "double_subset_mirror"], 0),
-        (SeifertManifold(False, 1, 0, [(3, 1), (3, -1)]), None, 2),
+        (SeifertManifold(False, 1, 0, [(2, 1)] * 4), None, 2),
         # H_1 = Z/15: both certificate rows of the lens sum are refuted on it
         (LensSum([(3, 1), (5, 1)]), ["double_subset", "double_subset_mirror"], 0),
         # torsion Z/3 + Z/3: double_subset searches the definite tree
@@ -753,6 +801,8 @@ def test_tree_cokernel_is_the_torsion_of_first_homology():
             ["double_subset", "double_subset_mirror"],
             0,
         ),
+        # weak pairs with no even a: both rows read the built pair
+        (SeifertManifold(False, 1, 0, [(3, 1), (3, -1)]), None, 0),
     ],
 )
 def test_report_reads_h1_once_from_first_homology(monkeypatch, manifold, only, plumbings):

@@ -647,8 +647,9 @@ def streaming_faults(m, tally: Counter) -> list[str]:
     invariant factors of coker Q, and under (check, "odd linking form")
     and (check, "nonhyperbolic linking form") those it refuted by the
     linking form at 2 or at an odd prime, all with no search; there the
-    full search must say "obstructed" too.  A lens sum's built pair is
-    checked as a streamed pass is, and counted under (check, "built")."""
+    full search must say "obstructed" too.  A built pair, a lens sum's or
+    that of legs in weak complements, is checked as a streamed pass is,
+    and counted under (check, "built")."""
     ctx = ManifoldContext(m)
     report = full_report(m, certificates=True)
     faults = []
@@ -726,6 +727,8 @@ def test_streamed_checks_match_full_enumeration_on_complementary_pairs():
 
 
 def test_streamed_checks_match_full_enumeration_on_nonorientable_bases():
+    """Legs in weak complements with at most one pair of even a pass with
+    the built pair, which the full search must confirm; the rest search."""
     tally = Counter()
     spaces = [
         SeifertManifold(False, 1, 0, list(fibres))
@@ -734,7 +737,8 @@ def test_streamed_checks_match_full_enumeration_on_nonorientable_bases():
     ]
     assert [f for y in spaces for f in streaming_faults(y, tally)] == []
     assert tally == {
-        ("nonorientable_double_subset", "pass"): 86,
+        ("nonorientable_double_subset", "built"): 62,
+        ("nonorientable_double_subset", "pass"): 24,
         ("nonorientable_double_subset", "obstructed"): 210,
         ("nonorientable_double_subset", "not H + H"): 64,
     }
@@ -844,7 +848,7 @@ def built_pair_fault(m: LensSum) -> str | None:
     layout against the real plumbing."""
     ctx = ManifoldContext(m)
     group = ctx.homology[1]
-    result = obstructions.built_double_subset(chain_ends(m)[1], group)
+    result = obstructions.built_double_subset("double_subset", chain_ends(m)[1], group)
     (A1, A2), (half, _) = result.certificates
     for side in "+-":
         Q = dense(ctx.tree(side))
@@ -918,6 +922,54 @@ def test_built_pairs_certify_every_embeddable_lens_sum(monkeypatch):
         if why := built_pair_fault(m):
             faults.append(f"{m.describe()}: {why}")
     assert faults == []
+
+
+def random_weak_pairs(rng: random.Random) -> SeifertManifold:
+    """One to three weak complementary pairs (a, b), (a, -b) or (a, -b^-1)
+    with 2 <= a <= 13, each fibre in any normalisation, over N(1) or N(2)
+    with any central framing."""
+    fibres = []
+    for _ in range(rng.randint(1, 3)):
+        a = rng.randint(2, 13)
+        b = rng.choice([b for b in range(1, a) if math.gcd(a, b) == 1])
+        partner = rng.choice([-b, -pow(b, -1, a)])
+        fibres += [(a, b + rng.randint(-1, 1) * a), (a, partner % a + rng.randint(-1, 1) * a)]
+    return SeifertManifold(False, rng.randint(1, 2), rng.randint(-2, 2), fibres)
+
+
+def test_built_pairs_of_weak_pairs_double_and_meet_in_two_per_even_pair():
+    """On 200 random weak-paired forests, the pair built from the legs
+    factors -Q of each side's own plumbing, and on each side's lift both
+    column subgroups have the cited type and double to coker Q of the
+    legs.  They meet in 2^k elements for k pairs of even a, so the report
+    builds the pair iff k <= 1, and both rows then read it."""
+    rng = random.Random(40)
+    tally = Counter()
+    for _ in range(200):
+        y = random_weak_pairs(rng)
+        ctx = ManifoldContext(y)
+        group = ctx.leg_group
+        even_pairs = sum(a % 2 == 0 for a, _ in y.invariants) // 2
+        name = "nonorientable_double_subset"
+        result = obstructions.built_double_subset(name, ctx.forest, group)
+        (A1, A2), (half, _) = result.certificates
+        for side in "+-":
+            tree = plumbing_tree(y, side)
+            assert verify_factorization(A1, dense(tree)), (y.describe(), side)
+            assert verify_factorization(A2, dense(tree)), (y.describe(), side)
+            G = replace(group, lift=tree.lift)
+            H1, H2 = subset_column_subgroup(G, A1), subset_column_subgroup(G, A2)
+            for H in (H1, H2):
+                assert doubled_factors(H.factors) == G.factors, (y.describe(), side)
+                assert (half["subgroup_factors"], half["order"]) == (list(H.factors), H.order)
+            assert direct_sum_test(G, H1, H2)[2] == 2**even_pairs, (y.describe(), side)
+        report = full_report(y, certificates=True)
+        rows = [r for r in report.results if r.name.startswith(name)]
+        assert (ctx.built_pair is not None) == (even_pairs <= 1), y.describe()
+        built = [r.notes.endswith("built from the mirror chains") for r in rows]
+        assert built == [even_pairs <= 1] * 2, y.describe()
+        tally[min(even_pairs, 2)] += 1
+    assert min(tally.values()) >= 20, tally
 
 
 def test_blown_up_chains_take_no_recursion():
