@@ -497,6 +497,9 @@ def test_sides_with_isomorphic_plumbings_run_one_search(monkeypatch, text):
     assert len(searched) == 1
 
 
+NONORIENTABLE_ROWS = ("nonorientable_double_subset", "nonorientable_double_subset_mirror")
+
+
 def test_weak_paired_legs_pass_with_a_built_pair_under_any_budget(monkeypatch):
     """Legs in weak complements with at most one pair of even a search
     nothing and build no plumbing: under a 3-node budget both
@@ -523,9 +526,6 @@ def test_two_pairs_of_even_a_still_search(monkeypatch):
     rows = [(res.name, res.verdict, res.notes) for res in r.results[3:]]
     assert rows == [(name, "pass", found) for name in NONORIENTABLE_ROWS]
     assert len(searched) == 1
-
-
-NONORIENTABLE_ROWS = ("nonorientable_double_subset", "nonorientable_double_subset_mirror")
 
 
 def test_an_undoubled_leg_group_is_refuted_at_any_size(monkeypatch):
