@@ -1,38 +1,30 @@
 """One decision engine: per-class check tables and one merge rule.
 
 ``full_report`` builds a ``ManifoldContext`` once per call, and every
-check reads that context alone.  It holds the search budget, the
-Seifert view of the input, e, (b_1, torsion), the rank m of
-H_1(Y; Z/2), the normalised Seifert keys (r, fibres) of Y and -Y, the
-pretzel family member of Y, the component count k = m + 1 of a pretzel
-branch link, the linking form of H_1, the refutation both
-double-subset rows take from H_1, a lens sum's fault, whether the legs
-over a non-orientable base pair into weak complements, and the pair
-built for a lens sum's double-subset rows or for the non-orientable
-rows; each value is computed once, when first asked for.
-It also owns the report's plumbings: one tree per orientation, built
-when a check first reads that side and shared by every later check, so
-the definite-side tree serves both the form checks and mu-bar.
-The definite side is '-' iff e < 0, else '+'.  The context sorts the
-manifold into one class, and the rows of the class's table run in order,
-every check on the same context.  A row is a (name, check) pair, and the
-check's result is reported under the row's name; ``full_report(only=...)``
-picks rows by name, so only the named checks run.  A search is run once
-per (obstruction, tree) in a report.  Plumbings are laid out in one
-canonical order (``plumbing``), so a mirror row shares its twin's search
-whenever the two plumbings are isomorphic, as with reversed lens chains
-or permuted legs (e = 0 complementary pairs, many non-orientable spaces,
-sums K # -K, L(p, q) # L(p, q) with q^2 = -1 mod p), and reports it
-under its own name.  The tables:
+check reads that context alone; each of its values is computed once,
+when first asked for.  It also owns the report's plumbings: one tree per
+orientation, built when a check first reads that side and shared by
+every later check, so the definite-side tree serves both the form checks
+and mu-bar.  The context sorts the manifold into one class, and the rows
+of the class's table run in order, every check on the same context.  A
+row is a (name, check) pair, and the check's result is reported under
+the row's name; ``full_report(only=...)`` picks rows by name, so only
+the named checks run.
+
+Six rows look for factorisations A A^t = -Q of a side's plumbing form
+(``obstructions``): double_subset, nonorientable_double_subset and
+semidefinite_subset, each with its mirror.  One check runs them all
+(``_searched``).  Plumbings are laid out in one canonical order
+(``plumbing``), so a mirror row shares its twin's search whenever the
+two plumbings are isomorphic, as with reversed lens chains or permuted
+legs (e = 0 complementary pairs, many non-orientable spaces, sums
+K # -K, L(p, q) # L(p, q) with q^2 = -1 mod p), and reports it under its
+own name.  The tables:
 
 * lens sums: torsion_square, lens_mirror_pairing.  A sum embeds iff
   every p_i is odd and the summands match up into mirror pairs, so these
   two checks decide it by the theorem.  The double_subset and
-  double_subset_mirror rows are certificates: they run only when the
-  caller asks for certificates or names one of them, and they cannot
-  change the verdict or the reason.  Where the theorem says the sum
-  embeds, both cite one pair built with no search and no plumbing;
-  elsewhere H_1 refutes them or they search, up to a size (``LENS_SUM``).
+  double_subset_mirror rows are certificates (``LENS_SUM``).
 * base S^2 with at most two fibres, given as a Seifert space or as a
   pretzel cover with at most two strands |a_i| >= 2: torsion_square
   alone (the lens-space rule).  These are lens spaces.  S^3 and
@@ -40,16 +32,11 @@ under its own name.  The tables:
   torsion H_1 != 0, which is never G + G, so it is refuted, and the
   verdict cites theorem:lens_mirror_pairing.
 * non-orientable base: torsion_square, weak_complementary_pairs,
-  even_fibre_clause, nonorientable_double_subset and its mirror.  Where
-  the legs pair into weak complements with at most one pair of even a,
-  both of the last two cite one pair built with no search and no
-  plumbing; elsewhere they search, up to a size (``NONORIENTABLE``).
+  even_fibre_clause, nonorientable_double_subset and its mirror
+  (``NONORIENTABLE``).
 * orientable base, e = 0: torsion_square, complementary_pairs,
   mubar_vanishing.  The semidefinite_subset and semidefinite_subset_mirror
-  searches are certificates, as a lens sum's double-subset searches are:
-  complementary pairs give a rectangular factorisation of either side's
-  form with no search (see ``ORIENTABLE_E0``), so a search refutes only
-  where complementary_pairs already has.  With every a_i odd,
+  rows are certificates (``ORIENTABLE_E0``).  With every a_i odd,
   complementary pairs also suffice.
 * orientable base, e != 0: torsion_square, double_subset on the definite
   side, mubar_vanishing.
@@ -86,7 +73,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 from .intlinalg import FiniteAbelianGroup
@@ -263,9 +250,7 @@ class ManifoldContext:
         builds no plumbing: a long chain would cost more than the whole
         report.  For a lens sum, and over an orientable base with e != 0,
         the torsion is coker Q of each definite plumbing (Neumann, Trans.
-        AMS 268, 1981), so the double-subset rows read its order, factors
-        and linking form (``odd_linking_factor``) before any tree is built,
-        and their search projects onto it through ``PlumbingTree.lift``."""
+        AMS 268, 1981)."""
         return first_homology(self.seifert or self.manifold)
 
     @cached_property
@@ -279,24 +264,34 @@ class ManifoldContext:
     def linking_form(self) -> LinkingForm:
         """The linking form of the torsion of H_1 on a cyclic basis, read
         on the chain ends of the '+' plumbing with no tree built
-        (``obstructions.linking_form``): diagonal on a lens sum's chain
-        ends, in closed form on the Smith generators of a star.  Both
-        linking-form tests of ``double_subset_refutation`` read it."""
+        (``obstructions.linking_form``); ``refutation`` reads it."""
         return linking_form(self.homology[1], *chain_ends(self.seifert or self.manifold))
 
     @cached_property
-    def double_subset_refutation(self) -> ObstructionResult | None:
-        """The refutation both double_subset rows take with no tree, where
-        the torsion of H_1 (coker Q on either side, as H_1(-Y) = H_1(Y))
-        is not H + H, or its linking form is odd at 2 or not hyperbolic at
-        an odd prime; None where none of these holds.  A splitting pair
-        makes the form hyperbolic at every prime
-        (``obstructions.nonhyperbolic_part``).  It reads no side, so a
-        report takes it once for both rows."""
-        torsion = self.homology[1]
-        if refuted := undoubled("double_subset", torsion):
+    def coker(self) -> FiniteAbelianGroup | None:
+        """coker Q of either side's form, which a searched row's search
+        projects onto through ``PlumbingTree.lift``: the torsion of H_1;
+        over a non-orientable base the legs' group, the sum of the Z/a_k
+        on their ends (``chain_group``), or None with no legs."""
+        if self.table is NONORIENTABLE:
+            return chain_group(None, self.forest) if self.forest else None
+        return self.homology[1]
+
+    @cached_property
+    def refutation(self) -> ObstructionResult | None:
+        """The refutation a searched row takes with no tree, once for both
+        sides: ``coker`` is not H + H (``undoubled``), or, on H_1, its
+        linking form is odd at 2 or not hyperbolic at an odd prime
+        (``double_subset_obstruction``); None elsewhere, and on the e = 0
+        rows, as ``linking_form`` would divide by e."""
+        G = self.coker
+        if self.table is ORIENTABLE_E0 or G is None:
+            return None
+        if self.table is NONORIENTABLE:
+            return undoubled("nonorientable_double_subset", G)
+        if refuted := undoubled("double_subset", G):
             return refuted
-        if d := odd_linking_factor(torsion, self.linking_form):
+        if d := odd_linking_factor(G, self.linking_form):
             why = f"the linking form of coker Q is odd on its factor Z/{d}"
         elif part := nonhyperbolic_part(self.linking_form):
             piece = " + ".join([f"Z/{part[0]}"] * part[1])
@@ -324,37 +319,26 @@ class ManifoldContext:
 
     @cached_property
     def forest(self) -> tuple[tuple[int, int], ...]:
-        """The chain ends (q, a) of the '+' plumbing of a lens sum or of a
-        space over a non-orientable base, a forest of chains with no hub:
-        a summand L(p, q) is (q, p), a fibre (a, b) the leg (-b, a)."""
-        m = self.seifert or self.manifold
-        if isinstance(m, LensSum):
-            return chain_ends(m)[1]
-        return tuple((-b, a) for a, b in m.invariants)
+        """The chain ends (q, a) of the '+' plumbing's chains, a star's
+        legs without its hub: a summand L(p, q) is (q, p), a fibre (a, b)
+        the leg (-b, a)."""
+        if self.seifert is None:
+            return chain_ends(self.manifold)[1]
+        return tuple((-b, a) for a, b in self.seifert.invariants)
 
     @cached_property
     def built_pair(self) -> ObstructionResult | None:
-        """The pass, built with no search and no plumbing
-        (``built_double_subset``), of both double-subset rows of a lens
-        sum that keeps the rule, or of both non-orientable rows where the
-        legs pair into weak complements with at most one pair of even a;
-        None elsewhere.  Either side has the same chains, so both rows
-        read it."""
+        """The pass of both double-subset rows of a lens sum that keeps
+        the rule, or of both non-orientable rows of weak-paired legs with
+        at most one pair of even a, built with no search and no plumbing
+        (``built_double_subset``); None elsewhere."""
         if isinstance(self.manifold, LensSum) and self.lens_sum_fault is None:
-            return built_double_subset("double_subset", self.forest, self.homology[1])
+            return built_double_subset("double_subset", self.forest, self.coker)
         legs = self.forest if self.table is NONORIENTABLE else ()
         # weak pairs match fibres of equal a: at most two fibres of even a
         if legs and self.weak_paired and sum(a % 2 == 0 for _, a in legs) <= 2:
-            return built_double_subset("nonorientable_double_subset", legs, self.leg_group)
+            return built_double_subset("nonorientable_double_subset", legs, self.coker)
         return None
-
-    @cached_property
-    def leg_group(self) -> FiniteAbelianGroup | None:
-        """coker Q of the legs over a non-orientable base, the sum of the
-        Z/a_k on the legs' ends (``chain_group``), not H_1; it serves the
-        non-orientable rows of both sides.  None with no legs: the empty
-        form passes with no group read."""
-        return chain_group(None, self.forest) if self.forest else None
 
     @cached_property
     def seifert_keys(self) -> tuple[Key, ...]:
@@ -409,12 +393,10 @@ class ManifoldContext:
 
     def tree(self, side: str) -> PlumbingTree:
         """The standard plumbing of one orientation ('+' or '-'), built on
-        first use and kept for the rest of the call.  Plumbings are laid
-        out canonically, so the two sides give the same tree whenever
-        their weighted graphs are isomorphic (chains reversed, chains or
-        legs permuted).  Then the second side takes the first one's tree,
-        before its definiteness check, so the tree's elimination and
-        searches are taken once."""
+        first use and kept for the rest of the call.  Where the two sides'
+        plumbings are isomorphic, the second side takes the first one's
+        tree (``plumbing_tree``), so its elimination and searches are
+        taken once."""
         if side not in self._trees:
             m = self.seifert or self.manifold
             self._trees[side] = plumbing_tree(m, side, shared=self._trees.values())
@@ -423,8 +405,9 @@ class ManifoldContext:
     @cached_property
     def definite_side(self) -> str:
         """The orientation whose plumbing is negative (semi)definite: '-'
-        iff e < 0, else '+' (so '+' for any lens sum)."""
-        return "-" if self.euler is not None and self.euler < 0 else "+"
+        iff e < 0 over an orientable base, else '+' (a chain forest is
+        definite on either side)."""
+        return "-" if self.table is ORIENTABLE and self.euler < 0 else "+"
 
     @cached_property
     def table(self) -> CheckTable:
@@ -519,60 +502,38 @@ def _mubar_vanishing(ctx: ManifoldContext) -> ObstructionResult | None:
     )
 
 
-def _unsearched(ctx: ManifoldContext, side: str) -> ObstructionResult | None:
-    """Inconclusive, with no plumbing built, where the chain forest of
-    ``side`` has more than PRINTED_ROWS rows, the sum of chain_length over
-    its chains, (q, a) of ``ManifoldContext.forest`` being (-q, a) on '-';
-    None where it is searched."""
-    s = 1 if side == "+" else -1
-    rows = sum(chain_length(a, s * q % a) for q, a in ctx.forest)
-    if rows <= PRINTED_ROWS:
-        return None
-    notes = f"its {rows} rows, past {PRINTED_ROWS}, are not searched"
-    return ObstructionResult("", "inconclusive", notes=notes)
-
-
-def _double_subset(ctx: ManifoldContext, side: str) -> ObstructionResult:
-    """double_subset on the form of ``side``: the built pair on a lens sum
-    that the theorem says embeds, else H_1's refutation
-    (``ManifoldContext.double_subset_refutation``), else the search, but
-    not on a lens sum's side past PRINTED_ROWS rows (``LENS_SUM``)."""
+def _searched(name: str, ctx: ManifoldContext) -> ObstructionResult:
+    """Searched row ``name`` on the '-' side for a ``_mirror`` row, else on
+    the definite side: the pair built with no search (``built_pair``),
+    else the refutation read with no tree (``refutation``), else, past
+    PRINTED_ROWS rows (chain_length over the side's chains, plus a star's
+    hub), inconclusive with no plumbing built, but for ORIENTABLE's
+    double_subset, which decides its class.  Else the row's obstruction,
+    looked up by module-global name when the row runs, searches the
+    side's tree once per (obstruction, tree) in a report: a mirror row
+    whose tree is its twin's takes the twin's result."""
     if built := ctx.built_pair:
         return built
-    if refuted := ctx.double_subset_refutation:
+    if refuted := ctx.refutation:
         return refuted
-    if isinstance(ctx.manifold, LensSum) and (unsearched := _unsearched(ctx, side)):
-        return unsearched
-    return _search(ctx, double_subset_obstruction, side, ctx.homology[1], ctx.budget)
-
-
-def _nonorientable_double_subset(ctx: ManifoldContext, side: str) -> ObstructionResult:
-    """nonorientable_double_subset on the form of ``side``: the built pair
-    where the legs pair into weak complements with at most one pair of
-    even a, else the refutation of an undoubled coker Q of the legs, which
-    reads no plumbing and so is taken at any size, else the search, but
-    not on a side past PRINTED_ROWS rows (``NONORIENTABLE``)."""
-    if built := ctx.built_pair:
-        return built
-    group = ctx.leg_group
-    if group is not None and (refuted := undoubled("nonorientable_double_subset", group)):
-        return refuted
-    return _unsearched(ctx, side) or _search(
-        ctx, nonorientable_obstruction, side, group, ctx.budget
-    )
-
-
-def _search(ctx: ManifoldContext, obstruction, side: str, *args) -> ObstructionResult:
-    """``obstruction`` run on the plumbing form of ``side`` and ``args``
-    (its coker Q, if given, and ``ctx.budget`` for a search); once per
-    (obstruction, tree) in a report: a mirror row whose tree is its
-    twin's takes the twin's result.  The rows call this through a lambda,
-    so the obstruction is looked up by module-global name when the row
-    runs."""
+    check = name.removesuffix("_mirror")
+    side = "-" if check != name else ctx.definite_side
+    if ctx.table is not ORIENTABLE:
+        s = 1 if side == "+" else -1
+        rows = (ctx.table is ORIENTABLE_E0) + sum(chain_length(a, s * q % a) for q, a in ctx.forest)
+        if rows > PRINTED_ROWS:
+            notes = f"its {rows} rows, past {PRINTED_ROWS}, are not searched"
+            return ObstructionResult("", "inconclusive", notes=notes)
     tree = ctx.tree(side)
-    key = (obstruction, tree)
+    key = (check, tree)
     if key not in ctx._searches:
-        ctx._searches[key] = obstruction(tree, *args)
+        search = {
+            "double_subset": double_subset_obstruction,
+            "nonorientable_double_subset": nonorientable_obstruction,
+            "semidefinite_subset": semidefinite_obstruction,
+        }[check]
+        group = () if check == "semidefinite_subset" else (ctx.coker,)
+        ctx._searches[key] = search(tree, *group, ctx.budget)
     return ctx._searches[key]
 
 
@@ -591,9 +552,8 @@ class CheckTable:
     ``certificates`` is an optional tail of rows that cannot change what
     the rows before them decide: by a theorem, none refutes where those
     rows do not (``LENS_SUM``, ``ORIENTABLE_E0``).  They run only on
-    request, after the other rows.  A mirror
-    search whose plumbing equals its twin's shares the twin's search.
-    ``full_report(only=...)`` picks rows by name before any runs."""
+    request, after the other rows.  ``full_report(only=...)`` picks rows
+    by name before any runs."""
 
     checks: tuple[Row, ...]
     theorem: str | None = None
@@ -604,76 +564,54 @@ class CheckTable:
         return tuple(name for name, _ in self.checks + self.certificates)
 
 
+def _searched_rows(name: str) -> tuple[Row, Row]:
+    """Searched row ``name`` and its mirror, both run by ``_searched``."""
+    return tuple((row, partial(_searched, row)) for row in (name, f"{name}_mirror"))
+
+
 _TORSION: Row = ("torsion_square", _torsion_square)
-_DOUBLE: Row = ("double_subset", lambda ctx: _double_subset(ctx, ctx.definite_side))
+_DOUBLE = _searched_rows("double_subset")
 _MUBAR: Row = ("mubar_vanishing", _mubar_vanishing)
 _COMPLEMENTARY: Row = ("complementary_pairs", _complementary_pairs)
-_SEMIDEFINITE = (
-    ("semidefinite_subset", lambda ctx: _search(ctx, semidefinite_obstruction, "+", ctx.budget)),
-    (
-        "semidefinite_subset_mirror",
-        lambda ctx: _search(ctx, semidefinite_obstruction, "-", ctx.budget),
-    ),
-)
 
-# A lens sum's double-subset rows only certify.  Where every p is odd and
-# the summands pair into mirrors, the pair is built with no search
-# (``obstructions.built_double_subset``): Lisca's blow-up chain of each
-# mirror pair gives A, and A' negates the rows of each pair's second
-# chain.  The chains meet in no entry of Q, so A' A'^t = A A^t = -Q.  On
-# a pair's block H = im A / im Q is the graph of some phi and H' that of
-# -phi, so H + H' is direct iff 2 is invertible, that is iff every p is
-# odd: the theorem's condition.  Laid out from the chain ends, it reads no
-# tree, serves both rows and past PRINTED_ROWS rows is summarised.  A
-# refuted sum is refuted on H_1 where it can be; else a side, of
-# chain_length(p, q) rows a summand on '+' and chain_length(p, p - q) on
-# '-', searches up to PRINTED_ROWS rows and is inconclusive past them.
+# A lens sum's double-subset rows only certify: torsion_square and
+# lens_mirror_pairing decide it by the theorem.  Where the theorem says
+# it embeds, both rows cite the pair built from its mirror chains
+# (``obstructions.built_double_subset``, whose two halves meet trivially
+# iff every p is odd, the theorem's condition); elsewhere H_1 refutes
+# them where it can, and a side searches under the size rule.
 LENS_SUM = CheckTable(
-    (_TORSION, ("lens_mirror_pairing", _lens_mirror_pairing)),
-    certificates=(_DOUBLE, ("double_subset_mirror", lambda ctx: _double_subset(ctx, "-"))),
+    (_TORSION, ("lens_mirror_pairing", _lens_mirror_pairing)), certificates=_DOUBLE
 )
 LENS_SPACE = CheckTable((_TORSION,), theorem="lens_mirror_pairing")
 # Over a non-orientable base the form is the chain forest of the legs, a
 # fibre (a, b) the leg (-b, a), and its coker Q is G, the sum of the Z/a_k.
 # The rows need A A^t = -Q twice, with column subgroups H, H' that each
-# double to G and meet in at most 2 elements.  weak_complementary_matched
-# holds iff the legs' lens classes pair into mirrors, so Lisca's blow-up
-# chain of each pair gives A, and A' negates each pair's second chain:
-# A A^t = A' A'^t = -Q (``obstructions.built_double_subset``).  H is the
-# graph of an isomorphism phi from the first chains' group to the
-# second's, and H' that of -phi, so both are the sum of the pairs' Z/a_j,
-# and each doubles to G, the sum of the (Z/a_j)^2.  H meet H' is
-# {x : 2 phi(x) = 0}, of order 2^(number of pairs with a_j even), so at
-# most 2 iff at most one pair has a_j even; weak pairs match fibres of
-# equal a, so that number is half the number of fibres of even a.  There
-# the pair is built, reads no tree, serves both rows and past PRINTED_ROWS
-# rows is summarised.  Elsewhere, legs that are not weak-paired (met only
-# with certificates or a named row) or two or more pairs of even a, an
-# undoubled G refutes the row and a side searches up to PRINTED_ROWS rows,
-# the sum of chain_length over its legs, and is inconclusive past them.
+# double to G and meet in at most 2 elements.  Legs in weak complements
+# with at most one pair of even a give that pair with no search
+# (``obstructions.built_double_subset``); elsewhere an undoubled G refutes
+# the rows, and a side searches under the size rule.
 NONORIENTABLE = CheckTable((
     _TORSION,
     ("weak_complementary_pairs", _weak_complementary_pairs),
     ("even_fibre_clause", _even_fibre_clause),
-    ("nonorientable_double_subset", lambda ctx: _nonorientable_double_subset(ctx, "+")),
-    ("nonorientable_double_subset_mirror", lambda ctx: _nonorientable_double_subset(ctx, "-")),
+    *_searched_rows("nonorientable_double_subset"),
 ))
-# e = 0 over an orientable base: the semidefinite searches only certify.
-# If complementary_pairs fails, the report is already OBSTRUCTED, citing
-# it or an earlier row.  If it passes, A A^t = -Q has a solution through
-# n - 1 columns on either side, built with no search.  Normalised, the star's hub weighs -k for k
-# complementary pairs of legs a/q and a/(a - q), whose expansions are
-# Riemenschneider dual (Math. Ann. 209, 1974); so the chain (one leg
-# reversed, a -1 vertex, its partner) blows down to a 0-framed unknot.
-# Undo the blow-downs from the empty row of the form (0): a blow-up at an
-# edge (u, v), or at an end u, adds a coordinate c, set to 1 on the new
-# vertex and to -1 on u and v (Lisca, Geom. Topol. 11, 2007).  The chain
-# of pair j then has rows of width n_j, one fewer than its vertices.  Its
-# -1 vertex meets the two innermost leg vertices alone, so the k centre
-# rows, on disjoint coordinates, sum to a hub row of norm k.  The legs'
-# rows and that hub row factor -Q through sum n_j = n - 1 columns.
-ORIENTABLE_E0 = CheckTable((_TORSION, _COMPLEMENTARY, _MUBAR), certificates=_SEMIDEFINITE)
-ORIENTABLE = CheckTable((_TORSION, _DOUBLE, _MUBAR))
+# e = 0 over an orientable base: the semidefinite rows only certify.  If
+# complementary_pairs fails, the report is already OBSTRUCTED, citing it
+# or an earlier row.  If it passes, A A^t = -Q has a solution through
+# n - 1 columns on either side.  Normalised, the star's hub weighs -k for
+# k complementary pairs of legs a/q and a/(a - q), and the chain of pair
+# j (one leg reversed, a -1 vertex, its partner) has rows through n_j
+# coordinates, one fewer than its vertices (``obstructions.blown_up_chain``,
+# as in ``mirror_chain_pair``).  Its -1 vertex meets the two innermost leg
+# vertices alone, so the k centre rows, on disjoint coordinates, sum to a
+# hub row of norm k.  The legs' rows and that hub row factor -Q through
+# sum n_j = n - 1 columns.
+ORIENTABLE_E0 = CheckTable(
+    (_TORSION, _COMPLEMENTARY, _MUBAR), certificates=_searched_rows("semidefinite_subset")
+)
+ORIENTABLE = CheckTable((_TORSION, _DOUBLE[0], _MUBAR))
 
 # every name a row of the tables above carries; ``--obstruction`` accepts
 # exactly these

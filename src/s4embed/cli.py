@@ -19,25 +19,15 @@ least 10^4300 (``torsion_order``), as the report prints its invariant
 factors.  Every rejected expression raises ``ParseError``, which names a
 position in the text; the CLI prints it and exits 64.
 
-A default report stops at its first refutation and lists the checks
-that ran.  ``--certificates`` runs every check, and prints each check's
-certificates, in text as one line of the JSON that ``--json`` carries
-for each.  It also runs the checks that only certify, after the others:
-a lens sum is decided by torsion_square and lens_mirror_pairing, and a
-Seifert space with e = 0 over an orientable base by its rows up to
-mubar_vanishing.  Their searches (double_subset and
-double_subset_mirror; semidefinite_subset and
-semidefinite_subset_mirror) run only with ``--certificates`` or when
-``--obstruction`` names one of them.  Status, reason and exit code are
-the same either way.  A passing search stops at, and cites, the first
-witness it meets.  A lens sum that embeds by the theorem searches
-nothing: its double-subset rows cite a pair built from its mirror
-chains.  So do the non-orientable rows of legs that pair into weak
-complements with at most one pair of even a.  Past 1,000 rows
-(``PRINTED_ROWS``) these rows build no plumbing: a note summarises the
-built pair, or a side that would be searched, a refuted lens sum's
-that H_1 does not refute or a non-orientable one, reads inconclusive,
-unsearched.
+A default report stops at its first refutation.  ``--certificates``
+runs every check, with the rows that only certify (a lens sum's
+double-subset rows, an e = 0 space's semidefinite rows), and prints
+their certificates; status, reason and exit code stay the same.  Where
+the chains pair into mirrors, the double-subset rows cite a pair built
+with no search; a passing search cites the first witness it meets.
+Past 1,000 rows (``PRINTED_ROWS``) a built pair is summarised, and a
+side is not searched, on every row but an orientable base's deciding
+double_subset.
 
 ``--obstruction NAME`` (repeatable) runs only the named checks; the
 status is merged from their results alone.  A name that the input's
@@ -231,16 +221,11 @@ _ARGS.add_argument("--json", action="store_true", help="emit a JSON report")
 _ARGS.add_argument(
     "--certificates",
     action="store_true",
-    help="include certificates in output and run every check: a default "
-    "report stops at its first refutation and lists the checks that ran.  "
-    "This also runs the searches that only certify (the double-subset checks "
-    "of a lens sum, the semidefinite-subset checks of an e = 0 Seifert space "
-    "over an orientable base); a passing search cites the first witness it meets.  "
-    "A lens sum that embeds, and legs over a non-orientable base in weak "
-    "complements with at most one pair of even a, cite a pair built from their "
-    f"mirror chains, with no search.  Past {PRINTED_ROWS} rows a note summarises "
-    "that pair, and a side that would be searched, a refuted lens sum's or a "
-    "non-orientable one, is not searched and reads inconclusive",
+    help="run every check, and print certificates: a default report stops at its first "
+    "refutation.  This adds the rows that only certify (a lens sum's double-subset rows, "
+    "an e = 0 space's semidefinite rows).  Chains that pair into mirrors cite a pair built "
+    f"with no search; past {PRINTED_ROWS} rows a built pair is summarised and a side is "
+    "not searched",
 )
 _ARGS.add_argument(
     "--budget",

@@ -14,38 +14,26 @@ Each check takes the ``PlumbingTree`` of the form and first states the
 definiteness it needs, read off the tree's cached inertia: negative
 definite for the double-subset checks, semi-definite of corank one for
 the rectangular one.  The double-subset checks also take coker Q, the
-report's own group, on the generators ``PlumbingTree.lift`` names.
-Both need coker Q = H + H, so a non-square |coker Q|, or invariant
-factors that do not come in equal pairs, refutes them (``undoubled``).
-The orientable check also needs the linking form of coker Q to be
-hyperbolic, as two Lagrangians that split coker Q make it so.  One value,
-the form on a cyclic basis of H_1 read on the chain ends of the plumbing
-(``linking_form``), serves two tests.  At 2 the form must be even
-(``odd_linking_factor``).  At an odd prime l it splits into homogeneous
-pieces (Z/l^k)^(n_k) with unit diagonals u_i, and it is hyperbolic iff
-every n_k is even and (-1)^(n_k / 2) prod u_i is a square mod l
-(``nonhyperbolic_part``; Wall, Topology 2, 1963; Kawauchi-Kojima,
-Math. Ann. 253, 1980).  A report refutes the check on any of these
-grounds with no tree, on H_1.  Otherwise a search pairs its column subgroups,
-whatever their type: each is a Lagrangian of the linking form, and two
-Lagrangians whose sum is direct are isomorphic.  No check builds a
-dense form.  Each check filters and pairs the factorisations inside the
-search, as the search finds them (``enumerate_subsets(..., until=...)``),
-and stops at its first witness.  A pass therefore cites the first
-witness the search meets, in search order.  Every verdict of
+report's own group, on the generators ``PlumbingTree.lift`` names, and
+need it to be H + H (``undoubled``).  The orientable check also needs
+the linking form of coker Q to be hyperbolic
+(``double_subset_obstruction``): even at 2 (``odd_linking_factor``) and
+hyperbolic at each odd prime (``nonhyperbolic_part``), both read on one
+value, the form on a cyclic basis of H_1 (``linking_form``).  A report
+refutes the check on any of these grounds with no tree, on H_1.  No
+check builds a dense form.  Each check filters and pairs the
+factorisations inside the search, as the search finds them
+(``enumerate_subsets(..., until=...)``), and stops at its first witness,
+which a pass cites.  Every verdict of
 "obstructed" is backed by a provably completed search, by the invariant
 factors of coker Q or by its linking form; budget exhaustion downgrades
 to "inconclusive" instead, whose note gives the nodes the search used
 and the subsets it found.
 
 Where a chain forest pairs into mirrors, the witness pair is built, not
-searched for (``built_double_subset``): Lisca's blow-up chains of each
-mirror pair give A (``blown_up_chain``, ``mirror_chain_pair``), and A'
-negates each pair's second chain.  It serves double_subset on a lens sum
-that the theorem says embeds, and nonorientable_double_subset on legs
-that pair into weak complements with at most one pair of even a.  It is
-laid out from the forest's chain ends by the plumbing's layout rule and
-reads no plumbing.  Past PRINTED_ROWS rows it is summarised in its note.
+searched for: ``mirror_chain_pair`` gives the blow-up argument for its
+factorisations, and ``built_double_subset`` the graph-of-phi argument
+for its column subgroups.
 """
 
 from __future__ import annotations
@@ -485,7 +473,7 @@ def built_double_subset(name: str, ends, group: FiniteAbelianGroup) -> Obstructi
     no search and no plumbing read: the pair A, A' of
     ``mirror_chain_pair``, laid out by ``chain_layout`` as either side's
     tree is, as the two sides have the same chains.  Past PRINTED_ROWS
-    rows, the sum of chain_length(a, q), it is not built.
+    rows, the sum of chain_length(a, q), it is summarised, not built.
 
     On each pair's block, H = im A / im Q is the graph of an isomorphism
     phi from the first chain's Z/a to the second's, and H', its second
@@ -493,18 +481,16 @@ def built_double_subset(name: str, ends, group: FiniteAbelianGroup) -> Obstructi
     sum of the pairs' Z/a_j, each taken once: G's factors taken once, of
     order sqrt |G|, and each doubles to G, the sum of the (Z/a_j)^2.  The
     result cites that type, with no subgroup built.  H meet H' is
-    {x : 2 phi(x) = 0}, of order 2^(number of pairs with a_j even).
+    {x : 2 phi(x) = 0}, of order 2^(number of pairs with a_j even), so:
 
-    - double_subset, a lens sum with every p odd whose summands pair into
-      mirrors: H meet H' = 0, so H + H' = G, and H and H' are isomorphic
-      Lagrangians (``double_subset_obstruction``).  Every p odd is the
-      lens-sum theorem's condition.
+    - double_subset, a lens sum whose summands pair into mirrors: H + H'
+      = G iff every p is odd, the lens-sum theorem's condition, and H and
+      H' are then isomorphic Lagrangians (``double_subset_obstruction``);
     - nonorientable_double_subset, the legs (-b, a) of fibres (a, b) over
       a non-orientable base: ``weak_complementary_matched`` holds iff the
-      legs' lens classes pair into mirrors, so A A^t = A' A'^t = -Q, and
-      H meet H' has at most 2 elements iff at most one pair has a even.
-      Weak pairs match fibres of equal a, so the pairs of even a number
-      half the fibres of even a.
+      legs' lens classes pair into mirrors, and |H meet H'| <= 2 iff at
+      most one pair has a even.  Weak pairs match fibres of equal a, so
+      those pairs number half the fibres of even a.
 
     Nothing of this is checked at run time: the tests check the
     factorisations, the correction-term filter, the split, the doubling
@@ -554,11 +540,7 @@ def double_subset_obstruction(
     x = a + b with a in H1 and b in H2, lambda(x, x) = 2 lambda(a, b), and
     if 2^k x = 0, then 2^k a = 0 as the sum is direct, so
     2^(k-1) lambda(x, x) = 2^k lambda(a, b) = lambda(2^k a, b) = 0; and at
-    an odd prime lambda is hyperbolic on H1 + H2, Hom(H1, Q/Z) = H2.  A
-    report refutes the check on H_1 first, with no tree, where G is not
-    H + H, the 2-primary part of lambda is odd (``odd_linking_factor``) or
-    lambda is not hyperbolic at an odd prime (``nonhyperbolic_part``); so
-    it searches only where none of these fires.
+    an odd prime lambda is hyperbolic on H1 + H2, Hom(H1, Q/Z) = H2.
 
     The pairing runs inside the search: each new subset's column
     subgroup is filtered, and a new one is joined against the kept ones

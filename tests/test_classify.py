@@ -452,6 +452,8 @@ def test_lens_sums_search_only_for_certificates(monkeypatch):
         ("pretzel(2,-2,3,-3)", "semidefinite_subset"),
         ("pretzel(2,-2,2,-2)", "semidefinite_subset"),
         ("seifert(S2; 0; (3,1),(3,-1),(5,2),(5,-2))", "semidefinite_subset"),
+        # no fibres: the star is its hub alone, one row a side
+        ("seifert(O(1); 0; )", "semidefinite_subset"),
     ],
 )
 def test_mirror_row_on_the_same_tree_shares_its_twins_search(monkeypatch, text, twins):
@@ -459,7 +461,7 @@ def test_mirror_row_on_the_same_tree_shares_its_twins_search(monkeypatch, text, 
     r = full_report(parse_manifold(text), certificates=True)
     assert len(searched) == 1
     twin, mirror = result(r, twins), result(r, twins + "_mirror")
-    assert mirror is not twin
+    assert mirror is not twin and twin.verdict == "pass"
     assert (mirror.verdict, mirror.notes, mirror.certificates) == (
         twin.verdict,
         twin.notes,

@@ -420,6 +420,44 @@ def test_long_weak_paired_legs_end_within_limits(expr, rows, built):
     ]
 
 
+@pytest.mark.parametrize(
+    "expr, rows, plumbed",
+    [
+        ("seifert(O(1);0;(10007,1),(10007,-1))", 10008, 0),
+        # mubar_vanishing reads the '+' plumbing of a pretzel form
+        ("seifert(S2;0;(3,1),(3,-1),(10007,1),(10007,-1))", 10011, 1),
+        ("seifert(S2;1;(2,1),(2,1),(10007,1),(10007,-1))", 10010, 1),
+    ],
+)
+def test_long_e0_certificate_rows_end_within_limits(monkeypatch, expr, rows, plumbed):
+    """The fibre (10007, 1) plumbs a leg of 10,006 vertices.  A side of
+    these e = 0 stars counts its hub as one row and each leg's length,
+    so past PRINTED_ROWS rows neither semidefinite row is searched, and
+    the report embeds well inside the limits.  In process, the rows build
+    no plumbing: only mubar_vanishing's, where it runs."""
+    done = run_python(
+        "-m", "s4embed.cli", expr, "--json", "--certificates", preexec_fn=within_limits
+    )
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert out["status"] == "EMBEDS"
+    notes = f"its {rows} rows, past 1000, are not searched"
+    names = ("semidefinite_subset", "semidefinite_subset_mirror")
+    assert [(r["name"], r["verdict"], r["notes"]) for r in out["obstructions"][-2:]] == [
+        (name, "inconclusive", notes) for name in names
+    ]
+    built = []
+    plumbing_tree = classify.plumbing_tree
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return plumbing_tree(*args, **kwargs)
+
+    monkeypatch.setattr(classify, "plumbing_tree", counted)
+    assert full_report(parse_manifold(expr), certificates=True).status == "EMBEDS"
+    assert len(built) == plumbed
+
+
 def test_torsion_check_alone_builds_no_plumbing():
     """The fibre (10000019, 1) plumbs a chain of about 10^7 vertices.
     H_1 comes from the fibres' chain ends, and with only torsion_square

@@ -642,19 +642,11 @@ def assert_lift(tree: PlumbingTree, G: FiniteAbelianGroup) -> FiniteAbelianGroup
     return G
 
 
-def searched_group(ctx: ManifoldContext) -> FiniteAbelianGroup:
-    """The group a report's searches project onto: H_1's torsion, or over
-    a non-orientable base the legs' group."""
-    m = ctx.seifert or ctx.manifold
-    orientable = not isinstance(m, SeifertManifold) or m.base_orientable
-    return ctx.homology[1] if orientable else ctx.leg_group
-
-
 def searched(m, side: str) -> tuple[PlumbingTree, FiniteAbelianGroup]:
     """The tree of ``side`` and the group a report's search on it projects
-    onto (``searched_group``)."""
+    onto (``ManifoldContext.coker``)."""
     ctx = ManifoldContext(m)
-    return ctx.tree(side), searched_group(ctx)
+    return ctx.tree(side), ctx.coker
 
 
 def random_searched_space(rng) -> tuple[LensSum | SeifertManifold, tuple[str, ...]]:
@@ -695,7 +687,7 @@ def test_tree_cokernel_matches_dense_smith_form():
         m, sides = random_searched_space(rng)
         ctx = ManifoldContext(m)
         for side in sides:
-            tree, G = ctx.tree(side), searched_group(ctx)
+            tree, G = ctx.tree(side), ctx.coker
             if tree.size > 14:
                 continue
             G = assert_lift(tree, G)

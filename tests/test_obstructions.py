@@ -662,7 +662,7 @@ def streaming_faults(m, tally: Counter) -> list[str]:
         else:
             side = ctx.definite_side if check == "double_subset" else "+"
         tree = ctx.tree(side)
-        group = ctx.leg_group if check == "nonorientable_double_subset" else ctx.homology[1]
+        group = ctx.coker
         verdict, notes = FULL_CHECKS[check](tree)
         refuted = "not H + H" if "not of the form H + H" in r.notes else None
         if "linking form of coker Q is odd" in r.notes:
@@ -948,7 +948,7 @@ def test_built_pairs_of_weak_pairs_double_and_meet_in_two_per_even_pair():
     for _ in range(200):
         y = random_weak_pairs(rng)
         ctx = ManifoldContext(y)
-        group = ctx.leg_group
+        group = ctx.coker
         even_pairs = sum(a % 2 == 0 for a, _ in y.invariants) // 2
         name = "nonorientable_double_subset"
         result = obstructions.built_double_subset(name, ctx.forest, group)
