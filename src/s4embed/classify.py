@@ -17,9 +17,10 @@ semidefinite_subset, each with its mirror.  One check runs them all
 (``_searched``).  Plumbings are laid out in one canonical order
 (``plumbing``), so a mirror row shares its twin's search whenever the
 two plumbings are isomorphic, as with reversed lens chains or permuted
-legs (e = 0 complementary pairs, many non-orientable spaces, sums
-K # -K, L(p, q) # L(p, q) with q^2 = -1 mod p), and reports it under its
-own name.  The tables:
+legs (many non-orientable spaces, sums K # -K, L(p, q) # L(p, q) with
+q^2 = -1 mod p), and reports it under its own name.  Where
+``built_pair`` builds the pass with no search, both rows cite it.  The
+tables:
 
 * lens sums: torsion_square, lens_mirror_pairing.  A sum embeds iff
   every p_i is odd and the summands match up into mirror pairs, so these
@@ -96,7 +97,7 @@ from .obstructions import (
     PRINTED_ROWS,
     LinkingForm,
     ObstructionResult,
-    built_double_subset,
+    built_pass,
     double_subset_obstruction,
     linking_form,
     nonhyperbolic_part,
@@ -311,6 +312,12 @@ class ManifoldContext:
         return None if _mirror_matched(summands) else "no mirror matching of the summands"
 
     @cached_property
+    def complementary(self) -> bool:
+        """Do the fibres pair into complements (``complementary_matched``)?
+        Its row, odd_complementary_e0 and ``built_pair`` read it."""
+        return complementary_matched(self.seifert.invariants)
+
+    @cached_property
     def weak_paired(self) -> bool:
         """Do the fibres over a non-orientable base pair into weak
         complements (``weak_complementary_matched``)?  Its row and
@@ -328,16 +335,18 @@ class ManifoldContext:
 
     @cached_property
     def built_pair(self) -> ObstructionResult | None:
-        """The pass of both double-subset rows of a lens sum that keeps
-        the rule, or of both non-orientable rows of weak-paired legs with
-        at most one pair of even a, built with no search and no plumbing
-        (``built_double_subset``); None elsewhere."""
+        """The pass of both searched rows, built with no search and no
+        plumbing (``built_pass``): a lens sum that keeps the rule, an e = 0
+        star whose legs pair into complements (its sides are one tree), or
+        weak-paired legs with at most one pair of even a; else None."""
         if isinstance(self.manifold, LensSum) and self.lens_sum_fault is None:
-            return built_double_subset("double_subset", self.forest, self.coker)
+            return built_pass("double_subset", self.forest, self.coker)
+        if self.table is ORIENTABLE_E0 and self.complementary:
+            return built_pass("semidefinite_subset", self.forest)
         legs = self.forest if self.table is NONORIENTABLE else ()
         # weak pairs match fibres of equal a: at most two fibres of even a
         if legs and self.weak_paired and sum(a % 2 == 0 for _, a in legs) <= 2:
-            return built_double_subset("nonorientable_double_subset", legs, self.coker)
+            return built_pass("nonorientable_double_subset", legs, self.coker)
         return None
 
     @cached_property
@@ -463,7 +472,7 @@ def _lens_mirror_pairing(ctx: ManifoldContext) -> ObstructionResult:
 
 def _complementary_pairs(ctx: ManifoldContext) -> ObstructionResult:
     return _judged(
-        complementary_matched(ctx.seifert.invariants),
+        ctx.complementary,
         "invariants pair into complements",
         "invariants do not pair into complements",
     )
@@ -504,14 +513,14 @@ def _mubar_vanishing(ctx: ManifoldContext) -> ObstructionResult | None:
 
 def _searched(name: str, ctx: ManifoldContext) -> ObstructionResult:
     """Searched row ``name`` on the '-' side for a ``_mirror`` row, else on
-    the definite side: the pair built with no search (``built_pair``),
+    the definite side: the pass built with no search (``built_pair``),
     else the refutation read with no tree (``refutation``), else, past
     PRINTED_ROWS rows (chain_length over the side's chains, plus a star's
     hub), inconclusive with no plumbing built, but for ORIENTABLE's
-    double_subset, which decides its class.  Else the row's obstruction,
-    looked up by module-global name when the row runs, searches the
-    side's tree once per (obstruction, tree) in a report: a mirror row
-    whose tree is its twin's takes the twin's result."""
+    deciding double_subset.  Else the row's obstruction, looked up by
+    module-global name, searches the side's tree once per (obstruction,
+    tree) in a report, so a mirror row on its twin's tree takes its
+    twin's result."""
     if built := ctx.built_pair:
         return built
     if refuted := ctx.refutation:
@@ -574,40 +583,27 @@ _DOUBLE = _searched_rows("double_subset")
 _MUBAR: Row = ("mubar_vanishing", _mubar_vanishing)
 _COMPLEMENTARY: Row = ("complementary_pairs", _complementary_pairs)
 
-# A lens sum's double-subset rows only certify: torsion_square and
-# lens_mirror_pairing decide it by the theorem.  Where the theorem says
-# it embeds, both rows cite the pair built from its mirror chains
-# (``obstructions.built_double_subset``, whose two halves meet trivially
-# iff every p is odd, the theorem's condition); elsewhere H_1 refutes
-# them where it can, and a side searches under the size rule.
+# A lens sum is decided by the theorem, so its double-subset rows only
+# certify: where it embeds, they cite the pair built from its mirror chains
+# (``obstructions.built_pass``); elsewhere H_1 refutes them where it can,
+# and a side searches under the size rule.
 LENS_SUM = CheckTable(
     (_TORSION, ("lens_mirror_pairing", _lens_mirror_pairing)), certificates=_DOUBLE
 )
 LENS_SPACE = CheckTable((_TORSION,), theorem="lens_mirror_pairing")
-# Over a non-orientable base the form is the chain forest of the legs, a
-# fibre (a, b) the leg (-b, a), and its coker Q is G, the sum of the Z/a_k.
-# The rows need A A^t = -Q twice, with column subgroups H, H' that each
-# double to G and meet in at most 2 elements.  Legs in weak complements
-# with at most one pair of even a give that pair with no search
-# (``obstructions.built_double_subset``); elsewhere an undoubled G refutes
-# the rows, and a side searches under the size rule.
+# Over a non-orientable base the form is the legs' chain forest, whose
+# coker Q is G, and the rows need A A^t = -Q twice, with column subgroups
+# that each double to G and meet in at most 2 elements.  Weak-paired legs
+# with at most one pair of even a get that pair built
+# (``obstructions.built_pass``); elsewhere an undoubled G refutes the rows,
+# or a side searches under the size rule.
 NONORIENTABLE = CheckTable((
     _TORSION,
     ("weak_complementary_pairs", _weak_complementary_pairs),
     ("even_fibre_clause", _even_fibre_clause),
     *_searched_rows("nonorientable_double_subset"),
 ))
-# e = 0 over an orientable base: the semidefinite rows only certify.  If
-# complementary_pairs fails, the report is already OBSTRUCTED, citing it
-# or an earlier row.  If it passes, A A^t = -Q has a solution through
-# n - 1 columns on either side.  Normalised, the star's hub weighs -k for
-# k complementary pairs of legs a/q and a/(a - q), and the chain of pair
-# j (one leg reversed, a -1 vertex, its partner) has rows through n_j
-# coordinates, one fewer than its vertices (``obstructions.blown_up_chain``,
-# as in ``mirror_chain_pair``).  Its -1 vertex meets the two innermost leg
-# vertices alone, so the k centre rows, on disjoint coordinates, sum to a
-# hub row of norm k.  The legs' rows and that hub row factor -Q through
-# sum n_j = n - 1 columns.
+# e = 0: where complementary_pairs passes, so do the certificate rows (``blown_up_pairs``)
 ORIENTABLE_E0 = CheckTable(
     (_TORSION, _COMPLEMENTARY, _MUBAR), certificates=_searched_rows("semidefinite_subset")
 )
@@ -655,11 +651,7 @@ def _matches_odd_complementary_e0(ctx: ManifoldContext) -> bool:
     s = ctx.seifert
     if s is None or not s.base_orientable:
         return False
-    return (
-        ctx.euler == 0
-        and all(a % 2 for a, _ in s.invariants)
-        and complementary_matched(s.invariants)
-    )
+    return ctx.euler == 0 and all(a % 2 for a, _ in s.invariants) and ctx.complementary
 
 
 def _matches_nonorientable_surface_bundle(ctx: ManifoldContext) -> bool:
@@ -761,13 +753,9 @@ def full_report(
     only: list[str] | None = None,
     certificates: bool = False,
 ) -> ObstructionReport:
-    """Run the check table of the manifold's class and merge the results
-    with the catalog by the rule in the module docstring.  Each result
-    carries its row's name.  By default the rows stop after the first
-    refutation, so the report lists the rows that ran.  The table's
-    certificate rows join when ``certificates`` or ``only`` is set, and
-    every row then runs; ``only`` keeps the rows with those names, so
-    only the named checks run."""
+    """Run the check table of the manifold's class, the rows that the
+    module docstring's merge rule names, and merge the results with the
+    catalog by that rule; each result carries its row's name."""
     ctx = ManifoldContext(m, budget)
     table = ctx.table
     rows = table.checks + (table.certificates if certificates or only else ())

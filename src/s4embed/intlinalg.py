@@ -408,7 +408,7 @@ def cokernel(M) -> FiniteAbelianGroup:
     return FiniteAbelianGroup(tuple(d for d in diag if d >= 2), free, M, (U, D, V))
 
 
-@dataclass
+@dataclass(eq=False)
 class Subgroup:
     """Subgroup of a finite abelian group, canonically presented.
 
@@ -422,12 +422,6 @@ class Subgroup:
     generators: tuple[tuple[int, ...], ...]
     order: int
     basis: tuple[tuple[int, ...], ...]
-
-    def __eq__(self, other):
-        return isinstance(other, Subgroup) and self.basis == other.basis
-
-    def __hash__(self):
-        return hash(self.basis)
 
     @cached_property
     def factors(self) -> tuple[int, ...]:

@@ -11,29 +11,26 @@ correction-term argument filters the usable factorisations: every class
 of im A / im Q must be hit by A x with x in {-1, +1}^n.
 
 Each check takes the ``PlumbingTree`` of the form and first states the
-definiteness it needs, read off the tree's cached inertia: negative
-definite for the double-subset checks, semi-definite of corank one for
-the rectangular one.  The double-subset checks also take coker Q, the
-report's own group, on the generators ``PlumbingTree.lift`` names, and
-need it to be H + H (``undoubled``).  The orientable check also needs
-the linking form of coker Q to be hyperbolic
-(``double_subset_obstruction``): even at 2 (``odd_linking_factor``) and
-hyperbolic at each odd prime (``nonhyperbolic_part``), both read on one
-value, the form on a cyclic basis of H_1 (``linking_form``).  A report
-refutes the check on any of these grounds with no tree, on H_1.  No
-check builds a dense form.  Each check filters and pairs the
-factorisations inside the search, as the search finds them
+definiteness it needs, read off the tree's cached inertia.  The
+double-subset checks also take coker Q on the generators
+``PlumbingTree.lift`` names, and need it to be H + H (``undoubled``);
+the orientable one also needs its linking form hyperbolic
+(``double_subset_obstruction``), at 2 (``odd_linking_factor``) and at
+each odd prime (``nonhyperbolic_part``), read on one value
+(``linking_form``).  A report refutes the check on these grounds with
+no tree, on H_1.  No check builds a dense form.  Each check filters and
+pairs the factorisations as the search finds them
 (``enumerate_subsets(..., until=...)``), and stops at its first witness,
-which a pass cites.  Every verdict of
-"obstructed" is backed by a provably completed search, by the invariant
-factors of coker Q or by its linking form; budget exhaustion downgrades
-to "inconclusive" instead, whose note gives the nodes the search used
-and the subsets it found.
+which a pass cites.  Every verdict of "obstructed" is backed by a
+provably completed search, by the invariant factors of coker Q or by
+its linking form; budget exhaustion downgrades to "inconclusive"
+instead, whose note gives the nodes the search used and the subsets it
+found.
 
-Where a chain forest pairs into mirrors, the witness pair is built, not
-searched for: ``mirror_chain_pair`` gives the blow-up argument for its
-factorisations, and ``built_double_subset`` the graph-of-phi argument
-for its column subgroups.
+Where a chain forest pairs into mirrors, or an e = 0 star's legs into
+complements, the witness is built, not searched for: ``blown_up_pairs``
+gives the blow-up argument for its rows, and ``built_pass`` the
+graph-of-phi argument for a pair's column subgroups.
 """
 
 from __future__ import annotations
@@ -409,36 +406,45 @@ def _chain_value(seq) -> tuple[int, int]:
     return p, q
 
 
-def mirror_chain_pair(layout) -> tuple[tuple[tuple[int, ...], ...], ...]:
+def blown_up_pairs(layout, hub: bool = False) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Dense rows of A and A', row i on vertex i of ``layout``
     (``plumbing.chain_layout``), with A A^t = A' A'^t = -Q for a chain
     forest, a lens sum's or the legs over a non-orientable base, whose
     chains pair into mirrors L(p, q), L(p, p - q); ValueError if they do
     not.
 
-    Chains are paired in layout order, each with the first unpaired chain
-    of its mirror class before it, so a self-mirror class (q^2 = -1 mod p)
-    pairs with a second copy of itself.  The expansions p/q = [c_1, ...,
-    c_s] and p/(p - q) = [d_1, ..., d_t] are Riemenschneider dual (Math.
-    Ann. 209, 1974), so the chain [c_s, ..., c_1, 1, d_1, ..., d_t] blows
-    down to (0), and ``blown_up_chain`` gives it rows through s + t
-    coordinates of the pair's own.  Read from the pair's first chain, in
-    layout order, its value is p/q; its partner is read forward if its
-    value is p/(p - q), else backward (p/q^-1 reverses the expansion).
-    The centre row is dropped, and the two chains meet in no entry of Q,
-    so the rows factor -Q.  A' negates the rows of each pair's second
-    chain, which changes no entry of A A^t."""
+    Chains are paired in layout order, each with an unpaired chain of its
+    mirror class before it, so a self-mirror class (q^2 = -1 mod p) pairs
+    with a second copy of itself.  The expansions p/q = [c_1, ..., c_s]
+    and p/(p - q) = [d_1, ..., d_t] are Riemenschneider dual (Math. Ann.
+    209, 1974), so the chain [c_s, ..., c_1, 1, d_1, ..., d_t] blows down
+    to (0), and ``blown_up_chain`` gives it rows through s + t coordinates
+    of the pair's own.  The pair's first chain, in layout order, reads
+    p/q; its partner is read forward if it reads p/(p - q), else backward
+    (p/q^-1 reverses the expansion).  The centre row is dropped, and the
+    two chains meet in no entry of Q, so the rows factor -Q.  A' negates
+    the rows of each pair's second chain, which changes no entry of A A^t.
+
+    With ``hub``, for the star of an e = 0 space, the layout holds its
+    legs read from the hub outward (``chain_layout(ends, hub=True)``),
+    behind a hub row 0, and A alone is returned.  A leg cannot be
+    reversed, so it pairs with the exact complement p/(p - q), read
+    forward.  Each centre vertex meets the two innermost leg vertices as
+    the hub does, so the centre rows, on disjoint coordinates, sum to the
+    hub row, of norm k for k pairs: the hub's -Q weight, as e = 0 and
+    q/a + (a - q)/a = 1.  So A A^t = -Q through n - 1 columns for n
+    vertices; A' would meet the hub in +1."""
     weights = [c for seq, _ in layout for c in seq]
-    A = [[0] * len(weights) for _ in weights]
-    A2 = [[0] * len(weights) for _ in weights]
+    A = [[0] * len(weights) for _ in range(hub + len(weights))]
+    A2 = [[0] * len(weights) for _ in range(hub + len(weights))]
     waiting: dict[tuple, list] = {}
     start = offset = 0
     for seq, _ in layout:
         chain = range(start, start + len(seq))
         start += len(seq)
         p, q = _chain_value(seq)
-        cls = (p, min(q, pow(q, -1, p)))
-        mirror = (p, min(p - q, pow(p - q, -1, p)))
+        # a leg keeps its value; a chain's reversal reads p/q^-1
+        cls, mirror = ((p, x if hub else min(x, pow(x, -1, p))) for x in (q, p - q))
         if not waiting.get(mirror):
             waiting.setdefault(cls, []).append((chain, q))
             continue
@@ -447,14 +453,15 @@ def mirror_chain_pair(layout) -> tuple[tuple[tuple[int, ...], ...], ...]:
         order = [*first[::-1], -1, *second]  # -1 marks the centre
         rows = blown_up_chain([1 if v < 0 else weights[v] for v in order])
         for v, row in zip(order, rows):
-            if v >= 0:
+            if v >= 0 or hub:  # row -1 + hub: the centre's row lands on the hub's
                 sign = -1 if v in chain else 1
                 for t, x in row.items():
-                    A[v][offset + t], A2[v][offset + t] = x, sign * x
+                    A[v + hub][offset + t], A2[v + hub][offset + t] = x, sign * x
         offset += len(order) - 1
     if any(waiting.values()):
         raise ValueError("the chains do not pair into mirrors")
-    return tuple(map(tuple, A)), tuple(map(tuple, A2))
+    A, A2 = tuple(map(tuple, A)), tuple(map(tuple, A2))
+    return (A,) if hub else (A, A2)
 
 
 # past this many rows a certificate row of a chain forest builds no plumbing
@@ -467,21 +474,24 @@ _PASSED = {
 }
 
 
-def built_double_subset(name: str, ends, group: FiniteAbelianGroup) -> ObstructionResult:
-    """The pass of check ``name`` on a chain forest whose chains pair into
-    mirrors, from its chain ends (q, a) and its coker Q, ``group``, with
-    no search and no plumbing read: the pair A, A' of
-    ``mirror_chain_pair``, laid out by ``chain_layout`` as either side's
-    tree is, as the two sides have the same chains.  Past PRINTED_ROWS
-    rows, the sum of chain_length(a, q), it is summarised, not built.
+def built_pass(name: str, ends, group: FiniteAbelianGroup | None = None) -> ObstructionResult:
+    """The pass of check ``name`` from the chain ends (q, a), built with no
+    search and no plumbing read: the rows of ``blown_up_pairs``, laid out
+    by ``chain_layout`` as either side's tree is, as the two sides have
+    the same chains.  Past PRINTED_ROWS rows, the sum of chain_length(a,
+    q) and one for a hub, they are summarised, not built.  With no
+    ``group``, the rows A of an e = 0 star's complementary legs pass
+    semidefinite_subset.
 
-    On each pair's block, H = im A / im Q is the graph of an isomorphism
-    phi from the first chain's Z/a to the second's, and H', its second
-    chain negated, the graph of -phi.  So H and H' are isomorphic to the
-    sum of the pairs' Z/a_j, each taken once: G's factors taken once, of
-    order sqrt |G|, and each doubles to G, the sum of the (Z/a_j)^2.  The
-    result cites that type, with no subgroup built.  H meet H' is
-    {x : 2 phi(x) = 0}, of order 2^(number of pairs with a_j even), so:
+    Else ``group`` is coker Q of a chain forest whose chains pair into
+    mirrors, and it cites the pair A, A'.  On each pair's block, H = im A
+    / im Q is the graph of an isomorphism phi from the first chain's Z/a
+    to the second's, and H', its second chain negated, the graph of -phi.
+    So H and H' are isomorphic to the sum of the pairs' Z/a_j, each taken
+    once: G's factors taken once, of order sqrt |G|, and each doubles to
+    G, the sum of the (Z/a_j)^2.  The result cites that type, with no
+    subgroup built.  H meet H' is {x : 2 phi(x) = 0}, of order
+    2^(number of pairs with a_j even), so:
 
     - double_subset, a lens sum whose summands pair into mirrors: H + H'
       = G iff every p is odd, the lens-sum theorem's condition, and H and
@@ -495,15 +505,21 @@ def built_double_subset(name: str, ends, group: FiniteAbelianGroup) -> Obstructi
     Nothing of this is checked at run time: the tests check the
     factorisations, the correction-term filter, the split, the doubling
     and the meet on random and recorded forests."""
-    # H, each half of G = H + H: G.factors doubles H's, and |H|^2 = |G|
-    H = {"subgroup_factors": list(group.factors[1::2]), "order": math.isqrt(group.order)}
-    built = f"{_PASSED[name]}, by a pair built from the mirror chains"
-    rows = sum(chain_length(a, q % a) for q, a in ends)
+    hub = group is None
+    if hub:
+        built = "-Q factors through one fewer column, by rows built from the complementary legs"
+        halves = []
+    else:
+        built = f"{_PASSED[name]}, by a pair built from the mirror chains"
+        # H, each half of G = H + H: G.factors doubles H's, and |H|^2 = |G|
+        H = {"subgroup_factors": list(group.factors[1::2]), "order": math.isqrt(group.order)}
+        halves = [(H, H)]
+    rows = hub + sum(chain_length(a, q % a) for q, a in ends)
     if rows > PRINTED_ROWS:
         notes = f"{built}; its {rows} rows, past {PRINTED_ROWS}, are neither built nor printed"
-        return ObstructionResult(name, "pass", [(H, H)], notes)
-    pair = tuple(map(LatticeSubset, mirror_chain_pair(chain_layout(ends))))
-    return ObstructionResult(name, "pass", [pair, (H, H)], built)
+        return ObstructionResult(name, "pass", halves, notes)
+    A = tuple(map(LatticeSubset, blown_up_pairs(chain_layout(ends, hub), hub)))
+    return ObstructionResult(name, "pass", [A[0] if hub else A, *halves], built)
 
 
 def _exhausted(res: SubsetSearchResult) -> str:

@@ -29,9 +29,10 @@ only by reversed chains or permuted chains or legs are one
 search breaks its ties by vertex index, so this order also fixes where
 it starts: at the first vertex of the largest weight.  Row i of a
 subset certificate is vertex i of the plumbing its search ran on.
-``chain_layout`` states this order once, for its two readers: ``_chains``
-lays out every plumbing, and ``obstructions.mirror_chain_pair`` a lens
-sum's built pair, with no plumbing, so its row i is the tree's vertex i.
+``chain_layout`` states this order once, for its three readers:
+``_chains`` lays out every plumbing, and ``obstructions.built_pass`` a
+chain forest's built pair and an e = 0 star's built rows, with no
+plumbing, so their row i is the tree's vertex i.
 """
 
 from __future__ import annotations

@@ -449,11 +449,8 @@ def test_lens_sums_search_only_for_certificates(monkeypatch):
     [
         # two pairs of even a: the pair is searched for, not built
         ("seifert(N(1); 0; (2,1),(2,1),(2,1),(2,1))", "nonorientable_double_subset"),
-        ("pretzel(2,-2,3,-3)", "semidefinite_subset"),
-        ("pretzel(2,-2,2,-2)", "semidefinite_subset"),
-        ("seifert(S2; 0; (3,1),(3,-1),(5,2),(5,-2))", "semidefinite_subset"),
-        # no fibres: the star is its hub alone, one row a side
-        ("seifert(O(1); 0; )", "semidefinite_subset"),
+        ("seifert(N(2); 0; (2,1),(2,1),(2,1),(2,1))", "nonorientable_double_subset"),
+        ("seifert(N(1); 0; (4,1),(4,-1),(4,1),(4,-1))", "nonorientable_double_subset"),
     ],
 )
 def test_mirror_row_on_the_same_tree_shares_its_twins_search(monkeypatch, text, twins):
@@ -487,6 +484,9 @@ def test_sides_with_different_trees_run_two_searches(monkeypatch):
         "seifert(N(1); 0; (5,2),(5,-3))",
         # weak pairs with two pairs of even a search
         "seifert(N(1); 0; (4,1),(4,-1),(2,1),(2,1))",
+        # two self-mirror classes, L(65,8) and L(65,18), once each: the rule
+        # fails, and the mirror row shares the search that refutes the twin
+        "lens(65,8)+lens(65,18)",
     ],
 )
 def test_sides_with_isomorphic_plumbings_run_one_search(monkeypatch, text):
@@ -494,7 +494,7 @@ def test_sides_with_isomorphic_plumbings_run_one_search(monkeypatch, text):
     mirror row shares its twin's search; on an embeddable lens sum, and
     on weak-paired legs with at most one pair of even a, both rows read
     the one built pair."""
-    searched = count_searches(monkeypatch, "built_double_subset")
+    searched = count_searches(monkeypatch, "built_pass")
     full_report(parse_manifold(text), certificates=True)
     assert len(searched) == 1
 
@@ -641,9 +641,13 @@ def test_catalog_consistency():
         (PretzelCover([3, 5, 7]), 1),
         (PretzelCover([-3, -5, -7]), 1),
         (SeifertManifold(True, 0, 0, [(3, 1), (5, 1), (7, 1)]), 1),
-        # e = 0: the '+' side serves mu-bar and semidefinite_subset, and the
-        # mirror search builds the '-' side once
-        (PretzelCover([2, -2, 2, -2]), 2),
+        # e = 0, refuted by complementary_pairs: the '+' side serves mu-bar
+        # and semidefinite_subset, and the mirror search builds the '-' side
+        # once
+        (PretzelCover([-2, 3, 6]), 2),
+        # e = 0 complementary pairs: the semidefinite rows are built, so only
+        # mu-bar reads a side
+        (PretzelCover([2, -2, 2, -2]), 1),
     ],
 )
 def test_report_builds_each_side_once(monkeypatch, manifold, builds):
@@ -671,7 +675,9 @@ def test_report_builds_each_side_once(monkeypatch, manifold, builds):
 )
 def test_mirror_star_equal_to_its_twin_takes_one_inertia(monkeypatch, text):
     """e = 0 complementary pairs: the two sides' stars are one tree, and
-    the second side takes it before its definiteness check."""
+    the second side takes it before its definiteness check.  A report
+    reads at most the '+' side, as both semidefinite rows are built, so
+    the context's trees are read here."""
     taken = []
 
     def counted(weights, neighbours):
@@ -680,7 +686,8 @@ def test_mirror_star_equal_to_its_twin_takes_one_inertia(monkeypatch, text):
 
     inertia = intlinalg.signature_triple
     monkeypatch.setattr(intlinalg, "signature_triple", counted)
-    full_report(parse_manifold(text), certificates=True)
+    ctx = ManifoldContext(parse_manifold(text))
+    assert ctx.tree("+") is ctx.tree("-")
     assert len(taken) == 1
 
 

@@ -1,9 +1,8 @@
 import itertools
 import math
 import random
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import replace
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -71,7 +70,7 @@ def test_double_subset_l31_l32_passes():
     assert res.verdict == "pass"
     (A1, A2), (H1, H2) = res.certificates
     assert H1.order == H2.order == 3
-    assert H1 != H2
+    assert H1.basis != H2.basis
 
 
 def test_double_subset_l21_l21_obstructed():
@@ -151,44 +150,6 @@ def test_semidefinite_examples():
         semidefinite_obstruction(PlumbingTree((-2,), ()))
 
 
-def complementary_witness(tree: PlumbingTree) -> list[list[int]]:
-    """A with A A^t = -Q through tree.size - 1 columns, for the star of an
-    e = 0 space whose legs pair into complements a/q, a/(a - q), built
-    from the pairing with no search (the proof at
-    ``classify.ORIENTABLE_E0``).  Each pair's chain (one leg reversed, a
-    -1 vertex, its partner) is blown up from (0) on coordinates of its
-    own, and the hub's row is the sum of the chains' centre rows."""
-    adj = tree.neighbours
-    legs = defaultdict(list)  # a/q -> legs, each read from the hub outward
-    for v in adj[0]:
-        prev, leg = 0, [v]
-        while len(adj[leg[-1]]) == 2:
-            (nxt,) = (u for u in adj[leg[-1]] if u != prev)
-            prev = leg[-1]
-            leg.append(nxt)
-        value = Fraction(-tree.weights[leg[-1]])  # a/q = [c_1, ..., c_s], c = -weight
-        for u in reversed(leg[:-1]):
-            value = -tree.weights[u] - 1 / value
-        legs[value].append(leg)
-    chains = []
-    for value in sorted(legs):
-        while legs[value]:
-            leg = legs[value].pop()
-            a, q = value.numerator, value.denominator
-            partner = legs[Fraction(a, a - q)].pop()
-            chains.append(leg[::-1] + [0] + partner)  # 0 marks the centre
-    width = sum(len(chain) - 1 for chain in chains)
-    A = [[0] * width for _ in range(tree.size)]
-    offset = 0
-    for chain in chains:
-        local = blown_up_chain([1 if v == 0 else -tree.weights[v] for v in chain])
-        for v, row in zip(chain, local):
-            for t, x in row.items():
-                A[v][offset + t] += x  # the centre rows add up on the hub
-        offset += len(chain) - 1
-    return A
-
-
 def random_complementary_spaces(rng: random.Random, count: int) -> list[SeifertManifold]:
     """Seifert spaces over O(g), g <= 2, with 2 to 4 complementary pairs
     (a, b), (a, -b) of a <= 13, each fibre shifted by a random multiple of
@@ -210,39 +171,51 @@ def test_complementary_pairs_build_a_semidefinite_witness():
     """Where complementary_pairs passes, either side's star factors as
     A A^t = -Q through n - 1 columns with no search, so neither
     semidefinite row can refute what complementary_pairs passes; this is
-    why they are certificates of ``ORIENTABLE_E0``.  The witness is
+    why they are certificates of ``ORIENTABLE_E0``.  The rows that
+    ``built_pair`` cites (``obstructions.blown_up_pairs`` with a hub) are
     checked against the dense form, and the search passes on the same
     tree, on both sides of every e = 0 space of the S7 sweep whose fibres
-    pair up (S5's spaces have three fibres, so none does) and of a seeded
-    random sample."""
+    pair up (S5's spaces have three fibres, so none does), of a seeded
+    random sample and of the fibreless stars over O(1) and O(2), each its
+    hub alone with one empty row.  The two sides' stars are one tree."""
     s7 = [y for y in sweep_s7() if euler_invariant(y) == 0 and complementary_matched(y.invariants)]
     sample = random_complementary_spaces(random.Random(27), 150)
     assert len(s7) == 45
-    for y in s7 + sample:
+    for y in s7 + sample + [SeifertManifold(True, g, 0, []) for g in (1, 2)]:
         ctx = ManifoldContext(y)
         assert ctx.table is ORIENTABLE_E0 and ctx.euler == 0, y.describe()
-        assert complementary_matched(y.invariants), y.describe()
+        assert ctx.complementary, y.describe()
+        built = ctx.built_pair
+        assert (built.name, built.verdict) == ("semidefinite_subset", "pass"), y.describe()
+        (A,) = built.certificates
+        assert ctx.tree("+") is ctx.tree("-"), y.describe()
         for side in "+-":
             tree = ctx.tree(side)
-            A = complementary_witness(tree)
-            assert len(A[0]) == tree.size - 1, (y.describe(), side)
+            assert len(A.rows[0]) == tree.size - 1, (y.describe(), side)
             assert verify_factorization(A, dense(tree)), (y.describe(), side)
             assert semidefinite_obstruction(tree).verdict == "pass", (y.describe(), side)
 
 
 def test_e0_report_runs_its_searches_only_as_certificates(monkeypatch):
-    """A default e = 0 report starts no lattice search; with certificates,
-    or with a semidefinite row named, the search runs and passes."""
+    """A default e = 0 report starts no lattice search.  Where the fibres
+    pair into complements, the semidefinite rows pass with rows built
+    with no search, even with certificates or a row named; where
+    complementary_pairs refutes the space, a named row searches."""
     searches = counted_searches(monkeypatch)
     y = parse_manifold("seifert(S2; 0; (3,1),(3,-1),(5,2),(5,-2))")
     report = full_report(y)
     assert [r.name for r in report.results] == ["torsion_square", "complementary_pairs"]
     assert (searches, report.status) == ([], "EMBEDS")
     for kwargs in ({"certificates": True}, {"only": ["semidefinite_subset_mirror"]}):
-        searches.clear()
         report = full_report(y, **kwargs)
         mirror = result(report, "semidefinite_subset_mirror")
-        assert (len(searches), mirror.verdict, report.status) == (1, "pass", "EMBEDS"), kwargs
+        assert (searches, mirror.verdict, report.status) == ([], "pass", "EMBEDS"), kwargs
+    refuted = parse_manifold("pretzel(-2,3,6)")
+    report = full_report(refuted)
+    assert result(report, "complementary_pairs").obstructed and searches == []
+    report = full_report(refuted, only=["semidefinite_subset_mirror"])
+    mirror = result(report, "semidefinite_subset_mirror")
+    assert (len(searches), mirror.verdict) == (1, "pass")
 
 
 def test_nonorientable_examples():
@@ -619,7 +592,7 @@ def certificate_fault(check: str, result, tree, group) -> str | None:
                for H, C in zip((H1, H2), columns)):
             return "the cited halves are not the column subgroups of the rows"
         H1, H2 = columns
-    elif columns != (H1, H2):
+    elif [C.basis for C in columns] != [H1.basis, H2.basis]:
         return "subgroups are not the column subgroups of the rows"
     is_direct, _, meet = direct_sum_test(G, H1, H2)
     if check == "double_subset":
@@ -647,9 +620,10 @@ def streaming_faults(m, tally: Counter) -> list[str]:
     invariant factors of coker Q, and under (check, "odd linking form")
     and (check, "nonhyperbolic linking form") those it refuted by the
     linking form at 2 or at an odd prime, all with no search; there the
-    full search must say "obstructed" too.  A built pair, a lens sum's or
-    that of legs in weak complements, is checked as a streamed pass is,
-    and counted under (check, "built")."""
+    full search must say "obstructed" too.  A built pass, a lens sum's
+    pair, that of legs in weak complements or the rows of complementary
+    legs at e = 0, is checked as a streamed pass is, and counted under
+    (check, "built")."""
     ctx = ManifoldContext(m)
     report = full_report(m, certificates=True)
     faults = []
@@ -676,7 +650,7 @@ def streaming_faults(m, tally: Counter) -> list[str]:
                 faults.append(f"{m.describe()} {r.name}: {r.notes} vs {verdict} ({notes})")
             continue
         if "perfect square" not in notes:
-            tally[check, "built" if "pair built" in r.notes else verdict] += 1
+            tally[check, "built" if " built from " in r.notes else verdict] += 1
         if r.verdict != verdict or (verdict != "pass" and r.notes != notes):
             streamed = f"{r.verdict} ({r.notes})"
             faults.append(f"{m.describe()} {r.name}: {streamed} vs {verdict} ({notes})")
@@ -718,12 +692,13 @@ def test_streamed_checks_match_full_enumeration_on_pretzels():
 
 def test_streamed_checks_match_full_enumeration_on_complementary_pairs():
     """Two complementary fibre pairs over S^2 give e = 0, so the
-    semidefinite checks run, and pass, on both sides."""
+    semidefinite rows pass on both sides with built rows, which the full
+    search must confirm."""
     tally = Counter()
     for pairs in itertools.combinations_with_replacement(SMALL_FIBRES, 2):
         y = SeifertManifold(True, 0, 0, [*pairs, *((a, -b) for a, b in pairs)])
         assert streaming_faults(y, tally) == []
-    assert tally == {("semidefinite_subset", "pass"): 90}
+    assert tally == {("semidefinite_subset", "built"): 90}
 
 
 def test_streamed_checks_match_full_enumeration_on_nonorientable_bases():
@@ -848,7 +823,7 @@ def built_pair_fault(m: LensSum) -> str | None:
     layout against the real plumbing."""
     ctx = ManifoldContext(m)
     group = ctx.homology[1]
-    result = obstructions.built_double_subset("double_subset", chain_ends(m)[1], group)
+    result = obstructions.built_pass("double_subset", chain_ends(m)[1], group)
     (A1, A2), (half, _) = result.certificates
     for side in "+-":
         Q = dense(ctx.tree(side))
@@ -951,7 +926,7 @@ def test_built_pairs_of_weak_pairs_double_and_meet_in_two_per_even_pair():
         group = ctx.coker
         even_pairs = sum(a % 2 == 0 for a, _ in y.invariants) // 2
         name = "nonorientable_double_subset"
-        result = obstructions.built_double_subset(name, ctx.forest, group)
+        result = obstructions.built_pass(name, ctx.forest, group)
         (A1, A2), (half, _) = result.certificates
         for side in "+-":
             tree = plumbing_tree(y, side)
