@@ -453,7 +453,7 @@ def blown_up_pairs(layout, hub: bool = False) -> tuple[tuple[tuple[int, ...], ..
         order = [*first[::-1], -1, *second]  # -1 marks the centre
         rows = blown_up_chain([1 if v < 0 else weights[v] for v in order])
         for v, row in zip(order, rows):
-            if v >= 0 or hub:  # row -1 + hub: the centre's row lands on the hub's
+            if v >= 0 or hub:  # with a hub, the centre's row -1 lands on row 0
                 sign = -1 if v in chain else 1
                 for t, x in row.items():
                     A[v + hub][offset + t], A2[v + hub][offset + t] = x, sign * x
@@ -464,7 +464,7 @@ def blown_up_pairs(layout, hub: bool = False) -> tuple[tuple[tuple[int, ...], ..
     return (A,) if hub else (A, A2)
 
 
-# past this many rows a certificate row of a chain forest builds no plumbing
+# past this many rows a certificate row builds no plumbing
 PRINTED_ROWS = 1000
 
 # each check's note on a pass, found or built
