@@ -251,7 +251,9 @@ class ManifoldContext:
         builds no plumbing: a long chain would cost more than the whole
         report.  For a lens sum, and over an orientable base with e != 0,
         the torsion is coker Q of each definite plumbing (Neumann, Trans.
-        AMS 268, 1981)."""
+        AMS 268, 1981).  Its factors are read in closed form there, and
+        its Smith form is taken only if a row reads its generators or
+        projects onto it (``chain_group``)."""
         return first_homology(self.seifert or self.manifold)
 
     @cached_property
@@ -273,7 +275,9 @@ class ManifoldContext:
         """coker Q of either side's form, which a searched row's search
         projects onto through ``PlumbingTree.lift``: the torsion of H_1;
         over a non-orientable base the legs' group, the sum of the Z/a_k
-        on their ends (``chain_group``), or None with no legs."""
+        on their ends (``chain_group``), or None with no legs.  Every
+        side's copy shares the group's one Smith form, taken at the
+        first projection."""
         if self.table is NONORIENTABLE:
             return chain_group(None, self.forest) if self.forest else None
         return self.homology[1]

@@ -6,9 +6,12 @@ Everything runs on Python's arbitrary-precision integers; group orders
 of plumbings outgrow machine words as soon as legs get long, and none
 of these questions tolerate rounding.
 
-A group is built by ``cokernel`` from one Smith form U M V = D of its
-relation matrix M, which it keeps and reads for its factors, torsion
-coordinates and generators.
+A group holds its invariant factors and, for its torsion coordinates
+and generators, a relation matrix M and its Smith form U M V = D.
+``cokernel`` reads the factors off that Smith form, taken at once; a
+group whose factors are known in closed form
+(``manifolds.chain_group``) builds M and takes its Smith form only when
+its coordinates or generators are first read, and never otherwise.
 
 Subgroup questions are answered, in integers only, from the Hermite
 basis of the lift lattice (generators plus relations) in Z^m: the order
@@ -38,6 +41,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mod
+from typing import Callable
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +97,8 @@ def smith_normal_form(M) -> tuple[list[list[int]], list[list[int]], list[list[in
     remainder smaller than the pivot in row or column t, at once or
     after the row is added, so the least |entry| of the block falls.
 
-    D is unique; U and V are one choice among many.  ``cokernel`` takes
-    the one Smith form of each group, and the group reads all three
+    D is unique; U and V are one choice among many.  A group takes at
+    most one Smith form (``FiniteAbelianGroup``), and reads all three
     matrices, but only through what depends on no basis: the subgroups
     that U's torsion rows project onto, and the factor that
     ``obstructions.odd_linking_factor`` names from the generators in V.
@@ -330,27 +334,38 @@ def signature_triple(diag, neighbours) -> tuple[int, int, int]:
 
 @dataclass
 class FiniteAbelianGroup:
-    """Z^n / im(M) in invariant-factor coordinates, built by ``cokernel``.
+    """Z^n / im(M) in invariant-factor coordinates.
 
     ``factors`` is the chain d1 | d2 | ... with every di >= 2; the group
-    is the direct sum of Z/di plus ``free_rank`` copies of Z.  The group
-    keeps the one Smith form U M V = D it was read from: U carries
-    ambient integer vectors, the columns of a matrix, onto the torsion
-    coordinates (``project_columns``), and M V / D gives the generators.
+    is the direct sum of Z/di plus ``free_rank`` copies of Z.
+    ``relations()`` builds M, whose one Smith form U M V = D gives the
+    coordinates: U carries ambient integer vectors, the columns of a
+    matrix, onto the torsion coordinates (``project_columns``), and
+    M V / D gives the generators.  M is built and its Smith form taken
+    on the first read of either, and every copy ``dataclasses.replace``
+    makes shares that one form; ``cokernel`` hands its own over.
     ``lift`` writes ambient coordinate i as m times generator k, for
     (k, m) = lift[i], as ``PlumbingTree.lift`` does; () is the identity.
     """
 
     factors: tuple[int, ...]
     free_rank: int
-    _relations: list = field(repr=False)  # M
-    _smith: tuple = field(repr=False)  # (U, D, V)
+    relations: Callable[[], list] = field(repr=False)  # () -> M
     lift: tuple[tuple[int, int], ...] = field(default=(), repr=False)
+    _smith: list = field(default_factory=list, repr=False)  # [(M, U, D, V)] once taken
+
+    @property
+    def _form(self) -> tuple:
+        """(M, U, D, V), taken on first read and kept for every copy."""
+        if not self._smith:
+            M = self.relations()
+            self._smith.append((M, *smith_normal_form(M)))
+        return self._smith[0]
 
     @cached_property
     def _torsion_rows(self) -> tuple[tuple[int, ...], ...]:
         """Torsion rows of U, through the lift, taken when the group first projects."""
-        U, D, _ = self._smith
+        _, U, D, _ = self._form
         rows = [(U[i], D[i][i]) for i in range(len(U)) if i < len(D[i]) and D[i][i] >= 2]
         lift = self.lift or [(k, 1) for k in range(len(U))]
         return tuple(tuple(u[k] * m % d for k, m in lift) for u, d in rows)
@@ -361,7 +376,7 @@ class FiniteAbelianGroup:
         the presentation's generators (the rows of M): column i of U^-1 for
         the torsion row i of U M V = D.  As M V = U^-1 D, that is column i
         of M V divided by D[i][i]."""
-        M, (_, D, V) = self._relations, self._smith
+        M, _, D, V = self._form
         return tuple(
             tuple(sum(a * v[i] for a, v in zip(row, V)) // D[i][i] for row in M)
             for i in range(min(len(D), len(V)))
@@ -405,7 +420,25 @@ def cokernel(M) -> FiniteAbelianGroup:
     U, D, V = smith_normal_form(M)
     diag = [D[i][i] for i in range(min(len(D), len(V)))]
     free = len(M) - sum(map(bool, diag))
-    return FiniteAbelianGroup(tuple(d for d in diag if d >= 2), free, M, (U, D, V))
+    factors = tuple(d for d in diag if d >= 2)
+    return FiniteAbelianGroup(factors, free, lambda: M, _smith=[(M, U, D, V)])
+
+
+def cyclic_sum_factors(orders) -> list[int]:
+    """The invariant factors e_1 | ... | e_n of the sum of the Z/a over n
+    orders a >= 0, ones kept, with 0 for a free Z at the top.  Each a is
+    merged into the chain of those before it from the bottom up: Z/d + Z/c
+    is Z/gcd(d, c) + Z/lcm(d, c), so d gives way to gcd(d, c), which
+    divides d and c and so the next d and the next carried lcm, and the
+    lcm is carried on.  Once c divides d the rest of the chain moves up
+    one place unchanged, so c is inserted there."""
+    chain: list[int] = []
+    for c in orders:
+        i = 0
+        while i < len(chain) and (g := math.gcd(chain[i], c)) != c:
+            chain[i], c, i = g, chain[i] // g * c, i + 1
+        chain.insert(i, c)
+    return chain
 
 
 @dataclass(eq=False)

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .intlinalg import FiniteAbelianGroup, cokernel
+from .intlinalg import FiniteAbelianGroup, cokernel, cyclic_sum_factors
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +143,17 @@ class SeifertManifold:
         return f"seifert({base}; {self.r}; {pairs})"
 
 
+def euler_times(hub: int, ends) -> tuple[int, int]:
+    """(E, P) for a hub of weight w and chain ends (q_k, a_k)
+    (``chain_ends``): P = prod a_k and E = -w P - sum q_k P / a_k, so
+    that e = E / P, in integers."""
+    P = math.prod(a for _, a in ends)
+    return -hub * P - sum(q * (P // a) for q, a in ends), P
+
+
 def euler_invariant(m: SeifertManifold) -> Fraction:
     """e(Y) = sum b_i/a_i - r, an invariant of the unnormalised data."""
-    return sum((Fraction(b, a) for a, b in m.invariants), Fraction(0)) - m.r
+    return Fraction(*euler_times(m.r, [(-b, a) for a, b in m.invariants]))
 
 
 def normalize_seifert(m: SeifertManifold) -> SeifertManifold:
@@ -247,24 +255,65 @@ def chain_group(hub: int | None, ends) -> FiniteAbelianGroup:
     """coker Q of a plumbing, presented n x n on its n chain ends g_k
     (``chain_ends``): a_k g_k = 0 with no hub; with one, whose class is
     a_0 g_0, a_k g_k = a_0 g_0 for k >= 1 and (w a_0 + q_0) g_0 + sum over
-    k >= 1 of q_k g_k = 0.  ``PlumbingTree.lift`` writes vertices in the g_k."""
+    k >= 1 of q_k g_k = 0.  ``PlumbingTree.lift`` writes vertices in the g_k.
+
+    The factors are read in closed form, and the presentation is built
+    and reduced only when the group's coordinates are read.  Let
+    e_1 | ... | e_n be those of the sum of the Z/|a_k|, ones kept
+    (``cyclic_sum_factors``).  With no hub that sum is the group.  With
+    one, and (E, P) = ``euler_times(w, ends)``, the group is
+    Z/e_1 + ... + Z/e_(n-2) + Z/(|E| / (e_1 ... e_(n-2))), or the first
+    n - 2 of these plus Z when E = 0.
+
+    Proof, prime by prime: over Z localised at l, take h = a_0 g_0 as a
+    generator with a_k g_k = h for every k and w h + sum q_k g_k = 0, and
+    the leg k* of largest l-valuation v(a_k*).  If l does not divide
+    a_k*, every g_k is a unit times h and the l-part is cyclic.  Else
+    q_k* is a unit, as gcd(q_k, a_k) = 1, so leg k*'s relation solves for
+    h, and then the hub relation's coefficient w a_k* + q_k* on g_k* is a
+    unit, so it solves for g_k*.  What is left on the other g_k is
+    R = diag(a_k) + a_k* 1 u^t, with u_k a unit multiple of q_k.  A
+    k-minor of R is nonzero only on rows and columns that share all but
+    at most one index, and is then a sum of integer multiples of products
+    of k distinct a's, with a_k* the largest, so its valuation is at
+    least s_k, the sum of the k least valuations v_1 <= v_2 <= ....  Some
+    minor attains s_k: if v_k < v(a_k*), the principal minor on the k
+    least does, as each term with a_k* in it has a higher valuation;
+    if v_k = v(a_k*) > 0, the one on the k - 1 least with one more row i
+    and another column j does, as it is a unit times a_k* u_j times the
+    k - 1 least a's, and at least n - k >= 2 legs of valuation v(a_k*)
+    are left for k <= n - 2, each with q a unit.  So the first n - 2
+    determinantal divisors of R are l^s_k, and the (n - 1)-th is
+    det R; the l-parts of the e_k are l^v_k, and the group's order is
+    |E| = |e| prod a_k (``torsion_order``), or it is infinite when
+    E = 0 and R is singular."""
     n = len(ends)
-    if hub is None:
-        rows = [[a * (i == j) for j in range(n)] for i, (_, a) in enumerate(ends)]
-    else:  # a row per g_k, a column per relation
-        (q0, a0), *legs = ends
+    factors = cyclic_sum_factors(abs(a) for _, a in ends)
+    free = factors.count(0)
+    if hub is not None:
+        E = abs(euler_times(hub, ends)[0])
+        factors, free = factors[: max(n - 2, 0)], int(E == 0)
+        factors.append(E // math.prod(factors))
+
+    def relations() -> list[list[int]]:
+        if hub is None:
+            return [[a * (i == j) for j in range(n)] for i, (_, a) in enumerate(ends)]
+        (q0, a0), *legs = ends  # a row per g_k, a column per relation
         rows = [[-a0] * (n - 1) + [hub * a0 + q0]]
-        rows += [[a * (i == j) for j in range(n - 1)] + [q] for i, (q, a) in enumerate(legs)]
-    return cokernel(rows)
+        return rows + [[a * (i == j) for j in range(n - 1)] + [q] for i, (q, a) in enumerate(legs)]
+
+    return FiniteAbelianGroup(tuple(d for d in factors if d >= 2), free, relations)
 
 
 def first_homology(m: LensSum | SeifertManifold) -> tuple[int, FiniteAbelianGroup]:
-    """(b_1, torsion) of the manifold, from its presentation matrix; a
-    pretzel cover is read as its Seifert space (``pretzel_to_seifert``).
-    A lens sum or an orientable base is presented on its chain ends
-    (``chain_group``); genus adds free summands only, 2g over O(g), and
-    k - 1 over N(k) past its presentation on one crosscap generator
-    (``_nonorientable_presentation``)."""
+    """(b_1, torsion) of the manifold; a pretzel cover is read as its
+    Seifert space (``pretzel_to_seifert``).  A lens sum or an orientable
+    base is presented on its chain ends (``chain_group``), whose factors
+    are read in closed form, with no Smith form taken until the torsion's
+    coordinates are read; over N(k) the Smith form of the presentation
+    on one crosscap generator (``_nonorientable_presentation``) is taken
+    here.  Genus adds free summands only, 2g over O(g) and k - 1 over
+    N(k)."""
     if isinstance(m, SeifertManifold) and not m.base_orientable:
         G = cokernel(list(zip(*_nonorientable_presentation(m))))  # relations as columns
         return G.free_rank + m.genus - 1, replace(G, free_rank=0)
@@ -294,13 +343,11 @@ def torsion_order(m: Manifold) -> int:
     A genus adds free summands only."""
     if isinstance(m, LensSum):
         return math.prod(p for p, _ in m.summands)
-    if isinstance(m, PretzelCover):
-        sizes, ratios = [abs(x) for x in m.strands], [(1, x) for x in m.strands]
+    if isinstance(m, PretzelCover):  # a strand x is the end (-sign x, |x|)
+        hub, ends = 0, [(-1 if x > 0 else 1, abs(x)) for x in m.strands]
     else:
-        sizes = [a for a, _ in m.invariants]
-        ratios = [(b, a) for a, b in m.invariants] + [(-m.r, 1)]
-    fibres = math.prod(sizes)
+        hub, ends = m.r, [(-b, a) for a, b in m.invariants]
+    E, P = euler_times(hub, ends)
     if isinstance(m, SeifertManifold) and not m.base_orientable:
-        return 4 * fibres
-    e_times = sum(num * (fibres // den) for num, den in ratios)
-    return abs(e_times) or fibres // math.lcm(*sizes) ** 2
+        return 4 * P
+    return abs(E) or P // math.lcm(*(a for _, a in ends)) ** 2

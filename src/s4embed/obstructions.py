@@ -48,7 +48,7 @@ from .intlinalg import (
     subgroup_from_generators,
 )
 from .lattice import LatticeSubset, SubsetSearchResult, enumerate_subsets
-from .manifolds import chain_length
+from .manifolds import chain_length, euler_times
 from .plumbing import PlumbingTree, chain_layout
 
 
@@ -185,7 +185,8 @@ def linking_form(G: FiniteAbelianGroup, hub: int | None, ends) -> LinkingForm:
     q_k^-1 taken mod a_k.  The basis is then G's Smith generators
     f = sum c_k g_k (``FiniteAbelianGroup.generators``), and lambda(f, f')
     is -(sum of c_k / a_k)(sum of c'_k / a_k) / e - sum of
-    c_k c'_k q_k^-1 / a_k.  No Smith form is taken here."""
+    c_k c'_k q_k^-1 / a_k.  Reading them takes G's one Smith form, which
+    a search of the same group then shares; with no hub none is taken."""
     if G.order == 1:
         return LinkingForm((), (), 1)
     if hub is None:
@@ -197,9 +198,7 @@ def linking_form(G: FiniteAbelianGroup, hub: int | None, ends) -> LinkingForm:
             tuple(x if i == j else 0 for j in range(len(basis))) for i, x in enumerate(diagonal)
         )
         return LinkingForm(tuple(d for d, _, _ in basis), gram, N)
-    # lambda over the integer denominator P E, with P the product of the a_k and E = e P
-    P = math.prod(a for _, a in ends)
-    E = -hub * P - sum(q * (P // a) for q, a in ends)
+    E, P = euler_times(hub, ends)  # lambda over the integer denominator P E
     inverses = [pow(q, -1, a) for q, a in ends]
     N = G.factors[-1]
     gens = G.generators

@@ -711,20 +711,52 @@ def test_mirror_star_equal_to_its_twin_takes_one_inertia(monkeypatch, text):
     ],
 )
 def test_report_takes_each_cokernel_once(monkeypatch, manifold, groups):
-    """A report presents each group once, on chain ends or by the surgery
-    presentation, and its searches project onto that group through each
-    tree's lift: H_1, and over N(h) the legs' group as well, however many
-    sides search."""
+    """A report presents each group once, on chain ends (``chain_group``)
+    or by the surgery presentation (``cokernel``), and its searches
+    project onto that group through each tree's lift: H_1, and over N(h)
+    the legs' group as well, however many sides search."""
     taken = []
 
-    def counted(M):
-        taken.append(M)
-        return present(M)
+    def counted(present):
+        return lambda *args: taken.append(args) or present(*args)
 
-    present = manifolds.cokernel
-    monkeypatch.setattr(manifolds, "cokernel", counted)
+    for name in ("chain_group", "cokernel"):
+        monkeypatch.setattr(manifolds, name, counted(getattr(manifolds, name)))
+    monkeypatch.setattr(classify, "chain_group", manifolds.chain_group)
     full_report(manifold, certificates=True)
     assert len(taken) == groups
+
+
+@pytest.mark.parametrize(
+    "text, smith_forms",
+    [
+        # refuted by |H_1| = 71, and an e = 0 space that embeds: no row
+        # reads a generator
+        ("pretzel(3,5,7)", 0),
+        ("pretzel(2,-2,3,-3)", 0),
+        # a mirror pair, whose rows are built, and a lens sum refuted by
+        # its linking form, read on the chain ends
+        ("lens(3,1)+lens(3,2)", 0),
+        ("lens(8,3)+lens(8,3)+lens(8,5)+lens(8,5)+lens(21,8)+lens(21,13)", 0),
+        # the linking form on a star reads H_1's generators, and refutes
+        # both rows (a search's one is pinned in test_obstructions.py)
+        ("pretzel(-2,2,4)", 1),
+        # over N(h), H_1 from the surgery presentation
+        ("seifert(N(1);1;)", 1),
+        ("seifert(N(1);0;(3,1),(3,-2))", 1),
+    ],
+)
+def test_report_takes_a_smith_form_only_where_it_reads_generators(monkeypatch, text, smith_forms):
+    """A group read in closed form takes its Smith form on the first read
+    of its generators or torsion coordinates, and only then; over N(h)
+    H_1 is still read off the Smith form of its surgery presentation."""
+    taken = []
+    smith_normal_form = intlinalg.smith_normal_form
+    monkeypatch.setattr(
+        intlinalg, "smith_normal_form", lambda M: taken.append(M) or smith_normal_form(M)
+    )
+    full_report(parse_manifold(text), certificates=True)
+    assert len(taken) == smith_forms
 
 
 def test_tree_cokernel_is_the_torsion_of_first_homology():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from s4embed import classify, cli
+from s4embed import classify, cli, intlinalg
 from s4embed.classify import CHECK_NAMES, CatalogEntry, full_report
 from s4embed.cli import ParseError, main, parse_manifold
 from s4embed.manifolds import LensSum, PretzelCover, SeifertManifold
@@ -478,6 +478,34 @@ def test_torsion_check_alone_builds_no_plumbing():
     assert [(r["name"], r["verdict"]) for r in out["obstructions"]] == [
         ("torsion_square", "obstructed")
     ]
+
+
+@pytest.mark.parametrize(
+    "expr, flags, refuted_by",
+    [
+        ("seifert(S2;0;" + ",".join(["(2,1)"] * 1000) + ")", (), "torsion_square"),
+        ("seifert(S2;0;" + ",".join(["(2,1)"] * 1000) + ")", ("--certificates",), "torsion_square"),
+        ("+".join(["lens(3,1)"] * 3000), (), "lens_mirror_pairing"),
+    ],
+    ids=["fibres", "fibres-certificates", "summands"],
+)
+def test_many_fibres_or_summands_take_no_smith_form(monkeypatch, expr, flags, refuted_by):
+    """1,000 fibres (2,1) give H_1 = (Z/2)^998 + Z/2000, of order 2^1002 125,
+    not a square; 3,000 summands L(3,1) give (Z/3)^3000, and none pairs
+    into a mirror.  H_1 is read in closed form off the fibres or summands,
+    where a Smith form of the chain-end presentation would take O(n^3)
+    steps, so each is refuted well inside the limits and, in process,
+    takes no Smith form."""
+    done = run_python("-m", "s4embed.cli", expr, "--json", *flags, preexec_fn=within_limits)
+    assert done.returncode == 1, done.stderr
+    assert json.loads(done.stdout)["reason"] == f"obstruction:{refuted_by}"
+    taken = []
+    smith_normal_form = intlinalg.smith_normal_form
+    monkeypatch.setattr(
+        intlinalg, "smith_normal_form", lambda M: taken.append(M) or smith_normal_form(M)
+    )
+    assert main([expr, "--quiet", *flags]) == 1
+    assert taken == []
 
 
 def test_a_default_report_stops_before_the_long_leg():
