@@ -33,7 +33,8 @@ tables:
   torsion H_1 != 0, which is never G + G, so it is refuted, and the
   verdict cites theorem:lens_mirror_pairing.
 * non-orientable base: torsion_square, weak_complementary_pairs,
-  even_fibre_clause, nonorientable_double_subset and its mirror
+  even_fibre_clause.  The nonorientable_double_subset and
+  nonorientable_double_subset_mirror rows are certificates
   (``NONORIENTABLE``).
 * orientable base, e = 0: torsion_square, complementary_pairs,
   mubar_vanishing.  The semidefinite_subset and semidefinite_subset_mirror
@@ -342,14 +343,14 @@ class ManifoldContext:
         """The pass of both searched rows, built with no search and no
         plumbing (``built_pass``): a lens sum that keeps the rule, an e = 0
         star whose legs pair into complements (its sides are one tree), or
-        weak-paired legs with at most one pair of even a; else None."""
+        weak-paired legs that keep the even-fibre clause, with any number
+        of pairs of even a (``built_pass`` gives H meet H'); else None."""
         if isinstance(self.manifold, LensSum) and self.lens_sum_fault is None:
             return built_pass("double_subset", self.forest, self.coker)
         if self.table is ORIENTABLE_E0 and self.complementary:
             return built_pass("semidefinite_subset", self.forest)
         legs = self.forest if self.table is NONORIENTABLE else ()
-        # weak pairs match fibres of equal a: at most two fibres of even a
-        if legs and self.weak_paired and sum(a % 2 == 0 for _, a in legs) <= 2:
+        if legs and self.weak_paired and even_fibre_clause(self.seifert.invariants):
             return built_pass("nonorientable_double_subset", legs, self.coker)
         return None
 
@@ -564,9 +565,9 @@ class CheckTable:
     first row that fired, or ``theorem`` for a class decided by one.
     ``certificates`` is an optional tail of rows that cannot change what
     the rows before them decide: by a theorem, none refutes where those
-    rows do not (``LENS_SUM``, ``ORIENTABLE_E0``).  They run only on
-    request, after the other rows.  ``full_report(only=...)`` picks rows
-    by name before any runs."""
+    rows do not (``LENS_SUM``, ``NONORIENTABLE``, ``ORIENTABLE_E0``).
+    They run only on request, after the other rows.
+    ``full_report(only=...)`` picks rows by name before any runs."""
 
     checks: tuple[Row, ...]
     theorem: str | None = None
@@ -595,18 +596,19 @@ LENS_SUM = CheckTable(
     (_TORSION, ("lens_mirror_pairing", _lens_mirror_pairing)), certificates=_DOUBLE
 )
 LENS_SPACE = CheckTable((_TORSION,), theorem="lens_mirror_pairing")
-# Over a non-orientable base the form is the legs' chain forest, whose
-# coker Q is G, and the rows need A A^t = -Q twice, with column subgroups
-# that each double to G and meet in at most 2 elements.  Weak-paired legs
-# with at most one pair of even a get that pair built
-# (``obstructions.built_pass``); elsewhere an undoubled G refutes the rows,
-# or a side searches under the size rule.
-NONORIENTABLE = CheckTable((
-    _TORSION,
-    ("weak_complementary_pairs", _weak_complementary_pairs),
-    ("even_fibre_clause", _even_fibre_clause),
-    *_searched_rows("nonorientable_double_subset"),
-))
+# Over a non-orientable base the searched rows only certify: where
+# weak_complementary_pairs and even_fibre_clause pass, the legs' pair is
+# built (``obstructions.built_pass``), or there are no legs and the empty
+# form passes; elsewhere an undoubled coker Q refutes the rows, or a side
+# searches under the size rule.
+NONORIENTABLE = CheckTable(
+    (
+        _TORSION,
+        ("weak_complementary_pairs", _weak_complementary_pairs),
+        ("even_fibre_clause", _even_fibre_clause),
+    ),
+    certificates=_searched_rows("nonorientable_double_subset"),
+)
 # e = 0: where complementary_pairs passes, so do the certificate rows (``blown_up_pairs``)
 ORIENTABLE_E0 = CheckTable(
     (_TORSION, _COMPLEMENTARY, _MUBAR), certificates=_searched_rows("semidefinite_subset")

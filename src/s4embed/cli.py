@@ -21,10 +21,12 @@ position in the text; the CLI prints it and exits 64.
 
 A default report stops at its first refutation.  ``--certificates``
 runs every check, with the rows that only certify (a lens sum's
-double-subset rows, an e = 0 space's semidefinite rows), and prints
-their certificates; status, reason and exit code stay the same.  Chains
-in mirror pairs, and e = 0 legs in complementary pairs, cite rows built
-with no search; a passing search cites the first witness it meets.
+double-subset rows, a non-orientable base's nonorientable_double_subset
+rows, an e = 0 space's semidefinite rows), and prints their
+certificates; status, reason and exit code stay the same.  Where the
+class's other rows pass, chains in mirror pairs, and e = 0 legs in
+complementary pairs, cite rows built with no search; a passing search
+cites the first witness it meets.
 Past 1,000 rows (``PRINTED_ROWS``) built rows are summarised, and a
 side is not searched, on every row but an orientable base's deciding
 double_subset.
@@ -223,8 +225,9 @@ _ARGS.add_argument(
     action="store_true",
     help="run every check, and print certificates: a default report stops at its first "
     "refutation.  This adds the rows that only certify (a lens sum's double-subset rows, "
-    "an e = 0 space's semidefinite rows).  Chains that pair into mirrors, and e = 0 legs "
-    "that pair into complements, cite rows built with no search; past "
+    "a non-orientable base's nonorientable_double_subset rows, an e = 0 space's "
+    "semidefinite rows).  Where the other rows pass, chains that pair into mirrors, and "
+    "e = 0 legs that pair into complements, cite rows built with no search; past "
     f"{PRINTED_ROWS} rows built rows are summarised and a side is not searched",
 )
 _ARGS.add_argument(

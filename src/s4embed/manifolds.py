@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .intlinalg import FiniteAbelianGroup, cokernel, cyclic_sum_factors
+from .intlinalg import FiniteAbelianGroup, cyclic_sum_factors
 
 
 # ---------------------------------------------------------------------------
@@ -307,16 +307,50 @@ def chain_group(hub: int | None, ends) -> FiniteAbelianGroup:
 
 def first_homology(m: LensSum | SeifertManifold) -> tuple[int, FiniteAbelianGroup]:
     """(b_1, torsion) of the manifold; a pretzel cover is read as its
-    Seifert space (``pretzel_to_seifert``).  A lens sum or an orientable
-    base is presented on its chain ends (``chain_group``), whose factors
-    are read in closed form, with no Smith form taken until the torsion's
-    coordinates are read; over N(k) the Smith form of the presentation
-    on one crosscap generator (``_nonorientable_presentation``) is taken
-    here.  Genus adds free summands only, 2g over O(g) and k - 1 over
-    N(k)."""
+    Seifert space (``pretzel_to_seifert``).  Every factor is read in
+    closed form, and a presentation is built and reduced only when the
+    torsion's coordinates are read: a lens sum or an orientable base on
+    its chain ends (``chain_group``), N(k) on one crosscap generator
+    (``_nonorientable_presentation``).  Genus adds free summands only, 2g
+    over O(g) and k - 1 over N(k).
+
+    Over N(k) the torsion is the sum of the Z/a_i with one change at 2:
+    with no a_i even, Z/4 is added when r + sum b_i is odd, else
+    Z/2 + Z/2; else, of the t fibres whose a has the top 2-valuation V,
+    one a is multiplied by 4 when t is odd, and two by 2 each when t is
+    even.  Proof, prime by prime, from the relations a_i x_i + b_i h,
+    2h and 2u + sum x_i + r h: at an odd prime 2 is a unit, so h = 0, u
+    is solved for and the Z/a_i are left.  At 2, x_i of odd a_i is a unit
+    times h.  With no even a_i, u and h are left with 2h = 0 and
+    2u + c h = 0, c = r + sum b_i mod 2 (as a_i^-1 is odd): Z/4 for odd
+    c, else Z/2 + Z/2.  Else b_j is a unit for even a_j = 2^v_j o_j, and
+    y_j = -o_j b_j^-1 x_j has 2^v_j y_j = h, and x_j is a unit times
+    y_j.  Take j* of v = V; z_j = y_j - 2^(V - v_j) y_j* has order
+    2^v_j, y_j* order 2^(V + 1), and the last relation reads
+    2u + sum w_j z_j + s y_j* = 0 with units w_j and s = t mod 2.  For
+    odd t it solves for y_j*, and 2^(V + 1) y_j* = 0 becomes
+    2^(V + 2) u = 0: the 2-part is Z/2^(V + 2) and the Z/2^v_j, j != j*.
+    For even t it solves for z_j' of another j' of v = V, whose
+    2^V z_j' = 0 becomes 2^(V + 1) u = 0 (2^V s y_j* = 0 for even s):
+    (Z/2^(V + 1))^2 and the Z/2^v_j, j != j*, j'."""
     if isinstance(m, SeifertManifold) and not m.base_orientable:
-        G = cokernel(list(zip(*_nonorientable_presentation(m))))  # relations as columns
-        return G.free_rank + m.genus - 1, replace(G, free_rank=0)
+        orders = [a for a, _ in m.invariants]
+        twos = [a & -a for a in orders]  # 2^v, the 2-part of a
+        high = max(twos, default=1)  # 2^V
+        top = [i for i, d in enumerate(twos) if d == high]
+        if high == 1:
+            orders += [4] if (m.r + sum(b for _, b in m.invariants)) % 2 else [2, 2]
+        elif len(top) % 2:
+            orders[top[0]] *= 4
+        else:
+            orders[top[0]] *= 2
+            orders[top[1]] *= 2
+        factors = tuple(d for d in cyclic_sum_factors(orders) if d >= 2)
+
+        def relations() -> list[list[int]]:  # relations as columns
+            return [list(column) for column in zip(*_nonorientable_presentation(m))]
+
+        return m.genus - 1, FiniteAbelianGroup(factors, 0, relations)
     G = chain_group(*chain_ends(m))
     b1 = G.free_rank + (2 * m.genus if isinstance(m, SeifertManifold) else 0)
     return b1, replace(G, free_rank=0)
@@ -326,8 +360,9 @@ def torsion_order(m: Manifold) -> int:
     """The order of the torsion of H_1, read off the input's integers with
     no presentation reduced:
     - a lens sum: prod p_i;
-    - a non-orientable base: 4 prod a_i, the determinant of the square
-      presentation of ``_nonorientable_presentation`` up to sign;
+    - a non-orientable base: 4 prod a_i, as ``first_homology``'s closed
+      form multiplies the a_i by 4 in all; it is the determinant of the
+      square presentation ``_nonorientable_presentation`` up to sign;
     - an orientable base with e != 0: |e| prod a_i, the determinant of
       the presentation on q_1..q_n, h with relations a_i q_i + b_i h and
       q_1 + ... + q_n + r h, up to sign;

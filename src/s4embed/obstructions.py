@@ -422,7 +422,13 @@ def blown_up_pairs(layout, hub: bool = False) -> tuple[tuple[tuple[int, ...], ..
     p/q; its partner is read forward if it reads p/(p - q), else backward
     (p/q^-1 reverses the expansion).  The centre row is dropped, and the
     two chains meet in no entry of Q, so the rows factor -Q.  A' negates
-    the rows of each pair's second chain, which changes no entry of A A^t.
+    the rows of each pair's second chain, which changes no entry of A A^t,
+    but for k >= 2 pairs (f_i, s_i) of even a.  Those chains have one p
+    and one class c up to mirror (``classify.even_fibre_clause``), and a
+    class's chains all read one sequence from the smaller end, so the
+    layout puts them together: every f_i has one class and every s_i its
+    mirror.  A' then pairs f_i with s_(i+1 mod k), again a mirror pair,
+    and negates its second chain for i = 0 alone (``_cycle_signs``).
 
     With ``hub``, for the star of an e = 0 space, the layout holds its
     legs read from the hub outward (``chain_layout(ends, hub=True)``),
@@ -434,33 +440,56 @@ def blown_up_pairs(layout, hub: bool = False) -> tuple[tuple[tuple[int, ...], ..
     q/a + (a - q)/a = 1.  So A A^t = -Q through n - 1 columns for n
     vertices; A' would meet the hub in +1."""
     weights = [c for seq, _ in layout for c in seq]
-    A = [[0] * len(weights) for _ in range(hub + len(weights))]
-    A2 = [[0] * len(weights) for _ in range(hub + len(weights))]
+
+    def cls(p, q):  # a leg keeps its value; a chain's reversal reads p/q^-1
+        return p, (q if hub else min(q, pow(q, -1, p)))
+
+    pairs = []  # (p, (first chain, its q), (second chain, its q))
     waiting: dict[tuple, list] = {}
-    start = offset = 0
+    start = 0
     for seq, _ in layout:
         chain = range(start, start + len(seq))
         start += len(seq)
         p, q = _chain_value(seq)
-        # a leg keeps its value; a chain's reversal reads p/q^-1
-        cls, mirror = ((p, x if hub else min(x, pow(x, -1, p))) for x in (q, p - q))
-        if not waiting.get(mirror):
-            waiting.setdefault(cls, []).append((chain, q))
-            continue
-        first, q1 = waiting[mirror].pop()
-        second = chain if (q1 + q) % p == 0 else chain[::-1]
-        order = [*first[::-1], -1, *second]  # -1 marks the centre
-        rows = blown_up_chain([1 if v < 0 else weights[v] for v in order])
-        for v, row in zip(order, rows):
-            if v >= 0 or hub:  # with a hub, the centre's row -1 lands on row 0
-                sign = -1 if v in chain else 1
-                for t, x in row.items():
-                    A[v + hub][offset + t], A2[v + hub][offset + t] = x, sign * x
-        offset += len(order) - 1
+        if not waiting.get(mirror := cls(p, p - q)):
+            waiting.setdefault(cls(p, q), []).append((chain, q))
+        else:
+            pairs.append((p, waiting[mirror].pop(), (chain, q)))
     if any(waiting.values()):
         raise ValueError("the chains do not pair into mirrors")
-    A, A2 = tuple(map(tuple, A)), tuple(map(tuple, A2))
-    return (A,) if hub else (A, A2)
+
+    def rows(matches) -> tuple[tuple[int, ...], ...]:
+        """The rows of (p, first, second, negated) pairs, each on its own
+        coordinates, with the second chain's rows negated where asked."""
+        M = [[0] * len(weights) for _ in range(hub + len(weights))]
+        offset = 0
+        for p, (first, q1), (chain, q), negated in matches:
+            second = chain if (q1 + q) % p == 0 else chain[::-1]
+            order = [*first[::-1], -1, *second]  # -1 marks the centre
+            for v, row in zip(order, blown_up_chain([1 if v < 0 else weights[v] for v in order])):
+                if v >= 0 or hub:  # with a hub, the centre's row -1 lands on row 0
+                    sign = -1 if negated and v in chain else 1
+                    for t, x in row.items():
+                        M[v + hub][offset + t] = sign * x
+            offset += len(order) - 1
+        return tuple(map(tuple, M))
+
+    A = rows([(p, f, s, False) for p, f, s in pairs])
+    if hub:
+        return (A,)
+    matches = [(p, f, s, True) for p, f, s in pairs]
+    even = [i for i, (p, _, _) in enumerate(pairs) if p % 2 == 0]
+    if len(even) >= 2:
+        for i, j, negated in zip(even, even[1:] + even[:1], _cycle_signs(len(even))):
+            matches[i] = (pairs[i][0], pairs[i][1], pairs[j][2], negated)
+    return A, rows(matches)
+
+
+def _cycle_signs(k: int) -> list[bool]:
+    """Which of the k >= 2 rematched pairs (f_i, s_(i+1)) of A' negate
+    their second chain: exactly one, so the signs around the cycle
+    multiply to -1 (``built_pass``)."""
+    return [i == 0 for i in range(k)]
 
 
 # past this many rows a certificate row builds no plumbing
@@ -485,21 +514,31 @@ def built_pass(name: str, ends, group: FiniteAbelianGroup | None = None) -> Obst
     Else ``group`` is coker Q of a chain forest whose chains pair into
     mirrors, and it cites the pair A, A'.  On each pair's block, H = im A
     / im Q is the graph of an isomorphism phi from the first chain's Z/a
-    to the second's, and H', its second chain negated, the graph of -phi.
-    So H and H' are isomorphic to the sum of the pairs' Z/a_j, each taken
-    once: G's factors taken once, of order sqrt |G|, and each doubles to
-    G, the sum of the (Z/a_j)^2.  The result cites that type, with no
-    subgroup built.  H meet H' is {x : 2 phi(x) = 0}, of order
-    2^(number of pairs with a_j even), so:
+    to the second's, and so is H' on each pair of A'.  So H and H' are
+    isomorphic to the sum of the pairs' Z/a_j, each taken once: G's
+    factors taken once, of order sqrt |G|, and each doubles to G, the
+    sum of the (Z/a_j)^2.  The result cites that type, with no subgroup
+    built.  Where A' is A with a pair's second chain negated, H' is the
+    graph of -phi there, and H meet H' is {x : 2 phi(x) = 0} on the
+    block: 0 for odd a, Z/2 for even a.  So:
 
     - double_subset, a lens sum whose summands pair into mirrors: H + H'
       = G iff every p is odd, the lens-sum theorem's condition, and H and
       H' are then isomorphic Lagrangians (``double_subset_obstruction``);
     - nonorientable_double_subset, the legs (-b, a) of fibres (a, b) over
       a non-orientable base: ``weak_complementary_matched`` holds iff the
-      legs' lens classes pair into mirrors, and |H meet H'| <= 2 iff at
-      most one pair has a even.  Weak pairs match fibres of equal a, so
-      those pairs number half the fibres of even a.
+      legs' lens classes pair into mirrors, and with
+      ``even_fibre_clause`` |H meet H'| = 2 for any k >= 1 pairs of even
+      a.  For k = 1 this is the negated pair.  For k >= 2, on the even
+      block H meet H' is the kernel of psi - psi', where psi(f_i) =
+      u_i s_i on A's pairs and psi'(f_i) = +-u'_i s_(i+1) on A''s
+      (``blown_up_pairs``).  Every f_i has one class and is laid out
+      alike, read from its smaller end, and so is every s_i, so each pair
+      is built alike and every u_i and u'_i is one unit u on the chain
+      ends.  So x is in the kernel iff x_(i+1) = +-x_i around the cycle,
+      and as the signs multiply to -1, x_0 = -x_0: the kernel is
+      {x : 2x = 0} in one Z/a, of order 2.  With no sign negated it would
+      be all of Z/a, and with every one negated, for even k too.
 
     Nothing of this is checked at run time: the tests check the
     factorisations, the correction-term filter, the split, the doubling

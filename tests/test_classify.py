@@ -447,18 +447,21 @@ def test_lens_sums_search_only_for_certificates(monkeypatch):
 @pytest.mark.parametrize(
     "text, twins",
     [
-        # two pairs of even a: the pair is searched for, not built
-        ("seifert(N(1); 0; (2,1),(2,1),(2,1),(2,1))", "nonorientable_double_subset"),
-        ("seifert(N(2); 0; (2,1),(2,1),(2,1),(2,1))", "nonorientable_double_subset"),
-        ("seifert(N(1); 0; (4,1),(4,-1),(4,1),(4,-1))", "nonorientable_double_subset"),
+        # two weak pairs of even a that break the even-fibre clause: the pair
+        # is searched for, not built, and none exists
+        ("seifert(N(1); 0; (2,1),(2,1),(4,1),(4,-1))", "nonorientable_double_subset"),
+        ("seifert(N(2); 0; (2,1),(2,1),(4,1),(4,-1))", "nonorientable_double_subset"),
+        ("seifert(N(1); 0; (4,1),(4,-1),(6,1),(6,-1))", "nonorientable_double_subset"),
     ],
 )
 def test_mirror_row_on_the_same_tree_shares_its_twins_search(monkeypatch, text, twins):
+    """Over N(h) a searched pass never shares its tree (none does with
+    up to four fibres a <= 6), so the shared searches here refute."""
     searched = count_searches(monkeypatch)
     r = full_report(parse_manifold(text), certificates=True)
     assert len(searched) == 1
     twin, mirror = result(r, twins), result(r, twins + "_mirror")
-    assert mirror is not twin and twin.verdict == "pass"
+    assert mirror is not twin and twin.verdict == "obstructed"
     assert (mirror.verdict, mirror.notes, mirror.certificates) == (
         twin.verdict,
         twin.notes,
@@ -482,7 +485,7 @@ def test_sides_with_different_trees_run_two_searches(monkeypatch):
         # chains reversed and in another order
         "lens(7,2)+lens(7,2)+lens(7,3)+lens(7,3)",
         "seifert(N(1); 0; (5,2),(5,-3))",
-        # weak pairs with two pairs of even a search
+        # weak pairs of two even a that break the even-fibre clause search
         "seifert(N(1); 0; (4,1),(4,-1),(2,1),(2,1))",
         # two self-mirror classes, L(65,8) and L(65,18), once each: the rule
         # fails, and the mirror row shares the search that refutes the twin
@@ -492,7 +495,7 @@ def test_sides_with_different_trees_run_two_searches(monkeypatch):
 def test_sides_with_isomorphic_plumbings_run_one_search(monkeypatch, text):
     """The canonical layout makes isomorphic plumbings one tree, so the
     mirror row shares its twin's search; on an embeddable lens sum, and
-    on weak-paired legs with at most one pair of even a, both rows read
+    on weak-paired legs that keep the even-fibre clause, both rows read
     the one built pair."""
     searched = count_searches(monkeypatch, "built_pass")
     full_report(parse_manifold(text), certificates=True)
@@ -502,32 +505,40 @@ def test_sides_with_isomorphic_plumbings_run_one_search(monkeypatch, text):
 NONORIENTABLE_ROWS = ("nonorientable_double_subset", "nonorientable_double_subset_mirror")
 
 
+BUILT_NONORIENTABLE = (
+    "cokernel is H + H twice over with small intersection, by a pair built from the mirror chains"
+)
+
+
 def test_weak_paired_legs_pass_with_a_built_pair_under_any_budget(monkeypatch):
-    """Legs in weak complements with at most one pair of even a search
+    """Legs in weak complements that keep the even-fibre clause search
     nothing and build no plumbing: under a 3-node budget both
-    non-orientable rows pass with the built pair."""
+    non-orientable certificate rows pass with the built pair."""
     searched = count_searches(monkeypatch, "plumbing_tree")
-    r = full_report(parse_manifold("seifert(N(1); 0; (3,1),(3,-1))"), budget=3)
-    built = (
-        "cokernel is H + H twice over with small intersection, "
-        "by a pair built from the mirror chains"
-    )
+    m = parse_manifold("seifert(N(1); 0; (3,1),(3,-1))")
+    r = full_report(m, budget=3, certificates=True)
     rows = [(res.name, res.verdict, res.notes) for res in r.results[3:]]
-    assert rows == [(name, "pass", built) for name in NONORIENTABLE_ROWS]
+    assert rows == [(name, "pass", BUILT_NONORIENTABLE) for name in NONORIENTABLE_ROWS]
     assert searched == []
     assert (r.status, r.reason) == ("UNKNOWN", "no obstruction fired; no catalog entry")
 
 
-def test_two_pairs_of_even_a_still_search(monkeypatch):
-    """(2,1) four times pairs into two weak pairs of even a, where the built
-    pair's column subgroups meet in 4 elements; the rows search, once for
-    both sides, and pass."""
-    searched = count_searches(monkeypatch)
-    r = full_report(parse_manifold("seifert(N(1); 0; (2,1),(2,1),(2,1),(2,1))"))
-    found = "cokernel is H + H twice over with small intersection"
+def test_two_pairs_of_even_a_pass_with_a_built_pair(monkeypatch):
+    """(2,1) four times pairs into two weak pairs of even a of one class.
+    A' matches them cyclically, so the built pair's column subgroups meet
+    in 2 elements: both certificate rows pass with it, and nothing is
+    searched or plumbed.  A default report runs neither row."""
+    searched = count_searches(monkeypatch, "plumbing_tree")
+    m = parse_manifold("seifert(N(1); 0; (2,1),(2,1),(2,1),(2,1))")
+    r = full_report(m, certificates=True)
     rows = [(res.name, res.verdict, res.notes) for res in r.results[3:]]
-    assert rows == [(name, "pass", found) for name in NONORIENTABLE_ROWS]
-    assert len(searched) == 1
+    assert rows == [(name, "pass", BUILT_NONORIENTABLE) for name in NONORIENTABLE_ROWS]
+    assert [res.name for res in full_report(m).results] == [
+        "torsion_square",
+        "weak_complementary_pairs",
+        "even_fibre_clause",
+    ]
+    assert searched == []
 
 
 def test_an_undoubled_leg_group_is_refuted_at_any_size(monkeypatch):
@@ -712,17 +723,16 @@ def test_mirror_star_equal_to_its_twin_takes_one_inertia(monkeypatch, text):
 )
 def test_report_takes_each_cokernel_once(monkeypatch, manifold, groups):
     """A report presents each group once, on chain ends (``chain_group``)
-    or by the surgery presentation (``cokernel``), and its searches
-    project onto that group through each tree's lift: H_1, and over N(h)
-    the legs' group as well, however many sides search."""
+    or over N(h) on one crosscap generator (``first_homology``), and its
+    searches project onto that group through each tree's lift: H_1, and
+    over N(h) the legs' group as well, however many sides search.  The
+    count is of the groups ``manifolds`` makes; a copy made by
+    ``dataclasses.replace`` is not one."""
     taken = []
-
-    def counted(present):
-        return lambda *args: taken.append(args) or present(*args)
-
-    for name in ("chain_group", "cokernel"):
-        monkeypatch.setattr(manifolds, name, counted(getattr(manifolds, name)))
-    monkeypatch.setattr(classify, "chain_group", manifolds.chain_group)
+    group = manifolds.FiniteAbelianGroup
+    monkeypatch.setattr(
+        manifolds, "FiniteAbelianGroup", lambda *args: taken.append(args) or group(*args)
+    )
     full_report(manifold, certificates=True)
     assert len(taken) == groups
 
@@ -741,15 +751,15 @@ def test_report_takes_each_cokernel_once(monkeypatch, manifold, groups):
         # the linking form on a star reads H_1's generators, and refutes
         # both rows (a search's one is pinned in test_obstructions.py)
         ("pretzel(-2,2,4)", 1),
-        # over N(h), H_1 from the surgery presentation
-        ("seifert(N(1);1;)", 1),
-        ("seifert(N(1);0;(3,1),(3,-2))", 1),
+        # over N(h), H_1 is read in closed form too; the second input's
+        # search finds no subset, so it projects nothing onto the legs' group
+        ("seifert(N(1);1;)", 0),
+        ("seifert(N(1);0;(3,1),(3,-2))", 0),
     ],
 )
 def test_report_takes_a_smith_form_only_where_it_reads_generators(monkeypatch, text, smith_forms):
     """A group read in closed form takes its Smith form on the first read
-    of its generators or torsion coordinates, and only then; over N(h)
-    H_1 is still read off the Smith form of its surgery presentation."""
+    of its generators or torsion coordinates, and only then."""
     taken = []
     smith_normal_form = intlinalg.smith_normal_form
     monkeypatch.setattr(
@@ -825,10 +835,10 @@ def test_tree_cokernel_is_the_torsion_of_first_homology():
         # other classes: e = 0 (only mu-bar builds a tree; the semidefinite
         # searches are certificates), an embeddable lens sum (its built
         # pair reads no tree), a non-orientable base with two pairs of even
-        # a (both sides search one tree)
+        # a (its searched rows are certificates, built when they run)
         (PretzelCover([2, -2, 3, -3]), None, 1),
         (LensSum([(3, 1), (3, 2)]), ["double_subset", "double_subset_mirror"], 0),
-        (SeifertManifold(False, 1, 0, [(2, 1)] * 4), None, 2),
+        (SeifertManifold(False, 1, 0, [(2, 1)] * 4), None, 0),
         # H_1 = Z/15: both certificate rows of the lens sum are refuted on it
         (LensSum([(3, 1), (5, 1)]), ["double_subset", "double_subset_mirror"], 0),
         # torsion Z/3 + Z/3: double_subset searches the definite tree
@@ -844,6 +854,9 @@ def test_tree_cokernel_is_the_torsion_of_first_homology():
         ),
         # weak pairs with no even a: both rows read the built pair
         (SeifertManifold(False, 1, 0, [(3, 1), (3, -1)]), None, 0),
+        # two pairs of even a that break the even-fibre clause: both named
+        # rows search one tree
+        (SeifertManifold(False, 1, 0, [(2, 1), (2, 1), (4, 1), (4, -1)]), NONORIENTABLE_ROWS, 2),
     ],
 )
 def test_report_reads_h1_once_from_first_homology(monkeypatch, manifold, only, plumbings):

@@ -390,34 +390,31 @@ def test_a_long_mirror_pair_is_summarised_within_limits():
 
 
 @pytest.mark.parametrize(
-    "expr, rows, built",
+    "expr, rows",
     [
-        ("seifert(N(1);0;(10007,1),(10007,-1))", 10007, True),
-        ("seifert(N(1);0;(1000003,1),(1000003,-1))", 1000003, True),
-        # two pairs of even a: the sides would be searched
-        ("seifert(N(1);0;(10008,1),(10008,-1),(10008,1),(10008,-1))", 20016, False),
+        ("seifert(N(1);0;(10007,1),(10007,-1))", 10007),
+        ("seifert(N(1);0;(1000003,1),(1000003,-1))", 1000003),
+        # two pairs of even a of one class: A' matches them cyclically
+        ("seifert(N(1);0;(10008,1),(10008,-1),(10008,1),(10008,-1))", 20016),
     ],
 )
-def test_long_weak_paired_legs_end_within_limits(expr, rows, built):
+def test_long_weak_paired_legs_end_within_limits(expr, rows):
     """A weak pair (a, 1), (a, -1) plumbs a chain of a - 1 vertices and a
-    lone vertex.  With at most one pair of even a both non-orientable rows
-    pass with a built pair, summarised past PRINTED_ROWS rows; with two,
-    a side past PRINTED_ROWS rows is not searched.  Neither builds a
-    plumbing, and the report ends UNKNOWN well inside the limits."""
-    done = run_python("-m", "s4embed.cli", expr, "--json", preexec_fn=within_limits)
-    assert done.returncode == 2, done.stderr
-    out = json.loads(done.stdout)
-    if built:
-        verdict, notes = "pass", (
-            "cokernel is H + H twice over with small intersection, by a pair built from "
-            f"the mirror chains; its {rows} rows, past 1000, are neither built nor printed"
-        )
-    else:
-        verdict, notes = "inconclusive", f"its {rows} rows, past 1000, are not searched"
-    assert [(r["name"], r["verdict"], r["notes"]) for r in out["obstructions"][3:]] == [
-        (name, verdict, notes)
-        for name in ("nonorientable_double_subset", "nonorientable_double_subset_mirror")
-    ]
+    lone vertex.  A default report runs neither non-orientable row, as
+    both only certify.  With --certificates both pass with a built pair,
+    for one or two pairs of even a, summarised past PRINTED_ROWS rows.
+    Neither builds a plumbing, and the report ends UNKNOWN well inside
+    the limits."""
+    notes = (
+        "cokernel is H + H twice over with small intersection, by a pair built from "
+        f"the mirror chains; its {rows} rows, past 1000, are neither built nor printed"
+    )
+    names = ("nonorientable_double_subset", "nonorientable_double_subset_mirror")
+    for flags, tail in (((), []), (("--certificates",), [(name, "pass", notes) for name in names])):
+        done = run_python("-m", "s4embed.cli", expr, "--json", *flags, preexec_fn=within_limits)
+        assert done.returncode == 2, done.stderr
+        out = json.loads(done.stdout)
+        assert [(r["name"], r["verdict"], r.get("notes")) for r in out["obstructions"][3:]] == tail
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from s4embed.manifolds import (
     LensSum,
     PretzelCover,
     SeifertManifold,
+    _nonorientable_presentation,
     chain_ends,
     chain_group,
     chain_length,
@@ -257,7 +258,10 @@ def test_closed_form_factors_match_the_smith_form():
       every b shifted by a random multiple of a into r;
     - spaces with no fibres over O(g), with r = 0 and r != 0;
     - lens sums with repeated p, and the legs' groups over N(h), where
-      the group is the sum of the Z/a."""
+      the group is the sum of the Z/a;
+    - 3,000 spaces over N(1), N(2) and N(3) with 0 to 5 fibres, a drawn
+      as above, whose H_1 (``first_homology``) must match ``cokernel`` of
+      ``_nonorientable_presentation``, its relations as columns."""
     rng = random.Random(43)
 
     def orders():
@@ -305,6 +309,23 @@ def test_closed_form_factors_match_the_smith_form():
             assert G.factors == cokernel(G.relations()).factors == tuple(
                 d for d in intlinalg.cyclic_sum_factors(sizes) if d >= 2
             )
+    kinds, huge = Counter(), 0
+    for _ in range(3000):
+        order = orders()
+        sizes = [order() for _ in range(rng.randint(0, 5))]
+        fibres = [(a, coprime(a) + rng.randint(-2, 2) * a) for a in sizes]
+        m = SeifertManifold(False, rng.randint(1, 3), rng.randint(-4, 4), fibres)
+        G = cokernel(list(zip(*_nonorientable_presentation(m))))
+        b1, torsion = first_homology(m)
+        assert (b1, torsion.factors) == (G.free_rank + m.genus - 1, G.factors), m.describe()
+        # the parity that decides the 2-part: of the fibres of top 2-part,
+        # or with no even a of r + sum b
+        twos = [a & -a for a in sizes]
+        high = max(twos, default=1)
+        parity = twos.count(high) if high > 1 else m.r + sum(b for _, b in fibres)
+        kinds[high > 1, parity % 2] += 1
+        huge += any(a > 10**19 for a in sizes)
+    assert min(kinds.values()) >= 300 and len(kinds) == 4 and huge >= 30, (kinds, huge)
 
 
 def pretzel_strand_forms(m: SeifertManifold) -> tuple[tuple[int, ...], ...]:

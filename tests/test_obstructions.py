@@ -14,6 +14,7 @@ from s4embed.classify import (
     ORIENTABLE_E0,
     ManifoldContext,
     complementary_matched,
+    even_fibre_clause,
     full_report,
 )
 from s4embed.cli import parse_manifold
@@ -702,7 +703,7 @@ def test_streamed_checks_match_full_enumeration_on_complementary_pairs():
 
 
 def test_streamed_checks_match_full_enumeration_on_nonorientable_bases():
-    """Legs in weak complements with at most one pair of even a pass with
+    """Legs in weak complements that keep the even-fibre clause pass with
     the built pair, which the full search must confirm; the rest search."""
     tally = Counter()
     spaces = [
@@ -712,8 +713,8 @@ def test_streamed_checks_match_full_enumeration_on_nonorientable_bases():
     ]
     assert [f for y in spaces for f in streaming_faults(y, tally)] == []
     assert tally == {
-        ("nonorientable_double_subset", "built"): 62,
-        ("nonorientable_double_subset", "pass"): 24,
+        ("nonorientable_double_subset", "built"): 66,
+        ("nonorientable_double_subset", "pass"): 20,
         ("nonorientable_double_subset", "obstructed"): 210,
         ("nonorientable_double_subset", "not H + H"): 64,
     }
@@ -912,39 +913,81 @@ def random_weak_pairs(rng: random.Random) -> SeifertManifold:
     return SeifertManifold(False, rng.randint(1, 2), rng.randint(-2, 2), fibres)
 
 
-def test_built_pairs_of_weak_pairs_double_and_meet_in_two_per_even_pair():
-    """On 200 random weak-paired forests, the pair built from the legs
-    factors -Q of each side's own plumbing, and on each side's lift both
+def random_alike_even_pairs(rng: random.Random) -> SeifertManifold:
+    """Two to four weak pairs of one even a <= 16, every fibre of one lens
+    class up to mirror, now and then a self-mirror class, beside zero to
+    two weak pairs of odd a, each fibre in any normalisation, over N(1) or
+    N(2): forests that keep the even-fibre clause."""
+    a = rng.randrange(2, 17, 2)
+    units = [b for b in range(1, a) if math.gcd(a, b) == 1]
+    selfish = [b for b in units if b * b % a == a - 1]
+    b = rng.choice(selfish) if selfish and rng.random() < 0.4 else rng.choice(units)
+    fibres = []
+    for _ in range(rng.randint(2, 4)):
+        first, partner = rng.choice([b, pow(b, -1, a)]), rng.choice([-b, -pow(b, -1, a)])
+        fibres += [(a, first + rng.randint(-1, 1) * a), (a, partner % a + rng.randint(-1, 1) * a)]
+    for _ in range(rng.randint(0, 2)):
+        o = rng.randrange(3, 16, 2)
+        c = rng.choice([c for c in range(1, o) if math.gcd(o, c) == 1])
+        fibres += [(o, c), (o, rng.choice([-c, -pow(c, -1, o)]))]
+    return SeifertManifold(False, rng.randint(1, 2), rng.randint(-2, 2), fibres)
+
+
+def built_pair_meets(y: SeifertManifold) -> list[int]:
+    """|H meet H'| on each side's own plumbing and lift, for the pair built
+    from the legs of y, after checking that A A^t = A' A'^t = -Q there and
+    that both column subgroups have the cited type and double to coker Q
+    of the legs."""
+    ctx = ManifoldContext(y)
+    group = ctx.coker
+    result = obstructions.built_pass("nonorientable_double_subset", ctx.forest, group)
+    (A1, A2), (half, _) = result.certificates
+    meets = []
+    for side in "+-":
+        tree = plumbing_tree(y, side)
+        assert verify_factorization(A1, dense(tree)), (y.describe(), side)
+        assert verify_factorization(A2, dense(tree)), (y.describe(), side)
+        G = replace(group, lift=tree.lift)
+        H1, H2 = subset_column_subgroup(G, A1), subset_column_subgroup(G, A2)
+        for H in (H1, H2):
+            assert doubled_factors(H.factors) == G.factors, (y.describe(), side)
+            assert (half["subgroup_factors"], half["order"]) == (list(H.factors), H.order)
+        meets.append(direct_sum_test(G, H1, H2)[2])
+    return meets
+
+
+def test_built_pairs_of_weak_pairs_double_and_meet_in_two_per_even_pair(monkeypatch):
+    """On 200 random weak-paired forests and 60 seeded ones with two to
+    four pairs of even a that keep the even-fibre clause, the report
+    builds the pair iff the clause holds, and both certificate rows then
+    read it.  On each side's own plumbing the built pair factors -Q, both
     column subgroups have the cited type and double to coker Q of the
-    legs.  They meet in 2^k elements for k pairs of even a, so the report
-    builds the pair iff k <= 1, and both rows then read it."""
+    legs, and they meet in 2 elements where some pair has a even, else in
+    1.  The two other sign rules for A''s cyclic matching each fail on
+    some seeded forest: negating every second chain meets in all of Z/a
+    for an even number of pairs, and negating none for every a > 2."""
     rng = random.Random(40)
     tally = Counter()
-    for _ in range(200):
-        y = random_weak_pairs(rng)
+    name = "nonorientable_double_subset"
+    forests = [random_weak_pairs(rng) for _ in range(200)]
+    seeded = random.Random(44)
+    alike = [random_alike_even_pairs(seeded) for _ in range(60)]
+    for y in forests + alike:
         ctx = ManifoldContext(y)
-        group = ctx.coker
         even_pairs = sum(a % 2 == 0 for a, _ in y.invariants) // 2
-        name = "nonorientable_double_subset"
-        result = obstructions.built_pass(name, ctx.forest, group)
-        (A1, A2), (half, _) = result.certificates
-        for side in "+-":
-            tree = plumbing_tree(y, side)
-            assert verify_factorization(A1, dense(tree)), (y.describe(), side)
-            assert verify_factorization(A2, dense(tree)), (y.describe(), side)
-            G = replace(group, lift=tree.lift)
-            H1, H2 = subset_column_subgroup(G, A1), subset_column_subgroup(G, A2)
-            for H in (H1, H2):
-                assert doubled_factors(H.factors) == G.factors, (y.describe(), side)
-                assert (half["subgroup_factors"], half["order"]) == (list(H.factors), H.order)
-            assert direct_sum_test(G, H1, H2)[2] == 2**even_pairs, (y.describe(), side)
+        clause = even_fibre_clause(y.invariants)
+        assert (ctx.built_pair is not None) == clause, y.describe()
         report = full_report(y, certificates=True)
         rows = [r for r in report.results if r.name.startswith(name)]
-        assert (ctx.built_pair is not None) == (even_pairs <= 1), y.describe()
         built = [r.notes.endswith("built from the mirror chains") for r in rows]
-        assert built == [even_pairs <= 1] * 2, y.describe()
-        tally[min(even_pairs, 2)] += 1
+        assert built == [clause] * 2, y.describe()
+        if clause:
+            assert built_pair_meets(y) == [2 if even_pairs else 1] * 2, y.describe()
+        tally[min(even_pairs, 2), clause] += 1
     assert min(tally.values()) >= 20, tally
+    for rule in (lambda k: [True] * k, lambda k: [False] * k):
+        monkeypatch.setattr(obstructions, "_cycle_signs", rule)
+        assert any(built_pair_meets(y) != [2, 2] for y in alike)
 
 
 def test_blown_up_chains_take_no_recursion():
