@@ -1,51 +1,11 @@
 """One decision engine: per-class check tables and one merge rule.
 
 ``full_report`` builds a ``ManifoldContext`` once per call, and every
-check reads that context alone; each of its values is computed once,
-when first asked for.  It also owns the report's plumbings: one tree per
-orientation, built when a check first reads that side and shared by
-every later check, so the definite-side tree serves both the form checks
-and mu-bar.  The context sorts the manifold into one class, and the rows
-of the class's table run in order, every check on the same context.  A
-row is a (name, check) pair, and the check's result is reported under
-the row's name; ``full_report(only=...)`` picks rows by name, so only
-the named checks run.
-
-Six rows look for factorisations A A^t = -Q of a side's plumbing form
-(``obstructions``): double_subset, nonorientable_double_subset and
-semidefinite_subset, each with its mirror.  One check runs them all
-(``_searched``).  Plumbings are laid out in one canonical order
-(``plumbing``), so a mirror row shares its twin's search whenever the
-two plumbings are isomorphic, as with reversed lens chains or permuted
-legs (many non-orientable spaces, sums K # -K, L(p, q) # L(p, q) with
-q^2 = -1 mod p), and reports it under its own name.  Where
-``built_pair`` builds the pass with no search, both rows cite it.  The
-tables:
-
-* lens sums: torsion_square, lens_mirror_pairing.  A sum embeds iff
-  every p_i is odd and the summands match up into mirror pairs, so these
-  two checks decide it by the theorem.  The double_subset and
-  double_subset_mirror rows are certificates (``LENS_SUM``).
-* base S^2 with at most two fibres, given as a Seifert space or as a
-  pretzel cover with at most two strands |a_i| >= 2: torsion_square
-  alone (the lens-space rule).  These are lens spaces.  S^3 and
-  S^1 x S^2 (H_1 trivial or Z) embed; any other lens space has cyclic
-  torsion H_1 != 0, which is never G + G, so it is refuted, and the
-  verdict cites theorem:lens_mirror_pairing.
-* non-orientable base: torsion_square, weak_complementary_pairs,
-  even_fibre_clause.  The nonorientable_double_subset and
-  nonorientable_double_subset_mirror rows are certificates
-  (``NONORIENTABLE``).
-* orientable base, e = 0: torsion_square, complementary_pairs,
-  mubar_vanishing.  The semidefinite_subset and semidefinite_subset_mirror
-  rows are certificates (``ORIENTABLE_E0``).  With every a_i odd,
-  complementary pairs also suffice.
-* orientable base, e != 0: torsion_square, double_subset on the definite
-  side, mubar_vanishing.
-
-A pretzel cover is sorted by its Seifert space, so it runs that space's
-table and gets that space's report.  mubar_vanishing applies to any
-space over S^2 that has a pretzel presentation, in either form.
+check reads that context alone.  The context sorts the manifold into one
+class, given by its Seifert view, so a pretzel cover runs its Seifert
+space's table; the rows of the class's table run in order, and each
+result is reported under its row's name.  Each table is stated, with the
+theorem behind its certificate rows, where it is defined below.
 
 Merge rule: a completed refutation gives OBSTRUCTED, citing the first
 check that fired (or the class's theorem).  A default report stops at
@@ -57,16 +17,6 @@ catalog hit gives EMBEDS, membership of the open pretzel family gives
 UNKNOWN with that reason, and anything else is UNKNOWN.  A catalog hit
 together with a refutation is an internal error, reported as status
 CONFLICT and never silently resolved.
-
-The catalog lists known embeddable families with their constructions
-(twist-spun mirror sums, doubly slice pretzel moves, Sigma_g x S^1, the
-circle bundles over N_h that bound a neighbourhood of N_h in S^4, a
-handle-calculus example).  Up to mirror, the embeddable pretzel covers
-are Y(a,-a,a), Y(a,-a,a,-a), Y(a,-a,b,-b) with a or b odd, and
-Y(a+-1,-a,a,-a); the family Y(2l-1,-2l-1,-2l^2) stays UNKNOWN, and every
-other cover is refuted by a completed check.  Family membership compares
-the normalised Seifert keys (r, fibres) of Y and -Y with those of the
-few members whose fibre sizes are Y's.
 """
 
 from __future__ import annotations
@@ -87,6 +37,7 @@ from .manifolds import (
     chain_ends,
     chain_group,
     chain_length,
+    chains,
     euler_invariant,
     first_homology,
     lens_class,
@@ -135,11 +86,7 @@ def _mirror_matched(pairs) -> bool:
     pairs L(p,q), L(p,p-q)?  Self-mirror classes (q^2 = -1 mod p) need
     even multiplicity."""
 
-    def partner(cls):
-        p, _, reps = cls
-        return lens_mirror_class(p, next(iter(reps)))
-
-    return _matchable([lens_class(p, q) for p, q in pairs], partner)
+    return _matchable([lens_class(p, q) for p, q in pairs], lambda c: lens_mirror_class(*c))
 
 
 def _residue_pairs(invariants):
@@ -166,7 +113,7 @@ def even_fibre_clause(invariants) -> bool:
     """Every two even-multiplicity fibres (a_i even, a_j even) must share
     a_i = a_j with b_i in {+-b_j, +-b_j^-1} mod a: all of them have one
     lens class L(a, b) up to mirror."""
-    classes = {(a, lens_class(a, b)[2] | lens_mirror_class(a, b)[2]) for a, b in invariants if a % 2 == 0}
+    classes = {min(lens_class(a, b), lens_mirror_class(a, b)) for a, b in invariants if a % 2 == 0}
     return len(classes) <= 1
 
 
@@ -177,6 +124,8 @@ def even_fibre_clause(invariants) -> bool:
 # fibre (a, b) with -a < b < 0.  The strand multisets presenting Y, its
 # Rolfsen-equivalent forms, are exactly those with Y's key, so Y is in a
 # family up to mirror and Rolfsen twist when the key of Y or -Y is a member's.
+# Up to mirror the embeddable covers are the doubly_slice_pretzel entry's
+# families; OPEN_FAMILY stays UNKNOWN, and a completed check refutes the rest.
 
 Key = tuple[int, tuple[tuple[int, int], ...]]
 OPEN_FAMILY = "pretzel(2l-1,-2l-1,-2l^2)"
@@ -223,11 +172,9 @@ def _family_member(keys) -> tuple[str, tuple[int, ...]] | None:
 @dataclass
 class ManifoldContext:
     """All that the checks of one ``full_report`` call read: the
-    manifold, the node budget of each search, and the values below.  Each
-    cached item is computed once, when first asked for, and lives only as
-    long as the call.  The pretzel view of Y is its normalised Seifert
-    key: the family member compares keys, and whether Y has a pretzel
-    form at all is read off the key, with no strand form listed."""
+    manifold, the node budget of each search, and the values below, each
+    computed once, when first asked for.  The report's plumbings are one
+    tree per side (``tree``)."""
 
     manifold: Manifold
     budget: int = DEFAULT_BUDGET
@@ -248,13 +195,10 @@ class ManifoldContext:
 
     @cached_property
     def homology(self) -> tuple[int, FiniteAbelianGroup]:
-        """(b_1, torsion of H_1), from ``first_homology`` alone, which
-        builds no plumbing: a long chain would cost more than the whole
-        report.  For a lens sum, and over an orientable base with e != 0,
+        """(b_1, torsion of H_1) by ``first_homology``, with no plumbing
+        built.  For a lens sum, and over an orientable base with e != 0,
         the torsion is coker Q of each definite plumbing (Neumann, Trans.
-        AMS 268, 1981).  Its factors are read in closed form there, and
-        its Smith form is taken only if a row reads its generators or
-        projects onto it (``chain_group``)."""
+        AMS 268, 1981)."""
         return first_homology(self.seifert or self.manifold)
 
     @cached_property
@@ -266,19 +210,14 @@ class ManifoldContext:
 
     @cached_property
     def linking_form(self) -> LinkingForm:
-        """The linking form of the torsion of H_1 on a cyclic basis, read
-        on the chain ends of the '+' plumbing with no tree built
-        (``obstructions.linking_form``); ``refutation`` reads it."""
+        """The linking form of the torsion of H_1 (``linking_form``)."""
         return linking_form(self.homology[1], *chain_ends(self.seifert or self.manifold))
 
     @cached_property
     def coker(self) -> FiniteAbelianGroup | None:
-        """coker Q of either side's form, which a searched row's search
-        projects onto through ``PlumbingTree.lift``: the torsion of H_1;
-        over a non-orientable base the legs' group, the sum of the Z/a_k
-        on their ends (``chain_group``), or None with no legs.  Every
-        side's copy shares the group's one Smith form, taken at the
-        first projection."""
+        """coker Q of either side's form: the torsion of H_1, or over a
+        non-orientable base the legs' group (``chain_group``), None with
+        no legs.  Every side's search projects onto this one group."""
         if self.table is NONORIENTABLE:
             return chain_group(None, self.forest) if self.forest else None
         return self.homology[1]
@@ -287,9 +226,8 @@ class ManifoldContext:
     def refutation(self) -> ObstructionResult | None:
         """The refutation a searched row takes with no tree, once for both
         sides: ``coker`` is not H + H (``undoubled``), or, on H_1, its
-        linking form is odd at 2 or not hyperbolic at an odd prime
-        (``double_subset_obstruction``); None elsewhere, and on the e = 0
-        rows, as ``linking_form`` would divide by e."""
+        linking form is not hyperbolic (``double_subset_obstruction``).
+        None on the e = 0 rows, as ``linking_form`` would divide by e."""
         G = self.coker
         if self.table is ORIENTABLE_E0 or G is None:
             return None
@@ -308,9 +246,7 @@ class ManifoldContext:
 
     @cached_property
     def lens_sum_fault(self) -> str | None:
-        """Why a lens sum breaks the theorem's rule (every p_i odd, the
-        summands in mirror pairs), or None; lens_mirror_pairing, both
-        double-subset rows and the mirror_lens_sum entry read it."""
+        """Why a lens sum breaks the theorem's rule (``LENS_SUM``), or None."""
         summands = self.manifold.summands
         if not all(p % 2 for p, _ in summands):
             return "some p_i is even"
@@ -318,33 +254,24 @@ class ManifoldContext:
 
     @cached_property
     def complementary(self) -> bool:
-        """Do the fibres pair into complements (``complementary_matched``)?
-        Its row, odd_complementary_e0 and ``built_pair`` read it."""
+        """Do the fibres pair into complements (``complementary_matched``)?"""
         return complementary_matched(self.seifert.invariants)
 
     @cached_property
     def weak_paired(self) -> bool:
-        """Do the fibres over a non-orientable base pair into weak
-        complements (``weak_complementary_matched``)?  Its row and
-        ``built_pair`` read it."""
+        """Do the fibres pair into weak complements (``weak_complementary_matched``)?"""
         return weak_complementary_matched(self.seifert.invariants)
 
     @cached_property
     def forest(self) -> tuple[tuple[int, int], ...]:
-        """The chain ends (q, a) of the '+' plumbing's chains, a star's
-        legs without its hub: a summand L(p, q) is (q, p), a fibre (a, b)
-        the leg (-b, a)."""
-        if self.seifert is None:
-            return chain_ends(self.manifold)[1]
-        return tuple((-b, a) for a, b in self.seifert.invariants)
+        """The chain ends of the '+' plumbing (``chains``)."""
+        return chains(self.seifert or self.manifold)
 
     @cached_property
     def built_pair(self) -> ObstructionResult | None:
-        """The pass of both searched rows, built with no search and no
-        plumbing (``built_pass``): a lens sum that keeps the rule, an e = 0
-        star whose legs pair into complements (its sides are one tree), or
-        weak-paired legs that keep the even-fibre clause, with any number
-        of pairs of even a (``built_pass`` gives H meet H'); else None."""
+        """The pass of both searched rows, built with no search
+        (``built_pass``), where the table's comment says it exists; else
+        None."""
         if isinstance(self.manifold, LensSum) and self.lens_sum_fault is None:
             return built_pass("double_subset", self.forest, self.coker)
         if self.table is ORIENTABLE_E0 and self.complementary:
@@ -368,17 +295,15 @@ class ManifoldContext:
 
     @cached_property
     def pretzel_family(self) -> tuple[str, tuple[int, ...]] | None:
-        """Y's pretzel family member (``_family_member``), None at once
-        without keys.  The catalog's doubly_slice_pretzel entry and the
-        merge rule's open-family reason read it."""
+        """Y's pretzel family member (``_family_member``), or None."""
         return _family_member(self.seifert_keys) if self.seifert_keys else None
 
     @cached_property
     def link_components(self) -> int | None:
         """Components k of the branch link of a pretzel presentation of Y;
-        None when Y has none.  Only mubar_vanishing reads it, for its
-        threshold.  A k-component link L has 2^k Fox 2-colourings, and
-        they number 2 |H_1(Sigma_2(L); Z/2)|, so k = m + 1 (``z2_rank``).
+        None when Y has none.  A k-component link L has 2^k Fox
+        2-colourings, and they number 2 |H_1(Sigma_2(L); Z/2)|, so
+        k = m + 1 (``z2_rank``).
 
         Whether a form exists is read off the key (r, fibres) of Y, with n
         fibres.  A strand form has one strand per fibre, -a for (a, -1)
@@ -406,11 +331,9 @@ class ManifoldContext:
         return None
 
     def tree(self, side: str) -> PlumbingTree:
-        """The standard plumbing of one orientation ('+' or '-'), built on
-        first use and kept for the rest of the call.  Where the two sides'
-        plumbings are isomorphic, the second side takes the first one's
-        tree (``plumbing_tree``), so its elimination and searches are
-        taken once."""
+        """The standard plumbing of one side ('+' or '-'), built on first
+        use and kept for the call; a side equal to the other takes its
+        tree (``plumbing_tree``)."""
         if side not in self._trees:
             m = self.seifert or self.manifold
             self._trees[side] = plumbing_tree(m, side, shared=self._trees.values())
@@ -418,16 +341,12 @@ class ManifoldContext:
 
     @cached_property
     def definite_side(self) -> str:
-        """The orientation whose plumbing is negative (semi)definite: '-'
-        iff e < 0 over an orientable base, else '+' (a chain forest is
-        definite on either side)."""
+        """The orientation whose plumbing is negative (semi)definite."""
         return "-" if self.table is ORIENTABLE and self.euler < 0 else "+"
 
     @cached_property
     def table(self) -> CheckTable:
-        """The check table of the manifold's class, read off its Seifert
-        view: a pretzel cover runs its Seifert space's table, so the two
-        presentations give the same rows in the same order."""
+        """The check table of the manifold's class."""
         m, s = self.manifold, self.seifert
         if isinstance(m, LensSum):
             return LENS_SUM
@@ -441,10 +360,9 @@ class ManifoldContext:
 
 
 # ---------------------------------------------------------------------------
-# checks: each reads the context and returns its result, which the engine
-# names after the check's table row, or None where it does not apply
-# (mubar_vanishing needs a pretzel presentation).  Layer functions are
-# looked up by module-global name at call time.
+# checks: each reads the context and returns its result, or None where it
+# does not apply.  Layer functions are looked up by module-global name at
+# call time.
 
 
 def _judged(ok: bool, passed: str, failed: str, certificates=()) -> ObstructionResult:
@@ -500,8 +418,6 @@ def _even_fibre_clause(ctx: ManifoldContext) -> ObstructionResult:
 
 
 def _mubar_vanishing(ctx: ManifoldContext) -> ObstructionResult | None:
-    """At least 2^((k+1)/2)-1 (k odd) or 3*2^((k-2)/2)-1 (k even)
-    vanishing mu-bar invariants are required."""
     k = ctx.link_components
     if k is None:
         return None
@@ -519,13 +435,12 @@ def _mubar_vanishing(ctx: ManifoldContext) -> ObstructionResult | None:
 def _searched(name: str, ctx: ManifoldContext) -> ObstructionResult:
     """Searched row ``name`` on the '-' side for a ``_mirror`` row, else on
     the definite side: the pass built with no search (``built_pair``),
-    else the refutation read with no tree (``refutation``), else, past
-    PRINTED_ROWS rows (chain_length over the side's chains, plus a star's
-    hub), inconclusive with no plumbing built, but for ORIENTABLE's
-    deciding double_subset.  Else the row's obstruction, looked up by
-    module-global name, searches the side's tree once per (obstruction,
-    tree) in a report, so a mirror row on its twin's tree takes its
-    twin's result."""
+    else the refutation read with no tree (``refutation``), else, by the
+    size rule, inconclusive with no plumbing built past PRINTED_ROWS rows
+    (chain_length over the side's chains, plus a star's hub), but for
+    ORIENTABLE's deciding double_subset.  Else the row's obstruction
+    searches the side's tree once per (obstruction, tree) in a report, so
+    a mirror row on its twin's tree takes its twin's result."""
     if built := ctx.built_pair:
         return built
     if refuted := ctx.refutation:
@@ -560,14 +475,10 @@ Row = tuple[str, Check]
 
 @dataclass(frozen=True)
 class CheckTable:
-    """The ordered (name, check) rows of one manifold class; a check's
-    result is reported under its row's name.  A refutation cites the
-    first row that fired, or ``theorem`` for a class decided by one.
-    ``certificates`` is an optional tail of rows that cannot change what
-    the rows before them decide: by a theorem, none refutes where those
-    rows do not (``LENS_SUM``, ``NONORIENTABLE``, ``ORIENTABLE_E0``).
-    They run only on request, after the other rows.
-    ``full_report(only=...)`` picks rows by name before any runs."""
+    """The ordered (name, check) rows of one manifold class.  A refutation
+    cites the first row that fired, or ``theorem`` for a class decided by
+    one.  ``certificates`` is a tail of rows, run only on request, that by
+    the table's comment refute nothing where the rows before them pass."""
 
     checks: tuple[Row, ...]
     theorem: str | None = None
@@ -588,19 +499,19 @@ _DOUBLE = _searched_rows("double_subset")
 _MUBAR: Row = ("mubar_vanishing", _mubar_vanishing)
 _COMPLEMENTARY: Row = ("complementary_pairs", _complementary_pairs)
 
-# A lens sum is decided by the theorem, so its double-subset rows only
-# certify: where it embeds, they cite the pair built from its mirror chains
-# (``obstructions.built_pass``); elsewhere H_1 refutes them where it can,
-# and a side searches under the size rule.
+# A lens sum embeds iff every p_i is odd and the summands pair into mirrors,
+# so torsion_square and lens_mirror_pairing decide it by the theorem; where
+# they pass, both double-subset rows cite the pair built from its mirror
+# chains (``built_pass``).
 LENS_SUM = CheckTable(
     (_TORSION, ("lens_mirror_pairing", _lens_mirror_pairing)), certificates=_DOUBLE
 )
+# base S^2 with at most two fibres: a lens space.  S^3 and S^1 x S^2 embed,
+# and any other has cyclic torsion H_1 != 0, which is never G + G.
 LENS_SPACE = CheckTable((_TORSION,), theorem="lens_mirror_pairing")
-# Over a non-orientable base the searched rows only certify: where
-# weak_complementary_pairs and even_fibre_clause pass, the legs' pair is
-# built (``obstructions.built_pass``), or there are no legs and the empty
-# form passes; elsewhere an undoubled coker Q refutes the rows, or a side
-# searches under the size rule.
+# Non-orientable base: where weak_complementary_pairs and even_fibre_clause
+# pass, both searched rows cite the legs' built pair (``built_pass``), or
+# the empty form with no legs.
 NONORIENTABLE = CheckTable(
     (
         _TORSION,
@@ -609,14 +520,14 @@ NONORIENTABLE = CheckTable(
     ),
     certificates=_searched_rows("nonorientable_double_subset"),
 )
-# e = 0: where complementary_pairs passes, so do the certificate rows (``blown_up_pairs``)
+# e = 0: where complementary_pairs passes, both certificate rows cite the
+# rows built from the legs (``blown_up_pairs``).
 ORIENTABLE_E0 = CheckTable(
     (_TORSION, _COMPLEMENTARY, _MUBAR), certificates=_searched_rows("semidefinite_subset")
 )
 ORIENTABLE = CheckTable((_TORSION, _DOUBLE[0], _MUBAR))
 
-# every name a row of the tables above carries; ``--obstruction`` accepts
-# exactly these
+# every row name; ``--obstruction`` accepts exactly these
 _TABLES = (LENS_SUM, LENS_SPACE, NONORIENTABLE, ORIENTABLE_E0, ORIENTABLE)
 CHECK_NAMES = tuple(dict.fromkeys(name for t in _TABLES for name in t.names))
 
@@ -651,9 +562,7 @@ def _matches_doubly_slice_pretzel(ctx: ManifoldContext) -> bool:
 
 def _matches_odd_complementary_e0(ctx: ManifoldContext) -> bool:
     """e = 0 over an orientable base, every a_i odd, the fibres in
-    complementary pairs.  With no fibres this is Sigma_g x S^1: an
-    unknotted Sigma_g in S^3 in S^4 has a trivial normal bundle, so
-    Sigma_g x S^1 bounds Sigma_g x D^2 in S^4."""
+    complementary pairs."""
     s = ctx.seifert
     if s is None or not s.base_orientable:
         return False
@@ -662,11 +571,8 @@ def _matches_odd_complementary_e0(ctx: ManifoldContext) -> bool:
 
 def _matches_nonorientable_surface_bundle(ctx: ManifoldContext) -> bool:
     """seifert(N(h); r; ) with no fibres, |r| <= 2h and r = 2h mod 4: the
-    circle bundle over N_h of Euler number -r.  A sum of h standard RP^2s
-    in S^4 has normal Euler number e for each e in {-2h, -2h + 4, ..., 2h}
-    (Whitney), and Massey (Pacific J. Math. 31, 1969) showed there are no
-    others; the boundary of its tubular neighbourhood is that bundle.  The
-    set is symmetric, so either orientation matches."""
+    circle bundle over N_h of Euler number -r.  The set of Euler numbers
+    is symmetric, so either orientation matches."""
     s = ctx.seifert
     if s is None or s.base_orientable or s.invariants:
         return False
@@ -759,9 +665,8 @@ def full_report(
     only: list[str] | None = None,
     certificates: bool = False,
 ) -> ObstructionReport:
-    """Run the check table of the manifold's class, the rows that the
-    module docstring's merge rule names, and merge the results with the
-    catalog by that rule; each result carries its row's name."""
+    """Run the rows of the manifold's check table and merge the results
+    with the catalog by the merge rule of the module docstring."""
     ctx = ManifoldContext(m, budget)
     table = ctx.table
     rows = table.checks + (table.certificates if certificates or only else ())

@@ -11,34 +11,16 @@ optional sign and whitespace may appear between any two tokens::
     pretzel  := pretzel(a,b,c[,d])
 
 The fibre list is optional: ``seifert(S2;0)`` and ``seifert(S2; 0; )``
-are the same space.  A base genus g, or crosscap count k, is refused
-when b_1 (at most 2g + 1, or k) or the rank of H_1(Y; Z/2) could pass
-4,300 digits, as the report prints both; a larger spin count 2^m prints
-as the string "2^m".  So is an input whose torsion of H_1 has order at
-least 10^4300 (``torsion_order``), as the report prints its invariant
-factors.  Every rejected expression raises ``ParseError``, which names a
-position in the text; the CLI prints it and exits 64.
-
-A default report stops at its first refutation.  ``--certificates``
-runs every check, with the rows that only certify (a lens sum's
-double-subset rows, a non-orientable base's nonorientable_double_subset
-rows, an e = 0 space's semidefinite rows), and prints their
-certificates; status, reason and exit code stay the same.  Where the
-class's other rows pass, chains in mirror pairs, and e = 0 legs in
-complementary pairs, cite rows built with no search; a passing search
-cites the first witness it meets.
-Past 1,000 rows (``PRINTED_ROWS``) built rows are summarised, and a
-side is not searched, on every row but an orientable base's deciding
-double_subset.
+are the same space.  An input is refused where the report could not
+print b_1, the rank of H_1(Y; Z/2) or the torsion factors in 4,300
+digits; a larger spin count 2^m prints as the string "2^m".  Every
+rejected expression raises ``ParseError``, which names a position in the
+text; the CLI prints it and exits 64.
 
 ``--obstruction NAME`` (repeatable) runs only the named checks; the
 status is merged from their results alone.  A name that the input's
-class has no row for is a usage error, and its one stderr line names the
-rows the class has: a single lens space, given as a Seifert space or a
-pretzel cover, has torsion_square alone (its torsion is cyclic, so never
-G + G unless trivial), and lens_mirror_pairing names a row of lens sums
-only.  A named row that returns no result, as mubar_vanishing does with
-no pretzel form, is a usage error too, and its stderr line names it.
+class has no row for, or whose row returns no result, is a usage error,
+and its one stderr line names the rows the class has, or the idle row.
 
 Exit codes: 0 embeds, 1 obstructed, 2 unknown, 64 parse/usage error,
 70 internal error.  Code 70 means either a conflict (status CONFLICT: a
@@ -223,12 +205,9 @@ _ARGS.add_argument("--json", action="store_true", help="emit a JSON report")
 _ARGS.add_argument(
     "--certificates",
     action="store_true",
-    help="run every check, and print certificates: a default report stops at its first "
-    "refutation.  This adds the rows that only certify (a lens sum's double-subset rows, "
-    "a non-orientable base's nonorientable_double_subset rows, an e = 0 space's "
-    "semidefinite rows).  Where the other rows pass, chains that pair into mirrors, and "
-    "e = 0 legs that pair into complements, cite rows built with no search; past "
-    f"{PRINTED_ROWS} rows built rows are summarised and a side is not searched",
+    help="run every check, the rows that only certify too, and print certificates.  Where "
+    "the deciding rows pass, the certificate rows are built with no search; past "
+    f"{PRINTED_ROWS} rows a certificate row is summarised, or not searched",
 )
 _ARGS.add_argument(
     "--budget",

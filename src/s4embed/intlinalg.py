@@ -6,30 +6,11 @@ Everything runs on Python's arbitrary-precision integers; group orders
 of plumbings outgrow machine words as soon as legs get long, and none
 of these questions tolerate rounding.
 
-A group holds its invariant factors and, for its torsion coordinates
-and generators, a relation matrix M and its Smith form U M V = D.
-``cokernel`` reads the factors off that Smith form, taken at once; a
-group whose factors are known in closed form
-(``manifolds.chain_group``) builds M and takes its Smith form only when
-its coordinates or generators are first read, and never otherwise.
-
 Subgroup questions are answered, in integers only, from the Hermite
 basis of the lift lattice (generators plus relations) in Z^m: the order
 of a subgroup is |G| over that lattice's index (Cohen, GTM 138, section
 2.4).  One routine, ``_reduce_into``, reduces vectors into an
-upper-triangular basis.  The lift lattice contains the relations
-diag(G.factors), so its basis is triangular of full rank and its index
-is the product of the pivots.  A join H1 + H2 reduces H2's lift basis
-into a copy of H1's, and |H1 + H2| is |G| over the product of the
-pivots that result.
-
-A plumbing form, given as a diagonal and neighbour lists, is a forest,
-and one walk, ``strip_forest``, strips it leaf by leaf (Neumann, Trans.
-AMS 268, 1981) for both of its obstructions: ``signature_triple`` reads
-the inertia off it on integer subtree determinants, and ``spin.wu_sets``
-the Wu sets over GF(2).  Both run in linear time and build no dense
-matrix and no fraction.  Every step is a congruence, so the counts are
-exact.
+upper-triangular basis.
 
 Matrices are plain lists of row lists.  All functions are pure, so
 concurrent use is safe.
@@ -97,10 +78,9 @@ def smith_normal_form(M) -> tuple[list[list[int]], list[list[int]], list[list[in
     remainder smaller than the pivot in row or column t, at once or
     after the row is added, so the least |entry| of the block falls.
 
-    D is unique; U and V are one choice among many.  A group takes at
-    most one Smith form (``FiniteAbelianGroup``), and reads all three
-    matrices, but only through what depends on no basis: the subgroups
-    that U's torsion rows project onto, and the factor that
+    D is unique; U and V are one choice among many, and a group reads
+    them only through what depends on no basis: the subgroups that U's
+    torsion rows project onto, and the factor that
     ``obstructions.odd_linking_factor`` names from the generators in V.
     """
     rows = len(M)
@@ -284,11 +264,7 @@ def signature_triple(diag, neighbours) -> tuple[int, int, int]:
 
     The form is given sparse, as ``PlumbingTree`` stores it: ``diag`` is
     its diagonal, and ``neighbours[i]`` lists the j with Q[i][j] = 1, every
-    other off-diagonal entry being 0.  Its inertia gives the signature
-    and the definiteness.  coker Q is presented on the chain ends instead
-    (``manifolds.chain_group``).
-
-    The graph must be a forest, and ``strip_forest`` strips it.  A
+    other off-diagonal entry being 0.  ``strip_forest`` strips it.  A
     vertex v carries its current diagonal as the quotient num[v] / den[v]
     with den[v] != 0, and num is the walk's pivot list:
 
@@ -303,9 +279,8 @@ def signature_triple(diag, neighbours) -> tuple[int, int, int]:
       u's other neighbours keep their diagonals;
     - an isolated vertex counts its sign, or a zero eigenvalue.
 
-    The work is linear in the number of vertices and every number is an
-    integer.  Each step is a congruence, so by Sylvester's law of inertia
-    the counts are exact.  A graph with a cycle raises ValueError.
+    Every number is an integer.  Each step is a congruence, so by
+    Sylvester's law of inertia the counts are exact.
     """
     num = list(diag)
     den = [1] * len(num)
@@ -342,8 +317,8 @@ class FiniteAbelianGroup:
     coordinates: U carries ambient integer vectors, the columns of a
     matrix, onto the torsion coordinates (``project_columns``), and
     M V / D gives the generators.  M is built and its Smith form taken
-    on the first read of either, and every copy ``dataclasses.replace``
-    makes shares that one form; ``cokernel`` hands its own over.
+    on the first read of either, never where only the factors are read,
+    and every copy ``dataclasses.replace`` makes shares that one form.
     ``lift`` writes ambient coordinate i as m times generator k, for
     (k, m) = lift[i], as ``PlumbingTree.lift`` does; () is the identity.
     """
@@ -388,10 +363,6 @@ class FiniteAbelianGroup:
         if self.free_rank:
             raise ValueError("infinite group has no order")
         return math.prod(self.factors)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.free_rank == 0
 
     def project_columns(self, rows) -> list[tuple[int, ...]]:
         """Torsion coordinates of each column of the matrix with these
@@ -486,7 +457,7 @@ def subgroup_from_generators(G: FiniteAbelianGroup, gens) -> Subgroup:
     its index is the product of its pivots.  The order is |G| over that
     index.
     """
-    if not G.is_finite:
+    if G.free_rank:
         raise ValueError("subgroup arithmetic needs a finite parent")
     m = len(G.factors)
     gens = tuple(G.reduce(g) for g in gens)

@@ -3,33 +3,19 @@
 A subset is a set of integer vectors, one per vertex of the plumbing,
 realising the (negated) intersection form inside a standard diagonal
 lattice: row i has squared length -Q[i][i] and prescribed inner products
-with every other row.  The search takes the ``PlumbingTree`` of Q and
-reads its definiteness off the cached inertia, and Q off the weights and
-the neighbour lists, so no dense form is built.  Such
-factorisations are searched for negative definite Q (A is n x n) and
-negative semi-definite Q of corank one (A is n x (n-1), one column
-fewer); the width of A is n minus the corank.  They are meaningful only
-up to signed permutations of the ambient coordinates, i.e. signed
-column permutations of A.
+with every other row.  Such factorisations are meaningful only up to
+signed permutations of the ambient coordinates, i.e. signed column
+permutations of A.
 
 The search places rows one at a time, most-constrained vertex first,
 enumerating candidate vectors coordinate by coordinate under exact
-norm/inner-product bounds.  It runs on an explicit stack, one frame per
-placed row, so a plumbing of any size searches without Python recursion.
-Each frame owns the row it places: it keeps the inner products its row
-still owes to the placed rows, and for each row it yields it lists the
-row for the frames below, under each column where it is nonzero (so an
-entry updates only the inner products it changes) and under its last
-such column, with the row's suffix sums of squares for the
-Cauchy-Schwarz cut.  It takes the row back when the search returns to
-it.  The frame below is handed the symmetry state of the prefix: which
-columns equal their predecessor in every placed row, and the first
-column that every placed row leaves zero.  The symmetry cuts
-keep the tree small while preserving at least one representative per
-orbit: every prefix must have its columns weakly increasing in
-lexicographic order, and the topmost nonzero entry of every column must
-be negative.  Two more cuts follow from these constraints, and remove
-only subtrees that yield no row:
+norm/inner-product bounds, with a Cauchy-Schwarz cut on the inner
+products still owed to the placed rows.  The symmetry cuts keep the tree
+small while preserving at least one representative per orbit: every
+prefix must have its columns weakly increasing in lexicographic order,
+and the topmost nonzero entry of every column must be negative.  Two
+more cuts follow from these constraints, and remove only subtrees that
+yield no row:
 
 - forced entries: at the last nonzero column of a placed row, the entry
   must repay all the inner product still owed to that row, so it is the
@@ -42,14 +28,8 @@ only subtrees that yield no row:
 
 Survivors are reduced to a canonical form and de-duplicated, so the
 output is the complete, deterministic list of orbit representatives --
-or an explicit "budget exhausted" signal, which callers must never
-conflate with "none exist".
-
-A caller that needs only one witness passes ``until``: the search hands
-it each new representative as it is found, in search order, and stops
-with status 'stopped' as soon as it returns true.  A stopped search has
-not seen the whole tree, so like an exhausted one it proves nothing
-about the subsets it did not reach.
+or an explicit "budget exhausted" or "stopped" signal, which callers
+must never conflate with "none exist".
 """
 
 from __future__ import annotations
@@ -130,37 +110,32 @@ def enumerate_subsets(
     until: Callable[[LatticeSubset], bool] | None = None,
 ) -> SubsetSearchResult:
     """All A with A A^t = -Q, up to signed column permutation, Q the form
-    of ``tree``.
+    of ``tree``, read off its weights and neighbour lists.
 
     Q must be negative definite, when A is n x n, or negative
     semi-definite of corank one, when A is n x (n-1): the width is n
     minus the corank of the tree's cached inertia.  Any other form
     raises ValueError.
 
-    The search keeps an explicit stack with one frame per placed row.  A
-    frame is a generator over the candidates for its row: it walks the
-    coordinates in a loop, one search node per prefix of the row, and
-    undoes its updates as it backtracks, so the depth of the search
-    costs no Python recursion.  It keeps the inner products its row
-    still owes in one dict, placed position -> nonzero amount; an entry
-    updates only the rows listed as nonzero in its column.  For each
-    candidate it places the row and yields the frame below, which the
-    main loop pushes, and it takes the row back when resumed.  Besides
-    the symmetry and Cauchy-Schwarz cuts, an entry is forced where a
-    placed row ends, and bounded above in the all-zero suffix of the
-    columns (see the module docstring); each cut removes only subtrees
-    that yield nothing, so the rows, and the order in which ``until``
-    meets them, are those of the search without them.  ``budget`` bounds
-    the number of search nodes; exhausting it yields status 'exhausted'
-    with whatever was found so far.  ``nodes`` of the result counts the
-    nodes visited.
+    The search keeps an explicit stack with one frame per placed row, so
+    its depth costs no Python recursion.  A frame is a generator over the
+    candidates for its row: it walks the coordinates in a loop, one
+    search node per prefix of the row, and undoes its updates as it
+    backtracks.  For each candidate it places the row, listed under each
+    column where it is nonzero and under its last such column, and
+    yields the frame below, which the main loop pushes; it takes the row
+    back when resumed.  The cuts of the module docstring remove only
+    subtrees that yield nothing, so the rows, and the order in which
+    ``until`` meets them, are those of the search without them.
+    ``budget`` bounds the number of search nodes; exhausting it yields
+    status 'exhausted' with whatever was found so far.  ``nodes`` of the
+    result counts the nodes visited.
 
     ``until``, when given, is called once with each new canonical subset,
     in search order, as soon as the search finds it.  If it returns true
     the search stops there with status 'stopped': ``subsets`` holds what
     was found so far, the accepted subset among them, and ``complete``
-    is false.  The callback does not change the tree, so a search whose
-    callback never accepts visits the same nodes as one without it.
+    is false.
     """
     kind, corank = tree.definiteness
     if kind == "indefinite" or corank > 1:
@@ -179,8 +154,6 @@ def enumerate_subsets(
     limit = -1 if budget is None else max(budget, 0)
     nodes = 0
 
-    # The rows placed so far, each placed by the frame that yields it and
-    # taken back when that frame resumes.
     rows: list[tuple[int, ...]] = [()] * n  # by vertex
     suffix_sq: list[list[int]] = [[]] * n  # by position: sums of squares of row[c:]
     support: list[list[tuple[int, int]]] = [[] for _ in range(width)]
@@ -189,18 +162,9 @@ def enumerate_subsets(
     def candidates(depth: int, same: list[bool], zero: int):
         """The frame at ``depth``: for each row that fits the placed
         prefix, in search order, it places the row and yields the frame
-        below, or, at the last depth, yields the row alone.
-
-        The node with prefix entries[:c] checks that no placed row's
-        remaining inner product exceeds what Cauchy-Schwarz allows in
-        the remaining columns, then tries the values of entry c that the
-        symmetry cuts admit: the columns of the prefix stay weakly
-        increasing in lexicographic order (``same[c]``: column c equals
-        column c-1 in every placed row), and the topmost nonzero entry
-        of a column is negative.  Within those, a row ending at column c
-        forces entry c, and in the zero suffix, the columns from
-        ``zero`` on, entry c is at most -ceil(sqrt(rem / (width - c))).
-        """
+        below, or, at the last depth, yields the row alone.  ``same[c]``:
+        column c equals column c-1 in every placed row; ``zero``: the
+        first column of the zero suffix."""
         nonlocal nodes
         i = order[depth]
         # placed position -> the nonzero inner product still owed to its

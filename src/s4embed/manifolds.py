@@ -73,10 +73,10 @@ def normalize_lens(p: int, q: int) -> tuple[int, int]:
     return p, q
 
 
-def lens_class(p: int, q: int) -> tuple[int, int, frozenset]:
-    """Diffeomorphism class of L(p, q): p together with {q, q^-1 mod p}."""
+def lens_class(p: int, q: int) -> tuple[int, int]:
+    """Diffeomorphism class of L(p, q): p and the lesser of q, q^-1 mod p."""
     p, q = normalize_lens(p, q)
-    return p, min(q, pow(q, -1, p)), frozenset({q, pow(q, -1, p)})
+    return p, min(q, pow(q, -1, p))
 
 
 def lens_mirror_class(p: int, q: int):
@@ -108,9 +108,8 @@ class SeifertManifold:
     """Base surface, central framing, and singular-fibre invariants.
 
     ``base_orientable`` with ``genus`` g >= 0, or a non-orientable base
-    with ``genus`` crosscaps >= 1.  Invariants are stored as given;
-    ``normalize`` produces the equivalent description with every
-    b_i in (-a_i, 0), the form the definite plumbing construction wants.
+    with ``genus`` crosscaps >= 1.  Invariants are stored as given
+    (``normalize_seifert`` shifts every b_i into (-a_i, 0)).
     """
 
     base_orientable: bool
@@ -153,7 +152,7 @@ def euler_times(hub: int, ends) -> tuple[int, int]:
 
 def euler_invariant(m: SeifertManifold) -> Fraction:
     """e(Y) = sum b_i/a_i - r, an invariant of the unnormalised data."""
-    return Fraction(*euler_times(m.r, [(-b, a) for a, b in m.invariants]))
+    return Fraction(*euler_times(m.r, chains(m)))
 
 
 def normalize_seifert(m: SeifertManifold) -> SeifertManifold:
@@ -216,39 +215,28 @@ def pretzel_to_seifert(m: PretzelCover) -> SeifertManifold:
 Manifold = LensSum | SeifertManifold | PretzelCover
 
 
-def chain_ends(m: LensSum | SeifertManifold) -> tuple[int | None, tuple[tuple[int, int], ...]]:
-    """The hub weight w and the chain ends (q, a) of the '+' plumbing of a
-    lens sum or an orientable-base space, with no plumbing built: the m
+def chains(m: LensSum | SeifertManifold) -> tuple[tuple[int, int], ...]:
+    """The chain ends (q, a) of the '+' plumbing, with no hub: (q, p) for
+    a summand L(p, q) and (-b, a) for a fibre (a, b).  q and a are the m
     of a chain's innermost vertex and just past it, in the lift that
-    ``plumbing._chains`` lays out.  A fibre (a, b) is the leg (-b, a) and
-    w is r; a summand L(p, q) is a chain (q, p) with no hub, and so is a
-    space with no fibres, a lone vertex (1, -r).  Normalising a fibre
-    shifts q by t a and w by -t, adding t (a_k g_k - a_0 g_0) to the hub
-    relation (``chain_group``), so fibres as given present the same group
-    on the same g_k, with the same e and q^-1 mod a."""
+    ``plumbing._chains`` lays out."""
     if isinstance(m, LensSum):
-        return None, tuple((q, p) for p, q in m.summands)
+        return tuple((q, p) for p, q in m.summands)
+    return tuple((-b, a) for a, b in m.invariants)
+
+
+def chain_ends(m: LensSum | SeifertManifold) -> tuple[int | None, tuple[tuple[int, int], ...]]:
+    """The hub weight w = r and the ``chains`` of a lens sum or an
+    orientable-base space; a lens sum has no hub, nor has a space with no
+    fibres, a lone vertex (1, -r).  Normalising a fibre shifts q by t a
+    and w by -t, adding t (a_k g_k - a_0 g_0) to the hub relation
+    (``chain_group``), so fibres as given present the same group on the
+    same g_k, with the same e and q^-1 mod a."""
+    if isinstance(m, LensSum):
+        return None, chains(m)
     if not m.invariants:
         return None, ((1, -m.r),)
-    return m.r, tuple((-b, a) for a, b in m.invariants)
-
-
-def _nonorientable_presentation(m: SeifertManifold) -> list[list[int]]:
-    """Relation matrix for H_1 over a base of k crosscaps, less k - 1 free
-    summands, from the surgery description: generators v_1..v_k (the
-    crosscaps), x_1..x_n (fibre meridians) and h (the central curve);
-    relations a_i x_i + b_i h = 0, 2h = 0 and
-    2(v_1 + ... + v_k) + sum x_i + r h = 0.  The relation 2h = 0 holds
-    because each crosscap reverses the fibre, so this is the presentation
-    for an orientable total space; every input class is one, which the
-    torsion check's G + G test needs.  The v_j enter only as
-    u = v_1 + ... + v_k, so the matrix has one column for u, then x_1..x_n
-    and h; v_2..v_k, which no relation names, are the k - 1 free summands
-    that ``first_homology`` adds."""
-    fibres = m.invariants
-    n = len(fibres)
-    rows = [[0] + [a * (i == j) for j in range(n)] + [b] for i, (a, b) in enumerate(fibres)]
-    return rows + [[0] * (n + 1) + [2], [2] + [1] * n + [m.r]]
+    return m.r, chains(m)
 
 
 def chain_group(hub: int | None, ends) -> FiniteAbelianGroup:
@@ -257,13 +245,12 @@ def chain_group(hub: int | None, ends) -> FiniteAbelianGroup:
     a_0 g_0, a_k g_k = a_0 g_0 for k >= 1 and (w a_0 + q_0) g_0 + sum over
     k >= 1 of q_k g_k = 0.  ``PlumbingTree.lift`` writes vertices in the g_k.
 
-    The factors are read in closed form, and the presentation is built
-    and reduced only when the group's coordinates are read.  Let
-    e_1 | ... | e_n be those of the sum of the Z/|a_k|, ones kept
-    (``cyclic_sum_factors``).  With no hub that sum is the group.  With
-    one, and (E, P) = ``euler_times(w, ends)``, the group is
-    Z/e_1 + ... + Z/e_(n-2) + Z/(|E| / (e_1 ... e_(n-2))), or the first
-    n - 2 of these plus Z when E = 0.
+    The factors are read in closed form.  Let e_1 | ... | e_n be those of
+    the sum of the Z/|a_k|, ones kept (``cyclic_sum_factors``).  With no
+    hub that sum is the group.  With one, and (E, P) =
+    ``euler_times(w, ends)``, the group is Z/e_1 + ... + Z/e_(n-2) +
+    Z/(|E| / (e_1 ... e_(n-2))), or the first n - 2 of these plus Z when
+    E = 0.
 
     Proof, prime by prime: over Z localised at l, take h = a_0 g_0 as a
     generator with a_k g_k = h for every k and w h + sum q_k g_k = 0, and
@@ -306,20 +293,20 @@ def chain_group(hub: int | None, ends) -> FiniteAbelianGroup:
 
 
 def first_homology(m: LensSum | SeifertManifold) -> tuple[int, FiniteAbelianGroup]:
-    """(b_1, torsion) of the manifold; a pretzel cover is read as its
-    Seifert space (``pretzel_to_seifert``).  Every factor is read in
-    closed form, and a presentation is built and reduced only when the
-    torsion's coordinates are read: a lens sum or an orientable base on
-    its chain ends (``chain_group``), N(k) on one crosscap generator
-    (``_nonorientable_presentation``).  Genus adds free summands only, 2g
-    over O(g) and k - 1 over N(k).
+    """(b_1, torsion) of the manifold, every factor in closed form: a lens
+    sum or an orientable base by ``chain_group`` on its chain ends, N(k)
+    as a sum of cyclic groups.  Genus adds free summands only, 2g over
+    O(g) and k - 1 over N(k).
 
     Over N(k) the torsion is the sum of the Z/a_i with one change at 2:
     with no a_i even, Z/4 is added when r + sum b_i is odd, else
     Z/2 + Z/2; else, of the t fibres whose a has the top 2-valuation V,
     one a is multiplied by 4 when t is odd, and two by 2 each when t is
-    even.  Proof, prime by prime, from the relations a_i x_i + b_i h,
-    2h and 2u + sum x_i + r h: at an odd prime 2 is a unit, so h = 0, u
+    even.  Proof, prime by prime.  H_1 is presented on the crosscaps
+    v_1..v_k, the fibre meridians x_i and the central curve h by
+    a_i x_i + b_i h, 2h (each crosscap reverses the fibre) and
+    2u + sum x_i + r h, u = v_1 + ... + v_k, so v_2..v_k are the k - 1
+    free summands.  At an odd prime 2 is a unit, so h = 0, u
     is solved for and the Z/a_i are left.  At 2, x_i of odd a_i is a unit
     times h.  With no even a_i, u and h are left with 2h = 0 and
     2u + c h = 0, c = r + sum b_i mod 2 (as a_i^-1 is odd): Z/4 for odd
@@ -345,12 +332,7 @@ def first_homology(m: LensSum | SeifertManifold) -> tuple[int, FiniteAbelianGrou
         else:
             orders[top[0]] *= 2
             orders[top[1]] *= 2
-        factors = tuple(d for d in cyclic_sum_factors(orders) if d >= 2)
-
-        def relations() -> list[list[int]]:  # relations as columns
-            return [list(column) for column in zip(*_nonorientable_presentation(m))]
-
-        return m.genus - 1, FiniteAbelianGroup(factors, 0, relations)
+        return m.genus - 1, chain_group(None, [(1, a) for a in orders])
     G = chain_group(*chain_ends(m))
     b1 = G.free_rank + (2 * m.genus if isinstance(m, SeifertManifold) else 0)
     return b1, replace(G, free_rank=0)
@@ -360,28 +342,24 @@ def torsion_order(m: Manifold) -> int:
     """The order of the torsion of H_1, read off the input's integers with
     no presentation reduced:
     - a lens sum: prod p_i;
-    - a non-orientable base: 4 prod a_i, as ``first_homology``'s closed
-      form multiplies the a_i by 4 in all; it is the determinant of the
-      square presentation ``_nonorientable_presentation`` up to sign;
-    - an orientable base with e != 0: |e| prod a_i, the determinant of
-      the presentation on q_1..q_n, h with relations a_i q_i + b_i h and
-      q_1 + ... + q_n + r h, up to sign;
-    - an orientable base with e = 0: prod a_i / L^2, L = lcm(a_i).  That
-      presentation then has rank n, so its adjugate is c x y^t, with x
-      and y the primitive vectors (-b_i L / a_i; L) and (-L / a_i; L) of
-      its kernel and cokernel, and the order, the gcd of its n-minors,
-      is |c|.  The minor of the a_i q_i rows and columns is prod a_i =
-      +-c L^2;
-    - a pretzel cover, as its Seifert space: prod a_i is the product of
-      the |x| over its strands x, as a strand +-1 carries no fibre, and
-      e = sum 1/x.
-    A genus adds free summands only."""
+    - a non-orientable base: 4 prod a_i (``first_homology``);
+    - an orientable base with e != 0: |E| = |e| prod a_i (``chain_group``);
+    - an orientable base with e = 0: prod a_i / L^2, L = lcm(a_i).  The
+      presentation on q_1..q_n, h with relations a_i q_i + b_i h and
+      q_1 + ... + q_n + r h then has rank n, so its adjugate is c x y^t,
+      with x and y the primitive vectors (-b_i L / a_i; L) and
+      (-L / a_i; L) of its kernel and cokernel, and the order, the gcd of
+      its n-minors, is |c|.  The minor of the a_i q_i rows and columns
+      is prod a_i = +-c L^2;
+    - a pretzel cover, as its Seifert space: a strand +-1 carries no
+      fibre, so prod a_i is the product of the |x| over its strands x,
+      and e = sum 1/x."""
     if isinstance(m, LensSum):
         return math.prod(p for p, _ in m.summands)
     if isinstance(m, PretzelCover):  # a strand x is the end (-sign x, |x|)
         hub, ends = 0, [(-1 if x > 0 else 1, abs(x)) for x in m.strands]
     else:
-        hub, ends = m.r, [(-b, a) for a, b in m.invariants]
+        hub, ends = m.r, chains(m)
     E, P = euler_times(hub, ends)
     if isinstance(m, SeifertManifold) and not m.base_orientable:
         return 4 * P

@@ -10,27 +10,15 @@ must factor through one fewer column.  For Z/2-homology spheres, a
 correction-term argument filters the usable factorisations: every class
 of im A / im Q must be hit by A x with x in {-1, +1}^n.
 
-Each check takes the ``PlumbingTree`` of the form and first states the
-definiteness it needs, read off the tree's cached inertia.  The
-double-subset checks also take coker Q on the generators
-``PlumbingTree.lift`` names, and need it to be H + H (``undoubled``);
-the orientable one also needs its linking form hyperbolic
-(``double_subset_obstruction``), at 2 (``odd_linking_factor``) and at
-each odd prime (``nonhyperbolic_part``), read on one value
-(``linking_form``).  A report refutes the check on these grounds with
-no tree, on H_1.  No check builds a dense form.  Each check filters and
-pairs the factorisations as the search finds them
-(``enumerate_subsets(..., until=...)``), and stops at its first witness,
-which a pass cites.  Every verdict of "obstructed" is backed by a
-provably completed search, by the invariant factors of coker Q or by
-its linking form; budget exhaustion downgrades to "inconclusive"
-instead, whose note gives the nodes the search used and the subsets it
-found.
-
-Where a chain forest pairs into mirrors, or an e = 0 star's legs into
-complements, the witness is built, not searched for: ``blown_up_pairs``
-gives the blow-up argument for its rows, and ``built_pass`` the
-graph-of-phi argument for a pair's column subgroups.
+Each check takes the ``PlumbingTree`` of the form, and the double-subset
+checks also coker Q on the generators ``PlumbingTree.lift`` names.  Each
+check filters and pairs the factorisations as the search finds them,
+and stops at its first witness, which a pass cites.  Every verdict of
+"obstructed" is backed by a provably completed search, by the invariant
+factors of coker Q or by its linking form; budget exhaustion downgrades
+to "inconclusive" instead, whose note gives the nodes the search used
+and the subsets it found.  Where the theorem's rows pass, the witness
+is built, not searched for (``built_pass``).
 """
 
 from __future__ import annotations
@@ -48,7 +36,7 @@ from .intlinalg import (
     subgroup_from_generators,
 )
 from .lattice import LatticeSubset, SubsetSearchResult, enumerate_subsets
-from .manifolds import chain_length, euler_times
+from .manifolds import chain_length, euler_times, lens_class
 from .plumbing import PlumbingTree, chain_layout
 
 
@@ -82,9 +70,7 @@ def certificate_json(cert):
         return {"subgroup_factors": list(cert.factors), "order": cert.order}
     if isinstance(cert, tuple):
         return [certificate_json(c) for c in cert]
-    if isinstance(cert, dict):
-        return cert
-    return str(cert)
+    return cert  # a dict, already JSON
 
 
 def subset_column_subgroup(G: FiniteAbelianGroup, subset: LatticeSubset) -> Subgroup:
@@ -142,8 +128,11 @@ _UNDOUBLED = {
 def undoubled(name: str, G: FiniteAbelianGroup) -> ObstructionResult | None:
     """The refutation of check ``name`` where G, its coker Q, is not H + H
     by a non-square order or invariant factors that do not pair up; None
-    where G may be H + H.  It reads only G's factors, so a report can pass
-    any group isomorphic to coker Q, and no plumbing need exist."""
+    where G may be H + H.  Both checks need G = H + H: a splitting pair
+    G = H1 + H2 with H1 isomorphic to H2 makes G isomorphic to H1 + H1, and
+    the non-orientable pair asks for it outright.  It reads only G's
+    factors, so a report can pass any group isomorphic to coker Q, and
+    no plumbing need exist."""
     square, unpaired = _UNDOUBLED[name]
     if math.isqrt(G.order) ** 2 != G.order:
         notes = f"|coker Q| = {G.order} is not a perfect square{square}"
@@ -160,10 +149,7 @@ class LinkingForm:
     """The linking form lambda(x, y) = x^t Q^-1 y mod 1 of a group G =
     coker Q, on a basis x_i of G as a direct sum of the cyclic groups
     Z/d_i, d_i = ``orders[i]``: lambda(x_i, x_j) = ``gram[i][j]`` / N mod 1,
-    N = ``denominator``, the least common multiple of the d_i
-    (``linking_form``).  Both
-    linking-form tests read it: ``odd_linking_factor`` at 2 and
-    ``nonhyperbolic_part`` at the odd primes."""
+    N = ``denominator``, the least common multiple of the d_i."""
 
     orders: tuple[int, ...]
     gram: tuple[tuple[int, ...], ...]
@@ -185,8 +171,7 @@ def linking_form(G: FiniteAbelianGroup, hub: int | None, ends) -> LinkingForm:
     q_k^-1 taken mod a_k.  The basis is then G's Smith generators
     f = sum c_k g_k (``FiniteAbelianGroup.generators``), and lambda(f, f')
     is -(sum of c_k / a_k)(sum of c'_k / a_k) / e - sum of
-    c_k c'_k q_k^-1 / a_k.  Reading them takes G's one Smith form, which
-    a search of the same group then shares; with no hub none is taken."""
+    c_k c'_k q_k^-1 / a_k."""
     if G.order == 1:
         return LinkingForm((), (), 1)
     if hub is None:
@@ -227,9 +212,9 @@ def odd_linking_factor(G: FiniteAbelianGroup, form: LinkingForm) -> int | None:
     them, and the map vanishes on each but the odd multiples m x of an
     element x of order d = 2^k m, where it is m t / 2 with the integer
     t = d lambda(x, x).  So the part is even iff t is even for every
-    basis element of even order: the 2-primary part of the condition for
-    a hyperbolic linking form (Kawauchi-Kojima, *Algebraic classification
-    of linking pairings on 3-manifolds*, Math. Ann. 253, 1980).  Which k
+    basis element of even order (Kawauchi-Kojima, *Algebraic
+    classification of linking pairings on 3-manifolds*, Math. Ann. 253,
+    1980; ``double_subset_obstruction`` shows a split needs it).  Which k
     fail depends on no basis, and reversing orientation negates lambda,
     so neither the factor named nor the side read matters.  On a lens
     sum's chain ends t = -q^-1, so k fails where some p has 2-part 2^k."""
@@ -334,8 +319,7 @@ def nonhyperbolic_part(form: LinkingForm) -> tuple[int, int] | None:
     (-1)^(n_k / 2) times that product is a square mod l, the
     discriminant of n_k / 2 hyperbolic planes (Wall, *Quadratic forms on
     finite groups, and related topics*, Topology 2, 1963; Kawauchi-Kojima,
-    Math. Ann. 253, 1980).  A split G = H_1 + H_2 into two Lagrangians
-    makes each piece hyperbolic, and negating lambda keeps it so, so
+    Math. Ann. 253, 1980).  Negating lambda keeps a piece hyperbolic, so
     neither the side read nor the basis matters.  Primes are found by
     trial division (``TRIAL_DIVISORS``); those of an untested cofactor
     refute nothing."""
@@ -370,11 +354,11 @@ def blown_up_chain(c) -> list[dict[int, int]]:
     gone = [False] * n
     steps = []
     for _ in range(n - 1):
-        while ones and (gone[ones[-1]] or weight[ones[-1]] != 1):
-            ones.pop()
-        if not ones:
+        # a vertex is queued once, at weight 1; one whose weight fell since
+        # never blows down, and its last neighbour's blow-down leaves it < 0
+        v = ones.pop() if ones else -1
+        if v < 0 or weight[v] != 1:
             raise ValueError("the chain does not blow down to (0)")
-        v = ones.pop()
         gone[v] = True
         u, w = left[v], right[v]
         if u >= 0:
@@ -423,12 +407,9 @@ def blown_up_pairs(layout, hub: bool = False) -> tuple[tuple[tuple[int, ...], ..
     (p/q^-1 reverses the expansion).  The centre row is dropped, and the
     two chains meet in no entry of Q, so the rows factor -Q.  A' negates
     the rows of each pair's second chain, which changes no entry of A A^t,
-    but for k >= 2 pairs (f_i, s_i) of even a.  Those chains have one p
-    and one class c up to mirror (``classify.even_fibre_clause``), and a
-    class's chains all read one sequence from the smaller end, so the
-    layout puts them together: every f_i has one class and every s_i its
-    mirror.  A' then pairs f_i with s_(i+1 mod k), again a mirror pair,
-    and negates its second chain for i = 0 alone (``_cycle_signs``).
+    but for k >= 2 pairs (f_i, s_i) of even a it pairs f_i with
+    s_(i+1 mod k) and negates the second chain for i = 0 alone
+    (``built_pass`` says why).
 
     With ``hub``, for the star of an e = 0 space, the layout holds its
     legs read from the hub outward (``chain_layout(ends, hub=True)``),
@@ -442,7 +423,7 @@ def blown_up_pairs(layout, hub: bool = False) -> tuple[tuple[tuple[int, ...], ..
     weights = [c for seq, _ in layout for c in seq]
 
     def cls(p, q):  # a leg keeps its value; a chain's reversal reads p/q^-1
-        return p, (q if hub else min(q, pow(q, -1, p)))
+        return (p, q) if hub else lens_class(p, q)
 
     pairs = []  # (p, (first chain, its q), (second chain, its q))
     waiting: dict[tuple, list] = {}
@@ -487,8 +468,7 @@ def blown_up_pairs(layout, hub: bool = False) -> tuple[tuple[tuple[int, ...], ..
 
 def _cycle_signs(k: int) -> list[bool]:
     """Which of the k >= 2 rematched pairs (f_i, s_(i+1)) of A' negate
-    their second chain: exactly one, so the signs around the cycle
-    multiply to -1 (``built_pass``)."""
+    their second chain (``built_pass``)."""
     return [i == 0 for i in range(k)]
 
 
@@ -529,20 +509,19 @@ def built_pass(name: str, ends, group: FiniteAbelianGroup | None = None) -> Obst
       a non-orientable base: ``weak_complementary_matched`` holds iff the
       legs' lens classes pair into mirrors, and with
       ``even_fibre_clause`` |H meet H'| = 2 for any k >= 1 pairs of even
-      a.  For k = 1 this is the negated pair.  For k >= 2, on the even
-      block H meet H' is the kernel of psi - psi', where psi(f_i) =
-      u_i s_i on A's pairs and psi'(f_i) = +-u'_i s_(i+1) on A''s
-      (``blown_up_pairs``).  Every f_i has one class and is laid out
-      alike, read from its smaller end, and so is every s_i, so each pair
-      is built alike and every u_i and u'_i is one unit u on the chain
-      ends.  So x is in the kernel iff x_(i+1) = +-x_i around the cycle,
-      and as the signs multiply to -1, x_0 = -x_0: the kernel is
+      a.  For k = 1 this is the negated pair.  For k >= 2 the even pairs
+      (f_i, s_i) have one p and one class c up to mirror
+      (``classify.even_fibre_clause``), and a class's chains all read one
+      sequence from the smaller end, so the layout puts them together,
+      every f_i of class c and every s_i of its mirror: (f_i, s_(i+1)) is
+      again a mirror pair, and every pair is built alike.  On the even
+      block H meet H' is the kernel of psi - psi', where psi(f_i) = u s_i
+      on A's pairs and psi'(f_i) = +-u s_(i+1) on A''s
+      (``blown_up_pairs``), u one unit on the chain ends.  So x is in the
+      kernel iff x_(i+1) = +-x_i around the cycle, and as the signs
+      multiply to -1, x_0 = -x_0: the kernel is
       {x : 2x = 0} in one Z/a, of order 2.  With no sign negated it would
-      be all of Z/a, and with every one negated, for even k too.
-
-    Nothing of this is checked at run time: the tests check the
-    factorisations, the correction-term filter, the split, the doubling
-    and the meet on random and recorded forests."""
+      be all of Z/a, and with every one negated, for even k too."""
     hub = group is None
     if hub:
         built = "-Q factors through one fewer column, by rows built from the complementary legs"
@@ -575,12 +554,8 @@ def double_subset_obstruction(
     The pair must have distinct column subgroups unless the cokernel is
     trivial, in which case a single factorisation suffices.  For odd
     cokernel order, factorisations failing the correction-term filter
-    cannot arise from a rational-ball side and are discarded.
-
-    A splitting pair G = H1 + H2 with H1 isomorphic to H2 makes G
-    isomorphic to H1 + H1, so G's invariant factors are H1's, each
-    doubled.  A non-square |G|, or invariant factors of G that do not
-    pair up, therefore refutes the check with no search.
+    cannot arise from a rational-ball side and are discarded.  A group
+    that is not H + H refutes the check with no search (``undoubled``).
 
     Each column subgroup H = im A / im Q is a Lagrangian of the linking
     form lambda(x, y) = x^t Q^-1 y mod 1 on G: for x = A u and y = A v,
@@ -596,11 +571,8 @@ def double_subset_obstruction(
     2^(k-1) lambda(x, x) = 2^k lambda(a, b) = lambda(2^k a, b) = 0; and at
     an odd prime lambda is hyperbolic on H1 + H2, Hom(H1, Q/Z) = H2.
 
-    The pairing runs inside the search: each new subset's column
-    subgroup is filtered, and a new one is joined against the kept ones
-    and then kept, so the search stops at the first splitting pair.  On
-    a pass the filter's "removed" count therefore covers only the
-    subsets met before that pair.
+    On a pass the filter's "removed" count covers only the subsets met
+    before the splitting pair.
     """
     name = "double_subset"
     _require(tree, ("negative_definite", 0), "double-subset obstruction")
@@ -677,13 +649,11 @@ def nonorientable_obstruction(
     form) and ``group`` its coker Q, as in ``double_subset_obstruction``,
     or None when the form is empty and passes vacuously.
     A subset qualifies when its column subgroup H has
-    ``doubled_factors(H.factors)`` equal to the factors of coker Q, so
-    none does unless those factors pair up: a non-square |coker Q| or
-    unpaired factors refute the check with no search.  The type is tested
-    here, as the pair need not split coker Q, and a Lagrangian need not be
-    a half: 2G in G = Z/4 + Z/4 is one.  Each new
-    qualifying subset is tested against the earlier ones and itself as
-    the search finds it, and the search stops at the first good pair."""
+    ``doubled_factors(H.factors)`` equal to the factors of coker Q
+    (``undoubled`` refutes where none can).  The type is tested here, as
+    the pair need not split coker Q, and a Lagrangian need not be a half:
+    2G in G = Z/4 + Z/4 is one.  Each new qualifying subset is tested
+    against the earlier ones and itself as the search finds it."""
     name = "nonorientable_double_subset"
     if tree.size == 0:
         return ObstructionResult(name, "pass", notes="empty form, vacuous")

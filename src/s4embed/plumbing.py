@@ -1,6 +1,5 @@
 """Standard (semi)definite plumbings bounding lens-space sums and Seifert
-manifolds.  A pretzel cover is plumbed as its Seifert space
-(``pretzel_to_seifert``), which is what the report's context passes in.
+manifolds.
 
 A lens-space sum bounds the disjoint union of linear chains with weights
 given by negated continued-fraction entries; that plumbing is negative
@@ -9,15 +8,7 @@ base bounds the star-shaped plumbing with the central framing at the hub
 and one leg per singular fibre (definite when e > 0, semi-definite of
 corank one when e = 0).  Over a non-orientable base the central curve
 drops out of second homology and the intersection form is the chain
-forest of the legs alone.
-
-Every plumbing here is a forest, kept sparse as the one form type below
-the obstructions.  One leaf walk, ``intlinalg.strip_forest``, gives both
-its inertia, over the integers (``PlumbingTree.inertia``, once per
-tree), and its Wu sets, over GF(2) (``spin.wu_sets``); the lattice
-search reads its neighbour lists.
-``_chains`` writes each vertex's class on the chain ends that present
-coker Q (``PlumbingTree.lift``), so a search reads the report's group.
+forest of the legs alone.  Every plumbing here is a forest, kept sparse.
 
 Every plumbing is laid out in one canonical vertex order.  A star's hub
 is vertex 0 and each leg is read from the hub outward; with no hub, each
@@ -27,12 +18,10 @@ another in ascending order of those sequences.  So plumbings that differ
 only by reversed chains or permuted chains or legs are one
 ``PlumbingTree``, and they share one elimination and one search.  The
 search breaks its ties by vertex index, so this order also fixes where
-it starts: at the first vertex of the largest weight.  Row i of a
-subset certificate is vertex i of the plumbing its search ran on.
-``chain_layout`` states this order once, for its three readers:
-``_chains`` lays out every plumbing, and ``obstructions.built_pass`` a
-chain forest's built pair and an e = 0 star's built rows, with no
-plumbing, so their row i is the tree's vertex i.
+it starts: at the first vertex of the largest weight.  ``chain_layout``
+gives this order to every plumbing and to the rows that
+``obstructions.built_pass`` builds with no plumbing, so row i of a
+certificate, searched or built, is vertex i of the side's tree.
 """
 
 from __future__ import annotations
@@ -41,18 +30,15 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import intlinalg
-from .manifolds import LensSum, SeifertManifold, neg_continued_fraction
+from .manifolds import LensSum, SeifertManifold, chains, neg_continued_fraction
 
 
 @dataclass(frozen=True)
 class PlumbingTree:
-    """Weighted forest with at most simple edges.  ``plumbing_tree`` lays
-    it out in the canonical order of the module docstring, a star with
-    its hub at vertex 0, so isomorphic plumbings come out as equal trees;
-    row i of a subset certificate found on the tree is its vertex i.
+    """Weighted forest with at most simple edges, in the canonical order.
     ``lift`` names vertex i's class m g_k, (k, m) = lift[i], on the chain
-    ends of ``manifolds.chain_group``, () the identity; equal trees of one
-    report share one search whatever their lifts (``plumbing_tree``)."""
+    ends of ``manifolds.chain_group``, () the identity; it takes no part
+    in equality, so equal trees of one report share one search."""
 
     weights: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
@@ -73,9 +59,8 @@ class PlumbingTree:
 
     @cached_property
     def inertia(self) -> tuple[int, int, int]:
-        """(negative, zero, positive) eigenvalue counts of the form, from
-        one integer leaf-stripping pass over the edges, taken once per
-        tree; the signature and the definiteness read it."""
+        """(negative, zero, positive) eigenvalue counts of the form, taken
+        once per tree (``intlinalg.signature_triple``)."""
         return intlinalg.signature_triple(self.weights, self.neighbours)
 
     @property
@@ -96,10 +81,9 @@ class PlumbingTree:
 
 
 def chain_layout(ends, hub: bool = False) -> list[tuple[tuple[int, ...], int]]:
-    """(seq, k) for each chain end (q, a) of ``chain_ends``, k its index
-    and seq the expansion of a / (q mod a), read from the hub outward
-    with a ``hub``, else from its smaller end, in the canonical order of
-    the module docstring, ties in order of k."""
+    """(seq, k) for each chain end (q, a), k its index and seq the
+    expansion of a / (q mod a), in the canonical order, ties in order of
+    k."""
     seqs = [neg_continued_fraction(a, q % a) for q, a in ends]
     if not hub:
         seqs = [min(seq, seq[::-1]) for seq in seqs]
@@ -138,33 +122,26 @@ def _chains(hub: int | None, ends) -> PlumbingTree:
 def plumbing_tree(m: LensSum | SeifertManifold, orientation: str = "+", shared=()) -> PlumbingTree:
     """The standard definite/semi-definite plumbing for either orientation.
 
-    Its chains are read as ``chain_ends`` reads them: a summand L(p, q) is
-    the chain (q, p), a fibre (a, b) the leg (-b, a), and over an
-    orientable base the hub weighs r, each leg's innermost vertex joined
-    to it; ``_chains`` reduces each q mod a, the normalised form
-    (a_i > -b_i > 0).  L(p, q) = L(p, q^-1) has the reversed chain, so in
-    the canonical layout a sum and its mirror get one tree whenever their
-    chains match up so.  The star presents Y for any e and is negative
-    (semi)definite exactly when e >= 0.
+    Its chains are ``manifolds.chains``, and over an orientable base the
+    hub weighs r, each leg's innermost vertex joined to it.  The star
+    presents Y for any e and is negative (semi)definite exactly when
+    e >= 0, so for an orientable-base Seifert manifold the chosen
+    orientation must have e >= 0.
 
     orientation '-' builds the tree for the reversed manifold by negating
     every q and w.  That negates only the hub relation of ``chain_group``,
     so both sides' lifts name the g_k of m's own chain ends, and a tree
-    that serves both keeps one lift.  For an orientable-base Seifert
-    manifold the chosen orientation must have e >= 0, otherwise no
-    standard definite plumbing exists on that side.  A tree of ``shared``
-    equal to the one built is returned in its place, before the
-    definiteness check, so its inertia is not taken twice.
+    that serves both keeps one lift.  A tree of ``shared`` equal to the
+    one built is returned in its place, before the definiteness check, so
+    its inertia is not taken twice; reports reach this only with chain
+    forests, whose sides are equal where a sum and its mirror have
+    chains that match up, reversed (L(p, q) = L(p, q^-1)) or permuted.
     """
     if orientation not in ("+", "-"):
         raise ValueError("orientation must be '+' or '-'")
     s = 1 if orientation == "+" else -1
-    if isinstance(m, LensSum):
-        star, hub, ends = False, None, [(s * q, p) for p, q in m.summands]
-    else:
-        star, ends = m.base_orientable, [(-s * b, a) for a, b in m.invariants]
-        hub = s * m.r if star else None
-    tree = _chains(hub, ends)
+    star = isinstance(m, SeifertManifold) and m.base_orientable
+    tree = _chains(s * m.r if star else None, [(s * q, a) for q, a in chains(m)])
     tree = next((t for t in shared if t == tree), tree)
     # the star is indefinite exactly when e < 0; a chain forest is definite
     if star and tree.definiteness[0] == "indefinite":

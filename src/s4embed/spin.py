@@ -4,22 +4,9 @@ invariant, and the 10/8-type counting obstruction.
 Spin structures on the boundary of a plumbing correspond to Wu sets:
 0/1 vertex vectors w with Q w = diag(Q) mod 2.  For such a set,
 mu_bar = sigma(X) - w.w, with w.w the square of the integral lift under
-the intersection form.  Both ingredients are computed exactly from the
-tree's edges, with no dense matrix, by the one leaf walk of the tree,
-``intlinalg.strip_forest``: the Wu sets over GF(2) (``wu_sets``), and
-sigma(X) over the integers (``PlumbingTree.signature``), once per
-plumbing however many Wu sets read it.
-
-For a pretzel-link double branched cover the number of spin structures
-is 2^(k-1), k the number of link components.  The classifier reads k off
-H_1 (``ManifoldContext.link_components``): 2^(k-1) = |H_1(Y; Z/2)|.
-``spin_profile`` checks the Wu-set count of the plumbing against
-2^(k-1), a cross-check of the plumbing against H_1.
-
-This module builds no plumbing: the caller chooses the orientation whose
-plumbing is negative (semi)definite and passes that tree in, so the
-classifier's per-report context serves the form checks and the mu-bar
-check from one tree per side.
+the intersection form.  This module builds no plumbing: the caller
+passes in the tree of the orientation whose plumbing is negative
+(semi)definite.
 """
 
 from __future__ import annotations
@@ -80,11 +67,8 @@ def wu_sets(tree: PlumbingTree) -> list[tuple[int, ...]]:
 
 
 def mu_bar(tree: PlumbingTree, w) -> int:
-    """sigma(X) - w.w for a Wu set w on the plumbing X.
-
-    sigma(X) is the tree's cached signature, so the 2^(k-1) Wu sets of
-    one plumbing share a single signature computation.
-    """
+    """sigma(X) - w.w for a Wu set w on the plumbing X; sigma(X) is the
+    tree's cached signature."""
     if len(w) != tree.size or any(x not in (0, 1) for x in w):
         raise ValueError("Wu set must be a 0/1 vertex vector")
     ww = sum(c for c, x in zip(tree.weights, w) if x)
@@ -100,7 +84,8 @@ def spin_profile(tree: PlumbingTree, side: str, k: int) -> tuple[int, ...]:
     '-'), the one the caller found negative (semi)definite.  The values
     are reported for the '+' orientation: reversing orientation negates
     mu-bar and fixes the vanishing count.  The Wu-set count must be the
-    spin count 2^(k-1) that the caller read off H_1.
+    spin count 2^(k-1) = |H_1(Y; Z/2)| that the caller read off H_1
+    (``ManifoldContext.link_components``), a cross-check of the plumbing.
     """
     sign = -1 if side == "-" else 1
     wu = wu_sets(tree)
