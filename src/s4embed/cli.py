@@ -17,6 +17,18 @@ digits; a larger spin count 2^m prints as the string "2^m".  Every
 rejected expression raises ``ParseError``, which names a position in the
 text; the CLI prints it and exits 64.
 
+Arguments (``_read_argv``): one expression and the options of
+``_OPTIONS``, each by its full name, in any order.  ``--budget N`` and
+``--obstruction NAME`` take the next word as their value, whatever it
+is, or the text after ``=``; N is read by ``int()``, and NAME is one of
+``CHECK_NAMES``.  ``-h`` or ``--help`` prints the help on stdout and
+exits 0.  Any other word that starts with ``-`` (an abbreviation such
+as ``--cert``, a bare ``--``, a negative number), a second expression,
+a value for a flag, a missing or bad value is a usage error: the usage
+line and ``s4embed: error: <message>`` on stderr, exit 64.  Words are
+read in order, so an option's value error, or help, ends the reading
+where it stands; an unknown word is reported once all are read.
+
 ``--obstruction NAME`` (repeatable) runs only the named checks; the
 status is merged from their results alone.  A name that the input's
 class has no row for, or whose row returns no result, is a usage error,
@@ -37,11 +49,11 @@ loudly.
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
 from json.encoder import encode_basestring_ascii as _quoted
+from types import SimpleNamespace
 
 from .classify import CHECK_NAMES, DEFAULT_BUDGET, ManifoldContext, ObstructionReport, full_report
 from .manifolds import LensSum, Manifold, PretzelCover, SeifertManifold, torsion_order
@@ -185,48 +197,75 @@ INTERNAL_ERROR = 70
 EXIT_CODES = {"EMBEDS": 0, "OBSTRUCTED": 1, "UNKNOWN": 2, "CONFLICT": INTERNAL_ERROR}
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Usage errors exit 64; argparse's own 2 would read as UNKNOWN."""
+# name: (metavar, help); an option with no metavar is a flag
+_OPTIONS = {
+    "--json": (None, "emit a JSON report"),
+    "--certificates": (
+        None,
+        "run every check, the rows that only certify too, and print certificates.  Where "
+        "the deciding rows pass, the certificate rows are built with no search; past "
+        f"{PRINTED_ROWS} rows a certificate row is summarised, or not searched",
+    ),
+    "--budget": ("BUDGET", "search-node budget per obstruction (default 10^7)"),
+    "--obstruction": (
+        "NAME",
+        "run only the named checks (repeatable): the others do not run, and a certificate "
+        "search runs when named.  A name that is unknown, not a row of the input's class, "
+        f"or whose row returns no result is a usage error.  Names: {', '.join(CHECK_NAMES)}",
+    ),
+    "--quiet": (None, "suppress text output"),
+}
+_USAGE = (
+    "usage: s4embed [-h] [--json] [--certificates] [--budget BUDGET] [--obstruction NAME] "
+    "[--quiet] [expr]"
+)
+_ABOUT = (
+    "Decide, with certificates, whether a lens-space sum, Seifert manifold or pretzel-link "
+    "double branched cover embeds smoothly in the 4-sphere."
+)
 
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+
+def _usage_error(message: str):
+    print(f"{_USAGE}\ns4embed: error: {message}", file=sys.stderr)
+    raise SystemExit(USAGE_ERROR)
 
 
-# built once per process; each parse_args call starts a fresh namespace
-_ARGS = _ArgumentParser(
-    prog="s4embed",
-    description="Decide, with certificates, whether a lens-space sum, "
-    "Seifert manifold or pretzel-link double branched cover embeds "
-    "smoothly in the 4-sphere.",
-)
-_ARGS.add_argument("expr", nargs="?", help="manifold expression")
-_ARGS.add_argument("--json", action="store_true", help="emit a JSON report")
-_ARGS.add_argument(
-    "--certificates",
-    action="store_true",
-    help="run every check, the rows that only certify too, and print certificates.  Where "
-    "the deciding rows pass, the certificate rows are built with no search; past "
-    f"{PRINTED_ROWS} rows a certificate row is summarised, or not searched",
-)
-_ARGS.add_argument(
-    "--budget",
-    type=int,
-    default=DEFAULT_BUDGET,
-    help="search-node budget per obstruction (default 10^7)",
-)
-_ARGS.add_argument(
-    "--obstruction",
-    action="append",
-    default=None,
-    choices=CHECK_NAMES,
-    metavar="NAME",
-    help="run only the named checks (repeatable): the others do not run, "
-    "and a certificate search runs when named.  A name that is unknown, not a "
-    "row of the input's class, or whose row returns no result is a usage error.  Names: "
-    f"{', '.join(CHECK_NAMES)}",
-)
-_ARGS.add_argument("--quiet", action="store_true", help="suppress text output")
+def _read_argv(argv: list[str]) -> SimpleNamespace:
+    """The six values ``main`` reads, by the argument rules of the module
+    docstring; --help and a usage error raise SystemExit with their code."""
+    args = SimpleNamespace(expr=None, json=False, certificates=False, quiet=False)
+    args.budget, args.obstruction, unknown, words = DEFAULT_BUDGET, None, [], iter(argv)
+    for word in words:
+        if word in ("-h", "--help"):
+            rows = [("-h, --help", (None, "show this help message and exit")), *_OPTIONS.items()]
+            print(_USAGE, _ABOUT, "positional arguments:", sep="\n\n")
+            print(f"  {'expr':<20}manifold expression\n\noptions:")
+            print(*(f"  {f'{n} {m}' if m else n:<20}{text}" for n, (m, text) in rows), sep="\n")
+            raise SystemExit(0)
+        name, given, value = word.partition("=")
+        if name not in _OPTIONS:  # a positional, or an unknown option
+            if word.startswith("-") or args.expr is not None:
+                unknown.append(word)
+            else:
+                args.expr = word
+        elif _OPTIONS[name][0] is None:
+            if given:
+                _usage_error(f"argument {name}: ignored explicit argument {value!r}")
+            setattr(args, name[2:], True)
+        elif not given and (value := next(words, None)) is None:
+            _usage_error(f"argument {name}: expected one argument")
+        elif name == "--obstruction":
+            if value not in CHECK_NAMES:
+                _usage_error(f"argument {name}: invalid choice: {value!r}")
+            args.obstruction = [*(args.obstruction or ()), value]
+        else:
+            try:
+                args.budget = int(value)
+            except ValueError:
+                _usage_error(f"argument {name}: invalid int value: {value!r}")
+    if unknown:
+        _usage_error(f"unrecognized arguments: {' '.join(unknown)}")
+    return args
 
 
 def _indented(x, pad: str = "\n") -> str:
@@ -260,7 +299,7 @@ def _text_report(report: ObstructionReport, text: str, with_certificates: bool) 
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _ARGS.parse_args(argv)
+    args = _read_argv(sys.argv[1:] if argv is None else argv)
 
     text = args.expr
     if not text:

@@ -1,10 +1,12 @@
+import argparse
+import io
 import json
 import math
 import os
 import resource
 import subprocess
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from s4embed import classify, cli, intlinalg
-from s4embed.classify import CHECK_NAMES, CatalogEntry, full_report
+from s4embed.classify import CHECK_NAMES, DEFAULT_BUDGET, CatalogEntry, full_report
 from s4embed.cli import ParseError, main, parse_manifold
 from s4embed.manifolds import LensSum, PretzelCover, SeifertManifold
 
@@ -20,7 +22,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def exit_code(*argv: str) -> int:
-    """The exit code of one in-process run: returned, or raised by argparse."""
+    """The exit code of one in-process run: returned, or raised as
+    SystemExit where the arguments ask for help or are a usage error."""
     try:
         return main([*argv, "--quiet"])
     except SystemExit as exc:
@@ -312,14 +315,108 @@ def test_text_certificates_are_their_json(capsys):
     assert [json.dumps(c) for c in first] == [subsets, halves]
 
 
+class _ReferenceParser(argparse.ArgumentParser):
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(64, f"{self.prog}: error: {message}\n")
+
+
+# The argparse definition that cli._read_argv replaced, the oracle for its
+# rules; abbreviations are off, as the loop takes no abbreviation.
+REFERENCE = _ReferenceParser(prog="s4embed", allow_abbrev=False)
+REFERENCE.add_argument("expr", nargs="?")
+for name in ("--json", "--certificates", "--quiet"):
+    REFERENCE.add_argument(name, action="store_true")
+REFERENCE.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+REFERENCE.add_argument("--obstruction", action="append", choices=CHECK_NAMES, metavar="NAME")
+
+
+def read(parse, argv: list[str]) -> tuple[dict | None, int | None, str, str]:
+    """(values, None, out, err) of one reading of argv, or (None, exit
+    code, out, err) where it raised SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            values = vars(parse(argv))
+    except SystemExit as exc:
+        return None, exc.code, out.getvalue(), err.getvalue()
+    return values, None, out.getvalue(), err.getvalue()
+
+
+integers = st.integers(-(10**6), 10**6).map(str)
+non_integers = st.sampled_from(["many", "", "3.5", "-3.5", "-1e3", " 7 ", "-7 ", "0x10", "1_0"])
+misspelt = st.sampled_from(CHECK_NAMES).flatmap(
+    lambda name: st.integers(0, len(name) - 1).map(lambda i: name[:i] + name[i + 1 :])
+)
+values = st.one_of(integers, non_integers, st.sampled_from(CHECK_NAMES), misspelt)
+options = st.one_of(
+    st.sampled_from(["--json", "--certificates", "--quiet"]).map(lambda flag: [flag]),
+    st.tuples(st.sampled_from(["--budget", "--obstruction"]), values, st.booleans()).map(
+        lambda t: [f"{t[0]}={t[1]}"] if t[2] else [t[0], t[1]]
+    ),
+    # a flag with a value, a valued option with none, help, unknown options
+    st.sampled_from(["--json=1", "--quiet=", "--budget", "--obstruction", "-h", "--help"]).map(
+        lambda word: [word]
+    ),
+    st.sampled_from(["--x", "--cert", "--seed", "--json-x", "--budge=3", "-x", "-q"]).map(
+        lambda word: [word]
+    ),
+)
+positionals = st.sampled_from(["lens(3,1)+lens(3,2)", "pretzel(3,-5,-8)", "torus", "", " lens(3,1)"])
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    """Up to six options and up to two positionals, in any order."""
+    items = draw(st.lists(options, max_size=6))
+    items += [[word] for word in draw(st.lists(positionals, max_size=2))]
+    return [word for item in draw(st.permutations(items)) for word in item]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(argvs())
+def test_argv_is_read_as_the_reference_parser_reads_it(argv):
+    """The option loop reads the values, or exits with the code, that the
+    argparse reference does; a usage error is compared by its code alone,
+    as argparse words its messages differently across versions, and the
+    loop's is the usage line and one error line on stderr.  A bare '--',
+    which argparse reads as the end of the options, and a word '-1',
+    which it reads as the expression, are usage errors of the loop and
+    are not drawn; each still exits 64 through main."""
+    values, code, out, err = read(cli._read_argv, argv)
+    assert (values, code) == read(REFERENCE.parse_args, argv)[:2]
+    if code == 0:
+        assert out.startswith(f"{cli._USAGE}\n\n") and not err
+    elif code == 64:
+        usage, error = err.splitlines()
+        assert (out, usage) == ("", cli._USAGE) and error.startswith("s4embed: error: ")
+
+
 def test_help_exits_zero(capsys):
     assert exit_code("--help") == 0
-    assert "--seed" not in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "--seed" not in out
+    assert all(f"  {name}" in out and text in out for name, (_, text) in cli._OPTIONS.items())
+
+
+def test_the_cli_imports_no_argparse():
+    """argparse imports gettext, and building a parser imports locale:
+    about 3 ms of every process start, which the argv loop does not pay."""
+    code = (
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "import s4embed.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    s4embed.cli.main(['lens(3,1)+lens(3,2)', '--json'])\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & (set(sys.modules) - before)))\n"
+    )
+    done = run_python("-c", code)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
 def test_options_do_not_leak_between_calls(capsys):
-    """The parser is built once per process; a second call starts from
-    the defaults again."""
+    """Each call reads its arguments from the defaults: a second call
+    keeps nothing of the first one's options."""
     expr = "lens(3,1)+lens(3,2)"
     assert main([expr, "--obstruction", "torsion_square", "--json"]) == 0
     first = json.loads(capsys.readouterr().out)
@@ -565,9 +662,13 @@ def test_a_torsion_of_4299_digits_prints(capsys):
 
 
 def test_usage_error_exit_code_of_the_process():
-    done = run_python("-m", "s4embed.cli", "lens(3,1)+lens(3,2)", "--bogus")
-    assert done.returncode == 64
-    assert "unrecognized arguments: --bogus" in done.stderr
+    """An unknown option, an abbreviation or a bare '--' is a usage error:
+    two lines on stderr, exit 64."""
+    for word in ("--bogus", "--cert", "--"):
+        done = run_python("-m", "s4embed.cli", "lens(3,1)+lens(3,2)", word)
+        assert done.returncode == 64
+        error = f"s4embed: error: unrecognized arguments: {word}"
+        assert done.stderr.splitlines() == [cli._USAGE, error]
 
 
 def fail_with(exc):
