@@ -168,6 +168,9 @@ def _family_member(keys) -> tuple[str, tuple[int, ...]] | None:
 # ---------------------------------------------------------------------------
 # per-call context
 
+# the one Seifert space that a report reads as a lens sum (``ManifoldContext``)
+_RP2_BUNDLE, _RP3_SUM = SeifertManifold(False, 1, 0), LensSum([(2, 1), (2, 1)])
+
 
 @dataclass
 class ManifoldContext:
@@ -180,6 +183,15 @@ class ManifoldContext:
     budget: int = DEFAULT_BUDGET
     _trees: dict[str, PlumbingTree] = field(default_factory=dict, init=False, repr=False)
     _searches: dict[tuple, ObstructionResult] = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        # seifert(N(1); 0; ), the circle bundle over RP^2 of Euler number 0,
+        # is RP^3 # RP^3, the one Seifert fibred space that is not prime
+        # (Scott, *The geometries of 3-manifolds*, Bull. London Math. Soc.
+        # 15, 1983); r = 0, so it is its own mirror.  Every check reads it
+        # as that lens sum, which LENS_SUM refutes, as 2 is even
+        if self.manifold == _RP2_BUNDLE:
+            self.manifold = _RP3_SUM
 
     @cached_property
     def seifert(self) -> SeifertManifold | None:

@@ -610,7 +610,8 @@ def test_nonorientable_surface_bundle_embeds(text, embeds):
 def test_nonorientable_surface_bundles_are_never_refuted():
     """No row refutes a member of the family, on either orientation, for
     h <= 5, so the catalog entry can give no CONFLICT there; every r of
-    the parity 2h outside the range is still UNKNOWN, and every odd r is
+    the parity 2h outside the range is still UNKNOWN, save h = 1, r = 0,
+    RP^3 # RP^3, refuted as lens(2,1) + lens(2,1) is; and every odd r is
     refuted by its Z/4 torsion."""
     statuses = Counter()
     for h in range(1, 6):
@@ -621,8 +622,20 @@ def test_nonorientable_surface_bundles_are_never_refuted():
                 statuses[member, r % 2, full_report(m).status] += 1
     assert statuses == {
         (True, 0, "EMBEDS"): 40,
-        (False, 0, "UNKNOWN"): 70,
+        (False, 0, "UNKNOWN"): 68,
+        (False, 0, "OBSTRUCTED"): 2,
         (False, 1, "OBSTRUCTED"): 100,
+    }
+
+
+def test_rp3_sum_gets_one_verdict_in_both_presentations():
+    """seifert(N(1); 0; ) and its mirror are RP^3 # RP^3, so each gets the
+    status and reason of lens(2,1) + lens(2,1)."""
+    y = parse_manifold("seifert(N(1); 0; )")
+    spaces = (y, mirror(y), parse_manifold("lens(2,1) + lens(2,1)"))
+    reports = [full_report(m, certificates=c) for m in spaces for c in (False, True)]
+    assert {(r.status, r.reason) for r in reports} == {
+        ("OBSTRUCTED", "obstruction:lens_mirror_pairing")
     }
 
 
