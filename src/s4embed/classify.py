@@ -36,7 +36,6 @@ from .manifolds import (
     SeifertManifold,
     chain_ends,
     chain_group,
-    chain_length,
     chains,
     euler_invariant,
     first_homology,
@@ -46,6 +45,7 @@ from .manifolds import (
     pretzel_to_seifert,
 )
 from .obstructions import (
+    PRINTABLE,
     PRINTED_ROWS,
     LinkingForm,
     ObstructionResult,
@@ -59,7 +59,7 @@ from .obstructions import (
     semidefinite_obstruction,
     undoubled,
 )
-from .plumbing import PlumbingTree, plumbing_tree
+from .plumbing import PlumbingTree, layout_size, plumbing_tree
 from .spin import mubar_vanishing_threshold, spin_profile
 
 DEFAULT_BUDGET = 10**7
@@ -343,12 +343,11 @@ class ManifoldContext:
         return None
 
     def tree(self, side: str) -> PlumbingTree:
-        """The standard plumbing of one side ('+' or '-'), built on first
-        use and kept for the call; a side equal to the other takes its
-        tree (``plumbing_tree``)."""
+        """The standard plumbing (``plumbing_tree``) of one side, '+' or
+        '-', built on first use and kept for the call.  Where the two
+        sides' trees are equal, ``_searched`` alone shares their search."""
         if side not in self._trees:
-            m = self.seifert or self.manifold
-            self._trees[side] = plumbing_tree(m, side, shared=self._trees.values())
+            self._trees[side] = plumbing_tree(self.seifert or self.manifold, side)
         return self._trees[side]
 
     @cached_property
@@ -449,10 +448,12 @@ def _searched(name: str, ctx: ManifoldContext) -> ObstructionResult:
     the definite side: the pass built with no search (``built_pair``),
     else the refutation read with no tree (``refutation``), else, by the
     size rule, inconclusive with no plumbing built past PRINTED_ROWS rows
-    (chain_length over the side's chains, plus a star's hub), but for
-    ORIENTABLE's deciding double_subset.  Else the row's obstruction
-    searches the side's tree once per (obstruction, tree) in a report, so
-    a mirror row on its twin's tree takes its twin's result."""
+    (``plumbing.layout_size`` of the side's chains and a star's hub), but
+    for ORIENTABLE's deciding double_subset.  Else the row's obstruction
+    searches the side's tree once per (obstruction, tree) in a report:
+    trees compare by weights and edges, so a mirror row on a tree equal
+    to its twin's takes its twin's result.  This is the one place where
+    the two sides share work."""
     if built := ctx.built_pair:
         return built
     if refuted := ctx.refutation:
@@ -460,8 +461,8 @@ def _searched(name: str, ctx: ManifoldContext) -> ObstructionResult:
     check = name.removesuffix("_mirror")
     side = "-" if check != name else ctx.definite_side
     if ctx.table is not ORIENTABLE:
-        s = 1 if side == "+" else -1
-        rows = (ctx.table is ORIENTABLE_E0) + sum(chain_length(a, s * q % a) for q, a in ctx.forest)
+        ends = [(q if side == "+" else -q, a) for q, a in ctx.forest]
+        rows = layout_size(ends, ctx.table is ORIENTABLE_E0)
         if rows > PRINTED_ROWS:
             notes = f"its {rows} rows, past {PRINTED_ROWS}, are not searched"
             return ObstructionResult("", "inconclusive", notes=notes)
@@ -648,6 +649,11 @@ def catalog_matches(ctx: ManifoldContext) -> list[CatalogEntry]:
 # full report
 
 
+class RowError(ValueError):
+    """A row that ``full_report``'s ``only`` names is not one of the
+    class's rows, or returns no result: a usage error."""
+
+
 @dataclass
 class ObstructionReport:
     manifold: Manifold
@@ -658,16 +664,17 @@ class ObstructionReport:
 
 
 def _report_invariants(ctx: ManifoldContext) -> dict:
-    """spin_count = |H^1(Y; Z/2)| = 2^m is an integer of at most 4,300
-    digits, the default printing limit, while m <= 14,284; past that it
-    is the string "2^m", and 2^m is never built."""
+    """spin_count = |H^1(Y; Z/2)| = 2^m is an integer while it is below
+    PRINTABLE, that is while m is below PRINTABLE's bit length, 14,285,
+    as PRINTABLE is no power of 2; past that it is the string "2^m", and
+    2^m is never built."""
     b1, torsion = ctx.homology
     m = ctx.z2_rank
     return {
         "b1": b1,
         "torsion_factors": list(torsion.factors),
         "euler": None if ctx.euler is None else str(ctx.euler),
-        "spin_count": 2**m if m <= 14284 else f"2^{m}",
+        "spin_count": 2**m if m < PRINTABLE.bit_length() else f"2^{m}",
     }
 
 
@@ -678,11 +685,16 @@ def full_report(
     certificates: bool = False,
 ) -> ObstructionReport:
     """Run the rows of the manifold's check table and merge the results
-    with the catalog by the merge rule of the module docstring."""
+    with the catalog by the merge rule of the module docstring.  A name
+    of ``only`` that the class has no row for, or whose row returns no
+    result, raises RowError."""
     ctx = ManifoldContext(m, budget)
     table = ctx.table
     rows = table.checks + (table.certificates if certificates or only else ())
     if only is not None:
+        if missing := [name for name in only if name not in table.names]:
+            names = ", ".join(table.names)
+            raise RowError(f"{m.describe()} has no row {missing[0]}; its rows: {names}")
         rows = tuple(row for row in rows if row[0] in only)
     results = []
     for name, check in rows:
@@ -690,6 +702,8 @@ def full_report(
             results.append(replace(r, name=name))
             if r.obstructed and not certificates and only is None:
                 break
+        elif only is not None:
+            raise RowError(f"row {name} does not apply to {m.describe()}")
 
     hits = catalog_matches(ctx)
     obstructed = [r for r in results if r.obstructed]

@@ -31,8 +31,9 @@ where it stands; an unknown word is reported once all are read.
 
 ``--obstruction NAME`` (repeatable) runs only the named checks; the
 status is merged from their results alone.  A name that the input's
-class has no row for, or whose row returns no result, is a usage error,
-and its one stderr line names the rows the class has, or the idle row.
+class has no row for, or whose row returns no result, is a usage error:
+``full_report``, where both rules live, raises ``RowError``, and its one
+stderr line names the rows the class has, or the idle row.
 
 Exit codes: 0 embeds, 1 obstructed, 2 unknown, 64 parse/usage error,
 70 internal error.  Code 70 means either a conflict (status CONFLICT: a
@@ -50,14 +51,15 @@ loudly.
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from json.encoder import encode_basestring_ascii as _quoted
 from types import SimpleNamespace
 
-from .classify import CHECK_NAMES, DEFAULT_BUDGET, ManifoldContext, ObstructionReport, full_report
+from .classify import CHECK_NAMES, DEFAULT_BUDGET, ObstructionReport, RowError, full_report
 from .manifolds import LensSum, Manifold, PretzelCover, SeifertManifold, torsion_order
-from .obstructions import PRINTED_ROWS, certificate_json
+from .obstructions import PRINTABLE, PRINTED_ROWS, certificate_json
 
 
 class ParseError(ValueError):
@@ -78,10 +80,6 @@ _TOKENS = {
         *((p, re.escape(p), f"expected {p!r}") for p in "(),;+"),
     )
 }
-
-
-# integers below this have at most 4,300 digits, int()'s default limit
-_PRINTABLE = 10**4300
 
 
 class _Scanner:
@@ -156,7 +154,7 @@ def parse_manifold(text: str) -> Manifold:
             # the report prints b_1 and m, the rank of H_1(Y; Z/2): b_1 is at
             # most 2g + 1 over O(g) and k over N(k), and m at most b_1 + n + 2
             # for n fibres
-            if (genus if base == "N" else 2 * genus + 1) + len(pairs) + 2 >= _PRINTABLE:
+            if (genus if base == "N" else 2 * genus + 1) + len(pairs) + 2 >= PRINTABLE:
                 raise ParseError("base genus too large to print H_1 in 4,300 digits", start)
             make, args = SeifertManifold, (base != "N", genus, r, pairs)
         s.take(")")
@@ -173,7 +171,7 @@ def parse_manifold(text: str) -> Manifold:
         head = s.pos
     s.take("end")
     # the report prints the order of the torsion of H_1 and its factors
-    if torsion_order(m) >= _PRINTABLE:
+    if torsion_order(m) >= PRINTABLE:
         where = 0 if kind == "lens" else start
         raise ParseError("torsion of H_1 too large to print in 4,300 digits", where)
     return m
@@ -197,6 +195,10 @@ INTERNAL_ERROR = 70
 EXIT_CODES = {"EMBEDS": 0, "OBSTRUCTED": 1, "UNKNOWN": 2, "CONFLICT": INTERNAL_ERROR}
 
 
+# the default budget as 10^k, or in full where it is no power of ten
+_ZEROS = len(str(DEFAULT_BUDGET)) - 1
+_BUDGET = f"10^{_ZEROS}" if DEFAULT_BUDGET == 10**_ZEROS else DEFAULT_BUDGET
+
 # name: (metavar, help); an option with no metavar is a flag
 _OPTIONS = {
     "--json": (None, "emit a JSON report"),
@@ -206,7 +208,7 @@ _OPTIONS = {
         "the deciding rows pass, the certificate rows are built with no search; past "
         f"{PRINTED_ROWS} rows a certificate row is summarised, or not searched",
     ),
-    "--budget": ("BUDGET", "search-node budget per obstruction (default 10^7)"),
+    "--budget": ("BUDGET", f"search-node budget per obstruction (default {_BUDGET})"),
     "--obstruction": (
         "NAME",
         "run only the named checks (repeatable): the others do not run, and a certificate "
@@ -307,29 +309,22 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
     try:
         manifold = parse_manifold(text)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    if args.obstruction:
-        rows = ManifoldContext(manifold).table.names
-        missing = [name for name in args.obstruction if name not in rows]
-        if missing:
-            reason = f"{manifold.describe()} has no row {missing[0]}; its rows: {', '.join(rows)}"
-            print(f"error: {reason}", file=sys.stderr)
-            return USAGE_ERROR
-
-    try:
         report = full_report(
             manifold, budget=args.budget, only=args.obstruction, certificates=args.certificates
         )
-        ran = {r.name for r in report.results}
-        if idle := [name for name in args.obstruction or () if name not in ran]:
-            print(f"error: row {idle[0]} does not apply to {manifold.describe()}", file=sys.stderr)
-            return USAGE_ERROR
         if args.json:
             out = _indented(report_to_json(report, args.certificates))
         else:
             out = _text_report(report, text, args.certificates)
+        if args.json or not args.quiet:
+            print(out, flush=True)
+    except (ParseError, RowError) as exc:  # parse_manifold raises ParseError alone
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except BrokenPipeError:
+        # the reader closed the pipe: the rest of the output, flushed again
+        # at exit, goes to devnull, and the status keeps its code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except Exception as exc:  # a fault in the program, reported as one line
         message = " ".join(str(exc).split())
         reason = f"internal:{type(exc).__name__}: {message}"
@@ -339,8 +334,6 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(f"error: {reason}", file=sys.stderr)
         return INTERNAL_ERROR
-    if args.json or not args.quiet:
-        print(out)
     return EXIT_CODES.get(report.status, INTERNAL_ERROR)
 
 

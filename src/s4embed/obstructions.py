@@ -36,8 +36,8 @@ from .intlinalg import (
     subgroup_from_generators,
 )
 from .lattice import LatticeSubset, SubsetSearchResult, enumerate_subsets
-from .manifolds import chain_length, euler_times, lens_class
-from .plumbing import PlumbingTree, chain_layout
+from .manifolds import euler_times, lens_class
+from .plumbing import PlumbingTree, chain_layout, layout_size
 
 
 @dataclass
@@ -474,6 +474,9 @@ def _cycle_signs(k: int) -> list[bool]:
 
 # past this many rows a certificate row builds no plumbing
 PRINTED_ROWS = 1000
+# the report's integers are below this, so each prints in at most 4,300
+# digits, int()'s default limit
+PRINTABLE = 10**4300
 
 # each check's note on a pass, found or built
 _PASSED = {
@@ -486,10 +489,9 @@ def built_pass(name: str, ends, group: FiniteAbelianGroup | None = None) -> Obst
     """The pass of check ``name`` from the chain ends (q, a), built with no
     search and no plumbing read: the rows of ``blown_up_pairs``, laid out
     by ``chain_layout`` as either side's tree is, as the two sides have
-    the same chains.  Past PRINTED_ROWS rows, the sum of chain_length(a,
-    q) and one for a hub, they are summarised, not built.  With no
-    ``group``, the rows A of an e = 0 star's complementary legs pass
-    semidefinite_subset.
+    the same chains.  Past PRINTED_ROWS rows (``layout_size``), they are
+    summarised, not built.  With no ``group``, the rows A of an e = 0
+    star's complementary legs pass semidefinite_subset.
 
     Else ``group`` is coker Q of a chain forest whose chains pair into
     mirrors, and it cites the pair A, A'.  On each pair's block, H = im A
@@ -531,7 +533,7 @@ def built_pass(name: str, ends, group: FiniteAbelianGroup | None = None) -> Obst
         # H, each half of G = H + H: G.factors doubles H's, and |H|^2 = |G|
         H = {"subgroup_factors": list(group.factors[1::2]), "order": math.isqrt(group.order)}
         halves = [(H, H)]
-    rows = hub + sum(chain_length(a, q % a) for q, a in ends)
+    rows = layout_size(ends, hub)
     if rows > PRINTED_ROWS:
         notes = f"{built}; its {rows} rows, past {PRINTED_ROWS}, are neither built nor printed"
         return ObstructionResult(name, "pass", halves, notes)

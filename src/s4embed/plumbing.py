@@ -15,13 +15,14 @@ is vertex 0 and each leg is read from the hub outward; with no hub, each
 chain is read from the end whose continued-fraction sequence is the
 lexicographically smaller.  Chains, and a star's legs, follow one
 another in ascending order of those sequences.  So plumbings that differ
-only by reversed chains or permuted chains or legs are one
-``PlumbingTree``, and they share one elimination and one search.  The
-search breaks its ties by vertex index, so this order also fixes where
-it starts: at the first vertex of the largest weight.  ``chain_layout``
-gives this order to every plumbing and to the rows that
-``obstructions.built_pass`` builds with no plumbing, so row i of a
-certificate, searched or built, is vertex i of the side's tree.
+only by reversed chains or permuted chains or legs are equal
+``PlumbingTree``s, and a report searches them once
+(``classify._searched``).  The search breaks its ties by vertex index,
+so this order also fixes where it starts: at the first vertex of the
+largest weight.  ``chain_layout`` gives this order to every plumbing and
+to the rows that ``obstructions.built_pass`` builds with no plumbing, so
+row i of a certificate, searched or built, is vertex i of the side's
+tree.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import intlinalg
-from .manifolds import LensSum, SeifertManifold, chains, neg_continued_fraction
+from .manifolds import LensSum, SeifertManifold, chain_length, chains, neg_continued_fraction
 
 
 @dataclass(frozen=True)
@@ -90,6 +91,14 @@ def chain_layout(ends, hub: bool = False) -> list[tuple[tuple[int, ...], int]]:
     return sorted((seq, k) for k, seq in enumerate(seqs))
 
 
+def layout_size(ends, hub: bool = False) -> int:
+    """The number of vertices, and so of rows, that ``_chains`` lays out
+    for the chain ends (q, a), plus one for a hub, with no expansion
+    built (``chain_length``): the count the size rule of
+    ``classify._searched`` and ``obstructions.built_pass`` reads."""
+    return hub + sum(chain_length(a, q % a) for q, a in ends)
+
+
 def _chains(hub: int | None, ends) -> PlumbingTree:
     """One linear chain per chain end (q, a), weighted by the negated
     expansion of a / (q mod a), laid out by ``chain_layout``.  With a
@@ -119,7 +128,7 @@ def _chains(hub: int | None, ends) -> PlumbingTree:
     return PlumbingTree(tuple(weights), tuple(edges), tuple(lift))
 
 
-def plumbing_tree(m: LensSum | SeifertManifold, orientation: str = "+", shared=()) -> PlumbingTree:
+def plumbing_tree(m: LensSum | SeifertManifold, orientation: str = "+") -> PlumbingTree:
     """The standard definite/semi-definite plumbing for either orientation.
 
     Its chains are ``manifolds.chains``, and over an orientable base the
@@ -130,19 +139,17 @@ def plumbing_tree(m: LensSum | SeifertManifold, orientation: str = "+", shared=(
 
     orientation '-' builds the tree for the reversed manifold by negating
     every q and w.  That negates only the hub relation of ``chain_group``,
-    so both sides' lifts name the g_k of m's own chain ends, and a tree
-    that serves both keeps one lift.  A tree of ``shared`` equal to the
-    one built is returned in its place, before the definiteness check, so
-    its inertia is not taken twice; reports reach this only with chain
-    forests, whose sides are equal where a sum and its mirror have
-    chains that match up, reversed (L(p, q) = L(p, q^-1)) or permuted.
+    so both sides' lifts name the g_k of m's own chain ends.  The sides
+    of a chain forest are equal trees where a sum and its mirror have
+    chains that match up, reversed (L(p, q) = L(p, q^-1)) or permuted;
+    each call builds its own, and ``classify._searched`` is where equal
+    sides share one search.
     """
     if orientation not in ("+", "-"):
         raise ValueError("orientation must be '+' or '-'")
     s = 1 if orientation == "+" else -1
     star = isinstance(m, SeifertManifold) and m.base_orientable
     tree = _chains(s * m.r if star else None, [(s * q, a) for q, a in chains(m)])
-    tree = next((t for t in shared if t == tree), tree)
     # the star is indefinite exactly when e < 0; a chain forest is definite
     if star and tree.definiteness[0] == "indefinite":
         raise ValueError("orientation yields e < 0 with orientable base")

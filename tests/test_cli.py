@@ -671,6 +671,25 @@ def test_usage_error_exit_code_of_the_process():
         assert done.stderr.splitlines() == [cli._USAGE, error]
 
 
+def test_a_reader_that_closes_the_pipe_early_leaves_the_exit_code():
+    """A reader that closes stdout after one line, as ``head -1`` does,
+    leaves the status's own exit code and an empty stderr: the 3,000
+    summands' JSON report, about 100 kB, passes the pipe's buffer, so
+    its print meets the closed pipe."""
+    expr = "+".join(["lens(3,1)+lens(3,2)"] * 1500)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "s4embed.cli", expr, "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert child.stdout.readline() == b"{\n"
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert (child.wait(timeout=60), err) == (0, b"")
+
+
 def fail_with(exc):
     def full_report(*args, **kwargs):
         raise exc

@@ -678,11 +678,11 @@ def test_tree_cokernel_matches_dense_smith_form():
     each searched tree's lift carries coker Q onto the group its report
     searches in (``assert_lift``), and every set of columns spans a
     subgroup of the same order there and in the dense Smith form's
-    group.  Both sides of one report search one group, and a tree the
-    second side shares with the first keeps the first side's lift."""
+    group.  Both sides of one report search one group, each side's tree
+    with its own lift, also where the two trees are equal twins."""
     rng = random.Random(16)
     kinds: Counter = Counter()
-    checked = shared = 0
+    checked = twins = 0
     while sum(kinds.values()) < 3000:
         m, sides = random_searched_space(rng)
         ctx = ManifoldContext(m)
@@ -692,7 +692,7 @@ def test_tree_cokernel_matches_dense_smith_form():
                 continue
             G = assert_lift(tree, G)
             kinds[type(m).__name__, getattr(m, "base_orientable", None), side] += 1
-            shared += side == "-" and tree is ctx._trees.get("+")
+            twins += side == "-" and tree == ctx._trees.get("+")
             full = cokernel(dense(tree))
             for _ in range(2):
                 width = rng.randint(1, 3)
@@ -701,7 +701,7 @@ def test_tree_cokernel_matches_dense_smith_form():
                 assert orders[0] == orders[1]
                 checked += 1
     assert len(kinds) == 6 and min(kinds.values()) >= 200, kinds
-    assert checked >= 6000 and shared >= 50
+    assert checked >= 6000 and twins >= 50
 
 
 def rational_solve(M, rhs) -> list[list[Fraction]]:

@@ -178,7 +178,7 @@ def test_complementary_pairs_build_a_semidefinite_witness():
     tree, on both sides of every e = 0 space of the S7 sweep whose fibres
     pair up (S5's spaces have three fibres, so none does), of a seeded
     random sample and of the fibreless stars over O(1) and O(2), each its
-    hub alone with one empty row.  The two sides' stars are one tree."""
+    hub alone with one empty row.  The two sides' stars are equal trees."""
     s7 = [y for y in sweep_s7() if euler_invariant(y) == 0 and complementary_matched(y.invariants)]
     sample = random_complementary_spaces(random.Random(27), 150)
     assert len(s7) == 45
@@ -189,7 +189,7 @@ def test_complementary_pairs_build_a_semidefinite_witness():
         built = ctx.built_pair
         assert (built.name, built.verdict) == ("semidefinite_subset", "pass"), y.describe()
         (A,) = built.certificates
-        assert ctx.tree("+") is ctx.tree("-"), y.describe()
+        assert ctx.tree("+") == ctx.tree("-"), y.describe()
         for side in "+-":
             tree = ctx.tree(side)
             assert len(A.rows[0]) == tree.size - 1, (y.describe(), side)
@@ -892,9 +892,9 @@ def test_built_pairs_certify_every_embeddable_lens_sum(monkeypatch):
     assert selfish[5, 2] and selfish[13, 5]
     faults = []
     for m in sample + corpus + bench:
-        # -Y has Y's summand classes, so both sides are one tree
+        # -Y has Y's summand classes, so both sides are equal trees
         ctx = ManifoldContext(m)
-        assert ctx.tree("+") is ctx.tree("-"), m.describe()
+        assert ctx.tree("+") == ctx.tree("-"), m.describe()
         if why := built_pair_fault(m):
             faults.append(f"{m.describe()}: {why}")
     assert faults == []
