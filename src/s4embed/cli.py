@@ -45,7 +45,8 @@ reason reading ``internal:<Type>: <message>``).  The output is built
 whole before any of it is printed, so a fault while rendering, such as
 an integer past the interpreter's digit limit, prints that one line and
 nothing else.  Neither should ever happen, and both are surfaced
-loudly.
+loudly.  A reader that closes stdout early, as ``head -1`` does, ends
+the output there, with nothing on stderr and the status's own code.
 """
 
 from __future__ import annotations
