@@ -206,11 +206,11 @@ def odd_linking_factor(G: FiniteAbelianGroup, form: LinkingForm) -> int | None:
     order 2^k, the least invariant factor of G of 2-part 2^k.  ``form`` is
     lambda on a cyclic basis of G (``linking_form``).
 
-    On the x with 2^k x = 0 the map x -> 2^(k-1) lambda(x, x) is a
-    homomorphism, as the cross term 2^k lambda(x, y) = lambda(2^k x, y)
-    vanishes.  The multiples of the basis elements that lie there span
-    them, and the map vanishes on each but the odd multiples m x of an
-    element x of order d = 2^k m, where it is m t / 2 with the integer
+    2^(k-1) lambda(x, x) is the residual form b_k(x, x) of
+    ``nonhyperbolic_part`` at l = 2, read on its diagonal: it vanishes on
+    G[2^(k-1)] + 2 G[2^(k+1)], and x -> b_k(x, x) is additive, as
+    2 b_k(x, y) = 0, so it vanishes iff it does on the basis e = m x of
+    V_k, x of order d = 2^k m, where it is m t / 2 with the integer
     t = d lambda(x, x).  So the part is even iff t is even for every
     basis element of even order (Kawauchi-Kojima, *Algebraic
     classification of linking pairings on 3-manifolds*, Math. Ann. 253,
@@ -253,57 +253,23 @@ def _odd_primes(n: int) -> list[int]:
     return primes
 
 
-def _jordan_units(form: LinkingForm, l: int) -> list[tuple[int, int]]:
-    """(k, u) for each cyclic summand <u / l^k> of an orthogonal
-    splitting of the l-primary part of lambda, l an odd prime, u a unit
-    mod l.  The l-parts e_i = (d_i / l^k_i) x_i of the basis span that
-    part, and b_ij = l^K lambda(e_i, e_j) mod l^K, l^K the l-part of N.
-    Among the e_i of the top exponent k, lambda is nondegenerate, so some
-    b_ii, or some b_ij, i != j, has full order l^k; in the second case e_i
-    + e_j, as l is odd, and it replaces e_i.  That e_i spans an orthogonal
-    summand: every other e_j less c e_i, c = lambda(e_j, e_i) /
-    lambda(e_i, e_i), is orthogonal to it, and of the same order, as l^k_j
-    lambda(e_j, e_i) = 0 makes l^(k - k_j) divide c."""
-    N = form.denominator
-    K, M = 0, 1
-    while N % (M * l) == 0:
-        K, M = K + 1, M * l
-    rest = N // M
-    levels, parts = [], []
-    for i, d in enumerate(form.orders):
-        k, q = 0, d
-        while q % l == 0:
-            k, q = k + 1, q // l
-        if k:
-            levels.append(k)
-            parts.append((i, q))
-    b = [[0] * len(parts) for _ in parts]
-    for s, (i, m) in enumerate(parts):
-        for t, (j, m2) in enumerate(parts):
-            x, r = divmod(m * m2 * form.gram[i][j], rest)
-            assert r == 0, "l^K e is not zero in G"
-            b[s][t] = x % M
-    units = []
-    live = list(range(len(parts)))
-    while live:
-        k = max(levels[s] for s in live)
-        full = M // l**k  # b_st has full order l^k iff l * full does not divide it
-        top = [s for s in live if levels[s] == k]
-        i = next((s for s in top if b[s][s] % (full * l)), None)
-        if i is None:
-            i, j = next((s, t) for s in top for t in top if b[s][t] % (full * l))
-            b[i] = [(x + y) % M for x, y in zip(b[i], b[j])]
-            for row in b:
-                row[i] = (row[i] + row[j]) % M
-        live.remove(i)
-        u = b[i][i] // full
-        units.append((k, u % l))
-        inverse = pow(u, -1, l**k)
-        cs = {s: b[s][i] // full * inverse for s in live}
-        for s in live:
-            for t in live:
-                b[s][t] = (b[s][t] - cs[t] * b[s][i] - cs[s] * b[i][t] + cs[s] * cs[t] * b[i][i]) % M
-    return units
+def _det_mod(rows: list[list[int]], l: int) -> int:
+    """The determinant mod the prime l of the square matrix ``rows`` of
+    residues mod l, by elimination over F_l in place.  A column with no
+    pivot makes it 0, and x^(l - 2) is the inverse of x != 0 and 0 for
+    x = 0."""
+    det = 1
+    for c in range(len(rows)):
+        p = next((r for r in range(c, len(rows)) if rows[r][c]), c)
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c]
+        det = det * (pivot[c] if p == c else -pivot[c]) % l
+        inverse = pow(pivot[c], l - 2, l)
+        for row in rows[c + 1 :]:
+            if row[c]:
+                f = row[c] * inverse % l
+                row[c:] = [(x - f * y) % l for x, y in zip(row[c:], pivot[c:])]
+    return det
 
 
 def nonhyperbolic_part(form: LinkingForm) -> tuple[int, int] | None:
@@ -311,27 +277,45 @@ def nonhyperbolic_part(form: LinkingForm) -> tuple[int, int] | None:
     (l^k, n) for the homogeneous piece (Z/l^k)^n of the least odd prime l,
     and the least k there, that is not.
 
-    At an odd prime l the l-primary part of lambda splits orthogonally
-    into cyclic summands <u / l^k>, u a unit mod l (``_jordan_units``), and
-    the pieces (Z/l^k)^(n_k) that gather the summands of each k have a
-    rank n_k and a discriminant, the product of their u mod squares, that
-    depend on no splitting.  A piece is hyperbolic iff n_k is even and
-    (-1)^(n_k / 2) times that product is a square mod l, the
-    discriminant of n_k / 2 hyperbolic planes (Wall, *Quadratic forms on
-    finite groups, and related topics*, Topology 2, 1963; Kawauchi-Kojima,
-    Math. Ann. 253, 1980).  Negating lambda keeps a piece hyperbolic, so
-    neither the side read nor the basis matters.  Primes are found by
-    trial division (``TRIAL_DIVISORS``); those of an untested cofactor
-    refute nothing."""
-    for l in _odd_primes(form.denominator):
-        pieces: dict[int, list[int]] = {}
-        for k, u in _jordan_units(form, l):
-            pieces.setdefault(k, []).append(u)
-        for k in sorted(pieces):
-            units = pieces[k]
-            n = len(units)
-            disc = (-1) ** (n // 2) * math.prod(units)
-            if n % 2 or pow(disc, (l - 1) // 2, l) != 1:
+    The l-primary part of lambda, l an odd prime, is an orthogonal sum of
+    homogeneous pieces (Z/l^k)^(n_k), and a piece is hyperbolic iff n_k
+    is even and (-1)^(n_k / 2) times its discriminant is a square mod l,
+    the discriminant of n_k / 2 hyperbolic planes (Wall, *Quadratic forms
+    on finite groups, and related topics*, Topology 2, 1963;
+    Kawauchi-Kojima, Math. Ann. 253, 1980).  Both invariants are read
+    with no splitting, off the residual form b_k(x, y) = l^(k-1)
+    lambda(x, y) in (1/l)Z/Z = F_l.  It is well defined on V_k = G[l^k] /
+    (G[l^(k-1)] + l G[l^(k+1)]), as l^(k-1) lambda(x, y) = lambda(x,
+    l^(k-1) y) = 0 for y in G[l^(k-1)] and l^(k-1) lambda(x, l z) =
+    lambda(l^k x, z) = 0 for x in G[l^k]; and on V_k it is the piece of
+    level k reduced mod l, so it is nondegenerate, of rank n_k and of
+    that discriminant.  The l-parts e_i = (d_i / l^k) x_i of the basis
+    elements whose order d_i has l-part l^k are a basis of V_k: those of
+    lower level lie in G[l^(k-1)], and l^(j-k) e_i of a higher level j
+    lies in l G[l^(k+1)].  So n_k counts them, and the discriminant is
+    det(l^k lambda(e_i, e_j)) mod l.  Negating lambda keeps a piece
+    hyperbolic, so neither the side read nor the basis matters.  Primes
+    are found by trial division (``TRIAL_DIVISORS``); those of an
+    untested cofactor refute nothing."""
+    N = form.denominator
+    for l in _odd_primes(N):
+        levels: dict[int, list[tuple[int, int]]] = {}
+        for i, d in enumerate(form.orders):
+            k, m = 0, d
+            while m % l == 0:
+                k, m = k + 1, m // l
+            if k:
+                levels.setdefault(k, []).append((i, m))
+        for k in sorted(levels):
+            part, scale = levels[k], N // l**k
+            rows = []
+            for i, m in part:
+                row = [m * m2 * form.gram[i][j] for j, m2 in part]
+                assert not any(x % scale for x in row), "l^k e is not zero in G"
+                rows.append([x // scale % l for x in row])
+            n, det = len(part), _det_mod(rows, l)
+            assert det, "the residual form is degenerate"
+            if n % 2 or pow((-1) ** (n // 2) * det, (l - 1) // 2, l) != 1:
                 return l**k, n
     return None
 

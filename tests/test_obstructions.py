@@ -1104,3 +1104,160 @@ def test_odd_primary_test_matches_brute_force_lagrangians():
     for kind in ("chains", "star"):
         assert min(tally[kind, True, True], tally[kind, True, False]) >= 10, tally
     assert orders[81] and orders[225], orders
+
+
+def jordan_units(form, l: int) -> list[tuple[int, int]]:
+    """Reference for ``nonhyperbolic_part``: (k, u) for each cyclic summand
+    <u / l^k> of an orthogonal splitting of the l-primary part of lambda,
+    l an odd prime, u a unit mod l, by elimination mod l^K, l^K the l-part
+    of N.  The l-parts e_i = (d_i / l^k_i) x_i of the basis span that part,
+    and b_ij = l^K lambda(e_i, e_j) mod l^K.  Among the e_i of the top
+    exponent k, lambda is nondegenerate, so some b_ii, or some b_ij,
+    i != j, has full order l^k; in the second case e_i + e_j, as l is odd,
+    replaces e_i.  That e_i spans an orthogonal summand: every other e_j
+    less c e_i, c = lambda(e_j, e_i) / lambda(e_i, e_i), is orthogonal to
+    it, and of the same order, as l^k_j lambda(e_j, e_i) = 0 makes
+    l^(k - k_j) divide c."""
+    N = form.denominator
+    K, M = 0, 1
+    while N % (M * l) == 0:
+        K, M = K + 1, M * l
+    rest = N // M
+    levels, parts = [], []
+    for i, d in enumerate(form.orders):
+        k, q = 0, d
+        while q % l == 0:
+            k, q = k + 1, q // l
+        if k:
+            levels.append(k)
+            parts.append((i, q))
+    b = [[0] * len(parts) for _ in parts]
+    for s, (i, m) in enumerate(parts):
+        for t, (j, m2) in enumerate(parts):
+            x, r = divmod(m * m2 * form.gram[i][j], rest)
+            assert r == 0, "l^K e is not zero in G"
+            b[s][t] = x % M
+    units = []
+    live = list(range(len(parts)))
+    while live:
+        k = max(levels[s] for s in live)
+        full = M // l**k  # b_st has full order l^k iff l * full does not divide it
+        top = [s for s in live if levels[s] == k]
+        i = next((s for s in top if b[s][s] % (full * l)), None)
+        if i is None:
+            i, j = next((s, t) for s in top for t in top if b[s][t] % (full * l))
+            b[i] = [(x + y) % M for x, y in zip(b[i], b[j])]
+            for row in b:
+                row[i] = (row[i] + row[j]) % M
+        live.remove(i)
+        u = b[i][i] // full
+        units.append((k, u % l))
+        inverse = pow(u, -1, l**k)
+        cs = {s: b[s][i] // full * inverse for s in live}
+        for s in live:
+            for t in live:
+                b[s][t] = (b[s][t] - cs[t] * b[s][i] - cs[s] * b[i][t] + cs[s] * cs[t] * b[i][i]) % M
+    return units
+
+
+def jordan_nonhyperbolic_part(form) -> tuple[int, int] | None:
+    """Reference for ``nonhyperbolic_part``: the pieces of each level are
+    gathered from ``jordan_units``, and a piece is hyperbolic iff its rank
+    n is even and (-1)^(n / 2) times the product of its units is a square
+    mod l."""
+    for l in obstructions._odd_primes(form.denominator):
+        pieces: dict[int, list[int]] = {}
+        for k, u in jordan_units(form, l):
+            pieces.setdefault(k, []).append(u)
+        for k in sorted(pieces):
+            units = pieces[k]
+            n = len(units)
+            disc = (-1) ** (n // 2) * math.prod(units)
+            if n % 2 or pow(disc, (l - 1) // 2, l) != 1:
+                return l**k, n
+    return None
+
+
+# odd prime powers up to l^4, and orders of two odd primes
+PRIME_POWERS = [[3, 9, 27, 81], [5, 25, 125, 625], [7, 49, 343, 2401]]
+MIXED_ORDERS = [15, 21, 35, 45, 63, 75, 105, 225]
+
+
+def random_odd_form(rng: random.Random) -> LensSum | SeifertManifold:
+    """A lens sum of one to three orders, each doubled with probability
+    0.6, its second copy a mirror half the time; or a star over S^2 with
+    three or four fibres, half of them with a complementary pair.  Each
+    order is an odd prime power up to l^4, or one in five times a product
+    of two odd primes."""
+
+    def order():
+        if rng.random() < 0.2:
+            return rng.choice(MIXED_ORDERS)
+        return rng.choice(rng.choice(PRIME_POWERS)[: rng.randint(1, 4)])
+
+    def unit(a):
+        b = rng.randrange(1, a)
+        while math.gcd(a, b) != 1:
+            b = rng.randrange(1, a)
+        return b
+
+    if rng.random() < 0.5:
+        summands = [(p, unit(p)) for p in (order() for _ in range(rng.randint(1, 3)))]
+        for p, q in list(summands):
+            if rng.random() < 0.6:
+                summands.append((p, p - q if rng.random() < 0.5 else unit(p)))
+        return LensSum(summands)
+    fibres = [(a, unit(a)) for a in (order() for _ in range(rng.randint(2, 3)))]
+    if rng.random() < 0.5:
+        a, b = fibres[0]
+        fibres.append((a, -b))
+    if len(fibres) < 3:
+        fibres.append((rng.choice([3, 5, 7]), 1))
+    return SeifertManifold(True, 0, rng.randint(-3, 3), fibres)
+
+
+def test_residual_forms_match_the_jordan_reference():
+    """On 2,000 seeded lens sums and stars whose orders hold the odd primes
+    3, 5 and 7 at levels up to l^4, and products of two, the residual-form
+    test of ``nonhyperbolic_part`` returns what the Jordan splitting of
+    ``jordan_units`` does.  The tally counts, on chains and on stars, the
+    hyperbolic forms, those hyperbolic at their least odd prime that fail
+    at a later one, and at the least prime those whose first failing
+    piece has level k >= 2 and those where it has level 1."""
+    rng = random.Random(48)
+    tally = Counter()
+    while sum(tally.values()) < 2000:
+        m = random_odd_form(rng)
+        if isinstance(m, SeifertManifold) and euler_invariant(m) == 0:
+            continue
+        G = first_homology(m)[1]
+        form = linking_form(G, *chain_ends(m))
+        part = nonhyperbolic_part(form)
+        assert part == jordan_nonhyperbolic_part(form), m.describe()
+        kind = "chains" if isinstance(m, LensSum) else "star"
+        if part is None:
+            tally[kind, "hyperbolic"] += 1
+        elif part[0] % (l := obstructions._odd_primes(form.denominator)[0]):
+            tally[kind, "second prime"] += 1
+        else:
+            tally[kind, "k >= 2" if part[0] > l else "k = 1"] += 1
+    assert tally == {
+        ("chains", "hyperbolic"): 227,
+        ("chains", "second prime"): 159,
+        ("chains", "k >= 2"): 261,
+        ("chains", "k = 1"): 344,
+        ("star", "hyperbolic"): 12,
+        ("star", "second prime"): 154,
+        ("star", "k >= 2"): 363,
+        ("star", "k = 1"): 480,
+    }
+
+
+def test_a_long_sum_is_read_level_by_level():
+    """The form of 600 summands L(3, 1) is hyperbolic, and with one of them
+    L(3, 2) instead it is not, on all of Z/3^600: the residual form is
+    600 x 600 and diagonal, read with no Jordan elimination."""
+    for summands, part in (([(3, 1)] * 599 + [(3, 2)], (3, 600)), ([(3, 1)] * 600, None)):
+        m = LensSum(summands)
+        G = first_homology(m)[1]
+        assert nonhyperbolic_part(linking_form(G, *chain_ends(m))) == part
