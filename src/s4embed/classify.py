@@ -3,27 +3,27 @@
 ``full_report`` builds a ``ManifoldContext`` once per call, and every
 check reads that context alone.  The context sorts the manifold into one
 class, given by its Seifert view, so a pretzel cover runs its Seifert
-space's table; the rows of the class's table run in order, and each
-result is reported under its row's name.  Each table is stated, with the
-theorem behind its certificate rows, where it is defined below.
+space's table; the rows of the class's table run in order, and the
+report keys each result by its row's name.  Each table is stated, with
+the theorem behind its certificate rows, where it is defined below.
 
 Merge rule: a completed refutation gives OBSTRUCTED, citing the first
-check that fired (or the class's theorem).  A default report stops at
-that first refutation and lists only the rows that ran: the status and
-the reason read no later row, and CONFLICT needs only one refutation
-beside a catalog hit.  With certificates every row runs, the certificate
-tail too, and with ``only`` every named row.  Failing a refutation, a
-catalog hit gives EMBEDS, membership of the open pretzel family gives
-UNKNOWN with that reason, and anything else is UNKNOWN.  A catalog hit
-together with a refutation is an internal error, reported as status
-CONFLICT and never silently resolved.
+row that fired by its key (or the class's theorem).  A default report
+stops at that first refutation and keys only the rows that ran: the
+status and the reason read no later row, and CONFLICT needs only one
+refutation beside a catalog hit.  With certificates every row runs, the
+certificate tail too, and with ``only`` every named row.  Failing a
+refutation, a catalog hit gives EMBEDS, membership of the open pretzel
+family gives UNKNOWN with that reason, and anything else is UNKNOWN.  A
+catalog hit together with a refutation is an internal error, reported as
+status CONFLICT and never silently resolved.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable
@@ -45,7 +45,6 @@ from .manifolds import (
     pretzel_to_seifert,
 )
 from .obstructions import (
-    PRINTABLE,
     PRINTED_ROWS,
     LinkingForm,
     ObstructionResult,
@@ -231,7 +230,7 @@ class ManifoldContext:
         non-orientable base the legs' group (``chain_group``), None with
         no legs.  Every side's search projects onto this one group."""
         if self.table is NONORIENTABLE:
-            return chain_group(None, self.forest) if self.forest else None
+            return chain_group(None, self.forest)[1] if self.forest else None
         return self.homology[1]
 
     @cached_property
@@ -254,7 +253,7 @@ class ManifoldContext:
             why = f"the linking form of coker Q is not hyperbolic on its part {piece}"
         else:
             return None
-        return ObstructionResult("", "obstructed", notes=f"{why}, so no splitting pair exists")
+        return ObstructionResult("obstructed", notes=f"{why}, so no splitting pair exists")
 
     @cached_property
     def lens_sum_fault(self) -> str | None:
@@ -378,7 +377,7 @@ class ManifoldContext:
 
 def _judged(ok: bool, passed: str, failed: str, certificates=()) -> ObstructionResult:
     return ObstructionResult(
-        "", "pass" if ok else "obstructed", list(certificates), passed if ok else failed
+        "pass" if ok else "obstructed", list(certificates), passed if ok else failed
     )
 
 
@@ -465,7 +464,7 @@ def _searched(name: str, ctx: ManifoldContext) -> ObstructionResult:
         rows = layout_size(ends, ctx.table is ORIENTABLE_E0)
         if rows > PRINTED_ROWS:
             notes = f"its {rows} rows, past {PRINTED_ROWS}, are not searched"
-            return ObstructionResult("", "inconclusive", notes=notes)
+            return ObstructionResult("inconclusive", notes=notes)
     tree = ctx.tree(side)
     key = (check, tree)
     if key not in ctx._searches:
@@ -656,26 +655,21 @@ class RowError(ValueError):
 
 @dataclass
 class ObstructionReport:
+    """What a report decided, with no layout: the invariants b_1, the
+    torsion factors of H_1, e (None with no Seifert view) and m, the rank
+    of H_1(Y; Z/2) (``ManifoldContext.z2_rank``); each row's result keyed
+    by the row that ran it, in run order, where twin rows that share a
+    search, a built pair or a refutation hold the same object; and the
+    merged status and reason.  ``cli`` lays it out."""
+
     manifold: Manifold
-    invariants: dict
-    results: list[ObstructionResult]
+    b1: int
+    torsion_factors: tuple[int, ...]
+    euler: Fraction | None
+    z2_rank: int
+    results: dict[str, ObstructionResult]
     status: str
     reason: str
-
-
-def _report_invariants(ctx: ManifoldContext) -> dict:
-    """spin_count = |H^1(Y; Z/2)| = 2^m is an integer while it is below
-    PRINTABLE, that is while m is below PRINTABLE's bit length, 14,285,
-    as PRINTABLE is no power of 2; past that it is the string "2^m", and
-    2^m is never built."""
-    b1, torsion = ctx.homology
-    m = ctx.z2_rank
-    return {
-        "b1": b1,
-        "torsion_factors": list(torsion.factors),
-        "euler": None if ctx.euler is None else str(ctx.euler),
-        "spin_count": 2**m if m < PRINTABLE.bit_length() else f"2^{m}",
-    }
 
 
 def full_report(
@@ -696,25 +690,25 @@ def full_report(
             names = ", ".join(table.names)
             raise RowError(f"{m.describe()} has no row {missing[0]}; its rows: {names}")
         rows = tuple(row for row in rows if row[0] in only)
-    results = []
+    results = {}
     for name, check in rows:
         if (r := check(ctx)) is not None:
-            results.append(replace(r, name=name))
+            results[name] = r
             if r.obstructed and not certificates and only is None:
                 break
         elif only is not None:
             raise RowError(f"row {name} does not apply to {m.describe()}")
 
     hits = catalog_matches(ctx)
-    obstructed = [r for r in results if r.obstructed]
+    obstructed = [name for name, r in results.items() if r.obstructed]
     if hits and obstructed:
         status, reason = "CONFLICT", (
-            f"catalog:{hits[0].name} contradicts obstruction:{obstructed[0].name}"
+            f"catalog:{hits[0].name} contradicts obstruction:{obstructed[0]}"
         )
     elif obstructed:
         theorem = table.theorem
         status = "OBSTRUCTED"
-        reason = f"theorem:{theorem}" if theorem else f"obstruction:{obstructed[0].name}"
+        reason = f"theorem:{theorem}" if theorem else f"obstruction:{obstructed[0]}"
     elif hits:
         status, reason = "EMBEDS", f"catalog:{hits[0].name}"
     elif ctx.pretzel_family is not None:  # with no catalog hit, the open family
@@ -722,4 +716,7 @@ def full_report(
     else:
         status, reason = "UNKNOWN", "no obstruction fired; no catalog entry"
 
-    return ObstructionReport(m, _report_invariants(ctx), results, status, reason)
+    b1, torsion = ctx.homology
+    return ObstructionReport(
+        m, b1, torsion.factors, ctx.euler, ctx.z2_rank, results, status, reason
+    )

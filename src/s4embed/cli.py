@@ -1,5 +1,8 @@
 """Command-line front end: parse a manifold expression, run the
-obstruction report, emit text or byte-stable JSON.
+obstruction report, emit text or byte-stable JSON.  This module alone
+lays out a report: ``full_report`` returns values, and the layouts of
+results, certificates and invariants are here, with ``PRINTABLE``, the
+bound below which every printed integer has at most 4,300 digits.
 
 Grammar, where every integer is 1 to 4,300 decimal digits after an
 optional sign and whitespace may appear between any two tokens::
@@ -59,8 +62,14 @@ from json.encoder import encode_basestring_ascii as _quoted
 from types import SimpleNamespace
 
 from .classify import CHECK_NAMES, DEFAULT_BUDGET, ObstructionReport, RowError, full_report
+from .intlinalg import Subgroup
+from .lattice import LatticeSubset
 from .manifolds import LensSum, Manifold, PretzelCover, SeifertManifold, torsion_order
-from .obstructions import PRINTABLE, PRINTED_ROWS, certificate_json
+from .obstructions import PRINTED_ROWS, ObstructionResult
+
+# the report's integers are below this, so each prints in at most 4,300
+# digits, int()'s default limit
+PRINTABLE = 10**4300
 
 
 class ParseError(ValueError):
@@ -178,13 +187,49 @@ def parse_manifold(text: str) -> Manifold:
     return m
 
 
-def report_to_json(report: ObstructionReport, with_certificates: bool) -> dict:
+def certificate_json(cert):
+    if isinstance(cert, LatticeSubset):
+        return {"subset_rows": [list(r) for r in cert.rows]}
+    if isinstance(cert, Subgroup):
+        return {"subgroup_factors": list(cert.factors), "order": cert.order}
+    if isinstance(cert, tuple):
+        return [certificate_json(c) for c in cert]
+    return cert  # a dict, already JSON
+
+
+def result_json(name: str, r: ObstructionResult, with_certificates: bool) -> dict:
+    """The JSON of row ``name``'s result: notes where it has them, and
+    certificates where asked for and present."""
+    out = {"name": name, "verdict": r.verdict}
+    if r.notes:
+        out["notes"] = r.notes
+    if with_certificates and r.certificates:
+        out["certificate"] = [certificate_json(c) for c in r.certificates]
+    return out
+
+
+def invariants_json(report: ObstructionReport) -> dict:
+    """The report's invariants as printed.  spin_count = |H^1(Y; Z/2)| =
+    2^m is an integer while it is below PRINTABLE, that is while m is
+    below PRINTABLE's bit length, 14,285, as PRINTABLE is no power of 2;
+    past that it is the string "2^m", and 2^m is never built."""
+    m = report.z2_rank
     return {
-        "input": report.manifold.describe(),
-        "canonical_form": report.manifold.describe(),
-        "invariants": report.invariants,
+        "b1": report.b1,
+        "torsion_factors": list(report.torsion_factors),
+        "euler": None if report.euler is None else str(report.euler),
+        "spin_count": 2**m if m < PRINTABLE.bit_length() else f"2^{m}",
+    }
+
+
+def report_to_json(report: ObstructionReport, with_certificates: bool) -> dict:
+    form = report.manifold.describe()  # "input" and "canonical_form" are equal by construction
+    return {
+        "input": form,
+        "canonical_form": form,
+        "invariants": invariants_json(report),
         "obstructions": [
-            r.to_json(with_certificates) for r in report.results
+            result_json(name, r, with_certificates) for name, r in report.results.items()
         ],
         "status": report.status,
         "reason": report.reason,
@@ -286,15 +331,15 @@ def _indented(x, pad: str = "\n") -> str:
 
 
 def _text_report(report: ObstructionReport, text: str, with_certificates: bool) -> str:
-    inv = report.invariants
+    inv = invariants_json(report)
     lines = [
         f"input:      {text.strip()}",
         f"canonical:  {report.manifold.describe()}",
         f"invariants: b1={inv['b1']} torsion={inv['torsion_factors']} "
         f"euler={inv['euler']} spin={inv['spin_count']}",
     ]
-    for r in report.results:
-        lines.append(f"  [{r.verdict:>12}] {r.name}" + (f"  ({r.notes})" if r.notes else ""))
+    for name, r in report.results.items():
+        lines.append(f"  [{r.verdict:>12}] {name}" + (f"  ({r.notes})" if r.notes else ""))
         if with_certificates:
             lines += [f"        {json.dumps(certificate_json(cert))}" for cert in r.certificates]
     lines.append(f"status:     {report.status}  ({report.reason})")

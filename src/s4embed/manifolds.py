@@ -14,7 +14,7 @@ the central framing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .intlinalg import FiniteAbelianGroup, cyclic_sum_factors
@@ -239,11 +239,13 @@ def chain_ends(m: LensSum | SeifertManifold) -> tuple[int | None, tuple[tuple[in
     return m.r, chains(m)
 
 
-def chain_group(hub: int | None, ends) -> FiniteAbelianGroup:
-    """coker Q of a plumbing, presented n x n on its n chain ends g_k
-    (``chain_ends``): a_k g_k = 0 with no hub; with one, whose class is
-    a_0 g_0, a_k g_k = a_0 g_0 for k >= 1 and (w a_0 + q_0) g_0 + sum over
-    k >= 1 of q_k g_k = 0.  ``PlumbingTree.lift`` writes vertices in the g_k.
+def chain_group(hub: int | None, ends) -> tuple[int, FiniteAbelianGroup]:
+    """(free rank, torsion) of coker Q of a plumbing, presented n x n on
+    its n chain ends g_k (``chain_ends``): a_k g_k = 0 with no hub; with
+    one, whose class is a_0 g_0, a_k g_k = a_0 g_0 for k >= 1 and
+    (w a_0 + q_0) g_0 + sum over k >= 1 of q_k g_k = 0.
+    ``PlumbingTree.lift`` writes vertices in the g_k.  The torsion keeps
+    the whole presentation and reads its Smith form on the torsion rows.
 
     The factors are read in closed form.  Let e_1 | ... | e_n be those of
     the sum of the Z/|a_k|, ones kept (``cyclic_sum_factors``).  With no
@@ -289,7 +291,7 @@ def chain_group(hub: int | None, ends) -> FiniteAbelianGroup:
         rows = [[-a0] * (n - 1) + [hub * a0 + q0]]
         return rows + [[a * (i == j) for j in range(n - 1)] + [q] for i, (q, a) in enumerate(legs)]
 
-    return FiniteAbelianGroup(tuple(d for d in factors if d >= 2), free, relations)
+    return free, FiniteAbelianGroup(tuple(d for d in factors if d >= 2), 0, relations)
 
 
 def first_homology(m: LensSum | SeifertManifold) -> tuple[int, FiniteAbelianGroup]:
@@ -332,10 +334,9 @@ def first_homology(m: LensSum | SeifertManifold) -> tuple[int, FiniteAbelianGrou
         else:
             orders[top[0]] *= 2
             orders[top[1]] *= 2
-        return m.genus - 1, chain_group(None, [(1, a) for a in orders])
-    G = chain_group(*chain_ends(m))
-    b1 = G.free_rank + (2 * m.genus if isinstance(m, SeifertManifold) else 0)
-    return b1, replace(G, free_rank=0)
+        return m.genus - 1, chain_group(None, [(1, a) for a in orders])[1]
+    free, torsion = chain_group(*chain_ends(m))
+    return free + (2 * m.genus if isinstance(m, SeifertManifold) else 0), torsion
 
 
 def torsion_order(m: Manifold) -> int:

@@ -19,6 +19,9 @@ factors of coker Q or by its linking form; budget exhaustion downgrades
 to "inconclusive" instead, whose note gives the nodes the search used
 and the subsets it found.  Where the theorem's rows pass, the witness
 is built, not searched for (``built_pass``).
+
+No output is made here: a result names no row, as ``full_report`` keys
+it by the row that ran it, and ``cli`` alone lays it out.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from operator import add, mod
-from typing import Any
 
 from .intlinalg import (
     FiniteAbelianGroup,
@@ -43,9 +45,8 @@ from .plumbing import PlumbingTree, chain_layout, layout_size
 @dataclass
 class ObstructionResult:
     """Outcome of one check: pass / obstructed / inconclusive plus the
-    data that certifies it."""
+    data that certifies it.  The report keys it by the row that ran it."""
 
-    name: str
     verdict: str
     certificates: list = field(default_factory=list)
     notes: str = ""
@@ -53,24 +54,6 @@ class ObstructionResult:
     @property
     def obstructed(self) -> bool:
         return self.verdict == "obstructed"
-
-    def to_json(self, with_certificates=False) -> dict[str, Any]:
-        out: dict[str, Any] = {"name": self.name, "verdict": self.verdict}
-        if self.notes:
-            out["notes"] = self.notes
-        if with_certificates and self.certificates:
-            out["certificate"] = [certificate_json(c) for c in self.certificates]
-        return out
-
-
-def certificate_json(cert):
-    if isinstance(cert, LatticeSubset):
-        return {"subset_rows": [list(r) for r in cert.rows]}
-    if isinstance(cert, Subgroup):
-        return {"subgroup_factors": list(cert.factors), "order": cert.order}
-    if isinstance(cert, tuple):
-        return [certificate_json(c) for c in cert]
-    return cert  # a dict, already JSON
 
 
 def subset_column_subgroup(G: FiniteAbelianGroup, subset: LatticeSubset) -> Subgroup:
@@ -141,7 +124,7 @@ def undoubled(name: str, G: FiniteAbelianGroup) -> ObstructionResult | None:
         notes = f"coker Q = {group} is not of the form H + H, so {unpaired}"
     else:
         return None
-    return ObstructionResult(name, "obstructed", notes=notes)
+    return ObstructionResult("obstructed", notes=notes)
 
 
 @dataclass(frozen=True)
@@ -458,9 +441,6 @@ def _cycle_signs(k: int) -> list[bool]:
 
 # past this many rows a certificate row builds no plumbing
 PRINTED_ROWS = 1000
-# the report's integers are below this, so each prints in at most 4,300
-# digits, int()'s default limit
-PRINTABLE = 10**4300
 
 # each check's note on a pass, found or built
 _PASSED = {
@@ -520,9 +500,9 @@ def built_pass(name: str, ends, group: FiniteAbelianGroup | None = None) -> Obst
     rows = layout_size(ends, hub)
     if rows > PRINTED_ROWS:
         notes = f"{built}; its {rows} rows, past {PRINTED_ROWS}, are neither built nor printed"
-        return ObstructionResult(name, "pass", halves, notes)
+        return ObstructionResult("pass", halves, notes)
     A = tuple(map(LatticeSubset, blown_up_pairs(chain_layout(ends, hub), hub)))
-    return ObstructionResult(name, "pass", [A[0] if hub else A, *halves], built)
+    return ObstructionResult("pass", [A[0] if hub else A, *halves], built)
 
 
 def _exhausted(res: SubsetSearchResult) -> str:
@@ -560,10 +540,9 @@ def double_subset_obstruction(
     On a pass the filter's "removed" count covers only the subsets met
     before the splitting pair.
     """
-    name = "double_subset"
     _require(tree, ("negative_definite", 0), "double-subset obstruction")
     G = replace(group, lift=tree.lift)
-    if (refuted := undoubled(name, G)) is not None:
+    if (refuted := undoubled("double_subset", G)) is not None:
         return refuted
     filtered = G.order % 2 == 1
     removed = 0
@@ -596,16 +575,13 @@ def double_subset_obstruction(
         f"{removed} factorisation(s) removed by the correction-term filter; " if removed else ""
     )
     if witness:
-        note = "trivial cokernel" if G.order == 1 else _PASSED[name]
-        return ObstructionResult(name, "pass", witness, filtered_note + note)
+        note = "trivial cokernel" if G.order == 1 else _PASSED["double_subset"]
+        return ObstructionResult("pass", witness, filtered_note + note)
     if not res.complete:
-        return ObstructionResult(name, "inconclusive", notes=_exhausted(res))
+        return ObstructionResult("inconclusive", notes=_exhausted(res))
     if G.order == 1:
-        return ObstructionResult(
-            name, "obstructed", notes=filtered_note + "no factorisation exists"
-        )
+        return ObstructionResult("obstructed", notes=filtered_note + "no factorisation exists")
     return ObstructionResult(
-        name,
         "obstructed",
         notes=filtered_note
         + f"complete search: {len(usable)} usable subgroup(s), no splitting pair",
@@ -615,16 +591,14 @@ def double_subset_obstruction(
 def semidefinite_obstruction(tree: PlumbingTree, budget: int | None = None) -> ObstructionResult:
     """Rectangular factorisation A A^t = -Q through one fewer column, Q
     the form of ``tree``; the search stops at the first one."""
-    name = "semidefinite_subset"
     _require(tree, ("negative_semidefinite", 1), "semi-definite obstruction")
     res = enumerate_subsets(tree, budget, until=lambda s: True)
     if res.subsets:
-        return ObstructionResult(name, "pass", [res.subsets[0]])
+        return ObstructionResult("pass", [res.subsets[0]])
     if res.complete:
-        return ObstructionResult(
-            name, "obstructed", notes="complete search: no rectangular factorisation"
-        )
-    return ObstructionResult(name, "inconclusive", notes=_exhausted(res))
+        notes = "complete search: no rectangular factorisation"
+        return ObstructionResult("obstructed", notes=notes)
+    return ObstructionResult("inconclusive", notes=_exhausted(res))
 
 
 def nonorientable_obstruction(
@@ -640,12 +614,11 @@ def nonorientable_obstruction(
     the pair need not split coker Q, and a Lagrangian need not be a half:
     2G in G = Z/4 + Z/4 is one.  Each new qualifying subset is tested
     against the earlier ones and itself as the search finds it."""
-    name = "nonorientable_double_subset"
     if tree.size == 0:
-        return ObstructionResult(name, "pass", notes="empty form, vacuous")
+        return ObstructionResult("pass", notes="empty form, vacuous")
     _require(tree, ("negative_definite", 0), "non-orientable obstruction")
     G = replace(group, lift=tree.lift)
-    if (refuted := undoubled(name, G)) is not None:
+    if (refuted := undoubled("nonorientable_double_subset", G)) is not None:
         return refuted
     qualifying: list = []
     witness: list = []
@@ -663,12 +636,11 @@ def nonorientable_obstruction(
 
     res = enumerate_subsets(tree, budget, until=pair_found)
     if witness:
-        return ObstructionResult(name, "pass", witness, _PASSED[name])
+        return ObstructionResult("pass", witness, _PASSED["nonorientable_double_subset"])
     if res.complete:
         return ObstructionResult(
-            name,
             "obstructed",
             notes=f"complete search: {len(qualifying)} qualifying subset(s), "
             "no pair with intersection <= 2",
         )
-    return ObstructionResult(name, "inconclusive", notes=_exhausted(res))
+    return ObstructionResult("inconclusive", notes=_exhausted(res))

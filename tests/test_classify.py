@@ -15,7 +15,7 @@ from s4embed.classify import (
     full_report,
     weak_complementary_matched,
 )
-from s4embed.cli import parse_manifold
+from s4embed.cli import invariants_json, parse_manifold
 from s4embed.intlinalg import cokernel, identity_matrix, subgroup_from_generators
 from s4embed.manifolds import (
     LensSum,
@@ -28,7 +28,7 @@ from s4embed.manifolds import (
 from s4embed.plumbing import plumbing_tree
 from test_census import fibres, mirror, sweep_s5
 from test_intlinalg import dense
-from test_manifolds import pretzel_strand_forms, result
+from test_manifolds import pretzel_strand_forms
 from test_spin import pretzel_link_components
 
 
@@ -51,7 +51,7 @@ def test_long_chain_lens_sums_embed(p):
     # the form on either side has a (p-1)-vertex chain
     r = full_report(LensSum([(p, 1), (p, p - 1)]), certificates=True)
     assert r.status == "EMBEDS"
-    verdicts = {res.name: res.verdict for res in r.results}
+    verdicts = {name: res.verdict for name, res in r.results.items()}
     assert verdicts["double_subset"] == verdicts["double_subset_mirror"] == "pass"
 
 
@@ -100,10 +100,10 @@ def test_decide_seifert_e0_without_odd_clause():
     r2 = full_report(y2)
     assert r2.status == "OBSTRUCTED"
     assert r2.reason == "obstruction:torsion_square"
-    assert [r.name for r in r2.results] == ["torsion_square"]
+    assert list(r2.results) == ["torsion_square"]
     every = full_report(y2, certificates=True)
     assert (every.status, every.reason) == (r2.status, r2.reason)
-    assert result(every, "complementary_pairs").obstructed
+    assert every.results.get("complementary_pairs").obstructed
 
 
 def test_small_seifert_follows_lens_rule():
@@ -114,8 +114,8 @@ def test_small_seifert_follows_lens_rule():
     assert status(SeifertManifold(True, 0, -1, [(2, -1), (3, -1)])) == "EMBEDS"  # S^3
     r = full_report(SeifertManifold(True, 0, 0, [(2, 1), (2, 1)]))  # L(4, q)
     assert (r.status, r.reason) == ("OBSTRUCTED", "theorem:lens_mirror_pairing")
-    assert [res.name for res in r.results] == ["torsion_square"]
-    assert result(r, "torsion_square").notes == "torsion H_1 = Z/4 is not of the form G + G"
+    assert list(r.results) == ["torsion_square"]
+    assert r.results.get("torsion_square").notes == "torsion H_1 = Z/4 is not of the form G + G"
 
 
 @pytest.mark.parametrize(
@@ -127,14 +127,15 @@ def test_torsion_that_is_not_g_plus_g_is_refuted(expr, group):
     refutes the space, where every other row of its class passes."""
     r = full_report(parse_manifold(expr))
     assert (r.status, r.reason) == ("OBSTRUCTED", "obstruction:torsion_square")
-    assert result(r, "torsion_square").notes == f"torsion H_1 = {group} is not of the form G + G"
-    assert [res.name for res in r.results if res.obstructed] == ["torsion_square"]
+    notes = f"torsion H_1 = {group} is not of the form G + G"
+    assert r.results.get("torsion_square").notes == notes
+    assert [name for name, res in r.results.items() if res.obstructed] == ["torsion_square"]
 
 
 def test_g_plus_g_torsion_passes_the_torsion_row():
     r = full_report(parse_manifold("lens(3,1)+lens(3,2)"))
-    assert r.invariants["torsion_factors"] == [3, 3]
-    assert result(r, "torsion_square").verdict == "pass"
+    assert invariants_json(r)["torsion_factors"] == [3, 3]
+    assert r.results.get("torsion_square").verdict == "pass"
     assert (r.status, r.reason) == ("EMBEDS", "catalog:mirror_lens_sum")
 
 
@@ -333,32 +334,31 @@ def test_decide_pretzel_mirror_invariance():
 def test_full_report_examples():
     r = full_report(PretzelCover([2, -2, 3, -3]))
     assert r.status == "EMBEDS"
-    assert all(not res.obstructed for res in r.results)
+    assert all(not res.obstructed for res in r.results.values())
 
     r2 = full_report(LensSum([(5, 1), (5, 1)]), certificates=True)
     assert r2.status == "OBSTRUCTED"
-    names = {res.name: res for res in r2.results}
-    assert names["double_subset"].obstructed or names["double_subset_mirror"].obstructed
+    assert r2.results["double_subset"].obstructed or r2.results["double_subset_mirror"].obstructed
 
     r3 = full_report(LensSum([]))
     assert r3.status == "EMBEDS"
 
     r4 = full_report(PretzelCover([4, -4, 2, -2]))
     assert r4.status == "OBSTRUCTED"
-    assert result(r4, "mubar_vanishing").obstructed
+    assert r4.results.get("mubar_vanishing").obstructed
 
 
 def test_full_report_merge_never_embeds_from_passes_alone():
     # all obstructions pass but no catalog entry: stays UNKNOWN
     y = SeifertManifold(False, 1, 0, [(3, 1), (3, -1)])
     r = full_report(y)
-    assert all(not res.obstructed for res in r.results)
+    assert all(not res.obstructed for res in r.results.values())
     assert r.status == "UNKNOWN"
 
 
 def test_full_report_obstruction_filter():
     r = full_report(LensSum([(2, 1), (2, 1)]), only=["torsion_square"])
-    assert [res.name for res in r.results] == ["torsion_square"]
+    assert list(r.results) == ["torsion_square"]
     assert r.status == "UNKNOWN"  # 4 is a square; the pairing check was filtered out
 
 
@@ -389,7 +389,7 @@ def test_a_named_row_with_no_result_raises():
         with pytest.raises(RowError) as raised:
             full_report(m, only=only)
         assert str(raised.value) == message
-    assert "mubar_vanishing" not in [r.name for r in full_report(m, certificates=True).results]
+    assert "mubar_vanishing" not in full_report(m, certificates=True).results
 
 
 LENS_SUMMANDS = [(p, q) for p in range(2, 16) for q in range(1, p) if math.gcd(p, q) == 1]
@@ -412,11 +412,12 @@ def certificates_disagree(summands) -> str | None:
         return f"{certified.status} {certified.reason}"
     if certified.status == "CONFLICT":
         return certified.reason
-    if certified.results[: len(decided.results)] != decided.results:
+    rows = list(certified.results.items())
+    if rows[: len(decided.results)] != list(decided.results.items()):
         return "deciding checks differ"
     if certified.status == "EMBEDS":
-        failed = [r.name for r in certified.results[len(decided.results) :] if r.verdict != "pass"]
-        if len(certified.results) != 4 or failed:
+        failed = [name for name, r in rows[len(decided.results) :] if r.verdict != "pass"]
+        if len(rows) != 4 or failed:
             return f"certificate checks not passed: {failed}"
     return None
 
@@ -460,19 +461,35 @@ def test_lens_sums_search_only_for_certificates(monkeypatch):
     searched = count_searches(monkeypatch)
     m = LensSum([(8, 3), (8, 3), (8, 5), (8, 5), (21, 8), (21, 13)])
     r = full_report(m)
-    assert [res.name for res in r.results] == ["torsion_square", "lens_mirror_pairing"]
+    assert list(r.results) == ["torsion_square", "lens_mirror_pairing"]
     assert (r.status, r.reason) == ("OBSTRUCTED", "obstruction:lens_mirror_pairing")
     assert searched == []
 
     for kwargs in ({"only": ["double_subset_mirror"]}, {"certificates": True}):
         r = full_report(LensSum([(3, 1), (3, 2)]), **kwargs)
-        built = [res for res in r.results if res.name.startswith("double_subset")]
+        built = [res for name, res in r.results.items() if name.startswith("double_subset")]
         assert [res.verdict for res in built] == ["pass"] * len(built) and built, kwargs
         assert r.status == "EMBEDS" and searched == [], kwargs
 
     r = full_report(LensSum([(5, 1), (5, 1)]), only=["double_subset_mirror"])
-    assert [(res.name, res.verdict) for res in r.results] == [("double_subset_mirror", "obstructed")]
+    assert [(name, res.verdict) for name, res in r.results.items()] == [
+        ("double_subset_mirror", "obstructed")
+    ]
     assert len(searched) == 1
+
+
+def test_twin_rows_hold_one_result():
+    """A report keys each result by the row that ran it.  Twin rows that
+    share a refutation or a built pair hold that one object: the linking
+    form refutes both double-subset rows of lens(3,1) + lens(3,1), and
+    lens(3,1) + lens(3,2) cites one built pair in both.  A default report
+    keys the rows that ran, up to its first refutation."""
+    for text, verdict in (("lens(3,1)+lens(3,1)", "obstructed"), ("lens(3,1)+lens(3,2)", "pass")):
+        results = full_report(parse_manifold(text), certificates=True).results
+        assert results["double_subset"] is results["double_subset_mirror"], text
+        assert results["double_subset"].verdict == verdict, text
+    default = full_report(parse_manifold("lens(3,1)+lens(3,1)")).results
+    assert list(default) == ["torsion_square", "lens_mirror_pairing"]
 
 
 @pytest.mark.parametrize(
@@ -487,12 +504,13 @@ def test_lens_sums_search_only_for_certificates(monkeypatch):
 )
 def test_mirror_row_on_the_same_tree_shares_its_twins_search(monkeypatch, text, twins):
     """Over N(h) a searched pass never shares its tree (none does with
-    up to four fibres a <= 6), so the shared searches here refute."""
+    up to four fibres a <= 6), so the shared searches here refute, and
+    both rows hold the one result."""
     searched = count_searches(monkeypatch)
     r = full_report(parse_manifold(text), certificates=True)
     assert len(searched) == 1
-    twin, mirror = result(r, twins), result(r, twins + "_mirror")
-    assert mirror is not twin and twin.verdict == "obstructed"
+    twin, mirror = r.results.get(twins), r.results.get(twins + "_mirror")
+    assert mirror is twin and twin.verdict == "obstructed"
     assert (mirror.verdict, mirror.notes, mirror.certificates) == (
         twin.verdict,
         twin.notes,
@@ -548,7 +566,7 @@ def test_weak_paired_legs_pass_with_a_built_pair_under_any_budget(monkeypatch):
     searched = count_searches(monkeypatch, "plumbing_tree")
     m = parse_manifold("seifert(N(1); 0; (3,1),(3,-1))")
     r = full_report(m, budget=3, certificates=True)
-    rows = [(res.name, res.verdict, res.notes) for res in r.results[3:]]
+    rows = [(name, res.verdict, res.notes) for name, res in list(r.results.items())[3:]]
     assert rows == [(name, "pass", BUILT_NONORIENTABLE) for name in NONORIENTABLE_ROWS]
     assert searched == []
     assert (r.status, r.reason) == ("UNKNOWN", "no obstruction fired; no catalog entry")
@@ -562,9 +580,9 @@ def test_two_pairs_of_even_a_pass_with_a_built_pair(monkeypatch):
     searched = count_searches(monkeypatch, "plumbing_tree")
     m = parse_manifold("seifert(N(1); 0; (2,1),(2,1),(2,1),(2,1))")
     r = full_report(m, certificates=True)
-    rows = [(res.name, res.verdict, res.notes) for res in r.results[3:]]
+    rows = [(name, res.verdict, res.notes) for name, res in list(r.results.items())[3:]]
     assert rows == [(name, "pass", BUILT_NONORIENTABLE) for name in NONORIENTABLE_ROWS]
-    assert [res.name for res in full_report(m).results] == [
+    assert list(full_report(m).results) == [
         "torsion_square",
         "weak_complementary_pairs",
         "even_fibre_clause",
@@ -580,7 +598,7 @@ def test_an_undoubled_leg_group_is_refuted_at_any_size(monkeypatch):
     searched = count_searches(monkeypatch, "plumbing_tree")
     r = full_report(parse_manifold("seifert(N(1); 0; (10007,1))"), only=[NONORIENTABLE_ROWS[0]])
     notes = "|coker Q| = 10007 is not a perfect square"
-    assert [(res.verdict, res.notes) for res in r.results] == [("obstructed", notes)]
+    assert [(res.verdict, res.notes) for res in r.results.values()] == [("obstructed", notes)]
     assert searched == []
 
 
@@ -588,7 +606,7 @@ def test_only_runs_just_the_named_rows(monkeypatch):
     searched = count_searches(monkeypatch)
     m = LensSum([(8, 3), (8, 3), (8, 5), (8, 5), (21, 8), (21, 13)])
     r = full_report(m, only=["torsion_square"], certificates=True)
-    assert [res.name for res in r.results] == ["torsion_square"]
+    assert list(r.results) == ["torsion_square"]
     assert searched == []
 
 
@@ -675,9 +693,8 @@ def test_q8_space_gets_one_verdict_in_both_presentations():
     = Q8, so it is S^3/Q8, the cover of pretzel(2,-2,2)."""
     reports = [full_report(parse_manifold(t)) for t in ("seifert(N(1); 2; )", "pretzel(2,-2,2)")]
     assert {r.status for r in reports} == {"EMBEDS"}
-    assert {(r.invariants["b1"], tuple(r.invariants["torsion_factors"])) for r in reports} == {
-        (0, (2, 2))
-    }
+    printed = [invariants_json(r) for r in reports]
+    assert {(inv["b1"], tuple(inv["torsion_factors"])) for inv in printed} == {(0, (2, 2))}
 
 
 def test_catalog_consistency():
@@ -926,10 +943,8 @@ def test_report_reads_h1_once_from_first_homology(monkeypatch, manifold, only, p
     if isinstance(manifold, PretzelCover):
         manifold = pretzel_to_seifert(manifold)
     b1, torsion = homology(manifold)
-    assert (report.invariants["b1"], report.invariants["torsion_factors"]) == (
-        b1,
-        list(torsion.factors),
-    )
+    printed = invariants_json(report)
+    assert (printed["b1"], printed["torsion_factors"]) == (b1, list(torsion.factors))
 
 
 def test_long_even_lens_sum_is_refuted_with_no_plumbing(monkeypatch):
@@ -945,7 +960,7 @@ def test_long_even_lens_sum_is_refuted_with_no_plumbing(monkeypatch):
     m = LensSum([(10**8, 10**8 - 1), (10**8, 1)])
     report = full_report(m, only=["double_subset", "double_subset_mirror"])
     odd = "the linking form of coker Q is odd on its factor Z/100000000, so no splitting pair exists"
-    assert [(r.name, r.verdict, r.notes) for r in report.results] == [
+    assert [(name, r.verdict, r.notes) for name, r in report.results.items()] == [
         ("double_subset", "obstructed", odd),
         ("double_subset_mirror", "obstructed", odd),
     ]
@@ -968,11 +983,11 @@ def test_a_long_refuted_side_is_not_searched(monkeypatch):
     monkeypatch.setattr(classify, "plumbing_tree", counted_tree)
     report = full_report(LensSum([(1009, 1008), (1009, 1008)]), certificates=True)
     assert report.status == "OBSTRUCTED"
-    assert [(r.name, r.verdict) for r in report.results[2:]] == [
+    assert [(name, r.verdict) for name, r in list(report.results.items())[2:]] == [
         ("double_subset", "inconclusive"),
         ("double_subset_mirror", "obstructed"),
     ]
-    assert report.results[2].notes == "its 2016 rows, past 1000, are not searched"
+    assert report.results["double_subset"].notes == "its 2016 rows, past 1000, are not searched"
     assert built == ["-"]
 
 
@@ -983,7 +998,7 @@ def test_an_embeddable_lens_sum_takes_its_mirror_matching_once(monkeypatch):
     calls = count_calls(monkeypatch, "_mirror_matched")
     report = full_report(LensSum([(7, 2), (7, 5), (5, 2), (5, 2)]), certificates=True)
     assert (report.status, report.reason) == ("EMBEDS", "catalog:mirror_lens_sum")
-    assert [r.verdict for r in report.results] == ["pass"] * 4
+    assert [r.verdict for r in report.results.values()] == ["pass"] * 4
     assert len(calls) == 1
 
 
@@ -1000,7 +1015,7 @@ def test_both_double_subset_rows_read_one_linking_form(monkeypatch):
     monkeypatch.setattr(classify, "odd_linking_factor", counted)
     report = full_report(LensSum([(8, 3), (8, 5)]), certificates=True)
     assert len(calls) == 1
-    assert [(r.name, r.verdict) for r in report.results[-2:]] == [
+    assert [(name, r.verdict) for name, r in list(report.results.items())[-2:]] == [
         ("double_subset", "obstructed"),
         ("double_subset_mirror", "obstructed"),
     ]
@@ -1042,7 +1057,7 @@ def test_report_takes_each_strand_form_list_once():
     cover = PretzelCover([3, -5, -8])
     reports = [full_report(cover), full_report(pretzel_to_seifert(cover))]
     assert {r.reason for r in reports} == {"open_family:pretzel(2l-1,-2l-1,-2l^2)"}
-    first, second = (result(r, "mubar_vanishing") for r in reports)
+    first, second = (r.results.get("mubar_vanishing") for r in reports)
     assert first.certificates == second.certificates
 
 

@@ -625,7 +625,7 @@ def test_a_default_report_still_reads_conflict(monkeypatch, capsys):
     planted = CatalogEntry("planted", "none", lambda ctx: ctx.manifold == PretzelCover([3, 5, 7]))
     monkeypatch.setattr(classify, "CATALOG", (*classify.CATALOG, planted))
     report = full_report(PretzelCover([3, 5, 7]))
-    assert [r.name for r in report.results] == ["torsion_square"]
+    assert list(report.results) == ["torsion_square"]
     reason = "catalog:planted contradicts obstruction:torsion_square"
     assert (report.status, report.reason) == ("CONFLICT", reason)
     assert main(["pretzel(3,5,7)", "--json"]) == 70

@@ -122,8 +122,8 @@ def test_a_default_report_stops_at_its_first_refutation():
         m = parse_manifold(expr)
         short, every = full_report(m), full_report(m, certificates=True)
         assert (short.status, short.reason) == (every.status, every.reason), expr
-        rows = [(r.name, r.verdict) for r in short.results]
-        all_rows = [(r.name, r.verdict) for r in every.results]
+        rows = [(name, r.verdict) for name, r in short.results.items()]
+        all_rows = [(name, r.verdict) for name, r in every.results.items()]
         assert rows == all_rows[: len(rows)], expr
         refuted = [i for i, (_, verdict) in enumerate(all_rows) if verdict == "obstructed"]
         if refuted:

@@ -33,7 +33,8 @@ def shifted(fibres, r, shifts):
 
 
 def rows(report) -> tuple:
-    return report.status, report.reason, [(r.name, r.verdict, r.notes) for r in report.results]
+    results = report.results.items()
+    return report.status, report.reason, [(name, r.verdict, r.notes) for name, r in results]
 
 
 @SETTINGS

@@ -17,7 +17,7 @@ from s4embed.classify import (
     even_fibre_clause,
     full_report,
 )
-from s4embed.cli import parse_manifold
+from s4embed.cli import parse_manifold, result_json
 from s4embed.intlinalg import cokernel, direct_sum_test, doubled_factors
 from s4embed.lattice import LatticeSubset, enumerate_subsets
 from s4embed.manifolds import (
@@ -53,7 +53,6 @@ from test_intlinalg import (
     searched,
 )
 from test_lattice import verify_factorization
-from test_manifolds import result
 
 
 def lens_searched(*summands):
@@ -124,7 +123,7 @@ def test_unpaired_cokernel_is_refuted_with_no_search(monkeypatch):
     y = SeifertManifold(True, 0, 0, [(2, 1)] * 18)
     report = full_report(y, only=["double_subset"])
     assert (report.status, report.reason) == ("OBSTRUCTED", "obstruction:double_subset")
-    notes = result(report, "double_subset").notes
+    notes = report.results.get("double_subset").notes
     assert notes.endswith("is not of the form H + H, so no splitting pair exists")
     assert searches == []
 
@@ -187,7 +186,8 @@ def test_complementary_pairs_build_a_semidefinite_witness():
         assert ctx.table is ORIENTABLE_E0 and ctx.euler == 0, y.describe()
         assert ctx.complementary, y.describe()
         built = ctx.built_pair
-        assert (built.name, built.verdict) == ("semidefinite_subset", "pass"), y.describe()
+        assert built.verdict == "pass", y.describe()
+        assert built.notes.startswith("-Q factors through one fewer column"), y.describe()
         (A,) = built.certificates
         assert ctx.tree("+") == ctx.tree("-"), y.describe()
         for side in "+-":
@@ -205,17 +205,17 @@ def test_e0_report_runs_its_searches_only_as_certificates(monkeypatch):
     searches = counted_searches(monkeypatch)
     y = parse_manifold("seifert(S2; 0; (3,1),(3,-1),(5,2),(5,-2))")
     report = full_report(y)
-    assert [r.name for r in report.results] == ["torsion_square", "complementary_pairs"]
+    assert list(report.results) == ["torsion_square", "complementary_pairs"]
     assert (searches, report.status) == ([], "EMBEDS")
     for kwargs in ({"certificates": True}, {"only": ["semidefinite_subset_mirror"]}):
         report = full_report(y, **kwargs)
-        mirror = result(report, "semidefinite_subset_mirror")
+        mirror = report.results.get("semidefinite_subset_mirror")
         assert (searches, mirror.verdict, report.status) == ([], "pass", "EMBEDS"), kwargs
     refuted = parse_manifold("pretzel(-2,3,6)")
     report = full_report(refuted)
-    assert result(report, "complementary_pairs").obstructed and searches == []
+    assert report.results.get("complementary_pairs").obstructed and searches == []
     report = full_report(refuted, only=["semidefinite_subset_mirror"])
-    mirror = result(report, "semidefinite_subset_mirror")
+    mirror = report.results.get("semidefinite_subset_mirror")
     assert (len(searches), mirror.verdict) == (1, "pass")
 
 
@@ -327,7 +327,8 @@ def test_searches_through_a_lift_match_the_bare_dense_form():
                 continue
             built = check(tree, G, 10**5)
             plain = check(*bare(tree), 10**5)
-            assert built.to_json(True) == plain.to_json(True), (m.describe(), side)
+            printed = [result_json(check.__name__, r, True) for r in (built, plain)]
+            assert printed[0] == printed[1], (m.describe(), side)
             searched_ = built.verdict == "pass" or built.notes.startswith("complete search")
             tally[check.__name__, built.verdict, searched_] += 1
     checks = ("double_subset_obstruction", "nonorientable_obstruction")
@@ -434,7 +435,7 @@ def test_nine_leg_star_joins_same_type_pairs_only(monkeypatch):
     direct_sum_test = obstructions.direct_sum_test
     monkeypatch.setattr(obstructions, "direct_sum_test", counted)
     y = SeifertManifold(True, 0, 4, [(2, 1)] * 9)
-    found = result(full_report(y), "double_subset")
+    found = full_report(y).results.get("double_subset")
     assert (found.verdict, found.notes) == ("pass", "cokernel splits as H + H")
     assert len(joins) == 5480 and all(joins)
 
@@ -446,7 +447,8 @@ def test_six_summand_sum_is_refuted_by_its_linking_form(monkeypatch):
     used to keep 204 subgroups and join 8,128 pairs."""
     searches = counted_searches(monkeypatch)
     m = LensSum([(8, 3), (8, 3), (8, 5), (8, 5), (21, 8), (21, 13)])
-    notes = {r.name: (r.verdict, r.notes) for r in full_report(m, certificates=True).results}
+    report = full_report(m, certificates=True)
+    notes = {name: (r.verdict, r.notes) for name, r in report.results.items()}
     odd = "the linking form of coker Q is odd on its factor Z/8, so no splitting pair exists"
     assert notes["double_subset"] == notes["double_subset_mirror"] == ("obstructed", odd)
     assert searches == []
@@ -498,7 +500,7 @@ def test_searched_cokernel_takes_one_smith_form(monkeypatch):
     assert len(G.project_columns(units)) == tree.size
     assert calls == [3]
     searches = counted_searches(monkeypatch)
-    assert result(full_report(cover), "double_subset").verdict == "pass"
+    assert full_report(cover).results.get("double_subset").verdict == "pass"
     assert [args[0] for args in searches] == [tree]
 
 
@@ -628,11 +630,11 @@ def streaming_faults(m, tally: Counter) -> list[str]:
     ctx = ManifoldContext(m)
     report = full_report(m, certificates=True)
     faults = []
-    for r in report.results:
-        check = r.name.removesuffix("_mirror")
+    for name, r in report.results.items():
+        check = name.removesuffix("_mirror")
         if check not in FULL_CHECKS:
             continue
-        if r.name.endswith("_mirror"):
+        if name.endswith("_mirror"):
             side = "-"
         else:
             side = ctx.definite_side if check == "double_subset" else "+"
@@ -648,15 +650,15 @@ def streaming_faults(m, tally: Counter) -> list[str]:
             # refuted with no search; the full search must agree
             tally[check, refuted] += 1
             if verdict != "obstructed":
-                faults.append(f"{m.describe()} {r.name}: {r.notes} vs {verdict} ({notes})")
+                faults.append(f"{m.describe()} {name}: {r.notes} vs {verdict} ({notes})")
             continue
         if "perfect square" not in notes:
             tally[check, "built" if " built from " in r.notes else verdict] += 1
         if r.verdict != verdict or (verdict != "pass" and r.notes != notes):
             streamed = f"{r.verdict} ({r.notes})"
-            faults.append(f"{m.describe()} {r.name}: {streamed} vs {verdict} ({notes})")
+            faults.append(f"{m.describe()} {name}: {streamed} vs {verdict} ({notes})")
         elif verdict == "pass" and (why := certificate_fault(check, r, tree, group)):
-            faults.append(f"{m.describe()} {r.name}: {why}")
+            faults.append(f"{m.describe()} {name}: {why}")
     return faults
 
 
@@ -735,7 +737,8 @@ def test_disjoint_chains_have_an_odd_linking_form_iff_some_p_is_even():
             odd = odd_linking_factor(torsion, linking_form(torsion, *chain_ends(m)))
             assert (odd is not None) == even_p, sum_
             if obstructions.pairs_up(torsion.factors):
-                row = result(full_report(m, budget=1, only=["double_subset"]), "double_subset")
+                report = full_report(m, budget=1, only=["double_subset"])
+                row = report.results.get("double_subset")
                 assert ("linking form of coker Q is odd" in row.notes) == even_p, sum_
                 refuted += even_p
     assert refuted == 21
@@ -978,7 +981,7 @@ def test_built_pairs_of_weak_pairs_double_and_meet_in_two_per_even_pair(monkeypa
         clause = even_fibre_clause(y.invariants)
         assert (ctx.built_pair is not None) == clause, y.describe()
         report = full_report(y, certificates=True)
-        rows = [r for r in report.results if r.name.startswith(name)]
+        rows = [r for row, r in report.results.items() if row.startswith(name)]
         built = [r.notes.endswith("built from the mirror chains") for r in rows]
         assert built == [clause] * 2, y.describe()
         if clause:

@@ -5,6 +5,7 @@ import pytest
 
 from s4embed import intlinalg
 from s4embed.classify import ManifoldContext, full_report
+from s4embed.cli import invariants_json
 from s4embed.manifolds import (
     LensSum,
     PretzelCover,
@@ -14,7 +15,7 @@ from s4embed.manifolds import (
 )
 from s4embed.plumbing import PlumbingTree, plumbing_tree
 from s4embed.spin import mu_bar, mubar_vanishing_threshold, spin_profile, wu_sets
-from test_manifolds import pretzel_strand_forms, result
+from test_manifolds import pretzel_strand_forms
 
 
 def e8_tree():
@@ -129,7 +130,7 @@ def test_component_count_matches_spin_count():
         for strands in itertools.combinations_with_replacement(values, n):
             cover = PretzelCover(strands)
             k = ManifoldContext(cover).link_components
-            assert full_report(cover).invariants["spin_count"] == 2 ** (k - 1)
+            assert invariants_json(full_report(cover))["spin_count"] == 2 ** (k - 1)
 
 
 def link_components_disagree(m) -> str | None:
@@ -165,7 +166,7 @@ def test_link_components_from_the_key_match_the_trace():
 def mubar_certificate(cover: PretzelCover) -> dict:
     """mu_values, k and threshold of the report's mubar_vanishing check,
     which runs even where an earlier row refutes the cover."""
-    return result(full_report(cover, certificates=True), "mubar_vanishing").certificates[0]
+    return full_report(cover, certificates=True).results.get("mubar_vanishing").certificates[0]
 
 
 def test_spin_profile_even_pairs():
