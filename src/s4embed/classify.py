@@ -25,10 +25,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable
 
-from .intlinalg import FiniteAbelianGroup
+from .intlinalg import FiniteAbelianGroup, lazy
 from .manifolds import (
     LensSum,
     Manifold,
@@ -192,7 +192,7 @@ class ManifoldContext:
         if self.manifold == _RP2_BUNDLE:
             self.manifold = _RP3_SUM
 
-    @cached_property
+    @lazy
     def seifert(self) -> SeifertManifold | None:
         """The manifold as a Seifert space; None for a lens sum."""
         m = self.manifold
@@ -200,11 +200,11 @@ class ManifoldContext:
             return pretzel_to_seifert(m)
         return m if isinstance(m, SeifertManifold) else None
 
-    @cached_property
+    @lazy
     def euler(self) -> Fraction | None:
         return None if self.seifert is None else euler_invariant(self.seifert)
 
-    @cached_property
+    @lazy
     def homology(self) -> tuple[int, FiniteAbelianGroup]:
         """(b_1, torsion of H_1) by ``first_homology``, with no plumbing
         built.  For a lens sum, and over an orientable base with e != 0,
@@ -212,19 +212,19 @@ class ManifoldContext:
         AMS 268, 1981)."""
         return first_homology(self.seifert or self.manifold)
 
-    @cached_property
+    @lazy
     def z2_rank(self) -> int:
         """m, the rank of H_1(Y; Z/2): b_1 plus the number of even
         invariant factors of the torsion.  Y has 2^m spin structures."""
         b1, torsion = self.homology
         return b1 + sum(d % 2 == 0 for d in torsion.factors)
 
-    @cached_property
+    @lazy
     def linking_form(self) -> LinkingForm:
         """The linking form of the torsion of H_1 (``linking_form``)."""
         return linking_form(self.homology[1], *chain_ends(self.seifert or self.manifold))
 
-    @cached_property
+    @lazy
     def coker(self) -> FiniteAbelianGroup | None:
         """coker Q of either side's form: the torsion of H_1, or over a
         non-orientable base the legs' group (``chain_group``), None with
@@ -233,7 +233,7 @@ class ManifoldContext:
             return chain_group(None, self.forest)[1] if self.forest else None
         return self.homology[1]
 
-    @cached_property
+    @lazy
     def refutation(self) -> ObstructionResult | None:
         """The refutation a searched row takes with no tree, once for both
         sides: ``coker`` is not H + H (``undoubled``), or, on H_1, its
@@ -255,7 +255,7 @@ class ManifoldContext:
             return None
         return ObstructionResult("obstructed", notes=f"{why}, so no splitting pair exists")
 
-    @cached_property
+    @lazy
     def lens_sum_fault(self) -> str | None:
         """Why a lens sum breaks the theorem's rule (``LENS_SUM``), or None."""
         summands = self.manifold.summands
@@ -263,22 +263,22 @@ class ManifoldContext:
             return "some p_i is even"
         return None if _mirror_matched(summands) else "no mirror matching of the summands"
 
-    @cached_property
+    @lazy
     def complementary(self) -> bool:
         """Do the fibres pair into complements (``complementary_matched``)?"""
         return complementary_matched(self.seifert.invariants)
 
-    @cached_property
+    @lazy
     def weak_paired(self) -> bool:
         """Do the fibres pair into weak complements (``weak_complementary_matched``)?"""
         return weak_complementary_matched(self.seifert.invariants)
 
-    @cached_property
+    @lazy
     def forest(self) -> tuple[tuple[int, int], ...]:
         """The chain ends of the '+' plumbing (``chains``)."""
         return chains(self.seifert or self.manifold)
 
-    @cached_property
+    @lazy
     def built_pair(self) -> ObstructionResult | None:
         """The pass of both searched rows, built with no search
         (``built_pass``), where the table's comment says it exists; else
@@ -292,7 +292,7 @@ class ManifoldContext:
             return built_pass("nonorientable_double_subset", legs, self.coker)
         return None
 
-    @cached_property
+    @lazy
     def seifert_keys(self) -> tuple[Key, ...]:
         """The normalised Seifert keys (r, fibres) of Y and of -Y, none
         without a Seifert view over S^2; -Y is keyed (-r - n, (a, -a - b))
@@ -304,12 +304,12 @@ class ManifoldContext:
         r, fibres = norm.r, norm.invariants
         return (r, fibres), (-r - len(fibres), tuple(sorted((a, -a - b) for a, b in fibres)))
 
-    @cached_property
+    @lazy
     def pretzel_family(self) -> tuple[str, tuple[int, ...]] | None:
         """Y's pretzel family member (``_family_member``), or None."""
         return _family_member(self.seifert_keys) if self.seifert_keys else None
 
-    @cached_property
+    @lazy
     def link_components(self) -> int | None:
         """Components k of the branch link of a pretzel presentation of Y;
         None when Y has none.  A k-component link L has 2^k Fox
@@ -349,12 +349,12 @@ class ManifoldContext:
             self._trees[side] = plumbing_tree(self.seifert or self.manifold, side)
         return self._trees[side]
 
-    @cached_property
+    @lazy
     def definite_side(self) -> str:
         """The orientation whose plumbing is negative (semi)definite."""
         return "-" if self.table is ORIENTABLE and self.euler < 0 else "+"
 
-    @cached_property
+    @lazy
     def table(self) -> CheckTable:
         """The check table of the manifold's class."""
         m, s = self.manifold, self.seifert

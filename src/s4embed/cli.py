@@ -316,18 +316,26 @@ def _read_argv(argv: list[str]) -> SimpleNamespace:
     return args
 
 
+# the writers of the scalar values a dict holds, as json.dumps writes them
+_INLINE = {str: _quoted, int: repr, type(None): lambda v: "null"}
+
+
 def _indented(x, pad: str = "\n") -> str:
     """``json.dumps(x, indent=2)`` byte for byte, without its slow pure-Python encoder.
-    A list of ints alone, such as a certificate row, is printed in one step."""
+    A list of ints alone, such as a certificate row, is printed in one step, and
+    a dict's str, int and None values with no recursive call (``_INLINE``)."""
     kind, inner = type(x), pad + "  "
     if kind is dict and x:
-        items = [f"{inner}{_quoted(k)}: {_indented(v, inner)}" for k, v in x.items()]
+        items = [
+            f"{inner}{_quoted(k)}: {w(v) if (w := _INLINE.get(type(v))) else _indented(v, inner)}"
+            for k, v in x.items()
+        ]
         return "{" + ",".join(items) + pad + "}"
     if kind in (list, tuple) and x:
         flat = all(type(v) is int for v in x)
         items = map(repr, x) if flat else [_indented(v, inner) for v in x]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
-    return _quoted(x) if kind is str else repr(x) if kind is int else json.dumps(x)
+    return _INLINE.get(kind, json.dumps)(x)
 
 
 def _text_report(report: ObstructionReport, text: str, with_certificates: bool) -> str:

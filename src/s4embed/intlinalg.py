@@ -20,9 +20,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import mod
 from typing import Callable
+
+
+class lazy:
+    """A value computed on an instance's first read and stored in its
+    ``__dict__``, where later reads find it ahead of this descriptor; as
+    with ``functools.cached_property``, the store goes round a frozen
+    dataclass's ``__setattr__``.  Unlike that class, this one takes no
+    lock: up to Python 3.11 cached_property takes an RLock on every first
+    read (3.12 dropped the lock), a cost that each short-lived context,
+    tree and subgroup of a report pays.  Two threads that make the first
+    read at once both compute the value and one is kept, which is
+    harmless for the pure values stored here."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.fn(instance)
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +357,7 @@ class FiniteAbelianGroup:
             self._smith.append((M, *smith_normal_form(M)))
         return self._smith[0]
 
-    @cached_property
+    @lazy
     def _torsion_rows(self) -> tuple[tuple[int, ...], ...]:
         """Torsion rows of U, through the lift, taken when the group first projects."""
         _, U, D, _ = self._form
@@ -345,7 +365,7 @@ class FiniteAbelianGroup:
         lift = self.lift or [(k, 1) for k in range(len(U))]
         return tuple(tuple(u[k] * m % d for k, m in lift) for u, d in rows)
 
-    @cached_property
+    @lazy
     def generators(self) -> tuple[tuple[int, ...], ...]:
         """A generator of each invariant factor, as integer coefficients of
         the presentation's generators (the rows of M): column i of U^-1 for
@@ -427,7 +447,7 @@ class Subgroup:
     order: int
     basis: tuple[tuple[int, ...], ...]
 
-    @cached_property
+    @lazy
     def factors(self) -> tuple[int, ...]:
         """Invariant factors: those of the cokernel of the relation lattice
         written in the lift basis, found by exact integer division pivot

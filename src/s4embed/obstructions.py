@@ -61,31 +61,38 @@ def subset_column_subgroup(G: FiniteAbelianGroup, subset: LatticeSubset) -> Subg
     return subgroup_from_generators(G, G.project_columns(subset.rows))
 
 
-def char_vector_criterion(H: Subgroup) -> bool:
+def char_vector_criterion(G: FiniteAbelianGroup, columns) -> bool:
     """Correction-term filter for Z/2-homology spheres.
 
-    H is the column subgroup im A / im Q of a factorisation A, built by
-    ``subset_column_subgroup``: its parent is coker Q and its generators
-    g_1, ..., g_n are the column classes of A.  True iff every coset of
-    im Q inside im A is A x for some x with all coordinates +-1.  Such x
-    are exactly the characteristic vectors of the ambient diagonal
-    lattice, so the reachable cosets are the signed sums of the g_i,
-    which all lie in H; the test is whether there are |H| of them.  A
-    signed sum is s_0 - 2 s with s_0 the sum of all g_i and s a subset
-    sum, and 2 is invertible in a group of odd order, so there are as
-    many signed sums as subset sums.  The subset sums R are collected
-    column by column, each g adding R + g to R, until R is all of H.
+    G is coker Q and ``columns`` are the classes g_1, ..., g_n in G of the
+    columns of a factorisation A A^t = -Q (``G.project_columns``), which
+    span H = im A / im Q.  True iff every coset of im Q inside im A is
+    A x for some x with all coordinates +-1.  Such x are exactly the
+    characteristic vectors of the ambient diagonal lattice, so the
+    reachable cosets are the signed sums of the g_i, which all lie in H;
+    the test is whether there are |H| of them.  A signed sum is s_0 - 2 s
+    with s_0 the sum of all g_i and s a subset sum, and 2 is invertible in
+    a group of odd order, so there are as many signed sums as subset sums.
+
+    |H| is read off |G|, with no basis of H: Q is definite, so A is square
+    and nonsingular and |det A|^2 = |det Q| = |G|, and as im Q lies in
+    im A, |H| = [im A : im Q] = |det A| = sqrt |G|.  The subset sums R are
+    collected column by column, each g adding R + g to R, until R is all
+    of H.  A column at most doubles R, so once |R| 2^k < |H| with k
+    columns left, the test has failed.
     """
-    G = H.parent
     if G.order % 2 == 0:
         raise ValueError("criterion needs an odd-order cokernel")
+    order = math.isqrt(G.order)
     factors = G.factors
     reachable = {(0,) * len(factors)}
-    for g in H.generators:
-        if len(reachable) == H.order:
+    left = len(columns)
+    for g in columns:
+        if len(reachable) == order or len(reachable) << left < order:
             break
         reachable |= {tuple(map(mod, map(add, r, g), factors)) for r in reachable}
-    return len(reachable) == H.order
+        left -= 1
+    return len(reachable) == order
 
 
 def _require(tree: PlumbingTree, definiteness: tuple[str, int], check: str) -> None:
@@ -520,8 +527,12 @@ def double_subset_obstruction(
     The pair must have distinct column subgroups unless the cokernel is
     trivial, in which case a single factorisation suffices.  For odd
     cokernel order, factorisations failing the correction-term filter
-    cannot arise from a rational-ball side and are discarded.  A group
-    that is not H + H refutes the check with no search (``undoubled``).
+    cannot arise from a rational-ball side and are discarded.  The filter
+    reads only the subset's column classes and takes |H| from |G| (the
+    order argument at ``char_vector_criterion``), so the subgroup H, with
+    its Hermite basis, is built only for a kept subset that is to be
+    paired.  A group that is not H + H refutes the check with no search
+    (``undoubled``).
 
     Each column subgroup H = im A / im Q is a Lagrangian of the linking
     form lambda(x, y) = x^t Q^-1 y mod 1 on G: for x = A u and y = A v,
@@ -556,13 +567,14 @@ def double_subset_obstruction(
 
     def split_found(s: LatticeSubset) -> bool:
         nonlocal removed
-        H = subset_column_subgroup(G, s)
-        if filtered and not char_vector_criterion(H):
+        columns = G.project_columns(s.rows)
+        if filtered and not char_vector_criterion(G, columns):
             removed += 1
             return False
         if G.order == 1:
             witness.append((s, s))
             return True
+        H = subgroup_from_generators(G, columns)
         for H1, A1 in usable:
             if direct_sum_test(G, H1, H)[0]:
                 witness.extend([(A1, s), (H1, H)])

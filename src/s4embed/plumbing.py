@@ -28,9 +28,9 @@ tree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from . import intlinalg
+from .intlinalg import lazy
 from .manifolds import LensSum, SeifertManifold, chain_length, chains, neg_continued_fraction
 
 
@@ -49,7 +49,7 @@ class PlumbingTree:
     def size(self) -> int:
         return len(self.weights)
 
-    @cached_property
+    @lazy
     def neighbours(self) -> tuple[tuple[int, ...], ...]:
         """The neighbours of each vertex: Q's off-diagonal entries, all 1."""
         adj: list[list[int]] = [[] for _ in self.weights]
@@ -58,7 +58,7 @@ class PlumbingTree:
             adj[j].append(i)
         return tuple(map(tuple, adj))
 
-    @cached_property
+    @lazy
     def inertia(self) -> tuple[int, int, int]:
         """(negative, zero, positive) eigenvalue counts of the form, taken
         once per tree (``intlinalg.signature_triple``)."""

@@ -284,6 +284,39 @@ def test_indented_certificate_report_is_the_standard_library_bytes():
     assert cli._indented(payload) == json.dumps(payload, indent=2)
 
 
+def dict_value_types(x) -> set:
+    """The types of the values of every dict inside x."""
+    if type(x) is dict:
+        return set(map(type, x.values())).union(*map(dict_value_types, x.values()))
+    if type(x) in (list, tuple):
+        return set().union(*map(dict_value_types, x))
+    return set()
+
+
+def test_indented_seed1_benchmark_reports_are_the_standard_library_bytes(monkeypatch):
+    """Every report of the seed-1 cases of the three benchmark workloads,
+    with each case's own flags, comes out as json.dumps(indent=2) writes
+    it: the dicts' str, int and None values that the writer prints in
+    place, and the nested rows, certificates and invariants."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "s4bench"))
+    import workloads
+
+    kinds = set()
+    for name, make in workloads.WORKLOADS.items():
+        for case in make(1):
+            args = cli._read_argv([case.expr, *case.flags])
+            report = full_report(
+                parse_manifold(args.expr),
+                budget=args.budget,
+                only=args.obstruction,
+                certificates=args.certificates,
+            )
+            payload = cli.report_to_json(report, args.certificates)
+            kinds |= dict_value_types(payload)
+            assert cli._indented(payload) == json.dumps(payload, indent=2), (name, case.expr)
+    assert {str, int, type(None), dict, list} <= kinds, kinds
+
+
 def test_text_certificates_are_their_json(capsys):
     """Text mode prints each certificate as one line of the JSON that
     ``--json`` carries for it, so no field of a group or subgroup leaks

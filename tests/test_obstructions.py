@@ -237,20 +237,41 @@ def column_subgroup(A: LatticeSubset, Q):
     return subset_column_subgroup(cokernel(Q), A)
 
 
+def column_classes(A: LatticeSubset, Q):
+    """coker Q and the classes of A's columns in it."""
+    G = cokernel(Q)
+    return G, G.project_columns(A.rows)
+
+
+def reference_char_vector_criterion(H: intlinalg.Subgroup) -> bool:
+    """The correction-term filter on a built column subgroup H: the
+    subset sums of its generators are collected until there are |H| of
+    them, |H| read off H's Hermite basis."""
+    G = H.parent
+    if G.order % 2 == 0:
+        raise ValueError("criterion needs an odd-order cokernel")
+    reachable = {(0,) * len(G.factors)}
+    for g in H.generators:
+        if len(reachable) == H.order:
+            break
+        reachable |= {G.reduce([a + b for a, b in zip(r, g)]) for r in reachable}
+    return len(reachable) == H.order
+
+
 def test_char_vector_criterion_identity():
     A = LatticeSubset(((1, 0), (0, 1)))
-    assert char_vector_criterion(column_subgroup(A, [[-1, 0], [0, -1]]))
+    assert char_vector_criterion(*column_classes(A, [[-1, 0], [0, -1]]))
 
 
 def test_char_vector_criterion_3_on_minus9():
     A = LatticeSubset(((3,),))
-    assert not char_vector_criterion(column_subgroup(A, [[-9]]))
+    assert not char_vector_criterion(*column_classes(A, [[-9]]))
 
 
 def test_char_vector_criterion_rejects_even_order():
     A = LatticeSubset(((2,),))
     with pytest.raises(ValueError):
-        char_vector_criterion(column_subgroup(A, [[-4]]))
+        char_vector_criterion(*column_classes(A, [[-4]]))
 
 
 def test_char_vector_criterion_filters_lambda():
@@ -266,7 +287,7 @@ def test_char_vector_criterion_filters_lambda():
     res = enumerate_subsets(tree)
     assert res.complete and res.subsets
     G = assert_lift(tree, G)
-    assert all(not char_vector_criterion(subset_column_subgroup(G, s)) for s in res.subsets)
+    assert all(not char_vector_criterion(G, G.project_columns(s.rows)) for s in res.subsets)
 
 
 def test_pass_certificates_verify():
@@ -364,9 +385,50 @@ def test_char_vector_criterion_against_brute_force():
             G.project_columns([[sum(a * e for a, e in zip(row, x)) for x in signs] for row in A])
         )
         assert reachable <= span and len(span) == H.order
-        outcomes.append(char_vector_criterion(H))
+        outcomes.append(char_vector_criterion(G, columns))
         assert outcomes[-1] == (reachable == span)
     assert 40 <= sum(outcomes) <= 110
+
+
+def test_char_vector_criterion_on_column_classes_matches_the_built_subgroup():
+    """The search's filter reads a subset's column classes and takes
+    |H| = sqrt |G| with no Hermite basis.  On every subset the search
+    finds for 150 seeded lens sums (two to four summands, odd p <= 11,
+    with repeats, whose orders are squares) and 300 tries at a star of
+    odd |G| (odd fibres and their complements over S^2, now and then
+    one more, or ``random_definite_tree``), it gives the verdict the
+    filter gives on the built column subgroup H, and H has order
+    isqrt |G|.  The stars' 61 subsets all pass the filter."""
+    rng = random.Random(50)
+    summands = [(p, q) for p, q in LENS_SUMMANDS if p % 2 and p <= 11]
+    fibres = [(a, b) for a, b in SMALL_FIBRES if a % 2]
+    verdicts = Counter()
+    for trial in range(450):
+        if trial < 150:
+            half = [rng.choice(summands) for _ in range(rng.randint(1, 2))]
+            sum_ = [*half, *((p, rng.choice([q for r, q in summands if r == p])) for p, _ in half)]
+            tree, G = lens_searched(*rng.sample(sum_, len(sum_)))
+        elif trial % 2:
+            half = rng.sample(fibres, rng.randint(1, 2))
+            legs = [*half, *((a, -b) for a, b in half), *rng.sample(fibres, int(rng.random() < 0.5))]
+            m = SeifertManifold(True, 0, rng.choice([-2, -1, 1, 2]), legs)
+            tree, G = searched(m, "+" if euler_invariant(m) > 0 else "-")
+        else:
+            tree, G = bare(random_definite_tree(rng))
+            if tree.size > 8 or tree.definiteness != ("negative_definite", 0):
+                continue
+        G = replace(G, lift=tree.lift)
+        if G.order % 2 == 0:
+            continue
+        for s in enumerate_subsets(tree).subsets:
+            columns = G.project_columns(s.rows)
+            H = intlinalg.subgroup_from_generators(G, columns)
+            assert H.order == math.isqrt(G.order), tree
+            kept = char_vector_criterion(G, columns)
+            assert kept == reference_char_vector_criterion(H), (tree, s)
+            verdicts[trial < 150, kept] += 1
+    assert verdicts[True, True] >= 50 and verdicts[True, False] >= 100, verdicts
+    assert verdicts[False, True] + verdicts[False, False] >= 50, verdicts
 
 
 def test_column_subgroups_are_lagrangians():
@@ -528,7 +590,7 @@ def full_double_subset(tree):
     assert len({H.basis for H, _ in columns}) == len(columns), "a column subgroup repeats"
     note = ""
     if G.order % 2 == 1:
-        kept = [(H, s) for H, s in columns if char_vector_criterion(H)]
+        kept = [(H, s) for H, s in columns if char_vector_criterion(G, H.generators)]
         if len(kept) != len(columns):
             removed = len(columns) - len(kept)
             note = f"{removed} factorisation(s) removed by the correction-term filter; "
@@ -599,7 +661,7 @@ def certificate_fault(check: str, result, tree, group) -> str | None:
         return "subgroups are not the column subgroups of the rows"
     is_direct, _, meet = direct_sum_test(G, H1, H2)
     if check == "double_subset":
-        if G.order % 2 and not (char_vector_criterion(H1) and char_vector_criterion(H2)):
+        if G.order % 2 and not all(char_vector_criterion(G, H.generators) for H in (H1, H2)):
             return "a subset fails the correction-term filter"
         return None if is_direct and H1.factors == H2.factors else "pair does not split G"
     doubled = tuple(sorted(G.factors))
@@ -836,7 +898,7 @@ def built_pair_fault(m: LensSum) -> str | None:
     # -Y has Y's summand classes, so both sides are one tree with one lift
     G = replace(group, lift=ctx.tree("+").lift)
     H1, H2 = subset_column_subgroup(G, A1), subset_column_subgroup(G, A2)
-    if not (char_vector_criterion(H1) and char_vector_criterion(H2)):
+    if not all(char_vector_criterion(G, H.generators) for H in (H1, H2)):
         return "a factorisation fails the correction-term filter"
     if not direct_sum_test(G, H1, H2)[0]:
         return "the column subgroups do not split coker Q"
