@@ -3,6 +3,9 @@ obstruction report, emit text or byte-stable JSON.  This module alone
 lays out a report: ``full_report`` returns values, and the layouts of
 results, certificates and invariants are here, with ``PRINTABLE``, the
 bound below which every printed integer has at most 4,300 digits.
+``report_to_json`` is the one home of the ``--json`` layout, which it
+writes in one pass from the report's fields.  ``_indented`` remains for
+the certificate payloads alone, since their nesting differs by check.
 
 Grammar, where every integer is 1 to 4,300 decimal digits after an
 optional sign and whitespace may appear between any two tokens::
@@ -44,12 +47,14 @@ catalog hit contradicting a completed obstruction) or an exception
 raised after parsing, while building the report or its output (status
 ERROR, printed as one line: the JSON object {"input", "status",
 "reason"} with ``--json``, else ``error: <reason>`` on stderr, the
-reason reading ``internal:<Type>: <message>``).  The output is built
-whole before any of it is printed, so a fault while rendering, such as
-an integer past the interpreter's digit limit, prints that one line and
-nothing else.  Neither should ever happen, and both are surfaced
-loudly.  A reader that closes stdout early, as ``head -1`` does, ends
-the output there, with nothing on stderr and the status's own code.
+reason reading ``internal:<Type>: <message>``, built once the failed
+report's frames are freed, so that a MemoryError prints it too).  The
+output is built whole before any of it is printed, so a fault while
+rendering, such as an integer past the interpreter's digit limit,
+prints that one line and nothing else.  Neither should ever happen, and
+both are surfaced loudly.  A reader that closes stdout early, as
+``head -1`` does, ends the output there, with nothing on stderr and the
+status's own code.
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ from .classify import CHECK_NAMES, DEFAULT_BUDGET, ObstructionReport, RowError, 
 from .intlinalg import Subgroup
 from .lattice import LatticeSubset
 from .manifolds import LensSum, Manifold, PretzelCover, SeifertManifold, torsion_order
-from .obstructions import PRINTED_ROWS, ObstructionResult
+from .obstructions import PRINTED_ROWS
 
 # the report's integers are below this, so each prints in at most 4,300
 # digits, int()'s default limit
@@ -197,17 +202,6 @@ def certificate_json(cert):
     return cert  # a dict, already JSON
 
 
-def result_json(name: str, r: ObstructionResult, with_certificates: bool) -> dict:
-    """The JSON of row ``name``'s result: notes where it has them, and
-    certificates where asked for and present."""
-    out = {"name": name, "verdict": r.verdict}
-    if r.notes:
-        out["notes"] = r.notes
-    if with_certificates and r.certificates:
-        out["certificate"] = [certificate_json(c) for c in r.certificates]
-    return out
-
-
 def invariants_json(report: ObstructionReport) -> dict:
     """The report's invariants as printed.  spin_count = |H^1(Y; Z/2)| =
     2^m is an integer while it is below PRINTABLE, that is while m is
@@ -219,20 +213,6 @@ def invariants_json(report: ObstructionReport) -> dict:
         "torsion_factors": list(report.torsion_factors),
         "euler": None if report.euler is None else str(report.euler),
         "spin_count": 2**m if m < PRINTABLE.bit_length() else f"2^{m}",
-    }
-
-
-def report_to_json(report: ObstructionReport, with_certificates: bool) -> dict:
-    form = report.manifold.describe()  # "input" and "canonical_form" are equal by construction
-    return {
-        "input": form,
-        "canonical_form": form,
-        "invariants": invariants_json(report),
-        "obstructions": [
-            result_json(name, r, with_certificates) for name, r in report.results.items()
-        ],
-        "status": report.status,
-        "reason": report.reason,
     }
 
 
@@ -338,6 +318,50 @@ def _indented(x, pad: str = "\n") -> str:
     return _INLINE.get(kind, json.dumps)(x)
 
 
+def report_to_json(report: ObstructionReport, with_certificates: bool) -> str:
+    """The ``--json`` text of the report, written in one pass from its
+    fields: ``json.dumps(obj, indent=2)`` byte for byte, where obj is::
+
+        {"input": FORM, "canonical_form": FORM,
+         "invariants": {"b1": INT, "torsion_factors": [INT, ...],
+                        "euler": null | "p/q", "spin_count": INT | "2^m"},
+         "obstructions": [ROW, ...], "status": STR, "reason": STR}
+        ROW := {"name": STR, "verdict": STR [, "notes": STR]
+                [, "certificate": [CERT, ...]]}
+
+    in that key order.  Each item of a nonempty list or object takes a
+    line of its own, two spaces deeper than its bracket; an empty list
+    is ``[]``.  FORM is the canonical form, so "input" and
+    "canonical_form" are equal.  The invariants are ``invariants_json``'s,
+    the one home of the spin-count rule.  A row has "notes" where its
+    notes are nonempty, and "certificate" where certificates are asked
+    for and it has some: each CERT is ``certificate_json``'s, and these
+    data of open shape alone go through ``_indented``."""
+    pad = "\n      "  # the indent of a row's keys and of the torsion factors
+    form = _quoted(report.manifold.describe())
+    inv = invariants_json(report)
+    rows = []
+    for name, r in report.results.items():
+        row = f'{{{pad}"name": {_quoted(name)},{pad}"verdict": {_quoted(r.verdict)}'
+        if r.notes:
+            row += f',{pad}"notes": {_quoted(r.notes)}'
+        if with_certificates and r.certificates:
+            certificates = [certificate_json(c) for c in r.certificates]
+            row += f',{pad}"certificate": {_indented(certificates, pad)}'
+        rows.append(row + "\n    }")
+    factors = inv["torsion_factors"]
+    torsion = "[" + pad + f",{pad}".join(map(repr, factors)) + "\n    ]" if factors else "[]"
+    obstructions = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
+    euler, spins = (_INLINE[type(v)](v) for v in (inv["euler"], inv["spin_count"]))
+    return (
+        f'{{\n  "input": {form},\n  "canonical_form": {form},\n  "invariants": {{'
+        f'\n    "b1": {inv["b1"]!r},\n    "torsion_factors": {torsion},'
+        f'\n    "euler": {euler},\n    "spin_count": {spins}\n  }},'
+        f'\n  "obstructions": {obstructions},'
+        f'\n  "status": {_quoted(report.status)},\n  "reason": {_quoted(report.reason)}\n}}'
+    )
+
+
 def _text_report(report: ObstructionReport, text: str, with_certificates: bool) -> str:
     inv = invariants_json(report)
     lines = [
@@ -361,13 +385,14 @@ def main(argv: list[str] | None = None) -> int:
     if not text:
         print("error: no manifold given", file=sys.stderr)
         return USAGE_ERROR
+    reason = None
     try:
         manifold = parse_manifold(text)
         report = full_report(
             manifold, budget=args.budget, only=args.obstruction, certificates=args.certificates
         )
         if args.json:
-            out = _indented(report_to_json(report, args.certificates))
+            out = report_to_json(report, args.certificates)
         else:
             out = _text_report(report, text, args.certificates)
         if args.json or not args.quiet:
@@ -379,16 +404,19 @@ def main(argv: list[str] | None = None) -> int:
         # the reader closed the pipe: the rest of the output, flushed again
         # at exit, goes to devnull, and the status keeps its code
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    except Exception as exc:  # a fault in the program, reported as one line
+    except Exception as exc:  # a fault in the program, reported below as one line
+        # the line is built once the clause has ended: until then the
+        # traceback keeps the failed report's frames alive, and after a
+        # MemoryError they hold nearly all the memory the line would need
         message = " ".join(str(exc).split())
         reason = f"internal:{type(exc).__name__}: {message}"
-        if args.json:
-            error = {"input": manifold.describe(), "status": "ERROR", "reason": reason}
-            print(json.dumps(error))
-        else:
-            print(f"error: {reason}", file=sys.stderr)
-        return INTERNAL_ERROR
-    return EXIT_CODES.get(report.status, INTERNAL_ERROR)
+    if reason is None:
+        return EXIT_CODES.get(report.status, INTERNAL_ERROR)
+    if args.json:
+        print(json.dumps({"input": manifold.describe(), "status": "ERROR", "reason": reason}))
+    else:
+        print(f"error: {reason}", file=sys.stderr)
+    return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

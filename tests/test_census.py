@@ -18,8 +18,8 @@ Every space with a pretzel form must also get the status of each
 pretzel cover presenting it or its mirror (``pretzel_form_faults``).
 
 The tests check S5 and N7, and the pretzel forms of S5, which take a few
-seconds.  S7 and S11 take about a minute of CPU together; to check all
-four sweeps and the pretzel forms of S5, S7 and S11::
+seconds.  To check all four sweeps and the pretzel forms of S5, S7 and
+S11, which took 11 s of CPU in all on a shared 2-vCPU host::
 
     PYTHONPATH=src python tests/test_census.py --check
 

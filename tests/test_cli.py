@@ -273,15 +273,31 @@ def test_indented_json_is_the_standard_library_bytes(value):
     assert cli._indented(value) == json.dumps(value, indent=2)
 
 
-def test_indented_certificate_report_is_the_standard_library_bytes():
-    """A --certificates report, with its subset rows (flat lists of ints,
-    printed in one step), subgroup factors and mu-bar lists, comes out as
-    json.dumps(indent=2) writes it."""
-    report = full_report(parse_manifold("pretzel(3,-3,3)"), certificates=True)
-    payload = cli.report_to_json(report, with_certificates=True)
-    certificates = json.dumps([r.get("certificate") for r in payload["obstructions"]])
-    assert all(key in certificates for key in ("subset_rows", "subgroup_factors", "mu_values"))
-    assert cli._indented(payload) == json.dumps(payload, indent=2)
+def result_json(name: str, r, with_certificates: bool) -> dict:
+    """The reference layout of row ``name``'s result, as a dict: notes
+    where it has them, and certificates where asked for and present."""
+    out = {"name": name, "verdict": r.verdict}
+    if r.notes:
+        out["notes"] = r.notes
+    if with_certificates and r.certificates:
+        out["certificate"] = [cli.certificate_json(c) for c in r.certificates]
+    return out
+
+
+def reference_report_json(report, with_certificates: bool) -> dict:
+    """The reference layout of a report, as a dict: ``--json`` prints
+    ``json.dumps`` of it with indent 2."""
+    form = report.manifold.describe()
+    return {
+        "input": form,
+        "canonical_form": form,
+        "invariants": cli.invariants_json(report),
+        "obstructions": [
+            result_json(name, r, with_certificates) for name, r in report.results.items()
+        ],
+        "status": report.status,
+        "reason": report.reason,
+    }
 
 
 def dict_value_types(x) -> set:
@@ -293,28 +309,58 @@ def dict_value_types(x) -> set:
     return set()
 
 
-def test_indented_seed1_benchmark_reports_are_the_standard_library_bytes(monkeypatch):
-    """Every report of the seed-1 cases of the three benchmark workloads,
-    with each case's own flags, comes out as json.dumps(indent=2) writes
-    it: the dicts' str, int and None values that the writer prints in
-    place, and the nested rows, certificates and invariants."""
+GENUS_4300 = "1" + "0" * 4299  # 10^4299: 2g + 1 has 4,300 digits
+
+# (expr, b1, spin count) of spaces that embed whatever the base genus
+LARGE_GENUS = [
+    ("seifert(O(10000); 0; )", 20001, "2^20001"),
+    ("seifert(O(1000000000000); 0; )", 2 * 10**12 + 1, f"2^{2 * 10**12 + 1}"),
+    ("seifert(N(1000000000000); 0; )", 10**12 - 1, f"2^{10**12 + 1}"),
+    (f"seifert(O({GENUS_4300}); 0; )", 2 * 10**4299 + 1, f"2^{2 * 10**4299 + 1}"),
+    # m = b_1 + 2 either side of 14,284
+    ("seifert(N(14283); 2; )", 14282, 2**14284),
+    ("seifert(N(14284); 0; )", 14283, "2^14285"),
+]
+
+
+def test_the_writer_is_the_standard_library_bytes_of_the_reference(monkeypatch):
+    """``report_to_json`` writes json.dumps(indent=2) of the reference
+    dict byte for byte: on every seed-1 and seed-2 case of the three
+    benchmark workloads with each case's own flags, on every input of
+    both golden corpora with and without --certificates, on the large
+    base genera (a spin count "2^m", and an integer at m = 14,284), on
+    S^3 (no torsion factors) and on an --obstruction report.  The golden
+    tests compare compact JSON, so this is the test of the indentation."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "s4bench"))
     import workloads
+    from test_golden import corpus_inputs
 
-    kinds = set()
-    for name, make in workloads.WORKLOADS.items():
-        for case in make(1):
-            args = cli._read_argv([case.expr, *case.flags])
-            report = full_report(
-                parse_manifold(args.expr),
-                budget=args.budget,
-                only=args.obstruction,
-                certificates=args.certificates,
-            )
-            payload = cli.report_to_json(report, args.certificates)
-            kinds |= dict_value_types(payload)
-            assert cli._indented(payload) == json.dumps(payload, indent=2), (name, case.expr)
+    argvs = [
+        [case.expr, *case.flags]
+        for seed in (1, 2)
+        for make in workloads.WORKLOADS.values()
+        for case in make(seed)
+    ]
+    argvs += [[expr, *flags] for expr in corpus_inputs() for flags in ([], ["--certificates"])]
+    argvs += [[expr] for expr, _, _ in LARGE_GENUS]
+    argvs += [["seifert(S2;1;)"], ["pretzel(3,-3,3)", "--obstruction", "double_subset"]]
+    kinds, printed = set(), []
+    for argv in argvs:
+        args = cli._read_argv(argv)
+        report = full_report(
+            parse_manifold(args.expr),
+            budget=args.budget,
+            only=args.obstruction,
+            certificates=args.certificates,
+        )
+        expected = reference_report_json(report, args.certificates)
+        kinds |= dict_value_types(expected)
+        printed.append(cli.report_to_json(report, args.certificates))
+        assert printed[-1] == json.dumps(expected, indent=2), argv
     assert {str, int, type(None), dict, list} <= kinds, kinds
+    shapes = ('"torsion_factors": []', '"spin_count": "2^', '"subset_rows"', '"subgroup_factors"')
+    shapes += ('"mu_values"', '"obstructions": [\n    {\n      "name": "double_subset",\n')
+    assert [shape for shape in shapes if not any(shape in text for text in printed)] == []
 
 
 def test_text_certificates_are_their_json(capsys):
@@ -749,6 +795,31 @@ def test_internal_error_is_one_structured_line(monkeypatch, capsys):
     assert captured.err == f"error: {reason}\n"
 
 
+def test_running_out_of_memory_is_one_internal_error_line():
+    """lens(3,1) summed 3,000 times with --certificates peaks near 160 MB,
+    so under a 120 MB address-space limit its report raises MemoryError.
+    The error line is built once the failed report's frames are freed, so
+    --json prints one JSON line, and both modes exit 70."""
+    expr = "+".join(["lens(3,1)"] * 3000)
+
+    def small_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (120 << 20, 120 << 20))
+        resource.setrlimit(resource.RLIMIT_CPU, (20, 20))
+
+    for flags in ([], ["--json"]):
+        done = run_python(
+            "-m", "s4embed.cli", expr, "--certificates", *flags, preexec_fn=small_memory
+        )
+        assert done.returncode == 70, done.stderr
+        if flags:
+            assert done.stderr == "" and done.stdout.count("\n") == 1
+            error = json.loads(done.stdout)
+            assert error["status"] == "ERROR", error
+            assert error["reason"].startswith("internal:MemoryError"), error
+        else:
+            assert (done.stdout, done.stderr) == ("", "error: internal:MemoryError: \n")
+
+
 @pytest.mark.parametrize("flags", [[], ["--json"], ["--quiet"]])
 def test_a_fault_while_printing_is_one_internal_error_line(flags, monkeypatch, capsys):
     """A fault in rendering the report, here an integer past the
@@ -756,7 +827,7 @@ def test_a_fault_while_printing_is_one_internal_error_line(flags, monkeypatch, c
     else in every output mode: the output is built whole inside the
     internal-error guard, also when --quiet does not print it."""
     fault = fail_with(ValueError("Exceeds the limit (4300 digits) for integer string conversion"))
-    monkeypatch.setattr(cli, "_indented", fault)
+    monkeypatch.setattr(cli, "report_to_json", fault)
     monkeypatch.setattr(cli, "_text_report", fault)
     assert main(["pretzel(3,-5,-8)", *flags]) == 70
     captured = capsys.readouterr()
@@ -765,21 +836,10 @@ def test_a_fault_while_printing_is_one_internal_error_line(flags, monkeypatch, c
     assert "internal:ValueError: Exceeds the limit (4300 digits)" in line
 
 
-GENUS_4300 = "1" + "0" * 4299  # 10^4299: 2g + 1 has 4,300 digits
-
-
 @pytest.mark.parametrize("flags", [[], ["--json"]])
 @pytest.mark.parametrize(
     "expr, b1, spin",
-    [
-        ("seifert(O(10000); 0; )", 20001, "2^20001"),
-        ("seifert(O(1000000000000); 0; )", 2 * 10**12 + 1, f"2^{2 * 10**12 + 1}"),
-        ("seifert(N(1000000000000); 0; )", 10**12 - 1, f"2^{10**12 + 1}"),
-        (f"seifert(O({GENUS_4300}); 0; )", 2 * 10**4299 + 1, f"2^{2 * 10**4299 + 1}"),
-        # m = b_1 + 2 either side of 14,284
-        ("seifert(N(14283); 2; )", 14282, 2**14284),
-        ("seifert(N(14284); 0; )", 14283, "2^14285"),
-    ],
+    LARGE_GENUS,
     ids=["O(10^4)", "O(10^12)", "N(10^12)", "O(10^4299)", "m=14284", "m=14285"],
 )
 def test_a_large_base_genus_prints(expr, b1, spin, flags):

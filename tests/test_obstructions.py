@@ -17,7 +17,7 @@ from s4embed.classify import (
     even_fibre_clause,
     full_report,
 )
-from s4embed.cli import parse_manifold, result_json
+from s4embed.cli import parse_manifold
 from s4embed.intlinalg import cokernel, direct_sum_test, doubled_factors
 from s4embed.lattice import LatticeSubset, enumerate_subsets
 from s4embed.manifolds import (
@@ -42,6 +42,7 @@ from s4embed.obstructions import (
 )
 from s4embed.plumbing import PlumbingTree, plumbing_tree
 from test_census import sweep_s5, sweep_s7
+from test_cli import result_json
 from test_golden import corpus_inputs
 from test_intlinalg import (
     assert_lift,
