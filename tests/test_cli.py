@@ -300,6 +300,51 @@ def reference_report_json(report, with_certificates: bool) -> dict:
     }
 
 
+def test_indented_certificate_report_is_the_standard_library_bytes():
+    """A --certificates report, with its subset rows (flat lists of ints,
+    printed in one step), subgroup factors and mu-bar lists, comes out as
+    json.dumps(indent=2) writes the reference dict."""
+    report = full_report(parse_manifold("pretzel(3,-3,3)"), certificates=True)
+    payload = reference_report_json(report, with_certificates=True)
+    certificates = json.dumps([r.get("certificate") for r in payload["obstructions"]])
+    assert all(key in certificates for key in ("subset_rows", "subgroup_factors", "mu_values"))
+    assert cli.report_to_json(report, with_certificates=True) == json.dumps(payload, indent=2)
+
+
+def dict_value_types(x) -> set:
+    """The types of the values of every dict inside x."""
+    if type(x) is dict:
+        return set(map(type, x.values())).union(*map(dict_value_types, x.values()))
+    if type(x) in (list, tuple):
+        return set().union(*map(dict_value_types, x))
+    return set()
+
+
+def test_indented_seed1_benchmark_reports_are_the_standard_library_bytes(monkeypatch):
+    """Every report of the seed-1 cases of the three benchmark workloads,
+    with each case's own flags, comes out as json.dumps(indent=2) writes
+    the reference dict: its str, int and None values, and the nested
+    rows, certificates and invariants."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "s4bench"))
+    import workloads
+
+    kinds = set()
+    for name, make in workloads.WORKLOADS.items():
+        for case in make(1):
+            args = cli._read_argv([case.expr, *case.flags])
+            report = full_report(
+                parse_manifold(args.expr),
+                budget=args.budget,
+                only=args.obstruction,
+                certificates=args.certificates,
+            )
+            payload = reference_report_json(report, args.certificates)
+            kinds |= dict_value_types(payload)
+            text = cli.report_to_json(report, args.certificates)
+            assert text == json.dumps(payload, indent=2), (name, case.expr)
+    assert {str, int, type(None), dict, list} <= kinds, kinds
+
+
 GENUS_4300 = "1" + "0" * 4299  # 10^4299: 2g + 1 has 4,300 digits
 
 # (expr, b1, spin count) of spaces that embed whatever the base genus
