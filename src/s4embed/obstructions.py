@@ -14,11 +14,12 @@ Each check takes the ``PlumbingTree`` of the form, and the double-subset
 checks also coker Q on the generators ``PlumbingTree.lift`` names.  Each
 check filters and pairs the factorisations as the search finds them,
 and stops at its first witness, which a pass cites.  Every verdict of
-"obstructed" is backed by a provably completed search, by the invariant
-factors of coker Q or by its linking form; budget exhaustion downgrades
-to "inconclusive" instead, whose note gives the nodes the search used
-and the subsets it found.  Where the theorem's rows pass, the witness
-is built, not searched for (``built_pass``).
+"obstructed" is backed by the invariant factors of coker Q, by its
+linking form or by a provably completed search.  Each search ends in
+``_ended``, the one home of that rule: budget exhaustion downgrades to
+"inconclusive" instead, whose note gives the nodes the search used and
+the subsets it found.  Where the theorem's rows pass, the witness is
+built, not searched for (``built_pass``).
 
 No output is made here: a result names no row, as ``full_report`` keys
 it by the row that ran it, and ``cli`` alone lays it out.
@@ -512,8 +513,23 @@ def built_pass(name: str, ends, group: FiniteAbelianGroup | None = None) -> Obst
     return ObstructionResult("pass", [A[0] if hub else A, *halves], built)
 
 
-def _exhausted(res: SubsetSearchResult) -> str:
-    return f"budget exhausted after {res.nodes} nodes; {len(res.subsets)} subset(s) found"
+def _ended(res: SubsetSearchResult, witness: list, passed: str, refuted: str) -> ObstructionResult:
+    """The result of the finished search ``res``: the one place where a
+    check's search becomes its verdict, and the one home of the rule that
+    "obstructed" means a completed search.
+
+    - a ``witness`` found by the search passes, citing it, with the
+      note ``passed``;
+    - else a search whose budget ran out is "inconclusive", whatever it
+      saw, and its note gives the nodes it used and the subsets it found;
+    - else the search completed and found no witness: "obstructed", with
+      the check's note ``refuted``."""
+    if witness:
+        return ObstructionResult("pass", witness, passed)
+    if not res.complete:
+        notes = f"budget exhausted after {res.nodes} nodes; {len(res.subsets)} subset(s) found"
+        return ObstructionResult("inconclusive", notes=notes)
+    return ObstructionResult("obstructed", notes=refuted)
 
 
 def double_subset_obstruction(
@@ -583,21 +599,11 @@ def double_subset_obstruction(
         return False
 
     res = enumerate_subsets(tree, budget, until=split_found)
-    filtered_note = (
-        f"{removed} factorisation(s) removed by the correction-term filter; " if removed else ""
-    )
-    if witness:
-        note = "trivial cokernel" if G.order == 1 else _PASSED["double_subset"]
-        return ObstructionResult("pass", witness, filtered_note + note)
-    if not res.complete:
-        return ObstructionResult("inconclusive", notes=_exhausted(res))
+    note = f"{removed} factorisation(s) removed by the correction-term filter; " if removed else ""
     if G.order == 1:
-        return ObstructionResult("obstructed", notes=filtered_note + "no factorisation exists")
-    return ObstructionResult(
-        "obstructed",
-        notes=filtered_note
-        + f"complete search: {len(usable)} usable subgroup(s), no splitting pair",
-    )
+        return _ended(res, witness, note + "trivial cokernel", note + "no factorisation exists")
+    searched = f"complete search: {len(usable)} usable subgroup(s), no splitting pair"
+    return _ended(res, witness, note + _PASSED["double_subset"], note + searched)
 
 
 def semidefinite_obstruction(tree: PlumbingTree, budget: int | None = None) -> ObstructionResult:
@@ -605,12 +611,7 @@ def semidefinite_obstruction(tree: PlumbingTree, budget: int | None = None) -> O
     the form of ``tree``; the search stops at the first one."""
     _require(tree, ("negative_semidefinite", 1), "semi-definite obstruction")
     res = enumerate_subsets(tree, budget, until=lambda s: True)
-    if res.subsets:
-        return ObstructionResult("pass", [res.subsets[0]])
-    if res.complete:
-        notes = "complete search: no rectangular factorisation"
-        return ObstructionResult("obstructed", notes=notes)
-    return ObstructionResult("inconclusive", notes=_exhausted(res))
+    return _ended(res, res.subsets[:1], "", "complete search: no rectangular factorisation")
 
 
 def nonorientable_obstruction(
@@ -647,12 +648,5 @@ def nonorientable_obstruction(
         return False
 
     res = enumerate_subsets(tree, budget, until=pair_found)
-    if witness:
-        return ObstructionResult("pass", witness, _PASSED["nonorientable_double_subset"])
-    if res.complete:
-        return ObstructionResult(
-            "obstructed",
-            notes=f"complete search: {len(qualifying)} qualifying subset(s), "
-            "no pair with intersection <= 2",
-        )
-    return ObstructionResult("inconclusive", notes=_exhausted(res))
+    searched = f"complete search: {len(qualifying)} qualifying subset(s), no pair with intersection"
+    return _ended(res, witness, _PASSED["nonorientable_double_subset"], f"{searched} <= 2")
