@@ -329,10 +329,11 @@ def signature_triple(diag, neighbours) -> tuple[int, int, int]:
 
 @dataclass
 class FiniteAbelianGroup:
-    """Z^n / im(M) in invariant-factor coordinates.
+    """The torsion of Z^n / im(M), in invariant-factor coordinates.
 
     ``factors`` is the chain d1 | d2 | ... with every di >= 2; the group
-    is the direct sum of Z/di plus ``free_rank`` copies of Z.
+    is the direct sum of the Z/di, and any free rank of the cokernel is
+    carried beside it (``cokernel``, ``manifolds.chain_group``).
     ``relations()`` builds M, whose one Smith form U M V = D gives the
     coordinates: U carries ambient integer vectors, the columns of a
     matrix, onto the torsion coordinates (``project_columns``), and
@@ -344,7 +345,6 @@ class FiniteAbelianGroup:
     """
 
     factors: tuple[int, ...]
-    free_rank: int
     relations: Callable[[], list] = field(repr=False)  # () -> M
     lift: tuple[tuple[int, int], ...] = field(default=(), repr=False)
     _smith: list = field(default_factory=list, repr=False)  # [(M, U, D, V)] once taken
@@ -380,8 +380,6 @@ class FiniteAbelianGroup:
 
     @property
     def order(self) -> int:
-        if self.free_rank:
-            raise ValueError("infinite group has no order")
         return math.prod(self.factors)
 
     def project_columns(self, rows) -> list[tuple[int, ...]]:
@@ -404,15 +402,15 @@ class FiniteAbelianGroup:
         return tuple(map(mod, coords, self.factors))
 
 
-def cokernel(M) -> FiniteAbelianGroup:
-    """Z^r / im(M), one generator per row of M and one relation per column,
-    for M of any shape: the free rank is r minus the rank of M.  The one
-    Smith form of M is taken here and kept on the group."""
+def cokernel(M) -> tuple[int, FiniteAbelianGroup]:
+    """(free rank, torsion) of Z^r / im(M), one generator per row of M and
+    one relation per column, for M of any shape: the free rank is r minus
+    the rank of M, and the torsion is presented by M.  The one Smith form
+    of M is taken here and kept on the group."""
     U, D, V = smith_normal_form(M)
     diag = [D[i][i] for i in range(min(len(D), len(V)))]
-    free = len(M) - sum(map(bool, diag))
-    factors = tuple(d for d in diag if d >= 2)
-    return FiniteAbelianGroup(factors, free, lambda: M, _smith=[(M, U, D, V)])
+    torsion = FiniteAbelianGroup(tuple(d for d in diag if d >= 2), lambda: M, _smith=[(M, U, D, V)])
+    return len(M) - sum(map(bool, diag)), torsion
 
 
 def cyclic_sum_factors(orders) -> list[int]:
@@ -463,7 +461,7 @@ class Subgroup:
                 coeffs.append(c)
                 v = [a - c * b for a, b in zip(v, row)]
             X.append(coeffs)
-        factors = cokernel(X).factors
+        factors = cokernel(X)[1].factors
         assert math.prod(factors) == self.order
         return factors
 
@@ -477,8 +475,6 @@ def subgroup_from_generators(G: FiniteAbelianGroup, gens) -> Subgroup:
     its index is the product of its pivots.  The order is |G| over that
     index.
     """
-    if G.free_rank:
-        raise ValueError("subgroup arithmetic needs a finite parent")
     m = len(G.factors)
     gens = tuple(G.reduce(g) for g in gens)
     relations = [tuple(d if j == i else 0 for j in range(m)) for i, d in enumerate(G.factors)]

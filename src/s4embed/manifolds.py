@@ -291,7 +291,7 @@ def chain_group(hub: int | None, ends) -> tuple[int, FiniteAbelianGroup]:
         rows = [[-a0] * (n - 1) + [hub * a0 + q0]]
         return rows + [[a * (i == j) for j in range(n - 1)] + [q] for i, (q, a) in enumerate(legs)]
 
-    return free, FiniteAbelianGroup(tuple(d for d in factors if d >= 2), 0, relations)
+    return free, FiniteAbelianGroup(tuple(d for d in factors if d >= 2), relations)
 
 
 def first_homology(m: LensSum | SeifertManifold) -> tuple[int, FiniteAbelianGroup]:

@@ -238,9 +238,9 @@ def test_first_homology_matches_the_surgery_presentation():
     ]
     kinds = Counter()
     for m in spaces:
-        G = cokernel(list(zip(*surgery_presentation(m))))  # relations as columns
+        free, G = cokernel(list(zip(*surgery_presentation(m))))  # relations as columns
         b1, torsion = first_homology(m)
-        assert (b1, torsion.factors) == (G.free_rank + 2 * m.genus, G.factors), m.describe()
+        assert (b1, torsion.factors) == (free + 2 * m.genus, G.factors), m.describe()
         kinds[min(len(m.invariants), 3), euler_invariant(m) == 0] += 1
     assert all(kinds[n, False] >= 100 for n in range(4))
     assert kinds[0, True] >= 30 and kinds[2, True] == 6 * 27
@@ -293,10 +293,10 @@ def test_closed_form_factors_match_the_smith_form():
     zero = 0
     for m in inputs:
         free, G = chain_group(*chain_ends(m))
-        H = cokernel(G.relations())
-        assert (G.factors, free) == (H.factors, H.free_rank), m.describe()
+        H_free, H = cokernel(G.relations())
+        assert (G.factors, free) == (H.factors, H_free), m.describe()
         b1, torsion = first_homology(m)
-        assert (b1, torsion.factors) == (H.free_rank + 2 * m.genus, H.factors)
+        assert (b1, torsion.factors) == (H_free + 2 * m.genus, H.factors)
         assert len(torsion.generators) == len(torsion.factors)
         zero += m.invariants != () and euler_invariant(m) == 0
     assert zero >= 400
@@ -306,7 +306,7 @@ def test_closed_form_factors_match_the_smith_form():
         fibres = [(a, rng.choice([1, -1])) for a in sizes]
         sums = [LensSum((p, coprime(p)) for p in sizes), SeifertManifold(False, 1, 0, fibres)]
         for G in (first_homology(sums[0])[1], ManifoldContext(sums[1]).coker):
-            assert G.factors == cokernel(G.relations()).factors == tuple(
+            assert G.factors == cokernel(G.relations())[1].factors == tuple(
                 d for d in intlinalg.cyclic_sum_factors(sizes) if d >= 2
             )
     kinds, huge = Counter(), 0
@@ -315,9 +315,9 @@ def test_closed_form_factors_match_the_smith_form():
         sizes = [order() for _ in range(rng.randint(0, 5))]
         fibres = [(a, coprime(a) + rng.randint(-2, 2) * a) for a in sizes]
         m = SeifertManifold(False, rng.randint(1, 3), rng.randint(-4, 4), fibres)
-        G = cokernel(list(zip(*crosscap_presentation(m))))
+        free, G = cokernel(list(zip(*crosscap_presentation(m))))
         b1, torsion = first_homology(m)
-        assert (b1, torsion.factors) == (G.free_rank, G.factors), m.describe()
+        assert (b1, torsion.factors) == (free, G.factors), m.describe()
         # the parity that decides the 2-part: of the fibres of top 2-part,
         # or with no even a of r + sum b
         twos = [a & -a for a in sizes]
@@ -450,9 +450,9 @@ def test_nonorientable_homology_matches_the_crosscap_presentation():
             a = rng.randint(2, 9)
             fibres.append((a, rng.choice([b for b in range(-2 * a, 2 * a) if math.gcd(a, b) == 1])))
         m = SeifertManifold(False, rng.randint(1, 6), rng.randint(-4, 4), fibres)
-        G = cokernel(list(zip(*crosscap_presentation(m))))  # relations as columns
+        free, G = cokernel(list(zip(*crosscap_presentation(m))))  # relations as columns
         b1, torsion = first_homology(m)
-        assert (b1, torsion.factors) == (G.free_rank, G.factors), m.describe()
+        assert (b1, torsion.factors) == (free, G.factors), m.describe()
     b1, torsion = first_homology(SeifertManifold(False, 14000, 0, [(2, 1)]))
     assert (b1, torsion.factors) == (13999, (8,))
 
