@@ -44,11 +44,13 @@ stderr line names the rows the class has, or the idle row.
 Exit codes: 0 embeds, 1 obstructed, 2 unknown, 64 parse/usage error,
 70 internal error.  Code 70 means either a conflict (status CONFLICT: a
 catalog hit contradicting a completed obstruction) or an exception
-raised after parsing, while building the report or its output (status
-ERROR, printed as one line: the JSON object {"input", "status",
-"reason"} with ``--json``, else ``error: <reason>`` on stderr, the
-reason reading ``internal:<Type>: <message>``, built once the failed
-report's frames are freed, so that a MemoryError prints it too).  The
+other than ``ParseError`` raised while parsing, building the report or
+its output (status ERROR, printed as one line: the JSON object
+{"input", "status", "reason"} with ``--json``, whose "input" is the
+canonical form, or the text as given where no manifold was parsed,
+else ``error: <reason>`` on stderr, the reason reading
+``internal:<Type>: <message>``, built once the failed report's frames
+are freed, so that a MemoryError prints it too).  The
 output is built whole before any of it is printed, so a fault while
 rendering, such as an integer past the interpreter's digit limit,
 prints that one line and nothing else.  Neither should ever happen, and
@@ -385,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
     if not text:
         print("error: no manifold given", file=sys.stderr)
         return USAGE_ERROR
-    reason = None
+    reason = manifold = None
     try:
         manifold = parse_manifold(text)
         report = full_report(
@@ -413,7 +415,8 @@ def main(argv: list[str] | None = None) -> int:
     if reason is None:
         return EXIT_CODES.get(report.status, INTERNAL_ERROR)
     if args.json:
-        print(json.dumps({"input": manifold.describe(), "status": "ERROR", "reason": reason}))
+        form = text if manifold is None else manifold.describe()
+        print(json.dumps({"input": form, "status": "ERROR", "reason": reason}))
     else:
         print(f"error: {reason}", file=sys.stderr)
     return INTERNAL_ERROR

@@ -938,25 +938,55 @@ def test_interrupt_is_not_swallowed(monkeypatch):
         main(["pretzel(3,-5,-8)", "--quiet"])
 
 
-# The CLI with the lattice search of the classifier made to fail the way
-# a too-deep recursion would.
-CLI_WITH_FAILING_SEARCH = """
+# The CLI with the stage its first argument names made to fail: parsing
+# as running out of memory would, the lattice search of the classifier
+# as a too-deep recursion would, and both writers as an integer past the
+# digit limit would.
+CLI_FAILING_AT = """
 import sys
 from s4embed import classify, cli
 
-def double_subset_obstruction(*args, **kwargs):
-    raise RecursionError("maximum recursion depth exceeded")
+def fail(error):
+    def failing(*args, **kwargs):
+        raise error
 
-classify.double_subset_obstruction = double_subset_obstruction
+    return failing
+
+digits = ValueError("Exceeds the limit (4300 digits) for integer string conversion")
+stages = {
+    "parse_manifold": [(cli, "parse_manifold", MemoryError())],
+    "search": [(classify, "double_subset_obstruction", RecursionError("maximum recursion depth"))],
+    "writer": [(cli, "report_to_json", digits), (cli, "_text_report", digits)],
+}
+for module, name, error in stages[sys.argv.pop(1)]:
+    setattr(module, name, fail(error))
 sys.exit(cli.main(sys.argv[1:]))
 """
 
+FAILING_STAGE_REASONS = {
+    "parse_manifold": "internal:MemoryError: ",
+    "search": "internal:RecursionError: maximum recursion depth",
+    "writer": "internal:ValueError: Exceeds the limit (4300 digits) for integer string conversion",
+}
 
-def test_internal_error_of_the_process_has_no_traceback():
-    # the search of a lens sum runs only for certificates, and only where
-    # the sum is refuted and its linking form hyperbolic
-    done = run_python("-c", CLI_WITH_FAILING_SEARCH, "lens(5,1)+lens(5,1)", "--certificates")
-    assert done.returncode == 70
-    assert "Traceback" not in done.stderr
-    assert done.stderr.startswith("error: internal:RecursionError: ")
-    assert done.stderr.count("\n") == 1
+
+@pytest.mark.parametrize("mode", ["text", "json"])
+@pytest.mark.parametrize("stage", FAILING_STAGE_REASONS)
+def test_internal_error_of_the_process_has_no_traceback(stage, mode):
+    """A fault at any stage of a run exits 70 in a child process, with one
+    line and no traceback: ``error: <reason>`` on stderr in text mode, and
+    with --json the error object on stdout, whose "input" is the
+    canonical form where a manifold was parsed and the text as given
+    where none was.  The search of a lens sum runs only for
+    certificates, and only where the sum is refuted and its linking form
+    hyperbolic."""
+    text, flags = " lens(5,1) + lens(5,1) ", ["--json"] if mode == "json" else []
+    done = run_python("-c", CLI_FAILING_AT, stage, text, "--certificates", *flags)
+    reason = FAILING_STAGE_REASONS[stage]
+    assert done.returncode == 70, done.stderr
+    if flags:
+        assert done.stderr == "" and done.stdout.count("\n") == 1
+        form = text if stage == "parse_manifold" else parse_manifold(text).describe()
+        assert json.loads(done.stdout) == {"input": form, "status": "ERROR", "reason": reason}
+    else:
+        assert (done.stdout, done.stderr) == ("", f"error: {reason}\n")
